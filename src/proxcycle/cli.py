@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -84,6 +85,10 @@ def parse_config(data: object) -> ExperimentConfig:
 
     if data["run"] not in RUNS:
         raise ConfigError(f"run must be one of {RUNS}")
+    # bool is a subclass of int, so True would otherwise read as 1.
+    booleans = [key for key in ("p", "iterations", "tolerance", "seed") if isinstance(data[key], bool)]
+    if booleans:
+        raise ConfigError(f"booleans are not numbers: {booleans}")
     try:
         p = as_exponent(data["p"])
     except (TypeError, ValueError) as exc:
@@ -116,10 +121,14 @@ def parse_config(data: object) -> ExperimentConfig:
     )
 
 
+def _reject_constant(name: str) -> None:
+    raise ConfigError(f"{name} is not a JSON value")
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -154,6 +163,17 @@ def _write_trace_csv(path: Path, trace: orbit.OrbitTrace, p: Exponent) -> None:
 
 def _point_list(point) -> list[float] | None:
     return None if point is None else list(point)
+
+
+def _finite_or_null(value):
+    """Replace NaN and infinities, anywhere in nested lists and dicts, by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
@@ -245,7 +265,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         }
         result["converged"] = cert.ok
 
-    summary = {
+    summary = _finite_or_null({
         "system": {"id": gs.spec.id, "parameters": gs.spec.parameter_dict()},
         "run": config.run,
         "p": "inf" if p.is_inf else p.value,
@@ -256,13 +276,13 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         "result": result,
         "certificate": certificate,
         "metadata": {"timestamp": datetime.now(timezone.utc).isoformat()},
-    }
+    })
 
     out_path = Path(destination)
     out_path.mkdir(parents=True, exist_ok=True)
     _write_trace_csv(out_path / "trace.csv", trace, p)
     with open(out_path / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return summary
 

@@ -26,12 +26,14 @@ from .spaces import (
     as_exponent,
     check_point,
     lq_norm,
+    p_combine,
 )
 
 MEMBERSHIP_TOL = 1e-9
-# LHS/RHS of the contraction inequality each accumulate ~m rounding errors on
-# O(1) values, so a certified margin may legitimately dip this far below zero.
-MARGIN_TOL = -1e-10
+# Each side of the contraction inequality accumulates about m rounding errors
+# on values of size S, the largest side seen. A certified margin may
+# legitimately dip to -MARGIN_ULPS * m * ulp(max(1, S)) below zero.
+MARGIN_ULPS = 8
 EXHAUSTIVE_LIMIT = 10 ** 6
 
 
@@ -308,6 +310,7 @@ class TabulatedPhi(Phi):
     last segment's slope so monotonicity persists on all of [0, inf)."""
 
     knots: tuple[tuple[float, float], ...]
+    _ts: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         knots = tuple((float(t), float(v)) for t, v in self.knots)
@@ -324,11 +327,12 @@ class TabulatedPhi(Phi):
         if vs[0] < 0.0:
             raise ValueError("phi(0) must be >= 0")
         object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "_ts", tuple(ts))
 
     def __call__(self, t: float) -> float:
         if t < 0:
             raise ValueError("phi is defined on [0, inf)")
-        ts = [k[0] for k in self.knots]
+        ts = self._ts
         i = bisect_right(ts, t) - 1
         if i >= len(ts) - 1:
             i = len(ts) - 2
@@ -467,6 +471,17 @@ class ContractionCertificate:
     artifact_skips: int
 
 
+def _pair_sides(
+    system: CyclicSystem, phi: Phi, exp: Exponent, xs: Sequence[Point], ys: Sequence[Point]
+) -> tuple[float, float, float]:
+    """lhs = d_p(Txs, Tys), d = d_p(xs, ys) and phi(d) for one tuple pair."""
+    txs = tuple(system.apply(x) for x in xs)
+    tys = tuple(system.apply(y) for y in ys)
+    lhs = chain_point_distance(system.space, txs, tys, exp)
+    d = chain_point_distance(system.space, xs, ys, exp)
+    return lhs, d, phi(d)
+
+
 def contraction_margin(
     system: CyclicSystem,
     phi: Phi,
@@ -479,12 +494,111 @@ def contraction_margin(
     exp = as_exponent(p)
     if set_distance is None:
         set_distance = system.set_chain_distance(exp)
-    txs = tuple(system.apply(x) for x in xs)
-    tys = tuple(system.apply(y) for y in ys)
-    lhs = chain_point_distance(system.space, txs, tys, exp)
-    d = chain_point_distance(system.space, xs, ys, exp)
-    rhs = d - phi(d) + phi(set_distance)
+    lhs, d, phi_d = _pair_sides(system, phi, exp, xs, ys)
+    rhs = d - phi_d + phi(set_distance)
     return rhs - lhs
+
+
+@dataclass
+class _Scan:
+    """Running result of a certification scan over tuple pairs."""
+
+    min_margin: float = math.inf
+    witness_xs: tuple[Point, ...] = ()
+    witness_ys: tuple[Point, ...] = ()
+    evaluated: int = 0
+    skips: int = 0
+    scale: float = 0.0  # largest of lhs, d, phi(d), phi(D) over evaluated pairs
+
+
+def _scan_sampled(
+    system: CyclicSystem, phi: Phi, exp: Exponent, phi_set: float, tuple_samples: int, seed: int
+) -> _Scan:
+    rng = random.Random(seed)
+    scan = _Scan(scale=phi_set)
+    for _ in range(tuple_samples):
+        xs = tuple(r.sample(rng) for r in system.regions)
+        ys = tuple(r.sample(rng) for r in system.regions)
+        if any(system.is_artifact(pt) for pt in xs + ys):
+            scan.skips += 1
+            continue
+        lhs, d, phi_d = _pair_sides(system, phi, exp, xs, ys)
+        margin = (d - phi_d + phi_set) - lhs
+        scan.evaluated += 1
+        scan.scale = max(scan.scale, lhs, d, phi_d)
+        if margin < scan.min_margin:
+            scan.min_margin = margin
+            scan.witness_xs, scan.witness_ys = xs, ys
+    return scan
+
+
+def _scan_exhaustive(system: CyclicSystem, phi: Phi, exp: Exponent, phi_set: float) -> _Scan:
+    """Every tuple pair, from per-edge tables instead of per-pair work.
+
+    Term i of both chain distances depends only on the edge pair
+    (x_i, y_{i+1}), so each point is flagged and mapped once, each edge
+    distance is computed once, and each pair only looks its m terms up. The
+    pairs are walked in ``product(tuples, tuples)`` order and the terms go to
+    ``p_combine`` in chain order, so every margin, and with it the witness,
+    is bit-identical to ``contraction_margin``.
+    """
+    space = system.space
+    m = system.m
+    regions = system.regions
+    usable = [[x for x in r.points if not system.is_artifact(x)] for r in regions]
+    total = math.prod(len(r.points) for r in regions)
+    kept = math.prod(len(pts) for pts in usable)
+    scan = _Scan(skips=total * total - kept * kept)
+    if not kept:
+        return scan
+
+    # Map each point once, in the order the pair enumeration first reaches
+    # it: the first tuple, then the later points of the last region, of the
+    # one before it, and so on, as product() varies them.
+    order = [pts[0] for pts in usable] + [x for pts in reversed(usable) for x in pts[1:]]
+    image: dict[Point, Point] = {}
+    for x in order:
+        if x not in image:
+            image[x] = system.apply(x)
+
+    # dist[i][a][b] = d(A_i[a], A_{i+1}[b]); mapped[i][a][b] the same for images.
+    dist, mapped = [], []
+    for i in range(m):
+        heads, tails = usable[i], usable[(i + 1) % m]
+        dist.append([[space.distance(x, y) for y in tails] for x in heads])
+        mapped.append([[space.distance(image[x], image[y]) for y in tails] for x in heads])
+
+    index_tuples = list(itertools.product(*(range(len(pts)) for pts in usable)))
+    # Term i pairs x_i with y_{i+1}: rotate each ys index tuple once.
+    shifted = [t[1:] + t[:1] for t in index_tuples]
+    witness = None
+    min_margin = math.inf
+    scale = phi_set
+    for xt in index_tuples:
+        d_rows = [dist[i][a] for i, a in enumerate(xt)]
+        e_rows = [mapped[i][a] for i, a in enumerate(xt)]
+        for yt, ys_next in zip(index_tuples, shifted):
+            d = p_combine([row[b] for row, b in zip(d_rows, ys_next)], exp)
+            lhs = p_combine([row[b] for row, b in zip(e_rows, ys_next)], exp)
+            phi_d = phi(d)
+            margin = (d - phi_d + phi_set) - lhs
+            if lhs > scale:
+                scale = lhs
+            if d > scale:
+                scale = d
+            if phi_d > scale:
+                scale = phi_d
+            if margin < min_margin:
+                min_margin = margin
+                witness = (xt, yt)
+
+    def points(t: tuple[int, ...]) -> tuple[Point, ...]:
+        return tuple(usable[i][a] for i, a in enumerate(t))
+
+    scan.min_margin, scan.scale, scan.evaluated = min_margin, scale, kept * kept
+    if witness is not None:
+        scan.witness_xs, scan.witness_ys = points(witness[0]), points(witness[1])
+    return scan
 
 
 def verify_contraction(
@@ -494,65 +608,47 @@ def verify_contraction(
     tuple_samples: int = 500,
     seed: int = 0,
 ) -> ContractionCertificate:
-    """Certify or refute the contraction inequality over sampled tuples.
+    """Certify or refute the contraction inequality over tuple pairs.
 
-    Enumerable systems small enough are checked exhaustively. Tuples touching
-    a truncation-artifact point are skipped (their images are stubs) and
-    counted separately.
+    Enumerable systems with at most ``EXHAUSTIVE_LIMIT`` tuple pairs are
+    checked exhaustively; others are checked on ``tuple_samples`` seeded
+    pairs. Pairs touching a truncation-artifact point are skipped (their
+    images are stubs) and counted in ``artifact_skips``; ``evaluated`` counts
+    the pairs whose margin was computed, artifact skips excluded.
+
+    ``min_margin`` and the witness are the raw minimum over the evaluated
+    pairs (the first one in enumeration order on ties). The certificate
+    passes when ``min_margin >= -MARGIN_ULPS * m * ulp(max(1, S))``, where S
+    is the largest of d_p(Tx, Ty), d_p(x, y), phi(d_p(x, y)) and phi(d_p(A))
+    over the evaluated pairs, so the tolerance scales with the problem.
     """
     exp = as_exponent(p)
     set_distance = system.set_chain_distance(exp)
+    phi_set = phi(set_distance)
 
     regions = system.regions
     exhaustive = all(_enumerable(r) for r in regions)
     if exhaustive:
-        total = 1
-        for r in regions:
-            total *= len(r.points)
+        total = math.prod(len(r.points) for r in regions)
         exhaustive = total * total <= EXHAUSTIVE_LIMIT
 
     if exhaustive:
-        per_region = [r.points for r in regions]
-        tuples = list(itertools.product(*per_region))
-        candidates = itertools.product(tuples, tuples)
+        scan = _scan_exhaustive(system, phi, exp, phi_set)
     else:
-        rng = random.Random(seed)
+        scan = _scan_sampled(system, phi, exp, phi_set, tuple_samples, seed)
 
-        def _sampled():
-            for _ in range(tuple_samples):
-                yield (
-                    tuple(r.sample(rng) for r in regions),
-                    tuple(r.sample(rng) for r in regions),
-                )
-
-        candidates = _sampled()
-
-    min_margin = math.inf
-    witness_xs: tuple[Point, ...] = ()
-    witness_ys: tuple[Point, ...] = ()
-    evaluated = 0
-    skips = 0
-    for xs, ys in candidates:
-        if any(system.is_artifact(pt) for pt in xs + ys):
-            skips += 1
-            continue
-        margin = contraction_margin(system, phi, exp, xs, ys, set_distance)
-        evaluated += 1
-        if margin < min_margin:
-            min_margin = margin
-            witness_xs, witness_ys = xs, ys
-
-    ok = evaluated > 0 and min_margin >= MARGIN_TOL
+    floor = -MARGIN_ULPS * system.m * math.ulp(max(1.0, scan.scale))
+    ok = scan.evaluated > 0 and scan.min_margin >= floor
     return ContractionCertificate(
         ok=ok,
-        min_margin=min_margin if evaluated else math.nan,
-        witness_xs=witness_xs,
-        witness_ys=witness_ys,
+        min_margin=scan.min_margin if scan.evaluated else math.nan,
+        witness_xs=scan.witness_xs,
+        witness_ys=scan.witness_ys,
         set_chain_distance=set_distance,
         p=exp,
-        evaluated=evaluated,
+        evaluated=scan.evaluated,
         exhaustive=exhaustive,
-        artifact_skips=skips,
+        artifact_skips=scan.skips,
     )
 
 

@@ -64,6 +64,14 @@ def test_parse_config_rejects_invalid(mutation):
         cli.parse_config(base_config(**mutation))
 
 
+@pytest.mark.parametrize("key", ["p", "iterations", "tolerance", "seed"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_cli_rejects_boolean_numbers(tmp_path, key, flag):
+    config = write_config(tmp_path, base_config(**{key: flag}))
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_parse_config_requires_seed():
     data = base_config()
     del data["seed"]
@@ -121,6 +129,26 @@ def test_run_proximity_family_flags_non_attainment(tmp_path):
     assert "not attained" in summary["result"]["note"]
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_summary_is_strict_json_when_a_residual_is_nan(tmp_path):
+    # One iteration leaves the m = 3 proximity residual undefined (NaN).
+    data = base_config(
+        system={"id": "paper_lq_family", "parameters": {"m": 3, "N": 2}},
+        run="proximity",
+        iterations=1,
+    )
+    config = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+    text = (out / "summary.json").read_text()
+    summary = json.loads(text, parse_constant=_reject_constant)
+    jsonschema.validate(summary, SCHEMA)
+    assert summary["result"]["proximity_residual"] is None
+
+
 def test_run_certify(tmp_path):
     data = base_config(run="certify", iterations=300)
     config = write_config(tmp_path, data)
@@ -146,6 +174,15 @@ def test_output_dir_from_config(tmp_path):
 def test_exit_2_on_bad_config(tmp_path):
     config = write_config(tmp_path, base_config(run="explore"))
     assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("constant", ["Infinity", "-Infinity", "NaN"])
+def test_exit_2_on_non_standard_json_constant(tmp_path, constant):
+    text = json.dumps(base_config(tolerance=0.125)).replace("0.125", constant)
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_exit_2_on_missing_config(tmp_path):

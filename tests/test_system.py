@@ -5,7 +5,7 @@ import random
 import pytest
 
 from proxcycle.chains import chain_point_distance
-from proxcycle.gallery import make_kirk_interval, make_paper_lq_family
+from proxcycle.gallery import make_kirk_interval, make_paper_lq_family, make_scaled_pair
 from proxcycle.spaces import INFINITY, CapabilityError, Exponent, LqSpace
 from proxcycle.system import (
     Ball,
@@ -119,6 +119,16 @@ def test_tabulated_phi_construction_and_extension():
         TabulatedPhi(((0.0, 0.0), (1.0, 2.0), (2.0, 1.0)))  # values drop
     with pytest.raises(ValueError):
         TabulatedPhi(((0.5, 0.0), (1.0, 1.0)))  # first knot not at 0
+
+
+def test_tabulated_phi_matches_direct_interpolation():
+    knots = ((0.0, 0.1), (0.7, 0.35), (2.0, 0.6), (3.5, 1.9))
+    phi = TabulatedPhi(knots)
+    for t in (0.0, 0.3, 0.7, 1.1, 2.0, 3.49, 3.5, 7.25, 1e6):
+        i = min(max(k for k, (tk, _) in enumerate(knots) if tk <= t), len(knots) - 2)
+        (t1, v1), (t2, v2) = knots[i], knots[i + 1]
+        assert phi(t) == v1 + (v2 - v1) / (t2 - t1) * (t - t1)
+    assert phi == TabulatedPhi(knots) and hash(phi) == hash(TabulatedPhi(knots))
 
 
 def test_validate_phi_rejects_constant():
@@ -240,6 +250,62 @@ def test_phi_shift_leaves_margins_unchanged():
     c1 = verify_contraction(gs.system, base, 2, seed=0)
     c2 = verify_contraction(gs.system, shifted, 2, seed=0)
     assert c1.min_margin == pytest.approx(c2.min_margin, abs=1e-12)
+
+
+def test_scaled_pair_far_apart_certifies():
+    # Margins of a 1e8-sized problem sit at its rounding level (about -3e-8);
+    # the tolerance must scale with the sides, not stay absolute.
+    gs = make_scaled_pair(alpha=0.4, separation=1e8, dimension=3)
+    cert = verify_contraction(gs.system, LinearPhi(0.4), 2, tuple_samples=500, seed=1)
+    assert cert.min_margin < -1e-10
+    assert cert.ok
+
+
+def _brute_force(system, phi, p):
+    """Every tuple pair through the public per-pair oracle."""
+    tuples = list(itertools.product(*(r.points for r in system.regions)))
+    set_distance = system.set_chain_distance(p)
+    best, witness, evaluated, skips = math.inf, ((), ()), 0, 0
+    for xs in tuples:
+        for ys in tuples:
+            if any(system.is_artifact(pt) for pt in xs + ys):
+                skips += 1
+                continue
+            margin = contraction_margin(system, phi, p, xs, ys, set_distance)
+            evaluated += 1
+            if margin < best:
+                best, witness = margin, (xs, ys)
+    return best, witness, evaluated, skips
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("q", [1, 2, "inf"])
+def test_exhaustive_certificate_matches_brute_force(m, n, q):
+    system = make_paper_lq_family(m=m, alpha=0.5, q=q, N=n).system
+    phis = (LinearPhi(0.4), TabulatedPhi(((0.0, 0.1), (0.7, 0.3), (2.0, 0.6))))
+    for p, phi in itertools.product((1, 2, 3.5, "inf"), phis):
+        cert = verify_contraction(system, phi, p, seed=0)
+        assert cert.exhaustive
+        best, (wxs, wys), evaluated, skips = _brute_force(system, phi, p)
+        assert cert.min_margin == best, (p, phi)
+        assert (cert.witness_xs, cert.witness_ys) == (wxs, wys)
+        assert (cert.evaluated, cert.artifact_skips) == (evaluated, skips)
+
+
+def test_exhaustive_certificate_raises_map_error_with_point():
+    bad = (2.0,)
+
+    def step(x):
+        if x == bad:
+            raise RuntimeError("no image")
+        return (-x[0],)
+
+    left = FiniteCloud(((-1.0,), (-2.0,)))
+    right = FiniteCloud(((1.0,), bad))
+    system = CyclicSystem(space=L2_1, regions=(left, right), map=step)
+    with pytest.raises(MapError) as err:
+        verify_contraction(system, LinearPhi(0.5), 2)
+    assert err.value.point == bad
 
 
 # --- alpha bound --------------------------------------------------------------
