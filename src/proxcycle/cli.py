@@ -139,26 +139,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def _write_trace_csv(path: Path, trace: orbit.OrbitTrace, p: Exponent) -> None:
     """One row per block n; floats use shortest round-trip formatting."""
     m = trace.m
-    chain = orbit.chain_trace(trace, p)
-    edges = [orbit.edge_trace(trace, i) for i in range(1, m + 1)]
-    drifts = [orbit.block_drift_trace(trace, i) for i in range(1, m + 1)]
-    rows = min(
-        (len(chain) - 1) // m + 1,
-        *(len(e) for e in edges),
-        *(len(d) for d in drifts),
-    )
     header = (
         ["n", "chain_dp"]
         + [f"edge_{i}" for i in range(1, m + 1)]
         + [f"block_drift_{i}" for i in range(1, m + 1)]
     )
-    lines = [",".join(header)]
-    for n in range(rows):
-        cells = [str(n), repr(chain[m * n])]
-        cells += [repr(edges[i][n]) for i in range(m)]
-        cells += [repr(drifts[i][n]) for i in range(m)]
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for n, row in enumerate(orbit.trace_rows(trace, p)):
+            fh.write(",".join([str(n), *map(repr, row)]) + "\n")
 
 
 def _point_list(point) -> list[float] | None:

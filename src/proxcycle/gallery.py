@@ -45,6 +45,14 @@ def _spec(id: str, **params: object) -> GallerySpec:
     return GallerySpec(id, tuple(sorted(params.items())))
 
 
+def _require_int(name: str, value: object, minimum: int) -> None:
+    # bool is a subclass of int, so True would otherwise read as 1.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+
+
 def make_kirk_interval(alpha: float = 0.5) -> GallerySystem:
     """A1 = [-1, 0], A2 = [0, 1] on the line, T(x) = -(1 - alpha) x.
 
@@ -123,10 +131,8 @@ def make_paper_lq_family(
     attained only at the truncation boundary; away from it the strict
     non-attainment of the infinite family survives (see ``attainment_gap``).
     """
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    if N < 2:
-        raise ValueError("N must be >= 2")
+    _require_int("m", m, 2)
+    _require_int("N", N, 2)
     a = float(alpha)
     if not 0.0 < a < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {a}")
@@ -211,8 +217,7 @@ def make_scaled_pair(
         raise ValueError(f"alpha must be in (0, 1), got {a}")
     if sep < 0.0:
         raise ValueError(f"separation must be >= 0, got {sep}")
-    if dimension < 1:
-        raise ValueError("dimension must be >= 1")
+    _require_int("dimension", dimension, 1)
     beta = 1.0 - a
     half = sep / 2.0
     space = LqSpace(Exponent(2.0), dimension)

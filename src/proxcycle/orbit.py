@@ -2,6 +2,15 @@
 
 Orbit generation is inherently sequential; everything derived from a trace is
 pure. Non-convergence is data (a flagged result), never an exception.
+
+Each orbit point is validated once, where it enters the orbit: the start
+point by ``_start`` (finite, of the space's dimension, in the first region)
+and each map image by ``CyclicSystem._image``, the stepper behind
+``apply``. From then on the orbit and solver loops measure points with the
+trusted ``Space._distance``. ``trace_rows`` builds the ``trace.csv`` columns
+in one pass over consecutive distances; ``chain_trace``, ``edge_trace`` and
+``block_drift_trace`` are the public per-column references it matches bit
+for bit.
 """
 
 from __future__ import annotations
@@ -11,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .chains import chain_point_distance, chain_self_distance
-from .spaces import Exponent, Point, as_exponent, check_point
+from .spaces import Point, _combine, as_exponent, check_point
 from .system import MEMBERSHIP_TOL, CyclicSystem
 
 DEFAULT_TOL = 1e-10
@@ -66,22 +75,32 @@ class SolveResult:
     proximity_residual: float | None = None
 
 
+def _start(system: CyclicSystem, x0: Sequence[float]) -> Point:
+    """Validate a start point: finite, of the space's dimension, in A_1."""
+    x = check_point(x0)
+    if len(x) != system.space.dimension:
+        raise ValueError(
+            f"x0 has dimension {len(x)} in a {system.space.dimension}-dimensional space"
+        )
+    if not system.regions[0].contains(x, system.space, MEMBERSHIP_TOL):
+        raise ValueError(f"x0 = {x!r} is not in the first region")
+    return x
+
+
 def picard_orbit(system: CyclicSystem, x0: Sequence[float], n: int) -> OrbitTrace:
     """Iterate the map n times from x0 in the first region.
 
     Every m-th point is membership-checked against the first region; any
     violation is recorded on the trace, not raised.
     """
-    start = check_point(x0)
     if n < system.m:
         raise ValueError(f"need at least m = {system.m} steps")
-    if not system.regions[0].contains(start, system.space, MEMBERSHIP_TOL):
-        raise ValueError(f"x0 = {start!r} is not in the first region")
+    start = _start(system, x0)
     points = [start]
     violations = []
     x = start
     for k in range(1, n + 1):
-        x = system.apply(x, step=k)
+        x = system._image(x, step=k)
         points.append(x)
         if k % system.m == 0 and not system.regions[0].contains(x, system.space):
             violations.append((k, x))
@@ -117,6 +136,36 @@ def edge_trace(trace: OrbitTrace, i: int) -> list[float]:
         out.append(space.distance(trace.points[m * n + i - 1], trace.points[m * n + i]))
         n += 1
     return out
+
+
+def trace_rows(trace: OrbitTrace, p: object) -> list[tuple[float, ...]]:
+    """One row (chain_dp, edge_1..edge_m, block_drift_1..block_drift_m) per
+    block n, for n up to len(points) // m - 2, in one pass over the orbit.
+
+    Row n holds ``chain_trace(trace, p)[m * n]``, ``edge_trace(trace, i)[n]``
+    and ``block_drift_trace(trace, i)[n]``, bit for bit: with step distances
+    s_k = d(x_k, x_{k+1}), edge_i is s_{mn+i-1}, chain_dp combines
+    s_{mn}..s_{mn+m-2} and the wrap term d(x_{mn+m-1}, x_{mn}) in chain
+    order, and block_drift_i is d(x_{mn+i-1}, x_{mn+m+i-1}). Each step
+    distance is computed once, 2m + 1 distances per row, with every argument
+    order kept. The points are trusted as validated, as ``picard_orbit``
+    leaves them.
+    """
+    exp = as_exponent(p)
+    m = trace.m
+    points = trace.points
+    count = len(points) // m - 1
+    if count < 1:
+        raise ValueError("trace too short for a trace row")
+    dist = trace.system.space._distance
+    rows = []
+    for start in range(0, m * count, m):
+        edges = [dist(points[k], points[k + 1]) for k in range(start, start + m)]
+        wrap = dist(points[start + m - 1], points[start])
+        chain = _combine(edges[:-1] + [wrap], exp)
+        drifts = [dist(points[k], points[k + m]) for k in range(start, start + m)]
+        rows.append((chain, *edges, *drifts))
+    return rows
 
 
 def dominant_edge(system: CyclicSystem) -> int:
@@ -189,25 +238,23 @@ def banach_solve(
         warnings.append(
             f"set chain distance {set_distance:.6g} exceeds tol; no fixed point can exist"
         )
-    x = check_point(x0)
-    if not system.regions[0].contains(x, space, MEMBERSHIP_TOL):
-        raise ValueError(f"x0 = {x!r} is not in the first region")
+    x = _start(system, x0)
 
     head = [x]  # first 2m points, for the a-priori certificate
     fired = False
     iterations = 0
     for k in range(1, max_iter + 1):
-        nxt = system.apply(x, step=k)
+        nxt = system._image(x, step=k)
         if len(head) < 2 * system.m:
             head.append(nxt)
-        step = space.distance(x, nxt)
+        step = space._distance(x, nxt)
         x = nxt
         iterations = k
         if step <= tol:
             fired = True
             break
 
-    residual = space.distance(x, system.apply(x))
+    residual = space._distance(x, system._image(x))
     converged = fired and residual <= tol
     if not fired:
         warnings.append("max_iter exhausted before the step criterion fired")
@@ -245,24 +292,22 @@ def periodic_point_solve(
     space = system.space
     m = system.m
     set_distance = system.set_chain_distance(exp)
-    x = check_point(x0)
-    if not system.regions[0].contains(x, space, MEMBERSHIP_TOL):
-        raise ValueError(f"x0 = {x!r} is not in the first region")
+    x = _start(system, x0)
 
     warnings = []
     fired = False
     blocks = max(1, max_iter // m)
     iterations = 0
     for n in range(1, blocks + 1):
-        nxt = system.apply_n(x, m)
-        step = space.distance(x, nxt)
+        nxt = system._image_n(x, m)
+        step = space._distance(x, nxt)
         x = nxt
         iterations = n * m
         if step <= tol:
             fired = True
             break
 
-    residual = space.distance(x, system.apply_n(x, m))
+    residual = space._distance(x, system._image_n(x, m))
     converged = fired and residual <= tol
     if not fired:
         warnings.append("max_iter exhausted before the step criterion fired")
@@ -271,7 +316,7 @@ def periodic_point_solve(
 
     orbit_chain = [x]
     for _ in range(m - 1):
-        orbit_chain.append(system.apply(orbit_chain[-1]))
+        orbit_chain.append(system._image(orbit_chain[-1]))
     proximity_residual = abs(
         chain_self_distance(space, orbit_chain, exp) - set_distance
     )
@@ -318,9 +363,7 @@ def proximity_chain_extract(
     space = system.space
     m = system.m
     set_distance = system.set_chain_distance(exp)
-    x = check_point(x0)
-    if not system.regions[0].contains(x, space, MEMBERSHIP_TOL):
-        raise ValueError(f"x0 = {x!r} is not in the first region")
+    x = _start(system, x0)
 
     last: list[Point | None] = [None] * m
     settled = [False] * m
@@ -328,12 +371,12 @@ def proximity_chain_extract(
     iterations = 0
     current = x
     for k in range(1, max_iter + 1):
-        current = system.apply(current, step=k)
+        current = system._image(current, step=k)
         iterations = k
         r = k % m
         prev = last[r]
         if prev is not None:
-            settled[r] = space.distance(prev, current) <= tol
+            settled[r] = space._distance(prev, current) <= tol
         last[r] = current
         if all(settled):
             break

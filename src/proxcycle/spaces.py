@@ -76,22 +76,17 @@ def check_point(v: Sequence[float]) -> Point:
     return pt
 
 
-def _pow(base: float, q: float) -> float:
-    # Integer exponents take the exact-multiplication path so CSV output is
-    # reproducible across platforms; only non-integer q goes through exp/log.
-    if q == int(q):
-        return base ** int(q)
-    return base ** q
-
-
 def p_combine(values: Iterable[float], p: object) -> float:
     """(sum v_i^p)^(1/p) over nonnegative values, or their max for p = inf.
 
     Finite p factors out the largest value before exponentiating, so large
     exponents cannot overflow on large inputs.
     """
-    exp = as_exponent(p)
-    vals = [float(v) for v in values]
+    return _combine([float(v) for v in values], as_exponent(p))
+
+
+def _combine(vals: list[float], exp: Exponent) -> float:
+    """``p_combine`` on a list of floats and an already coerced exponent."""
     if exp.is_inf:
         return max(vals, default=0.0)
     peak = max(vals, default=0.0)
@@ -101,7 +96,10 @@ def p_combine(values: Iterable[float], p: object) -> float:
     assert q is not None
     if q == 1.0:
         return math.fsum(vals)
-    s = math.fsum(_pow(v / peak, q) for v in vals)
+    # Integer exponents take the exact-multiplication path so CSV output is
+    # reproducible across platforms; only non-integer q goes through exp/log.
+    power = int(q) if q == int(q) else q
+    s = math.fsum((v / peak) ** power for v in vals)
     return peak * (s ** (1.0 / q))
 
 
@@ -111,12 +109,21 @@ def lq_norm(v: Sequence[float], q: object) -> float:
 
 
 class Space:
-    """Base for metric substrates; subclasses define ``distance``."""
+    """Base for metric substrates; subclasses define ``distance``.
+
+    ``distance`` is the public entry point and validates both points.
+    ``_distance`` is the same metric on points already validated for this
+    space (finite coordinates, matching dimension), for internal kernels that
+    measure points they validated once; by default it calls ``distance``.
+    """
 
     dimension: int
 
     def distance(self, a: Sequence[float], b: Sequence[float]) -> float:
         raise NotImplementedError
+
+    def _distance(self, pa: Point, pb: Point) -> float:
+        return self.distance(pa, pb)
 
     def _check_pair(self, a: Sequence[float], b: Sequence[float]) -> tuple[Point, Point]:
         pa, pb = check_point(a), check_point(b)
@@ -144,8 +151,10 @@ class LqSpace(Space):
         return lq_norm(v, self.q)
 
     def distance(self, a: Sequence[float], b: Sequence[float]) -> float:
-        pa, pb = self._check_pair(a, b)
-        return p_combine((abs(x - y) for x, y in zip(pa, pb)), self.q)
+        return self._distance(*self._check_pair(a, b))
+
+    def _distance(self, pa: Point, pb: Point) -> float:
+        return _combine([abs(x - y) for x, y in zip(pa, pb)], self.q)
 
 
 @dataclass(frozen=True)
@@ -160,7 +169,9 @@ class OracleSpace(Space):
     dimension: int
 
     def distance(self, a: Sequence[float], b: Sequence[float]) -> float:
-        pa, pb = self._check_pair(a, b)
+        return self._distance(*self._check_pair(a, b))
+
+    def _distance(self, pa: Point, pb: Point) -> float:
         return float(self.oracle(pa, pb))
 
 

@@ -83,11 +83,23 @@ class FiniteCloud(Region):
         return len(self.points[0])
 
     def contains(self, point, space, tol=MEMBERSHIP_TOL):
-        x = check_point(point)
-        return min(space.distance(x, p) for p in self.points) <= tol
+        return _near_any(space, self.points, point, tol)
 
     def sample(self, rng):
         return self.points[rng.randrange(len(self.points))]
+
+
+def _near_any(space: Space, points: tuple[Point, ...], point: Sequence[float], tol: float) -> bool:
+    """Membership in a finite point set. The query point is validated here;
+    the stored points were validated when the set was built, so after one
+    dimension check both are measured with the trusted ``_distance``."""
+    x = check_point(point)
+    if len(x) != space.dimension or len(points[0]) != space.dimension:
+        raise ValueError(
+            f"dimension mismatch: space is {space.dimension}-dimensional, "
+            f"points have {len(x)} and {len(points[0])}"
+        )
+    return min(space._distance(x, p) for p in points) <= tol
 
 
 def _check_bounds(lower: Point, upper: Point) -> None:
@@ -182,8 +194,7 @@ class IndexedFamily(Region):
         return len(self._points[0])
 
     def contains(self, point, space, tol=MEMBERSHIP_TOL):
-        x = check_point(point)
-        return min(space.distance(x, p) for p in self._points) <= tol
+        return _near_any(space, self._points, point, tol)
 
     def sample(self, rng):
         return self._points[rng.randrange(len(self._points))]
@@ -390,7 +401,15 @@ class CyclicSystem:
         return len(self.regions)
 
     def apply(self, x: Sequence[float], step: int | None = None) -> Point:
-        pt = check_point(x)
+        return self._image(check_point(x), step)
+
+    def apply_n(self, x: Sequence[float], k: int) -> Point:
+        return self._image_n(check_point(x), k)
+
+    def _image(self, pt: Point, step: int | None = None) -> Point:
+        """The map at an already validated point; the one place where a map
+        image is validated. A failing map or a non-finite image raises
+        ``MapError``; an image of the wrong dimension raises ``ValueError``."""
         try:
             image = self.map(pt)
         except MapError:
@@ -398,16 +417,21 @@ class CyclicSystem:
         except Exception as exc:
             raise MapError(f"map failed at {pt!r}: {exc}", point=pt, step=step) from exc
         try:
-            return check_point(image)
+            out = check_point(image)
         except ValueError as exc:
             raise MapError(
                 f"map returned a non-finite point at {pt!r}", point=pt, step=step
             ) from exc
+        if len(out) != self.space.dimension:
+            raise ValueError(
+                f"map returned a {len(out)}-dimensional point at {pt!r} "
+                f"in a {self.space.dimension}-dimensional space"
+            )
+        return out
 
-    def apply_n(self, x: Sequence[float], k: int) -> Point:
-        pt = check_point(x)
+    def _image_n(self, pt: Point, k: int) -> Point:
         for _ in range(k):
-            pt = self.apply(pt)
+            pt = self._image(pt)
         return pt
 
     def is_artifact(self, x: Sequence[float], tol: float = 1e-12) -> bool:

@@ -208,6 +208,34 @@ def test_exit_3_on_map_error(tmp_path, monkeypatch):
     assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("run", cli.RUNS)
+def test_exit_2_on_map_image_of_wrong_dimension(tmp_path, monkeypatch, run):
+    def widening_build(system_id, parameters):
+        gs = make_kirk_interval(0.5)
+        wide = dataclasses.replace(gs.system, map=lambda x: (-0.5 * x[0], 0.0))
+        return dataclasses.replace(gs, system=wide)
+
+    monkeypatch.setattr(cli.gallery, "build", widening_build)
+    config = write_config(tmp_path, base_config(run=run, iterations=50))
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        {"id": "paper_lq_family", "parameters": {"m": 2.0}},
+        {"id": "paper_lq_family", "parameters": {"N": 2.5}},
+        {"id": "paper_lq_family", "parameters": {"m": True}},
+        {"id": "scaled_pair", "parameters": {"dimension": 2.0}},
+        {"id": "scaled_pair", "parameters": {"dimension": True}},
+    ],
+)
+def test_exit_2_on_non_integer_gallery_size(tmp_path, system):
+    config = write_config(tmp_path, base_config(system=system, run="trace", iterations=10))
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_4_on_unwritable_output(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("occupied")

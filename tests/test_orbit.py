@@ -1,3 +1,4 @@
+import csv
 import math
 
 import pytest
@@ -21,8 +22,11 @@ from proxcycle.orbit import (
     periodic_point_solve,
     picard_orbit,
     proximity_chain_extract,
+    trace_rows,
 )
-from proxcycle.spaces import INFINITY
+from proxcycle.cli import _write_trace_csv
+from proxcycle.spaces import INFINITY, OracleSpace, as_exponent
+from proxcycle.system import Box, CyclicSystem
 
 
 def test_picard_orbit_kirk_closed_form():
@@ -208,3 +212,90 @@ def test_chain_trace_p_inf_monotone():
     values = chain_trace(trace, INFINITY)
     for a, b in zip(values, values[1:]):
         assert b <= a + 1e-12 * (1 + a)
+
+
+# --- one-pass trace rows against the public traces ---------------------------
+
+
+def _asymmetric_system():
+    """Three boxes under a metric oracle with d(a, b) != d(b, a): the rows
+    match the traces only if every distance keeps its argument order."""
+
+    def oracle(a, b):
+        dx, dy = a[0] - b[0], a[1] - b[1]
+        return abs(dx) + abs(dy) + 0.25 * max(0.0, dx)
+
+    c, s = -0.5 * 0.9, math.sqrt(3.0) / 2.0 * 0.9
+
+    def turn(x):
+        return (c * x[0] - s * x[1], s * x[0] + c * x[1])
+
+    box = Box((-2.0, -2.0), (2.0, 2.0))
+    return CyclicSystem(space=OracleSpace(oracle, 2), regions=(box, box, box), map=turn)
+
+
+def _reference_rows(trace, p):
+    m = trace.m
+    chain = chain_trace(trace, p)
+    edges = [edge_trace(trace, i) for i in range(1, m + 1)]
+    drifts = [block_drift_trace(trace, i) for i in range(1, m + 1)]
+    count = min((len(chain) - 1) // m + 1, *map(len, edges), *map(len, drifts))
+    return [
+        (chain[m * n], *(e[n] for e in edges), *(d[n] for d in drifts))
+        for n in range(count)
+    ]
+
+
+def _assert_rows_match_traces(tmp_path, trace, p):
+    expected = _reference_rows(trace, p)
+    assert len(expected) == len(trace.points) // trace.m - 1
+    assert trace_rows(trace, p) == expected
+
+    path = tmp_path / "trace.csv"
+    _write_trace_csv(path, trace, as_exponent(p))
+    with open(path, newline="") as fh:
+        table = list(csv.reader(fh))
+    assert [int(cells[0]) for cells in table[1:]] == list(range(len(expected)))
+    assert [tuple(map(float, cells[1:])) for cells in table[1:]] == expected
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("p", [1, 2, 3.5, INFINITY])
+@pytest.mark.parametrize("steps", [3, 10, 43])
+def test_trace_rows_match_reference_traces(tmp_path, m, p, steps):
+    gs = make_paper_lq_family(m=m, q=3)
+    trace = picard_orbit(gs.system, gs.default_start, steps * m + 1)
+    _assert_rows_match_traces(tmp_path, trace, p)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3.5, INFINITY])
+def test_trace_rows_keep_argument_order_for_asymmetric_oracles(tmp_path, p):
+    trace = picard_orbit(_asymmetric_system(), (1.0, 0.5), 40)
+    space = trace.system.space
+    x, y = trace.points[0], trace.points[1]
+    assert space.distance(x, y) != space.distance(y, x)
+    _assert_rows_match_traces(tmp_path, trace, p)
+
+
+def test_trace_rows_need_two_blocks():
+    trace = picard_orbit(make_kirk_interval(0.5).system, (-1.0,), 3)
+    assert len(trace_rows(trace, 2)) == 1
+    short = picard_orbit(make_kirk_interval(0.5).system, (-1.0,), 2)
+    with pytest.raises(ValueError):
+        trace_rows(short, 2)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda system: picard_orbit(system, (-1.0,), 10),
+        lambda system: banach_solve(system, (-1.0,)),
+        lambda system: periodic_point_solve(system, (-1.0,)),
+        lambda system: proximity_chain_extract(system, (-1.0,)),
+    ],
+)
+def test_orbit_paths_reject_map_images_of_wrong_dimension(run):
+    kirk = make_kirk_interval(0.5).system
+    wide = CyclicSystem(space=kirk.space, regions=kirk.regions, map=lambda x: (x[0], 0.0))
+    with pytest.raises(ValueError, match="2-dimensional point"):
+        run(wide)

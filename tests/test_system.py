@@ -183,6 +183,15 @@ def test_map_errors_carry_witness():
         nanny.apply((0.0,))
 
 
+def test_map_image_of_wrong_dimension_is_a_value_error():
+    wide = CyclicSystem(
+        space=L2_1, regions=(FiniteCloud(((0.0,),)),) * 2, map=lambda x: (x[0], 0.0)
+    )
+    with pytest.raises(ValueError, match="2-dimensional point") as err:
+        wide.apply((0.0,))
+    assert not isinstance(err.value, MapError)
+
+
 # --- contraction certification ----------------------------------------------
 
 
