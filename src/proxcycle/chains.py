@@ -8,7 +8,8 @@ and every chain quantity routes through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import starmap
+from typing import Callable, Iterator, Sequence
 
 from .spaces import (
     INFINITY,
@@ -24,10 +25,11 @@ from .spaces import (
 PExponent = Exponent
 
 
-def _shifted_pairs(xs: Sequence[Point], ys: Sequence[Point]) -> list[tuple[Point, Point]]:
+def _shifted_pairs(
+    xs: tuple[Point, ...], ys: tuple[Point, ...]
+) -> Iterator[tuple[Point, Point]]:
     # The single home of the x_i vs y_{i+1} pairing.
-    m = len(xs)
-    return [(xs[i], ys[(i + 1) % m]) for i in range(m)]
+    return zip(xs, ys[1:] + ys[:1])
 
 
 def _check_chain(space: Space, xs: Sequence[Sequence[float]]) -> tuple[Point, ...]:
@@ -43,6 +45,16 @@ def _check_chain(space: Space, xs: Sequence[Sequence[float]]) -> tuple[Point, ..
     return chain
 
 
+def _check_chains(
+    space: Space, xs: Sequence[Sequence[float]], ys: Sequence[Sequence[float]]
+) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
+    """Validate two chains of equal length for ``space``."""
+    cx, cy = _check_chain(space, xs), _check_chain(space, ys)
+    if len(cx) != len(cy):
+        raise ValueError(f"chain lengths differ: {len(cx)} vs {len(cy)}")
+    return cx, cy
+
+
 def chain_point_distance(
     space: Space,
     xs: Sequence[Sequence[float]],
@@ -54,12 +66,20 @@ def chain_point_distance(
     Not symmetric in (xs, ys); the shift makes the two orders genuinely
     different quantities and no symmetrization is applied.
     """
-    cx = _check_chain(space, xs)
-    cy = _check_chain(space, ys)
-    if len(cx) != len(cy):
-        raise ValueError(f"chain lengths differ: {len(cx)} vs {len(cy)}")
-    terms = [space.distance(a, b) for a, b in _shifted_pairs(cx, cy)]
-    return p_combine(terms, p)
+    cx, cy = _check_chains(space, xs, ys)
+    return _chain_distance(space, cx, cy, as_exponent(p)._combine)
+
+
+def _chain_distance(
+    space: Space,
+    cx: tuple[Point, ...],
+    cy: tuple[Point, ...],
+    combine: Callable[[list[float]], float],
+) -> float:
+    """``chain_point_distance`` on chains already validated for ``space``
+    (``_check_chains``), with the exponent's ``_combine``: the trusted
+    ``_distance`` of each shifted pair, combined in chain order."""
+    return combine(list(starmap(space._distance, _shifted_pairs(cx, cy))))
 
 
 def chain_self_distance(space: Space, xs: Sequence[Sequence[float]], p: object) -> float:

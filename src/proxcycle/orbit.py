@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .chains import chain_point_distance, chain_self_distance
-from .spaces import Point, _combine, as_exponent, check_point
+from .spaces import Point, as_exponent, check_point
 from .system import MEMBERSHIP_TOL, CyclicSystem
 
 DEFAULT_TOL = 1e-10
@@ -91,19 +91,27 @@ def picard_orbit(system: CyclicSystem, x0: Sequence[float], n: int) -> OrbitTrac
     """Iterate the map n times from x0 in the first region.
 
     Every m-th point is membership-checked against the first region; any
-    violation is recorded on the trace, not raised.
+    violation is recorded on the trace, not raised. ``contains`` is pure, so
+    a point equal to the last one checked reuses its verdict: an orbit that
+    settles on a fixed point or a truncation stub is not re-scanned.
     """
-    if n < system.m:
-        raise ValueError(f"need at least m = {system.m} steps")
+    m = system.m
+    if n < m:
+        raise ValueError(f"need at least m = {m} steps")
     start = _start(system, x0)
+    first, space = system.regions[0], system.space
     points = [start]
     violations = []
     x = start
+    checked, inside = None, True
     for k in range(1, n + 1):
         x = system._image(x, step=k)
         points.append(x)
-        if k % system.m == 0 and not system.regions[0].contains(x, system.space):
-            violations.append((k, x))
+        if k % m == 0:
+            if x != checked:
+                checked, inside = x, first.contains(x, space)
+            if not inside:
+                violations.append((k, x))
     return OrbitTrace(system, tuple(points), tuple(violations))
 
 
@@ -158,11 +166,12 @@ def trace_rows(trace: OrbitTrace, p: object) -> list[tuple[float, ...]]:
     if count < 1:
         raise ValueError("trace too short for a trace row")
     dist = trace.system.space._distance
+    combine = exp._combine
     rows = []
     for start in range(0, m * count, m):
         edges = [dist(points[k], points[k + 1]) for k in range(start, start + m)]
         wrap = dist(points[start + m - 1], points[start])
-        chain = _combine(edges[:-1] + [wrap], exp)
+        chain = combine(edges[:-1] + [wrap])
         drifts = [dist(points[k], points[k + m]) for k in range(start, start + m)]
         rows.append((chain, *edges, *drifts))
     return rows

@@ -10,7 +10,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
+from operator import sub
 from typing import Callable, Iterable, Sequence
 
 Point = tuple[float, ...]
@@ -20,24 +22,49 @@ class CapabilityError(TypeError):
     """A region or space does not support the requested exact computation."""
 
 
+def _power_sum(power: float, inv: float, vals: list[float]) -> float:
+    """(sum v_i^q)^(1/q) with the largest value factored out, so large
+    exponents cannot overflow on large inputs; ``power`` is q (an int when q
+    is integral) and ``inv`` is 1/q."""
+    peak = max(vals, default=0.0)
+    if peak == 0.0:
+        return 0.0
+    return peak * math.fsum([(v / peak) ** power for v in vals]) ** inv
+
+
 @dataclass(frozen=True)
 class Exponent:
     """An exponent in [1, inf]. ``value is None`` is the infinity tag.
 
     Infinity is a distinct tag rather than a float so that no code path ever
     evaluates ``sum(|v|**q) ** (1/q)`` with a huge q.
+
+    ``_combine(vals)`` is the p-combination of a list of nonnegative floats
+    for this exponent, chosen once here: the max for inf, ``math.fsum`` for
+    1, the peak-scaled power sum otherwise.
     """
 
     value: float | None = None
+    _combine: Callable[[list[float]], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.value is not None:
-            v = float(self.value)
-            if not math.isfinite(v):
-                raise ValueError("use INFINITY (or Exponent()) for the infinite exponent")
-            if v < 1.0:
-                raise ValueError(f"exponent must be >= 1, got {v}")
-            object.__setattr__(self, "value", v)
+        if self.value is None:
+            object.__setattr__(self, "_combine", partial(max, default=0.0))
+            return
+        v = float(self.value)
+        if not math.isfinite(v):
+            raise ValueError("use INFINITY (or Exponent()) for the infinite exponent")
+        if v < 1.0:
+            raise ValueError(f"exponent must be >= 1, got {v}")
+        object.__setattr__(self, "value", v)
+        if v == 1.0:
+            combine = math.fsum
+        else:
+            # Integer exponents take the exact-multiplication path so CSV
+            # output is reproducible across platforms; only non-integer q
+            # goes through exp/log.
+            combine = partial(_power_sum, int(v) if v == int(v) else v, 1.0 / v)
+        object.__setattr__(self, "_combine", combine)
 
     @property
     def is_inf(self) -> bool:
@@ -67,12 +94,11 @@ def as_exponent(p: object) -> Exponent:
 
 def check_point(v: Sequence[float]) -> Point:
     """Coerce to a coordinate tuple, rejecting empty or non-finite input."""
-    pt = tuple(float(c) for c in v)
+    pt = tuple(map(float, v))
     if not pt:
         raise ValueError("a point must have dimension >= 1")
-    for c in pt:
-        if not math.isfinite(c):
-            raise ValueError(f"non-finite coordinate in {pt!r}")
+    if not all(map(math.isfinite, pt)):
+        raise ValueError(f"non-finite coordinate in {pt!r}")
     return pt
 
 
@@ -82,25 +108,7 @@ def p_combine(values: Iterable[float], p: object) -> float:
     Finite p factors out the largest value before exponentiating, so large
     exponents cannot overflow on large inputs.
     """
-    return _combine([float(v) for v in values], as_exponent(p))
-
-
-def _combine(vals: list[float], exp: Exponent) -> float:
-    """``p_combine`` on a list of floats and an already coerced exponent."""
-    if exp.is_inf:
-        return max(vals, default=0.0)
-    peak = max(vals, default=0.0)
-    if peak == 0.0:
-        return 0.0
-    q = exp.value
-    assert q is not None
-    if q == 1.0:
-        return math.fsum(vals)
-    # Integer exponents take the exact-multiplication path so CSV output is
-    # reproducible across platforms; only non-integer q goes through exp/log.
-    power = int(q) if q == int(q) else q
-    s = math.fsum((v / peak) ** power for v in vals)
-    return peak * (s ** (1.0 / q))
+    return as_exponent(p)._combine([float(v) for v in values])
 
 
 def lq_norm(v: Sequence[float], q: object) -> float:
@@ -114,7 +122,8 @@ class Space:
     ``distance`` is the public entry point and validates both points.
     ``_distance`` is the same metric on points already validated for this
     space (finite coordinates, matching dimension), for internal kernels that
-    measure points they validated once; by default it calls ``distance``.
+    measure points they validated once; by default it calls ``distance``
+    and returns a float.
     """
 
     dimension: int
@@ -123,7 +132,7 @@ class Space:
         raise NotImplementedError
 
     def _distance(self, pa: Point, pb: Point) -> float:
-        return self.distance(pa, pb)
+        return float(self.distance(pa, pb))
 
     def _check_pair(self, a: Sequence[float], b: Sequence[float]) -> tuple[Point, Point]:
         pa, pb = check_point(a), check_point(b)
@@ -135,26 +144,34 @@ class Space:
         return pa, pb
 
 
+def _combined_gaps(combine: Callable[[list[float]], float], pa: Point, pb: Point) -> float:
+    return combine(list(map(abs, map(sub, pa, pb))))
+
+
 @dataclass(frozen=True)
 class LqSpace(Space):
-    """R^dimension under the l^q norm."""
+    """R^dimension under the l^q norm.
+
+    The trusted ``_distance`` is bound once, at construction: the
+    exponent's ``_combine`` of the coordinate gaps.
+    """
 
     q: Exponent
     dimension: int
+    _distance: Callable[[Point, Point], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "q", as_exponent(self.q))
+        q = as_exponent(self.q)
+        object.__setattr__(self, "q", q)
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
+        object.__setattr__(self, "_distance", partial(_combined_gaps, q._combine))
 
     def norm(self, v: Sequence[float]) -> float:
         return lq_norm(v, self.q)
 
     def distance(self, a: Sequence[float], b: Sequence[float]) -> float:
         return self._distance(*self._check_pair(a, b))
-
-    def _distance(self, pa: Point, pb: Point) -> float:
-        return _combine([abs(x - y) for x, y in zip(pa, pb)], self.q)
 
 
 @dataclass(frozen=True)

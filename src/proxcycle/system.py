@@ -14,9 +14,10 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import getitem
 from typing import Callable, Sequence
 
-from .chains import chain_point_distance, chain_set_distance
+from .chains import _chain_distance, _check_chain, _check_chains, chain_set_distance
 from .spaces import (
     CapabilityError,
     Exponent,
@@ -26,7 +27,6 @@ from .spaces import (
     as_exponent,
     check_point,
     lq_norm,
-    p_combine,
 )
 
 MEMBERSHIP_TOL = 1e-9
@@ -136,6 +136,7 @@ class Segment(_BoxLike):
 
     a: Point
     b: Point
+    _bounds: tuple[Point, Point] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pa, pb = check_point(self.a), check_point(self.b)
@@ -148,11 +149,10 @@ class Segment(_BoxLike):
             raise ValueError("segment must be axis-aligned (one varying coordinate)")
         object.__setattr__(self, "a", pa)
         object.__setattr__(self, "b", pb)
+        object.__setattr__(self, "_bounds", (tuple(map(min, pa, pb)), tuple(map(max, pa, pb))))
 
     def bounds(self) -> tuple[Point, Point]:
-        lower = tuple(min(x, y) for x, y in zip(self.a, self.b))
-        upper = tuple(max(x, y) for x, y in zip(self.a, self.b))
-        return lower, upper
+        return self._bounds
 
 
 @dataclass(frozen=True)
@@ -395,6 +395,12 @@ class CyclicSystem:
     def __post_init__(self) -> None:
         if len(self.regions) < 2:
             raise ValueError("a cyclic system needs m >= 2 regions")
+        artifacts = tuple(check_point(a) for a in self.artifact_points)
+        if any(len(a) != self.space.dimension for a in artifacts):
+            raise ValueError(
+                f"artifact points must be {self.space.dimension}-dimensional like the space"
+            )
+        object.__setattr__(self, "artifact_points", artifacts)
 
     @property
     def m(self) -> int:
@@ -436,9 +442,17 @@ class CyclicSystem:
 
     def is_artifact(self, x: Sequence[float], tol: float = 1e-12) -> bool:
         pt = check_point(x)
-        return any(
-            pt == a or self.space.distance(pt, a) <= tol for a in self.artifact_points
-        )
+        if self.artifact_points and len(pt) != self.space.dimension:
+            raise ValueError(
+                f"point of dimension {len(pt)} in a "
+                f"{self.space.dimension}-dimensional space"
+            )
+        return self._is_artifact(pt, tol)
+
+    def _is_artifact(self, pt: Point, tol: float = 1e-12) -> bool:
+        """``is_artifact`` for a point already validated for this space."""
+        dist = self.space._distance
+        return any(pt == a or dist(pt, a) <= tol for a in self.artifact_points)
 
     def set_chain_distance(self, p: object) -> float:
         return chain_set_distance(self.space, self.regions, p)
@@ -496,13 +510,25 @@ class ContractionCertificate:
 
 
 def _pair_sides(
-    system: CyclicSystem, phi: Phi, exp: Exponent, xs: Sequence[Point], ys: Sequence[Point]
+    system: CyclicSystem,
+    phi: Phi,
+    combine: Callable[[list[float]], float],
+    xs: tuple[Point, ...],
+    ys: tuple[Point, ...],
 ) -> tuple[float, float, float]:
-    """lhs = d_p(Txs, Tys), d = d_p(xs, ys) and phi(d) for one tuple pair."""
-    txs = tuple(system.apply(x) for x in xs)
-    tys = tuple(system.apply(y) for y in ys)
-    lhs = chain_point_distance(system.space, txs, tys, exp)
-    d = chain_point_distance(system.space, xs, ys, exp)
+    """lhs = d_p(Txs, Tys), d = d_p(xs, ys) and phi(d) for one tuple pair.
+
+    The per-pair kernel of ``contraction_margin`` and the sampled scan. The
+    chains must already be validated for the system's space (finite, of its
+    dimension, of equal length): the images come from the stepper
+    ``_image`` and both sides from the trusted chain distance that
+    ``chain_point_distance`` runs after its own checks.
+    """
+    space, image = system.space, system._image
+    txs = tuple(map(image, xs))
+    tys = tuple(map(image, ys))
+    lhs = _chain_distance(space, txs, tys, combine)
+    d = _chain_distance(space, xs, ys, combine)
     return lhs, d, phi(d)
 
 
@@ -518,7 +544,8 @@ def contraction_margin(
     exp = as_exponent(p)
     if set_distance is None:
         set_distance = system.set_chain_distance(exp)
-    lhs, d, phi_d = _pair_sides(system, phi, exp, xs, ys)
+    cx, cy = _check_chains(system.space, xs, ys)
+    lhs, d, phi_d = _pair_sides(system, phi, exp._combine, cx, cy)
     rhs = d - phi_d + phi(set_distance)
     return rhs - lhs
 
@@ -539,14 +566,17 @@ def _scan_sampled(
     system: CyclicSystem, phi: Phi, exp: Exponent, phi_set: float, tuple_samples: int, seed: int
 ) -> _Scan:
     rng = random.Random(seed)
+    space, regions, combine = system.space, system.regions, exp._combine
+    artifacts = system.artifact_points
     scan = _Scan(scale=phi_set)
     for _ in range(tuple_samples):
-        xs = tuple(r.sample(rng) for r in system.regions)
-        ys = tuple(r.sample(rng) for r in system.regions)
-        if any(system.is_artifact(pt) for pt in xs + ys):
+        # Each sampled point is validated once, here; the rest trusts it.
+        xs = _check_chain(space, [r.sample(rng) for r in regions])
+        ys = _check_chain(space, [r.sample(rng) for r in regions])
+        if artifacts and any(map(system._is_artifact, xs + ys)):
             scan.skips += 1
             continue
-        lhs, d, phi_d = _pair_sides(system, phi, exp, xs, ys)
+        lhs, d, phi_d = _pair_sides(system, phi, combine, xs, ys)
         margin = (d - phi_d + phi_set) - lhs
         scan.evaluated += 1
         scan.scale = max(scan.scale, lhs, d, phi_d)
@@ -563,13 +593,15 @@ def _scan_exhaustive(system: CyclicSystem, phi: Phi, exp: Exponent, phi_set: flo
     (x_i, y_{i+1}), so each point is flagged and mapped once, each edge
     distance is computed once, and each pair only looks its m terms up. The
     pairs are walked in ``product(tuples, tuples)`` order and the terms go to
-    ``p_combine`` in chain order, so every margin, and with it the witness,
-    is bit-identical to ``contraction_margin``.
+    the exponent's ``_combine`` in chain order, so every margin, and with it
+    the witness, is bit-identical to ``contraction_margin``. Region points
+    were validated when their region was built and ``verify_contraction``
+    checked each region's dimension, so the tables trust them.
     """
-    space = system.space
     m = system.m
     regions = system.regions
-    usable = [[x for x in r.points if not system.is_artifact(x)] for r in regions]
+    dist = system.space._distance
+    usable = [[x for x in r.points if not system._is_artifact(x)] for r in regions]
     total = math.prod(len(r.points) for r in regions)
     kept = math.prod(len(pts) for pts in usable)
     scan = _Scan(skips=total * total - kept * kept)
@@ -583,27 +615,28 @@ def _scan_exhaustive(system: CyclicSystem, phi: Phi, exp: Exponent, phi_set: flo
     image: dict[Point, Point] = {}
     for x in order:
         if x not in image:
-            image[x] = system.apply(x)
+            image[x] = system._image(x)
 
-    # dist[i][a][b] = d(A_i[a], A_{i+1}[b]); mapped[i][a][b] the same for images.
-    dist, mapped = [], []
+    # gaps[i][a][b] = d(A_i[a], A_{i+1}[b]); mapped[i][a][b] the same for images.
+    gaps, mapped = [], []
     for i in range(m):
         heads, tails = usable[i], usable[(i + 1) % m]
-        dist.append([[space.distance(x, y) for y in tails] for x in heads])
-        mapped.append([[space.distance(image[x], image[y]) for y in tails] for x in heads])
+        gaps.append([[dist(x, y) for y in tails] for x in heads])
+        mapped.append([[dist(image[x], image[y]) for y in tails] for x in heads])
 
     index_tuples = list(itertools.product(*(range(len(pts)) for pts in usable)))
     # Term i pairs x_i with y_{i+1}: rotate each ys index tuple once.
     shifted = [t[1:] + t[:1] for t in index_tuples]
+    combine = exp._combine
     witness = None
     min_margin = math.inf
     scale = phi_set
     for xt in index_tuples:
-        d_rows = [dist[i][a] for i, a in enumerate(xt)]
+        d_rows = [gaps[i][a] for i, a in enumerate(xt)]
         e_rows = [mapped[i][a] for i, a in enumerate(xt)]
         for yt, ys_next in zip(index_tuples, shifted):
-            d = p_combine([row[b] for row, b in zip(d_rows, ys_next)], exp)
-            lhs = p_combine([row[b] for row, b in zip(e_rows, ys_next)], exp)
+            d = combine(list(map(getitem, d_rows, ys_next)))
+            lhs = combine(list(map(getitem, e_rows, ys_next)))
             phi_d = phi(d)
             margin = (d - phi_d + phi_set) - lhs
             if lhs > scale:
@@ -651,6 +684,14 @@ def verify_contraction(
     phi_set = phi(set_distance)
 
     regions = system.regions
+    # One dimension check per region: both scans measure region points with
+    # the trusted metric, which would silently truncate a mismatch.
+    for i, region in enumerate(regions, start=1):
+        if region.dimension() != system.space.dimension:
+            raise ValueError(
+                f"region {i} is {region.dimension()}-dimensional in a "
+                f"{system.space.dimension}-dimensional space"
+            )
     exhaustive = all(_enumerable(r) for r in regions)
     if exhaustive:
         total = math.prod(len(r.points) for r in regions)

@@ -55,6 +55,31 @@ def test_shift_asymmetry_preserved():
     assert chain_point_distance(LINE, ys, xs, 1) == 5.0
 
 
+@given(
+    st.integers(2, 6).flatmap(
+        lambda m: st.tuples(
+            *(
+                st.lists(
+                    st.tuples(*(st.floats(-1e6, 1e6, allow_nan=False),) * 3),
+                    min_size=m,
+                    max_size=m,
+                )
+                for _ in range(2)
+            )
+        )
+    ),
+    st.sampled_from([1, 1.5, 2, 3, 3.5, INFINITY]),
+)
+@settings(max_examples=80, deadline=None)
+def test_chain_point_distance_is_the_shifted_sum(chains, p):
+    # term i is d(x_i, y_{i+1}), wrapping; written out here, not taken from src
+    xs, ys = chains
+    space = LqSpace(Exponent(2.0), 3)
+    m = len(xs)
+    terms = [space.distance(xs[i], ys[(i + 1) % m]) for i in range(m)]
+    assert chain_point_distance(space, xs, ys, p) == p_combine(terms, p)
+
+
 def test_chain_length_and_dimension_errors():
     with pytest.raises(ValueError):
         chain_point_distance(LINE, chain1(0), chain1(0), 1)

@@ -25,8 +25,8 @@ from proxcycle.orbit import (
     trace_rows,
 )
 from proxcycle.cli import _write_trace_csv
-from proxcycle.spaces import INFINITY, OracleSpace, as_exponent
-from proxcycle.system import Box, CyclicSystem
+from proxcycle.spaces import INFINITY, LqSpace, OracleSpace, as_exponent
+from proxcycle.system import Box, CyclicSystem, Segment
 
 
 def test_picard_orbit_kirk_closed_form():
@@ -299,3 +299,26 @@ def test_orbit_paths_reject_map_images_of_wrong_dimension(run):
     wide = CyclicSystem(space=kirk.space, regions=kirk.regions, map=lambda x: (x[0], 0.0))
     with pytest.raises(ValueError, match="2-dimensional point"):
         run(wide)
+
+
+def test_membership_violations_match_direct_checks():
+    # paper_lq_family's orbit leaves A_1 for the truncation stub and stays
+    # there; the cycle 0 -> 1 -> 2 -> 3 -> 0 alternates in and out of A_1.
+    cycle = CyclicSystem(
+        space=LqSpace(as_exponent(2), 1),
+        regions=(Segment((0.0,), (1.0,)), Segment((1.0,), (3.0,))),
+        map=lambda x: ((x[0] + 1.0) % 4.0,),
+    )
+    starts = [(cycle, (0.0,))]
+    for m in (2, 3):
+        gs = make_paper_lq_family(m=m, alpha=0.5, q=2, N=3)
+        starts.append((gs.system, gs.default_start))
+    for system, x0 in starts:
+        trace = picard_orbit(system, x0, 41)
+        first = system.regions[0]
+        want = tuple(
+            (k, x)
+            for k, x in enumerate(trace.points)
+            if k and k % system.m == 0 and not first.contains(x, system.space)
+        )
+        assert want and trace.membership_violations == want

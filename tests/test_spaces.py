@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -144,3 +145,76 @@ def test_validate_metric_needs_three_points():
     space = LqSpace(Exponent(2.0), 1)
     with pytest.raises(ValueError):
         validate_metric(space, [(0.0,), (1.0,)])
+
+
+# --- kernels chosen once per exponent ---------------------------------------
+
+EXPONENTS = [1.0, 1.5, 2.0, 3.0, 3.5, math.inf]
+# zeros, subnormals, ordinary values and magnitudes out to 1e300 either way
+magnitudes = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=5e-324, max_value=2.2250738585072014e-308),
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.sampled_from([5e-324, 1e-300, 1.0, 1e300]),
+)
+magnitude_lists = st.lists(magnitudes, min_size=1, max_size=25)
+
+
+def textbook_combine(vals, q):
+    """(sum v_i^q)^(1/q) with the largest value factored out; fsum for q = 1,
+    the max for q = inf. Integer q is raised by an int power."""
+    if q == math.inf:
+        return max(vals, default=0.0)
+    if q == 1.0:
+        return math.fsum(vals)
+    peak = max(vals, default=0.0)
+    if peak == 0.0:
+        return 0.0
+    power = int(q) if q == int(q) else q
+    return peak * math.fsum((v / peak) ** power for v in vals) ** (1.0 / q)
+
+
+def same_bits(a, b):
+    return float(a).hex() == float(b).hex()
+
+
+@given(magnitude_lists, st.sampled_from(EXPONENTS))
+@settings(max_examples=300, deadline=None)
+def test_combine_matches_textbook_formula_bit_for_bit(vals, q):
+    want = textbook_combine(vals, q)
+    assert same_bits(p_combine(vals, q), want)
+    assert same_bits(as_exponent(q)._combine(list(vals)), want)
+
+
+@given(
+    st.lists(st.tuples(magnitudes, magnitudes, st.booleans()), min_size=1, max_size=25),
+    st.sampled_from(EXPONENTS),
+)
+@settings(max_examples=300, deadline=None)
+def test_distance_kernels_match_textbook_formula_bit_for_bit(coords, q):
+    pa = tuple(-x if negate else x for x, _, negate in coords)
+    pb = tuple(y for _, y, _ in coords)
+    want = textbook_combine([abs(x - y) for x, y in zip(pa, pb)], q)
+    space = LqSpace(as_exponent(q), len(pa))
+    assert same_bits(space._distance(pa, pb), want)
+    assert same_bits(space.distance(pa, pb), want)
+
+
+def test_p_combine_extreme_magnitudes():
+    assert p_combine([1e300, 1e300], 2) == 1e300 * math.sqrt(2.0)
+    assert p_combine([1e300] * 4, 3.5) == pytest.approx(1e300 * 4 ** (1 / 3.5), rel=1e-15)
+    assert p_combine([5e-324, 0.0], 2) == 5e-324
+    assert p_combine([1e-300, 1e300], 3) == 1e300
+    assert p_combine([1e300, 1e300], 1) == 2e300
+
+
+@pytest.mark.parametrize("q", [1, 2, 3.5, "inf"])
+def test_lq_space_pickles_compares_and_hashes_by_value(q):
+    space = LqSpace(as_exponent(q), 3)
+    copy = pickle.loads(pickle.dumps(space))
+    assert copy == space and hash(copy) == hash(space) and repr(copy) == repr(space)
+    assert copy == LqSpace(q, 3) and LqSpace(q, 3) in {space}
+    assert copy != LqSpace(as_exponent(q), 4)
+    assert all(space != LqSpace(other, 3) for other in (1, 2, 3.5, "inf") if other != q)
+    a, b = (0.5, -2.0, 1e300), (3.0, 1e-300, -1e300)
+    assert same_bits(copy.distance(a, b), space.distance(a, b))

@@ -5,7 +5,12 @@ import random
 import pytest
 
 from proxcycle.chains import chain_point_distance
-from proxcycle.gallery import make_kirk_interval, make_paper_lq_family, make_scaled_pair
+from proxcycle.gallery import (
+    make_affine_strip,
+    make_kirk_interval,
+    make_paper_lq_family,
+    make_scaled_pair,
+)
 from proxcycle.spaces import INFINITY, CapabilityError, Exponent, LqSpace
 from proxcycle.system import (
     Ball,
@@ -270,21 +275,41 @@ def test_scaled_pair_far_apart_certifies():
     assert cert.ok
 
 
-def _brute_force(system, phi, p):
-    """Every tuple pair through the public per-pair oracle."""
-    tuples = list(itertools.product(*(r.points for r in system.regions)))
+def _reference(system, phi, p, pairs):
+    """The given tuple pairs, in order, each margin worked out from the public
+    ``system.apply`` and ``chain_point_distance``."""
     set_distance = system.set_chain_distance(p)
+    phi_set = phi(set_distance)
     best, witness, evaluated, skips = math.inf, ((), ()), 0, 0
-    for xs in tuples:
-        for ys in tuples:
-            if any(system.is_artifact(pt) for pt in xs + ys):
-                skips += 1
-                continue
-            margin = contraction_margin(system, phi, p, xs, ys, set_distance)
-            evaluated += 1
-            if margin < best:
-                best, witness = margin, (xs, ys)
+    for xs, ys in pairs:
+        if any(system.is_artifact(pt) for pt in xs + ys):
+            skips += 1
+            continue
+        txs = [system.apply(x) for x in xs]
+        tys = [system.apply(y) for y in ys]
+        lhs = chain_point_distance(system.space, txs, tys, p)
+        d = chain_point_distance(system.space, xs, ys, p)
+        margin = (d - phi(d) + phi_set) - lhs
+        assert margin == contraction_margin(system, phi, p, xs, ys, set_distance)
+        evaluated += 1
+        if margin < best:
+            best, witness = margin, (xs, ys)
     return best, witness, evaluated, skips
+
+
+def _brute_force(system, phi, p):
+    """Every tuple pair through the public per-pair reference."""
+    tuples = list(itertools.product(*(r.points for r in system.regions)))
+    return _reference(system, phi, p, itertools.product(tuples, tuples))
+
+
+def _sampled_pairs(system, samples, seed):
+    """The tuple pairs the sampled branch draws: xs, then ys, region by region."""
+    rng = random.Random(seed)
+    for _ in range(samples):
+        xs = tuple(r.sample(rng) for r in system.regions)
+        ys = tuple(r.sample(rng) for r in system.regions)
+        yield xs, ys
 
 
 @pytest.mark.parametrize("m,n", [(2, 3), (3, 2)])
@@ -328,3 +353,99 @@ def test_alpha_bound_examples():
         alpha_bound_check(1.2, 2, 1)
     with pytest.raises(ValueError):
         alpha_bound_check(0.5, 1, 1)
+
+
+SAMPLED_SYSTEMS = {
+    "kirk": make_kirk_interval(alpha=0.4),
+    "strip": make_affine_strip(alpha=0.3, h=1.5),
+    "pair": make_scaled_pair(alpha=0.4, separation=2.0, dimension=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_SYSTEMS))
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_sampled_certificate_matches_per_pair_reference(name, seed):
+    system = SAMPLED_SYSTEMS[name].system
+    phis = (LinearPhi(0.3), TabulatedPhi(((0.0, 0.1), (0.7, 0.3), (2.0, 0.6))))
+    for p, phi in itertools.product((1, 2, 3.5, "inf"), phis):
+        cert = verify_contraction(system, phi, p, tuple_samples=150, seed=seed)
+        assert not cert.exhaustive
+        best, (wxs, wys), evaluated, skips = _reference(
+            system, phi, p, _sampled_pairs(system, 150, seed)
+        )
+        assert cert.min_margin == best, (p, phi)
+        assert (cert.witness_xs, cert.witness_ys) == (wxs, wys)
+        assert (cert.evaluated, cert.artifact_skips) == (evaluated, skips)
+
+
+def test_sampled_certificate_raises_map_error_with_point():
+    def step(x):
+        if x[0] > 0.9:
+            raise RuntimeError("no image")
+        return (-0.5 * x[0],)
+
+    system = CyclicSystem(
+        space=L2_1, regions=(Segment((-1.0,), (0.0,)), Segment((0.0,), (1.0,))), map=step
+    )
+    # The pairs are mapped in draw order, xs before ys, region by region.
+    expected = next(
+        pt for xs, ys in _sampled_pairs(system, 500, 4) for pt in xs + ys if pt[0] > 0.9
+    )
+    with pytest.raises(MapError) as err:
+        verify_contraction(system, LinearPhi(0.5), 2, tuple_samples=500, seed=4)
+    assert err.value.point == expected
+
+
+def test_region_of_the_wrong_dimension_is_a_value_error_in_both_scans():
+    def first_coordinate(x):
+        return (x[0],)
+
+    sampled = CyclicSystem(
+        space=L2_1,
+        regions=(Segment((0.0,), (1.0,)), Segment((0.0, 0.0), (1.0, 0.0))),
+        map=first_coordinate,
+    )
+    class GivenDistance(FiniteCloud):
+        """A point set with a supplied set distance, so the set chain distance
+        itself does not measure (and check) its points."""
+
+        def distance_to(self, other, space):
+            return 0.0
+
+    enumerated = CyclicSystem(
+        space=L2_1,
+        regions=(GivenDistance(((0.0,), (1.0,))), GivenDistance(((2.0, 5.0), (3.0, 5.0)))),
+        map=first_coordinate,
+    )
+    for system in (sampled, enumerated):
+        with pytest.raises(ValueError, match="dimension") as err:
+            verify_contraction(system, LinearPhi(0.5), 2, tuple_samples=10)
+        assert not isinstance(err.value, MapError)
+    with pytest.raises(ValueError, match="dimension"):
+        contraction_margin(sampled, LinearPhi(0.5), 2, ((0.0,), (1.0, 0.0)), ((0.0,), (1.0,)))
+    with pytest.raises(ValueError, match="chain lengths differ"):
+        contraction_margin(sampled, LinearPhi(0.5), 2, ((0.0,), (1.0,)), ((0.0,), (1.0,), (0.5,)))
+
+
+def test_artifact_points_are_validated_at_construction():
+    with pytest.raises(ValueError, match="artifact"):
+        CyclicSystem(
+            space=L2_1, regions=(Segment((0.0,), (1.0,)),) * 2, map=lambda x: x,
+            artifact_points=((0.0, 0.0),),
+        )
+    system = CyclicSystem(
+        space=L2_1, regions=(Segment((0.0,), (1.0,)),) * 2, map=lambda x: x,
+        artifact_points=([1],),
+    )
+    assert system.artifact_points == ((1.0,),)
+    assert system.is_artifact((1.0,)) and not system.is_artifact((0.5,))
+
+
+def test_segment_bounds_are_computed_once():
+    seg = Segment((1.0, 2.0), (-3.0, 2.0))
+    assert seg.bounds() == ((-3.0, 2.0), (1.0, 2.0))
+    assert seg.bounds() is seg.bounds()
+    assert repr(seg) == "Segment(a=(1.0, 2.0), b=(-3.0, 2.0))"
+    same = Segment([1, 2], [-3, 2])
+    assert same == seg and hash(same) == hash(seg)
+    assert Segment((-3.0, 2.0), (1.0, 2.0)) != seg
