@@ -14,15 +14,12 @@ from typing import Callable, Iterator, Sequence
 from .spaces import (
     INFINITY,
     CapabilityError,
-    Exponent,
     Point,
     Space,
     as_exponent,
     check_point,
     p_combine,
 )
-
-PExponent = Exponent
 
 
 def _shifted_pairs(

@@ -198,7 +198,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
             tol=config.tolerance,
             max_iter=config.iterations,
             p=p,
-            contraction_alpha=gs.step_factor,
         )
         result.update(
             point=_point_list(solved.point),

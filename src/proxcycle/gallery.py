@@ -14,7 +14,7 @@ from typing import Callable
 
 from .chains import chain_self_distance
 from .spaces import CapabilityError, Exponent, LqSpace, Point, as_exponent, p_combine
-from .system import Ball, CyclicSystem, IndexedFamily, Region, Segment, _enumerable
+from .system import Ball, Box, CyclicSystem, FiniteCloud, _enumerable
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def make_kirk_interval(alpha: float = 0.5) -> GallerySystem:
 
     system = CyclicSystem(
         space=space,
-        regions=(Segment((-1.0,), (0.0,)), Segment((0.0,), (1.0,))),
+        regions=(Box((-1.0,), (0.0,)), Box((0.0,), (1.0,))),
         map=step,
     )
     return GallerySystem(
@@ -104,7 +104,7 @@ def make_affine_strip(alpha: float = 0.5, h: float = 1.0) -> GallerySystem:
 
     system = CyclicSystem(
         space=space,
-        regions=(Segment((0.0, 0.0), (1.0, 0.0)), Segment((0.0, hh), (1.0, hh))),
+        regions=(Box((0.0, 0.0), (1.0, 0.0)), Box((0.0, hh), (1.0, hh))),
         map=step,
     )
     return GallerySystem(
@@ -161,14 +161,10 @@ def make_paper_lq_family(
             return top_point  # truncation stub
         return basis_point(k + 1)
 
-    regions: list[Region] = []
-    for i in range(1, m + 1):
-        regions.append(
-            IndexedFamily(
-                generator=lambda n, i=i: basis_point(m * n + i - 1),
-                index_range=range(N + 1),
-            )
-        )
+    regions = tuple(
+        FiniteCloud(tuple(basis_point(m * n + i - 1) for n in range(N + 1)))
+        for i in range(1, m + 1)
+    )
 
     # d(A_i, A_{i+1}) is minimized at the largest index of each family.
     edges = []
@@ -179,7 +175,7 @@ def make_paper_lq_family(
 
     system = CyclicSystem(
         space=space,
-        regions=tuple(regions),
+        regions=regions,
         map=step,
         artifact_points=(top_point,),
     )

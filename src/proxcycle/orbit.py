@@ -3,12 +3,16 @@
 Orbit generation is inherently sequential; everything derived from a trace is
 pure. Non-convergence is data (a flagged result), never an exception.
 
-Each orbit point is validated once, where it enters the orbit: the start
-point by ``_start`` (finite, of the space's dimension, in the first region)
-and each map image by ``CyclicSystem._image``, the stepper behind
-``apply``. From then on the orbit and solver loops measure points with the
-trusted ``Space._distance``. ``trace_rows`` builds the ``trace.csv`` columns
-in one pass over consecutive distances; ``chain_trace``, ``edge_trace`` and
+One loop walks an orbit: ``_walk`` yields x_1, x_2, ... from a validated
+x_0 through ``CyclicSystem._image``, the stepper behind ``apply``, which
+validates each image once and tags a ``MapError`` with its step.
+``picard_orbit`` and the three solvers differ only in their stopping rules
+over it: a fixed length, a small consecutive step, a small m-step drift,
+and every interleaved subsequence settled. Each validates its start point
+once (``_start``: finite, of the space's dimension, in the first region)
+and measures the walked points with the trusted ``Space._distance``.
+``trace_rows`` builds the ``trace.csv`` columns in one pass over
+consecutive distances; ``chain_trace``, ``edge_trace`` and
 ``block_drift_trace`` are the public per-column references it matches bit
 for bit.
 """
@@ -17,9 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
-from .chains import chain_point_distance, chain_self_distance
+from .chains import _chain_distance, chain_point_distance, chain_self_distance
 from .spaces import Point, as_exponent, check_point
 from .system import MEMBERSHIP_TOL, CyclicSystem
 
@@ -52,18 +57,6 @@ class OrbitTrace:
 
 
 @dataclass(frozen=True)
-class AprioriBound:
-    """Geometric tail bound on cross-block chain distances."""
-
-    alpha: float
-    m: int
-    initial_gap: float
-
-    def bound(self, k: int) -> float:
-        return apriori_error_bound(self.alpha, self.m, k, self.initial_gap)
-
-
-@dataclass(frozen=True)
 class SolveResult:
     point: Point
     residual: float
@@ -71,7 +64,6 @@ class SolveResult:
     converged: bool
     set_chain_distance: float
     warnings: tuple[str, ...] = ()
-    certificate: AprioriBound | None = None
     proximity_residual: float | None = None
 
 
@@ -87,6 +79,14 @@ def _start(system: CyclicSystem, x0: Sequence[float]) -> Point:
     return x
 
 
+def _walk(system: CyclicSystem, x: Point, steps: int) -> Iterator[Point]:
+    """x_1..x_steps of the orbit of the validated x_0 = x: the one loop that
+    steps the map, so a ``MapError`` carries the step k at which it arose."""
+    for k in range(1, steps + 1):
+        x = system._image(x, step=k)
+        yield x
+
+
 def picard_orbit(system: CyclicSystem, x0: Sequence[float], n: int) -> OrbitTrace:
     """Iterate the map n times from x0 in the first region.
 
@@ -99,20 +99,17 @@ def picard_orbit(system: CyclicSystem, x0: Sequence[float], n: int) -> OrbitTrac
     if n < m:
         raise ValueError(f"need at least m = {m} steps")
     start = _start(system, x0)
+    points = (start, *_walk(system, start, n))
     first, space = system.regions[0], system.space
-    points = [start]
     violations = []
-    x = start
     checked, inside = None, True
-    for k in range(1, n + 1):
-        x = system._image(x, step=k)
-        points.append(x)
-        if k % m == 0:
-            if x != checked:
-                checked, inside = x, first.contains(x, space)
-            if not inside:
-                violations.append((k, x))
-    return OrbitTrace(system, tuple(points), tuple(violations))
+    for k in range(m, n + 1, m):
+        x = points[k]
+        if x != checked:
+            checked, inside = x, first.contains(x, space)
+        if not inside:
+            violations.append((k, x))
+    return OrbitTrace(system, points, tuple(violations))
 
 
 def chain_trace(trace: OrbitTrace, p: object) -> list[float]:
@@ -231,13 +228,12 @@ def banach_solve(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     p: object = 2,
-    contraction_alpha: float | None = None,
 ) -> SolveResult:
     """Fixed-point iteration; intended for systems whose set chain distance is 0.
 
-    When ``contraction_alpha`` (the per-step chain contraction factor) is
-    given and enough of the orbit exists, the result carries the geometric
-    a-priori bound on cross-block distances.
+    Stops at the first k with d(x_{k-1}, x_k) <= tol. The geometric a-priori
+    bound on cross-block distances is ``apriori_error_bound`` with the
+    initial gap ``cross_block_chain_distance(trace, 1, 0, p)``.
     """
     exp = as_exponent(p)
     space = system.space
@@ -249,16 +245,11 @@ def banach_solve(
         )
     x = _start(system, x0)
 
-    head = [x]  # first 2m points, for the a-priori certificate
     fired = False
     iterations = 0
-    for k in range(1, max_iter + 1):
-        nxt = system._image(x, step=k)
-        if len(head) < 2 * system.m:
-            head.append(nxt)
+    for iterations, nxt in enumerate(_walk(system, x, max_iter), 1):
         step = space._distance(x, nxt)
         x = nxt
-        iterations = k
         if step <= tol:
             fired = True
             break
@@ -271,13 +262,6 @@ def banach_solve(
         if converged and not region.contains(x, space, MEMBERSHIP_TOL):
             warnings.append(f"result is not in region {i + 1}")
 
-    certificate = None
-    if contraction_alpha is not None and len(head) >= 2 * system.m:
-        gap = chain_point_distance(
-            space, head[system.m : 2 * system.m], head[: system.m], exp
-        )
-        certificate = AprioriBound(contraction_alpha, system.m, gap)
-
     return SolveResult(
         point=x,
         residual=residual,
@@ -285,7 +269,6 @@ def banach_solve(
         converged=converged,
         set_chain_distance=set_distance,
         warnings=tuple(warnings),
-        certificate=certificate,
     )
 
 
@@ -305,10 +288,9 @@ def periodic_point_solve(
 
     warnings = []
     fired = False
-    blocks = max(1, max_iter // m)
     iterations = 0
-    for n in range(1, blocks + 1):
-        nxt = system._image_n(x, m)
+    walk = _walk(system, x, max(1, max_iter // m) * m)
+    for n, nxt in enumerate(islice(walk, m - 1, None, m), 1):
         step = space._distance(x, nxt)
         x = nxt
         iterations = n * m
@@ -323,11 +305,9 @@ def periodic_point_solve(
     if converged and not system.regions[0].contains(x, space, MEMBERSHIP_TOL):
         warnings.append("result is not in the first region")
 
-    orbit_chain = [x]
-    for _ in range(m - 1):
-        orbit_chain.append(system._image(orbit_chain[-1]))
+    orbit_chain = (x, *_walk(system, x, m - 1))
     proximity_residual = abs(
-        chain_self_distance(space, orbit_chain, exp) - set_distance
+        _chain_distance(space, orbit_chain, orbit_chain, exp._combine) - set_distance
     )
 
     return SolveResult(
@@ -378,11 +358,8 @@ def proximity_chain_extract(
     settled = [False] * m
     last[0] = x
     iterations = 0
-    current = x
-    for k in range(1, max_iter + 1):
-        current = system._image(current, step=k)
-        iterations = k
-        r = k % m
+    for iterations, current in enumerate(_walk(system, x, max_iter), 1):
+        r = iterations % m
         prev = last[r]
         if prev is not None:
             settled[r] = space._distance(prev, current) <= tol
@@ -397,7 +374,7 @@ def proximity_chain_extract(
         converged = False
         note = "orbit too short to populate every subsequence"
     elif converged:
-        if any(system.is_artifact(pt) for pt in chain):
+        if any(map(system._is_artifact, chain)):
             converged = False
             note = "subsequence stalled on a truncation-artifact point"
         else:
@@ -410,14 +387,15 @@ def proximity_chain_extract(
         note = "max_iter exhausted before every subsequence settled"
 
     if len(chain) == m:
+        # The chain holds walked points, validated as they entered the orbit.
         edge_residuals = tuple(
             abs(
-                space.distance(chain[i], chain[(i + 1) % m])
+                space._distance(chain[i], chain[(i + 1) % m])
                 - system.regions[i].distance_to(system.regions[(i + 1) % m], space)
             )
             for i in range(m)
         )
-        total_residual = abs(chain_self_distance(space, chain, exp) - set_distance)
+        total_residual = abs(_chain_distance(space, chain, chain, exp._combine) - set_distance)
     else:
         edge_residuals = ()
         total_residual = math.nan

@@ -25,10 +25,13 @@ class CapabilityError(TypeError):
 def _power_sum(power: float, inv: float, vals: list[float]) -> float:
     """(sum v_i^q)^(1/q) with the largest value factored out, so large
     exponents cannot overflow on large inputs; ``power`` is q (an int when q
-    is integral) and ``inv`` is 1/q."""
+    is integral) and ``inv`` is 1/q. An infinite peak (an overflowed
+    distance) gives inf, where the scaling would divide inf by inf."""
     peak = max(vals, default=0.0)
     if peak == 0.0:
         return 0.0
+    if peak == math.inf:
+        return peak
     return peak * math.fsum([(v / peak) ** power for v in vals]) ** inv
 
 
@@ -106,9 +109,14 @@ def p_combine(values: Iterable[float], p: object) -> float:
     """(sum v_i^p)^(1/p) over nonnegative values, or their max for p = inf.
 
     Finite p factors out the largest value before exponentiating, so large
-    exponents cannot overflow on large inputs.
+    exponents cannot overflow on large inputs. A negative or NaN value is a
+    ValueError.
     """
-    return as_exponent(p)._combine([float(v) for v in values])
+    exp = as_exponent(p)
+    vals = [float(v) for v in values]
+    if not all(v >= 0.0 for v in vals):
+        raise ValueError(f"p_combine is defined for nonnegative values, got {vals!r}")
+    return exp._combine(vals)
 
 
 def lq_norm(v: Sequence[float], q: object) -> float:

@@ -69,6 +69,9 @@ class Region:
 
 @dataclass(frozen=True)
 class FiniteCloud(Region):
+    """A finite point set; a finite family {generator(n)} is the cloud of its
+    materialized points."""
+
     points: tuple[Point, ...]
 
     def __post_init__(self) -> None:
@@ -83,121 +86,51 @@ class FiniteCloud(Region):
         return len(self.points[0])
 
     def contains(self, point, space, tol=MEMBERSHIP_TOL):
-        return _near_any(space, self.points, point, tol)
+        # The query point is validated here; the stored points were validated
+        # when the cloud was built, so after one dimension check both are
+        # measured with the trusted ``_distance``.
+        x = check_point(point)
+        if len(x) != space.dimension or len(self.points[0]) != space.dimension:
+            raise ValueError(
+                f"dimension mismatch: space is {space.dimension}-dimensional, "
+                f"points have {len(x)} and {len(self.points[0])}"
+            )
+        return min(space._distance(x, p) for p in self.points) <= tol
 
     def sample(self, rng):
         return self.points[rng.randrange(len(self.points))]
 
 
-def _near_any(space: Space, points: tuple[Point, ...], point: Sequence[float], tol: float) -> bool:
-    """Membership in a finite point set. The query point is validated here;
-    the stored points were validated when the set was built, so after one
-    dimension check both are measured with the trusted ``_distance``."""
-    x = check_point(point)
-    if len(x) != space.dimension or len(points[0]) != space.dimension:
-        raise ValueError(
-            f"dimension mismatch: space is {space.dimension}-dimensional, "
-            f"points have {len(x)} and {len(points[0])}"
-        )
-    return min(space._distance(x, p) for p in points) <= tol
-
-
-def _check_bounds(lower: Point, upper: Point) -> None:
-    if len(lower) != len(upper):
-        raise ValueError("bound dimensions differ")
-    if any(lo > hi for lo, hi in zip(lower, upper)):
-        raise ValueError("lower bound exceeds upper bound")
-
-
-class _BoxLike(Region):
-    """Shared interval logic for axis-aligned segments and boxes."""
-
-    def bounds(self) -> tuple[Point, Point]:
-        raise NotImplementedError
-
-    def dimension(self) -> int:
-        return len(self.bounds()[0])
-
-    def contains(self, point, space, tol=MEMBERSHIP_TOL):
-        x = check_point(point)
-        lower, upper = self.bounds()
-        if len(x) != len(lower):
-            raise ValueError("point dimension does not match region")
-        return all(lo - tol <= c <= hi + tol for c, lo, hi in zip(x, lower, upper))
-
-    def sample(self, rng):
-        lower, upper = self.bounds()
-        return tuple(lo if lo == hi else rng.uniform(lo, hi) for lo, hi in zip(lower, upper))
-
-
 @dataclass(frozen=True)
-class Segment(_BoxLike):
-    """An axis-aligned segment: the endpoints differ in exactly one coordinate."""
+class Box(Region):
+    """The axis-aligned box lower <= x <= upper; a segment is a box with one
+    non-degenerate axis."""
 
-    a: Point
-    b: Point
-    _bounds: tuple[Point, Point] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        pa, pb = check_point(self.a), check_point(self.b)
-        if len(pa) != len(pb):
-            raise ValueError("endpoint dimensions differ")
-        differing = [i for i, (x, y) in enumerate(zip(pa, pb)) if x != y]
-        if not differing:
-            raise ValueError("segment endpoints must be distinct")
-        if len(differing) != 1:
-            raise ValueError("segment must be axis-aligned (one varying coordinate)")
-        object.__setattr__(self, "a", pa)
-        object.__setattr__(self, "b", pb)
-        object.__setattr__(self, "_bounds", (tuple(map(min, pa, pb)), tuple(map(max, pa, pb))))
-
-    def bounds(self) -> tuple[Point, Point]:
-        return self._bounds
-
-
-@dataclass(frozen=True)
-class Box(_BoxLike):
     lower: Point
     upper: Point
 
     def __post_init__(self) -> None:
         lo, hi = check_point(self.lower), check_point(self.upper)
-        _check_bounds(lo, hi)
+        if len(lo) != len(hi):
+            raise ValueError("bound dimensions differ")
+        if any(a > b for a, b in zip(lo, hi)):
+            raise ValueError("lower bound exceeds upper bound")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
-    def bounds(self) -> tuple[Point, Point]:
-        return self.lower, self.upper
-
-
-@dataclass
-class IndexedFamily(Region):
-    """A finite family {generator(i) : i in index_range}, materialized once."""
-
-    generator: Callable[[int], Point]
-    index_range: range
-    _points: tuple[Point, ...] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if len(self.index_range) == 0:
-            raise ValueError("index range must be nonempty")
-        pts = tuple(check_point(self.generator(i)) for i in self.index_range)
-        if len({len(p) for p in pts}) != 1:
-            raise ValueError("family points must share one dimension")
-        self._points = pts
-
-    @property
-    def points(self) -> tuple[Point, ...]:
-        return self._points
-
     def dimension(self) -> int:
-        return len(self._points[0])
+        return len(self.lower)
 
     def contains(self, point, space, tol=MEMBERSHIP_TOL):
-        return _near_any(space, self._points, point, tol)
+        x = check_point(point)
+        if len(x) != len(self.lower):
+            raise ValueError("point dimension does not match region")
+        return all(lo - tol <= c <= hi + tol for c, lo, hi in zip(x, self.lower, self.upper))
 
     def sample(self, rng):
-        return self._points[rng.randrange(len(self._points))]
+        return tuple(
+            lo if lo == hi else rng.uniform(lo, hi) for lo, hi in zip(self.lower, self.upper)
+        )
 
 
 @dataclass(frozen=True)
@@ -254,20 +187,18 @@ def region_distance(space: Space, a: Region, b: Region) -> float:
     if _enumerable(a) and _enumerable(b):
         return min(space.distance(x, y) for x in a.points for y in b.points)
 
-    if isinstance(a, _BoxLike) and isinstance(b, _BoxLike):
+    if isinstance(a, Box) and isinstance(b, Box):
         if not isinstance(space, LqSpace):
             raise CapabilityError("box distances need an l^q space")
-        (lo1, hi1), (lo2, hi2) = a.bounds(), b.bounds()
-        gaps = tuple(_interval_gap(l1, h1, l2, h2) for l1, h1, l2, h2 in zip(lo1, hi1, lo2, hi2))
+        gaps = tuple(map(_interval_gap, a.lower, a.upper, b.lower, b.upper))
         return lq_norm(gaps, space.q)
 
-    if isinstance(a, _BoxLike) and _enumerable(b):
+    if isinstance(a, Box) and _enumerable(b):
         return region_distance(space, b, a)
-    if _enumerable(a) and isinstance(b, _BoxLike):
+    if _enumerable(a) and isinstance(b, Box):
         if not isinstance(space, LqSpace):
             raise CapabilityError("box distances need an l^q space")
-        lower, upper = b.bounds()
-        return min(lq_norm(_point_box_gaps(x, lower, upper), space.q) for x in a.points)
+        return min(lq_norm(_point_box_gaps(x, b.lower, b.upper), space.q) for x in a.points)
 
     if isinstance(a, Ball) or isinstance(b, Ball):
         _require_l2(space, "ball distance")
@@ -278,9 +209,8 @@ def region_distance(space: Space, a: Region, b: Region) -> float:
             return min(
                 max(0.0, math.dist(x, ball.center) - ball.radius) for x in other.points
             )
-        if isinstance(other, _BoxLike):
-            lower, upper = other.bounds()
-            gap = lq_norm(_point_box_gaps(ball.center, lower, upper), space.q)
+        if isinstance(other, Box):
+            gap = lq_norm(_point_box_gaps(ball.center, other.lower, other.upper), space.q)
             return max(0.0, gap - ball.radius)
 
     raise CapabilityError(

@@ -31,9 +31,9 @@ from proxcycle.orbit import (
 )
 from proxcycle.spaces import INFINITY, LqSpace, Exponent
 from proxcycle.system import (
+    Box,
     CyclicSystem,
     LinearPhi,
-    Segment,
     alpha_bound_check,
     contraction_margin,
     verify_contraction,
@@ -175,7 +175,7 @@ def test_criterion_7_non_attainment_counterexample():
 
 def test_criterion_8_certification_rejects_identity():
     space = LqSpace(Exponent(2.0), 1)
-    unit = Segment((0.0,), (1.0,))
+    unit = Box((0.0,), (1.0,))
     system = CyclicSystem(space=space, regions=(unit, unit), map=lambda x: x)
     phi = LinearPhi(0.5)
     cert = verify_contraction(system, phi, 1, tuple_samples=300, seed=0)

@@ -26,7 +26,7 @@ from proxcycle.orbit import (
 )
 from proxcycle.cli import _write_trace_csv
 from proxcycle.spaces import INFINITY, LqSpace, OracleSpace, as_exponent
-from proxcycle.system import Box, CyclicSystem, Segment
+from proxcycle.system import Box, CyclicSystem, MapError
 
 
 def test_picard_orbit_kirk_closed_form():
@@ -131,14 +131,15 @@ def test_apriori_error_bound_formula():
 
 def test_banach_solve_kirk():
     gs = make_kirk_interval(0.5)
-    first = banach_solve(gs.system, (-1.0,), tol=1e-12, contraction_alpha=gs.step_factor)
+    first = banach_solve(gs.system, (-1.0,), tol=1e-12)
     second = banach_solve(gs.system, (-0.25,), tol=1e-12)
     assert first.converged and second.converged
     assert abs(first.point[0]) < 1e-9
     assert first.residual < 1e-9
     assert abs(first.point[0] - second.point[0]) < 1e-8
-    assert first.certificate is not None
-    assert first.certificate.bound(0) > 0
+    head = picard_orbit(gs.system, (-1.0,), 2 * gs.system.m - 1)
+    gap = cross_block_chain_distance(head, 1, 0, 2)
+    assert apriori_error_bound(gs.step_factor, gs.system.m, 0, gap) > 0
 
 
 def test_banach_solve_warns_on_disjoint_sets():
@@ -301,12 +302,35 @@ def test_orbit_paths_reject_map_images_of_wrong_dimension(run):
         run(wide)
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda system: picard_orbit(system, (1.0,), 10),
+        lambda system: banach_solve(system, (1.0,)),
+        lambda system: periodic_point_solve(system, (1.0,)),
+        lambda system: proximity_chain_extract(system, (1.0,)),
+    ],
+)
+def test_map_error_carries_its_step_on_every_orbit_path(run):
+    # x_k = 2^-k exactly, so the map fails at step 5, when it is applied to x_4.
+    def halve(x):
+        if x[0] == 2.0 ** -4:
+            raise RuntimeError("no image")
+        return (x[0] / 2.0,)
+
+    unit = Box((0.0,), (1.0,))
+    system = CyclicSystem(space=LqSpace(as_exponent(2), 1), regions=(unit, unit), map=halve)
+    with pytest.raises(MapError) as err:
+        run(system)
+    assert err.value.step == 5 and err.value.point == (2.0 ** -4,)
+
+
 def test_membership_violations_match_direct_checks():
     # paper_lq_family's orbit leaves A_1 for the truncation stub and stays
     # there; the cycle 0 -> 1 -> 2 -> 3 -> 0 alternates in and out of A_1.
     cycle = CyclicSystem(
         space=LqSpace(as_exponent(2), 1),
-        regions=(Segment((0.0,), (1.0,)), Segment((1.0,), (3.0,))),
+        regions=(Box((0.0,), (1.0,)), Box((1.0,), (3.0,))),
         map=lambda x: ((x[0] + 1.0) % 4.0,),
     )
     starts = [(cycle, (0.0,))]

@@ -218,3 +218,18 @@ def test_lq_space_pickles_compares_and_hashes_by_value(q):
     assert all(space != LqSpace(other, 3) for other in (1, 2, 3.5, "inf") if other != q)
     a, b = (0.5, -2.0, 1e300), (3.0, 1e-300, -1e300)
     assert same_bits(copy.distance(a, b), space.distance(a, b))
+
+
+@pytest.mark.parametrize(
+    "values, p", [([-1.0, 0.0], 2), ([-3.0, -1.0], "inf"), ([0.0, math.nan], 2)]
+)
+def test_p_combine_rejects_negative_and_nan_values(values, p):
+    with pytest.raises(ValueError, match="nonnegative"):
+        p_combine(values, p)
+
+
+@pytest.mark.parametrize("q", [1, 1.5, 2, 3.5, "inf"])
+def test_overflowing_distances_are_infinite(q):
+    space = LqSpace(as_exponent(q), 1)
+    assert space.distance((-1e308,), (1e308,)) == math.inf
+    assert p_combine([math.inf, 1.0], q) == math.inf

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxcycle.chains import chain_point_distance
 from proxcycle.gallery import (
@@ -11,16 +13,14 @@ from proxcycle.gallery import (
     make_paper_lq_family,
     make_scaled_pair,
 )
-from proxcycle.spaces import INFINITY, CapabilityError, Exponent, LqSpace
+from proxcycle.spaces import INFINITY, CapabilityError, Exponent, LqSpace, as_exponent
 from proxcycle.system import (
     Ball,
     Box,
     CyclicSystem,
     FiniteCloud,
-    IndexedFamily,
     LinearPhi,
     MapError,
-    Segment,
     TabulatedPhi,
     alpha_bound_check,
     contraction_margin,
@@ -41,20 +41,16 @@ def test_region_construction_invariants():
     with pytest.raises(ValueError):
         FiniteCloud(())
     with pytest.raises(ValueError):
-        Segment((0.0,), (0.0,))
-    with pytest.raises(ValueError):
-        Segment((0.0, 0.0), (1.0, 1.0))  # two varying coordinates
-    with pytest.raises(ValueError):
         Box((1.0,), (0.0,))
     with pytest.raises(ValueError):
-        IndexedFamily(lambda i: (float(i),), range(0))
+        Box((0.0,), (1.0, 1.0))
     with pytest.raises(ValueError):
         Ball((0.0,), 0.0)
 
 
 def test_membership_and_sampling():
     rng = random.Random(0)
-    seg = Segment((0.0, 0.0), (1.0, 0.0))
+    seg = Box((0.0, 0.0), (1.0, 0.0))  # a segment: one non-degenerate axis
     assert seg.contains((0.5, 0.0), L2_2)
     assert seg.contains((0.5, 5e-10), L2_2)  # within 1e-9 tolerance
     assert not seg.contains((0.5, 0.1), L2_2)
@@ -67,7 +63,7 @@ def test_membership_and_sampling():
     for _ in range(20):
         assert ball.contains(ball.sample(rng), L2_2)
 
-    fam = IndexedFamily(lambda i: (float(i), 0.0), range(3))
+    fam = FiniteCloud(tuple((float(i), 0.0) for i in range(3)))
     assert fam.points == ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))
     assert fam.contains((2.0, 0.0), L2_2)
 
@@ -101,6 +97,57 @@ def test_region_distance_cases():
 
     # overlapping regions have distance 0
     assert region_distance(L2_2, s1, Ball((1.0, 0.0), 1.0)) == 0.0
+
+
+REGION_KINDS = ("cloud", "box", "segment", "ball")
+coordinates = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+
+
+@st.composite
+def regions(draw, kind, dim):
+    point = st.tuples(*[coordinates] * dim)
+    if kind == "cloud":
+        return FiniteCloud(tuple(draw(st.lists(point, min_size=1, max_size=4))))
+    if kind == "ball":
+        return Ball(draw(point), draw(st.floats(min_value=0.1, max_value=5.0)))
+    a, b = draw(point), draw(point)
+    lower, upper = tuple(map(min, a, b)), tuple(map(max, a, b))
+    if kind == "segment":  # a box with one non-degenerate axis
+        axis = draw(st.integers(0, dim - 1))
+        upper = tuple(hi if i == axis else lo for i, (lo, hi) in enumerate(zip(lower, upper)))
+    return Box(lower, upper)
+
+
+def clamp(x, box):
+    """The point of ``box`` nearest to x in every l^q: clamp each coordinate."""
+    return tuple(min(max(c, lo), hi) for c, lo, hi in zip(x, box.lower, box.upper))
+
+
+@given(
+    st.data(),
+    st.sampled_from(list(itertools.product(REGION_KINDS, repeat=2))),
+    st.integers(1, 3),
+    st.sampled_from([1, 1.5, 2, 3.5, "inf"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_region_distance_bounds_sampled_pairs_and_matches_brute_force(data, kinds, dim, q):
+    a = data.draw(regions(kinds[0], dim))
+    b = data.draw(regions(kinds[1], dim))
+    space = LqSpace(as_exponent(2 if "ball" in kinds else q), dim)
+    exact = region_distance(space, a, b)
+    rng = random.Random(0)
+    for _ in range(40):
+        d = space.distance(a.sample(rng), b.sample(rng))
+        assert exact <= d + 1e-12 * (1.0 + d)
+    if kinds == ("cloud", "cloud"):
+        assert exact == min(space.distance(x, y) for x in a.points for y in b.points)
+    elif "ball" not in kinds and "cloud" in kinds:
+        cloud, box = (a, b) if kinds[0] == "cloud" else (b, a)
+        assert exact == min(space.distance(x, clamp(x, box)) for x in cloud.points)
+    elif "ball" not in kinds:
+        # Two boxes: the corner of a nearest to b, and its clamp into b.
+        x = tuple(min(max(lo, lo2), hi) for lo, hi, lo2 in zip(a.lower, a.upper, b.lower))
+        assert exact == space.distance(x, clamp(x, b))
 
 
 # --- phi --------------------------------------------------------------------
@@ -156,7 +203,7 @@ def test_verify_cyclicity_kirk_passes():
 def test_verify_cyclicity_identity_fails_with_witness():
     system = CyclicSystem(
         space=L2_1,
-        regions=(Segment((0.0,), (1.0,)), Segment((2.0,), (3.0,))),
+        regions=(Box((0.0,), (1.0,)), Box((2.0,), (3.0,))),
         map=lambda x: x,
     )
     report = verify_cyclicity(system, samples_per_region=50, seed=0)
@@ -224,7 +271,7 @@ def test_verify_contraction_kirk_matches_grid_oracle():
 
 
 def test_verify_contraction_rejects_identity():
-    unit = Segment((0.0,), (1.0,))
+    unit = Box((0.0,), (1.0,))
     system = CyclicSystem(space=L2_1, regions=(unit, unit), map=lambda x: x)
     cert = verify_contraction(system, LinearPhi(0.5), 1, tuple_samples=200, seed=0)
     assert not cert.ok
@@ -233,7 +280,7 @@ def test_verify_contraction_rejects_identity():
 
 
 def test_witness_margin_reproduces():
-    unit = Segment((0.0,), (1.0,))
+    unit = Box((0.0,), (1.0,))
     system = CyclicSystem(space=L2_1, regions=(unit, unit), map=lambda x: x)
     phi = LinearPhi(0.5)
     cert = verify_contraction(system, phi, 1, tuple_samples=200, seed=0)
@@ -385,7 +432,7 @@ def test_sampled_certificate_raises_map_error_with_point():
         return (-0.5 * x[0],)
 
     system = CyclicSystem(
-        space=L2_1, regions=(Segment((-1.0,), (0.0,)), Segment((0.0,), (1.0,))), map=step
+        space=L2_1, regions=(Box((-1.0,), (0.0,)), Box((0.0,), (1.0,))), map=step
     )
     # The pairs are mapped in draw order, xs before ys, region by region.
     expected = next(
@@ -402,7 +449,7 @@ def test_region_of_the_wrong_dimension_is_a_value_error_in_both_scans():
 
     sampled = CyclicSystem(
         space=L2_1,
-        regions=(Segment((0.0,), (1.0,)), Segment((0.0, 0.0), (1.0, 0.0))),
+        regions=(Box((0.0,), (1.0,)), Box((0.0, 0.0), (1.0, 0.0))),
         map=first_coordinate,
     )
     class GivenDistance(FiniteCloud):
@@ -430,22 +477,20 @@ def test_region_of_the_wrong_dimension_is_a_value_error_in_both_scans():
 def test_artifact_points_are_validated_at_construction():
     with pytest.raises(ValueError, match="artifact"):
         CyclicSystem(
-            space=L2_1, regions=(Segment((0.0,), (1.0,)),) * 2, map=lambda x: x,
+            space=L2_1, regions=(Box((0.0,), (1.0,)),) * 2, map=lambda x: x,
             artifact_points=((0.0, 0.0),),
         )
     system = CyclicSystem(
-        space=L2_1, regions=(Segment((0.0,), (1.0,)),) * 2, map=lambda x: x,
+        space=L2_1, regions=(Box((0.0,), (1.0,)),) * 2, map=lambda x: x,
         artifact_points=([1],),
     )
     assert system.artifact_points == ((1.0,),)
     assert system.is_artifact((1.0,)) and not system.is_artifact((0.5,))
 
 
-def test_segment_bounds_are_computed_once():
-    seg = Segment((1.0, 2.0), (-3.0, 2.0))
-    assert seg.bounds() == ((-3.0, 2.0), (1.0, 2.0))
-    assert seg.bounds() is seg.bounds()
-    assert repr(seg) == "Segment(a=(1.0, 2.0), b=(-3.0, 2.0))"
-    same = Segment([1, 2], [-3, 2])
+def test_box_coerces_and_compares_its_bounds():
+    seg = Box((-3.0, 2.0), (1.0, 2.0))
+    same = Box([-3, 2], [1, 2])
+    assert same.lower == (-3.0, 2.0) and same.upper == (1.0, 2.0)
     assert same == seg and hash(same) == hash(seg)
-    assert Segment((-3.0, 2.0), (1.0, 2.0)) != seg
+    assert Box((-3.0, 2.0), (1.0, 3.0)) != seg
