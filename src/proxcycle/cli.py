@@ -79,6 +79,8 @@ def parse_config(data: object) -> ExperimentConfig:
     system = data["system"]
     if not isinstance(system, dict) or set(system) - {"id", "parameters"} or "id" not in system:
         raise ConfigError("system must be an object with 'id' and optional 'parameters'")
+    if not isinstance(system["id"], str):
+        raise ConfigError("system.id must be a string")
     parameters = system.get("parameters", {})
     if not isinstance(parameters, dict):
         raise ConfigError("system.parameters must be an object")

@@ -149,9 +149,18 @@ def make_paper_lq_family(
         coords[k] = 1.0 + a ** k
         return tuple(coords)
 
-    top_point = basis_point(k_max)
+    family = [basis_point(k) for k in range(k_max + 1)]
+    top_point = family[-1]
+    # The image of each family point, looked up in O(1), with the top point
+    # mapped to itself (truncation stub); any other input (a perturbed
+    # point, an unhashable sequence) takes the validating path.
+    successors = dict(zip(family, family[1:] + family[-1:]))
 
     def step(x: Point) -> Point:
+        try:
+            return successors[x]
+        except (KeyError, TypeError):
+            pass
         k = max(range(dim), key=lambda j: abs(x[j]))
         if abs(x[k] - (1.0 + a ** k)) > 1e-9 or any(
             abs(c) > 1e-9 for j, c in enumerate(x) if j != k
@@ -159,10 +168,10 @@ def make_paper_lq_family(
             raise ValueError("not a point of the indexed family")
         if k == k_max:
             return top_point  # truncation stub
-        return basis_point(k + 1)
+        return family[k + 1]
 
     regions = tuple(
-        FiniteCloud(tuple(basis_point(m * n + i - 1) for n in range(N + 1)))
+        FiniteCloud(tuple(family[m * n + i - 1] for n in range(N + 1)))
         for i in range(1, m + 1)
     )
 
@@ -193,7 +202,7 @@ def make_paper_lq_family(
         attainable=False,
         certificate_alpha=a,
         step_factor=None,
-        default_start=basis_point(0),
+        default_start=family[0],
     )
 
 
@@ -324,6 +333,11 @@ def build(system_id: str, parameters: dict | None = None) -> GallerySystem:
     unknown = set(params) - known
     if unknown:
         raise ValueError(f"unknown parameters for {system_id}: {sorted(unknown)}")
+    for name, value in params.items():
+        # Parameters are JSON numbers, or strings such as q = "inf"; null,
+        # booleans, lists and objects would fail their coercion otherwise.
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise ValueError(f"{name} must be a number or a string, got {value!r}")
     kwargs = {name: params.get(name, default) for name, _, default in entry.parameters}
     return entry.factory(**kwargs)
 

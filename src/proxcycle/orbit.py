@@ -8,9 +8,11 @@ x_0 through ``CyclicSystem._image``, the stepper behind ``apply``, which
 validates each image once and tags a ``MapError`` with its step.
 ``picard_orbit`` and the three solvers differ only in their stopping rules
 over it: a fixed length, a small consecutive step, a small m-step drift,
-and every interleaved subsequence settled. Each validates its start point
-once (``_start``: finite, of the space's dimension, in the first region)
-and measures the walked points with the trusted ``Space._distance``.
+and every interleaved subsequence settled. A solver's residual image is the
+next walked point, so its ``MapError`` carries its step too. Each validates
+its start point once (``_start``: finite, of the space's dimension, in the
+first region) and measures the walked points with the trusted
+``Space._distance``.
 ``trace_rows`` builds the ``trace.csv`` columns in one pass over
 consecutive distances; ``chain_trace``, ``edge_trace`` and
 ``block_drift_trace`` are the public per-column references it matches bit
@@ -154,24 +156,26 @@ def trace_rows(trace: OrbitTrace, p: object) -> list[tuple[float, ...]]:
     order, and block_drift_i is d(x_{mn+i-1}, x_{mn+m+i-1}). Each step
     distance is computed once, 2m + 1 distances per row, with every argument
     order kept. The points are trusted as validated, as ``picard_orbit``
-    leaves them.
+    leaves them. Each column is one ``map`` over strided slices of the
+    orbit, and the rows are their ``zip``.
     """
-    exp = as_exponent(p)
+    combine = as_exponent(p)._combine
     m = trace.m
     points = trace.points
     count = len(points) // m - 1
     if count < 1:
         raise ValueError("trace too short for a trace row")
     dist = trace.system.space._distance
-    combine = exp._combine
-    rows = []
-    for start in range(0, m * count, m):
-        edges = [dist(points[k], points[k + 1]) for k in range(start, start + m)]
-        wrap = dist(points[start + m - 1], points[start])
-        chain = combine(edges[:-1] + [wrap])
-        drifts = [dist(points[k], points[k + m]) for k in range(start, start + m)]
-        rows.append((chain, *edges, *drifts))
-    return rows
+    span = m * count
+    steps = list(map(dist, points[:span], points[1 : span + 1]))
+    drifts = list(map(dist, points[:span], points[m : span + m]))
+    wraps = map(dist, points[m - 1 : span : m], points[0:span:m])
+    chains = [
+        combine(steps[k : k + m - 1] + [wrap]) for k, wrap in zip(range(0, span, m), wraps)
+    ]
+    return list(
+        zip(chains, *(steps[i::m] for i in range(m)), *(drifts[i::m] for i in range(m)))
+    )
 
 
 def dominant_edge(system: CyclicSystem) -> int:
@@ -247,14 +251,17 @@ def banach_solve(
 
     fired = False
     iterations = 0
-    for iterations, nxt in enumerate(_walk(system, x, max_iter), 1):
+    # The residual image is the next walked point, one step past the budget.
+    budget = max(0, max_iter)
+    walk = _walk(system, x, budget + 1)
+    for iterations, nxt in enumerate(islice(walk, budget), 1):
         step = space._distance(x, nxt)
         x = nxt
         if step <= tol:
             fired = True
             break
 
-    residual = space._distance(x, system._image(x))
+    residual = space._distance(x, next(walk))
     converged = fired and residual <= tol
     if not fired:
         warnings.append("max_iter exhausted before the step criterion fired")
@@ -289,8 +296,11 @@ def periodic_point_solve(
     warnings = []
     fired = False
     iterations = 0
-    walk = _walk(system, x, max(1, max_iter // m) * m)
-    for n, nxt in enumerate(islice(walk, m - 1, None, m), 1):
+    budget = max(1, max_iter // m) * m
+    # The m points past the stopping point give both the residual image and
+    # the proximity chain, so the walk runs m steps past the budget.
+    walk = _walk(system, x, budget + m)
+    for n, nxt in enumerate(islice(walk, m - 1, budget, m), 1):
         step = space._distance(x, nxt)
         x = nxt
         iterations = n * m
@@ -298,14 +308,15 @@ def periodic_point_solve(
             fired = True
             break
 
-    residual = space._distance(x, system._image_n(x, m))
+    tail = tuple(islice(walk, m))
+    residual = space._distance(x, tail[-1])
     converged = fired and residual <= tol
     if not fired:
         warnings.append("max_iter exhausted before the step criterion fired")
     if converged and not system.regions[0].contains(x, space, MEMBERSHIP_TOL):
         warnings.append("result is not in the first region")
 
-    orbit_chain = (x, *_walk(system, x, m - 1))
+    orbit_chain = (x, *tail[:-1])
     proximity_residual = abs(
         _chain_distance(space, orbit_chain, orbit_chain, exp._combine) - set_distance
     )

@@ -156,12 +156,24 @@ def _combined_gaps(combine: Callable[[list[float]], float], pa: Point, pb: Point
     return combine(list(map(abs, map(sub, pa, pb))))
 
 
+def _line_gap(pa: Point, pb: Point) -> float:
+    # Every l^q norm of a 1-vector is |v|: the peak-scaled sum gives
+    # v * fsum([1.0]) ** (1/q) = v, and fsum([v]) and max([v]) are v.
+    return abs(pa[0] - pb[0])
+
+
+def _max_gap(pa: Point, pb: Point) -> float:
+    return max(map(abs, map(sub, pa, pb)))
+
+
 @dataclass(frozen=True)
 class LqSpace(Space):
     """R^dimension under the l^q norm.
 
-    The trusted ``_distance`` is bound once, at construction: the
-    exponent's ``_combine`` of the coordinate gaps.
+    The trusted ``_distance`` is bound once, at construction, to a kernel
+    chosen from (q, dimension): |a - b| on the line, the max of the
+    coordinate gaps for q = inf, and otherwise the exponent's ``_combine``
+    of the gaps. The first two return the same bits as the last would.
     """
 
     q: Exponent
@@ -173,7 +185,13 @@ class LqSpace(Space):
         object.__setattr__(self, "q", q)
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
-        object.__setattr__(self, "_distance", partial(_combined_gaps, q._combine))
+        if self.dimension == 1:
+            kernel = _line_gap
+        elif q.is_inf:
+            kernel = _max_gap
+        else:
+            kernel = partial(_combined_gaps, q._combine)
+        object.__setattr__(self, "_distance", kernel)
 
     def norm(self, v: Sequence[float]) -> float:
         return lq_norm(v, self.q)

@@ -340,7 +340,10 @@ class CyclicSystem:
         return self._image(check_point(x), step)
 
     def apply_n(self, x: Sequence[float], k: int) -> Point:
-        return self._image_n(check_point(x), k)
+        pt = check_point(x)
+        for _ in range(k):
+            pt = self._image(pt)
+        return pt
 
     def _image(self, pt: Point, step: int | None = None) -> Point:
         """The map at an already validated point; the one place where a map
@@ -364,11 +367,6 @@ class CyclicSystem:
                 f"in a {self.space.dimension}-dimensional space"
             )
         return out
-
-    def _image_n(self, pt: Point, k: int) -> Point:
-        for _ in range(k):
-            pt = self._image(pt)
-        return pt
 
     def is_artifact(self, x: Sequence[float], tol: float = 1e-12) -> bool:
         pt = check_point(x)

@@ -236,6 +236,21 @@ def test_exit_2_on_non_integer_gallery_size(tmp_path, system):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "system",
+    [
+        {"id": ["x"]},
+        {"id": "kirk_interval", "parameters": {"alpha": None}},
+        {"id": "affine_strip", "parameters": {"h": None}},
+        {"id": "paper_lq_family", "parameters": {"q": [2]}},
+    ],
+)
+def test_exit_2_on_gallery_id_or_parameter_of_the_wrong_type(tmp_path, system):
+    config = write_config(tmp_path, base_config(system=system, run="trace", iterations=10))
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_4_on_unwritable_output(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("occupied")

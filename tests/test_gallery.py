@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from proxcycle.gallery import (
+    GALLERY,
     attainment_gap,
     build,
     list_gallery,
@@ -101,6 +103,27 @@ def test_paper_family_map_rejects_foreign_points():
         gs.system.apply((1.0,) * gs.system.space.dimension)
 
 
+@pytest.mark.parametrize("m, q", [(2, 2), (3, "inf")])
+def test_paper_family_map_table_matches_the_validating_path(m, q):
+    # A tuple is looked up in the successor table; a list is unhashable and
+    # a point perturbed by 1e-12 is not a key, so both take the validating path.
+    gs = make_paper_lq_family(m=m, alpha=0.5, q=q, N=4)
+    step = gs.system.map
+    points = [pt for region in gs.system.regions for pt in region.points]
+    assert len(points) == m * 5
+    for pt in points:
+        image = step(pt)
+        assert type(image) is tuple and image == step(list(pt))
+        assert step(tuple(c + 1e-12 if c else c for c in pt)) == image
+        assert step(tuple(c - 1e-12 for c in pt)) == image
+    assert step(points[-1]) == points[-1]  # the truncation stub maps to itself
+    for foreign in [(1.0,) * len(points[0]), tuple(2.0 * c for c in points[0])]:
+        with pytest.raises(ValueError, match="indexed family"):
+            step(foreign)
+        with pytest.raises(ValueError, match="indexed family"):
+            step(list(foreign))
+
+
 def test_scaled_pair_separation_zero_reduces_to_fixed_point():
     gs = make_scaled_pair(alpha=0.5, separation=0.0, dimension=2)
     solved = banach_solve(gs.system, gs.default_start, tol=1e-12)
@@ -125,6 +148,20 @@ def test_build_validates_ids_and_parameters():
         build("kirk_interval", {"beta": 0.5})
     gs = build("kirk_interval", {"alpha": 0.25})
     assert gs.spec.parameter_dict()["alpha"] == 0.25
+
+
+def test_build_rejects_parameter_types_but_not_factory_type_errors(monkeypatch):
+    for value in (None, True, [1], {"a": 1}):
+        with pytest.raises(ValueError, match="alpha must be a number or a string"):
+            build("kirk_interval", {"alpha": value})
+
+    def broken(alpha):
+        raise TypeError("a defect inside the factory")
+
+    entry = replace(GALLERY["kirk_interval"], factory=broken)
+    monkeypatch.setitem(GALLERY, "kirk_interval", entry)
+    with pytest.raises(TypeError, match="a defect inside the factory"):
+        build("kirk_interval", {"alpha": 0.25})
 
 
 def test_list_gallery_shape():

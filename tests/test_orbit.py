@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import pytest
@@ -260,13 +261,40 @@ def _assert_rows_match_traces(tmp_path, trace, p):
     assert [tuple(map(float, cells[1:])) for cells in table[1:]] == expected
 
 
+def _assert_rows_match_traces_at_every_cut(tmp_path, gs, steps, p):
+    # Orbit lengths cover every residue mod m, so the last block is complete
+    # or cut anywhere.
+    m = gs.system.m
+    for n in range(steps * m, steps * m + m):
+        trace = picard_orbit(gs.system, gs.default_start, n)
+        _assert_rows_match_traces(tmp_path, trace, p)
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("p", [1, 2, 3.5, INFINITY])
 @pytest.mark.parametrize("steps", [3, 10, 43])
 def test_trace_rows_match_reference_traces(tmp_path, m, p, steps):
     gs = make_paper_lq_family(m=m, q=3)
-    trace = picard_orbit(gs.system, gs.default_start, steps * m + 1)
-    _assert_rows_match_traces(tmp_path, trace, p)
+    _assert_rows_match_traces_at_every_cut(tmp_path, gs, steps, p)
+
+
+KERNEL_SYSTEMS = {
+    **{
+        f"paper_lq_family-m{m}-q{q}": lambda m=m, q=q: make_paper_lq_family(m=m, q=q)
+        for m in (2, 3, 4)
+        for q in (1, "inf")
+    },
+    "kirk_interval": lambda: make_kirk_interval(0.5),
+}
+
+
+@pytest.mark.parametrize("system", KERNEL_SYSTEMS)
+@pytest.mark.parametrize("p", [1, 2, 3.5, INFINITY])
+@pytest.mark.parametrize("steps", [3, 10, 43])
+def test_trace_rows_match_reference_traces_per_kernel(tmp_path, system, p, steps):
+    # The kernels chosen per (q, dimension) that the l^3 test above does not
+    # reach: l^1 and l^inf in 15 to 29 dimensions, and the line.
+    _assert_rows_match_traces_at_every_cut(tmp_path, KERNEL_SYSTEMS[system](), steps, p)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3.5, INFINITY])
@@ -323,6 +351,42 @@ def test_map_error_carries_its_step_on_every_orbit_path(run):
     with pytest.raises(MapError) as err:
         run(system)
     assert err.value.step == 5 and err.value.point == (2.0 ** -4,)
+
+
+def _halving_kirk_system(floor, calls=None):
+    """Kirk's boxes under x -> -x/2, so x_k = -(-1/2)^k from x_0 = -1; the
+    map refuses points with |x| < floor."""
+
+    def halve(x):
+        if calls is not None:
+            calls.append(x)
+        if abs(x[0]) < floor:
+            raise RuntimeError("no image")
+        return (-x[0] / 2.0,)
+
+    return dataclasses.replace(make_kirk_interval(0.5).system, map=halve)
+
+
+@pytest.mark.parametrize("solve", [banach_solve, periodic_point_solve])
+def test_residual_image_is_a_walked_step(solve):
+    # Both solvers stop at x_12 (the step and the 2-step drift first fall
+    # under 1e-3 there); the residual maps x_12 = 2^-12 < 2^-11, step 13.
+    with pytest.raises(MapError) as err:
+        solve(_halving_kirk_system(2.0 ** -11), (-1.0,), tol=1e-3, max_iter=100)
+    assert err.value.step == 13 and err.value.point == (-(2.0 ** -12),)
+
+
+def test_periodic_residual_and_proximity_chain_share_their_map_calls():
+    # 12 walked steps to the stopping point, then m = 2 more serve both the
+    # residual image x_14 and the proximity chain (x_12, x_13).
+    calls = []
+    solved = periodic_point_solve(
+        _halving_kirk_system(0.0, calls), (-1.0,), tol=1e-3, max_iter=12
+    )
+    assert solved.converged and solved.iterations == 12
+    assert calls == [(-((-0.5) ** k),) for k in range(14)]
+    assert solved.point == (-(2.0 ** -12),)
+    assert solved.residual == 2.0 ** -12 - 2.0 ** -14
 
 
 def test_membership_violations_match_direct_checks():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 
@@ -208,16 +209,28 @@ def test_p_combine_extreme_magnitudes():
     assert p_combine([1e300, 1e300], 1) == 2e300
 
 
-@pytest.mark.parametrize("q", [1, 2, 3.5, "inf"])
-def test_lq_space_pickles_compares_and_hashes_by_value(q):
-    space = LqSpace(as_exponent(q), 3)
+@pytest.mark.parametrize(
+    "q, dimension",
+    [pytest.param(q, 3, id=str(q)) for q in (1, 2, 3.5, "inf")]
+    + [pytest.param(q, 1, id=f"{q}-line") for q in (1, 2, 3.5, "inf")],
+)
+def test_lq_space_pickles_compares_and_hashes_by_value(q, dimension):
+    space = LqSpace(as_exponent(q), dimension)
     copy = pickle.loads(pickle.dumps(space))
     assert copy == space and hash(copy) == hash(space) and repr(copy) == repr(space)
-    assert copy == LqSpace(q, 3) and LqSpace(q, 3) in {space}
-    assert copy != LqSpace(as_exponent(q), 4)
-    assert all(space != LqSpace(other, 3) for other in (1, 2, 3.5, "inf") if other != q)
-    a, b = (0.5, -2.0, 1e300), (3.0, 1e-300, -1e300)
-    assert same_bits(copy.distance(a, b), space.distance(a, b))
+    assert copy == LqSpace(q, dimension) and LqSpace(q, dimension) in {space}
+    assert copy != LqSpace(as_exponent(q), dimension + 1)
+    assert all(space != LqSpace(r, dimension) for r in (1, 2, 3.5, "inf") if r != q)
+
+    def probe(s):
+        a, b = (0.5, -2.0, 1e300), (3.0, 1e-300, -1e300)
+        return s.distance(a[: s.dimension], b[: s.dimension])
+
+    assert same_bits(probe(copy), probe(space))
+    # replace rebinds the kernel chosen from (q, dimension): 1 <-> 3.
+    other = dataclasses.replace(space, dimension=4 - dimension)
+    assert other == LqSpace(q, 4 - dimension)
+    assert same_bits(probe(other), probe(LqSpace(q, 4 - dimension)))
 
 
 @pytest.mark.parametrize(
