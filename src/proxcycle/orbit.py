@@ -27,7 +27,7 @@ from itertools import islice
 from typing import Iterator, Sequence
 
 from .chains import _chain_distance, chain_point_distance, chain_self_distance
-from .spaces import Point, as_exponent, check_point
+from .spaces import Point, _point_repr, as_exponent, check_point
 from .system import MEMBERSHIP_TOL, CyclicSystem
 
 DEFAULT_TOL = 1e-10
@@ -77,7 +77,7 @@ def _start(system: CyclicSystem, x0: Sequence[float]) -> Point:
             f"x0 has dimension {len(x)} in a {system.space.dimension}-dimensional space"
         )
     if not system.regions[0].contains(x, system.space, MEMBERSHIP_TOL):
-        raise ValueError(f"x0 = {x!r} is not in the first region")
+        raise ValueError(f"x0 = {_point_repr(x)} is not in the first region")
     return x
 
 

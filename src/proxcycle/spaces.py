@@ -35,6 +35,25 @@ def _power_sum(power: float, inv: float, vals: list[float]) -> float:
     return peak * math.fsum([(v / peak) ** power for v in vals]) ** inv
 
 
+def _sum_or_inf(vals: list[float]) -> float:
+    """``math.fsum`` of nonnegative values, with a sum past the float range
+    giving inf instead of fsum's OverflowError. fsum can also trip on an
+    intermediate partial when the exact sum sits just below the overflow
+    threshold, so that case rounds the exact rational sum instead."""
+    try:
+        return math.fsum(vals)
+    except OverflowError:
+        pass
+    # Imported here: fractions adds milliseconds to every start-up, and only
+    # an overflowing sum needs it.
+    from fractions import Fraction
+
+    try:
+        return float(sum(map(Fraction, vals)))
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class Exponent:
     """An exponent in [1, inf]. ``value is None`` is the infinity tag.
@@ -44,11 +63,15 @@ class Exponent:
 
     ``_combine(vals)`` is the p-combination of a list of nonnegative floats
     for this exponent, chosen once here: the max for inf, ``math.fsum`` for
-    1, the peak-scaled power sum otherwise.
+    1 (inf when the sum overflows), the peak-scaled power sum otherwise.
+    For finite q, ``_power`` is the power the sum raises to (an int when q is
+    integral) and ``_inv`` is 1/q; both are None for inf.
     """
 
     value: float | None = None
     _combine: Callable[[list[float]], float] = field(init=False, repr=False, compare=False)
+    _power: float | None = field(init=False, repr=False, compare=False, default=None)
+    _inv: float | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if self.value is None:
@@ -60,13 +83,13 @@ class Exponent:
         if v < 1.0:
             raise ValueError(f"exponent must be >= 1, got {v}")
         object.__setattr__(self, "value", v)
-        if v == 1.0:
-            combine = math.fsum
-        else:
-            # Integer exponents take the exact-multiplication path so CSV
-            # output is reproducible across platforms; only non-integer q
-            # goes through exp/log.
-            combine = partial(_power_sum, int(v) if v == int(v) else v, 1.0 / v)
+        # Integer exponents take the exact-multiplication path so CSV output
+        # is reproducible across platforms; only non-integer q goes through
+        # exp/log.
+        power, inv = (int(v) if v == int(v) else v), 1.0 / v
+        object.__setattr__(self, "_power", power)
+        object.__setattr__(self, "_inv", inv)
+        combine = _sum_or_inf if v == 1.0 else partial(_power_sum, power, inv)
         object.__setattr__(self, "_combine", combine)
 
     @property
@@ -95,13 +118,27 @@ def as_exponent(p: object) -> Exponent:
     raise TypeError(f"cannot read exponent from {p!r}")
 
 
+_REPR_COORDS = 4
+
+
+def _point_repr(v: Sequence[float]) -> str:
+    """A point or value list for an error message: its repr up to
+    ``_REPR_COORDS`` coordinates, else the first few and the dimension, so a
+    message stays short at any dimension."""
+    if len(v) <= _REPR_COORDS:
+        return repr(v)
+    head = ", ".join(map(repr, v[:_REPR_COORDS]))
+    return f"({head}, ...; dimension {len(v)})"
+
+
 def check_point(v: Sequence[float]) -> Point:
     """Coerce to a coordinate tuple, rejecting empty or non-finite input."""
     pt = tuple(map(float, v))
     if not pt:
         raise ValueError("a point must have dimension >= 1")
     if not all(map(math.isfinite, pt)):
-        raise ValueError(f"non-finite coordinate in {pt!r}")
+        i = next(i for i, c in enumerate(pt) if not math.isfinite(c))
+        raise ValueError(f"non-finite coordinate {pt[i]!r} at index {i} in {_point_repr(pt)}")
     return pt
 
 
@@ -115,7 +152,7 @@ def p_combine(values: Iterable[float], p: object) -> float:
     exp = as_exponent(p)
     vals = [float(v) for v in values]
     if not all(v >= 0.0 for v in vals):
-        raise ValueError(f"p_combine is defined for nonnegative values, got {vals!r}")
+        raise ValueError(f"p_combine is defined for nonnegative values, got {_point_repr(vals)}")
     return exp._combine(vals)
 
 
@@ -162,6 +199,22 @@ def _line_gap(pa: Point, pb: Point) -> float:
     return abs(pa[0] - pb[0])
 
 
+def _plane_gap(power: float, inv: float, pa: Point, pb: Point) -> float:
+    # The peak-scaled power sum of two gaps, unrolled. The peak's own term
+    # is (peak / peak) ** q = 1.0 exactly, and fsum of two floats is their
+    # correctly rounded sum, which is what IEEE addition returns, so this is
+    # the same bits as the exponent's _combine of [g0, g1].
+    g0 = abs(pa[0] - pb[0])
+    g1 = abs(pa[1] - pb[1])
+    if g0 < g1:
+        g0, g1 = g1, g0
+    if g0 == 0.0:
+        return 0.0
+    if g0 == math.inf:
+        return g0
+    return g0 * (1.0 + (g1 / g0) ** power) ** inv
+
+
 def _max_gap(pa: Point, pb: Point) -> float:
     return max(map(abs, map(sub, pa, pb)))
 
@@ -172,8 +225,9 @@ class LqSpace(Space):
 
     The trusted ``_distance`` is bound once, at construction, to a kernel
     chosen from (q, dimension): |a - b| on the line, the max of the
-    coordinate gaps for q = inf, and otherwise the exponent's ``_combine``
-    of the gaps. The first two return the same bits as the last would.
+    coordinate gaps for q = inf, the unrolled two-term power sum in the
+    plane for 1 < q < inf, and otherwise the exponent's ``_combine`` of the
+    gaps. The first three return the same bits as the last would.
     """
 
     q: Exponent
@@ -189,6 +243,8 @@ class LqSpace(Space):
             kernel = _line_gap
         elif q.is_inf:
             kernel = _max_gap
+        elif self.dimension == 2 and q.value != 1.0:
+            kernel = partial(_plane_gap, q._power, q._inv)
         else:
             kernel = partial(_combined_gaps, q._combine)
         object.__setattr__(self, "_distance", kernel)

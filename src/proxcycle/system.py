@@ -24,6 +24,7 @@ from .spaces import (
     LqSpace,
     Point,
     Space,
+    _point_repr,
     as_exponent,
     check_point,
     lq_norm,
@@ -354,16 +355,18 @@ class CyclicSystem:
         except MapError:
             raise
         except Exception as exc:
-            raise MapError(f"map failed at {pt!r}: {exc}", point=pt, step=step) from exc
+            raise MapError(
+                f"map failed at {_point_repr(pt)}: {exc}", point=pt, step=step
+            ) from exc
         try:
             out = check_point(image)
         except ValueError as exc:
             raise MapError(
-                f"map returned a non-finite point at {pt!r}", point=pt, step=step
+                f"map returned a non-finite point at {_point_repr(pt)}", point=pt, step=step
             ) from exc
         if len(out) != self.space.dimension:
             raise ValueError(
-                f"map returned a {len(out)}-dimensional point at {pt!r} "
+                f"map returned a {len(out)}-dimensional point at {_point_repr(pt)} "
                 f"in a {self.space.dimension}-dimensional space"
             )
         return out

@@ -1,9 +1,10 @@
 import dataclasses
 import math
 import pickle
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proxcycle.spaces import (
@@ -212,7 +213,8 @@ def test_p_combine_extreme_magnitudes():
 @pytest.mark.parametrize(
     "q, dimension",
     [pytest.param(q, 3, id=str(q)) for q in (1, 2, 3.5, "inf")]
-    + [pytest.param(q, 1, id=f"{q}-line") for q in (1, 2, 3.5, "inf")],
+    + [pytest.param(q, 1, id=f"{q}-line") for q in (1, 2, 3.5, "inf")]
+    + [pytest.param(q, 2, id=f"{q}-plane") for q in (1, 2, 3.5, "inf")],
 )
 def test_lq_space_pickles_compares_and_hashes_by_value(q, dimension):
     space = LqSpace(as_exponent(q), dimension)
@@ -227,10 +229,12 @@ def test_lq_space_pickles_compares_and_hashes_by_value(q, dimension):
         return s.distance(a[: s.dimension], b[: s.dimension])
 
     assert same_bits(probe(copy), probe(space))
-    # replace rebinds the kernel chosen from (q, dimension): 1 <-> 3.
-    other = dataclasses.replace(space, dimension=4 - dimension)
-    assert other == LqSpace(q, 4 - dimension)
-    assert same_bits(probe(other), probe(LqSpace(q, 4 - dimension)))
+    # replace rebinds the kernel chosen from (q, dimension), between every
+    # two of the line, the plane and 3-space.
+    for d in {1, 2, 3} - {dimension}:
+        other = dataclasses.replace(space, dimension=d)
+        assert other == LqSpace(q, d)
+        assert same_bits(probe(other), probe(LqSpace(q, d)))
 
 
 @pytest.mark.parametrize(
@@ -241,8 +245,54 @@ def test_p_combine_rejects_negative_and_nan_values(values, p):
         p_combine(values, p)
 
 
-@pytest.mark.parametrize("q", [1, 1.5, 2, 3.5, "inf"])
-def test_overflowing_distances_are_infinite(q):
-    space = LqSpace(as_exponent(q), 1)
-    assert space.distance((-1e308,), (1e308,)) == math.inf
+@pytest.mark.parametrize(
+    "q, dimension",
+    [pytest.param(q, 1, id=str(q)) for q in (1, 1.5, 2, 3.5, "inf")]
+    + [pytest.param(q, 2, id=f"{q}-plane") for q in (1, 1.5, 2, 3.5, "inf")]
+    + [pytest.param(q, 3, id=f"{q}-3") for q in (1, 1.5, 2, 3.5, "inf")],
+)
+def test_overflowing_distances_are_infinite(q, dimension):
+    space = LqSpace(as_exponent(q), dimension)
+    zeros = (0.0,) * dimension
+    for axis in range(dimension):
+        far = tuple(1e308 if i == axis else 0.0 for i in range(dimension))
+        assert space.distance(tuple(-c for c in far), far) == math.inf
+    assert space.distance((-1e308,) * dimension, (1e308,) * dimension) == math.inf
     assert p_combine([math.inf, 1.0], q) == math.inf
+    if dimension > 1 and q != "inf":
+        # Finite gaps, each below the float maximum, whose l^q combination
+        # is past it.
+        assert space.distance((1.7e308,) * dimension, zeros) == math.inf
+
+
+def test_q1_combination_overflows_to_inf_and_keeps_finite_sums():
+    assert p_combine([1e308, 1e308], 1) == math.inf
+    # The exact sum is just below the overflow threshold, though fsum's
+    # running partial overflows: the correctly rounded sum is the maximum.
+    vals = [sys.float_info.max, 2.0**969, 2.0**969 - 2.0**916]
+    assert p_combine(vals, 1) == sys.float_info.max
+    assert p_combine([1e308, 7e307], 1) == 1.7e308
+
+
+# --- the plane kernel ---------------------------------------------------------
+
+signed_magnitudes = st.tuples(magnitudes, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+plane_points = st.tuples(signed_magnitudes, signed_magnitudes)
+
+
+@pytest.mark.parametrize("q", EXPONENTS + [7.0, 100.0])
+@given(plane_points, plane_points)
+@example((3.0, -1.5), (1.0, 0.5))  # equal gaps
+@example((1e300, -1e300), (-1e300, 1e300))  # equal gaps at large magnitude
+@example((2.5, 4.0), (2.5, 1.0))  # one zero gap
+@example((2.5, 4.0), (-1.0, 4.0))  # the other zero gap
+@example((1.0, -2.0), (1.0, -2.0))  # both gaps zero
+@example((0.0, -0.0), (-0.0, 0.0))  # both gaps zero, signed zeros
+@example((5e-324, 0.0), (0.0, 1e-310))  # subnormal gaps
+@example((2.2250738585072014e-308, 3e-320), (0.0, -3e-320))  # subnormal and normal gaps
+@settings(max_examples=200, deadline=None)
+def test_plane_kernel_matches_textbook_formula_bit_for_bit(q, pa, pb):
+    want = textbook_combine([abs(pa[0] - pb[0]), abs(pa[1] - pb[1])], q)
+    space = LqSpace(as_exponent(q), 2)
+    assert same_bits(space._distance(pa, pb), want)
+    assert same_bits(space.distance(pa, pb), want)

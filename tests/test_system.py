@@ -13,7 +13,16 @@ from proxcycle.gallery import (
     make_paper_lq_family,
     make_scaled_pair,
 )
-from proxcycle.spaces import INFINITY, CapabilityError, Exponent, LqSpace, as_exponent
+from proxcycle.orbit import picard_orbit
+from proxcycle.spaces import (
+    INFINITY,
+    CapabilityError,
+    Exponent,
+    LqSpace,
+    as_exponent,
+    check_point,
+    p_combine,
+)
 from proxcycle.system import (
     Ball,
     Box,
@@ -242,6 +251,38 @@ def test_map_image_of_wrong_dimension_is_a_value_error():
     with pytest.raises(ValueError, match="2-dimensional point") as err:
         wide.apply((0.0,))
     assert not isinstance(err.value, MapError)
+
+
+def test_error_messages_stay_short_at_any_dimension():
+    n = 10**5
+    pt = (0.5,) * n
+    space = LqSpace(Exponent(2.0), n)
+    cloud = (FiniteCloud((pt,)),) * 2
+
+    def boom(x):
+        raise RuntimeError("boom")
+
+    messages = []
+    for image_map in (boom, lambda x: (math.nan,) * n):
+        system = CyclicSystem(space=space, regions=cloud, map=image_map)
+        with pytest.raises(MapError) as err:
+            system.apply(pt)
+        assert err.value.point == pt
+        messages.append(str(err.value))
+    wide = CyclicSystem(space=space, regions=cloud, map=lambda x: x + (0.0,))
+    with pytest.raises(ValueError, match=f"{n + 1}-dimensional point") as err:
+        wide.apply(pt)
+    messages.append(str(err.value))
+    with pytest.raises(ValueError, match=f"inf at index {n}") as err:
+        check_point(pt + (math.inf,))
+    messages.append(str(err.value))
+    with pytest.raises(ValueError, match="nonnegative") as err:
+        p_combine((-1.0,) * n, 2)
+    messages.append(str(err.value))
+    with pytest.raises(ValueError, match="not in the first region") as err:
+        picard_orbit(wide, (2.0,) * n, 2)
+    messages.append(str(err.value))
+    assert all(len(m) < 1024 and "...; dimension 1000" in m for m in messages), messages
 
 
 # --- contraction certification ----------------------------------------------
