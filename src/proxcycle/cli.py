@@ -60,7 +60,7 @@ def _parse_phi(data: object) -> Phi:
             if extra:
                 raise ConfigError(f"unknown phi keys: {sorted(extra)}")
             return TabulatedPhi(tuple((float(t), float(v)) for t, v in data["knots"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid phi: {exc}") from exc
     raise ConfigError(f"unknown phi kind {kind!r}")
 
@@ -100,8 +100,15 @@ def parse_config(data: object) -> ExperimentConfig:
     if not isinstance(iterations, int) or iterations < 1:
         raise ConfigError("iterations must be a positive integer")
     tolerance = data["tolerance"]
-    if not isinstance(tolerance, (int, float)) or not tolerance > 0:
+    if not isinstance(tolerance, (int, float)):
         raise ConfigError("tolerance must be a positive number")
+    try:
+        tolerance = float(tolerance)
+    except OverflowError as exc:
+        raise ConfigError(f"tolerance is past the float range: {exc}") from exc
+    # JSON reads a literal past the float range, such as 1e999, as inf.
+    if not 0.0 < tolerance < math.inf:
+        raise ConfigError("tolerance must be a positive finite number")
     seed = data["seed"]
     if not isinstance(seed, int):
         raise ConfigError("seed is mandatory and must be an integer")
@@ -117,7 +124,7 @@ def parse_config(data: object) -> ExperimentConfig:
         phi=_parse_phi(data["phi"]),
         run=data["run"],
         iterations=iterations,
-        tolerance=float(tolerance),
+        tolerance=tolerance,
         seed=seed,
         output_dir=output_dir,
     )
@@ -177,8 +184,14 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     m = system.m
     p = config.p
 
+    # One walk per run: the solver reads it from x_0, the walk records
+    # x_0..x_n_orbit as it passes them, and ``trace.csv`` reads that prefix.
     n_orbit = max(3 * m, min(config.iterations, 10_000))
-    trace = orbit.picard_orbit(system, gs.default_start, n_orbit)
+    walk = orbit._Orbit(system, gs.default_start, n_orbit)
+    if config.run == "certify":
+        # Certification does not read the orbit; walking the prefix first
+        # makes a MapError on it surface before the certificate is computed.
+        walk.trace()
 
     result: dict = {
         "point": None,
@@ -195,11 +208,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
 
     if config.run == "banach":
         solved = orbit.banach_solve(
-            system,
-            gs.default_start,
-            tol=config.tolerance,
-            max_iter=config.iterations,
-            p=p,
+            system, walk, tol=config.tolerance, max_iter=config.iterations, p=p
         )
         result.update(
             point=_point_list(solved.point),
@@ -210,7 +219,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         )
     elif config.run == "periodic":
         solved = orbit.periodic_point_solve(
-            system, gs.default_start, tol=config.tolerance, max_iter=config.iterations, p=p
+            system, walk, tol=config.tolerance, max_iter=config.iterations, p=p
         )
         result.update(
             point=_point_list(solved.point),
@@ -222,7 +231,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         )
     elif config.run == "proximity":
         extracted = orbit.proximity_chain_extract(
-            system, gs.default_start, tol=config.tolerance, max_iter=config.iterations, p=p
+            system, walk, tol=config.tolerance, max_iter=config.iterations, p=p
         )
         result.update(
             chain=[list(pt) for pt in extracted.chain],
@@ -255,6 +264,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         }
         result["converged"] = cert.ok
 
+    # Extends the recorded prefix when the solver stopped short of x_n_orbit.
+    trace = walk.trace()
     summary = _finite_or_null({
         "system": {"id": gs.spec.id, "parameters": gs.spec.parameter_dict()},
         "run": config.run,

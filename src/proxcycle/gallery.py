@@ -338,6 +338,13 @@ def build(system_id: str, parameters: dict | None = None) -> GallerySystem:
         # booleans, lists and objects would fail their coercion otherwise.
         if isinstance(value, bool) or not isinstance(value, (int, float, str)):
             raise ValueError(f"{name} must be a number or a string, got {value!r}")
+        # A factory's float() would raise OverflowError on an integer past
+        # the float range.
+        if isinstance(value, int):
+            try:
+                float(value)
+            except OverflowError as exc:
+                raise ValueError(f"{name} is past the float range: {exc}") from exc
     kwargs = {name: params.get(name, default) for name, _, default in entry.parameters}
     return entry.factory(**kwargs)
 

@@ -3,16 +3,21 @@
 Orbit generation is inherently sequential; everything derived from a trace is
 pure. Non-convergence is data (a flagged result), never an exception.
 
-One loop walks an orbit: ``_walk`` yields x_1, x_2, ... from a validated
-x_0 through ``CyclicSystem._image``, the stepper behind ``apply``, which
-validates each image once and tags a ``MapError`` with its step.
-``picard_orbit`` and the three solvers differ only in their stopping rules
-over it: a fixed length, a small consecutive step, a small m-step drift,
-and every interleaved subsequence settled. A solver's residual image is the
-next walked point, so its ``MapError`` carries its step too. Each validates
-its start point once (``_start``: finite, of the space's dimension, in the
-first region) and measures the walked points with the trusted
-``Space._distance``.
+One loop steps an orbit: ``_walk`` yields x_{k+1}, x_{k+2}, ... from a
+validated x_k through ``CyclicSystem._image``, the stepper behind ``apply``,
+which validates each image once and tags a ``MapError`` with its step.
+``_Orbit`` is one walk of one orbit: it validates the start once
+(``_start``: finite, of the space's dimension, in the first region), records
+the first ``keep + 1`` points as the walk passes them (the trace prefix, and
+nothing past it), and walks on from the recorded end with the orbit's own
+step numbers when a reader needs more. ``picard_orbit`` is that prefix plus
+a membership pass; the three solvers are stopping rules over the walk: a
+small consecutive step, a small m-step drift, and every interleaved
+subsequence settled. A solver's residual image is the next walked point, so
+its ``MapError`` carries its step too. A run of ``proxcycle run`` hands its
+walk to the solver and takes ``trace.csv``'s points from the same recorded
+prefix, so each orbit point is mapped once. The walked points are measured
+with the trusted ``Space._distance``.
 ``trace_rows`` builds the ``trace.csv`` columns in one pass over
 consecutive distances; ``chain_trace``, ``edge_trace`` and
 ``block_drift_trace`` are the public per-column references it matches bit
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, count, islice
 from typing import Iterator, Sequence
 
 from .chains import _chain_distance, chain_point_distance, chain_self_distance
@@ -81,12 +86,56 @@ def _start(system: CyclicSystem, x0: Sequence[float]) -> Point:
     return x
 
 
-def _walk(system: CyclicSystem, x: Point, steps: int) -> Iterator[Point]:
-    """x_1..x_steps of the orbit of the validated x_0 = x: the one loop that
-    steps the map, so a ``MapError`` carries the step k at which it arose."""
-    for k in range(1, steps + 1):
+def _walk(system: CyclicSystem, x: Point, k: int) -> Iterator[Point]:
+    """x_{k+1}, x_{k+2}, ... of the orbit through the validated x_k = x: the
+    one loop that steps the map, so a ``MapError`` carries the step at which
+    it arose. The walk is endless; readers bound it."""
+    for k in count(k + 1):
         x = system._image(x, step=k)
         yield x
+
+
+class _Orbit:
+    """One walk of the orbit of a start point, recording its first
+    ``keep + 1`` points x_0..x_keep as the walk passes them.
+
+    Iterating yields x_1, x_2, ...: the recorded points, then the walk on
+    from the last of them, recording each new point while the prefix has
+    room. Points past the prefix are not kept, so a second reader that goes
+    past it maps those steps again, with the same points and step numbers.
+    """
+
+    def __init__(self, system: CyclicSystem, x0: Sequence[float], keep: int = 0):
+        self.system = system
+        self.keep = keep
+        self.points = [_start(system, x0)]
+
+    def __iter__(self) -> Iterator[Point]:
+        points = self.points
+        walk = _walk(self.system, points[-1], len(points) - 1)
+        room = max(0, self.keep + 1 - len(points))
+        # Past the prefix the reader steps the walk itself, with no
+        # recording layer in between.
+        return chain(points[1:], self._record(islice(walk, room)), walk)
+
+    def _record(self, walk: Iterator[Point]) -> Iterator[Point]:
+        for x in walk:
+            self.points.append(x)
+            yield x
+
+    def trace(self) -> OrbitTrace:
+        """x_0..x_keep, walking on from the recorded end if no reader has
+        reached x_keep yet."""
+        if len(self.points) <= self.keep:
+            for _ in islice(self, self.keep):
+                pass
+        return OrbitTrace(self.system, tuple(self.points))
+
+
+def _orbit(system: CyclicSystem, x0: Sequence[float]) -> _Orbit:
+    # ``proxcycle run`` hands a solver the run's own walk in place of x0, so
+    # the solver and the trace prefix read one walk.
+    return x0 if isinstance(x0, _Orbit) else _Orbit(system, x0)
 
 
 def picard_orbit(system: CyclicSystem, x0: Sequence[float], n: int) -> OrbitTrace:
@@ -100,8 +149,7 @@ def picard_orbit(system: CyclicSystem, x0: Sequence[float], n: int) -> OrbitTrac
     m = system.m
     if n < m:
         raise ValueError(f"need at least m = {m} steps")
-    start = _start(system, x0)
-    points = (start, *_walk(system, start, n))
+    points = _Orbit(system, x0, n).trace().points
     first, space = system.regions[0], system.space
     violations = []
     checked, inside = None, True
@@ -247,14 +295,14 @@ def banach_solve(
         warnings.append(
             f"set chain distance {set_distance:.6g} exceeds tol; no fixed point can exist"
         )
-    x = _start(system, x0)
+    orbit = _orbit(system, x0)
+    x = orbit.points[0]
 
     fired = False
     iterations = 0
     # The residual image is the next walked point, one step past the budget.
-    budget = max(0, max_iter)
-    walk = _walk(system, x, budget + 1)
-    for iterations, nxt in enumerate(islice(walk, budget), 1):
+    walk = iter(orbit)
+    for iterations, nxt in enumerate(islice(walk, max(0, max_iter)), 1):
         step = space._distance(x, nxt)
         x = nxt
         if step <= tol:
@@ -291,7 +339,8 @@ def periodic_point_solve(
     space = system.space
     m = system.m
     set_distance = system.set_chain_distance(exp)
-    x = _start(system, x0)
+    orbit = _orbit(system, x0)
+    x = orbit.points[0]
 
     warnings = []
     fired = False
@@ -299,7 +348,7 @@ def periodic_point_solve(
     budget = max(1, max_iter // m) * m
     # The m points past the stopping point give both the residual image and
     # the proximity chain, so the walk runs m steps past the budget.
-    walk = _walk(system, x, budget + m)
+    walk = iter(orbit)
     for n, nxt in enumerate(islice(walk, m - 1, budget, m), 1):
         step = space._distance(x, nxt)
         x = nxt
@@ -363,13 +412,13 @@ def proximity_chain_extract(
     space = system.space
     m = system.m
     set_distance = system.set_chain_distance(exp)
-    x = _start(system, x0)
+    orbit = _orbit(system, x0)
 
     last: list[Point | None] = [None] * m
     settled = [False] * m
-    last[0] = x
+    last[0] = orbit.points[0]
     iterations = 0
-    for iterations, current in enumerate(_walk(system, x, max_iter), 1):
+    for iterations, current in zip(range(1, max_iter + 1), orbit):
         r = iterations % m
         prev = last[r]
         if prev is not None:

@@ -112,9 +112,13 @@ def as_exponent(p: object) -> Exponent:
             return INFINITY
         raise ValueError(f"cannot read exponent from {p!r}")
     if isinstance(p, (int, float)):
-        if math.isinf(p):
+        try:
+            value = float(p)
+        except OverflowError as exc:
+            raise ValueError(f"exponent is past the float range: {exc}") from exc
+        if math.isinf(value):
             return INFINITY
-        return Exponent(float(p))
+        return Exponent(value)
     raise TypeError(f"cannot read exponent from {p!r}")
 
 

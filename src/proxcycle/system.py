@@ -258,6 +258,8 @@ class TabulatedPhi(Phi):
         knots = tuple((float(t), float(v)) for t, v in self.knots)
         if len(knots) < 2:
             raise ValueError("need at least 2 knots")
+        if not all(map(math.isfinite, itertools.chain.from_iterable(knots))):
+            raise ValueError("knot coordinates must be finite")
         ts = [t for t, _ in knots]
         vs = [v for _, v in knots]
         if ts[0] != 0.0:

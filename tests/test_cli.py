@@ -8,7 +8,9 @@ import pytest
 
 import proxcycle.cli as cli
 from proxcycle.gallery import make_kirk_interval
+from proxcycle.orbit import picard_orbit
 from proxcycle.spaces import INFINITY
+from proxcycle.system import MapError
 
 SCHEMA = json.loads(
     (Path(cli.__file__).parent / "schemas" / "summary.schema.json").read_text()
@@ -168,6 +170,135 @@ def test_output_dir_from_config(tmp_path):
     assert (out / "summary.json").exists()
 
 
+# --- one walk per run ----------------------------------------------------------------
+
+
+def _mapped_build(wrap):
+    """``gallery.build`` with each system's map replaced by ``wrap(system)``."""
+    build = cli.gallery.build
+
+    def mapped(system_id, parameters):
+        gs = build(system_id, parameters)
+        return dataclasses.replace(gs, system=dataclasses.replace(gs.system, map=wrap(gs.system)))
+
+    return mapped
+
+
+def _counting(calls):
+    """A map wrapper that appends to ``calls`` once per map call."""
+
+    def wrap(system):
+        def map_(x, inner=system.map):
+            calls.append(x)
+            return inner(x)
+
+        return map_
+
+    return wrap
+
+
+def _trace_steps(m, iterations):
+    return max(3 * m, min(iterations, 10_000))
+
+
+def _solver_steps(run, m, iterations):
+    """Points a solver walks: its iterations plus the residual image, or the
+    m-point tail of the periodic solver."""
+    return iterations + {"banach": 1, "periodic": m, "proximity": 0}[run]
+
+
+SLOW_KIRK = {"id": "kirk_interval", "parameters": {"alpha": 0.001}}
+RUN_SHAPES = {
+    # 2.8e4 solver steps against a 1e4-step trace
+    "solver-past-trace": dict(system=SLOW_KIRK, iterations=100_000, tolerance=1e-12),
+    # budget exhausted; banach's residual is one step past the trace
+    "budget": dict(system=SLOW_KIRK, iterations=500, tolerance=1e-12),
+    "one-iteration": dict(iterations=1),
+    "early-convergence": dict(iterations=1000, tolerance=1e-3),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(RUN_SHAPES))
+@pytest.mark.parametrize(
+    "run, system",
+    [
+        ("banach", None),
+        ("periodic", None),
+        ("proximity", None),
+        ("periodic", {"id": "affine_strip", "parameters": {"alpha": 0.5, "h": 1.0}}),
+        ("proximity", {"id": "paper_lq_family", "parameters": {"m": 3, "N": 3}}),
+    ],
+)
+def test_solver_runs_map_each_orbit_point_once(tmp_path, monkeypatch, shape, run, system):
+    calls = []
+    monkeypatch.setattr(cli.gallery, "build", _mapped_build(_counting(calls)))
+    data = base_config(run=run, **RUN_SHAPES[shape])
+    if system is not None:
+        data["system"] = system
+    summary = cli.run_experiment(cli.parse_config(data), tmp_path / "o")
+    m = 3 if system and system["id"] == "paper_lq_family" else 2
+    solver = _solver_steps(run, m, summary["result"]["iterations"])
+    assert len(calls) == max(solver, _trace_steps(m, data["iterations"]))
+
+
+@pytest.mark.parametrize("iterations", [1, 50, 20_000])
+def test_trace_runs_map_each_orbit_point_once(tmp_path, monkeypatch, iterations):
+    calls = []
+    monkeypatch.setattr(cli.gallery, "build", _mapped_build(_counting(calls)))
+    cli.run_experiment(cli.parse_config(base_config(run="trace", iterations=iterations)), tmp_path)
+    assert len(calls) == _trace_steps(2, iterations)
+
+
+@pytest.mark.parametrize("run", ["banach", "periodic", "proximity"])
+@pytest.mark.parametrize(
+    "shape, k, past_solver",
+    [
+        ("early-convergence", 5, False),
+        ("early-convergence", 500, True),  # the trace extends the solver's walk
+        ("solver-past-trace", 12_000, False),  # the solver walks past the trace
+    ],
+)
+def test_map_error_on_the_one_walk_matches_picard_orbit(
+    tmp_path, monkeypatch, capsys, run, shape, k, past_solver
+):
+    data = base_config(run=run, **RUN_SHAPES[shape])
+    good = cli.gallery.build(data["system"]["id"], data["system"]["parameters"])
+    broken_at = picard_orbit(good.system, good.default_start, k - 1).points[-1]
+
+    def failing(system):
+        # The orbit is strictly monotone in |x|, so only step k maps x_{k-1}.
+        def map_(x, inner=system.map):
+            if x == broken_at:
+                raise RuntimeError("no image")
+            return inner(x)
+
+        return map_
+
+    # The case sits where it says: before or after the solver's stopping point.
+    summary = cli.run_experiment(cli.parse_config(data), tmp_path / "good")
+    solver = _solver_steps(run, 2, summary["result"]["iterations"])
+    assert (k > solver) == past_solver and k <= max(solver, _trace_steps(2, data["iterations"]))
+
+    monkeypatch.setattr(cli.gallery, "build", _mapped_build(failing))
+    broken = cli.gallery.build(data["system"]["id"], data["system"]["parameters"])
+    with pytest.raises(MapError) as reference:
+        picard_orbit(broken.system, broken.default_start, k)
+    assert reference.value.step == k and reference.value.point == broken_at
+
+    with pytest.raises(MapError) as err:
+        cli.run_experiment(cli.parse_config(data), tmp_path / "direct")
+    assert err.value.step == k and err.value.point == broken_at
+    assert str(err.value) == str(reference.value)
+
+    config = write_config(tmp_path, data)
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"map error: {reference.value}\n"
+    assert not (out / "summary.json").exists() and not (out / "trace.csv").exists()
+    assert not (tmp_path / "direct").exists()
+
+
 # --- exit codes ------------------------------------------------------------------
 
 
@@ -247,6 +378,41 @@ def test_exit_2_on_non_integer_gallery_size(tmp_path, system):
 )
 def test_exit_2_on_gallery_id_or_parameter_of_the_wrong_type(tmp_path, system):
     config = write_config(tmp_path, base_config(system=system, run="trace", iterations=10))
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+BIG = "1" + "0" * 400  # an integer past the float range
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('"tolerance": 1e-10', '"tolerance": 1e999'),
+        ('"tolerance": 1e-10', f'"tolerance": {BIG}'),
+        ('"p": 2', f'"p": {BIG}'),
+        ('"kind": "linear", "alpha": 0.5', f'"kind": "linear", "alpha": {BIG}'),
+        ('"parameters": {"alpha": 0.5}', f'"parameters": {{"alpha": {BIG}}}'),
+    ],
+    ids=["tolerance-inf", "tolerance-int", "p-int", "phi-alpha-int", "gallery-alpha-int"],
+)
+def test_exit_2_on_numbers_past_the_float_range(tmp_path, old, new):
+    # JSON reads 1e999 as inf; a 400-digit integer stays an int until float().
+    text = json.dumps(base_config())
+    assert old in text
+    config = tmp_path / "config.json"
+    config.write_text(text.replace(old, new))
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_exit_2_on_non_finite_tabulated_phi_knot(tmp_path):
+    text = json.dumps(base_config(run="certify", iterations=50))
+    text = text.replace(
+        '{"kind": "linear", "alpha": 0.5}', '{"kind": "tabulated", "knots": [[0, 0], [1e999, 1]]}'
+    )
+    config = tmp_path / "config.json"
+    config.write_text(text)
     assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
 

@@ -182,6 +182,21 @@ def test_tabulated_phi_construction_and_extension():
         TabulatedPhi(((0.5, 0.0), (1.0, 1.0)))  # first knot not at 0
 
 
+@pytest.mark.parametrize(
+    "knots",
+    [
+        ((0.0, 0.0), (1.0, math.nan)),
+        ((0.0, 0.0), (math.nan, 1.0)),
+        ((0.0, 0.0), (math.inf, 1.0)),
+        ((0.0, 0.0), (1.0, 0.5), (2.0, math.inf)),
+        ((0.0, -math.inf), (1.0, 0.0)),
+    ],
+)
+def test_tabulated_phi_rejects_non_finite_knots(knots):
+    with pytest.raises(ValueError, match="finite"):
+        TabulatedPhi(knots)
+
+
 def test_tabulated_phi_matches_direct_interpolation():
     knots = ((0.0, 0.1), (0.7, 0.35), (2.0, 0.6), (3.5, 1.9))
     phi = TabulatedPhi(knots)
