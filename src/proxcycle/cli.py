@@ -54,7 +54,7 @@ def _parse_phi(data: object) -> Phi:
             extra = set(data) - {"kind", "alpha"}
             if extra:
                 raise ConfigError(f"unknown phi keys: {sorted(extra)}")
-            return LinearPhi(float(data["alpha"]))
+            return LinearPhi(data["alpha"])
         if kind == "tabulated":
             extra = set(data) - {"kind", "knots"}
             if extra:

@@ -4,16 +4,24 @@ Each constructor returns a ``GallerySystem``: the system itself plus its
 expected edge distances, expected solution (when one is attained), and the
 Linear-phi coefficient whose contraction certificate passed the grid oracle
 at build time. These stored answers are what the test suite measures against.
+
+Each constructor is registered in ``GALLERY`` with one ``Domain`` per
+parameter; its signature holds the defaults. Every call, through ``build`` or
+direct, checks each argument against its domain once and records the checked
+values as the ``GallerySpec``. Only alpha^m < 1/2 is checked in a body. The
+caps on ``m``, ``N`` and ``dimension`` are measured in the README.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .chains import chain_self_distance
-from .spaces import CapabilityError, Exponent, LqSpace, Point, as_exponent, p_combine
+from .spaces import ALPHA, CapabilityError, Domain, Exponent, LqSpace, Point, as_exponent, p_combine
 from .system import Ball, Box, CyclicSystem, FiniteCloud, _enumerable
 
 
@@ -28,7 +36,7 @@ class GallerySpec:
 
 @dataclass(frozen=True)
 class GallerySystem:
-    spec: GallerySpec
+    spec: GallerySpec = field(default=None, kw_only=True)  # set by the registry
     system: CyclicSystem
     edge_distances: tuple[float, ...]
     expected_solution: Point | None
@@ -41,29 +49,49 @@ class GallerySystem:
         return p_combine(self.edge_distances, p)
 
 
-def _spec(id: str, **params: object) -> GallerySpec:
-    return GallerySpec(id, tuple(sorted(params.items())))
+@dataclass(frozen=True)
+class GalleryEntry:
+    factory: Callable[..., GallerySystem]
+    domains: dict[str, Domain]
+    description: str
 
 
-def _require_int(name: str, value: object, minimum: int) -> None:
-    # bool is a subclass of int, so True would otherwise read as 1.
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}")
+GALLERY: dict[str, GalleryEntry] = {}
 
 
+def _gallery(system_id: str, description: str, **domains: Domain):
+    """Register a constructor as ``system_id``, checking its arguments."""
+
+    def register(factory: Callable[..., GallerySystem]) -> Callable[..., GallerySystem]:
+        signature = inspect.signature(factory)
+
+        @functools.wraps(factory)
+        def checked(*args: object, **kwargs: object) -> GallerySystem:
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            values = {name: domains[name].check(name, v) for name, v in bound.arguments.items()}
+            # JSON has no infinity, so the spec spells q = inf as a config does.
+            spec = sorted((name, "inf" if v == math.inf else v) for name, v in values.items())
+            return replace(factory(**values), spec=GallerySpec(system_id, tuple(spec)))
+
+        GALLERY[system_id] = GalleryEntry(checked, domains, description)
+        return checked
+
+    return register
+
+
+@_gallery(
+    "kirk_interval", "touching intervals on the line; zero set chain distance, fixed point 0",
+    alpha=ALPHA,
+)
 def make_kirk_interval(alpha: float = 0.5) -> GallerySystem:
     """A1 = [-1, 0], A2 = [0, 1] on the line, T(x) = -(1 - alpha) x.
 
     The sets touch at 0, the set chain distance is 0, and 0 is the unique
     fixed point.
     """
-    a = float(alpha)
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {a}")
     space = LqSpace(Exponent(2.0), 1)
-    factor = 1.0 - a
+    factor = 1.0 - alpha
 
     def step(x: Point) -> Point:
         return (-factor * x[0],)
@@ -74,51 +102,57 @@ def make_kirk_interval(alpha: float = 0.5) -> GallerySystem:
         map=step,
     )
     return GallerySystem(
-        spec=_spec("kirk_interval", alpha=a),
         system=system,
         edge_distances=(0.0, 0.0),
         expected_solution=(0.0,),
         attainable=True,
-        certificate_alpha=a,
+        certificate_alpha=alpha,
         step_factor=factor,
         default_start=(-1.0,),
     )
 
 
+@_gallery(
+    "affine_strip", "parallel segments at distance h; periodic pair ((0,0), (0,h))",
+    alpha=ALPHA, h=Domain(0, math.inf),
+)
 def make_affine_strip(alpha: float = 0.5, h: float = 1.0) -> GallerySystem:
     """Parallel unit segments at height 0 and h, T(t, s) = (alpha t, h - s).
 
     Disjoint convex sets at distance h; the orbit converges to the periodic
     pair ((0, 0), (0, h)).
     """
-    a = float(alpha)
-    hh = float(h)
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {a}")
-    if hh <= 0.0:
-        raise ValueError(f"h must be positive, got {hh}")
     space = LqSpace(Exponent(2.0), 2)
 
     def step(x: Point) -> Point:
-        return (a * x[0], hh - x[1])
+        return (alpha * x[0], h - x[1])
 
     system = CyclicSystem(
         space=space,
-        regions=(Box((0.0, 0.0), (1.0, 0.0)), Box((0.0, hh), (1.0, hh))),
+        regions=(Box((0.0, 0.0), (1.0, 0.0)), Box((0.0, h), (1.0, h))),
         map=step,
     )
     return GallerySystem(
-        spec=_spec("affine_strip", alpha=a, h=hh),
         system=system,
-        edge_distances=(hh, hh),
+        edge_distances=(h, h),
         expected_solution=(0.0, 0.0),
         attainable=True,
-        certificate_alpha=a,
+        certificate_alpha=alpha,
         step_factor=None,
         default_start=(1.0, 0.0),
     )
 
 
+@_gallery(
+    "paper_lq_family",
+    "truncated scaled-basis families in l^q; set chain distance not "
+    "attained away from the truncation boundary",
+    m=Domain(2, 16, "[]", integer=True),
+    alpha=replace(ALPHA, note="alpha^m < 1/2"),
+    # as_exponent reads "inf" and no other string; its inf has value None.
+    q=Domain(1, math.inf, "[]", read=lambda q: as_exponent(q).value or math.inf),
+    N=Domain(2, 50, "[]", integer=True),
+)
 def make_paper_lq_family(
     m: int = 2, alpha: float = 0.5, q: object = 2, N: int = 6
 ) -> GallerySystem:
@@ -131,22 +165,16 @@ def make_paper_lq_family(
     attained only at the truncation boundary; away from it the strict
     non-attainment of the infinite family survives (see ``attainment_gap``).
     """
-    _require_int("m", m, 2)
-    _require_int("N", N, 2)
-    a = float(alpha)
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {a}")
     # alpha^m < 2^(-1/p) at the tightest finite exponent p = 1 covers every p.
-    if a ** m >= 0.5:
-        raise ValueError(f"alpha^m = {a ** m} must be < 1/2")
-    qexp = as_exponent(q)
+    if alpha ** m >= 0.5:
+        raise ValueError(f"alpha^m = {alpha ** m} must be < 1/2")
     dim = m * (N + 1) + 1
-    space = LqSpace(qexp, dim)
+    space = LqSpace(as_exponent(q), dim)
     k_max = m * (N + 1) - 1
 
     def basis_point(k: int) -> Point:
         coords = [0.0] * dim
-        coords[k] = 1.0 + a ** k
+        coords[k] = 1.0 + alpha ** k
         return tuple(coords)
 
     family = [basis_point(k) for k in range(k_max + 1)]
@@ -162,7 +190,7 @@ def make_paper_lq_family(
         except (KeyError, TypeError):
             pass
         k = max(range(dim), key=lambda j: abs(x[j]))
-        if abs(x[k] - (1.0 + a ** k)) > 1e-9 or any(
+        if abs(x[k] - (1.0 + alpha ** k)) > 1e-9 or any(
             abs(c) > 1e-9 for j, c in enumerate(x) if j != k
         ):
             raise ValueError("not a point of the indexed family")
@@ -180,7 +208,7 @@ def make_paper_lq_family(
     for i in range(1, m + 1):
         a_top = m * N + i - 1
         b_top = m * N + i if i < m else m * N
-        edges.append(p_combine((1.0 + a ** a_top, 1.0 + a ** b_top), qexp))
+        edges.append(p_combine((1.0 + alpha ** a_top, 1.0 + alpha ** b_top), space.q))
 
     system = CyclicSystem(
         space=space,
@@ -189,23 +217,24 @@ def make_paper_lq_family(
         artifact_points=(top_point,),
     )
     return GallerySystem(
-        spec=_spec(
-            "paper_lq_family",
-            m=m,
-            alpha=a,
-            q="inf" if qexp.is_inf else qexp.value,
-            N=N,
-        ),
         system=system,
         edge_distances=tuple(edges),
         expected_solution=None,
         attainable=False,
-        certificate_alpha=a,
+        certificate_alpha=alpha,
         step_factor=None,
         default_start=family[0],
     )
 
 
+@_gallery(
+    "scaled_pair",
+    "two unit balls at a given separation; proximity chain at the "
+    "nearest surface points",
+    alpha=ALPHA,
+    separation=Domain(0, math.inf, "[)"),
+    dimension=Domain(1, 1000, "[]", integer=True),
+)
 def make_scaled_pair(
     alpha: float = 0.5, separation: float = 2.0, dimension: int = 3
 ) -> GallerySystem:
@@ -216,15 +245,8 @@ def make_scaled_pair(
     proximity chain is attained exactly there. At separation 0 the balls
     touch at the origin, which becomes the unique fixed point.
     """
-    a = float(alpha)
-    sep = float(separation)
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {a}")
-    if sep < 0.0:
-        raise ValueError(f"separation must be >= 0, got {sep}")
-    _require_int("dimension", dimension, 1)
-    beta = 1.0 - a
-    half = sep / 2.0
+    beta = 1.0 - alpha
+    half = separation / 2.0
     space = LqSpace(Exponent(2.0), dimension)
 
     def e1(scale: float) -> Point:
@@ -243,13 +265,12 @@ def make_scaled_pair(
         map=step,
     )
     return GallerySystem(
-        spec=_spec("scaled_pair", alpha=a, separation=sep, dimension=dimension),
         system=system,
-        edge_distances=(sep, sep),
+        edge_distances=(separation, separation),
         expected_solution=e1(-half),
         attainable=True,
-        certificate_alpha=a,
-        step_factor=beta if sep == 0.0 else None,
+        certificate_alpha=alpha,
+        step_factor=beta if separation == 0.0 else None,
         default_start=center1,
     )
 
@@ -280,73 +301,16 @@ def attainment_gap(gallery_system: GallerySystem, p: object) -> float:
     return best - system.set_chain_distance(exp)
 
 
-@dataclass(frozen=True)
-class GalleryEntry:
-    factory: Callable[..., GallerySystem]
-    parameters: tuple[tuple[str, str, object], ...]  # (name, domain, default)
-    description: str
-
-
-GALLERY: dict[str, GalleryEntry] = {
-    "kirk_interval": GalleryEntry(
-        make_kirk_interval,
-        (("alpha", "(0, 1)", 0.5),),
-        "touching intervals on the line; zero set chain distance, fixed point 0",
-    ),
-    "affine_strip": GalleryEntry(
-        make_affine_strip,
-        (("alpha", "(0, 1)", 0.5), ("h", "(0, inf)", 1.0)),
-        "parallel segments at distance h; periodic pair ((0,0), (0,h))",
-    ),
-    "paper_lq_family": GalleryEntry(
-        make_paper_lq_family,
-        (
-            ("m", "integer >= 2", 2),
-            ("alpha", "(0, 1) with alpha^m < 1/2", 0.5),
-            ("q", "[1, inf]", 2),
-            ("N", "integer >= 2", 6),
-        ),
-        "truncated scaled-basis families in l^q; set chain distance not "
-        "attained away from the truncation boundary",
-    ),
-    "scaled_pair": GalleryEntry(
-        make_scaled_pair,
-        (
-            ("alpha", "(0, 1)", 0.5),
-            ("separation", "[0, inf)", 2.0),
-            ("dimension", "integer >= 1", 3),
-        ),
-        "two unit balls at a given separation; proximity chain at the "
-        "nearest surface points",
-    ),
-}
-
-
 def build(system_id: str, parameters: dict | None = None) -> GallerySystem:
-    """Instantiate a gallery system by id, applying defaults for omitted
-    parameters and rejecting unknown ones."""
+    """Instantiate a gallery system by id; omitted parameters take their
+    defaults and unknown ones are rejected."""
     if system_id not in GALLERY:
         raise ValueError(f"unknown gallery system {system_id!r}")
     entry = GALLERY[system_id]
-    known = {name for name, _, _ in entry.parameters}
-    params = dict(parameters or {})
-    unknown = set(params) - known
+    unknown = set(parameters or ()) - set(entry.domains)
     if unknown:
         raise ValueError(f"unknown parameters for {system_id}: {sorted(unknown)}")
-    for name, value in params.items():
-        # Parameters are JSON numbers, or strings such as q = "inf"; null,
-        # booleans, lists and objects would fail their coercion otherwise.
-        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-            raise ValueError(f"{name} must be a number or a string, got {value!r}")
-        # A factory's float() would raise OverflowError on an integer past
-        # the float range.
-        if isinstance(value, int):
-            try:
-                float(value)
-            except OverflowError as exc:
-                raise ValueError(f"{name} is past the float range: {exc}") from exc
-    kwargs = {name: params.get(name, default) for name, _, default in entry.parameters}
-    return entry.factory(**kwargs)
+    return entry.factory(**(parameters or {}))
 
 
 def list_gallery() -> list[dict]:
@@ -356,8 +320,8 @@ def list_gallery() -> list[dict]:
             "id": system_id,
             "description": entry.description,
             "parameters": [
-                {"name": name, "domain": domain, "default": default}
-                for name, domain, default in entry.parameters
+                {"name": name, "domain": str(entry.domains[name]), "default": p.default}
+                for name, p in inspect.signature(entry.factory).parameters.items()
             ],
         }
         for system_id, entry in sorted(GALLERY.items())

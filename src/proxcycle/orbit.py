@@ -32,7 +32,7 @@ from itertools import chain, count, islice
 from typing import Iterator, Sequence
 
 from .chains import _chain_distance, chain_point_distance, chain_self_distance
-from .spaces import Point, _point_repr, as_exponent, check_point
+from .spaces import ALPHA, Point, _point_repr, as_exponent, check_point
 from .system import MEMBERSHIP_TOL, CyclicSystem
 
 DEFAULT_TOL = 1e-10
@@ -264,9 +264,7 @@ def apriori_error_bound(alpha: float, m: int, k: int, initial_gap: float) -> flo
     ``alpha`` is the per-step chain contraction factor and ``initial_gap`` the
     measured chain distance between blocks 1 and 0.
     """
-    a = float(alpha)
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {a}")
+    a = ALPHA.check("alpha", alpha)
     if k < 0:
         raise ValueError("k must be >= 0")
     if initial_gap < 0:
@@ -302,7 +300,7 @@ def banach_solve(
     iterations = 0
     # The residual image is the next walked point, one step past the budget.
     walk = iter(orbit)
-    for iterations, nxt in enumerate(islice(walk, max(0, max_iter)), 1):
+    for iterations, nxt in zip(range(1, max_iter + 1), walk):
         step = space._distance(x, nxt)
         x = nxt
         if step <= tol:
@@ -345,11 +343,11 @@ def periodic_point_solve(
     warnings = []
     fired = False
     iterations = 0
-    budget = max(1, max_iter // m) * m
+    blocks = max(1, max_iter // m)
     # The m points past the stopping point give both the residual image and
     # the proximity chain, so the walk runs m steps past the budget.
     walk = iter(orbit)
-    for n, nxt in enumerate(islice(walk, m - 1, budget, m), 1):
+    for n, nxt in zip(range(1, blocks + 1), islice(walk, m - 1, None, m)):
         step = space._distance(x, nxt)
         x = nxt
         iterations = n * m

@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from operator import sub
+from operator import le, lt, sub
 from typing import Callable, Iterable, Sequence
 
 Point = tuple[float, ...]
@@ -78,10 +78,10 @@ class Exponent:
             object.__setattr__(self, "_combine", partial(max, default=0.0))
             return
         v = float(self.value)
-        if not math.isfinite(v):
-            raise ValueError("use INFINITY (or Exponent()) for the infinite exponent")
         if v < 1.0:
             raise ValueError(f"exponent must be >= 1, got {v}")
+        if not math.isfinite(v):
+            raise ValueError("use INFINITY (or Exponent()) for the infinite exponent")
         object.__setattr__(self, "value", v)
         # Integer exponents take the exact-multiplication path so CSV output
         # is reproducible across platforms; only non-integer q goes through
@@ -116,7 +116,7 @@ def as_exponent(p: object) -> Exponent:
             value = float(p)
         except OverflowError as exc:
             raise ValueError(f"exponent is past the float range: {exc}") from exc
-        if math.isinf(value):
+        if value == math.inf:
             return INFINITY
         return Exponent(value)
     raise TypeError(f"cannot read exponent from {p!r}")
@@ -144,6 +144,47 @@ def check_point(v: Sequence[float]) -> Point:
         i = next(i for i, c in enumerate(pt) if not math.isfinite(c))
         raise ValueError(f"non-finite coordinate {pt[i]!r} at index {i} in {_point_repr(pt)}")
     return pt
+
+
+@dataclass(frozen=True)
+class Domain:
+    """Parameter values from ``low`` to ``high``, each end open or closed as
+    ``ends`` shows, integers only if ``integer``, else read by ``read``, with
+    a ``note`` on a rule checked elsewhere; ``str`` gives "integer in [2, 16]"."""
+
+    low: float
+    high: float
+    ends: str = "()"
+    integer: bool = False
+    note: str | None = None
+    read: Callable[[object], float] = float
+
+    def __str__(self) -> str:
+        text = f"{self.ends[0]}{self.low}, {self.high}{self.ends[1]}"
+        text = f"integer in {text}" if self.integer else text
+        return f"{text} with {self.note}" if self.note else text
+
+    def check(self, name: str, value: object) -> float:
+        """``value`` read into the domain, or a ValueError naming ``name``."""
+        try:
+            if isinstance(value, bool):  # an int, so True would otherwise read as 1
+                raise TypeError
+            x = self.read(value)
+            if self.integer:
+                x = value if isinstance(value, int) else math.nan
+        except TypeError:
+            raise ValueError(f"{name} must be a number or a string, got {value!r}") from None
+        except (ValueError, OverflowError):
+            x = math.nan  # in no domain
+        # A closed end compares with <=, an open one with <.
+        above, below = (le if end in "[]" else lt for end in self.ends)
+        if above(self.low, x) and below(x, self.high):
+            return x
+        raise ValueError(f"{name} must be {'an' if self.integer else 'in'} {self}, got {value!r}")
+
+
+# Every contraction constant lies in (0, 1).
+ALPHA = Domain(0, 1)
 
 
 def p_combine(values: Iterable[float], p: object) -> float:

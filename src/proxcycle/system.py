@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 
 from .chains import _chain_distance, _check_chain, _check_chains, chain_set_distance
 from .spaces import (
+    ALPHA,
     CapabilityError,
     Exponent,
     LqSpace,
@@ -235,10 +236,7 @@ class LinearPhi(Phi):
     alpha: float
 
     def __post_init__(self) -> None:
-        a = float(self.alpha)
-        if not 0.0 < a < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {a}")
-        object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "alpha", ALPHA.check("alpha", self.alpha))
 
     def __call__(self, t: float) -> float:
         if t < 0:
@@ -659,9 +657,7 @@ class AlphaBoundResult:
 
 def alpha_bound_check(alpha: float, m: int, p: object) -> AlphaBoundResult:
     """Check alpha^m < 2^(-1/p); any alpha in (0,1) passes for p = inf."""
-    a = float(alpha)
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {a}")
+    a = ALPHA.check("alpha", alpha)
     if m < 2:
         raise ValueError("m must be >= 2")
     exp = as_exponent(p)

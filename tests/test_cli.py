@@ -1,10 +1,17 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
+import math
+import re
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 import proxcycle.cli as cli
 from proxcycle.gallery import make_kirk_interval
@@ -53,6 +60,7 @@ def test_parse_config_happy_path():
         {"bogus": 1},
         {"run": "explore"},
         {"p": 0.5},
+        {"p": -math.inf},
         {"phi": {"kind": "cubic"}},
         {"phi": {"kind": "linear", "alpha": 0.5, "beta": 1}},
         {"iterations": 0},
@@ -149,6 +157,14 @@ def test_summary_is_strict_json_when_a_residual_is_nan(tmp_path):
     summary = json.loads(text, parse_constant=_reject_constant)
     jsonschema.validate(summary, SCHEMA)
     assert summary["result"]["proximity_residual"] is None
+
+
+def test_summary_writes_an_overflowing_set_chain_distance_as_null(tmp_path):
+    # d_1 of the strip's two edges at distance h is 2h, past the float range.
+    data = base_config(system={"id": "affine_strip", "parameters": {"h": 1.2e308}}, p=1, run="trace")
+    config = write_config(tmp_path, data)
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert read_summary(tmp_path / "out")["d_p_sets"] is None
 
 
 def test_run_certify(tmp_path):
@@ -406,6 +422,60 @@ def test_exit_2_on_numbers_past_the_float_range(tmp_path, old, new):
     assert not (tmp_path / "o").exists()
 
 
+def _run_raw(tmp_path, text):
+    """Run a config given as raw JSON text; returns (exit code, stderr)."""
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "system_id, name, raw",
+    [
+        ("affine_strip", "h", "1e999"),
+        ("affine_strip", "h", '"nan"'),
+        ("scaled_pair", "separation", "1e999"),
+        ("scaled_pair", "separation", '"nan"'),
+        ("kirk_interval", "alpha", '"inf"'),
+        ("paper_lq_family", "q", "-1e999"),
+        ("paper_lq_family", "m", "17"),
+        ("paper_lq_family", "N", "51"),
+        ("paper_lq_family", "N", "1000000"),
+        ("scaled_pair", "dimension", "1001"),
+    ],
+)
+def test_exit_2_names_a_parameter_outside_its_domain(tmp_path, system_id, name, raw):
+    # Raw JSON text: json reads a literal past the float range, such as
+    # 1e999, as inf. Size caps reject before any point is built.
+    data = base_config(system={"id": system_id, "parameters": {name: "RAW"}}, run="trace")
+    code, err = _run_raw(tmp_path, json.dumps(data).replace('"RAW"', raw))
+    assert code == 2
+    assert err.startswith(f"error: {name} must be "), err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("run", cli.RUNS)
+def test_iterations_past_sys_maxsize_run_like_a_large_budget(tmp_path, run):
+    # certify reads iterations as its sample count too, so it runs on a
+    # system it enumerates exhaustively, where the count is not used.
+    system = {"id": "paper_lq_family", "parameters": {}} if run == "certify" else None
+    outputs = []
+    for iterations in (10**6, 10**20):
+        data = base_config(run=run, iterations=iterations)
+        data["system"] = system or data["system"]
+        out = tmp_path / str(iterations)
+        config = write_config(tmp_path, data)
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary.pop("iterations_requested") == iterations
+        del summary["metadata"]
+        outputs.append((summary, (out / "trace.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_exit_2_on_non_finite_tabulated_phi_knot(tmp_path):
     text = json.dumps(base_config(run="certify", iterations=50))
     text = text.replace(
@@ -423,6 +493,99 @@ def test_exit_4_on_unwritable_output(tmp_path):
     config = write_config(tmp_path, base_config())
     out = blocker / "nested"
     assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 4
+
+
+# --- generated configs --------------------------------------------------------------
+
+RAW = "@raw@"  # a string RAW + "1e999" is written to the config as the bare literal 1e999
+NON_FINITE = [RAW + "1e999", RAW + "-1e999", "inf", "-inf", "nan"]
+WRONG_TYPE = [None, True, False, [1], {"a": 1}, "abc"]
+BIG_INT = 10**400
+
+
+def _floats(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+def _numbers(strategy):
+    """Numbers and their numeric strings, which parameters read as today."""
+    return strategy | strategy.map(repr)
+
+
+# Per parameter: (values inside the domain, finite values outside it). Sizes
+# are drawn small or past their cap, never just under it, so runs stay fast.
+ALPHA_VALUES = (_numbers(_floats(min_value=0, max_value=1, exclude_min=True, exclude_max=True)),
+                _floats(max_value=0) | _floats(min_value=1))
+DOMAINS = {
+    "kirk_interval": {"alpha": ALPHA_VALUES},
+    "affine_strip": {
+        "alpha": ALPHA_VALUES,
+        "h": (_numbers(_floats(min_value=0, exclude_min=True)), _floats(max_value=0)),
+    },
+    "paper_lq_family": {
+        "m": (st.integers(2, 3), st.integers(max_value=1) | st.integers(min_value=17) | st.just(2.0)),
+        "alpha": ALPHA_VALUES,
+        "q": (
+            _floats(min_value=1) | st.integers(1, 8) | st.sampled_from(["inf", "Infinity", RAW + "1e999"]),
+            _floats(max_value=1, exclude_max=True) | st.sampled_from(["2", "1.5", "-inf", RAW + "-1e999"]),
+        ),
+        "N": (st.integers(2, 4), st.integers(max_value=1) | st.integers(min_value=51) | st.just(4.0)),
+    },
+    "scaled_pair": {
+        "alpha": ALPHA_VALUES,
+        "separation": (_numbers(_floats(min_value=0)), _floats(max_value=0, exclude_max=True)),
+        "dimension": (st.integers(1, 4), st.integers(max_value=0) | st.integers(min_value=1001)),
+    },
+}
+
+
+@st.composite
+def generated_configs(draw):
+    """(system id, {name: (value, inside its domain)}, run, iterations)."""
+    system_id = draw(st.sampled_from(sorted(DOMAINS)))
+    # Half the configs keep every parameter inside its domain, so they run.
+    kinds = ["omit", "inside"] + draw(st.sampled_from([[], ["outside", "non-finite", "type", "big"]]))
+    params = {}
+    for name, (inside, outside) in DOMAINS[system_id].items():
+        kind = draw(st.sampled_from(kinds))
+        if kind == "inside":
+            params[name] = (draw(inside), True)
+        elif kind != "omit":
+            pool = {"outside": outside, "type": st.sampled_from(WRONG_TYPE), "big": st.just(BIG_INT)}
+            # q = inf is inside [1, inf]; the other non-finite values are outside it.
+            non_finite = [v for v in NON_FINITE if name != "q" or v not in ("inf", RAW + "1e999")]
+            params[name] = (draw(pool.get(kind, st.sampled_from(non_finite))), False)
+    return system_id, params, draw(st.sampled_from(cli.RUNS)), draw(st.integers(1, 50))
+
+
+@given(case=generated_configs())
+@example(case=("affine_strip", {"h": (RAW + "1e999", False)}, "periodic", 10))
+@example(case=("scaled_pair", {"separation": ("nan", False)}, "certify", 10))
+@example(case=("paper_lq_family", {"N": (10**6, False)}, "trace", 10))
+@settings(max_examples=120, deadline=None)
+def test_generated_configs_run_or_exit_2_naming_the_parameter(case):
+    system_id, params, run, iterations = case
+    data = base_config(
+        system={"id": system_id, "parameters": {name: v for name, (v, _) in params.items()}},
+        run=run,
+        iterations=iterations,
+    )
+    text = re.sub(f'"{RAW}([^"]*)"', r"\1", json.dumps(data))
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = _run_raw(Path(tmp), text)
+        event(f"exit {code}")
+        assert code in (0, 2, 3, 4), err
+        outside = [name for name, (_, inside) in params.items() if not inside]
+        if outside:
+            assert code == 2, (code, err)
+        if code == 2:
+            # With every parameter inside its domain, only the rule across
+            # parameters, alpha^m < 1/2, may reject the config.
+            named = outside or ["alpha^m"]
+            assert any(err.startswith(f"error: {name} ") for name in named), (named, err)
+        if code == 0:
+            summary = json.loads((Path(tmp) / "o" / "summary.json").read_text())
+            jsonschema.validate(summary, SCHEMA)
 
 
 # --- gallery listing ----------------------------------------------------------------

@@ -171,3 +171,86 @@ def test_list_gallery_shape():
         assert entry["description"]
         for param in entry["parameters"]:
             assert {"name", "domain", "default"} <= set(param)
+
+
+def test_list_gallery_pins_ids_descriptions_domains_and_defaults():
+    def params(*rows):
+        return [{"name": n, "domain": d, "default": v} for n, d, v in rows]
+
+    assert list_gallery() == [
+        {
+            "id": "affine_strip",
+            "description": "parallel segments at distance h; periodic pair ((0,0), (0,h))",
+            "parameters": params(("alpha", "(0, 1)", 0.5), ("h", "(0, inf)", 1.0)),
+        },
+        {
+            "id": "kirk_interval",
+            "description": "touching intervals on the line; zero set chain distance, fixed point 0",
+            "parameters": params(("alpha", "(0, 1)", 0.5)),
+        },
+        {
+            "id": "paper_lq_family",
+            "description": "truncated scaled-basis families in l^q; set chain distance not "
+            "attained away from the truncation boundary",
+            "parameters": params(
+                ("m", "integer in [2, 16]", 2),
+                ("alpha", "(0, 1) with alpha^m < 1/2", 0.5),
+                ("q", "[1, inf]", 2),
+                ("N", "integer in [2, 50]", 6),
+            ),
+        },
+        {
+            "id": "scaled_pair",
+            "description": "two unit balls at a given separation; proximity chain at the "
+            "nearest surface points",
+            "parameters": params(
+                ("alpha", "(0, 1)", 0.5),
+                ("separation", "[0, inf)", 2.0),
+                ("dimension", "integer in [1, 1000]", 3),
+            ),
+        },
+    ]
+
+
+@pytest.mark.parametrize(
+    "factory, kwargs",
+    [
+        (make_kirk_interval, {"alpha": 1.0}),
+        (make_kirk_interval, {"alpha": "nan"}),
+        (make_affine_strip, {"h": math.inf}),
+        (make_affine_strip, {"h": math.nan}),
+        (make_affine_strip, {"h": 10**400}),
+        (make_scaled_pair, {"separation": math.inf}),
+        (make_scaled_pair, {"separation": "nan"}),
+        (make_scaled_pair, {"dimension": 1001}),
+        (make_scaled_pair, {"dimension": 3.0}),
+        (make_paper_lq_family, {"q": "2"}),
+        (make_paper_lq_family, {"q": -math.inf}),
+        (make_paper_lq_family, {"m": 17}),
+        (make_paper_lq_family, {"N": 51}),
+        (make_paper_lq_family, {"N": 10**6}),
+    ],
+)
+def test_direct_calls_check_each_parameter_against_its_domain(factory, kwargs):
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        factory(**kwargs)
+
+
+def test_domains_read_values_as_before_and_record_them_in_the_spec():
+    # Numeric strings read as numbers, q reads "inf" (or inf) as the
+    # infinite exponent, and the spec holds the values read.
+    assert make_affine_strip("0.25", 2).spec.parameter_dict() == {"alpha": 0.25, "h": 2.0}
+    for q in ("inf", math.inf):
+        gs = make_paper_lq_family(q=q)
+        assert gs.spec.parameter_dict() == {"m": 2, "alpha": 0.5, "q": "inf", "N": 6}
+        assert gs.system.space.q == INFINITY
+    assert make_scaled_pair(separation=0).spec.parameters == (
+        ("alpha", 0.5), ("dimension", 3), ("separation", 0.0),
+    )
+
+
+def test_size_caps_are_inclusive():
+    gs = make_paper_lq_family(m=16, N=50)
+    assert gs.system.space.dimension == 16 * 51 + 1
+    assert make_scaled_pair(dimension=1000).system.space.dimension == 1000

@@ -8,7 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proxcycle.spaces import (
+    ALPHA,
     INFINITY,
+    Domain,
     Exponent,
     LqSpace,
     OracleSpace,
@@ -296,3 +298,39 @@ def test_plane_kernel_matches_textbook_formula_bit_for_bit(q, pa, pb):
     space = LqSpace(as_exponent(q), 2)
     assert same_bits(space._distance(pa, pb), want)
     assert same_bits(space.distance(pa, pb), want)
+
+
+def test_domain_text_and_ends():
+    assert str(Domain(0, 1)) == "(0, 1)"
+    assert str(Domain(0, math.inf, "[)")) == "[0, inf)"
+    assert str(Domain(2, 16, "[]", integer=True)) == "integer in [2, 16]"
+    assert str(Domain(0, 1, note="alpha^m < 1/2")) == "(0, 1) with alpha^m < 1/2"
+    closed, open_ = Domain(0, math.inf, "[]"), Domain(0, math.inf)
+    assert closed.check("x", 0) == 0.0 and closed.check("x", "inf") == math.inf
+    for value in (0, 0.0, math.inf, "inf", math.nan, "nan", -1.0, "abc", 10**400):
+        with pytest.raises(ValueError, match=r"^x must be in \(0, inf\), got "):
+            open_.check("x", value)
+    with pytest.raises(ValueError, match=r"^x must be in \[0, inf\], got nan"):
+        closed.check("x", math.nan)
+
+
+def test_domain_types():
+    integer = Domain(1, 10, "[]", integer=True)
+    assert integer.check("k", 10) == 10 and type(integer.check("k", 3)) is int
+    for value in (3.0, "3", 11, 0, 10**400):
+        with pytest.raises(ValueError, match=r"^k must be an integer in \[1, 10\], got "):
+            integer.check("k", value)
+    assert ALPHA.check("alpha", "0.25") == 0.25
+    for value in (0, 1, math.nan, math.inf, "-inf"):
+        with pytest.raises(ValueError, match=r"^alpha must be in \(0, 1\), got "):
+            ALPHA.check("alpha", value)
+    for value in (None, True, False, [0.5], {"a": 0.5}):
+        for domain in (ALPHA, integer):
+            with pytest.raises(ValueError, match="must be a number or a string"):
+                domain.check("x", value)
+
+
+def test_negative_infinity_is_not_an_exponent():
+    with pytest.raises(ValueError, match="exponent must be >= 1"):
+        as_exponent(-math.inf)
+    assert as_exponent(math.inf) == INFINITY
