@@ -84,8 +84,8 @@ def chain_self_distance(space: Space, xs: Sequence[Sequence[float]], p: object) 
     return chain_point_distance(space, xs, xs, p)
 
 
-def chain_set_distance(space: Space, regions: Sequence[object], p: object) -> float:
-    """p-combination of consecutive exact set distances d(A_i, A_{i+1}), wrapping."""
+def _edge_distances(space: Space, regions: Sequence[object]) -> tuple[float, ...]:
+    """The exact set distances d(A_i, A_{i+1}) around the region cycle."""
     regs = list(regions)
     if len(regs) < 2:
         raise ValueError("need at least 2 regions")
@@ -95,7 +95,12 @@ def chain_set_distance(space: Space, regions: Sequence[object], p: object) -> fl
         if not hasattr(region, "distance_to"):
             raise CapabilityError(f"region {region!r} has no exact distance method")
         edges.append(region.distance_to(nxt, space))
-    return p_combine(edges, p)
+    return tuple(edges)
+
+
+def chain_set_distance(space: Space, regions: Sequence[object], p: object) -> float:
+    """p-combination of consecutive exact set distances d(A_i, A_{i+1}), wrapping."""
+    return p_combine(_edge_distances(space, regions), p)
 
 
 @dataclass(frozen=True)

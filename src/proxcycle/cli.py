@@ -302,7 +302,7 @@ def _cmd_gallery_list(args: argparse.Namespace) -> int:
     for entry in entries:
         print(f"{entry['id']}: {entry['description']}")
         for param in entry["parameters"]:
-            print(f"    {param['name']} in {param['domain']} (default {param['default']})")
+            print(f"    {param['name']}: {param['domain']} (default {param['default']})")
     return 0
 
 

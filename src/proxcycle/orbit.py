@@ -125,11 +125,13 @@ class _Orbit:
 
     def trace(self) -> OrbitTrace:
         """x_0..x_keep, walking on from the recorded end if no reader has
-        reached x_keep yet."""
-        if len(self.points) <= self.keep:
-            for _ in islice(self, self.keep):
-                pass
-        return OrbitTrace(self.system, tuple(self.points))
+        reached x_keep yet. The prefix is extended straight from the walk:
+        there is no reader to pass the points to."""
+        points = self.points
+        room = self.keep + 1 - len(points)
+        if room > 0:
+            points.extend(islice(_walk(self.system, points[-1], len(points) - 1), room))
+        return OrbitTrace(self.system, tuple(points))
 
 
 def _orbit(system: CyclicSystem, x0: Sequence[float]) -> _Orbit:
@@ -205,7 +207,10 @@ def trace_rows(trace: OrbitTrace, p: object) -> list[tuple[float, ...]]:
     distance is computed once, 2m + 1 distances per row, with every argument
     order kept. The points are trusted as validated, as ``picard_orbit``
     leaves them. Each column is one ``map`` over strided slices of the
-    orbit, and the rows are their ``zip``.
+    orbit, and the rows are their ``zip``. The chain column is one ``map``
+    of the exponent's ``_combine`` over the tuples (s_{mn}, ..., s_{mn+m-2},
+    wrap_n) that ``zip`` builds from the strided step slices and the wrap
+    terms, so each row's terms reach ``_combine`` in chain order.
     """
     combine = as_exponent(p)._combine
     m = trace.m
@@ -218,9 +223,7 @@ def trace_rows(trace: OrbitTrace, p: object) -> list[tuple[float, ...]]:
     steps = list(map(dist, points[:span], points[1 : span + 1]))
     drifts = list(map(dist, points[:span], points[m : span + m]))
     wraps = map(dist, points[m - 1 : span : m], points[0:span:m])
-    chains = [
-        combine(steps[k : k + m - 1] + [wrap]) for k, wrap in zip(range(0, span, m), wraps)
-    ]
+    chains = list(map(combine, zip(*(steps[i:span:m] for i in range(m - 1)), wraps)))
     return list(
         zip(chains, *(steps[i::m] for i in range(m)), *(drifts[i::m] for i in range(m)))
     )
@@ -228,10 +231,7 @@ def trace_rows(trace: OrbitTrace, p: object) -> list[tuple[float, ...]]:
 
 def dominant_edge(system: CyclicSystem) -> int:
     """1-based index of the edge attaining max_i d(A_i, A_{i+1})."""
-    edges = [
-        system.regions[i].distance_to(system.regions[(i + 1) % system.m], system.space)
-        for i in range(system.m)
-    ]
+    edges = system.edge_distances
     return max(range(system.m), key=lambda i: edges[i]) + 1
 
 
@@ -447,11 +447,8 @@ def proximity_chain_extract(
     if len(chain) == m:
         # The chain holds walked points, validated as they entered the orbit.
         edge_residuals = tuple(
-            abs(
-                space._distance(chain[i], chain[(i + 1) % m])
-                - system.regions[i].distance_to(system.regions[(i + 1) % m], space)
-            )
-            for i in range(m)
+            abs(space._distance(chain[i], chain[(i + 1) % m]) - edge)
+            for i, edge in enumerate(system.edge_distances)
         )
         total_residual = abs(_chain_distance(space, chain, chain, exp._combine) - set_distance)
     else:

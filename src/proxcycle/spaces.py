@@ -22,7 +22,7 @@ class CapabilityError(TypeError):
     """A region or space does not support the requested exact computation."""
 
 
-def _power_sum(power: float, inv: float, vals: list[float]) -> float:
+def _power_sum(power: float, inv: float, vals: Sequence[float]) -> float:
     """(sum v_i^q)^(1/q) with the largest value factored out, so large
     exponents cannot overflow on large inputs; ``power`` is q (an int when q
     is integral) and ``inv`` is 1/q. An infinite peak (an overflowed
@@ -35,7 +35,7 @@ def _power_sum(power: float, inv: float, vals: list[float]) -> float:
     return peak * math.fsum([(v / peak) ** power for v in vals]) ** inv
 
 
-def _sum_or_inf(vals: list[float]) -> float:
+def _sum_or_inf(vals: Sequence[float]) -> float:
     """``math.fsum`` of nonnegative values, with a sum past the float range
     giving inf instead of fsum's OverflowError. fsum can also trip on an
     intermediate partial when the exact sum sits just below the overflow
@@ -61,15 +61,16 @@ class Exponent:
     Infinity is a distinct tag rather than a float so that no code path ever
     evaluates ``sum(|v|**q) ** (1/q)`` with a huge q.
 
-    ``_combine(vals)`` is the p-combination of a list of nonnegative floats
-    for this exponent, chosen once here: the max for inf, ``math.fsum`` for
-    1 (inf when the sum overflows), the peak-scaled power sum otherwise.
+    ``_combine(vals)`` is the p-combination of a list or tuple of
+    nonnegative floats for this exponent, chosen once here: the max for inf,
+    ``math.fsum`` for 1 (inf when the sum overflows), the peak-scaled power
+    sum otherwise.
     For finite q, ``_power`` is the power the sum raises to (an int when q is
     integral) and ``_inv`` is 1/q; both are None for inf.
     """
 
     value: float | None = None
-    _combine: Callable[[list[float]], float] = field(init=False, repr=False, compare=False)
+    _combine: Callable[[Sequence[float]], float] = field(init=False, repr=False, compare=False)
     _power: float | None = field(init=False, repr=False, compare=False, default=None)
     _inv: float | None = field(init=False, repr=False, compare=False, default=None)
 
@@ -235,6 +236,8 @@ class Space:
 
 
 def _combined_gaps(combine: Callable[[list[float]], float], pa: Point, pb: Point) -> float:
+    if pa == pb:
+        return 0.0
     return combine(list(map(abs, map(sub, pa, pb))))
 
 
@@ -261,6 +264,8 @@ def _plane_gap(power: float, inv: float, pa: Point, pb: Point) -> float:
 
 
 def _max_gap(pa: Point, pb: Point) -> float:
+    if pa == pb:
+        return 0.0
     return max(map(abs, map(sub, pa, pb)))
 
 
@@ -273,6 +278,13 @@ class LqSpace(Space):
     coordinate gaps for q = inf, the unrolled two-term power sum in the
     plane for 1 < q < inf, and otherwise the exponent's ``_combine`` of the
     gaps. The first three return the same bits as the last would.
+
+    The q = inf kernel and the ``_combine`` of the gaps return 0.0 for
+    equal points before building any list. That is exact for finite
+    points: ``a == b`` makes every difference +0.0 or -0.0 and every gap
+    0.0, so each kernel would return +0.0, also for ``(0.0,) == (-0.0,)``.
+    The line and plane kernels cost about as much as that comparison and do
+    without it.
     """
 
     q: Exponent

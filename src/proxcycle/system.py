@@ -14,10 +14,11 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import getitem
 from typing import Callable, Sequence
 
-from .chains import _chain_distance, _check_chain, _check_chains, chain_set_distance
+from .chains import _chain_distance, _check_chain, _check_chains, _edge_distances
 from .spaces import (
     ALPHA,
     CapabilityError,
@@ -29,6 +30,7 @@ from .spaces import (
     as_exponent,
     check_point,
     lq_norm,
+    p_combine,
 )
 
 MEMBERSHIP_TOL = 1e-9
@@ -40,7 +42,7 @@ EXHAUSTIVE_LIMIT = 10 ** 6
 
 
 class MapError(RuntimeError):
-    """The system map raised or produced a non-finite point."""
+    """The system map raised or returned an image that is not a finite point."""
 
     def __init__(self, message: str, point: Point | None = None, step: int | None = None):
         super().__init__(message)
@@ -187,7 +189,17 @@ def _point_box_gaps(x: Point, lower: Point, upper: Point) -> tuple[float, ...]:
 def region_distance(space: Space, a: Region, b: Region) -> float:
     """Exact infimum distance between two regions of compatible variants."""
     if _enumerable(a) and _enumerable(b):
-        return min(space.distance(x, y) for x in a.points for y in b.points)
+        # Cloud points were validated when the cloud was built, so after one
+        # dimension check per cloud every pair is measured with the trusted
+        # ``_distance``.
+        da, db = len(a.points[0]), len(b.points[0])
+        if da != space.dimension or db != space.dimension:
+            raise ValueError(
+                f"dimension mismatch: space is {space.dimension}-dimensional, "
+                f"points have {da} and {db}"
+            )
+        dist = space._distance
+        return min(dist(x, y) for x in a.points for y in b.points)
 
     if isinstance(a, Box) and isinstance(b, Box):
         if not isinstance(space, LqSpace):
@@ -348,8 +360,9 @@ class CyclicSystem:
 
     def _image(self, pt: Point, step: int | None = None) -> Point:
         """The map at an already validated point; the one place where a map
-        image is validated. A failing map or a non-finite image raises
-        ``MapError``; an image of the wrong dimension raises ``ValueError``."""
+        image is validated. A failing map, or an image that is not a
+        nonempty sequence of finite numbers, raises ``MapError``; an image of
+        the wrong dimension raises ``ValueError``."""
         try:
             image = self.map(pt)
         except MapError:
@@ -360,9 +373,9 @@ class CyclicSystem:
             ) from exc
         try:
             out = check_point(image)
-        except ValueError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise MapError(
-                f"map returned a non-finite point at {_point_repr(pt)}", point=pt, step=step
+                f"map returned an invalid point at {_point_repr(pt)}: {exc}", point=pt, step=step
             ) from exc
         if len(out) != self.space.dimension:
             raise ValueError(
@@ -385,8 +398,14 @@ class CyclicSystem:
         dist = self.space._distance
         return any(pt == a or dist(pt, a) <= tol for a in self.artifact_points)
 
+    @cached_property
+    def edge_distances(self) -> tuple[float, ...]:
+        """d(A_i, A_{i+1}) for i = 1..m, wrapping: computed on first use and
+        kept, since the system is immutable."""
+        return _edge_distances(self.space, self.regions)
+
     def set_chain_distance(self, p: object) -> float:
-        return chain_set_distance(self.space, self.regions, p)
+        return p_combine(self.edge_distances, p)
 
 
 @dataclass(frozen=True)

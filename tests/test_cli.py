@@ -14,6 +14,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import proxcycle.cli as cli
+import proxcycle.system as system_module
 from proxcycle.gallery import make_kirk_interval
 from proxcycle.orbit import picard_orbit
 from proxcycle.spaces import INFINITY
@@ -315,6 +316,64 @@ def test_map_error_on_the_one_walk_matches_picard_orbit(
     assert not (tmp_path / "direct").exists()
 
 
+@pytest.mark.parametrize("run", cli.RUNS)
+def test_runs_compute_each_edge_distance_once(tmp_path, monkeypatch, run):
+    lq = {"id": "paper_lq_family", "parameters": {"m": 3, "N": 2}}
+    regions = cli.gallery.build(lq["id"], lq["parameters"]).system.regions
+    measured = []
+    region_distance = system_module.region_distance
+
+    def counting(space, a, b):
+        measured.append((a, b))
+        return region_distance(space, a, b)
+
+    monkeypatch.setattr(system_module, "region_distance", counting)
+    cli.run_experiment(cli.parse_config(base_config(run=run, system=lq, iterations=50)), tmp_path)
+    assert measured == [(regions[i], regions[(i + 1) % 3]) for i in range(3)]
+
+
+MALFORMED_IMAGES = {
+    "not a sequence": lambda x: -0.5 * x[0],
+    "not a number": lambda x: (None,),
+    "past the float range": lambda x: (10**400,),
+}
+
+
+@pytest.mark.parametrize("image", sorted(MALFORMED_IMAGES))
+@pytest.mark.parametrize("run", cli.RUNS)
+def test_malformed_map_image_is_a_map_error_with_its_step(
+    tmp_path, monkeypatch, capsys, run, image
+):
+    k = 5
+    data = base_config(run=run, iterations=50)
+    good = cli.gallery.build(data["system"]["id"], data["system"]["parameters"])
+    broken_at = picard_orbit(good.system, good.default_start, k - 1).points[-1]
+
+    def malformed(system):
+        # The orbit is strictly monotone in |x|, so only step k maps x_{k-1}.
+        def map_(x, inner=system.map):
+            return MALFORMED_IMAGES[image](x) if x == broken_at else inner(x)
+
+        return map_
+
+    monkeypatch.setattr(cli.gallery, "build", _mapped_build(malformed))
+    broken = cli.gallery.build(data["system"]["id"], data["system"]["parameters"])
+    with pytest.raises(MapError) as err:
+        broken.system.apply(broken_at, step=k)
+    assert err.value.step == k and err.value.point == broken_at
+    with pytest.raises(MapError) as err:
+        picard_orbit(broken.system, broken.default_start, k)
+    assert err.value.step == k and err.value.point == broken_at
+    with pytest.raises(MapError) as err:
+        cli.run_experiment(cli.parse_config(data), tmp_path / "direct")
+    assert err.value.step == k and err.value.point == broken_at
+
+    config = write_config(tmp_path, data)
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == f"map error: {err.value}\n"
+
+
 # --- exit codes ------------------------------------------------------------------
 
 
@@ -591,11 +650,28 @@ def test_generated_configs_run_or_exit_2_naming_the_parameter(case):
 # --- gallery listing ----------------------------------------------------------------
 
 
+GALLERY_LIST_TEXT = """\
+affine_strip: parallel segments at distance h; periodic pair ((0,0), (0,h))
+    alpha: (0, 1) (default 0.5)
+    h: (0, inf) (default 1.0)
+kirk_interval: touching intervals on the line; zero set chain distance, fixed point 0
+    alpha: (0, 1) (default 0.5)
+paper_lq_family: truncated scaled-basis families in l^q; \
+set chain distance not attained away from the truncation boundary
+    m: integer in [2, 16] (default 2)
+    alpha: (0, 1) with alpha^m < 1/2 (default 0.5)
+    q: [1, inf] (default 2)
+    N: integer in [2, 50] (default 6)
+scaled_pair: two unit balls at a given separation; proximity chain at the nearest surface points
+    alpha: (0, 1) (default 0.5)
+    separation: [0, inf) (default 2.0)
+    dimension: integer in [1, 1000] (default 3)
+"""
+
+
 def test_gallery_list_text(capsys):
     assert cli.main(["gallery", "list"]) == 0
-    out = capsys.readouterr().out
-    for system_id in ("kirk_interval", "affine_strip", "paper_lq_family", "scaled_pair"):
-        assert system_id in out
+    assert capsys.readouterr().out == GALLERY_LIST_TEXT
 
 
 def test_gallery_list_json(capsys):

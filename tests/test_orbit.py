@@ -297,6 +297,18 @@ def test_trace_rows_match_reference_traces_per_kernel(tmp_path, system, p, steps
     _assert_rows_match_traces_at_every_cut(tmp_path, KERNEL_SYSTEMS[system](), steps, p)
 
 
+@pytest.mark.parametrize("q", [1, 3, "inf"])
+@pytest.mark.parametrize("p", [1, 2, 3.5, INFINITY])
+def test_trace_rows_match_reference_traces_on_the_truncation_stub(tmp_path, q, p):
+    # The orbit reaches the stub after m(N + 1) - 1 = 8 steps and stays, so
+    # almost every trace distance is between equal points.
+    gs = make_paper_lq_family(m=3, N=2, q=q)
+    trace = picard_orbit(gs.system, gs.default_start, 200)
+    stub = trace.points[8]
+    assert gs.system.is_artifact(stub) and set(trace.points[8:]) == {stub}
+    _assert_rows_match_traces(tmp_path, trace, p)
+
+
 @pytest.mark.parametrize("p", [1, 2, 3.5, INFINITY])
 def test_trace_rows_keep_argument_order_for_asymmetric_oracles(tmp_path, p):
     trace = picard_orbit(_asymmetric_system(), (1.0, 0.5), 40)

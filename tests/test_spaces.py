@@ -300,6 +300,33 @@ def test_plane_kernel_matches_textbook_formula_bit_for_bit(q, pa, pb):
     assert same_bits(space.distance(pa, pb), want)
 
 
+# --- equal points -------------------------------------------------------------
+
+# ordinary values, subnormals, signed zeros and the float maximum either way
+kernel_coords = st.one_of(
+    signed_magnitudes, st.sampled_from([-0.0, sys.float_info.max, -sys.float_info.max])
+)
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3, 7, 22])
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, math.inf])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_every_kernel_is_plus_zero_on_equal_points_and_combines_the_gaps(q, dimension, data):
+    space = LqSpace(as_exponent(q), dimension)
+    points = st.lists(kernel_coords, min_size=dimension, max_size=dimension).map(tuple)
+    pa = data.draw(points)
+    flips = data.draw(st.lists(st.booleans(), min_size=dimension, max_size=dimension))
+    # Equal to pa, with some of its zeros flipped in sign.
+    same = tuple(-c if flip and c == 0.0 else c for c, flip in zip(pa, flips))
+    d = space._distance(pa, same)
+    assert d == 0.0 and math.copysign(1.0, d) == 1.0
+    pb = data.draw(st.one_of(st.just(same), points))
+    want = space.q._combine([abs(x - y) for x, y in zip(pa, pb)])
+    assert same_bits(space._distance(pa, pb), want)
+    assert same_bits(space.distance(pa, pb), want)
+
+
 def test_domain_text_and_ends():
     assert str(Domain(0, 1)) == "(0, 1)"
     assert str(Domain(0, math.inf, "[)")) == "[0, inf)"
