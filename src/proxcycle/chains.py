@@ -17,7 +17,6 @@ from .spaces import (
     Point,
     Space,
     as_exponent,
-    check_point,
     p_combine,
 )
 
@@ -30,15 +29,9 @@ def _shifted_pairs(
 
 
 def _check_chain(space: Space, xs: Sequence[Sequence[float]]) -> tuple[Point, ...]:
-    chain = tuple(check_point(x) for x in xs)
+    chain = tuple(map(space.point, xs))
     if len(chain) < 2:
         raise ValueError("a chain needs at least 2 points")
-    for pt in chain:
-        if len(pt) != space.dimension:
-            raise ValueError(
-                f"chain point of dimension {len(pt)} in a "
-                f"{space.dimension}-dimensional space"
-            )
     return chain
 
 

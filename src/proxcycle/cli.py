@@ -20,12 +20,20 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import gallery, orbit
-from .spaces import Exponent, as_exponent
+from .spaces import EXPONENT, Domain, Exponent, as_exponent
 from .system import LinearPhi, MapError, Phi, TabulatedPhi, validate_phi, verify_contraction, verify_cyclicity
 
 RUNS = ("certify", "banach", "periodic", "proximity", "trace")
 CONFIG_KEYS = {"system", "p", "phi", "run", "iterations", "tolerance", "seed", "output_dir"}
 REQUIRED_KEYS = CONFIG_KEYS - {"output_dir"}
+# The numeric fields, each read through its domain. JSON reads a literal past
+# the float range, such as 1e999, as inf.
+NUMBERS = {
+    "p": EXPONENT,
+    "iterations": Domain(1, math.inf, "[)", integer=True, strings=False),
+    "tolerance": Domain(0, math.inf, strings=False),
+    "seed": Domain(-math.inf, math.inf, integer=True, strings=False),
+}
 
 
 class ConfigError(ValueError):
@@ -59,8 +67,8 @@ def _parse_phi(data: object) -> Phi:
             extra = set(data) - {"kind", "knots"}
             if extra:
                 raise ConfigError(f"unknown phi keys: {sorted(extra)}")
-            return TabulatedPhi(tuple((float(t), float(v)) for t, v in data["knots"]))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            return TabulatedPhi(data["knots"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid phi: {exc}") from exc
     raise ConfigError(f"unknown phi kind {kind!r}")
 
@@ -87,31 +95,10 @@ def parse_config(data: object) -> ExperimentConfig:
 
     if data["run"] not in RUNS:
         raise ConfigError(f"run must be one of {RUNS}")
-    # bool is a subclass of int, so True would otherwise read as 1.
-    booleans = [key for key in ("p", "iterations", "tolerance", "seed") if isinstance(data[key], bool)]
-    if booleans:
-        raise ConfigError(f"booleans are not numbers: {booleans}")
     try:
-        p = as_exponent(data["p"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid p: {exc}") from exc
-
-    iterations = data["iterations"]
-    if not isinstance(iterations, int) or iterations < 1:
-        raise ConfigError("iterations must be a positive integer")
-    tolerance = data["tolerance"]
-    if not isinstance(tolerance, (int, float)):
-        raise ConfigError("tolerance must be a positive number")
-    try:
-        tolerance = float(tolerance)
-    except OverflowError as exc:
-        raise ConfigError(f"tolerance is past the float range: {exc}") from exc
-    # JSON reads a literal past the float range, such as 1e999, as inf.
-    if not 0.0 < tolerance < math.inf:
-        raise ConfigError("tolerance must be a positive finite number")
-    seed = data["seed"]
-    if not isinstance(seed, int):
-        raise ConfigError("seed is mandatory and must be an integer")
+        numbers = {key: domain.check(key, data[key]) for key, domain in NUMBERS.items()}
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     output_dir = data.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
@@ -120,12 +107,12 @@ def parse_config(data: object) -> ExperimentConfig:
     return ExperimentConfig(
         system_id=system["id"],
         parameters=parameters,
-        p=p,
+        p=as_exponent(numbers["p"]),
         phi=_parse_phi(data["phi"]),
         run=data["run"],
-        iterations=iterations,
-        tolerance=tolerance,
-        seed=seed,
+        iterations=numbers["iterations"],
+        tolerance=numbers["tolerance"],
+        seed=numbers["seed"],
         output_dir=output_dir,
     )
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .chains import chain_self_distance
-from .spaces import ALPHA, CapabilityError, Domain, Exponent, LqSpace, Point, as_exponent, p_combine
+from .spaces import ALPHA, EXPONENT, CapabilityError, Domain, Exponent, LqSpace, Point, as_exponent, p_combine
 from .system import Ball, Box, CyclicSystem, FiniteCloud, _enumerable
 
 
@@ -149,8 +149,7 @@ def make_affine_strip(alpha: float = 0.5, h: float = 1.0) -> GallerySystem:
     "attained away from the truncation boundary",
     m=Domain(2, 16, "[]", integer=True),
     alpha=replace(ALPHA, note="alpha^m < 1/2"),
-    # as_exponent reads "inf" and no other string; its inf has value None.
-    q=Domain(1, math.inf, "[]", read=lambda q: as_exponent(q).value or math.inf),
+    q=EXPONENT,
     N=Domain(2, 50, "[]", integer=True),
 )
 def make_paper_lq_family(

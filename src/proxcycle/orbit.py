@@ -32,11 +32,14 @@ from itertools import chain, count, islice
 from typing import Iterator, Sequence
 
 from .chains import _chain_distance, chain_point_distance, chain_self_distance
-from .spaces import ALPHA, Point, _point_repr, as_exponent, check_point
+from .spaces import ALPHA, CYCLE_LENGTH, Domain, Point, _point_repr, as_exponent
 from .system import MEMBERSHIP_TOL, CyclicSystem
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
+# The arguments of ``apriori_error_bound`` besides alpha and m.
+_STEPS = Domain(0, math.inf, "[)", integer=True, strings=False)
+_GAP = Domain(0, math.inf, "[]", strings=False)
 
 
 @dataclass(frozen=True)
@@ -75,12 +78,8 @@ class SolveResult:
 
 
 def _start(system: CyclicSystem, x0: Sequence[float]) -> Point:
-    """Validate a start point: finite, of the space's dimension, in A_1."""
-    x = check_point(x0)
-    if len(x) != system.space.dimension:
-        raise ValueError(
-            f"x0 has dimension {len(x)} in a {system.space.dimension}-dimensional space"
-        )
+    """Validate a start point: a point of the space, in A_1."""
+    x = system.space.point(x0, "x0")
     if not system.regions[0].contains(x, system.space, MEMBERSHIP_TOL):
         raise ValueError(f"x0 = {_point_repr(x)} is not in the first region")
     return x
@@ -262,14 +261,14 @@ def apriori_error_bound(alpha: float, m: int, k: int, initial_gap: float) -> flo
     """alpha^(mk) * initial_gap / (1 - alpha).
 
     ``alpha`` is the per-step chain contraction factor and ``initial_gap`` the
-    measured chain distance between blocks 1 and 0.
+    measured chain distance between blocks 1 and 0. Each argument is read
+    through its ``Domain``: alpha in (0, 1), m an integer >= 2, k an integer
+    >= 0 and initial_gap a number in [0, inf].
     """
     a = ALPHA.check("alpha", alpha)
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if initial_gap < 0:
-        raise ValueError("initial_gap must be >= 0")
-    return a ** (m * k) * initial_gap / (1.0 - a)
+    m = CYCLE_LENGTH.check("m", m)
+    k = _STEPS.check("k", k)
+    return a ** (m * k) * _GAP.check("initial_gap", initial_gap) / (1.0 - a)
 
 
 def banach_solve(

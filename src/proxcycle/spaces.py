@@ -1,8 +1,9 @@
 """Points, norms, and metric evaluation.
 
 Points are plain tuples of floats. A space is either an l^q norm on R^N or a
-user-supplied two-point metric oracle; both expose ``distance(a, b)``. All
-values are immutable and every operation is pure.
+user-supplied two-point metric oracle; both read an outside point with
+``point(v)`` and expose ``distance(a, b)``. All values are immutable and
+every operation is pure.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from operator import le, lt, sub
+from operator import countOf, le, lt, sub
 from typing import Callable, Iterable, Sequence
 
 Point = tuple[float, ...]
@@ -124,6 +125,8 @@ def as_exponent(p: object) -> Exponent:
 
 
 _REPR_COORDS = 4
+# float() reads these, but they are not numbers; bool is an int.
+_NOT_NUMBERS = (bool, str, bytes)
 
 
 def _point_repr(v: Sequence[float]) -> str:
@@ -137,21 +140,41 @@ def _point_repr(v: Sequence[float]) -> str:
 
 
 def check_point(v: Sequence[float]) -> Point:
-    """Coerce to a coordinate tuple, rejecting empty or non-finite input."""
-    pt = tuple(map(float, v))
-    if not pt:
-        raise ValueError("a point must have dimension >= 1")
-    if not all(map(math.isfinite, pt)):
-        i = next(i for i, c in enumerate(pt) if not math.isfinite(c))
-        raise ValueError(f"non-finite coordinate {pt[i]!r} at index {i} in {_point_repr(pt)}")
-    return pt
+    """Coerce to a tuple of floats, rejecting empty or non-finite input.
+
+    A point is a sequence of numbers: a str or bytes point, or a bool, str
+    or bytes coordinate, is a ValueError, although ``float()`` reads them.
+    Ints and float subclasses become floats. A tuple of exact floats is
+    returned as it is, recognised by counting its coordinates of type
+    float, with no per-coordinate type test and no copy. It is finite when
+    the sum of its coordinates is: a non-finite coordinate makes the sum
+    inf or nan, and only a sum past the float range takes a second look.
+    """
+    if type(v) is not tuple or not v or countOf(map(type, v), float) != len(v):
+        if isinstance(v, (str, bytes)):
+            raise ValueError(f"a point is a sequence of numbers, not a {type(v).__name__}")
+        v = tuple(v)
+        for i, c in enumerate(v):
+            if isinstance(c, _NOT_NUMBERS):
+                raise ValueError(
+                    f"{type(c).__name__} coordinate {c!r} at index {i} in {_point_repr(v)}"
+                )
+        v = tuple(map(float, v))
+        if not v:
+            raise ValueError("a point must have dimension >= 1")
+    if math.isfinite(sum(v)) or all(map(math.isfinite, v)):
+        return v
+    i = next(i for i, c in enumerate(v) if not math.isfinite(c))
+    raise ValueError(f"non-finite coordinate {v[i]!r} at index {i} in {_point_repr(v)}")
 
 
 @dataclass(frozen=True)
 class Domain:
     """Parameter values from ``low`` to ``high``, each end open or closed as
-    ``ends`` shows, integers only if ``integer``, else read by ``read``, with
-    a ``note`` on a rule checked elsewhere; ``str`` gives "integer in [2, 16]"."""
+    ``ends`` shows, integers only if ``integer``, else read by ``read``
+    (numbers only, no strings, unless ``strings``), with a ``note`` on a rule
+    the interval does not spell out or that is checked elsewhere; ``str``
+    gives "integer in [2, 16]"."""
 
     low: float
     high: float
@@ -159,6 +182,7 @@ class Domain:
     integer: bool = False
     note: str | None = None
     read: Callable[[object], float] = float
+    strings: bool = True
 
     def __str__(self) -> str:
         text = f"{self.ends[0]}{self.low}, {self.high}{self.ends[1]}"
@@ -168,13 +192,18 @@ class Domain:
     def check(self, name: str, value: object) -> float:
         """``value`` read into the domain, or a ValueError naming ``name``."""
         try:
-            if isinstance(value, bool):  # an int, so True would otherwise read as 1
+            # bool is an int, so True would read as 1; float() reads strings.
+            if isinstance(value, bool if self.strings else _NOT_NUMBERS):
                 raise TypeError
-            x = self.read(value)
-            if self.integer:
-                x = value if isinstance(value, int) else math.nan
+            if self.integer and isinstance(value, int):
+                x = value  # as it is: float() overflows past the float range
+            else:
+                x = self.read(value)  # a TypeError for a value of the wrong type
+                if self.integer:
+                    x = math.nan  # in no integer domain
         except TypeError:
-            raise ValueError(f"{name} must be a number or a string, got {value!r}") from None
+            kind = "a number or a string" if self.strings else "a number"
+            raise ValueError(f"{name} must be {kind}, got {value!r}") from None
         except (ValueError, OverflowError):
             x = math.nan  # in no domain
         # A closed end compares with <=, an open one with <.
@@ -184,8 +213,12 @@ class Domain:
         raise ValueError(f"{name} must be {'an' if self.integer else 'in'} {self}, got {value!r}")
 
 
-# Every contraction constant lies in (0, 1).
+# Every contraction constant lies in (0, 1), and every cycle has m >= 2 regions.
 ALPHA = Domain(0, 1)
+CYCLE_LENGTH = Domain(2, math.inf, "[)", integer=True, strings=False)
+# Every exponent p or q lies in [1, inf]: as_exponent reads "inf" and no
+# other string, and its inf has value None.
+EXPONENT = Domain(1, math.inf, "[]", read=lambda q: as_exponent(q).value or math.inf)
 
 
 def p_combine(values: Iterable[float], p: object) -> float:
@@ -208,31 +241,31 @@ def lq_norm(v: Sequence[float], q: object) -> float:
 
 
 class Space:
-    """Base for metric substrates; subclasses define ``distance``.
+    """Base for metric substrates; subclasses define ``_distance``.
 
-    ``distance`` is the public entry point and validates both points.
-    ``_distance`` is the same metric on points already validated for this
-    space (finite coordinates, matching dimension), for internal kernels that
-    measure points they validated once; by default it calls ``distance``
-    and returns a float.
+    ``point`` is the one reader of a point from outside: ``check_point``
+    plus this space's dimension. ``distance`` is the public entry point and
+    reads both points through it. ``_distance`` is the metric on points
+    already read, for internal kernels that measure points they read once.
     """
 
     dimension: int
 
+    def point(self, v: Sequence[float], what: str = "point") -> Point:
+        """``v`` as a point of this space, or a ValueError; ``what`` labels
+        the point in the message."""
+        pt = check_point(v)
+        if len(pt) != self.dimension:
+            raise ValueError(
+                f"{what} of dimension {len(pt)} in a {self.dimension}-dimensional space"
+            )
+        return pt
+
     def distance(self, a: Sequence[float], b: Sequence[float]) -> float:
-        raise NotImplementedError
+        return self._distance(self.point(a), self.point(b))
 
     def _distance(self, pa: Point, pb: Point) -> float:
-        return float(self.distance(pa, pb))
-
-    def _check_pair(self, a: Sequence[float], b: Sequence[float]) -> tuple[Point, Point]:
-        pa, pb = check_point(a), check_point(b)
-        if len(pa) != self.dimension or len(pb) != self.dimension:
-            raise ValueError(
-                f"dimension mismatch: space is {self.dimension}-dimensional, "
-                f"points have {len(pa)} and {len(pb)}"
-            )
-        return pa, pb
+        raise NotImplementedError
 
 
 def _combined_gaps(combine: Callable[[list[float]], float], pa: Point, pb: Point) -> float:
@@ -309,9 +342,6 @@ class LqSpace(Space):
     def norm(self, v: Sequence[float]) -> float:
         return lq_norm(v, self.q)
 
-    def distance(self, a: Sequence[float], b: Sequence[float]) -> float:
-        return self._distance(*self._check_pair(a, b))
-
 
 @dataclass(frozen=True)
 class OracleSpace(Space):
@@ -323,9 +353,6 @@ class OracleSpace(Space):
 
     oracle: Callable[[Point, Point], float]
     dimension: int
-
-    def distance(self, a: Sequence[float], b: Sequence[float]) -> float:
-        return self._distance(*self._check_pair(a, b))
 
     def _distance(self, pa: Point, pb: Point) -> float:
         return float(self.oracle(pa, pb))

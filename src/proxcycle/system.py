@@ -21,7 +21,9 @@ from typing import Callable, Sequence
 from .chains import _chain_distance, _check_chain, _check_chains, _edge_distances
 from .spaces import (
     ALPHA,
+    CYCLE_LENGTH,
     CapabilityError,
+    Domain,
     Exponent,
     LqSpace,
     Point,
@@ -39,6 +41,8 @@ MEMBERSHIP_TOL = 1e-9
 # legitimately dip to -MARGIN_ULPS * m * ulp(max(1, S)) below zero.
 MARGIN_ULPS = 8
 EXHAUSTIVE_LIMIT = 10 ** 6
+# Each coordinate of a tabulated phi knot.
+_KNOT = Domain(-math.inf, math.inf, note="every coordinate finite")
 
 
 class MapError(RuntimeError):
@@ -63,6 +67,14 @@ class Region:
 
     def contains(self, point: Sequence[float], space: Space, tol: float = MEMBERSHIP_TOL) -> bool:
         raise NotImplementedError
+
+    def _query(self, point: Sequence[float], space: Space) -> Point:
+        """A ``contains`` query read by ``space.point``, for a region of the
+        space's dimension."""
+        x = space.point(point)
+        if len(x) == self.dimension():
+            return x
+        raise ValueError(f"{self.dimension()}-dimensional region in a {len(x)}-dimensional space")
 
     def sample(self, rng: random.Random) -> Point:
         raise NotImplementedError
@@ -90,15 +102,10 @@ class FiniteCloud(Region):
         return len(self.points[0])
 
     def contains(self, point, space, tol=MEMBERSHIP_TOL):
-        # The query point is validated here; the stored points were validated
-        # when the cloud was built, so after one dimension check both are
-        # measured with the trusted ``_distance``.
-        x = check_point(point)
-        if len(x) != space.dimension or len(self.points[0]) != space.dimension:
-            raise ValueError(
-                f"dimension mismatch: space is {space.dimension}-dimensional, "
-                f"points have {len(x)} and {len(self.points[0])}"
-            )
+        # The stored points were validated when the cloud was built, so with
+        # the query read for the space and the cloud of its dimension both
+        # are measured with the trusted ``_distance``.
+        x = self._query(point, space)
         return min(space._distance(x, p) for p in self.points) <= tol
 
     def sample(self, rng):
@@ -126,9 +133,7 @@ class Box(Region):
         return len(self.lower)
 
     def contains(self, point, space, tol=MEMBERSHIP_TOL):
-        x = check_point(point)
-        if len(x) != len(self.lower):
-            raise ValueError("point dimension does not match region")
+        x = self._query(point, space)
         return all(lo - tol <= c <= hi + tol for c, lo, hi in zip(x, self.lower, self.upper))
 
     def sample(self, rng):
@@ -156,7 +161,7 @@ class Ball(Region):
         return len(self.center)
 
     def contains(self, point, space, tol=MEMBERSHIP_TOL):
-        x = check_point(point)
+        x = self._query(point, space)
         return math.dist(x, self.center) <= self.radius + tol
 
     def sample(self, rng):
@@ -265,11 +270,9 @@ class TabulatedPhi(Phi):
     _ts: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        knots = tuple((float(t), float(v)) for t, v in self.knots)
+        knots = tuple((_KNOT.check("knots", t), _KNOT.check("knots", v)) for t, v in self.knots)
         if len(knots) < 2:
             raise ValueError("need at least 2 knots")
-        if not all(map(math.isfinite, itertools.chain.from_iterable(knots))):
-            raise ValueError("knot coordinates must be finite")
         ts = [t for t, _ in knots]
         vs = [v for _, v in knots]
         if ts[0] != 0.0:
@@ -338,11 +341,7 @@ class CyclicSystem:
     def __post_init__(self) -> None:
         if len(self.regions) < 2:
             raise ValueError("a cyclic system needs m >= 2 regions")
-        artifacts = tuple(check_point(a) for a in self.artifact_points)
-        if any(len(a) != self.space.dimension for a in artifacts):
-            raise ValueError(
-                f"artifact points must be {self.space.dimension}-dimensional like the space"
-            )
+        artifacts = tuple(self.space.point(a, "artifact point") for a in self.artifact_points)
         object.__setattr__(self, "artifact_points", artifacts)
 
     @property
@@ -385,13 +384,7 @@ class CyclicSystem:
         return out
 
     def is_artifact(self, x: Sequence[float], tol: float = 1e-12) -> bool:
-        pt = check_point(x)
-        if self.artifact_points and len(pt) != self.space.dimension:
-            raise ValueError(
-                f"point of dimension {len(pt)} in a "
-                f"{self.space.dimension}-dimensional space"
-            )
-        return self._is_artifact(pt, tol)
+        return self._is_artifact(self.space.point(x), tol)
 
     def _is_artifact(self, pt: Point, tol: float = 1e-12) -> bool:
         """``is_artifact`` for a point already validated for this space."""
@@ -677,8 +670,7 @@ class AlphaBoundResult:
 def alpha_bound_check(alpha: float, m: int, p: object) -> AlphaBoundResult:
     """Check alpha^m < 2^(-1/p); any alpha in (0,1) passes for p = inf."""
     a = ALPHA.check("alpha", alpha)
-    if m < 2:
-        raise ValueError("m must be >= 2")
+    m = CYCLE_LENGTH.check("m", m)
     exp = as_exponent(p)
     threshold = 1.0 if exp.is_inf else 2.0 ** (-1.0 / exp.value)
     value = a ** m

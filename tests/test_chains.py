@@ -89,6 +89,17 @@ def test_chain_length_and_dimension_errors():
         chain_point_distance(LINE, [(0.0, 0.0), (1.0, 1.0)], [(0.0, 0.0), (1.0, 1.0)], 1)
 
 
+@pytest.mark.parametrize("distance", [chain_point_distance, chain_self_distance])
+def test_chain_distances_read_each_point_through_the_space(distance):
+    plane = LqSpace(Exponent(2.0), 2)
+    chain = [(0.0, 0.0), (1.0, 0.0, 0.0)]
+    args = (plane, chain, chain, 2) if distance is chain_point_distance else (plane, chain, 2)
+    with pytest.raises(ValueError, match="^point of dimension 3 in a 2-dimensional space$"):
+        distance(*args)
+    with pytest.raises(ValueError, match="bool coordinate"):
+        distance(plane, [(0.0, 0.0), (True, 0.0)], *args[2:])
+
+
 def test_chain_set_distance_point_clouds():
     a1 = FiniteCloud(((0.0,),))
     a2 = FiniteCloud(((1.0,),))

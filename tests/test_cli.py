@@ -17,7 +17,7 @@ import proxcycle.cli as cli
 import proxcycle.system as system_module
 from proxcycle.gallery import make_kirk_interval
 from proxcycle.orbit import picard_orbit
-from proxcycle.spaces import INFINITY
+from proxcycle.spaces import INFINITY, as_exponent
 from proxcycle.system import MapError
 
 SCHEMA = json.loads(
@@ -81,6 +81,33 @@ def test_cli_rejects_boolean_numbers(tmp_path, key, flag):
     config = write_config(tmp_path, base_config(**{key: flag}))
     assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, parsed",
+    [
+        ("p", "Infinity", INFINITY),
+        ("p", "inf", INFINITY),
+        ("p", 1.5, as_exponent(1.5)),
+        ("iterations", 10**400, 10**400),
+        ("seed", 10**400, 10**400),
+        ("seed", -3, -3),
+        ("tolerance", 1, 1.0),
+    ],
+)
+def test_parse_config_accepts_each_field_inside_its_domain(field, value, parsed):
+    config = cli.parse_config(base_config(**{field: value}))
+    assert getattr(config, field) == parsed
+    assert type(getattr(config, field)) is type(parsed)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("p", "2"), ("tolerance", "1e-3"), ("iterations", "5"), ("iterations", 2.0), ("seed", 1.0)],
+)
+def test_parse_config_rejects_numeric_strings_and_floats_where_parent_did(field, value):
+    with pytest.raises(cli.ConfigError):
+        cli.parse_config(base_config(**{field: value}))
 
 
 def test_parse_config_requires_seed():
@@ -344,15 +371,41 @@ MALFORMED_IMAGES = {
 def test_malformed_map_image_is_a_map_error_with_its_step(
     tmp_path, monkeypatch, capsys, run, image
 ):
-    k = 5
     data = base_config(run=run, iterations=50)
+    _assert_map_error_at_step(tmp_path, monkeypatch, capsys, data, MALFORMED_IMAGES[image])
+
+
+# float() reads each of these, so in the plane they read as (1.0, 2.0) or (1.5, 2.0).
+NON_NUMERIC_IMAGES = {
+    "str": lambda x: "12",
+    "bytes": lambda x: b"12",
+    "bool coordinate": lambda x: [True, 2.0],
+    "str coordinate": lambda x: ["1.5", 2.0],
+}
+
+
+@pytest.mark.parametrize("image", sorted(NON_NUMERIC_IMAGES))
+@pytest.mark.parametrize("run", cli.RUNS)
+def test_string_bytes_and_boolean_images_are_map_errors_with_their_step(
+    tmp_path, monkeypatch, capsys, run, image
+):
+    data = base_config(run=run, iterations=50, system={"id": "affine_strip", "parameters": {}})
+    _assert_map_error_at_step(tmp_path, monkeypatch, capsys, data, NON_NUMERIC_IMAGES[image])
+
+
+def _assert_map_error_at_step(tmp_path, monkeypatch, capsys, data, bad_image):
+    """With the map giving ``bad_image(x)`` at x_{k-1}, ``apply``,
+    ``picard_orbit`` and the run raise ``MapError`` at step k, and
+    ``proxcycle run`` exits 3 with its message."""
+    k = 5
     good = cli.gallery.build(data["system"]["id"], data["system"]["parameters"])
     broken_at = picard_orbit(good.system, good.default_start, k - 1).points[-1]
 
     def malformed(system):
-        # The orbit is strictly monotone in |x|, so only step k maps x_{k-1}.
+        # The orbit's first coordinate is strictly monotone in |x|, so only
+        # step k maps x_{k-1}.
         def map_(x, inner=system.map):
-            return MALFORMED_IMAGES[image](x) if x == broken_at else inner(x)
+            return bad_image(x) if x == broken_at else inner(x)
 
         return map_
 
@@ -546,6 +599,17 @@ def test_exit_2_on_non_finite_tabulated_phi_knot(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("knot", ["[true, 1]", "[1, false]"])
+def test_exit_2_on_boolean_tabulated_phi_knot(tmp_path, knot):
+    text = json.dumps(base_config(run="certify", iterations=50)).replace(
+        '{"kind": "linear", "alpha": 0.5}', f'{{"kind": "tabulated", "knots": [[0, 0], {knot}]}}'
+    )
+    code, err = _run_raw(tmp_path, text)
+    assert code == 2
+    assert err.startswith("error: invalid phi: knots must be a number or a string, got "), err
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_4_on_unwritable_output(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("occupied")
@@ -573,6 +637,10 @@ def _numbers(strategy):
 
 # Per parameter: (values inside the domain, finite values outside it). Sizes
 # are drawn small or past their cap, never just under it, so runs stay fast.
+EXPONENT_VALUES = (
+    _floats(min_value=1) | st.integers(1, 8) | st.sampled_from(["inf", "Infinity", RAW + "1e999"]),
+    _floats(max_value=1, exclude_max=True) | st.sampled_from(["2", "1.5", "-inf", RAW + "-1e999"]),
+)
 ALPHA_VALUES = (_numbers(_floats(min_value=0, max_value=1, exclude_min=True, exclude_max=True)),
                 _floats(max_value=0) | _floats(min_value=1))
 DOMAINS = {
@@ -584,10 +652,7 @@ DOMAINS = {
     "paper_lq_family": {
         "m": (st.integers(2, 3), st.integers(max_value=1) | st.integers(min_value=17) | st.just(2.0)),
         "alpha": ALPHA_VALUES,
-        "q": (
-            _floats(min_value=1) | st.integers(1, 8) | st.sampled_from(["inf", "Infinity", RAW + "1e999"]),
-            _floats(max_value=1, exclude_max=True) | st.sampled_from(["2", "1.5", "-inf", RAW + "-1e999"]),
-        ),
+        "q": EXPONENT_VALUES,
         "N": (st.integers(2, 4), st.integers(max_value=1) | st.integers(min_value=51) | st.just(4.0)),
     },
     "scaled_pair": {
@@ -598,43 +663,72 @@ DOMAINS = {
 }
 
 
-@st.composite
-def generated_configs(draw):
-    """(system id, {name: (value, inside its domain)}, run, iterations)."""
-    system_id = draw(st.sampled_from(sorted(DOMAINS)))
-    # Half the configs keep every parameter inside its domain, so they run.
-    kinds = ["omit", "inside"] + draw(st.sampled_from([[], ["outside", "non-finite", "type", "big"]]))
-    params = {}
-    for name, (inside, outside) in DOMAINS[system_id].items():
+# The top-level numbers, the same way; the base config's value when omitted.
+# Iterations are drawn small, except BIG_INT, which is inside [1, inf).
+FIELDS = {
+    "p": EXPONENT_VALUES,
+    "iterations": (st.integers(1, 50), st.integers(max_value=0) | st.sampled_from([2.0, "5"])),
+    "tolerance": (_floats(min_value=0, exclude_min=True), _floats(max_value=0) | st.just("1e-3")),
+    "seed": (st.integers(), st.sampled_from([1.5, "1"])),
+}
+# Where a non-finite value or BIG_INT is inside the domain.
+INSIDE = {"q": ("inf", RAW + "1e999"), "p": ("inf", RAW + "1e999"), "iterations": (BIG_INT,),
+          "seed": (BIG_INT,)}
+
+
+def _draw_values(draw, domains, kinds):
+    """{name: (value, inside its domain)} for the names whose kind is not "omit"."""
+    values = {}
+    for name, (inside, outside) in domains.items():
         kind = draw(st.sampled_from(kinds))
         if kind == "inside":
-            params[name] = (draw(inside), True)
+            values[name] = (draw(inside), True)
         elif kind != "omit":
             pool = {"outside": outside, "type": st.sampled_from(WRONG_TYPE), "big": st.just(BIG_INT)}
-            # q = inf is inside [1, inf]; the other non-finite values are outside it.
-            non_finite = [v for v in NON_FINITE if name != "q" or v not in ("inf", RAW + "1e999")]
-            params[name] = (draw(pool.get(kind, st.sampled_from(non_finite))), False)
-    return system_id, params, draw(st.sampled_from(cli.RUNS)), draw(st.integers(1, 50))
+            value = draw(pool.get(kind, st.sampled_from(NON_FINITE)))
+            values[name] = (value, value in INSIDE.get(name, ()))
+    return values
+
+
+@st.composite
+def generated_configs(draw):
+    """(system id, {name: (value, inside its domain)}, run, {field: (value,
+    inside its domain)})."""
+    system_id = draw(st.sampled_from(sorted(DOMAINS)))
+    # Half the configs keep every value inside its domain, so they run.
+    kinds = ["omit", "inside"] + draw(st.sampled_from([[], ["outside", "non-finite", "type", "big"]]))
+    params = _draw_values(draw, DOMAINS[system_id], kinds)
+    fields = _draw_values(draw, FIELDS, kinds)
+    fields.setdefault("iterations", (draw(st.integers(1, 50)), True))
+    return system_id, params, draw(st.sampled_from(cli.RUNS)), fields
 
 
 @given(case=generated_configs())
-@example(case=("affine_strip", {"h": (RAW + "1e999", False)}, "periodic", 10))
-@example(case=("scaled_pair", {"separation": ("nan", False)}, "certify", 10))
-@example(case=("paper_lq_family", {"N": (10**6, False)}, "trace", 10))
-@settings(max_examples=120, deadline=None)
+@example(case=("affine_strip", {"h": (RAW + "1e999", False)}, "periodic", {"iterations": (10, True)}))
+@example(case=("scaled_pair", {"separation": ("nan", False)}, "certify", {"iterations": (10, True)}))
+@example(case=("paper_lq_family", {"N": (10**6, False)}, "trace", {"iterations": (10, True)}))
+@example(case=("kirk_interval", {}, "trace", {"tolerance": (RAW + "1e999", False)}))
+@example(case=("kirk_interval", {}, "trace", {"tolerance": (BIG_INT, False)}))
+@example(case=("kirk_interval", {}, "certify", {"iterations": (BIG_INT, True), "p": (True, False)}))
+@example(case=("kirk_interval", {}, "trace", {"iterations": (BIG_INT, True), "seed": (BIG_INT, True)}))
+@settings(max_examples=150, deadline=None)
 def test_generated_configs_run_or_exit_2_naming_the_parameter(case):
-    system_id, params, run, iterations = case
+    system_id, params, run, fields = case
     data = base_config(
         system={"id": system_id, "parameters": {name: v for name, (v, _) in params.items()}},
         run=run,
-        iterations=iterations,
+        **{name: v for name, (v, _) in fields.items()},
     )
     text = re.sub(f'"{RAW}([^"]*)"', r"\1", json.dumps(data))
+    outside = [name for name, (_, inside) in (params | fields).items() if not inside]
+    if data["iterations"] == BIG_INT and not outside:
+        # A run with that budget need not end; the parser takes it as it is.
+        assert cli.parse_config(json.loads(text)).iterations == BIG_INT
+        return
     with tempfile.TemporaryDirectory() as tmp:
         code, err = _run_raw(Path(tmp), text)
         event(f"exit {code}")
         assert code in (0, 2, 3, 4), err
-        outside = [name for name, (_, inside) in params.items() if not inside]
         if outside:
             assert code == 2, (code, err)
         if code == 2:

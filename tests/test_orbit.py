@@ -53,6 +53,14 @@ def test_picard_orbit_rejects_start_outside_first_region():
         picard_orbit(system, (0.5,), 10)
 
 
+def test_picard_orbit_reads_x0_through_the_space():
+    system = make_kirk_interval(0.5).system
+    with pytest.raises(ValueError, match="^x0 of dimension 2 in a 1-dimensional space$"):
+        picard_orbit(system, (-1.0, 0.0), 10)
+    with pytest.raises(ValueError, match="bool coordinate"):
+        picard_orbit(system, (True,), 10)
+
+
 def test_chain_trace_kirk_geometric():
     system = make_kirk_interval(0.5).system
     trace = picard_orbit(system, (-1.0,), 30)
@@ -128,6 +136,30 @@ def test_apriori_error_bound_formula():
     assert apriori_error_bound(0.5, 2, 0, 1.0) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         apriori_error_bound(1.5, 2, 1, 1.0)
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((0.5, 2, 1, math.nan), "initial_gap"),
+        ((0.5, 2, 1, -1.0), "initial_gap"),
+        ((0.5, 2, 1, "1"), "initial_gap"),
+        ((0.5, 2, True, 1.0), "k"),
+        ((0.5, 2, 1.5, 1.0), "k"),
+        ((0.5, 2, -1, 1.0), "k"),
+        ((0.5, 1, 1, 1.0), "m"),
+        ((0.5, 2.5, 1, 1.0), "m"),
+        ((0.5, False, 1, 1.0), "m"),
+    ],
+)
+def test_apriori_error_bound_reads_its_arguments_through_domains(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        apriori_error_bound(*args)
+
+
+def test_apriori_error_bound_takes_an_infinite_gap_and_int_arguments():
+    assert apriori_error_bound(0.5, 2, 1, math.inf) == math.inf
+    assert apriori_error_bound(0.5, 3, 2, 4) == 0.5 ** 6 * 4 / 0.5
 
 
 def test_banach_solve_kirk():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from proxcycle.spaces import (
     ALPHA,
+    EXPONENT,
     INFINITY,
     Domain,
     Exponent,
@@ -63,6 +64,62 @@ def test_check_point_rejects_bad_input():
         check_point((1.0, math.nan))
     with pytest.raises(ValueError):
         lq_norm((math.inf,), 2)
+
+
+@pytest.mark.parametrize(
+    "v, message",
+    [
+        ("12", "not a str"),
+        (b"12", "not a bytes"),
+        ([True, 2.0], "bool coordinate True at index 0"),
+        ((1.0, False), "bool coordinate False at index 1"),
+        (["1.5", 2.0], "str coordinate '1.5' at index 0"),
+        ((1.0, b"2"), "bytes coordinate b'2' at index 1"),
+    ],
+)
+def test_check_point_rejects_strings_bytes_and_booleans(v, message):
+    # float() reads each of these, so a point of them used to pass.
+    with pytest.raises(ValueError, match=message):
+        check_point(v)
+
+
+class Real(float):
+    pass
+
+
+def test_check_point_reads_ints_and_float_subclasses_as_floats():
+    for v in ([1, 2], (1, 2.0), (Real(1.0), 2.0), iter([1.0, 2.0]), range(1, 3)):
+        pt = check_point(v)
+        assert pt == (1.0, 2.0) and type(pt) is tuple
+        assert {type(c) for c in pt} == {float}
+    pt = (1.0, 2.0)
+    assert check_point(pt) is pt  # a tuple of floats is returned as it is
+
+
+def test_check_point_finiteness_does_not_hinge_on_the_sum():
+    big = sys.float_info.max
+    pt = (big, big)  # finite coordinates whose sum is past the float range
+    assert check_point(pt) is pt and check_point([big, big]) == pt
+    for v in ((big, big, -math.inf), (math.inf, -math.inf), (1.0, math.nan), (-big, -math.inf)):
+        with pytest.raises(ValueError, match="non-finite coordinate"):
+            check_point(v)
+
+
+@pytest.mark.parametrize("space", [LqSpace(Exponent(2.0), 2), OracleSpace(math.dist, 2)])
+def test_space_point_is_check_point_plus_the_dimension(space):
+    assert space.point([1, 2]) == (1.0, 2.0)
+    with pytest.raises(ValueError, match="^point of dimension 3 in a 2-dimensional space$"):
+        space.point((1.0, 2.0, 3.0))
+    with pytest.raises(ValueError, match="^x0 of dimension 1 in a 2-dimensional space$"):
+        space.point((1.0,), "x0")
+    with pytest.raises(ValueError, match="non-finite"):
+        space.point((1.0, math.inf))
+    with pytest.raises(ValueError, match="not a str"):
+        space.point("12")
+    for a, b in (((0.0, 0.0), (1.0,)), ((0.0, 0.0, 0.0), (1.0, 0.0))):
+        with pytest.raises(ValueError, match="dimension"):
+            space.distance(a, b)
+    assert space.distance((0, 0), (3, 4)) == 5.0
 
 
 def test_large_q_does_not_overflow():
@@ -361,3 +418,33 @@ def test_negative_infinity_is_not_an_exponent():
     with pytest.raises(ValueError, match="exponent must be >= 1"):
         as_exponent(-math.inf)
     assert as_exponent(math.inf) == INFINITY
+
+
+def test_integer_domains_take_ints_past_the_float_range():
+    anything = Domain(-math.inf, math.inf, integer=True)
+    for value in (10**400, -(10**400), 0):
+        assert anything.check("seed", value) == value
+    assert type(anything.check("seed", 10**400)) is int
+    with pytest.raises(ValueError, match=r"^k must be an integer in \[1, 10\], got 1000"):
+        Domain(1, 10, "[]", integer=True).check("k", 10**400)
+
+
+def test_numbers_only_domain_says_so_and_refuses_strings():
+    numbers = Domain(0, math.inf, strings=False)
+    assert numbers.check("tolerance", 1) == 1.0 and numbers.check("tolerance", 0.5) == 0.5
+    for value in (True, False, None, [1.0], "1e-3", "inf", b"1"):
+        with pytest.raises(ValueError, match=r"^tolerance must be a number, got ") as err:
+            numbers.check("tolerance", value)
+        assert "string" not in str(err.value)
+    for value in (0, math.inf, math.nan, 10**400):
+        with pytest.raises(ValueError, match=r"^tolerance must be in \(0, inf\), got "):
+            numbers.check("tolerance", value)
+
+
+def test_exponent_domain_reads_what_as_exponent_reads():
+    assert EXPONENT.check("p", 2) == 2.0 and EXPONENT.check("p", 1) == 1.0
+    for value in ("inf", "Infinity", math.inf):
+        assert EXPONENT.check("p", value) == math.inf
+    for value in ("2", 0.5, -math.inf, math.nan, 10**400):
+        with pytest.raises(ValueError, match=r"^p must be in \[1, inf\], got "):
+            EXPONENT.check("p", value)

@@ -77,6 +77,23 @@ def test_membership_and_sampling():
     assert fam.contains((2.0, 0.0), L2_2)
 
 
+@pytest.mark.parametrize(
+    "region",
+    [Box((0.0, 0.0), (1.0, 0.0)), Ball((0.0, 0.0), 1.0), FiniteCloud(((0.0, 0.0), (1.0, 0.0)))],
+    ids=["box", "ball", "cloud"],
+)
+def test_contains_reads_the_query_through_the_space(region):
+    for query in ((0.5,), (0.5, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="dimension"):
+            region.contains(query, L2_2)
+    with pytest.raises(ValueError, match="bool coordinate"):
+        region.contains((True, 0.0), L2_2)
+    # A region of the wrong dimension for the space.
+    with pytest.raises(ValueError, match="^2-dimensional region in a 1-dimensional space$"):
+        region.contains((0.5,), L2_1)
+    assert region.contains((1.0, 0.0), L2_2)
+
+
 def test_region_distance_cases():
     # cloud vs cloud: exact min over pairs
     c1 = FiniteCloud(((0.0,), (0.5,)))
@@ -195,6 +212,15 @@ def test_tabulated_phi_construction_and_extension():
 def test_tabulated_phi_rejects_non_finite_knots(knots):
     with pytest.raises(ValueError, match="finite"):
         TabulatedPhi(knots)
+
+
+def test_tabulated_phi_rejects_boolean_knots_as_alpha_does():
+    for knots in (((0, 0), (True, 1)), ((0, False), (1, 1))):
+        with pytest.raises(ValueError, match="^knots must be a number or a string, got "):
+            TabulatedPhi(knots)
+    with pytest.raises(ValueError, match="^alpha must be a number or a string, got True"):
+        LinearPhi(True)
+    assert TabulatedPhi((("0", 0), (1, "0.5"))).knots == ((0.0, 0.0), (1.0, 0.5))
 
 
 def test_tabulated_phi_matches_direct_interpolation():
@@ -456,6 +482,9 @@ def test_alpha_bound_examples():
         alpha_bound_check(1.2, 2, 1)
     with pytest.raises(ValueError):
         alpha_bound_check(0.5, 1, 1)
+    for m in (2.5, 2.0, True, "2", None):
+        with pytest.raises(ValueError, match="^m must be "):
+            alpha_bound_check(0.5, m, 1)
 
 
 SAMPLED_SYSTEMS = {
@@ -542,6 +571,16 @@ def test_artifact_points_are_validated_at_construction():
     )
     assert system.artifact_points == ((1.0,),)
     assert system.is_artifact((1.0,)) and not system.is_artifact((0.5,))
+
+
+def test_is_artifact_reads_its_point_through_the_space():
+    # kirk_interval has no artifact points; the point is checked all the same.
+    kirk = make_kirk_interval().system
+    assert kirk.artifact_points == () and not kirk.is_artifact((0.5,))
+    with pytest.raises(ValueError, match="^point of dimension 2 in a 1-dimensional space$"):
+        kirk.is_artifact((1.0, 2.0))
+    with pytest.raises(ValueError, match="not a str"):
+        kirk.is_artifact("1")
 
 
 def test_box_coerces_and_compares_its_bounds():
