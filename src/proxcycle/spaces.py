@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from operator import countOf, le, lt, sub
+from operator import countOf, le, lt, mul, sub, truediv
 from typing import Callable, Iterable, Sequence
 
 Point = tuple[float, ...]
@@ -36,6 +36,29 @@ def _power_sum(power: float, inv: float, vals: Sequence[float]) -> float:
     return peak * math.fsum([(v / peak) ** power for v in vals]) ** inv
 
 
+def _power_sum_columns(power: float, inv: float, cols: Sequence[Sequence[float]]) -> list[float]:
+    """``_power_sum`` of every row of ``cols``, one C-level map per step.
+
+    Each row gets the same operations in the same order as ``_power_sum``:
+    its peak, each term ``(v / peak) ** power`` in column order, ``fsum``,
+    ``** inv`` and ``* peak``. A zero peak would divide by zero and an
+    infinite one give inf / inf, so those rows divide by inf instead, which
+    raises nothing, and then take ``_power_sum``'s answer for them: 0.0 and
+    inf.
+    """
+    peaks = list(map(max, *cols))
+    special = 0.0 in peaks or math.inf in peaks
+    scales = [math.inf if pk == 0.0 else pk for pk in peaks] if special else peaks
+    terms = [map(pow, map(truediv, col, scales), itertools.repeat(power)) for col in cols]
+    sums = map(math.fsum, zip(*terms))
+    out = list(map(mul, scales, map(pow, sums, itertools.repeat(inv))))
+    if special:
+        for j, pk in enumerate(peaks):
+            if pk == 0.0 or pk == math.inf:
+                out[j] = 0.0 if pk == 0.0 else pk
+    return out
+
+
 def _sum_or_inf(vals: Sequence[float]) -> float:
     """``math.fsum`` of nonnegative values, with a sum past the float range
     giving inf instead of fsum's OverflowError. fsum can also trip on an
@@ -55,6 +78,21 @@ def _sum_or_inf(vals: Sequence[float]) -> float:
         return math.inf
 
 
+def _sum_columns(cols: Sequence[Sequence[float]]) -> list[float]:
+    """``_sum_or_inf`` of every row of ``cols``: ``math.fsum`` per row,
+    and the rows once more through ``_sum_or_inf`` if one overflows."""
+    try:
+        return list(map(math.fsum, zip(*cols)))
+    except OverflowError:
+        return list(map(_sum_or_inf, zip(*cols)))
+
+
+def _max_columns(cols: Sequence[Sequence[float]]) -> list[float]:
+    """The max of every row of ``cols``; ``max`` of the m values of a row
+    compares them as ``max`` of their list does."""
+    return list(map(max, *cols))
+
+
 @dataclass(frozen=True)
 class Exponent:
     """An exponent in [1, inf]. ``value is None`` is the infinity tag.
@@ -65,19 +103,26 @@ class Exponent:
     ``_combine(vals)`` is the p-combination of a list or tuple of
     nonnegative floats for this exponent, chosen once here: the max for inf,
     ``math.fsum`` for 1 (inf when the sum overflows), the peak-scaled power
-    sum otherwise.
+    sum otherwise. ``_combine_columns(cols)`` takes two or more columns of
+    equal length and returns ``[_combine(row) for row in zip(*cols)]``, bit
+    for bit, with the per-value work done by C-level maps over whole
+    columns.
     For finite q, ``_power`` is the power the sum raises to (an int when q is
     integral) and ``_inv`` is 1/q; both are None for inf.
     """
 
     value: float | None = None
     _combine: Callable[[Sequence[float]], float] = field(init=False, repr=False, compare=False)
+    _combine_columns: Callable[[Sequence[Sequence[float]]], list[float]] = field(
+        init=False, repr=False, compare=False
+    )
     _power: float | None = field(init=False, repr=False, compare=False, default=None)
     _inv: float | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if self.value is None:
             object.__setattr__(self, "_combine", partial(max, default=0.0))
+            object.__setattr__(self, "_combine_columns", _max_columns)
             return
         v = float(self.value)
         if v < 1.0:
@@ -91,8 +136,13 @@ class Exponent:
         power, inv = (int(v) if v == int(v) else v), 1.0 / v
         object.__setattr__(self, "_power", power)
         object.__setattr__(self, "_inv", inv)
-        combine = _sum_or_inf if v == 1.0 else partial(_power_sum, power, inv)
+        if v == 1.0:
+            combine, columns = _sum_or_inf, _sum_columns
+        else:
+            combine = partial(_power_sum, power, inv)
+            columns = partial(_power_sum_columns, power, inv)
         object.__setattr__(self, "_combine", combine)
+        object.__setattr__(self, "_combine_columns", columns)
 
     @property
     def is_inf(self) -> bool:
@@ -113,7 +163,8 @@ def as_exponent(p: object) -> Exponent:
         if p.lower() in ("inf", "infinity"):
             return INFINITY
         raise ValueError(f"cannot read exponent from {p!r}")
-    if isinstance(p, (int, float)):
+    # bool is an int, but True is not the exponent 1.
+    if isinstance(p, (int, float)) and not isinstance(p, bool):
         try:
             value = float(p)
         except OverflowError as exc:

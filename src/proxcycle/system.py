@@ -15,7 +15,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import getitem
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .chains import _chain_distance, _check_chain, _check_chains, _edge_distances
@@ -43,6 +43,15 @@ MARGIN_ULPS = 8
 EXHAUSTIVE_LIMIT = 10 ** 6
 # Each coordinate of a tabulated phi knot.
 _KNOT = Domain(-math.inf, math.inf, note="every coordinate finite")
+
+
+def _read_knot(knot: object) -> tuple[float, float]:
+    """A tabulated phi knot (t, v), each coordinate read by ``_KNOT``; a str
+    or bytes knot is refused, although it unpacks into two characters."""
+    if isinstance(knot, (str, bytes)):
+        raise ValueError(f"knots must be pairs of numbers, got {knot!r}")
+    t, v = knot
+    return _KNOT.check("knots", t), _KNOT.check("knots", v)
 
 
 class MapError(RuntimeError):
@@ -247,6 +256,11 @@ class Phi:
     def __call__(self, t: float) -> float:
         raise NotImplementedError
 
+    def _many(self, ts: Sequence[float]) -> list[float]:
+        """``[self(t) for t in ts]``; a subclass may do it in fewer steps,
+        with the same values and errors."""
+        return list(map(self, ts))
+
 
 @dataclass(frozen=True)
 class LinearPhi(Phi):
@@ -260,6 +274,13 @@ class LinearPhi(Phi):
             raise ValueError("phi is defined on [0, inf)")
         return self.alpha * t
 
+    def _many(self, ts: Sequence[float]) -> list[float]:
+        # min passes over a NaN unless it comes first; then every t is tested.
+        if not min(ts, default=0.0) >= 0 and any(t < 0 for t in ts):
+            raise ValueError("phi is defined on [0, inf)")
+        alpha = self.alpha
+        return [alpha * t for t in ts]
+
 
 @dataclass(frozen=True)
 class TabulatedPhi(Phi):
@@ -270,7 +291,7 @@ class TabulatedPhi(Phi):
     _ts: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        knots = tuple((_KNOT.check("knots", t), _KNOT.check("knots", v)) for t, v in self.knots)
+        knots = tuple(map(_read_knot, self.knots))
         if len(knots) < 2:
             raise ValueError("need at least 2 knots")
         ts = [t for t, _ in knots]
@@ -349,10 +370,10 @@ class CyclicSystem:
         return len(self.regions)
 
     def apply(self, x: Sequence[float], step: int | None = None) -> Point:
-        return self._image(check_point(x), step)
+        return self._image(self.space.point(x), step)
 
     def apply_n(self, x: Sequence[float], k: int) -> Point:
-        pt = check_point(x)
+        pt = self.space.point(x)
         for _ in range(k):
             pt = self._image(pt)
         return pt
@@ -502,7 +523,22 @@ class _Scan:
     witness_ys: tuple[Point, ...] = ()
     evaluated: int = 0
     skips: int = 0
-    scale: float = 0.0  # largest of lhs, d, phi(d), phi(D) over evaluated pairs
+    # S: the largest finite one of lhs, d, phi(d), phi(D) over evaluated pairs
+    scale: float = 0.0
+
+
+def _finite_max(scale: float, values: Sequence[float]) -> float:
+    """The larger of ``scale`` (finite) and the largest finite value in
+    ``values``.
+
+    S leaves out infinite and NaN sides: an infinite S would make the floor
+    -inf and pass every certificate. With ``scale`` first, ``max`` passes
+    over every NaN.
+    """
+    top = max(scale, *values)
+    if top == math.inf:
+        top = max(scale, max(filter(math.isfinite, values), default=scale))
+    return top
 
 
 def _scan_sampled(
@@ -511,7 +547,7 @@ def _scan_sampled(
     rng = random.Random(seed)
     space, regions, combine = system.space, system.regions, exp._combine
     artifacts = system.artifact_points
-    scan = _Scan(scale=phi_set)
+    scan = _Scan(scale=_finite_max(0.0, (phi_set,)))
     for _ in range(tuple_samples):
         # Each sampled point is validated once, here; the rest trusts it.
         xs = _check_chain(space, [r.sample(rng) for r in regions])
@@ -522,24 +558,44 @@ def _scan_sampled(
         lhs, d, phi_d = _pair_sides(system, phi, combine, xs, ys)
         margin = (d - phi_d + phi_set) - lhs
         scan.evaluated += 1
-        scan.scale = max(scan.scale, lhs, d, phi_d)
+        scan.scale = _finite_max(scan.scale, (lhs, d, phi_d))
         if margin < scan.min_margin:
             scan.min_margin = margin
             scan.witness_xs, scan.witness_ys = xs, ys
     return scan
 
 
+def _getter(indices: list[int]) -> Callable[[Sequence[float]], tuple[float, ...]]:
+    """``itemgetter(*indices)``, always returning a tuple: with one index
+    ``itemgetter`` returns the item itself."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda row: (row[i],)
+    return itemgetter(*indices)
+
+
 def _scan_exhaustive(system: CyclicSystem, phi: Phi, exp: Exponent, phi_set: float) -> _Scan:
-    """Every tuple pair, from per-edge tables instead of per-pair work.
+    """Every tuple pair, from per-edge tables, one block of pairs at a time.
 
     Term i of both chain distances depends only on the edge pair
-    (x_i, y_{i+1}), so each point is flagged and mapped once, each edge
-    distance is computed once, and each pair only looks its m terms up. The
-    pairs are walked in ``product(tuples, tuples)`` order and the terms go to
-    the exponent's ``_combine`` in chain order, so every margin, and with it
-    the witness, is bit-identical to ``contraction_margin``. Region points
-    were validated when their region was built and ``verify_contraction``
-    checked each region's dimension, so the tables trust them.
+    (x_i, y_{i+1}), so each point is flagged and mapped once and each edge
+    distance is computed once. A block is one x-tuple against every y-tuple,
+    at most 1 000 pairs under ``EXHAUSTIVE_LIMIT``. Term i of a block is a
+    column read from the x-tuple's row of edge table i by one
+    ``itemgetter`` over the shifted y-indices, built once per scan. The
+    exponent's ``_combine_columns`` turns the m columns into every d and
+    every lhs of the block, ``phi._many`` gives every phi(d), and one pass
+    over the block gives every margin ``((d - phi(d)) + phi(D)) - lhs``.
+
+    Each margin gets the operations ``contraction_margin`` gives its pair,
+    in the same order, so every margin is bit-identical to it. The block
+    minimum is taken with the running minimum in front, so a NaN margin
+    (inf - inf, from an overflowing distance) is passed over as a per-pair
+    ``<`` would pass it, also when it comes first in its block, and the
+    witness is the first pair in ``product(tuples, tuples)`` order that
+    reaches the minimum. Region points were validated when their region was
+    built and ``verify_contraction`` checked each region's dimension, so
+    the tables trust them.
     """
     m = system.m
     regions = system.regions
@@ -568,29 +624,24 @@ def _scan_exhaustive(system: CyclicSystem, phi: Phi, exp: Exponent, phi_set: flo
         mapped.append([[dist(image[x], image[y]) for y in tails] for x in heads])
 
     index_tuples = list(itertools.product(*(range(len(pts)) for pts in usable)))
-    # Term i pairs x_i with y_{i+1}: rotate each ys index tuple once.
-    shifted = [t[1:] + t[:1] for t in index_tuples]
-    combine = exp._combine
+    # Term i pairs x_i with y_{i+1}: getters[i] reads, from a row of edge
+    # table i, the column of every y-tuple's index i + 1.
+    getters = [_getter([t[(i + 1) % m] for t in index_tuples]) for i in range(m)]
+    d_edges, e_edges = list(zip(getters, gaps)), list(zip(getters, mapped))
+    combine = exp._combine_columns
     witness = None
     min_margin = math.inf
-    scale = phi_set
+    scale = _finite_max(0.0, (phi_set,))
     for xt in index_tuples:
-        d_rows = [gaps[i][a] for i, a in enumerate(xt)]
-        e_rows = [mapped[i][a] for i, a in enumerate(xt)]
-        for yt, ys_next in zip(index_tuples, shifted):
-            d = combine(list(map(getitem, d_rows, ys_next)))
-            lhs = combine(list(map(getitem, e_rows, ys_next)))
-            phi_d = phi(d)
-            margin = (d - phi_d + phi_set) - lhs
-            if lhs > scale:
-                scale = lhs
-            if d > scale:
-                scale = d
-            if phi_d > scale:
-                scale = phi_d
-            if margin < min_margin:
-                min_margin = margin
-                witness = (xt, yt)
+        ds = combine([get(table[a]) for (get, table), a in zip(d_edges, xt)])
+        lhs = combine([get(table[a]) for (get, table), a in zip(e_edges, xt)])
+        phi_ds = phi._many(ds)
+        margins = [(d - phi_d + phi_set) - e for d, phi_d, e in zip(ds, phi_ds, lhs)]
+        scale = _finite_max(scale, lhs + ds + phi_ds)
+        best = min(min_margin, *margins)
+        if best < min_margin:
+            min_margin = best
+            witness = (xt, index_tuples[margins.index(best)])
 
     def points(t: tuple[int, ...]) -> tuple[Point, ...]:
         return tuple(usable[i][a] for i, a in enumerate(t))

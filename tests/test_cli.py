@@ -610,6 +610,16 @@ def test_exit_2_on_boolean_tabulated_phi_knot(tmp_path, knot):
     assert not (tmp_path / "o").exists()
 
 
+def test_exit_2_on_string_tabulated_phi_knot(tmp_path):
+    text = json.dumps(base_config(run="certify", iterations=50)).replace(
+        '{"kind": "linear", "alpha": 0.5}', '{"kind": "tabulated", "knots": [[0, 0], "12"]}'
+    )
+    code, err = _run_raw(tmp_path, text)
+    assert code == 2
+    assert err.startswith("error: invalid phi: knots must be pairs of numbers, got '12'"), err
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_4_on_unwritable_output(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("occupied")

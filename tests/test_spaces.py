@@ -333,6 +333,54 @@ def test_q1_combination_overflows_to_inf_and_keeps_finite_sums():
     assert p_combine([1e308, 7e307], 1) == 1.7e308
 
 
+# --- column kernels -------------------------------------------------------------
+
+# magnitudes, overflowed distances, and terms whose q = 1 sum sits at the
+# overflow threshold or past it
+column_values = st.one_of(
+    magnitudes,
+    st.just(math.inf),
+    st.sampled_from([sys.float_info.max, 1e308, 7e307, 2.0**969, 2.0**969 - 2.0**916]),
+)
+
+
+@st.composite
+def columns(draw):
+    """Two to five equal-length columns, some rows all zeros."""
+    m = draw(st.integers(2, 5))
+    k = draw(st.integers(1, 12))
+    cols = [draw(st.lists(column_values, min_size=k, max_size=k)) for _ in range(m)]
+    for j in draw(st.sets(st.integers(0, k - 1))):
+        for col in cols:
+            col[j] = 0.0
+    return cols
+
+
+@pytest.mark.parametrize("q", [1, 1.5, 2, 3, "inf"])
+@given(columns())
+@example([[0.0, 0.0], [0.0, 1.0]])  # an all-zero row next to an ordinary one
+@example([[math.inf, 1.0], [1e308, 0.0]])  # an infinite peak
+@example([[1e308, 1.0], [1e308, 2.0]])  # a q = 1 row past the float range
+@example([[sys.float_info.max], [2.0**969], [2.0**969 - 2.0**916]])  # fsum trips, sum fits
+@settings(max_examples=200, deadline=None)
+def test_combine_columns_is_the_per_row_combine_bit_for_bit(q, cols):
+    exp = as_exponent(q)
+    got = exp._combine_columns(cols)
+    want = [exp._combine(list(row)) for row in zip(*cols)]
+    assert list(map(float.hex, got)) == list(map(float.hex, want))
+    # The kernel reads tuples as readily as lists: the scan hands it tuples.
+    assert exp._combine_columns([tuple(c) for c in cols]) == got
+
+
+def test_booleans_are_not_exponents():
+    for value in (True, False):
+        with pytest.raises(TypeError, match="cannot read exponent from"):
+            as_exponent(value)
+    with pytest.raises(TypeError, match="cannot read exponent from True"):
+        p_combine([3.0, 4.0], True)
+    assert as_exponent(1) == Exponent(1.0)
+
+
 # --- the plane kernel ---------------------------------------------------------
 
 signed_magnitudes = st.tuples(magnitudes, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])

@@ -223,6 +223,25 @@ def test_tabulated_phi_rejects_boolean_knots_as_alpha_does():
     assert TabulatedPhi((("0", 0), (1, "0.5"))).knots == ((0.0, 0.0), (1.0, 0.5))
 
 
+def test_tabulated_phi_refuses_str_and_bytes_knots():
+    # A two-character string unpacks into two coordinates.
+    for knot in ("12", b"12"):
+        with pytest.raises(ValueError, match="^knots must be pairs of numbers, got "):
+            TabulatedPhi([[0, 0], knot])
+    assert TabulatedPhi([[0, 0], ["1", "2"]]).knots == ((0.0, 0.0), (1.0, 2.0))
+
+
+@pytest.mark.parametrize(
+    "phi", [LinearPhi(0.3), TabulatedPhi(((0.0, 0.1), (0.7, 0.3), (2.0, 0.6)))], ids=repr
+)
+def test_phi_many_is_phi_of_each_value(phi):
+    ts = [0.0, 0.25, 0.7, 3.0, 1e308, math.inf, math.nan]
+    assert list(map(float.hex, phi._many(ts))) == [phi(t).hex() for t in ts]
+    assert phi._many([]) == []
+    with pytest.raises(ValueError, match="phi is defined on"):
+        phi._many([1.0, math.nan, -1e-300])
+
+
 def test_tabulated_phi_matches_direct_interpolation():
     knots = ((0.0, 0.1), (0.7, 0.35), (2.0, 0.6), (3.5, 1.9))
     phi = TabulatedPhi(knots)
@@ -406,10 +425,12 @@ def test_scaled_pair_far_apart_certifies():
 
 def _reference(system, phi, p, pairs):
     """The given tuple pairs, in order, each margin worked out from the public
-    ``system.apply`` and ``chain_point_distance``."""
+    ``system.apply`` and ``chain_point_distance``, and the verdict from the
+    largest finite side."""
     set_distance = system.set_chain_distance(p)
     phi_set = phi(set_distance)
     best, witness, evaluated, skips = math.inf, ((), ()), 0, 0
+    sides = [phi_set]
     for xs, ys in pairs:
         if any(system.is_artifact(pt) for pt in xs + ys):
             skips += 1
@@ -419,11 +440,16 @@ def _reference(system, phi, p, pairs):
         lhs = chain_point_distance(system.space, txs, tys, p)
         d = chain_point_distance(system.space, xs, ys, p)
         margin = (d - phi(d) + phi_set) - lhs
-        assert margin == contraction_margin(system, phi, p, xs, ys, set_distance)
+        same = contraction_margin(system, phi, p, xs, ys, set_distance)
+        assert margin.hex() == same.hex()
+        sides += [lhs, d, phi(d)]
         evaluated += 1
         if margin < best:
             best, witness = margin, (xs, ys)
-    return best, witness, evaluated, skips
+    scale = max([s for s in sides if math.isfinite(s)], default=0.0)
+    floor = -8 * system.m * math.ulp(max(1.0, scale))
+    ok = evaluated > 0 and best >= floor
+    return best, witness, evaluated, skips, ok
 
 
 def _brute_force(system, phi, p):
@@ -441,18 +467,106 @@ def _sampled_pairs(system, samples, seed):
         yield xs, ys
 
 
+def _assert_matches_brute_force(system, phis, ps):
+    """Every certificate field the exhaustive scan decides equals the per-pair
+    brute force, ``min_margin`` bit for bit."""
+    for p, phi in itertools.product(ps, phis):
+        cert = verify_contraction(system, phi, p, seed=0)
+        assert cert.exhaustive
+        best, (wxs, wys), evaluated, skips, ok = _brute_force(system, phi, p)
+        # With no pair evaluated the certificate reports NaN, not inf.
+        assert cert.min_margin.hex() == (best if evaluated else math.nan).hex(), (p, phi)
+        assert (cert.witness_xs, cert.witness_ys) == (wxs, wys), (p, phi)
+        assert (cert.evaluated, cert.artifact_skips, cert.ok) == (evaluated, skips, ok), (p, phi)
+
+
+PHIS = (LinearPhi(0.4), TabulatedPhi(((0.0, 0.1), (0.7, 0.3), (2.0, 0.6))))
+
+
 @pytest.mark.parametrize("m,n", [(2, 3), (3, 2)])
 @pytest.mark.parametrize("q", [1, 2, "inf"])
 def test_exhaustive_certificate_matches_brute_force(m, n, q):
     system = make_paper_lq_family(m=m, alpha=0.5, q=q, N=n).system
-    phis = (LinearPhi(0.4), TabulatedPhi(((0.0, 0.1), (0.7, 0.3), (2.0, 0.6))))
-    for p, phi in itertools.product((1, 2, 3.5, "inf"), phis):
-        cert = verify_contraction(system, phi, p, seed=0)
-        assert cert.exhaustive
-        best, (wxs, wys), evaluated, skips = _brute_force(system, phi, p)
-        assert cert.min_margin == best, (p, phi)
-        assert (cert.witness_xs, cert.witness_ys) == (wxs, wys)
-        assert (cert.evaluated, cert.artifact_skips) == (evaluated, skips)
+    _assert_matches_brute_force(system, PHIS, (1, 2, 3.5, "inf"))
+
+
+def _flip(x):
+    return (-x[0],)
+
+
+# x -> -x swaps the two clouds, and 1e308 - (-1e308) overflows: some pairs
+# have d = inf, where d - phi(d) is inf - inf, a NaN margin, and one of them
+# comes first in its block.
+OVERFLOW = CyclicSystem(
+    space=LqSpace(1, 1),
+    regions=(
+        FiniteCloud(((1e308,), (-1e308,), (0.0,))),
+        FiniteCloud(((-1e308,), (1e308,), (0.0,))),
+    ),
+    map=_flip,
+)
+
+FINITE_CLOUD_SYSTEMS = {
+    # one point per region: one tuple, so one pair in one block of one
+    "one-tuple": CyclicSystem(
+        space=L2_1, regions=(FiniteCloud(((1.0,),)), FiniteCloud(((-1.0,),))), map=_flip
+    ),
+    # one usable tuple left once the artifact points are skipped
+    "one-usable-tuple": CyclicSystem(
+        space=L2_2,
+        regions=(
+            FiniteCloud(((1.0, 0.0), (3.0, 0.0))),
+            FiniteCloud(((-1.0, 0.0), (-3.0, 0.0))),
+            FiniteCloud(((0.0, 2.0), (0.0, 5.0))),
+        ),
+        map=lambda x: (-0.5 * x[0], 0.5 * x[1]),
+        artifact_points=((3.0, 0.0), (-3.0, 0.0), (0.0, 5.0)),
+    ),
+    # every tuple touches an artifact point: nothing is evaluated
+    "all-skipped": CyclicSystem(
+        space=L2_1,
+        regions=(FiniteCloud(((1.0,), (2.0,))), FiniteCloud(((-1.0,),))),
+        map=_flip,
+        artifact_points=((-1.0,),),
+    ),
+    # artifact skips among evaluated pairs, three regions in the plane
+    "artifacts": CyclicSystem(
+        space=L2_2,
+        regions=(
+            FiniteCloud(((1.0, 0.0), (2.0, 0.5), (3.0, 0.0))),
+            FiniteCloud(((0.0, 1.0), (0.5, 2.0))),
+            FiniteCloud(((-1.0, -1.0), (-2.0, -1.5), (-3.0, -1.0))),
+        ),
+        map=lambda x: (0.5 * x[1], 0.5 * x[0]),
+        artifact_points=((3.0, 0.0), (0.5, 2.0)),
+    ),
+    # equal points in neighbouring regions: all-zero rows in a block
+    "zero-rows": CyclicSystem(
+        space=LqSpace(2, 3),
+        regions=(
+            FiniteCloud(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))),
+            FiniteCloud(((0.0, 0.0, 0.0), (0.0, 1.0, 0.0))),
+        ),
+        map=lambda x: (0.0, 0.0, 0.0),
+    ),
+    "overflow": OVERFLOW,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_CLOUD_SYSTEMS))
+def test_finite_cloud_certificates_match_brute_force(name):
+    system = FINITE_CLOUD_SYSTEMS[name]
+    _assert_matches_brute_force(system, PHIS, (1, 1.5, 2, 3, "inf"))
+
+
+@pytest.mark.parametrize("p", [1, 2, "inf"])
+def test_an_infinite_side_does_not_pass_the_certificate(p):
+    # The margins that are not NaN reach -phi(d) at d about 1e308; only an
+    # infinite S would make the floor -inf and let them through.
+    cert = verify_contraction(OVERFLOW, LinearPhi(0.5), p)
+    assert cert.exhaustive and cert.evaluated == 81
+    assert cert.min_margin < -1e307
+    assert not cert.ok
 
 
 def test_exhaustive_certificate_raises_map_error_with_point():
@@ -502,12 +616,12 @@ def test_sampled_certificate_matches_per_pair_reference(name, seed):
     for p, phi in itertools.product((1, 2, 3.5, "inf"), phis):
         cert = verify_contraction(system, phi, p, tuple_samples=150, seed=seed)
         assert not cert.exhaustive
-        best, (wxs, wys), evaluated, skips = _reference(
+        best, (wxs, wys), evaluated, skips, ok = _reference(
             system, phi, p, _sampled_pairs(system, 150, seed)
         )
         assert cert.min_margin == best, (p, phi)
         assert (cert.witness_xs, cert.witness_ys) == (wxs, wys)
-        assert (cert.evaluated, cert.artifact_skips) == (evaluated, skips)
+        assert (cert.evaluated, cert.artifact_skips, cert.ok) == (evaluated, skips, ok)
 
 
 def test_sampled_certificate_raises_map_error_with_point():
@@ -571,6 +685,16 @@ def test_artifact_points_are_validated_at_construction():
     )
     assert system.artifact_points == ((1.0,),)
     assert system.is_artifact((1.0,)) and not system.is_artifact((0.5,))
+
+
+def test_apply_reads_its_point_through_the_space():
+    kirk = make_kirk_interval().system
+    assert kirk.apply((0.5,)) == kirk.apply_n((0.5,), 1)
+    for call in (lambda x: kirk.apply(x), lambda x: kirk.apply_n(x, 3)):
+        with pytest.raises(ValueError, match="^point of dimension 2 in a 1-dimensional space$"):
+            call((0.5, 7.0))
+        with pytest.raises(ValueError, match="not a str"):
+            call("1")
 
 
 def test_is_artifact_reads_its_point_through_the_space():
