@@ -17,6 +17,8 @@ from operator import countOf, le, lt, mul, sub, truediv
 from typing import Callable, Iterable, Sequence
 
 Point = tuple[float, ...]
+# float() reads these, but they are not numbers; bool is an int.
+_NOT_NUMBERS = (bool, str, bytes)
 
 
 class CapabilityError(TypeError):
@@ -124,6 +126,9 @@ class Exponent:
             object.__setattr__(self, "_combine", partial(max, default=0.0))
             object.__setattr__(self, "_combine_columns", _max_columns)
             return
+        # True is not the exponent 1, nor "2" the exponent 2: as_exponent's rule.
+        if isinstance(self.value, _NOT_NUMBERS):
+            raise TypeError(f"cannot read exponent from {self.value!r}")
         v = float(self.value)
         if v < 1.0:
             raise ValueError(f"exponent must be >= 1, got {v}")
@@ -176,8 +181,6 @@ def as_exponent(p: object) -> Exponent:
 
 
 _REPR_COORDS = 4
-# float() reads these, but they are not numbers; bool is an int.
-_NOT_NUMBERS = (bool, str, bytes)
 
 
 def _point_repr(v: Sequence[float]) -> str:
@@ -311,6 +314,21 @@ class Space:
                 f"{what} of dimension {len(pt)} in a {self.dimension}-dimensional space"
             )
         return pt
+
+    def _as_read(self, points: Sequence[object]) -> bool:
+        """Whether ``point`` would return every one of ``points`` as it is:
+        nonempty tuples of ``dimension`` exact floats, all finite. One
+        C-level pass per test, over the points and then over all their
+        coordinates, with ``check_point``'s finiteness test on the sum of the
+        coordinates. A block of points read as it is needs no per-point
+        ``point`` call."""
+        n, dim = len(points), self.dimension
+        if dim < 1 or countOf(map(type, points), tuple) != n or countOf(map(len, points), dim) != n:
+            return False
+        coords = list(itertools.chain.from_iterable(points))
+        return countOf(map(type, coords), float) == len(coords) and (
+            math.isfinite(sum(coords)) or all(map(math.isfinite, coords))
+        )
 
     def distance(self, a: Sequence[float], b: Sequence[float]) -> float:
         return self._distance(self.point(a), self.point(b))

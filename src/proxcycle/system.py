@@ -18,7 +18,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .chains import _chain_distance, _check_chain, _check_chains, _edge_distances
+from .chains import _chain_distance, _check_chains, _edge_distances, _shifted_pairs
 from .spaces import (
     ALPHA,
     CYCLE_LENGTH,
@@ -41,8 +41,14 @@ MEMBERSHIP_TOL = 1e-9
 # legitimately dip to -MARGIN_ULPS * m * ulp(max(1, S)) below zero.
 MARGIN_ULPS = 8
 EXHAUSTIVE_LIMIT = 10 ** 6
+# Tuple pairs per block of the sampled scan: enough that the per-block work
+# of the column kernels is small beside the per-pair work, few enough that a
+# block's points, images and columns stay small.
+SAMPLE_BLOCK = 128
 # Each coordinate of a tabulated phi knot.
 _KNOT = Domain(-math.inf, math.inf, note="every coordinate finite")
+# A ball's radius: a number, neither a bool nor a string, finite and positive.
+_RADIUS = Domain(0, math.inf, strings=False)
 
 
 def _read_knot(knot: object) -> tuple[float, float]:
@@ -160,9 +166,7 @@ class Ball(Region):
 
     def __post_init__(self) -> None:
         c = check_point(self.center)
-        r = float(self.radius)
-        if r <= 0:
-            raise ValueError("radius must be positive")
+        r = _RADIUS.check("radius", self.radius)
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", r)
 
@@ -404,6 +408,36 @@ class CyclicSystem:
             )
         return out
 
+    def _images(self, pts: list[Point]) -> list[Point]:
+        """``[self._image(pt) for pt in pts]`` for points already validated:
+        the map called over the block in one C-level pass and the images
+        validated in one more (``Space._as_read``).
+
+        The per-point ``_image`` stays the one reader that reports a failure.
+        When the map raises, the block is mapped again point by point by
+        ``_image``, which raises for the first failing point in order. An
+        image not read as it is goes through ``check_point``, and one that
+        fails there or has the wrong dimension is mapped again by ``_image``
+        for its error; the map is pure, so a successful block calls it once
+        per point.
+        """
+        try:
+            images = list(map(self.map, pts))
+        except Exception:
+            return [self._image(pt) for pt in pts]
+        if self.space._as_read(images):
+            return images
+        dim = self.space.dimension
+
+        def read(pt: Point, image: object) -> Point:
+            try:
+                out = check_point(image)
+            except (TypeError, ValueError, OverflowError):
+                return self._image(pt)
+            return out if len(out) == dim else self._image(pt)
+
+        return list(map(read, pts, images))
+
     def is_artifact(self, x: Sequence[float], tol: float = 1e-12) -> bool:
         return self._is_artifact(self.space.point(x), tol)
 
@@ -473,29 +507,6 @@ class ContractionCertificate:
     artifact_skips: int
 
 
-def _pair_sides(
-    system: CyclicSystem,
-    phi: Phi,
-    combine: Callable[[list[float]], float],
-    xs: tuple[Point, ...],
-    ys: tuple[Point, ...],
-) -> tuple[float, float, float]:
-    """lhs = d_p(Txs, Tys), d = d_p(xs, ys) and phi(d) for one tuple pair.
-
-    The per-pair kernel of ``contraction_margin`` and the sampled scan. The
-    chains must already be validated for the system's space (finite, of its
-    dimension, of equal length): the images come from the stepper
-    ``_image`` and both sides from the trusted chain distance that
-    ``chain_point_distance`` runs after its own checks.
-    """
-    space, image = system.space, system._image
-    txs = tuple(map(image, xs))
-    tys = tuple(map(image, ys))
-    lhs = _chain_distance(space, txs, tys, combine)
-    d = _chain_distance(space, xs, ys, combine)
-    return lhs, d, phi(d)
-
-
 def contraction_margin(
     system: CyclicSystem,
     phi: Phi,
@@ -504,32 +515,29 @@ def contraction_margin(
     ys: Sequence[Point],
     set_distance: float | None = None,
 ) -> float:
-    """RHS minus LHS of the contraction inequality for one tuple pair."""
+    """RHS minus LHS of the contraction inequality for one tuple pair.
+
+    The per-pair kernel: the chains are read by ``_check_chains``, the images
+    come from the stepper ``_image``, and both sides from the trusted chain
+    distance that ``chain_point_distance`` runs after its own checks. Both
+    scans give every margin these operations in this order.
+    """
     exp = as_exponent(p)
     if set_distance is None:
         set_distance = system.set_chain_distance(exp)
-    cx, cy = _check_chains(system.space, xs, ys)
-    lhs, d, phi_d = _pair_sides(system, phi, exp._combine, cx, cy)
-    rhs = d - phi_d + phi(set_distance)
+    space, combine, image = system.space, exp._combine, system._image
+    cx, cy = _check_chains(space, xs, ys)
+    txs = tuple(map(image, cx))
+    tys = tuple(map(image, cy))
+    lhs = _chain_distance(space, txs, tys, combine)
+    d = _chain_distance(space, cx, cy, combine)
+    rhs = d - phi(d) + phi(set_distance)
     return rhs - lhs
-
-
-@dataclass
-class _Scan:
-    """Running result of a certification scan over tuple pairs."""
-
-    min_margin: float = math.inf
-    witness_xs: tuple[Point, ...] = ()
-    witness_ys: tuple[Point, ...] = ()
-    evaluated: int = 0
-    skips: int = 0
-    # S: the largest finite one of lhs, d, phi(d), phi(D) over evaluated pairs
-    scale: float = 0.0
 
 
 def _finite_max(scale: float, values: Sequence[float]) -> float:
     """The larger of ``scale`` (finite) and the largest finite value in
-    ``values``.
+    ``values``, which is nonempty.
 
     S leaves out infinite and NaN sides: an infinite S would make the floor
     -inf and pass every certificate. With ``scale`` first, ``max`` passes
@@ -541,28 +549,154 @@ def _finite_max(scale: float, values: Sequence[float]) -> float:
     return top
 
 
+@dataclass
+class _Scan:
+    """Running result of a certification scan over tuple pairs, folded in
+    one block of pairs at a time by ``fold``, which both scans call."""
+
+    phi_set: float  # phi(d_p(A))
+    min_margin: float = math.inf
+    witness_xs: tuple[Point, ...] = ()
+    witness_ys: tuple[Point, ...] = ()
+    evaluated: int = 0
+    skips: int = 0
+    # S: the largest finite one of lhs, d, phi(d), phi(D) over evaluated pairs
+    scale: float = 0.0
+
+    def __post_init__(self) -> None:
+        self.scale = _finite_max(0.0, (self.phi_set,))
+
+    def fold(
+        self,
+        lhs: list[float],
+        ds: list[float],
+        phi_ds: list[float],
+        pair: Callable[[int], tuple[tuple[Point, ...], tuple[Point, ...]]],
+    ) -> None:
+        """Fold in a nonempty block of pairs, given in scan order by their
+        sides lhs = d_p(Tx, Ty), d = d_p(x, y) and phi(d); ``pair(k)`` is the
+        (xs, ys) of the block's k-th pair.
+
+        Each margin is ``((d - phi(d)) + phi(D)) - lhs``, the operations
+        ``contraction_margin`` gives its pair, in the same order, so every
+        margin is bit-identical to it. A NaN margin (inf - inf, from an
+        overflowing distance) is a pair whose inequality cannot be
+        evaluated, so it refutes: the first one in scan order becomes the
+        witness and ``min_margin`` NaN, and no later pair replaces it. The
+        margins' sum is NaN only when one of them is, or when both inf and
+        -inf are there, so finding a NaN costs one C-level pass per block.
+        Otherwise the running minimum is taken with itself in front, and
+        the witness is the first pair in scan order that reaches it.
+        """
+        phi_set = self.phi_set
+        margins = [(d - phi_d + phi_set) - e for d, phi_d, e in zip(ds, phi_ds, lhs)]
+        self.evaluated += len(margins)
+        self.scale = _finite_max(self.scale, lhs + ds + phi_ds)
+        if math.isnan(self.min_margin):
+            return
+        if math.isnan(sum(margins)) and any(map(math.isnan, margins)):
+            self.min_margin = math.nan
+            k = list(map(math.isnan, margins)).index(True)
+        else:
+            best = min(self.min_margin, *margins)
+            if not best < self.min_margin:
+                return
+            self.min_margin = best
+            k = margins.index(best)
+        self.witness_xs, self.witness_ys = pair(k)
+
+
 def _scan_sampled(
     system: CyclicSystem, phi: Phi, exp: Exponent, phi_set: float, tuple_samples: int, seed: int
 ) -> _Scan:
+    """``tuple_samples`` seeded tuple pairs, ``SAMPLE_BLOCK`` pairs at a time.
+
+    A block's pairs are drawn as one pair at a time would draw them: xs,
+    then ys, region by region, pair by pair. Its points are read in one pass
+    (``Space._as_read``), or, when one is not read as it is, one by one by
+    ``Space.point``. A sample that fails to draw or to read ends the scan
+    where the pair-at-a-time scan ended: the block's pairs before it are
+    evaluated first, so an error of theirs (a map failure, say) comes first,
+    and then its own error is raised. ``_sampled_block`` evaluates the pairs.
+    """
     rng = random.Random(seed)
-    space, regions, combine = system.space, system.regions, exp._combine
-    artifacts = system.artifact_points
-    scan = _Scan(scale=_finite_max(0.0, (phi_set,)))
-    for _ in range(tuple_samples):
-        # Each sampled point is validated once, here; the rest trusts it.
-        xs = _check_chain(space, [r.sample(rng) for r in regions])
-        ys = _check_chain(space, [r.sample(rng) for r in regions])
-        if artifacts and any(map(system._is_artifact, xs + ys)):
-            scan.skips += 1
-            continue
-        lhs, d, phi_d = _pair_sides(system, phi, combine, xs, ys)
-        margin = (d - phi_d + phi_set) - lhs
-        scan.evaluated += 1
-        scan.scale = _finite_max(scan.scale, (lhs, d, phi_d))
-        if margin < scan.min_margin:
-            scan.min_margin = margin
-            scan.witness_xs, scan.witness_ys = xs, ys
+    space, regions = system.space, system.regions
+    width = 2 * system.m  # points per pair: the x-chain, then the y-chain
+    scan = _Scan(phi_set)
+    for start in range(0, tuple_samples, SAMPLE_BLOCK):
+        points: list = []
+        failure = None
+        try:
+            for _ in range(2 * min(SAMPLE_BLOCK, tuple_samples - start)):
+                points += [r.sample(rng) for r in regions]
+        except Exception as exc:  # raised after the pairs drawn before it
+            failure = exc
+        if not space._as_read(points):
+            points, failure = _read_points(space, points, failure)
+        _sampled_block(system, phi, exp, scan, points[: len(points) - len(points) % width])
+        if failure is not None:
+            raise failure
     return scan
+
+
+def _read_points(
+    space: Space, points: list, failure: Exception | None
+) -> tuple[list[Point], Exception | None]:
+    """``points`` read one by one by ``space.point`` up to the first that
+    fails, with that point's error, else with ``failure``."""
+    read = []
+    for pt in points:
+        try:
+            read.append(space.point(pt))
+        except Exception as exc:  # raised after the pairs read before it
+            return read, exc
+    return read, failure
+
+
+def _sampled_block(
+    system: CyclicSystem, phi: Phi, exp: Exponent, scan: _Scan, points: list[Point]
+) -> None:
+    """Fold a block of read tuple pairs, 2m points per pair (the x-chain,
+    then the y-chain), into ``scan``.
+
+    Pairs that touch an artifact point are skipped. The others' points are
+    mapped by the block stepper ``CyclicSystem._images``, in draw order.
+    Column j of the block holds point j of every pair, so the x column of
+    region i with the y column of region i + 1, paired by
+    ``_shifted_pairs``, gives term i of every d by one ``map`` of the
+    trusted ``_distance``, and the image columns give the terms of every
+    lhs. The exponent's ``_combine_columns`` turns the m term columns into
+    every d and every lhs, bit for bit as ``_combine`` does per pair, and
+    ``phi._many`` gives every phi(d).
+
+    The samples and the map keep the order in which one pair at a time
+    fails. The block maps all its points before it measures any, so an
+    exception from a caller-supplied metric or phi can come out before a
+    map failure of a later pair in the block.
+    """
+    m, width = system.m, 2 * system.m
+    if system.artifact_points:
+        is_artifact = system._is_artifact
+        pairs = [points[k : k + width] for k in range(0, len(points), width)]
+        kept = [pair for pair in pairs if not any(map(is_artifact, pair))]
+        scan.skips += len(pairs) - len(kept)
+        points = list(itertools.chain.from_iterable(kept))
+    if not points:
+        return
+    images = system._images(points)
+    dist, combine = system.space._distance, exp._combine_columns
+
+    def chain_distances(block: list[Point]) -> list[float]:
+        cols = [block[j::width] for j in range(width)]
+        return combine([list(map(dist, x, y)) for x, y in _shifted_pairs(cols[:m], cols[m:])])
+
+    lhs, ds = chain_distances(images), chain_distances(points)
+
+    def pair(k: int) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
+        at = k * width
+        return tuple(points[at : at + m]), tuple(points[at + m : at + width])
+
+    scan.fold(lhs, ds, phi._many(ds), pair)
 
 
 def _getter(indices: list[int]) -> Callable[[Sequence[float]], tuple[float, ...]]:
@@ -584,18 +718,11 @@ def _scan_exhaustive(system: CyclicSystem, phi: Phi, exp: Exponent, phi_set: flo
     column read from the x-tuple's row of edge table i by one
     ``itemgetter`` over the shifted y-indices, built once per scan. The
     exponent's ``_combine_columns`` turns the m columns into every d and
-    every lhs of the block, ``phi._many`` gives every phi(d), and one pass
-    over the block gives every margin ``((d - phi(d)) + phi(D)) - lhs``.
-
-    Each margin gets the operations ``contraction_margin`` gives its pair,
-    in the same order, so every margin is bit-identical to it. The block
-    minimum is taken with the running minimum in front, so a NaN margin
-    (inf - inf, from an overflowing distance) is passed over as a per-pair
-    ``<`` would pass it, also when it comes first in its block, and the
-    witness is the first pair in ``product(tuples, tuples)`` order that
-    reaches the minimum. Region points were validated when their region was
-    built and ``verify_contraction`` checked each region's dimension, so
-    the tables trust them.
+    every lhs of the block, ``phi._many`` gives every phi(d), and
+    ``_Scan.fold`` the margins, in ``product(tuples, tuples)`` order.
+    Region points were validated when their region was built and
+    ``verify_contraction`` checked each region's dimension, so the tables
+    trust them.
     """
     m = system.m
     regions = system.regions
@@ -603,7 +730,7 @@ def _scan_exhaustive(system: CyclicSystem, phi: Phi, exp: Exponent, phi_set: flo
     usable = [[x for x in r.points if not system._is_artifact(x)] for r in regions]
     total = math.prod(len(r.points) for r in regions)
     kept = math.prod(len(pts) for pts in usable)
-    scan = _Scan(skips=total * total - kept * kept)
+    scan = _Scan(phi_set, skips=total * total - kept * kept)
     if not kept:
         return scan
 
@@ -629,26 +756,14 @@ def _scan_exhaustive(system: CyclicSystem, phi: Phi, exp: Exponent, phi_set: flo
     getters = [_getter([t[(i + 1) % m] for t in index_tuples]) for i in range(m)]
     d_edges, e_edges = list(zip(getters, gaps)), list(zip(getters, mapped))
     combine = exp._combine_columns
-    witness = None
-    min_margin = math.inf
-    scale = _finite_max(0.0, (phi_set,))
-    for xt in index_tuples:
-        ds = combine([get(table[a]) for (get, table), a in zip(d_edges, xt)])
-        lhs = combine([get(table[a]) for (get, table), a in zip(e_edges, xt)])
-        phi_ds = phi._many(ds)
-        margins = [(d - phi_d + phi_set) - e for d, phi_d, e in zip(ds, phi_ds, lhs)]
-        scale = _finite_max(scale, lhs + ds + phi_ds)
-        best = min(min_margin, *margins)
-        if best < min_margin:
-            min_margin = best
-            witness = (xt, index_tuples[margins.index(best)])
 
     def points(t: tuple[int, ...]) -> tuple[Point, ...]:
         return tuple(usable[i][a] for i, a in enumerate(t))
 
-    scan.min_margin, scan.scale, scan.evaluated = min_margin, scale, kept * kept
-    if witness is not None:
-        scan.witness_xs, scan.witness_ys = points(witness[0]), points(witness[1])
+    for xt in index_tuples:
+        ds = combine([get(table[a]) for (get, table), a in zip(d_edges, xt)])
+        lhs = combine([get(table[a]) for (get, table), a in zip(e_edges, xt)])
+        scan.fold(lhs, ds, phi._many(ds), lambda k: (points(xt), points(index_tuples[k])))
     return scan
 
 
@@ -668,10 +783,13 @@ def verify_contraction(
     the pairs whose margin was computed, artifact skips excluded.
 
     ``min_margin`` and the witness are the raw minimum over the evaluated
-    pairs (the first one in enumeration order on ties). The certificate
-    passes when ``min_margin >= -MARGIN_ULPS * m * ulp(max(1, S))``, where S
-    is the largest of d_p(Tx, Ty), d_p(x, y), phi(d_p(x, y)) and phi(d_p(A))
-    over the evaluated pairs, so the tolerance scales with the problem.
+    pairs (the first one in enumeration order on ties), except that a NaN
+    margin, whose inequality cannot be evaluated, makes ``min_margin`` NaN
+    with the first such pair as the witness, and fails the certificate. The
+    certificate passes when ``min_margin >= -MARGIN_ULPS * m * ulp(max(1,
+    S))``, where S is the largest finite one of d_p(Tx, Ty), d_p(x, y),
+    phi(d_p(x, y)) and phi(d_p(A)) over the evaluated pairs, so the
+    tolerance scales with the problem.
     """
     exp = as_exponent(p)
     set_distance = system.set_chain_distance(exp)

@@ -207,6 +207,21 @@ def test_run_certify(tmp_path):
     assert cert["min_margin"] >= -1e-10
 
 
+def test_a_nan_margin_fails_the_certificate_and_is_written_as_null(tmp_path):
+    # Balls 1e308 apart on the line: d_1 of two such edges is inf, and
+    # d - phi(d) is inf - inf, so the first pair already has a NaN margin.
+    parameters = {"alpha": 0.4, "separation": 1e308, "dimension": 1}
+    data = base_config(
+        system={"id": "scaled_pair", "parameters": parameters}, p=1, run="certify", iterations=50
+    )
+    config = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+    cert = read_summary(out)["certificate"]
+    assert cert["passed"] is False and cert["min_margin"] is None
+    assert cert["evaluated"] == 50 and cert["witness_x"] and cert["witness_y"]
+
+
 def test_output_dir_from_config(tmp_path):
     out = tmp_path / "configured"
     config = write_config(tmp_path, base_config(output_dir=str(out)))

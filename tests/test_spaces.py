@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import re
 import sys
 
 import pytest
@@ -55,6 +56,40 @@ def test_exponent_domain():
         as_exponent("huge")
     with pytest.raises(TypeError):
         as_exponent([2])
+
+
+class _Float(float):
+    pass
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        (1.0, 2.0),
+        (1e308, 1e308),  # finite, although the sum overflows
+        [1.0, 2.0],
+        (1, 2.0),
+        (True, 2.0),
+        (_Float(1.0), 2.0),
+        (math.nan, 2.0),
+        (math.inf, -math.inf),
+        (1.0,),
+        (1.0, 2.0, 3.0),
+        (),
+        "12",
+    ],
+)
+def test_as_read_is_point_returning_each_point_itself(point):
+    # The one-pass test of a block says yes exactly when Space.point would
+    # return every point of the block as it is, with no error.
+    space = LqSpace(2, 2)
+    good = (0.5, -0.5)
+    try:
+        as_is = space.point(point) is point
+    except ValueError:
+        as_is = False
+    assert space._as_read([good, point, good]) is as_is
+    assert space._as_read([good]) and space._as_read([])
 
 
 def test_check_point_rejects_bad_input():
@@ -379,6 +414,10 @@ def test_booleans_are_not_exponents():
     with pytest.raises(TypeError, match="cannot read exponent from True"):
         p_combine([3.0, 4.0], True)
     assert as_exponent(1) == Exponent(1.0)
+    # The constructor keeps as_exponent's rule: no bool, and no string either.
+    for value in (True, False, "2", "inf", b"2"):
+        with pytest.raises(TypeError, match=f"^cannot read exponent from {re.escape(repr(value))}$"):
+            Exponent(value)
 
 
 # --- the plane kernel ---------------------------------------------------------

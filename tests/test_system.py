@@ -24,12 +24,14 @@ from proxcycle.spaces import (
     p_combine,
 )
 from proxcycle.system import (
+    SAMPLE_BLOCK,
     Ball,
     Box,
     CyclicSystem,
     FiniteCloud,
     LinearPhi,
     MapError,
+    Region,
     TabulatedPhi,
     alpha_bound_check,
     contraction_margin,
@@ -55,6 +57,18 @@ def test_region_construction_invariants():
         Box((0.0,), (1.0, 1.0))
     with pytest.raises(ValueError):
         Ball((0.0,), 0.0)
+
+
+@pytest.mark.parametrize(
+    "radius",
+    [0.0, -1.0, math.inf, math.nan, True, "2", 10**400],
+    ids=["zero", "negative", "inf", "nan", "bool", "str", "past-float-range"],
+)
+def test_ball_radius_is_a_positive_finite_number(radius):
+    # A NaN radius would make contains always false and every sample NaN.
+    with pytest.raises(ValueError, match="^radius must be "):
+        Ball((0.0,), radius)
+    assert Ball((0.0,), 2).radius == 2.0
 
 
 def test_membership_and_sampling():
@@ -444,7 +458,8 @@ def _reference(system, phi, p, pairs):
         assert margin.hex() == same.hex()
         sides += [lhs, d, phi(d)]
         evaluated += 1
-        if margin < best:
+        # A NaN margin cannot be evaluated: the first one refutes and stays.
+        if margin < best or (math.isnan(margin) and not math.isnan(best)):
             best, witness = margin, (xs, ys)
     scale = max([s for s in sides if math.isfinite(s)], default=0.0)
     floor = -8 * system.m * math.ulp(max(1.0, scale))
@@ -559,14 +574,60 @@ def test_finite_cloud_certificates_match_brute_force(name):
     _assert_matches_brute_force(system, PHIS, (1, 1.5, 2, 3, "inf"))
 
 
+# The map throws the two clouds 2e308 apart, so every lhs is inf while every
+# d is finite: each margin is -inf, and none is NaN.
+BLOWUP = CyclicSystem(
+    space=LqSpace(1, 1),
+    regions=(FiniteCloud(((-1.0,), (-2.0,))), FiniteCloud(((1.0,), (2.0,)))),
+    map=lambda x: (-1e308 if x[0] < 0 else 1e308,),
+)
+
+
 @pytest.mark.parametrize("p", [1, 2, "inf"])
 def test_an_infinite_side_does_not_pass_the_certificate(p):
-    # The margins that are not NaN reach -phi(d) at d about 1e308; only an
-    # infinite S would make the floor -inf and let them through.
+    # Only an infinite S would make the floor -inf and let -inf through.
+    cert = verify_contraction(BLOWUP, LinearPhi(0.5), p)
+    assert cert.exhaustive and cert.evaluated == 16
+    assert cert.min_margin == -math.inf
+    assert not cert.ok
+
+
+def _first_nan_pair(system, phi, p, pairs):
+    pairs = list(pairs)
+    margins = [contraction_margin(system, phi, p, xs, ys) for xs, ys in pairs]
+    return pairs[[math.isnan(v) for v in margins].index(True)]
+
+
+@pytest.mark.parametrize("p", [1, 2, "inf"])
+def test_a_nan_margin_refutes_the_certificate(p):
+    # d = inf makes d - phi(d) inf - inf: the inequality cannot be evaluated
+    # there, so the first such pair is the witness and the certificate fails.
+    tuples = list(itertools.product(*(r.points for r in OVERFLOW.regions)))
     cert = verify_contraction(OVERFLOW, LinearPhi(0.5), p)
     assert cert.exhaustive and cert.evaluated == 81
-    assert cert.min_margin < -1e307
-    assert not cert.ok
+    assert math.isnan(cert.min_margin) and not cert.ok
+    assert (cert.witness_xs, cert.witness_ys) == _first_nan_pair(
+        OVERFLOW, LinearPhi(0.5), p, itertools.product(tuples, tuples)
+    )
+    # Every margin is NaN on the smallest such system.
+    single = CyclicSystem(
+        space=LqSpace(1, 1),
+        regions=(FiniteCloud(((1e308,),)), FiniteCloud(((-1e308,),))),
+        map=_flip,
+    )
+    cert = verify_contraction(single, LinearPhi(0.5), p)
+    assert math.isnan(cert.min_margin) and not cert.ok and cert.evaluated == 1
+    assert cert.witness_xs == cert.witness_ys == ((1e308,), (-1e308,))
+    # The sampled scan: two balls 2e308 apart.
+    balls = CyclicSystem(
+        space=L2_1, regions=(Ball((1e308,), 1), Ball((-1e308,), 1)), map=_flip
+    )
+    cert = verify_contraction(balls, LinearPhi(0.5), p, tuple_samples=300, seed=2)
+    assert not cert.exhaustive and cert.evaluated == 300
+    assert math.isnan(cert.min_margin) and not cert.ok
+    assert (cert.witness_xs, cert.witness_ys) == _first_nan_pair(
+        balls, LinearPhi(0.5), p, _sampled_pairs(balls, 300, 2)
+    )
 
 
 def test_exhaustive_certificate_raises_map_error_with_point():
@@ -622,6 +683,139 @@ def test_sampled_certificate_matches_per_pair_reference(name, seed):
         assert cert.min_margin == best, (p, phi)
         assert (cert.witness_xs, cert.witness_ys) == (wxs, wys)
         assert (cert.evaluated, cert.artifact_skips, cert.ok) == (evaluated, skips, ok)
+
+
+B = SAMPLE_BLOCK
+# 40 x 40 tuples, too many pairs to enumerate. 36 of the 40 points of the
+# left cloud are truncation stubs, so about one pair in a hundred is
+# evaluated and the first block of seed 5 is skipped whole.
+LEFT = tuple((-k / 40,) for k in range(1, 41))
+SPARSE = CyclicSystem(
+    space=L2_1,
+    regions=(FiniteCloud(LEFT), FiniteCloud(tuple((-x,) for (x,) in LEFT))),
+    map=lambda x: (-0.5 * x[0],),
+    artifact_points=LEFT[4:],
+)
+
+
+def _assert_sampled_matches_reference(system, phi, p, samples, seed):
+    cert = verify_contraction(system, phi, p, tuple_samples=samples, seed=seed)
+    assert not cert.exhaustive
+    best, (wxs, wys), evaluated, skips, ok = _reference(
+        system, phi, p, _sampled_pairs(system, samples, seed)
+    )
+    assert cert.min_margin.hex() == (best if evaluated else math.nan).hex(), (p, phi)
+    assert (cert.witness_xs, cert.witness_ys) == (wxs, wys), (p, phi)
+    assert (cert.evaluated, cert.artifact_skips, cert.ok) == (evaluated, skips, ok), (p, phi)
+
+
+@pytest.mark.parametrize("samples", [1, B - 1, B, B + 1, 2 * B + 1])
+def test_block_scan_matches_per_pair_reference(samples):
+    for name in sorted(SAMPLED_SYSTEMS):
+        for p, phi in itertools.product((1, 2, "inf"), PHIS):
+            _assert_sampled_matches_reference(SAMPLED_SYSTEMS[name].system, phi, p, samples, 3)
+    for p in (1, "inf"):
+        _assert_sampled_matches_reference(SPARSE, LinearPhi(0.4), p, samples, 5)
+
+
+def test_sparse_system_skips_a_whole_block():
+    usable = [
+        not any(SPARSE.is_artifact(pt) for pt in xs + ys)
+        for xs, ys in _sampled_pairs(SPARSE, 2 * B + 1, 5)
+    ]
+    assert not any(usable[:B]) and any(usable[B:])
+
+
+class _Scripted(Region):
+    """A region on the line whose samples are given in turn; a given
+    exception is raised when its turn comes."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def dimension(self):
+        return 1
+
+    def sample(self, rng):
+        draw = next(self.draws)
+        if isinstance(draw, Exception):
+            raise draw
+        return draw
+
+    def distance_to(self, other, space):
+        return 0.0
+
+
+def _fail_at_half(x):
+    if x == (0.5,):
+        raise RuntimeError("no image")
+    return (-x[0],)
+
+
+def _nan_at_half(x):
+    return (math.nan,) if x == (0.5,) else (-x[0],)
+
+
+BAD_DRAWS = {"nan": (math.nan,), "str": "1", "raise": LookupError("no draw")}
+
+
+@pytest.mark.parametrize("step", [_fail_at_half, _nan_at_half])
+@pytest.mark.parametrize("bad", sorted(BAD_DRAWS))
+@pytest.mark.parametrize("chain", ["x", "y"])
+@pytest.mark.parametrize("k,j", [(3, 5), (5, 3), (4, 4)])
+def test_block_scan_fails_in_per_pair_order(step, bad, chain, k, j):
+    # Pair k's x_1 = 0.5 fails to map; pair j draws a point that fails to
+    # read (or a draw that raises) for its x_1 or its y_2. One pair at a time
+    # the scan reads a pair's chains, then maps them, so the first of the
+    # two failures to be met is the one raised, also inside one block.
+    first, second = [(0.25,)] * 20, [(-0.25,)] * 20
+    first[2 * k] = (0.5,)
+    if chain == "x":
+        first[2 * j] = BAD_DRAWS[bad]
+    else:
+        second[2 * j + 1] = BAD_DRAWS[bad]
+    system = CyclicSystem(space=L2_1, regions=(_Scripted(first), _Scripted(second)), map=step)
+    # The messages of the per-point readers, called on their own.
+    with pytest.raises(MapError) as map_error:
+        system.apply((0.5,))
+    if bad == "raise":
+        read_error = BAD_DRAWS[bad]
+    else:
+        with pytest.raises(ValueError) as read:
+            system.space.point(BAD_DRAWS[bad])
+        read_error = read.value
+    expected = map_error.value if k < j else read_error
+    with pytest.raises(type(expected)) as err:
+        verify_contraction(system, LinearPhi(0.5), 2, tuple_samples=10)
+    assert str(err.value) == str(expected)
+    if k < j:
+        assert err.value.point == (0.5,) and err.value.step is None
+
+
+class _ListBox(Box):
+    def sample(self, rng):
+        return list(super().sample(rng))
+
+
+def test_block_scan_reads_lists_once_as_the_per_point_readers_do():
+    # Samples and images that are lists are read (made tuples) one by one,
+    # with the same certificate and one map call per point.
+    calls = []
+
+    def step(x):
+        calls.append(x)
+        return [-0.6 * x[0]]
+
+    kirk = make_kirk_interval(alpha=0.4).system
+    lists = CyclicSystem(
+        space=kirk.space, regions=tuple(_ListBox(r.lower, r.upper) for r in kirk.regions), map=step
+    )
+    for p in (1, "inf"):
+        calls.clear()
+        want = verify_contraction(kirk, LinearPhi(0.3), p, tuple_samples=2 * B + 1, seed=7)
+        got = verify_contraction(lists, LinearPhi(0.3), p, tuple_samples=2 * B + 1, seed=7)
+        assert got == want
+        assert len(calls) == 4 * (2 * B + 1)
 
 
 def test_sampled_certificate_raises_map_error_with_point():
