@@ -7,7 +7,6 @@ and every chain quantity routes through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import starmap
 from typing import Callable, Iterator, Sequence
 
@@ -16,6 +15,7 @@ from .spaces import (
     CapabilityError,
     Point,
     Space,
+    _Record,
     as_exponent,
     p_combine,
 )
@@ -96,11 +96,11 @@ def chain_set_distance(space: Space, regions: Sequence[object], p: object) -> fl
     return p_combine(_edge_distances(space, regions), p)
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
-    ok: bool
-    worst_slack: float
-    failures: tuple
+class MonotonicityReport(_Record):
+    __slots__ = _fields = ("ok", "worst_slack", "failures")
+
+    def __init__(self, ok: bool, worst_slack: float, failures: tuple) -> None:
+        self._set(ok, worst_slack, failures)
 
 
 def p_monotonicity_check(

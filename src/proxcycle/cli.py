@@ -15,12 +15,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
-from datetime import datetime, timezone
+import time
 from pathlib import Path
 
 from . import gallery, orbit
-from .spaces import EXPONENT, Domain, Exponent, as_exponent
+from .spaces import EXPONENT, Domain, Exponent, _Record, as_exponent
 from .system import LinearPhi, MapError, Phi, TabulatedPhi, validate_phi, verify_contraction, verify_cyclicity
 
 RUNS = ("certify", "banach", "periodic", "proximity", "trace")
@@ -40,17 +39,33 @@ class ConfigError(ValueError):
     """The experiment config fails validation."""
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    system_id: str
-    parameters: dict
-    p: Exponent
-    phi: Phi
-    run: str
-    iterations: int
-    tolerance: float
-    seed: int
-    output_dir: str | None = None
+class ExperimentConfig(_Record):
+    __slots__ = _fields = (
+        "system_id", "parameters", "p", "phi", "run", "iterations", "tolerance", "seed",
+        "output_dir",
+    )
+
+    def __init__(
+        self,
+        system_id: str,
+        parameters: dict,
+        p: Exponent,
+        phi: Phi,
+        run: str,
+        iterations: int,
+        tolerance: float,
+        seed: int,
+        output_dir: str | None = None,
+    ) -> None:
+        self._set(system_id, parameters, p, phi, run, iterations, tolerance, seed, output_dir)
+
+
+def _timestamp() -> str:
+    """The current UTC time as ``datetime.now(timezone.utc).isoformat()``
+    writes it: microseconds (floored, shown when nonzero) and ``+00:00``."""
+    seconds, micro = divmod(time.time_ns() // 1000, 1_000_000)
+    text = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
+    return f"{text}.{micro:06d}+00:00" if micro else f"{text}+00:00"
 
 
 def _parse_phi(data: object) -> Phi:
@@ -263,7 +278,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         "d_p_sets": system.set_chain_distance(p),
         "result": result,
         "certificate": certificate,
-        "metadata": {"timestamp": datetime.now(timezone.utc).isoformat()},
+        "metadata": {"timestamp": _timestamp()},
     })
 
     out_path = Path(destination)

@@ -21,14 +21,15 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .chains import chain_self_distance
-from .spaces import ALPHA, EXPONENT, CapabilityError, Domain, Exponent, LqSpace, Point, as_exponent, p_combine
+from .spaces import ALPHA, EXPONENT, CapabilityError, Domain, Exponent, LqSpace, Point, _Record, as_exponent, p_combine
 from .system import Ball, Box, CyclicSystem, FiniteCloud, _enumerable
 
 
-@dataclass(frozen=True)
-class GallerySpec:
-    id: str
-    parameters: tuple[tuple[str, object], ...]
+class GallerySpec(_Record):
+    __slots__ = _fields = ("id", "parameters")
+
+    def __init__(self, id: str, parameters: tuple[tuple[str, object], ...]) -> None:
+        self._set(id, parameters)
 
     def parameter_dict(self) -> dict:
         return dict(self.parameters)
@@ -148,7 +149,7 @@ def make_affine_strip(alpha: float = 0.5, h: float = 1.0) -> GallerySystem:
     "truncated scaled-basis families in l^q; set chain distance not "
     "attained away from the truncation boundary",
     m=Domain(2, 16, "[]", integer=True),
-    alpha=replace(ALPHA, note="alpha^m < 1/2"),
+    alpha=Domain(0, 1, note="alpha^m < 1/2"),
     q=EXPONENT,
     N=Domain(2, 50, "[]", integer=True),
 )

@@ -27,12 +27,11 @@ for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, count, islice
 from typing import Iterator, Sequence
 
 from .chains import _chain_distance, chain_point_distance, chain_self_distance
-from .spaces import ALPHA, CYCLE_LENGTH, Domain, Point, _point_repr, as_exponent
+from .spaces import ALPHA, CYCLE_LENGTH, Domain, Point, _point_repr, _Record, as_exponent
 from .system import MEMBERSHIP_TOL, CyclicSystem
 
 DEFAULT_TOL = 1e-10
@@ -42,13 +41,18 @@ _STEPS = Domain(0, math.inf, "[)", integer=True, strings=False)
 _GAP = Domain(0, math.inf, "[]", strings=False)
 
 
-@dataclass(frozen=True)
-class OrbitTrace:
+class OrbitTrace(_Record):
     """x_0..x_n with x_{k+1} = map(x_k), exactly as evaluated."""
 
-    system: CyclicSystem
-    points: tuple[Point, ...]
-    membership_violations: tuple[tuple[int, Point], ...] = ()
+    __slots__ = _fields = ("system", "points", "membership_violations")
+
+    def __init__(
+        self,
+        system: CyclicSystem,
+        points: tuple[Point, ...],
+        membership_violations: tuple[tuple[int, Point], ...] = (),
+    ) -> None:
+        self._set(system, points, membership_violations)
 
     @property
     def m(self) -> int:
@@ -66,15 +70,25 @@ class OrbitTrace:
         return len(self.points) // self.m
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    point: Point
-    residual: float
-    iterations: int
-    converged: bool
-    set_chain_distance: float
-    warnings: tuple[str, ...] = ()
-    proximity_residual: float | None = None
+class SolveResult(_Record):
+    __slots__ = _fields = (
+        "point", "residual", "iterations", "converged", "set_chain_distance", "warnings",
+        "proximity_residual",
+    )
+
+    def __init__(
+        self,
+        point: Point,
+        residual: float,
+        iterations: int,
+        converged: bool,
+        set_chain_distance: float,
+        warnings: tuple[str, ...] = (),
+        proximity_residual: float | None = None,
+    ) -> None:
+        self._set(
+            point, residual, iterations, converged, set_chain_distance, warnings, proximity_residual
+        )
 
 
 def _start(system: CyclicSystem, x0: Sequence[float]) -> Point:
@@ -378,17 +392,27 @@ def periodic_point_solve(
     )
 
 
-@dataclass(frozen=True)
-class ProximityChainResult:
+class ProximityChainResult(_Record):
     """Limits of the m interleaved subsequences and their residuals."""
 
-    chain: tuple[Point, ...]
-    converged: bool
-    iterations: int
-    edge_residuals: tuple[float, ...]
-    total_residual: float
-    set_chain_distance: float
-    note: str | None = None
+    __slots__ = _fields = (
+        "chain", "converged", "iterations", "edge_residuals", "total_residual",
+        "set_chain_distance", "note",
+    )
+
+    def __init__(
+        self,
+        chain: tuple[Point, ...],
+        converged: bool,
+        iterations: int,
+        edge_residuals: tuple[float, ...],
+        total_residual: float,
+        set_chain_distance: float,
+        note: str | None = None,
+    ) -> None:
+        self._set(
+            chain, converged, iterations, edge_residuals, total_residual, set_chain_distance, note
+        )
 
 
 def proximity_chain_extract(
@@ -465,10 +489,11 @@ def proximity_chain_extract(
     )
 
 
-@dataclass(frozen=True)
-class BoundednessReport:
-    sups: tuple[float, ...]
-    stabilized: tuple[bool, ...]
+class BoundednessReport(_Record):
+    __slots__ = _fields = ("sups", "stabilized")
+
+    def __init__(self, sups: tuple[float, ...], stabilized: tuple[bool, ...]) -> None:
+        self._set(sups, stabilized)
 
     @property
     def ok(self) -> bool:

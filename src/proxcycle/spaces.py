@@ -25,6 +25,49 @@ class CapabilityError(TypeError):
     """A region or space does not support the requested exact computation."""
 
 
+class _Record:
+    """An immutable value record without generated code.
+
+    A subclass names its ``__init__`` parameters, in order, in ``_fields``,
+    lists them (and any derived attributes) in ``__slots__``, and sets them
+    once in ``__init__`` with ``_set``. Records are equal when they are of
+    the same class with equal fields, hash by their fields, show them in a
+    dataclass-style ``repr``, refuse assignment and deletion, and pickle by
+    calling the class with their fields again.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {self.__class__.__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {self.__class__.__name__}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+
 def _power_sum(power: float, inv: float, vals: Sequence[float]) -> float:
     """(sum v_i^q)^(1/q) with the largest value factored out, so large
     exponents cannot overflow on large inputs; ``power`` is q (an int when q
@@ -222,21 +265,26 @@ def check_point(v: Sequence[float]) -> Point:
     raise ValueError(f"non-finite coordinate {v[i]!r} at index {i} in {_point_repr(v)}")
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(_Record):
     """Parameter values from ``low`` to ``high``, each end open or closed as
     ``ends`` shows, integers only if ``integer``, else read by ``read``
     (numbers only, no strings, unless ``strings``), with a ``note`` on a rule
     the interval does not spell out or that is checked elsewhere; ``str``
     gives "integer in [2, 16]"."""
 
-    low: float
-    high: float
-    ends: str = "()"
-    integer: bool = False
-    note: str | None = None
-    read: Callable[[object], float] = float
-    strings: bool = True
+    __slots__ = _fields = ("low", "high", "ends", "integer", "note", "read", "strings")
+
+    def __init__(
+        self,
+        low: float,
+        high: float,
+        ends: str = "()",
+        integer: bool = False,
+        note: str | None = None,
+        read: Callable[[object], float] = float,
+        strings: bool = True,
+    ) -> None:
+        self._set(low, high, ends, integer, note, read, strings)
 
     def __str__(self) -> str:
         text = f"{self.ends[0]}{self.low}, {self.high}{self.ends[1]}"
@@ -273,6 +321,8 @@ CYCLE_LENGTH = Domain(2, math.inf, "[)", integer=True, strings=False)
 # Every exponent p or q lies in [1, inf]: as_exponent reads "inf" and no
 # other string, and its inf has value None.
 EXPONENT = Domain(1, math.inf, "[]", read=lambda q: as_exponent(q).value or math.inf)
+# Every space has an integer dimension >= 1.
+_DIMENSION = Domain(1, math.inf, "[)", integer=True, strings=False)
 
 
 def p_combine(values: Iterable[float], p: object) -> float:
@@ -303,6 +353,7 @@ class Space:
     already read, for internal kernels that measure points they read once.
     """
 
+    __slots__ = ()
     dimension: int
 
     def point(self, v: Sequence[float], what: str = "point") -> Point:
@@ -396,8 +447,7 @@ class LqSpace(Space):
     def __post_init__(self) -> None:
         q = as_exponent(self.q)
         object.__setattr__(self, "q", q)
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
+        object.__setattr__(self, "dimension", _DIMENSION.check("dimension", self.dimension))
         if self.dimension == 1:
             kernel = _line_gap
         elif q.is_inf:
@@ -412,27 +462,33 @@ class LqSpace(Space):
         return lq_norm(v, self.q)
 
 
-@dataclass(frozen=True)
-class OracleSpace(Space):
+class OracleSpace(_Record, Space):
     """A space whose metric is a caller-supplied deterministic oracle.
 
     The oracle must be pure and reentrant; the axioms are not assumed but can
     be spot-checked with ``validate_metric``.
     """
 
-    oracle: Callable[[Point, Point], float]
-    dimension: int
+    __slots__ = _fields = ("oracle", "dimension")
+
+    def __init__(self, oracle: Callable[[Point, Point], float], dimension: int) -> None:
+        self._set(oracle, _DIMENSION.check("dimension", dimension))
 
     def _distance(self, pa: Point, pb: Point) -> float:
         return float(self.oracle(pa, pb))
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    ok: bool
-    symmetry_violations: tuple
-    identity_violations: tuple
-    triangle_violations: tuple
+class MetricReport(_Record):
+    __slots__ = _fields = ("ok", "symmetry_violations", "identity_violations", "triangle_violations")
+
+    def __init__(
+        self,
+        ok: bool,
+        symmetry_violations: tuple,
+        identity_violations: tuple,
+        triangle_violations: tuple,
+    ) -> None:
+        self._set(ok, symmetry_violations, identity_violations, triangle_violations)
 
 
 def validate_metric(

@@ -13,7 +13,7 @@ import itertools
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -29,6 +29,7 @@ from .spaces import (
     Point,
     Space,
     _point_repr,
+    _Record,
     as_exponent,
     check_point,
     lq_norm,
@@ -77,6 +78,8 @@ class Region:
     """A set A_i. Variants support membership, seeded sampling, and exact
     distance to a compatible other region."""
 
+    __slots__ = ()
+
     def dimension(self) -> int:
         raise NotImplementedError
 
@@ -98,20 +101,19 @@ class Region:
         return region_distance(space, self, other)
 
 
-@dataclass(frozen=True)
-class FiniteCloud(Region):
+class FiniteCloud(_Record, Region):
     """A finite point set; a finite family {generator(n)} is the cloud of its
     materialized points."""
 
-    points: tuple[Point, ...]
+    __slots__ = _fields = ("points",)
 
-    def __post_init__(self) -> None:
-        pts = tuple(check_point(p) for p in self.points)
+    def __init__(self, points: tuple[Point, ...]) -> None:
+        pts = tuple(check_point(p) for p in points)
         if not pts:
             raise ValueError("a finite cloud must be nonempty")
         if len({len(p) for p in pts}) != 1:
             raise ValueError("cloud points must share one dimension")
-        object.__setattr__(self, "points", pts)
+        self._set(pts)
 
     def dimension(self) -> int:
         return len(self.points[0])
@@ -119,30 +121,32 @@ class FiniteCloud(Region):
     def contains(self, point, space, tol=MEMBERSHIP_TOL):
         # The stored points were validated when the cloud was built, so with
         # the query read for the space and the cloud of its dimension both
-        # are measured with the trusted ``_distance``.
+        # are measured with the trusted ``_distance``. The verdict is
+        # ``min(distances) <= tol``, stopping at the first point within tol:
+        # min keeps a NaN first distance, which answers False, and passes
+        # over a later one, as ``d <= tol`` does.
         x = self._query(point, space)
-        return min(space._distance(x, p) for p in self.points) <= tol
+        ds = map(space._distance, itertools.repeat(x), self.points)
+        first = next(ds)
+        return not math.isnan(first) and (first <= tol or any(d <= tol for d in ds))
 
     def sample(self, rng):
         return self.points[rng.randrange(len(self.points))]
 
 
-@dataclass(frozen=True)
-class Box(Region):
+class Box(_Record, Region):
     """The axis-aligned box lower <= x <= upper; a segment is a box with one
     non-degenerate axis."""
 
-    lower: Point
-    upper: Point
+    __slots__ = _fields = ("lower", "upper")
 
-    def __post_init__(self) -> None:
-        lo, hi = check_point(self.lower), check_point(self.upper)
+    def __init__(self, lower: Point, upper: Point) -> None:
+        lo, hi = check_point(lower), check_point(upper)
         if len(lo) != len(hi):
             raise ValueError("bound dimensions differ")
         if any(a > b for a, b in zip(lo, hi)):
             raise ValueError("lower bound exceeds upper bound")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+        self._set(lo, hi)
 
     def dimension(self) -> int:
         return len(self.lower)
@@ -157,18 +161,13 @@ class Box(Region):
         )
 
 
-@dataclass(frozen=True)
-class Ball(Region):
+class Ball(_Record, Region):
     """A closed Euclidean ball; exact distances require the l^2 space."""
 
-    center: Point
-    radius: float
+    __slots__ = _fields = ("center", "radius")
 
-    def __post_init__(self) -> None:
-        c = check_point(self.center)
-        r = _RADIUS.check("radius", self.radius)
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "radius", r)
+    def __init__(self, center: Point, radius: float) -> None:
+        self._set(check_point(center), _RADIUS.check("radius", radius))
 
     def dimension(self) -> int:
         return len(self.center)
@@ -257,6 +256,8 @@ def region_distance(space: Space, a: Region, b: Region) -> float:
 class Phi:
     """Strictly increasing map [0, inf) -> [0, inf) controlling contraction."""
 
+    __slots__ = ()
+
     def __call__(self, t: float) -> float:
         raise NotImplementedError
 
@@ -266,12 +267,11 @@ class Phi:
         return list(map(self, ts))
 
 
-@dataclass(frozen=True)
-class LinearPhi(Phi):
-    alpha: float
+class LinearPhi(_Record, Phi):
+    __slots__ = _fields = ("alpha",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", ALPHA.check("alpha", self.alpha))
+    def __init__(self, alpha: float) -> None:
+        self._set(ALPHA.check("alpha", alpha))
 
     def __call__(self, t: float) -> float:
         if t < 0:
@@ -286,16 +286,16 @@ class LinearPhi(Phi):
         return [alpha * t for t in ts]
 
 
-@dataclass(frozen=True)
-class TabulatedPhi(Phi):
+class TabulatedPhi(_Record, Phi):
     """Piecewise-linear phi from knots, extended beyond the last knot with the
-    last segment's slope so monotonicity persists on all of [0, inf)."""
+    last segment's slope so monotonicity persists on all of [0, inf).
+    ``_ts`` holds the knot abscissae."""
 
-    knots: tuple[tuple[float, float], ...]
-    _ts: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("knots", "_ts")
+    _fields = ("knots",)
 
-    def __post_init__(self) -> None:
-        knots = tuple(map(_read_knot, self.knots))
+    def __init__(self, knots: tuple[tuple[float, float], ...]) -> None:
+        knots = tuple(map(_read_knot, knots))
         if len(knots) < 2:
             raise ValueError("need at least 2 knots")
         ts = [t for t, _ in knots]
@@ -308,7 +308,7 @@ class TabulatedPhi(Phi):
             raise ValueError("knot values not increasing")
         if vs[0] < 0.0:
             raise ValueError("phi(0) must be >= 0")
-        object.__setattr__(self, "knots", knots)
+        self._set(knots)
         object.__setattr__(self, "_ts", tuple(ts))
 
     def __call__(self, t: float) -> float:
@@ -323,10 +323,11 @@ class TabulatedPhi(Phi):
         return v1 + slope * (t - t1)
 
 
-@dataclass(frozen=True)
-class PhiReport:
-    ok: bool
-    violations: tuple
+class PhiReport(_Record):
+    __slots__ = _fields = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple) -> None:
+        self._set(ok, violations)
 
 
 def validate_phi(phi: Phi, grid: Sequence[float]) -> PhiReport:
@@ -456,12 +457,15 @@ class CyclicSystem:
         return p_combine(self.edge_distances, p)
 
 
-@dataclass(frozen=True)
-class CyclicityReport:
-    ok: bool
-    violations: tuple  # (region index, point, image)
-    artifacts: tuple  # (region index, point) skipped as truncation stubs
-    checked: int
+class CyclicityReport(_Record):
+    """``violations`` holds (region index, point, image) triples and
+    ``artifacts`` the (region index, point) pairs skipped as truncation
+    stubs."""
+
+    __slots__ = _fields = ("ok", "violations", "artifacts", "checked")
+
+    def __init__(self, ok: bool, violations: tuple, artifacts: tuple, checked: int) -> None:
+        self._set(ok, violations, artifacts, checked)
 
 
 def verify_cyclicity(
@@ -494,17 +498,28 @@ def verify_cyclicity(
     return CyclicityReport(not violations, tuple(violations), tuple(artifacts), checked)
 
 
-@dataclass(frozen=True)
-class ContractionCertificate:
-    ok: bool
-    min_margin: float
-    witness_xs: tuple[Point, ...]
-    witness_ys: tuple[Point, ...]
-    set_chain_distance: float
-    p: Exponent
-    evaluated: int
-    exhaustive: bool
-    artifact_skips: int
+class ContractionCertificate(_Record):
+    __slots__ = _fields = (
+        "ok", "min_margin", "witness_xs", "witness_ys", "set_chain_distance", "p", "evaluated",
+        "exhaustive", "artifact_skips",
+    )
+
+    def __init__(
+        self,
+        ok: bool,
+        min_margin: float,
+        witness_xs: tuple[Point, ...],
+        witness_ys: tuple[Point, ...],
+        set_chain_distance: float,
+        p: Exponent,
+        evaluated: int,
+        exhaustive: bool,
+        artifact_skips: int,
+    ) -> None:
+        self._set(
+            ok, min_margin, witness_xs, witness_ys, set_chain_distance, p, evaluated, exhaustive,
+            artifact_skips,
+        )
 
 
 def contraction_margin(
@@ -549,22 +564,21 @@ def _finite_max(scale: float, values: Sequence[float]) -> float:
     return top
 
 
-@dataclass
 class _Scan:
     """Running result of a certification scan over tuple pairs, folded in
     one block of pairs at a time by ``fold``, which both scans call."""
 
-    phi_set: float  # phi(d_p(A))
-    min_margin: float = math.inf
-    witness_xs: tuple[Point, ...] = ()
-    witness_ys: tuple[Point, ...] = ()
-    evaluated: int = 0
-    skips: int = 0
-    # S: the largest finite one of lhs, d, phi(d), phi(D) over evaluated pairs
-    scale: float = 0.0
+    __slots__ = ("phi_set", "min_margin", "witness_xs", "witness_ys", "evaluated", "skips", "scale")
 
-    def __post_init__(self) -> None:
-        self.scale = _finite_max(0.0, (self.phi_set,))
+    def __init__(self, phi_set: float, skips: int = 0) -> None:
+        self.phi_set = phi_set  # phi(d_p(A))
+        self.min_margin = math.inf
+        self.witness_xs: tuple[Point, ...] = ()
+        self.witness_ys: tuple[Point, ...] = ()
+        self.evaluated = 0
+        self.skips = skips
+        # S: the largest finite one of lhs, d, phi(d), phi(D) over evaluated pairs
+        self.scale = _finite_max(0.0, (phi_set,))
 
     def fold(
         self,
@@ -829,11 +843,11 @@ def verify_contraction(
     )
 
 
-@dataclass(frozen=True)
-class AlphaBoundResult:
-    ok: bool
-    threshold: float
-    value: float
+class AlphaBoundResult(_Record):
+    __slots__ = _fields = ("ok", "threshold", "value")
+
+    def __init__(self, ok: bool, threshold: float, value: float) -> None:
+        self._set(ok, threshold, value)
 
 
 def alpha_bound_check(alpha: float, m: int, p: object) -> AlphaBoundResult:

@@ -5,7 +5,10 @@ import io
 import json
 import math
 import re
+import subprocess
+import sys
 import tempfile
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import jsonschema
@@ -193,6 +196,60 @@ def test_summary_writes_an_overflowing_set_chain_distance_as_null(tmp_path):
     config = write_config(tmp_path, data)
     assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     assert read_summary(tmp_path / "out")["d_p_sets"] is None
+
+
+def test_metadata_timestamp_is_iso_8601_utc(tmp_path):
+    config = write_config(tmp_path, base_config())
+    before = datetime.now(timezone.utc)
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    after = datetime.now(timezone.utc)
+    stamp = datetime.fromisoformat(read_summary(tmp_path / "out")["metadata"]["timestamp"])
+    assert stamp.utcoffset() == timedelta(0)
+    assert before - timedelta(seconds=1) <= stamp <= after + timedelta(seconds=1)
+
+
+@pytest.mark.parametrize("ns", [0, 1_700_000_000_000_000_000, 1_700_000_000_123_456_789, 999])
+def test_metadata_timestamp_is_written_as_datetime_writes_it(monkeypatch, ns):
+    seconds, micro = divmod(ns // 1000, 1_000_000)
+    want = datetime.fromtimestamp(seconds, timezone.utc).replace(microsecond=micro).isoformat()
+    monkeypatch.setattr(cli.time, "time_ns", lambda: ns)
+    assert cli._timestamp() == want
+
+
+IMPORT_GRAPH = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import proxcycle.cli
+found = {
+    f"{cls.__module__}.{cls.__qualname__}"
+    for name, module in list(sys.modules.items())
+    if name == "proxcycle" or name.startswith("proxcycle.")
+    for cls in vars(module).values()
+    if isinstance(cls, type) and cls.__module__.startswith("proxcycle")
+    and hasattr(cls, "__dataclass_fields__")
+}
+print(json.dumps({"datetime": "datetime" in sys.modules, "dataclasses": sorted(found)}))
+"""
+
+
+def test_importing_the_cli_generates_only_the_contract_dataclasses():
+    # The records that no caller passes to dataclasses.replace are plain
+    # slotted classes, and the timestamp needs no datetime: a fresh
+    # interpreter importing the CLI loads neither cost.
+    package_root = str(Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_GRAPH, package_root],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    graph = json.loads(done.stdout)
+    assert graph["datetime"] is False
+    assert graph["dataclasses"] == [
+        "proxcycle.gallery.GalleryEntry",
+        "proxcycle.gallery.GallerySystem",
+        "proxcycle.spaces.Exponent",
+        "proxcycle.spaces.LqSpace",
+        "proxcycle.system.CyclicSystem",
+    ]
 
 
 def test_run_certify(tmp_path):

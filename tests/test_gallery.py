@@ -254,3 +254,16 @@ def test_size_caps_are_inclusive():
     gs = make_paper_lq_family(m=16, N=50)
     assert gs.system.space.dimension == 16 * 51 + 1
     assert make_scaled_pair(dimension=1000).system.space.dimension == 1000
+
+
+@pytest.mark.parametrize("system_id", ALL_IDS)
+def test_two_builds_give_equal_systems_but_for_their_maps(system_id):
+    # Each build makes its map afresh, and functions compare by identity;
+    # the space, the regions, the artifact points and the spec compare and
+    # hash by value, so the systems are equal once they share a map.
+    a, b = build(system_id), build(system_id)
+    shared = replace(b.system, map=a.system.map)
+    assert shared == a.system and hash(shared) == hash(a.system)
+    assert replace(b, system=shared) == a
+    assert a.spec == b.spec and hash(a.spec) == hash(b.spec)
+    assert b.system != a.system

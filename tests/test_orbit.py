@@ -454,3 +454,22 @@ def test_membership_violations_match_direct_checks():
             if k and k % system.m == 0 and not first.contains(x, system.space)
         )
         assert want and trace.membership_violations == want
+
+
+def test_orbit_results_are_immutable_value_records():
+    system = make_affine_strip(0.5, 1.0).system
+    trace = picard_orbit(system, (1.0, 0.0), 8)
+    results = [
+        trace,
+        banach_solve(system, (1.0, 0.0), max_iter=20),
+        periodic_point_solve(system, (1.0, 0.0), max_iter=20),
+        proximity_chain_extract(system, (1.0, 0.0), max_iter=20),
+        boundedness_probe(trace),
+    ]
+    for result in results:
+        with pytest.raises(AttributeError):
+            setattr(result, type(result)._fields[0], None)
+        fields = [getattr(result, name) for name in type(result)._fields]
+        assert type(result)(*fields) == result
+    assert picard_orbit(system, (1.0, 0.0), 8) == trace
+    assert hash(picard_orbit(system, (1.0, 0.0), 8)) == hash(trace)

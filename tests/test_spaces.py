@@ -535,3 +535,39 @@ def test_exponent_domain_reads_what_as_exponent_reads():
     for value in ("2", 0.5, -math.inf, math.nan, 10**400):
         with pytest.raises(ValueError, match=r"^p must be in \[1, inf\], got "):
             EXPONENT.check("p", value)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda d: LqSpace(2, d), lambda d: OracleSpace(math.dist, d)], ids=["lq", "oracle"]
+)
+def test_space_dimension_is_an_integer_of_at_least_one(make):
+    assert make(3).dimension == 3 and make(1).dimension == 1
+    for value in (0, -3, 2.5, 2.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"^dimension must be an integer in \[1, inf\), got "):
+            make(value)
+    for value in (True, False, "2", None):
+        with pytest.raises(ValueError, match="^dimension must be a number, got "):
+            make(value)
+
+
+def test_domain_is_a_value_record_with_the_dataclass_repr():
+    assert repr(Domain(2, 16, "[]", integer=True)) == (
+        "Domain(low=2, high=16, ends='[]', integer=True, note=None, "
+        "read=<class 'float'>, strings=True)"
+    )
+    assert Domain(0, 1) == ALPHA and hash(Domain(0, 1)) == hash(ALPHA)
+    assert Domain(0, 1, note="alpha^m < 1/2") != ALPHA
+    assert pickle.loads(pickle.dumps(ALPHA)) == ALPHA
+    with pytest.raises(AttributeError):
+        ALPHA.low = 0.5
+    with pytest.raises(AttributeError):
+        del ALPHA.note
+
+
+def test_oracle_space_compares_by_oracle_and_dimension():
+    space = OracleSpace(math.dist, 2)
+    assert space == OracleSpace(math.dist, 2) and hash(space) == hash(OracleSpace(math.dist, 2))
+    assert space != OracleSpace(math.dist, 3) and space != OracleSpace(max, 2)
+    assert repr(space) == f"OracleSpace(oracle={math.dist!r}, dimension=2)"
+    with pytest.raises(AttributeError):
+        space.dimension = 3

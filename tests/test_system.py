@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from proxcycle.spaces import (
     CapabilityError,
     Exponent,
     LqSpace,
+    OracleSpace,
     as_exponent,
     check_point,
     p_combine,
@@ -27,6 +29,7 @@ from proxcycle.system import (
     SAMPLE_BLOCK,
     Ball,
     Box,
+    ContractionCertificate,
     CyclicSystem,
     FiniteCloud,
     LinearPhi,
@@ -300,6 +303,47 @@ def test_verify_cyclicity_reports_truncation_artifact():
     report = verify_cyclicity(gs.system, seed=0)
     assert report.ok
     assert report.artifacts  # boundary index skipped, not a violation
+
+
+def _nan_at(*nan_points):
+    """A metric on the line that is NaN to each of ``nan_points``."""
+
+    def oracle(a, b):
+        return math.nan if b in nan_points else abs(a[0] - b[0])
+
+    return OracleSpace(oracle, 1)
+
+
+def test_cloud_membership_is_the_minimum_rule_with_nan_distances():
+    # min() keeps a NaN first distance, so the verdict is False, and passes
+    # over a later one; stopping at the first point within tol must agree.
+    points = ((0.0,), (1.0,), (2.0,), (3.0,))
+    cloud = FiniteCloud(points)
+    for nans in itertools.chain.from_iterable(
+        itertools.combinations(points, k) for k in range(len(points) + 1)
+    ):
+        space = _nan_at(*nans)
+        for query in ((0.0,), (1.0,), (2.5,), (3.0,), (9.0,)):
+            want = min(space._distance(query, p) for p in points) <= 1e-9
+            assert cloud.contains(query, space) is want, (nans, query)
+    assert not cloud.contains((1.0,), _nan_at((0.0,)))
+    assert cloud.contains((1.0,), _nan_at((2.0,)))
+
+
+def test_verify_cyclicity_with_a_nan_first_distance_reports_every_point():
+    cloud = FiniteCloud(((0.0,), (1.0,)))
+    system = CyclicSystem(space=_nan_at((0.0,)), regions=(cloud, cloud), map=lambda x: x)
+    report = verify_cyclicity(system)
+    assert not report.ok and report.checked == 4
+    assert report.violations == tuple((i, x, x) for i in (0, 1) for x in cloud.points)
+
+
+def test_verify_cyclicity_passes_over_a_nan_later_distance():
+    cloud = FiniteCloud(((1.0,), (0.0,)))
+    system = CyclicSystem(space=_nan_at((0.0,)), regions=(cloud, cloud), map=lambda x: x)
+    report = verify_cyclicity(system)
+    assert not report.ok and report.checked == 4
+    assert report.violations == ((0, (0.0,), (0.0,)), (1, (0.0,), (0.0,)))
 
 
 def test_map_errors_carry_witness():
@@ -907,3 +951,59 @@ def test_box_coerces_and_compares_its_bounds():
     assert same.lower == (-3.0, 2.0) and same.upper == (1.0, 2.0)
     assert same == seg and hash(same) == hash(seg)
     assert Box((-3.0, 2.0), (1.0, 3.0)) != seg
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda k: FiniteCloud(((0.0, k), (1.0, 2.0))),
+        lambda k: Box((0.0, k), (1.0, 2.0)),
+        lambda k: Ball((0.0, k), 1.0),
+        lambda k: Ball((0.0, 1.0), 1.0 + k),
+        lambda k: LinearPhi(0.25 + k / 4),
+        lambda k: TabulatedPhi(((0.0, 0.0), (1.0, 0.5 + k / 4))),
+    ],
+    ids=["cloud", "box", "ball-center", "ball-radius", "linear", "tabulated"],
+)
+def test_regions_and_phis_compare_hash_and_pickle_by_value(make):
+    value = make(1)
+    assert value == make(1) and hash(value) == hash(make(1)) and value in {make(1)}
+    assert value != make(0)
+    copy = pickle.loads(pickle.dumps(value))
+    assert copy == value and hash(copy) == hash(value) and repr(copy) == repr(value)
+    with pytest.raises(AttributeError):
+        value.anything = 1
+
+
+def test_regions_of_different_kinds_are_not_equal():
+    assert FiniteCloud(((0.0,),)) != Box((0.0,), (0.0,))
+    assert LinearPhi(0.5) != TabulatedPhi(((0.0, 0.0), (1.0, 0.5)))
+
+
+def test_reports_refuse_assignment():
+    system = kirk_system()
+    reports = [
+        verify_cyclicity(system, samples_per_region=5),
+        verify_contraction(system, LinearPhi(0.5), 2, tuple_samples=5),
+        validate_phi(LinearPhi(0.5), [0.0, 1.0]),
+        alpha_bound_check(0.5, 2, 2),
+    ]
+    for report in reports:
+        with pytest.raises(AttributeError):
+            report.ok = not report.ok
+        with pytest.raises(AttributeError):
+            del report.ok
+        with pytest.raises(AttributeError):
+            report.extra = 1
+
+
+def test_record_reprs_keep_the_dataclass_format():
+    cert = ContractionCertificate(True, 0.5, ((0.0,),), ((1.0,),), 0.0, Exponent(2.0), 1, True, 0)
+    assert repr(cert) == (
+        "ContractionCertificate(ok=True, min_margin=0.5, witness_xs=((0.0,),), "
+        "witness_ys=((1.0,),), set_chain_distance=0.0, p=Exponent(2.0), evaluated=1, "
+        "exhaustive=True, artifact_skips=0)"
+    )
+    # The knot abscissae kept for the interpolation stay out of the repr.
+    assert repr(TabulatedPhi([[0, 0], [1, 2]])) == "TabulatedPhi(knots=((0.0, 0.0), (1.0, 2.0)))"
+    assert repr(Box((0.0,), (1.0,))) == "Box(lower=(0.0,), upper=(1.0,))"
