@@ -36,7 +36,8 @@ from .system import MEMBERSHIP_TOL, CyclicSystem
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
-# The arguments of ``apriori_error_bound`` besides alpha and m.
+# Step counts (``picard_orbit``'s n, the solvers' max_iter,
+# ``apriori_error_bound``'s k) and the initial gap.
 _STEPS = Domain(0, math.inf, "[)", integer=True, strings=False)
 _GAP = Domain(0, math.inf, "[]", strings=False)
 
@@ -162,6 +163,7 @@ def picard_orbit(system: CyclicSystem, x0: Sequence[float], n: int) -> OrbitTrac
     settles on a fixed point or a truncation stub is not re-scanned.
     """
     m = system.m
+    n = _STEPS.check("n", n)
     if n < m:
         raise ValueError(f"need at least m = {m} steps")
     points = _Orbit(system, x0, n).trace().points
@@ -298,6 +300,7 @@ def banach_solve(
     bound on cross-block distances is ``apriori_error_bound`` with the
     initial gap ``cross_block_chain_distance(trace, 1, 0, p)``.
     """
+    max_iter = _STEPS.check("max_iter", max_iter)
     exp = as_exponent(p)
     space = system.space
     set_distance = system.set_chain_distance(exp)
@@ -346,6 +349,7 @@ def periodic_point_solve(
     p: object = 2,
 ) -> SolveResult:
     """Iterate the m-fold composition along x_{mn} to an m-periodic point."""
+    max_iter = _STEPS.check("max_iter", max_iter)
     exp = as_exponent(p)
     space = system.space
     m = system.m
@@ -429,6 +433,7 @@ def proximity_chain_extract(
     a truncation-artifact point, or out of the subsequence's region, is
     reported as non-convergence.
     """
+    max_iter = _STEPS.check("max_iter", max_iter)
     exp = as_exponent(p)
     space = system.space
     m = system.m

@@ -15,7 +15,8 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from itertools import repeat
+from operator import add, itemgetter, mul, sub, truediv
 from typing import Callable, Sequence
 
 from .chains import _chain_distance, _check_chains, _edge_distances, _shifted_pairs
@@ -50,6 +51,8 @@ SAMPLE_BLOCK = 128
 _KNOT = Domain(-math.inf, math.inf, note="every coordinate finite")
 # A ball's radius: a number, neither a bool nor a string, finite and positive.
 _RADIUS = Domain(0, math.inf, strings=False)
+# Sample counts: tuple pairs of a sampled certificate, points per region.
+_COUNT = Domain(1, math.inf, "[)", integer=True, strings=False)
 
 
 def _read_knot(knot: object) -> tuple[float, float]:
@@ -188,6 +191,162 @@ class Ball(_Record, Region):
 
 def _enumerable(region: Region) -> bool:
     return hasattr(region, "points")
+
+
+_TWOPI = 2.0 * math.pi  # random.TWOPI
+
+
+def _as_returned(zs: Sequence[float]) -> list[float]:
+    """What ``rng.gauss(0.0, 1.0)`` returns for each raw value z it drew or
+    kept: ``0.0 + z * 1.0``, which makes -0.0 0.0."""
+    return list(map(add, repeat(0.0), map(mul, zs, repeat(1.0))))
+
+
+class _ColumnDraw:
+    """Samples of regions that are each exactly a ``Box`` or a ``Ball``,
+    drawn a block at a time with the operations of their ``sample``.
+
+    ``draw(rng, rounds)`` returns ``[r.sample(rng) for _ in range(rounds)
+    for r in regions]`` bit for bit and leaves ``rng`` in the same state,
+    for an ``rng`` whose ``uniform`` and ``gauss`` are ``random.Random``'s.
+    ``Region.sample`` stays the per-sample reference it matches.
+
+    Every draw of the stream is a call of ``rng.random``: a Box takes one
+    per axis that is not degenerate (``uniform``), a Ball of dimension d
+    takes d ``gauss`` values and then one for its radius, and ``gauss``
+    takes a pair (an angle and a radius) for every second value, keeping
+    the other, raw, in ``rng.gauss_next``. Whether a value is kept there
+    comes back after two rounds, so a plan for each starting state fixes
+    where each draw of two rounds goes, and slot j of the plan is the
+    column ``u[j::width]`` of the block's draws. The gauss values, norms,
+    scales and coordinates are then built column by column with ``map``,
+    and the points assembled in draw order.
+
+    A Ball whose direction has norm zero returns its center without drawing
+    a radius, which shifts the stream: a block that meets one is drawn
+    again, sample by sample, from the state it started in.
+    """
+
+    __slots__ = ("regions", "_plans")
+
+    def __init__(self, regions: Sequence[Region]) -> None:
+        self.regions = tuple(regions)
+        self._plans = (self._plan(False), self._plan(True))
+
+    def _plan(self, kept: bool) -> tuple:
+        """Two rounds of draws from a state with (``kept``) or without a
+        gauss value waiting: the slots after the first round and after both,
+        the first slot of each gauss pair, each round's recipe per region and
+        what ``gauss_next`` holds after each round. A recipe gives a Box's
+        axes as (lower, upper - lower, slot), slot None for a degenerate
+        axis, and a Ball's gauss values with its radius slot. A gauss value
+        is an index into the block's gauss columns: 2k and 2k + 1 for the
+        two values of pair k, -1 for the value waiting when the block
+        starts."""
+        slots, pairs, recipes, ends, widths = 0, [], [], [], []
+        waiting = -1 if kept else None
+        for _ in range(2):
+            row = []
+            for region in self.regions:
+                if type(region) is Box:
+                    axes = []
+                    for lo, hi in zip(region.lower, region.upper):
+                        axes.append((lo, None, None) if lo == hi else (lo, hi - lo, slots))
+                        slots += lo != hi
+                    row.append(axes)
+                    continue
+                values = []
+                for _ in region.center:
+                    if waiting is None:
+                        values.append(2 * len(pairs))
+                        waiting = 2 * len(pairs) + 1
+                        pairs.append(slots)
+                        slots += 2
+                    else:
+                        values.append(waiting)
+                        waiting = None
+                row.append((values, slots))
+                slots += 1
+            recipes.append(row)
+            ends.append(waiting)
+            widths.append(slots)
+        return widths, pairs, recipes, ends
+
+    def draw(self, rng: random.Random, rounds: int) -> list[Point]:
+        """``rounds`` (at least 1) samples of every region in turn."""
+        regions = self.regions
+        kept = rng.gauss_next
+        (first, width), pairs, recipes, ends = self._plans[kept is not None]
+        state = rng.getstate()
+        half, odd = divmod(rounds, 2)
+        lengths = (half + odd, half)  # samples of the plan's first and second round
+        rand = rng.random
+        u = [rand() for _ in range(half * width + odd * first)]
+        column = [u[j::width] for j in range(width)]
+
+        # Pair k of gauss: z = cos(x2pi) * g2rad is returned at once and
+        # raws[k] = sin(x2pi) * g2rad kept for the next value; values[2k]
+        # and values[2k + 1] are the two as gauss returns them.
+        values, raws = [], []
+        for j in pairs:
+            x2pi = list(map(mul, column[j], repeat(_TWOPI)))
+            g2rad = list(
+                map(
+                    math.sqrt,
+                    map(mul, repeat(-2.0), map(math.log, map(sub, repeat(1.0), column[j + 1]))),
+                )
+            )
+            raws.append(list(map(mul, map(math.sin, x2pi), g2rad)))
+            values.append(_as_returned(map(mul, map(math.cos, x2pi), g2rad)))
+            values.append(_as_returned(raws[-1]))
+        if kept is not None and pairs:
+            # Each two rounds end with the last pair's raw value waiting.
+            values.append(_as_returned([kept, *raws[ends[1] // 2][: lengths[0] - 1]]))
+
+        groups: tuple[list, list] = ([], [])
+        for group, row, n in zip(groups, recipes, lengths):
+            for region, recipe in zip(regions, row):
+                if type(region) is Box:
+                    coords = [
+                        repeat(lo, n)
+                        if j is None
+                        else map(add, repeat(lo), map(mul, repeat(span), column[j]))
+                        for lo, span, j in recipe
+                    ]
+                else:
+                    sources, j = recipe
+                    direction = [values[k] for k in sources]
+                    squares = zip(*[map(mul, c, c) for c in direction])
+                    norms = list(map(math.sqrt, map(math.fsum, squares)))
+                    if 0.0 in norms:
+                        rng.setstate(state)
+                        return [r.sample(rng) for _ in range(rounds) for r in regions]
+                    root = 1.0 / len(direction)
+                    radii = map(mul, repeat(region.radius), map(pow, column[j], repeat(root)))
+                    scales = list(map(truediv, radii, norms))
+                    coords = [
+                        map(add, repeat(c), map(mul, scales, us))
+                        for c, us in zip(region.center, direction)
+                    ]
+                group.append(list(zip(*coords)))
+
+        end = ends[0] if odd else ends[1]
+        if end != -1:
+            rng.gauss_next = None if end is None else raws[end // 2][-1]
+        points = list(itertools.chain.from_iterable(zip(*groups[0], *groups[1])))
+        if odd:
+            points += [samples[-1] for samples in groups[0]]
+        return points
+
+
+def _column_draw(regions: Sequence[Region]) -> _ColumnDraw | None:
+    """The column drawer of ``regions`` if each is exactly a ``Box`` or a
+    ``Ball``; any other region (a ``FiniteCloud``, whose ``randrange`` draws
+    bits rather than ``random()``, or a subclass with its own ``sample``)
+    is drawn sample by sample."""
+    if all(type(r) in (Box, Ball) for r in regions):
+        return _ColumnDraw(regions)
+    return None
 
 
 def _require_l2(space: Space, what: str) -> None:
@@ -475,8 +634,7 @@ def verify_cyclicity(
     tol: float = MEMBERSHIP_TOL,
 ) -> CyclicityReport:
     """Check map(A_i) within A_{i+1}; exhaustive on enumerable regions."""
-    if samples_per_region < 1:
-        raise ValueError("samples_per_region must be >= 1")
+    samples_per_region = _COUNT.check("samples_per_region", samples_per_region)
     rng = random.Random(seed)
     violations = []
     artifacts = []
@@ -486,7 +644,11 @@ def verify_cyclicity(
         if _enumerable(region):
             candidates = region.points
         else:
-            candidates = [region.sample(rng) for _ in range(samples_per_region)]
+            columns = _column_draw((region,))
+            if columns is None:
+                candidates = [region.sample(rng) for _ in range(samples_per_region)]
+            else:
+                candidates = columns.draw(rng, samples_per_region)
         for x in candidates:
             if system.is_artifact(x):
                 artifacts.append((i, x))
@@ -626,7 +788,9 @@ def _scan_sampled(
     """``tuple_samples`` seeded tuple pairs, ``SAMPLE_BLOCK`` pairs at a time.
 
     A block's pairs are drawn as one pair at a time would draw them: xs,
-    then ys, region by region, pair by pair. Its points are read in one pass
+    then ys, region by region, pair by pair, by ``_ColumnDraw`` when every
+    region is exactly a ``Box`` or a ``Ball``, else by one
+    ``Region.sample`` call per point. Its points are read in one pass
     (``Space._as_read``), or, when one is not read as it is, one by one by
     ``Space.point``. A sample that fails to draw or to read ends the scan
     where the pair-at-a-time scan ended: the block's pairs before it are
@@ -637,12 +801,17 @@ def _scan_sampled(
     space, regions = system.space, system.regions
     width = 2 * system.m  # points per pair: the x-chain, then the y-chain
     scan = _Scan(phi_set)
+    columns = _column_draw(regions)
     for start in range(0, tuple_samples, SAMPLE_BLOCK):
+        rounds = 2 * min(SAMPLE_BLOCK, tuple_samples - start)
         points: list = []
         failure = None
         try:
-            for _ in range(2 * min(SAMPLE_BLOCK, tuple_samples - start)):
-                points += [r.sample(rng) for r in regions]
+            if columns is not None:
+                points = columns.draw(rng, rounds)
+            else:
+                for _ in range(rounds):
+                    points += [r.sample(rng) for r in regions]
         except Exception as exc:  # raised after the pairs drawn before it
             failure = exc
         if not space._as_read(points):
@@ -805,6 +974,7 @@ def verify_contraction(
     phi(d_p(x, y)) and phi(d_p(A)) over the evaluated pairs, so the
     tolerance scales with the problem.
     """
+    tuple_samples = _COUNT.check("tuple_samples", tuple_samples)
     exp = as_exponent(p)
     set_distance = system.set_chain_distance(exp)
     phi_set = phi(set_distance)

@@ -162,6 +162,44 @@ def test_apriori_error_bound_takes_an_infinite_gap_and_int_arguments():
     assert apriori_error_bound(0.5, 3, 2, 4) == 0.5 ** 6 * 4 / 0.5
 
 
+STEP_RUNS = {
+    "picard n": lambda system, value: picard_orbit(system, (-1.0,), value),
+    "banach max_iter": lambda system, value: banach_solve(system, (-1.0,), max_iter=value),
+    "periodic max_iter": lambda system, value: periodic_point_solve(
+        system, (-1.0,), max_iter=value
+    ),
+    "proximity max_iter": lambda system, value: proximity_chain_extract(
+        system, (-1.0,), max_iter=value
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(STEP_RUNS))
+@pytest.mark.parametrize("value", [2.5, 4.0, True, -1, "4", None])
+def test_step_counts_are_read_through_an_integer_domain(run, value):
+    name = run.split()[-1]
+    pattern = f"^{name} must be (a number|an integer in \\[0, inf\\)), got "
+    with pytest.raises(ValueError, match=pattern):
+        STEP_RUNS[run](make_kirk_interval(0.5).system, value)
+
+
+def test_zero_step_budgets_keep_their_results():
+    system = make_kirk_interval(0.5).system
+    # picard_orbit keeps its n >= m rule after the integer read.
+    with pytest.raises(ValueError, match="^need at least m = 2 steps$"):
+        picard_orbit(system, (-1.0,), 1)
+    assert len(picard_orbit(system, (-1.0,), 2).points) == 3
+    solved = banach_solve(system, (-1.0,), max_iter=0)
+    assert (solved.converged, solved.iterations) == (False, 0)
+    assert "max_iter exhausted before the step criterion fired" in solved.warnings
+    extracted = proximity_chain_extract(system, (-1.0,), max_iter=0)
+    assert (extracted.converged, extracted.iterations) == (False, 0)
+    # The periodic solver runs at least one block of m steps.
+    assert periodic_point_solve(system, (-1.0,), max_iter=0) == periodic_point_solve(
+        system, (-1.0,), max_iter=1
+    )
+
+
 def test_banach_solve_kirk():
     gs = make_kirk_interval(0.5)
     first = banach_solve(gs.system, (-1.0,), tol=1e-12)

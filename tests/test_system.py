@@ -30,12 +30,14 @@ from proxcycle.system import (
     Ball,
     Box,
     ContractionCertificate,
+    CyclicityReport,
     CyclicSystem,
     FiniteCloud,
     LinearPhi,
     MapError,
     Region,
     TabulatedPhi,
+    _column_draw,
     alpha_bound_check,
     contraction_margin,
     region_distance,
@@ -707,16 +709,30 @@ def test_alpha_bound_examples():
 
 
 SAMPLED_SYSTEMS = {
-    "kirk": make_kirk_interval(alpha=0.4),
-    "strip": make_affine_strip(alpha=0.3, h=1.5),
-    "pair": make_scaled_pair(alpha=0.4, separation=2.0, dimension=3),
+    "kirk": make_kirk_interval(alpha=0.4).system,
+    "strip": make_affine_strip(alpha=0.3, h=1.5).system,
+    "pair": make_scaled_pair(alpha=0.4, separation=2.0, dimension=3).system,
+    "pair7": make_scaled_pair(alpha=0.4, separation=3.0, dimension=7).system,
+    # Three balls on the line: each sample takes one gauss value, so which
+    # one waits in gauss_next alternates from round to round.
+    "balls1": CyclicSystem(
+        space=L2_1,
+        regions=(Ball((0.0,), 1.0), Ball((3.0,), 0.5), Ball((-2.0,), 1.5)),
+        map=lambda x: (0.5 * x[0] + 1.0,),
+    ),
+    # A segment with a degenerate axis, a disc and a square.
+    "mixed": CyclicSystem(
+        space=L2_2,
+        regions=(Box((0.0, 0.0), (1.0, 0.0)), Ball((0.5, 3.0), 1.0), Box((2.0, 2.0), (3.0, 3.0))),
+        map=lambda x: (0.5 * x[1], 0.25 * x[0] + 1.0),
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLED_SYSTEMS))
 @pytest.mark.parametrize("seed", [0, 1, 5])
 def test_sampled_certificate_matches_per_pair_reference(name, seed):
-    system = SAMPLED_SYSTEMS[name].system
+    system = SAMPLED_SYSTEMS[name]
     phis = (LinearPhi(0.3), TabulatedPhi(((0.0, 0.1), (0.7, 0.3), (2.0, 0.6))))
     for p, phi in itertools.product((1, 2, 3.5, "inf"), phis):
         cert = verify_contraction(system, phi, p, tuple_samples=150, seed=seed)
@@ -757,7 +773,7 @@ def _assert_sampled_matches_reference(system, phi, p, samples, seed):
 def test_block_scan_matches_per_pair_reference(samples):
     for name in sorted(SAMPLED_SYSTEMS):
         for p, phi in itertools.product((1, 2, "inf"), PHIS):
-            _assert_sampled_matches_reference(SAMPLED_SYSTEMS[name].system, phi, p, samples, 3)
+            _assert_sampled_matches_reference(SAMPLED_SYSTEMS[name], phi, p, samples, 3)
     for p in (1, "inf"):
         _assert_sampled_matches_reference(SPARSE, LinearPhi(0.4), p, samples, 5)
 
@@ -860,6 +876,166 @@ def test_block_scan_reads_lists_once_as_the_per_point_readers_do():
         got = verify_contraction(lists, LinearPhi(0.3), p, tuple_samples=2 * B + 1, seed=7)
         assert got == want
         assert len(calls) == 4 * (2 * B + 1)
+
+
+class _ZeroAt(random.Random):
+    """``random.Random`` whose ``random()`` returns 0.0 at the draws in
+    ``at``, counted from 1; the count is part of its state."""
+
+    at: frozenset = frozenset()
+    draws = 0
+
+    def random(self):
+        self.draws += 1
+        x = super().random()
+        return 0.0 if self.draws in self.at else x
+
+    def getstate(self):
+        return super().getstate(), self.draws
+
+    def setstate(self, state):
+        inner, self.draws = state
+        super().setstate(inner)
+
+
+def _zero_at(seed, draw):
+    # Python 3.10's Random takes one constructor argument, also in a subclass.
+    rng = _ZeroAt(seed)
+    rng.at = frozenset((draw,))
+    return rng
+
+
+def _hexed(points):
+    return [tuple(map(float.hex, pt)) for pt in points]
+
+
+def _assert_draws_as_samples(regions, rounds, make_rng, waiting):
+    """The column drawer gives the per-sample draws bit for bit, as tuples,
+    and leaves the generator in the same state, over two blocks."""
+    draw, ref = make_rng(), make_rng()
+    for rng in (draw, ref):
+        for _ in range(waiting):
+            rng.gauss(0.0, 1.0)
+    columns = _column_draw(regions)
+    for n in (rounds, rounds + 1):
+        got = columns.draw(draw, n)
+        want = [r.sample(ref) for _ in range(n) for r in regions]
+        assert _hexed(got) == _hexed(want)
+        assert all(type(pt) is tuple for pt in got)
+        assert draw.getstate() == ref.getstate()
+
+
+def _coordinate():
+    return st.one_of(st.just(-0.0), st.floats(-10, 10, allow_nan=False))
+
+
+@st.composite
+def _box(draw):
+    lower = draw(st.lists(_coordinate(), min_size=1, max_size=3))
+    # A zero width is a degenerate axis, which draws nothing.
+    width = st.sampled_from([0.0, 0.5, 2.0])
+    widths = draw(st.lists(width, min_size=len(lower), max_size=len(lower)))
+    return Box(tuple(lower), tuple(lo + w for lo, w in zip(lower, widths)))
+
+
+@st.composite
+def _ball(draw):
+    dim = draw(st.sampled_from([1, 2, 3, 7]))
+    center = draw(st.lists(_coordinate(), min_size=dim, max_size=dim))
+    return Ball(tuple(center), draw(st.sampled_from([0.25, 1.0, 3.0])))
+
+
+@given(
+    regions=st.lists(st.one_of(_box(), _ball()), min_size=1, max_size=4),
+    rounds=st.sampled_from([1, 2, 5, 2 * B - 1, 2 * B]),
+    seed=st.integers(0, 2 ** 32),
+    waiting=st.integers(0, 1),
+    zero_at=st.one_of(st.none(), st.integers(1, 40)),
+)
+@settings(max_examples=200, deadline=None)
+def test_column_draw_matches_per_sample_draws(regions, rounds, seed, waiting, zero_at):
+    # ``waiting`` gauss values drawn first leave one in gauss_next; a draw
+    # forced to 0.0 gives a zero gauss pair, and so a zero norm in a ball
+    # whose values all come from that pair.
+    if zero_at is None:
+        make_rng = lambda: random.Random(seed)
+    else:
+        make_rng = lambda: _zero_at(seed, zero_at)
+    _assert_draws_as_samples(tuple(regions), rounds, make_rng, waiting)
+
+
+@pytest.mark.parametrize("waiting", [0, 1])
+def test_column_draw_redraws_a_block_with_a_zero_norm(waiting):
+    # Draw 2 is the radius half of the first gauss pair, drawn by the ball
+    # or by the gauss call before it, whose kept half the ball then takes:
+    # either way the ball on the line gets a zero direction and returns its
+    # center, drawing no radius.
+    ball = Ball((2.0,), 1.0)
+    regions = (ball, Box((0.0, 1.0), (1.0, 1.0)), Ball((0.0, 0.0, 0.0), 2.0))
+    rng = _zero_at(9, 2)
+    for _ in range(waiting):
+        rng.gauss(0.0, 1.0)
+    assert _column_draw(regions).draw(rng, 3)[0] == ball.center
+    _assert_draws_as_samples(regions, 3, lambda: _zero_at(9, 2), waiting)
+
+
+def test_column_draw_returns_zero_gauss_values_as_gauss_does():
+    # gauss returns 0.0 + z * 1.0, so a raw -0.0 comes back as 0.0, and
+    # -0.0 + scale * 0.0 is 0.0 where -0.0 + scale * -0.0 would stay -0.0.
+    # Draw 2 zeroes the first gauss pair of the ball, not its third value.
+    ball = Ball((-0.0, -0.0, -0.0), 2.0)
+    got = _column_draw((ball,)).draw(_zero_at(4, 2), 1)
+    assert _hexed(got) == _hexed([ball.sample(_zero_at(4, 2))])
+    assert _hexed(got)[0][:2] == ("0x0.0p+0", "0x0.0p+0")
+    _assert_draws_as_samples((ball,), 3, lambda: _zero_at(4, 2), 0)
+
+
+def test_only_exact_boxes_and_balls_are_drawn_by_columns():
+    kirk = SAMPLED_SYSTEMS["kirk"].regions
+    assert _column_draw(kirk) is not None
+    assert _column_draw(SAMPLED_SYSTEMS["mixed"].regions) is not None
+    assert _column_draw(kirk + (FiniteCloud(((0.0,),)),)) is None
+    assert _column_draw(tuple(_ListBox(r.lower, r.upper) for r in kirk)) is None
+
+
+def _cyclicity_reference(system, samples, seed):
+    """``verify_cyclicity`` from per-sample ``Region.sample`` draws, region by
+    region, and the public ``apply`` and ``contains``."""
+    rng = random.Random(seed)
+    violations, artifacts, checked = [], [], 0
+    for i, region in enumerate(system.regions):
+        target = system.regions[(i + 1) % system.m]
+        for x in [region.sample(rng) for _ in range(samples)]:
+            if system.is_artifact(x):
+                artifacts.append((i, x))
+                continue
+            y = system.apply(x)
+            checked += 1
+            if not target.contains(y, system.space):
+                violations.append((i, x, y))
+    return CyclicityReport(not violations, tuple(violations), tuple(artifacts), checked)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_SYSTEMS))
+@pytest.mark.parametrize("samples", [1, 7, 200])
+def test_verify_cyclicity_matches_per_sample_reference(name, samples):
+    system = SAMPLED_SYSTEMS[name]
+    # The identity map violates cyclicity at every sample of disjoint regions,
+    # so the report lists the drawn points themselves.
+    stuck = CyclicSystem(space=system.space, regions=system.regions, map=lambda x: x)
+    for tested, seed in itertools.product((system, stuck), range(4)):
+        report = verify_cyclicity(tested, samples_per_region=samples, seed=seed)
+        want = _cyclicity_reference(tested, samples, seed)
+        assert report == want and repr(report) == repr(want)
+
+
+@pytest.mark.parametrize("value", [0, -3, True, 2.5, 2.0, "4", None])
+def test_sample_counts_are_read_through_an_integer_domain(value):
+    system = kirk_system()
+    with pytest.raises(ValueError, match="^tuple_samples must be "):
+        verify_contraction(system, LinearPhi(0.5), 2, tuple_samples=value)
+    with pytest.raises(ValueError, match="^samples_per_region must be "):
+        verify_cyclicity(system, samples_per_region=value)
 
 
 def test_sampled_certificate_raises_map_error_with_point():
