@@ -186,14 +186,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     m = system.m
     p = config.p
 
-    # One walk per run: the solver reads it from x_0, the walk records
-    # x_0..x_n_orbit as it passes them, and ``trace.csv`` reads that prefix.
+    # One walk per run: x_0..x_n_orbit are walked first, for every run kind,
+    # so a MapError on them surfaces before any solver or certificate runs.
+    # The solver reads the walk from x_0, and ``trace.csv`` reads the prefix.
     n_orbit = max(3 * m, min(config.iterations, 10_000))
     walk = orbit._Orbit(system, gs.default_start, n_orbit)
-    if config.run == "certify":
-        # Certification does not read the orbit; walking the prefix first
-        # makes a MapError on it surface before the certificate is computed.
-        walk.trace()
 
     result: dict = {
         "point": None,
@@ -266,7 +263,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         }
         result["converged"] = cert.ok
 
-    # Extends the recorded prefix when the solver stopped short of x_n_orbit.
     trace = walk.trace()
     summary = _finite_or_null({
         "system": {"id": gs.spec.id, "parameters": gs.spec.parameter_dict()},

@@ -3,21 +3,27 @@
 Orbit generation is inherently sequential; everything derived from a trace is
 pure. Non-convergence is data (a flagged result), never an exception.
 
-One loop steps an orbit: ``_walk`` yields x_{k+1}, x_{k+2}, ... from a
-validated x_k through ``CyclicSystem._image``, the stepper behind ``apply``,
-which validates each image once and tags a ``MapError`` with its step.
-``_Orbit`` is one walk of one orbit: it validates the start once
-(``_start``: finite, of the space's dimension, in the first region), records
-the first ``keep + 1`` points as the walk passes them (the trace prefix, and
-nothing past it), and walks on from the recorded end with the orbit's own
-step numbers when a reader needs more. ``picard_orbit`` is that prefix plus
-a membership pass; the three solvers are stopping rules over the walk: a
-small consecutive step, a small m-step drift, and every interleaved
-subsequence settled. A solver's residual image is the next walked point, so
-its ``MapError`` carries its step too. A run of ``proxcycle run`` hands its
-walk to the solver and takes ``trace.csv``'s points from the same recorded
-prefix, so each orbit point is mapped once. The walked points are measured
-with the trusted ``Space._distance``.
+One loop steps an orbit one point at a time: ``_walk`` yields x_{k+1},
+x_{k+2}, ... from a validated x_k through ``CyclicSystem._image``, the
+stepper behind ``apply``, which validates each image once and tags a
+``MapError`` with its step. ``_walk`` is the reference walk and the one that
+reports errors. ``_Orbit`` is one walk of one orbit: it validates the start
+once (``_start``: finite, of the space's dimension, in the first region) and
+records the first ``keep + 1`` points (the trace prefix, and nothing past
+it) before any reader comes. The prefix is read in chunks by
+``CyclicSystem._steps``, one raw map pass and one validation pass per chunk,
+and ``_walk`` finishes it from where a chunk stops short: a chunk whose map
+raises is walked again from its start, so an error keeps its point and
+step, and the walk goes on per step after an image that needed converting.
+The points are ``_walk``'s, bit for bit. ``picard_orbit`` is that prefix
+plus a membership pass; the three solvers are stopping rules over the walk,
+read one step at a time: a small consecutive step, a small m-step drift,
+and every interleaved subsequence settled. A solver's residual image is the
+next walked point, so its ``MapError`` carries its step too. A run of
+``proxcycle run`` walks the prefix first, hands its walk to the solver and
+takes ``trace.csv``'s points from the same recorded prefix, so each orbit
+point is mapped once. The walked points are measured with the trusted
+``Space._distance``.
 ``trace_rows`` builds the ``trace.csv`` columns in one pass over
 consecutive distances; ``chain_trace``, ``edge_trace`` and
 ``block_drift_trace`` are the public per-column references it matches bit
@@ -102,50 +108,39 @@ def _start(system: CyclicSystem, x0: Sequence[float]) -> Point:
 
 def _walk(system: CyclicSystem, x: Point, k: int) -> Iterator[Point]:
     """x_{k+1}, x_{k+2}, ... of the orbit through the validated x_k = x: the
-    one loop that steps the map, so a ``MapError`` carries the step at which
-    it arose. The walk is endless; readers bound it."""
+    per-step loop, the reference for the chunked prefix and the one walk that
+    reports an error, so a ``MapError`` carries the step at which it arose.
+    The walk is endless; readers bound it."""
     for k in count(k + 1):
         x = system._image(x, step=k)
         yield x
 
 
 class _Orbit:
-    """One walk of the orbit of a start point, recording its first
-    ``keep + 1`` points x_0..x_keep as the walk passes them.
+    """One walk of the orbit of a start point, whose first ``keep + 1``
+    points x_0..x_keep are recorded before any reader comes.
 
-    Iterating yields x_1, x_2, ...: the recorded points, then the walk on
-    from the last of them, recording each new point while the prefix has
-    room. Points past the prefix are not kept, so a second reader that goes
-    past it maps those steps again, with the same points and step numbers.
+    The prefix is read in chunks by ``CyclicSystem._steps`` and finished by
+    ``_walk`` where a chunk stops short. Iterating yields x_1, x_2, ...: the
+    recorded points, then the walk on from the last of them. Points past
+    the prefix are not kept, so a second reader that goes past it maps those
+    steps again, with the same points and step numbers.
     """
 
     def __init__(self, system: CyclicSystem, x0: Sequence[float], keep: int = 0):
         self.system = system
-        self.keep = keep
-        self.points = [_start(system, x0)]
+        x = _start(system, x0)
+        points = [x, *system._steps(x, keep)]
+        points += islice(_walk(system, points[-1], len(points) - 1), keep + 1 - len(points))
+        self.points = points
 
     def __iter__(self) -> Iterator[Point]:
         points = self.points
-        walk = _walk(self.system, points[-1], len(points) - 1)
-        room = max(0, self.keep + 1 - len(points))
-        # Past the prefix the reader steps the walk itself, with no
-        # recording layer in between.
-        return chain(points[1:], self._record(islice(walk, room)), walk)
-
-    def _record(self, walk: Iterator[Point]) -> Iterator[Point]:
-        for x in walk:
-            self.points.append(x)
-            yield x
+        return chain(islice(points, 1, None), _walk(self.system, points[-1], len(points) - 1))
 
     def trace(self) -> OrbitTrace:
-        """x_0..x_keep, walking on from the recorded end if no reader has
-        reached x_keep yet. The prefix is extended straight from the walk:
-        there is no reader to pass the points to."""
-        points = self.points
-        room = self.keep + 1 - len(points)
-        if room > 0:
-            points.extend(islice(_walk(self.system, points[-1], len(points) - 1), room))
-        return OrbitTrace(self.system, tuple(points))
+        """The recorded prefix x_0..x_keep."""
+        return OrbitTrace(self.system, tuple(self.points))
 
 
 def _orbit(system: CyclicSystem, x0: Sequence[float]) -> _Orbit:
@@ -348,7 +343,12 @@ def periodic_point_solve(
     max_iter: int = DEFAULT_MAX_ITER,
     p: object = 2,
 ) -> SolveResult:
-    """Iterate the m-fold composition along x_{mn} to an m-periodic point."""
+    """Iterate the m-fold composition along x_{mn} to an m-periodic point.
+
+    The budget is counted in blocks of m steps, ``max(1, max_iter // m)`` of
+    them: at least one block is walked, so a ``max_iter`` below m still walks
+    m steps and reports ``iterations = m``.
+    """
     max_iter = _STEPS.check("max_iter", max_iter)
     exp = as_exponent(p)
     space = system.space

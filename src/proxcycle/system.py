@@ -15,8 +15,8 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from operator import add, itemgetter, mul, sub, truediv
+from itertools import compress, repeat
+from operator import add, is_not, itemgetter, mul, sub, truediv
 from typing import Callable, Sequence
 
 from .chains import _chain_distance, _check_chains, _edge_distances, _shifted_pairs
@@ -47,6 +47,10 @@ EXHAUSTIVE_LIMIT = 10 ** 6
 # of the column kernels is small beside the per-pair work, few enough that a
 # block's points, images and columns stay small.
 SAMPLE_BLOCK = 128
+# Orbit steps per chunk of ``CyclicSystem._steps``: enough that the per-chunk
+# validation pass is cheap beside the steps, few enough that the steps a
+# chunk maps past an image it refuses stay few.
+_CHUNK = 1024
 # Each coordinate of a tabulated phi knot.
 _KNOT = Domain(-math.inf, math.inf, note="every coordinate finite")
 # A ball's radius: a number, neither a bool nor a string, finite and positive.
@@ -512,7 +516,10 @@ def validate_phi(phi: Phi, grid: Sequence[float]) -> PhiReport:
 @dataclass(frozen=True)
 class CyclicSystem:
     """m regions plus a deterministic map; immutable. The map callable must be
-    pure and reentrant; this is a documented contract on the caller.
+    pure and reentrant; this is a documented contract on the caller. The
+    orbit's chunk stepper ``_steps`` may call the map on an image before
+    that image is validated (a list, a non-finite or a wrong-dimension
+    point); the result of such a call is discarded.
 
     ``artifact_points`` marks points whose image is a truncation stub rather
     than the genuine map (finite cuts of infinite families need one).
@@ -568,18 +575,26 @@ class CyclicSystem:
             )
         return out
 
+    def _read(self, pt: Point, image: object, step: int | None = None) -> Point:
+        """``self._image(pt, step)`` given the map's image of ``pt``: read by
+        ``check_point`` and this space's dimension, as ``_image`` reads it.
+        An image that fails there is mapped again by ``_image`` for its
+        error, so ``_image`` stays the one reader that reports a failure."""
+        try:
+            out = check_point(image)
+        except (TypeError, ValueError, OverflowError):
+            return self._image(pt, step)
+        return out if len(out) == self.space.dimension else self._image(pt, step)
+
     def _images(self, pts: list[Point]) -> list[Point]:
         """``[self._image(pt) for pt in pts]`` for points already validated:
         the map called over the block in one C-level pass and the images
         validated in one more (``Space._as_read``).
 
-        The per-point ``_image`` stays the one reader that reports a failure.
         When the map raises, the block is mapped again point by point by
         ``_image``, which raises for the first failing point in order. An
-        image not read as it is goes through ``check_point``, and one that
-        fails there or has the wrong dimension is mapped again by ``_image``
-        for its error; the map is pure, so a successful block calls it once
-        per point.
+        image not read as it is goes through ``_read``; the map is pure, so
+        a successful block calls it once per point.
         """
         try:
             images = list(map(self.map, pts))
@@ -587,16 +602,56 @@ class CyclicSystem:
             return [self._image(pt) for pt in pts]
         if self.space._as_read(images):
             return images
-        dim = self.space.dimension
+        return list(map(self._read, pts, images))
 
-        def read(pt: Point, image: object) -> Point:
+    def _steps(self, x: Point, n: int) -> list[Point]:
+        """x_1, ..., x_j of the orbit through the validated x_0 = x, for some
+        j <= n, exactly as n steps of ``_image`` begin: the map runs over up
+        to ``_CHUNK`` steps at a time in a plain loop, and each chunk's
+        images are validated in one ``Space._as_read`` pass. An image that
+        is the very object of its predecessor is validated with it, so an
+        orbit that has settled on a point its map returns as it is costs no
+        coordinate pass.
+
+        The steps past x_j are the caller's to walk one ``_image`` at a
+        time, which reports every error with its point and step:
+
+        - A chunk whose map call raises ends the result at the chunk's
+          start, and the caller walks the chunk again from there.
+        - A chunk with an image not read as it is (a list, ints, a float
+          subclass, a non-finite or wrong-dimension point) keeps the images
+          before it, whose inputs were read points, and ends with that
+          image read by ``_read`` from the call already made.
+
+        The loop calls the map on each image before the image is validated;
+        the map is pure, so a call on an image that is then refused only
+        has its result discarded. A successful walk of read images calls
+        the map once per step; one with an image that needs converting
+        calls it at most one chunk more.
+        """
+        f, as_read = self.map, self.space._as_read
+        out: list[Point] = []
+        while len(out) < n:
+            chunk: list[Point] = []
+            append = chunk.append
+            y = x
             try:
-                out = check_point(image)
-            except (TypeError, ValueError, OverflowError):
-                return self._image(pt)
-            return out if len(out) == dim else self._image(pt)
-
-        return list(map(read, pts, images))
+                for _ in repeat(None, min(_CHUNK, n - len(out))):
+                    y = f(y)
+                    append(y)
+            except Exception:
+                break
+            if not as_read(list(compress(chunk, map(is_not, chunk, itertools.chain((x,), chunk))))):
+                for y in chunk:
+                    if y is not x and not as_read((y,)):
+                        out.append(self._read(x, y, len(out) + 1))
+                        break
+                    out.append(y)
+                    x = y
+                break
+            out += chunk
+            x = y
+        return out
 
     def is_artifact(self, x: Sequence[float], tol: float = 1e-12) -> bool:
         return self._is_artifact(self.space.point(x), tol)

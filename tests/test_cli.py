@@ -415,6 +415,38 @@ def test_map_error_on_the_one_walk_matches_picard_orbit(
     assert not (tmp_path / "direct").exists()
 
 
+def test_prefix_map_error_in_a_banach_run_exits_3_before_the_solver(
+    tmp_path, monkeypatch, capsys
+):
+    # The run walks x_0..x_1000 first; the map fails at step 700, long after
+    # the solver would have stopped (step 35 at tol 1e-10).
+    data = base_config(run="banach", iterations=1000)
+    good = cli.gallery.build(data["system"]["id"], data["system"]["parameters"])
+    broken_at = picard_orbit(good.system, good.default_start, 699).points[-1]
+
+    def failing(system):
+        def map_(x, inner=system.map):
+            if x == broken_at:
+                raise RuntimeError("no image")
+            return inner(x)
+
+        return map_
+
+    solved = []
+    banach_solve = cli.orbit.banach_solve
+    monkeypatch.setattr(cli.gallery, "build", _mapped_build(failing))
+    monkeypatch.setattr(
+        cli.orbit, "banach_solve", lambda *a, **k: solved.append(a) or banach_solve(*a, **k)
+    )
+    config = write_config(tmp_path, data)
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"map error: map failed at {broken_at!r}: no image")
+    assert not out.exists() and solved == []
+
+
 @pytest.mark.parametrize("run", cli.RUNS)
 def test_runs_compute_each_edge_distance_once(tmp_path, monkeypatch, run):
     lq = {"id": "paper_lq_family", "parameters": {"m": 3, "N": 2}}

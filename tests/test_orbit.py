@@ -12,6 +12,7 @@ from proxcycle.gallery import (
     make_scaled_pair,
 )
 from proxcycle.orbit import (
+    _Orbit,
     apriori_error_bound,
     banach_solve,
     block_drift_trace,
@@ -25,9 +26,10 @@ from proxcycle.orbit import (
     proximity_chain_extract,
     trace_rows,
 )
+import proxcycle.system as system_module
 from proxcycle.cli import _write_trace_csv
-from proxcycle.spaces import INFINITY, LqSpace, OracleSpace, as_exponent
-from proxcycle.system import Box, CyclicSystem, MapError
+from proxcycle.spaces import INFINITY, LqSpace, OracleSpace, as_exponent, check_point
+from proxcycle.system import _CHUNK, Box, CyclicSystem, MapError
 
 
 def test_picard_orbit_kirk_closed_form():
@@ -511,3 +513,139 @@ def test_orbit_results_are_immutable_value_records():
         assert type(result)(*fields) == result
     assert picard_orbit(system, (1.0, 0.0), 8) == trace
     assert hash(picard_orbit(system, (1.0, 0.0), 8)) == hash(trace)
+
+
+# --- the trace prefix, walked in chunks -----------------------------------------
+
+
+def _per_step(system, x0, n):
+    """x_0..x_n by the per-step reference: ``apply`` once per step."""
+    points = [system.space.point(x0)]
+    for k in range(1, n + 1):
+        points.append(system.apply(points[-1], step=k))
+    return points
+
+
+def _hex(points):
+    """Each point's type and its coordinates' types and hex digits: equal
+    results are bit-identical points of the same types."""
+    return [(type(x), [(type(c), float.hex(c)) for c in x]) for x in points]
+
+
+PREFIX_SYSTEMS = {
+    "kirk_interval": lambda: make_kirk_interval(0.001),
+    "affine_strip": lambda: make_affine_strip(0.999, 2.0),
+    "scaled_pair": lambda: make_scaled_pair(alpha=0.002, separation=1.0, dimension=2),
+    "paper_lq_family 7-d": lambda: make_paper_lq_family(m=2, N=2, q=INFINITY, alpha=0.5),
+    "paper_lq_family 22-d": lambda: make_paper_lq_family(m=3, N=6, q=2, alpha=0.4),
+}
+PREFIX_LENGTHS = (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 10_000)
+
+
+@pytest.mark.parametrize("n", PREFIX_LENGTHS)
+@pytest.mark.parametrize("name", sorted(PREFIX_SYSTEMS))
+def test_chunked_prefix_equals_the_per_step_walk(monkeypatch, name, n):
+    gs = PREFIX_SYSTEMS[name]()
+    want = _hex(_per_step(gs.system, gs.default_start, n))
+    read = []
+    monkeypatch.setattr(system_module, "check_point", lambda v: read.append(v) or check_point(v))
+    assert _hex(_Orbit(gs.system, gs.default_start, n).points) == want
+    assert _hex(picard_orbit(gs.system, gs.default_start, n).points) == want
+    # Every gallery image is a tuple of exact floats, read by the chunk pass.
+    assert read == []
+
+
+def _strip_failing_at(k, bad_image):
+    """affine_strip at alpha 0.999, whose first coordinate 0.999^j names
+    step j, with the map giving ``bad_image(x)`` at x_{k-1} only."""
+    gs = make_affine_strip(0.999, 1.0)
+    broken_at = _per_step(gs.system, gs.default_start, k - 1)[-1]
+
+    def map_(x, inner=gs.system.map):
+        return bad_image(x) if x == broken_at else inner(x)
+
+    return dataclasses.replace(gs.system, map=map_), gs.default_start, broken_at
+
+
+def _raise(exc):
+    raise exc
+
+
+BAD_IMAGES = {
+    # (map at x_{k-1}, error, message start)
+    "raises": (lambda x: _raise(RuntimeError("no image")), MapError, "map failed"),
+    "nan image": (lambda x: (math.nan, 0.0), MapError, "map returned an invalid point"),
+    "list of str": (lambda x: ["1", 0.0], MapError, "map returned an invalid point"),
+    # The next raw call indexes x[1] of a 1-d point and raises.
+    "1-d image": (lambda x: (x[0],), ValueError, "map returned a 1-dimensional point"),
+    # The next raw call maps the 3-d point to a 2-d one and succeeds.
+    "3-d image": (lambda x: (*x, 0.0), ValueError, "map returned a 3-dimensional point"),
+}
+
+
+@pytest.mark.parametrize("k", [1, _CHUNK, _CHUNK + 1, 2 * _CHUNK])
+@pytest.mark.parametrize("bad", sorted(BAD_IMAGES))
+def test_chunked_prefix_reports_the_per_step_error(k, bad):
+    bad_image, error, message = BAD_IMAGES[bad]
+    system, x0, broken_at = _strip_failing_at(k, bad_image)
+    with pytest.raises(error) as reference:
+        _per_step(system, x0, 3 * _CHUNK)
+    assert str(reference.value).startswith(message)
+    walks = (lambda: _Orbit(system, x0, 3 * _CHUNK), lambda: picard_orbit(system, x0, max(k, 2)))
+    for walk in walks:
+        with pytest.raises(error) as err:
+            walk()
+        assert str(err.value) == str(reference.value)
+        if error is MapError:
+            assert err.value.step == k and err.value.point == broken_at
+
+
+@pytest.mark.parametrize("k", [1, _CHUNK, _CHUNK + 1, 2 * _CHUNK])
+def test_an_invalid_image_the_map_refuses_is_an_invalid_point_at_its_step(k):
+    # The raw loop maps the (nan, 0.0) image too, and that call raises; the
+    # error is still the per-step one: the invalid image at step k, not a
+    # failed map call at step k + 1.
+    system, x0, broken_at = _strip_failing_at(k, lambda x: (math.nan, 0.0))
+
+    def map_(x, inner=system.map):
+        if math.isnan(x[0]):
+            raise ValueError("no image of nan")
+        return inner(x)
+
+    system = dataclasses.replace(system, map=map_)
+    with pytest.raises(MapError) as err:
+        _Orbit(system, x0, 3 * _CHUNK)
+    assert err.value.step == k and err.value.point == broken_at
+    assert str(err.value).startswith("map returned an invalid point")
+
+
+class _Float(float):
+    pass
+
+
+CONVERTED_IMAGES = {
+    "lists": lambda x: [0.999 * x[0], 1.0 - x[1]],
+    "tuples of ints": lambda x: (int(x[0] > 0.5), int(x[1] < 0.5)),
+    "float subclass": lambda x: (_Float(0.999 * x[0]), _Float(1.0 - x[1])),
+    # Exact floats for two chunks, then lists.
+    "lists from step 2 500": lambda x: (
+        [0.999 * x[0], 1.0 - x[1]] if x[0] < 0.999 ** 2_498 else (0.999 * x[0], 1.0 - x[1])
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [_CHUNK - 1, 10_000])
+@pytest.mark.parametrize("image", sorted(CONVERTED_IMAGES))
+def test_converted_images_give_the_per_step_points_within_one_extra_chunk(image, n):
+    calls = []
+
+    def map_(x):
+        calls.append(x)
+        return CONVERTED_IMAGES[image](x)
+
+    strip = make_affine_strip(0.999, 1.0).system
+    system = dataclasses.replace(strip, map=map_)
+    want = _hex(_per_step(system, (1.0, 0.0), n))
+    calls.clear()
+    assert _hex(_Orbit(system, (1.0, 0.0), n).points) == want
+    assert n <= len(calls) <= n + _CHUNK
