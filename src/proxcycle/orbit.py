@@ -13,8 +13,9 @@ records the first ``keep + 1`` points (the trace prefix, and nothing past
 it) before any reader comes. The prefix is read in chunks by
 ``CyclicSystem._steps``, one raw map pass and one validation pass per chunk,
 and ``_walk`` finishes it from where a chunk stops short: a chunk whose map
-raises is walked again from its start, so an error keeps its point and
-step, and the walk goes on per step after an image that needed converting.
+raises, or whose images are not all read as they are, is walked again from
+its start, so an error keeps its point and step and a converted image is
+``apply``'s.
 The points are ``_walk``'s, bit for bit. ``picard_orbit`` is that prefix
 plus a membership pass; the three solvers are stopping rules over the walk,
 read one step at a time: a small consecutive step, a small m-step drift,

@@ -516,10 +516,12 @@ def validate_phi(phi: Phi, grid: Sequence[float]) -> PhiReport:
 @dataclass(frozen=True)
 class CyclicSystem:
     """m regions plus a deterministic map; immutable. The map callable must be
-    pure and reentrant; this is a documented contract on the caller. The
-    orbit's chunk stepper ``_steps`` may call the map on an image before
-    that image is validated (a list, a non-finite or a wrong-dimension
-    point); the result of such a call is discarded.
+    pure and reentrant; this is a documented contract on the caller. It must
+    also return or raise on any value it returns, not only on points: the
+    orbit's chunk stepper ``_steps`` calls the map on an image before that
+    image is validated (a list, a non-finite or a wrong-dimension point), so
+    a map that loops forever on ``inf`` hangs an orbit whose image is
+    ``inf``, where a per-step walk would have raised ``MapError`` first.
 
     ``artifact_points`` marks points whose image is a truncation stub rather
     than the genuine map (finite cuts of infinite families need one).
@@ -575,26 +577,18 @@ class CyclicSystem:
             )
         return out
 
-    def _read(self, pt: Point, image: object, step: int | None = None) -> Point:
-        """``self._image(pt, step)`` given the map's image of ``pt``: read by
-        ``check_point`` and this space's dimension, as ``_image`` reads it.
-        An image that fails there is mapped again by ``_image`` for its
-        error, so ``_image`` stays the one reader that reports a failure."""
-        try:
-            out = check_point(image)
-        except (TypeError, ValueError, OverflowError):
-            return self._image(pt, step)
-        return out if len(out) == self.space.dimension else self._image(pt, step)
-
     def _images(self, pts: list[Point]) -> list[Point]:
         """``[self._image(pt) for pt in pts]`` for points already validated:
         the map called over the block in one C-level pass and the images
         validated in one more (``Space._as_read``).
 
+        The per-point ``_image`` stays the one reader that reports a failure.
         When the map raises, the block is mapped again point by point by
         ``_image``, which raises for the first failing point in order. An
-        image not read as it is goes through ``_read``; the map is pure, so
-        a successful block calls it once per point.
+        image not read as it is goes through ``check_point``, and one that
+        fails there or has the wrong dimension is mapped again by ``_image``
+        for its error; the map is pure, so a successful block calls it once
+        per point.
         """
         try:
             images = list(map(self.map, pts))
@@ -602,7 +596,16 @@ class CyclicSystem:
             return [self._image(pt) for pt in pts]
         if self.space._as_read(images):
             return images
-        return list(map(self._read, pts, images))
+        dim = self.space.dimension
+
+        def read(pt: Point, image: object) -> Point:
+            try:
+                out = check_point(image)
+            except (TypeError, ValueError, OverflowError):
+                return self._image(pt)
+            return out if len(out) == dim else self._image(pt)
+
+        return list(map(read, pts, images))
 
     def _steps(self, x: Point, n: int) -> list[Point]:
         """x_1, ..., x_j of the orbit through the validated x_0 = x, for some
@@ -613,21 +616,18 @@ class CyclicSystem:
         orbit that has settled on a point its map returns as it is costs no
         coordinate pass.
 
-        The steps past x_j are the caller's to walk one ``_image`` at a
-        time, which reports every error with its point and step:
+        A chunk whose map call raises, or whose images are not all read as
+        they are (a list, ints, a float subclass, a non-finite or
+        wrong-dimension point), ends the result at the chunk's start. The
+        caller walks on from there one ``_image`` at a time, which converts
+        an image as ``apply`` does and reports every error with its point
+        and step. A successful walk whose images are all read as they are
+        calls the map once per step; any other calls it at most one chunk
+        more.
 
-        - A chunk whose map call raises ends the result at the chunk's
-          start, and the caller walks the chunk again from there.
-        - A chunk with an image not read as it is (a list, ints, a float
-          subclass, a non-finite or wrong-dimension point) keeps the images
-          before it, whose inputs were read points, and ends with that
-          image read by ``_read`` from the call already made.
-
-        The loop calls the map on each image before the image is validated;
-        the map is pure, so a call on an image that is then refused only
-        has its result discarded. A successful walk of read images calls
-        the map once per step; one with an image that needs converting
-        calls it at most one chunk more.
+        The loop calls the map on each image before the image is validated,
+        so the map must return or raise on anything it returns, not only on
+        points (see ``CyclicSystem``).
         """
         f, as_read = self.map, self.space._as_read
         out: list[Point] = []
@@ -642,12 +642,6 @@ class CyclicSystem:
             except Exception:
                 break
             if not as_read(list(compress(chunk, map(is_not, chunk, itertools.chain((x,), chunk))))):
-                for y in chunk:
-                    if y is not x and not as_read((y,)):
-                        out.append(self._read(x, y, len(out) + 1))
-                        break
-                    out.append(y)
-                    x = y
                 break
             out += chunk
             x = y
