@@ -7,6 +7,14 @@ the library's output and must not change: a refactor of the orbit, trace or
 certification code that alters a single byte of either file fails here.
 Iterations 1 gives the shortest orbit (3m steps) and iterations 257 a longer
 one whose length is not a multiple of m.
+
+The solver tail has digests of its own: the three solvers on slow systems
+(step factor 0.9995) at tolerance 1e-12, whose orbits run past the
+10 000-step trace prefix. With iterations 100 000 the runs stop between
+steps 4 x 10^4 and 6 x 10^4, or exhaust the budget where no fixed point
+exists (banach on affine_strip and scaled_pair). Iterations 10 001,
+11 025 and 23 456 exhaust the budget one step, one chunk plus one step
+(the chunk being 1 024 steps) and many chunks past the prefix.
 """
 
 import hashlib
@@ -26,6 +34,16 @@ SYSTEMS = {
     "lq4": ("paper_lq_family", {"m": 4, "q": 3}, 1.5),
 }
 ITERATIONS = (1, 257)
+
+# The solver tail: label -> (system id, parameters, p), at tolerance 1e-12.
+TAIL_SYSTEMS = {
+    "slow-kirk": ("kirk_interval", {"alpha": 0.0005}, 2),
+    "slow-strip": ("affine_strip", {"alpha": 0.9995, "h": 1.5}, "inf"),
+    "slow-pair": ("scaled_pair", {"alpha": 0.0005, "separation": 2.0, "dimension": 3}, 1),
+}
+SOLVER_RUNS = ("banach", "periodic", "proximity")
+TAIL_ITERATIONS = (100_000, 10_001, 11_025, 23_456)
+TAIL_TOLERANCE = 1e-12
 
 # "<label>-<run>-<iterations>" -> (sha256 of trace.csv, sha256 of summary.json
 # without metadata, dumped with sorted keys and indent 2)
@@ -270,18 +288,167 @@ DIGESTS = {
         "bc4822c2ba73d5b37cd2fe49ca8a92a067dd56bc84bb1b97810ebb10a86d5dc5",
         "ff10d62ce1d1125376026e4aa087afe4d629423210998e853155436af2f799ec",
     ),
+    "slow-kirk-banach-100000": (
+        "2f78d8179bb1148be84bd6135996f1f6d8393ce6da67da9bb2e40298c385044d",
+        "dee03ae07bd351934c5d6e722dc68791171d642e532567856aee410102f7d2f2",
+    ),
+    "slow-kirk-banach-10001": (
+        "2f78d8179bb1148be84bd6135996f1f6d8393ce6da67da9bb2e40298c385044d",
+        "5f17eca865ab139d42d5a6b2543d84aa25d298ccc7f45661c5e3173d590ede44",
+    ),
+    "slow-kirk-banach-11025": (
+        "2f78d8179bb1148be84bd6135996f1f6d8393ce6da67da9bb2e40298c385044d",
+        "e03d113b7e5bf69bf02c6874ef526d775b3be39ead24ea42ec2665c78a001efb",
+    ),
+    "slow-kirk-banach-23456": (
+        "2f78d8179bb1148be84bd6135996f1f6d8393ce6da67da9bb2e40298c385044d",
+        "3cc2c33def08b19e6963ec20d29a94e7c1fe78b963e2bb694fcd7cb44a836e20",
+    ),
+    "slow-kirk-periodic-100000": (
+        "2f78d8179bb1148be84bd6135996f1f6d8393ce6da67da9bb2e40298c385044d",
+        "4c045626e5ffe40424faa9f77153520365bd96e69c9a93437cc14d3ccc4c612e",
+    ),
+    "slow-kirk-periodic-10001": (
+        "2f78d8179bb1148be84bd6135996f1f6d8393ce6da67da9bb2e40298c385044d",
+        "8395bce90327031b4f69236154b5e7070b6138449bb3adfec38e2c6d2e861471",
+    ),
+    "slow-kirk-periodic-11025": (
+        "2f78d8179bb1148be84bd6135996f1f6d8393ce6da67da9bb2e40298c385044d",
+        "c0b89e69fe5c9dbd7360ed92b82d06841b3a933e777395f632adbd23dfe301b2",
+    ),
+    "slow-kirk-periodic-23456": (
+        "2f78d8179bb1148be84bd6135996f1f6d8393ce6da67da9bb2e40298c385044d",
+        "522efa64da39a4d97747a4ff1ded675589bcf36d959cbb375b5eb4a0a0524213",
+    ),
+    "slow-kirk-proximity-100000": (
+        "2f78d8179bb1148be84bd6135996f1f6d8393ce6da67da9bb2e40298c385044d",
+        "fecb6396ea67222b65b7c716a391385b81f0c5f122a4054ecc79c5055b5f1eb2",
+    ),
+    "slow-kirk-proximity-10001": (
+        "2f78d8179bb1148be84bd6135996f1f6d8393ce6da67da9bb2e40298c385044d",
+        "3f5e5b981290fcd4345cc6ff5b13699fee0ca72950828f7dca289db4e4e07816",
+    ),
+    "slow-kirk-proximity-11025": (
+        "2f78d8179bb1148be84bd6135996f1f6d8393ce6da67da9bb2e40298c385044d",
+        "0923e3c7c3dbc5f7dd7a51761a9ffa56c29bf4dd75aed2b8dd99e8c70f7ce2ac",
+    ),
+    "slow-kirk-proximity-23456": (
+        "2f78d8179bb1148be84bd6135996f1f6d8393ce6da67da9bb2e40298c385044d",
+        "d9432a4fc463ab15fae4eef67365d65b450b4d35847519d2dad9a98a12c6dca7",
+    ),
+    "slow-strip-banach-100000": (
+        "f60af5a0774cb538875143197e66b2550e62770f2162729e1c08a19f6e34d204",
+        "ba77f76a472df30f19fa393161e41421604ae07169b41f758bb382564d96a70c",
+    ),
+    "slow-strip-banach-10001": (
+        "f60af5a0774cb538875143197e66b2550e62770f2162729e1c08a19f6e34d204",
+        "104800ad0963dbc7a156f7c12f525cc6e80d4b909a60d85484afa2fef4ef44ab",
+    ),
+    "slow-strip-banach-11025": (
+        "f60af5a0774cb538875143197e66b2550e62770f2162729e1c08a19f6e34d204",
+        "44da80eb95ec324e4b633767559d56114d7d5c441781f1891ddffae0d6b318e9",
+    ),
+    "slow-strip-banach-23456": (
+        "f60af5a0774cb538875143197e66b2550e62770f2162729e1c08a19f6e34d204",
+        "b90861ac71b70de555584b22cfe0962d8a0c04e8acf4ea1a8a666c4015fe5c85",
+    ),
+    "slow-strip-periodic-100000": (
+        "f60af5a0774cb538875143197e66b2550e62770f2162729e1c08a19f6e34d204",
+        "41d380d5ffd9d1cff2007afafb6f53cdf497a4403e6fdf00fcf9e49746956478",
+    ),
+    "slow-strip-periodic-10001": (
+        "f60af5a0774cb538875143197e66b2550e62770f2162729e1c08a19f6e34d204",
+        "189fc2dd25d1ce7ee3080940c4555850a4377642ba8086319fb2f070e06bbd06",
+    ),
+    "slow-strip-periodic-11025": (
+        "f60af5a0774cb538875143197e66b2550e62770f2162729e1c08a19f6e34d204",
+        "3d5859080c3631e1effa71dfb314a96480a155a59690e5c1f1995fa4081c878d",
+    ),
+    "slow-strip-periodic-23456": (
+        "f60af5a0774cb538875143197e66b2550e62770f2162729e1c08a19f6e34d204",
+        "4fd37244f15032e05be5071ec919d16983cec61ef524e79788a76cfc5daad780",
+    ),
+    "slow-strip-proximity-100000": (
+        "f60af5a0774cb538875143197e66b2550e62770f2162729e1c08a19f6e34d204",
+        "9df6f9215ff154ff457f4a522685834a9101728c299cfa12ba75dba99ab03de3",
+    ),
+    "slow-strip-proximity-10001": (
+        "f60af5a0774cb538875143197e66b2550e62770f2162729e1c08a19f6e34d204",
+        "0d4d997f35ad46e9d81b63d9e2f20c62fc3921ef7da826d84f47510333c5de57",
+    ),
+    "slow-strip-proximity-11025": (
+        "f60af5a0774cb538875143197e66b2550e62770f2162729e1c08a19f6e34d204",
+        "721c92d5681ba05ce85b4e47d9f210bc9bca58d974515292f57a1c3df1c0fcd8",
+    ),
+    "slow-strip-proximity-23456": (
+        "f60af5a0774cb538875143197e66b2550e62770f2162729e1c08a19f6e34d204",
+        "7c71feeed35746ff5b801e992e34b11fdb985ad0b3aa44bb11fe0b705b994e20",
+    ),
+    "slow-pair-banach-100000": (
+        "606d430e1d1e4157188ebcd772ca4fcd6899e6236082ba0041a9e02adfffc283",
+        "26b481ed74c3db20823a3b4d8ca42913acbeefbbf411d7d5dd542ade2ba987ff",
+    ),
+    "slow-pair-banach-10001": (
+        "606d430e1d1e4157188ebcd772ca4fcd6899e6236082ba0041a9e02adfffc283",
+        "5fcf19910067a60231c9dc62fe8f5d03047cd0eb0c609bc6a12aca9d9a2e843b",
+    ),
+    "slow-pair-banach-11025": (
+        "606d430e1d1e4157188ebcd772ca4fcd6899e6236082ba0041a9e02adfffc283",
+        "c8b66d2cec2bc268d2cb1b3e109745f0574bfd71beed701c9bc704b744c4bd49",
+    ),
+    "slow-pair-banach-23456": (
+        "606d430e1d1e4157188ebcd772ca4fcd6899e6236082ba0041a9e02adfffc283",
+        "1df3a1467ba0b7395496afaee4815e2ceb9422b56245096bc4bbd33bdef86b82",
+    ),
+    "slow-pair-periodic-100000": (
+        "606d430e1d1e4157188ebcd772ca4fcd6899e6236082ba0041a9e02adfffc283",
+        "3e6232274f97d5b52d393b7703aa717662d1374fd47e170d201210882d0fb13e",
+    ),
+    "slow-pair-periodic-10001": (
+        "606d430e1d1e4157188ebcd772ca4fcd6899e6236082ba0041a9e02adfffc283",
+        "aacfefa81bd142c148241c7ceec2a8222836dd07a728ed7ae0471dbba59a1925",
+    ),
+    "slow-pair-periodic-11025": (
+        "606d430e1d1e4157188ebcd772ca4fcd6899e6236082ba0041a9e02adfffc283",
+        "193b835fc43ce3bc500b18df9e86ff32012ce05f2aff120c1ce535e7cc0479f6",
+    ),
+    "slow-pair-periodic-23456": (
+        "606d430e1d1e4157188ebcd772ca4fcd6899e6236082ba0041a9e02adfffc283",
+        "76891fe15018c9dfc43851b2874f7f77668c88b4e92fc0bd1b38fbcc398cc37c",
+    ),
+    "slow-pair-proximity-100000": (
+        "606d430e1d1e4157188ebcd772ca4fcd6899e6236082ba0041a9e02adfffc283",
+        "db48c590083a61865c7d2a8dfa210de031b7be15135cd0f52e078f2d013a99b3",
+    ),
+    "slow-pair-proximity-10001": (
+        "606d430e1d1e4157188ebcd772ca4fcd6899e6236082ba0041a9e02adfffc283",
+        "07eef2ff4c77f5a9b2d9c61544d5f57d7e954f63e987ec3a07d1fcbf7f91756d",
+    ),
+    "slow-pair-proximity-11025": (
+        "606d430e1d1e4157188ebcd772ca4fcd6899e6236082ba0041a9e02adfffc283",
+        "f8d48268b6646a662ce71d18b439a283714fe61769140f1012515815ae69e6ea",
+    ),
+    "slow-pair-proximity-23456": (
+        "606d430e1d1e4157188ebcd772ca4fcd6899e6236082ba0041a9e02adfffc283",
+        "82b975a6846bdbbfe01f93d873058587f45cd0ee292a5486cf38fad6b708acd5",
+    ),
 }
 
 
 def _config(label, run, iterations):
-    system_id, parameters, p = SYSTEMS[label]
+    if label in TAIL_SYSTEMS:
+        system_id, parameters, p = TAIL_SYSTEMS[label]
+        tolerance = TAIL_TOLERANCE
+    else:
+        system_id, parameters, p = SYSTEMS[label]
+        tolerance = 1e-10
     return {
         "system": {"id": system_id, "parameters": parameters},
         "p": p,
         "phi": {"kind": "linear", "alpha": 0.25},
         "run": run,
         "iterations": iterations,
-        "tolerance": 1e-10,
+        "tolerance": tolerance,
         "seed": 11,
     }
 
@@ -304,6 +471,11 @@ CASES = [
     for label in SYSTEMS
     for run in cli.RUNS
     for iterations in ITERATIONS
+] + [
+    (label, run, iterations)
+    for label in TAIL_SYSTEMS
+    for run in SOLVER_RUNS
+    for iterations in TAIL_ITERATIONS
 ]
 
 
