@@ -11,16 +11,19 @@ error, 3 map error, 4 I/O error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import gallery, orbit
 from .spaces import EXPONENT, Domain, Exponent, _Record, as_exponent
 from .system import LinearPhi, MapError, Phi, TabulatedPhi, validate_phi, verify_contraction, verify_cyclicity
+
+if TYPE_CHECKING:
+    import argparse
 
 RUNS = ("certify", "banach", "periodic", "proximity", "trace")
 CONFIG_KEYS = {"system", "p", "phi", "run", "iterations", "tolerance", "seed", "output_dir"}
@@ -305,6 +308,11 @@ def _cmd_gallery_list(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Imported here, not with the module: argparse and the gettext it loads
+    # cost a cold ``import proxcycle.cli`` several milliseconds, and only
+    # the console script parses arguments.
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="proxcycle",
         description="run cyclic-contraction experiments on gallery systems",

@@ -228,20 +228,30 @@ found = {
     if isinstance(cls, type) and cls.__module__.startswith("proxcycle")
     and hasattr(cls, "__dataclass_fields__")
 }
-print(json.dumps({"datetime": "datetime" in sys.modules, "dataclasses": sorted(found)}))
+print(json.dumps({
+    "datetime": "datetime" in sys.modules,
+    "argparse": "argparse" in sys.modules,
+    "gettext": "gettext" in sys.modules,
+    "dataclasses": sorted(found),
+}))
 """
+
+
+def _import_graph():
+    """What a fresh interpreter has loaded once it has imported the CLI."""
+    package_root = str(Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_GRAPH, package_root],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    return json.loads(done.stdout)
 
 
 def test_importing_the_cli_generates_only_the_contract_dataclasses():
     # The records that no caller passes to dataclasses.replace are plain
     # slotted classes, and the timestamp needs no datetime: a fresh
     # interpreter importing the CLI loads neither cost.
-    package_root = str(Path(cli.__file__).resolve().parent.parent)
-    done = subprocess.run(
-        [sys.executable, "-c", IMPORT_GRAPH, package_root],
-        capture_output=True, text=True, check=True, timeout=60,
-    )
-    graph = json.loads(done.stdout)
+    graph = _import_graph()
     assert graph["datetime"] is False
     assert graph["dataclasses"] == [
         "proxcycle.gallery.GalleryEntry",
@@ -250,6 +260,13 @@ def test_importing_the_cli_generates_only_the_contract_dataclasses():
         "proxcycle.spaces.LqSpace",
         "proxcycle.system.CyclicSystem",
     ]
+
+
+def test_importing_the_cli_loads_no_argument_parser():
+    # Only the console script parses arguments; importing the CLI for
+    # run_experiment loads neither argparse nor the gettext it imports.
+    graph = _import_graph()
+    assert graph["argparse"] is False and graph["gettext"] is False
 
 
 def test_run_certify(tmp_path):
