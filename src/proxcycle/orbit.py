@@ -12,19 +12,30 @@ once (``_start``: finite, of the space's dimension, in the first region) and
 records the first ``keep + 1`` points (the trace prefix, and nothing past
 it) before any reader comes. The prefix is read in chunks by
 ``CyclicSystem._steps``, one raw map pass and one validation pass per chunk,
-and ``_walk`` finishes it from where a chunk stops short: a chunk whose map
-raises, or whose images are not all read as they are, is walked again from
-its start, so an error keeps its point and step and a converted image is
-``apply``'s.
-The points are ``_walk``'s, bit for bit. ``picard_orbit`` is that prefix
-plus a membership pass; the three solvers are stopping rules over the walk,
-read one step at a time: a small consecutive step, a small m-step drift,
-and every interleaved subsequence settled. A solver's residual image is the
-next walked point, so its ``MapError`` carries its step too. A run of
-``proxcycle run`` walks the prefix first, hands its walk to the solver and
-takes ``trace.csv``'s points from the same recorded prefix, so each orbit
-point is mapped once. The walked points are measured with the trusted
-``Space._distance``.
+and ``_walk`` finishes it from where a chunk stops short. ``picard_orbit``
+is that prefix plus a membership pass.
+
+The three solvers are one stop rule, ``_settle``, with three settings: the
+drift d(x_{k-s}, x_k) within tol at r consecutive checked steps (a small
+consecutive step; a small m-step drift at the block ends; every interleaved
+subsequence settled). ``_settle`` scans the recorded prefix with no map
+call, then walks chunks with the map, the drift and the stop test in one
+plain loop, so it stops at the stopping step, and validates each chunk in
+one pass. The drift is measured on images before they are validated: the
+map and the space's distance must return or raise on them, and either
+raising refuses the chunk. A refused chunk, whether the map or the drift
+raised or its images are not all read as they are, is walked again from its
+start by ``_walk``, and so is the rest of the orbit, so an error keeps its
+point and step, a converted image is ``apply``'s and no stop decided on an
+unvalidated image survives. The points past the stop that a solver reads
+(banach's residual image, the periodic solver's m-point tail) come from the
+record or from ``_walk``, so a ``MapError`` there carries its step too.
+The points are ``_walk``'s, bit for bit. A run of ``proxcycle run`` walks
+the prefix first, hands its walk to the solver and takes ``trace.csv``'s
+points from the same recorded prefix, so each orbit point is mapped once.
+Every point a solver reports or measures past its stop has been validated,
+and is measured with the trusted ``Space._distance``.
+
 ``trace_rows`` builds the ``trace.csv`` columns in one pass over
 consecutive distances; ``chain_trace``, ``edge_trace`` and
 ``block_drift_trace`` are the public per-column references it matches bit
@@ -34,12 +45,12 @@ for bit.
 from __future__ import annotations
 
 import math
-from itertools import chain, count, islice
-from typing import Iterator, Sequence
+from itertools import count, cycle, islice
+from typing import Callable, Iterator, Sequence
 
 from .chains import _chain_distance, chain_point_distance, chain_self_distance
 from .spaces import ALPHA, CYCLE_LENGTH, Domain, Point, _point_repr, _Record, as_exponent
-from .system import MEMBERSHIP_TOL, CyclicSystem
+from .system import _CHUNK, MEMBERSHIP_TOL, CyclicSystem
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
@@ -122,10 +133,10 @@ class _Orbit:
     points x_0..x_keep are recorded before any reader comes.
 
     The prefix is read in chunks by ``CyclicSystem._steps`` and finished by
-    ``_walk`` where a chunk stops short. Iterating yields x_1, x_2, ...: the
-    recorded points, then the walk on from the last of them. Points past
-    the prefix are not kept, so a second reader that goes past it maps those
-    steps again, with the same points and step numbers.
+    ``_walk`` where a chunk stops short. Readers past the prefix walk on
+    from its last point (``_settle``, ``_after``); those points are not
+    kept, so a second reader that goes past the prefix maps those steps
+    again, with the same points and step numbers.
     """
 
     def __init__(self, system: CyclicSystem, x0: Sequence[float], keep: int = 0):
@@ -135,19 +146,111 @@ class _Orbit:
         points += islice(_walk(system, points[-1], len(points) - 1), keep + 1 - len(points))
         self.points = points
 
-    def __iter__(self) -> Iterator[Point]:
-        points = self.points
-        return chain(islice(points, 1, None), _walk(self.system, points[-1], len(points) - 1))
-
     def trace(self) -> OrbitTrace:
         """The recorded prefix x_0..x_keep."""
         return OrbitTrace(self.system, tuple(self.points))
 
 
-def _orbit(system: CyclicSystem, x0: Sequence[float]) -> _Orbit:
+def _orbit(system: CyclicSystem, x0: Sequence[float], keep: int) -> _Orbit:
     # ``proxcycle run`` hands a solver the run's own walk in place of x0, so
-    # the solver and the trace prefix read one walk.
-    return x0 if isinstance(x0, _Orbit) else _Orbit(system, x0)
+    # the solver and the trace prefix read one walk. A start point gets a
+    # walk of its own, recording the ``keep`` steps ``_settle`` starts from.
+    return x0 if isinstance(x0, _Orbit) else _Orbit(system, x0, keep)
+
+
+def _replay(points: Iterator[Point]) -> Callable[[Point], Point]:
+    """A stepper that gives the next of ``points`` for whatever point it is
+    handed: a recorded or a walked step in place of a raw map call."""
+    return lambda _: next(points)
+
+
+def _settle(
+    orbit: _Orbit, tol: float, budget: int, s: int, every: int = 1, r: int = 1
+) -> tuple[int, bool, list[Point]]:
+    """The solvers' one stop rule over the orbit: the first k <= budget at
+    which the drift d(x_{k-s}, x_k) <= tol has held at r consecutive checked
+    steps, the checked steps being the k >= s that are multiples of
+    ``every``; or k = budget when there is none. Returns k, whether the rule
+    fired and x_{k-s+1}..x_k (x_0..x_k when k < s - 1).
+
+    The walk starts at x_{s-1}, or at x_budget when that comes first, which
+    must be recorded. It reads the recorded prefix first, with no map call.
+    Past it, it walks chunks of up to ``_CHUNK`` steps in a plain loop,
+    ``y = map(y)`` with the drift and the stop test inline, so it stops at
+    the stopping step and calls the map as a per-step walk does; each chunk
+    is then validated in one ``_images_as_read`` pass. Only the last s
+    points and one chunk are kept.
+
+    A chunk is refused when the map or the drift raises, or when its images
+    are not all read as they are (a list, ints, a float subclass, a
+    non-finite or wrong-dimension point). It is walked again from its start
+    by ``_walk``, and so is the rest of the orbit, one ``_image`` per step:
+    an error then carries its point and step, a converted image is
+    ``apply``'s, and no stop decided on an unvalidated image survives. A
+    successful walk whose images are all read as they are calls the map once
+    per step; any other calls it at most one chunk more.
+
+    The drift is measured on images before they are validated, so the
+    space's ``_distance`` (an ``OracleSpace``'s oracle) must return or raise
+    on anything the map returns, as the map must (see ``CyclicSystem``).
+    """
+    system, points = orbit.system, orbit.points
+    dist, raw = system.space._distance, system.map
+    keep = len(points) - 1
+    checked = [j % every == 0 for j in range(every)]
+    k = min(s - 1, budget)
+    window = points[max(0, k + 1 - s) : k + 1]
+    run = 0
+    walk = None
+    while k < budget:
+        if k < keep:
+            n = min(_CHUNK, budget - k, keep - k)
+            step = _replay(iter(points[k + 1 : k + n + 1]))
+        else:
+            n = min(_CHUNK, budget - k)
+            step = raw if walk is None else _replay(walk)
+        start, start_run = k, run
+        chunk = window[:]
+        append = chunk.append
+        y = chunk[-1]
+        try:
+            # The drift at step k reads x_{k-s} from the chunk as it grows.
+            for k, old, check in zip(
+                range(k + 1, k + n + 1), iter(chunk), islice(cycle(checked), (k + 1) % every, None)
+            ):
+                y = step(y)
+                append(y)
+                if check:
+                    if dist(old, y) <= tol:
+                        run += 1
+                        if run >= r:
+                            break
+                    else:
+                        run = 0
+            refused = step is raw and not system._images_as_read(window[-1], chunk[len(window) :])
+        except Exception:
+            if step is not raw:
+                raise
+            refused = True
+        if refused:
+            k, run = start, start_run
+            walk = _walk(system, window[-1], k)
+            continue
+        window = chunk[-s:]
+        if run >= r:
+            return k, True, window
+    return k, False, window
+
+
+def _after(orbit: _Orbit, k: int, x: Point, n: int) -> list[Point]:
+    """x_{k+1}..x_{k+n} of the orbit whose x_k = x: recorded where the
+    prefix reaches, walked on from there."""
+    points = orbit.points
+    out = points[k + 1 : k + n + 1]
+    if len(out) < n:
+        last = out[-1] if out else x
+        out += islice(_walk(orbit.system, last, k + len(out)), n - len(out))
+    return out
 
 
 def picard_orbit(system: CyclicSystem, x0: Sequence[float], n: int) -> OrbitTrace:
@@ -305,21 +408,10 @@ def banach_solve(
         warnings.append(
             f"set chain distance {set_distance:.6g} exceeds tol; no fixed point can exist"
         )
-    orbit = _orbit(system, x0)
-    x = orbit.points[0]
-
-    fired = False
-    iterations = 0
-    # The residual image is the next walked point, one step past the budget.
-    walk = iter(orbit)
-    for iterations, nxt in zip(range(1, max_iter + 1), walk):
-        step = space._distance(x, nxt)
-        x = nxt
-        if step <= tol:
-            fired = True
-            break
-
-    residual = space._distance(x, next(walk))
+    orbit = _orbit(system, x0, 0)
+    iterations, fired, (x,) = _settle(orbit, tol, max_iter, 1)
+    # The residual image is the next point of the orbit, one step past the budget.
+    residual = space._distance(x, *_after(orbit, iterations, x, 1))
     converged = fired and residual <= tol
     if not fired:
         warnings.append("max_iter exhausted before the step criterion fired")
@@ -355,25 +447,15 @@ def periodic_point_solve(
     space = system.space
     m = system.m
     set_distance = system.set_chain_distance(exp)
-    orbit = _orbit(system, x0)
-    x = orbit.points[0]
+    orbit = _orbit(system, x0, m - 1)
 
     warnings = []
-    fired = False
-    iterations = 0
-    blocks = max(1, max_iter // m)
+    budget = max(1, max_iter // m) * m
+    iterations, fired, window = _settle(orbit, tol, budget, m, every=m)
+    x = window[-1]
     # The m points past the stopping point give both the residual image and
     # the proximity chain, so the walk runs m steps past the budget.
-    walk = iter(orbit)
-    for n, nxt in zip(range(1, blocks + 1), islice(walk, m - 1, None, m)):
-        step = space._distance(x, nxt)
-        x = nxt
-        iterations = n * m
-        if step <= tol:
-            fired = True
-            break
-
-    tail = tuple(islice(walk, m))
+    tail = _after(orbit, iterations, x, m)
     residual = space._distance(x, tail[-1])
     converged = fired and residual <= tol
     if not fired:
@@ -439,24 +521,15 @@ def proximity_chain_extract(
     space = system.space
     m = system.m
     set_distance = system.set_chain_distance(exp)
-    orbit = _orbit(system, x0)
-
-    last: list[Point | None] = [None] * m
-    settled = [False] * m
-    last[0] = orbit.points[0]
-    iterations = 0
-    for iterations, current in zip(range(1, max_iter + 1), orbit):
-        r = iterations % m
-        prev = last[r]
-        if prev is not None:
-            settled[r] = space._distance(prev, current) <= tol
-        last[r] = current
-        if all(settled):
-            break
-
-    converged = all(settled)
+    # Every subsequence has settled at k when its last stride-m drift is
+    # within tol: the last m drifts d(x_{j-m}, x_j), j = k-m+1..k, all with
+    # j >= m.
+    orbit = _orbit(system, x0, min(m - 1, max_iter))
+    iterations, converged, window = _settle(orbit, tol, max_iter, m, r=m)
     note = None
-    chain = tuple(last[(i - 1) % m] for i in range(1, m + 1) if last[(i - 1) % m] is not None)
+    # The last point of subsequence i, x_j with j = i - 1 mod m, is chain[i - 1].
+    shift = -(iterations + 1) % m if len(window) == m else 0
+    chain = (*window[shift:], *window[:shift])
     if len(chain) < m:
         converged = False
         note = "orbit too short to populate every subsequence"

@@ -466,7 +466,10 @@ class OracleSpace(_Record, Space):
     """A space whose metric is a caller-supplied deterministic oracle.
 
     The oracle must be pure and reentrant; the axioms are not assumed but can
-    be spot-checked with ``validate_metric``.
+    be spot-checked with ``validate_metric``. The orbit solvers call it on
+    map images before they are validated, so it must also return or raise
+    on anything a system's map returns; a raise there only makes the solver
+    walk that stretch of the orbit again one validated step at a time.
     """
 
     __slots__ = _fields = ("oracle", "dimension")

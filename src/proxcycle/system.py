@@ -518,10 +518,13 @@ class CyclicSystem:
     """m regions plus a deterministic map; immutable. The map callable must be
     pure and reentrant; this is a documented contract on the caller. It must
     also return or raise on any value it returns, not only on points: the
-    orbit's chunk stepper ``_steps`` calls the map on an image before that
+    orbit's chunk steppers, ``_steps`` for the trace prefix and
+    ``orbit._settle`` for the solvers, call the map on an image before that
     image is validated (a list, a non-finite or a wrong-dimension point), so
     a map that loops forever on ``inf`` hangs an orbit whose image is
-    ``inf``, where a per-step walk would have raised ``MapError`` first.
+    ``inf``, where a per-step walk would have raised ``MapError`` first. The
+    solvers also measure the drift between such images with the space's
+    ``_distance``, which is under the same contract.
 
     ``artifact_points`` marks points whose image is a truncation stub rather
     than the genuine map (finite cuts of infinite families need one).
@@ -607,14 +610,20 @@ class CyclicSystem:
 
         return list(map(read, pts, images))
 
+    def _images_as_read(self, x: Point, images: list[object]) -> bool:
+        """Whether ``images``, the orbit steps on from the validated x, are
+        all read as they are (``Space._as_read``). An image that is the very
+        object of its predecessor is validated with it, so an orbit that has
+        settled on a point its map returns as it is costs no coordinate
+        pass."""
+        fresh = compress(images, map(is_not, images, itertools.chain((x,), images)))
+        return self.space._as_read(list(fresh))
+
     def _steps(self, x: Point, n: int) -> list[Point]:
         """x_1, ..., x_j of the orbit through the validated x_0 = x, for some
         j <= n, exactly as n steps of ``_image`` begin: the map runs over up
         to ``_CHUNK`` steps at a time in a plain loop, and each chunk's
-        images are validated in one ``Space._as_read`` pass. An image that
-        is the very object of its predecessor is validated with it, so an
-        orbit that has settled on a point its map returns as it is costs no
-        coordinate pass.
+        images are validated in one ``_images_as_read`` pass.
 
         A chunk whose map call raises, or whose images are not all read as
         they are (a list, ints, a float subclass, a non-finite or
@@ -629,7 +638,7 @@ class CyclicSystem:
         so the map must return or raise on anything it returns, not only on
         points (see ``CyclicSystem``).
         """
-        f, as_read = self.map, self.space._as_read
+        f = self.map
         out: list[Point] = []
         while len(out) < n:
             chunk: list[Point] = []
@@ -641,7 +650,7 @@ class CyclicSystem:
                     append(y)
             except Exception:
                 break
-            if not as_read(list(compress(chunk, map(is_not, chunk, itertools.chain((x,), chunk))))):
+            if not self._images_as_read(x, chunk):
                 break
             out += chunk
             x = y

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+from itertools import count
 
 import pytest
 
@@ -649,3 +650,192 @@ def test_converted_images_give_the_per_step_points_within_one_extra_chunk(image,
     calls.clear()
     assert _hex(_Orbit(system, (1.0, 0.0), n).points) == want
     assert n <= len(calls) <= n + _CHUNK
+
+
+# --- the solver tail, walked in chunks with the stop rule inline ---------------
+
+# Kirk's interval at alpha 0.001: x_k = (-0.999)^k * x_0, so |x_k| names step
+# k, and each solver stops near step 5 300 at its tolerance, far past the
+# recorded prefix.
+TAIL_SOLVERS = {
+    "banach": (banach_solve, 1e-2),
+    "periodic": (periodic_point_solve, 1e-5),
+    "proximity": (proximity_chain_extract, 1e-5),
+}
+TAIL_KEEP = 2_000
+TAIL_BUDGET = 20_000
+
+
+def _tail_start(system, x0, start):
+    """The solver's x0: the start point itself, or a walk recording
+    TAIL_KEEP steps, as ``proxcycle run`` hands it."""
+    return x0 if start == "plain" else _Orbit(system, x0, TAIL_KEEP)
+
+
+def _recorded(solver, start):
+    """The last step the solver's walk records before it walks on."""
+    return 0 if start == "plain" and solver == "banach" else 1 if start == "plain" else TAIL_KEEP
+
+
+def _fields_hex(result):
+    """Every field of a solver result, with each float as its hex digits."""
+
+    def value(v):
+        if isinstance(v, float):
+            return float.hex(v)
+        if isinstance(v, tuple):
+            return tuple(map(value, v))
+        return v
+
+    return {name: value(getattr(result, name)) for name in type(result)._fields}
+
+
+def _failing_at(system, x0, k, bad_image):
+    """``system`` with the map giving ``bad_image(x)`` at x_{k-1} only."""
+    broken_at = _per_step(system, x0, k - 1)[-1]
+
+    def map_(x, inner=system.map):
+        return bad_image(x) if x == broken_at else inner(x)
+
+    return dataclasses.replace(system, map=map_), broken_at
+
+
+TAIL_ERROR_STEPS = {
+    # step k at which the map fails, from the recorded step and the stop
+    "recorded + 1": lambda recorded, stop: recorded + 1,
+    "recorded + chunk": lambda recorded, stop: recorded + _CHUNK,
+    "recorded + chunk + 1": lambda recorded, stop: recorded + _CHUNK + 1,
+    "stopping step": lambda recorded, stop: stop,
+    "residual step": lambda recorded, stop: stop + 1,
+}
+TAIL_BAD_IMAGES = {
+    "raises": (lambda x: _raise(RuntimeError("no image")), "map failed"),
+    "nan image": (lambda x: (math.nan,), "map returned an invalid point"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(TAIL_BAD_IMAGES))
+@pytest.mark.parametrize("start", ["plain", "walk"])
+@pytest.mark.parametrize(
+    "solver, where",
+    [
+        (solver, where)
+        for solver in sorted(TAIL_SOLVERS)
+        for where in TAIL_ERROR_STEPS
+        # The proximity solver maps no point past its stop.
+        if not (solver == "proximity" and where == "residual step")
+    ],
+)
+def test_a_map_error_in_the_solver_tail_is_the_per_step_error(solver, where, start, bad):
+    solve, tol = TAIL_SOLVERS[solver]
+    gs = make_kirk_interval(0.001)
+    stop = solve(gs.system, gs.default_start, tol=tol, max_iter=TAIL_BUDGET).iterations
+    k = TAIL_ERROR_STEPS[where](_recorded(solver, start), stop)
+    assert k <= stop + 1 and (where == "residual step") == (k > stop)
+    bad_image, message = TAIL_BAD_IMAGES[bad]
+    system, broken_at = _failing_at(gs.system, gs.default_start, k, bad_image)
+    with pytest.raises(MapError) as reference:
+        _per_step(system, gs.default_start, k)
+    assert str(reference.value).startswith(message)
+    assert reference.value.step == k and reference.value.point == broken_at
+    with pytest.raises(MapError) as err:
+        solve(system, _tail_start(system, gs.default_start, start), tol=tol, max_iter=TAIL_BUDGET)
+    assert str(err.value) == str(reference.value)
+    assert err.value.step == k and err.value.point == broken_at
+
+
+@pytest.mark.parametrize("start", ["plain", "walk"])
+@pytest.mark.parametrize("solver", sorted(TAIL_SOLVERS))
+def test_a_wrong_dimension_image_with_a_zero_drift_raises_at_its_step(solver, start):
+    # At step k the map returns x_{k-s} with a third coordinate, so the
+    # drift the stop rule measures in the plane, d(x_{k-s}, x_k), is zero
+    # (s = 1 for banach, m = 2 otherwise); the strip's map then takes the
+    # 3-d point to x_{k-1}, a second zero drift. The image is still the
+    # per-step dimension error at step k, not a stop.
+    solve, tol = TAIL_SOLVERS[solver]
+    gs = make_affine_strip(0.999, 1.0)
+    k, s = TAIL_KEEP + 100, 1 if solver == "banach" else 2
+    back = _per_step(gs.system, gs.default_start, k)[k - s]
+    system, broken_at = _failing_at(gs.system, gs.default_start, k, lambda x: (*back, 0.0))
+    with pytest.raises(ValueError) as reference:
+        _per_step(system, gs.default_start, k)
+    assert str(reference.value).startswith("map returned a 3-dimensional point at")
+    with pytest.raises(ValueError) as err:
+        solve(system, _tail_start(system, gs.default_start, start), tol=tol, max_iter=TAIL_BUDGET)
+    assert str(err.value) == str(reference.value)
+
+
+def _per_step_stop(solver, system, x0, tol):
+    """The step at which a solver stops, by its own rule over the per-step
+    walk: banach at the first small step d(x_{k-1}, x_k); periodic at the
+    first small block drift d(x_{(n-1)m}, x_{nm}), k = nm; proximity at the
+    first k at which the last drift d(x_{j-m}, x_j) of every interleaved
+    subsequence, j = k-m+1..k, is small, j >= m."""
+    m, dist = system.m, system.space.distance
+    points = [system.space.point(x0)]
+    for k in count(1):
+        points.append(system.apply(points[-1], step=k))
+        if solver == "banach" and dist(points[k - 1], points[k]) <= tol:
+            return k
+        if solver == "periodic" and k % m == 0 and dist(points[k - m], points[k]) <= tol:
+            return k
+        if solver == "proximity" and k >= 2 * m - 1:
+            if all(dist(points[j - m], points[j]) <= tol for j in range(k - m + 1, k + 1)):
+                return k
+
+
+LIST_IMAGES = {
+    "lists": lambda image, x: list(image),
+    # Tuples through the prefix and the first tail chunk, then lists.
+    "lists from step 3 500": lambda image, x: list(image) if abs(x[0]) < 0.999 ** 3_498 else image,
+}
+
+
+@pytest.mark.parametrize("image", sorted(LIST_IMAGES))
+@pytest.mark.parametrize("start", ["plain", "walk"])
+@pytest.mark.parametrize("solver", sorted(TAIL_SOLVERS))
+def test_list_images_in_the_solver_tail_give_the_per_step_result_within_one_chunk(
+    solver, start, image
+):
+    solve, tol = TAIL_SOLVERS[solver]
+    kirk = make_kirk_interval(0.001).system
+    x0 = (-1.0,)
+
+    def counted(convert):
+        calls = []
+
+        def map_(x):
+            calls.append(x)
+            return convert(kirk.map(x), x)
+
+        system = dataclasses.replace(kirk, map=map_)
+        return solve(system, _tail_start(system, x0, start), tol=tol, max_iter=TAIL_BUDGET), calls
+
+    want, per_step = counted(lambda image, x: image)
+    got, calls = counted(LIST_IMAGES[image])
+    assert want.iterations == _per_step_stop(solver, kirk, x0, tol)
+    assert _fields_hex(got) == _fields_hex(want)
+    # The refused prefix chunk is a chunk of _steps, at most the steps recorded.
+    prefix_chunk = min(_CHUNK, _recorded(solver, start))
+    assert len(per_step) <= len(calls) <= len(per_step) + prefix_chunk + _CHUNK
+
+
+# The CLI hands the solver a walk recording max(3m, min(max_iter, 10 000))
+# steps; a start point gets the few steps the stop rule starts from.
+WALK_SYSTEMS = {
+    "kirk_interval": lambda: make_kirk_interval(0.001),
+    "affine_strip": lambda: make_affine_strip(0.999, 1.5),
+    "scaled_pair 3-d": lambda: make_scaled_pair(alpha=0.001, separation=2.0, dimension=3),
+}
+
+
+@pytest.mark.parametrize("max_iter", [100_000, 10_001, 11_025])
+@pytest.mark.parametrize("solver", sorted(TAIL_SOLVERS))
+@pytest.mark.parametrize("name", sorted(WALK_SYSTEMS))
+def test_a_plain_start_gives_the_result_of_the_cli_walk(name, solver, max_iter):
+    solve = TAIL_SOLVERS[solver][0]
+    gs = WALK_SYSTEMS[name]()
+    m = gs.system.m
+    walk = _Orbit(gs.system, gs.default_start, max(3 * m, min(max_iter, 10_000)))
+    plain = solve(gs.system, gs.default_start, tol=1e-12, max_iter=max_iter)
+    assert _fields_hex(plain) == _fields_hex(solve(gs.system, walk, tol=1e-12, max_iter=max_iter))
