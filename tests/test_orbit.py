@@ -673,8 +673,11 @@ def _tail_start(system, x0, start):
 
 
 def _recorded(solver, start):
-    """The last step the solver's walk records before it walks on."""
-    return 0 if start == "plain" and solver == "banach" else 1 if start == "plain" else TAIL_KEEP
+    """The last step the solver's walk records before it walks on: a start
+    point's walk records the steps before the first drift, x_{s-1}."""
+    if start == "walk":
+        return TAIL_KEEP
+    return 0 if solver == "banach" else 1
 
 
 def _fields_hex(result):
