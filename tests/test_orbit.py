@@ -556,16 +556,22 @@ def test_chunked_prefix_equals_the_per_step_walk(monkeypatch, name, n):
     assert read == []
 
 
+def _failing_at(system, x0, k, bad_image):
+    """``system`` with the map giving ``bad_image(x)`` at x_{k-1} only."""
+    broken_at = _per_step(system, x0, k - 1)[-1]
+
+    def map_(x, inner=system.map):
+        return bad_image(x) if x == broken_at else inner(x)
+
+    return dataclasses.replace(system, map=map_), broken_at
+
+
 def _strip_failing_at(k, bad_image):
     """affine_strip at alpha 0.999, whose first coordinate 0.999^j names
     step j, with the map giving ``bad_image(x)`` at x_{k-1} only."""
     gs = make_affine_strip(0.999, 1.0)
-    broken_at = _per_step(gs.system, gs.default_start, k - 1)[-1]
-
-    def map_(x, inner=gs.system.map):
-        return bad_image(x) if x == broken_at else inner(x)
-
-    return dataclasses.replace(gs.system, map=map_), gs.default_start, broken_at
+    system, broken_at = _failing_at(gs.system, gs.default_start, k, bad_image)
+    return system, gs.default_start, broken_at
 
 
 def _raise(exc):
@@ -691,16 +697,6 @@ def _fields_hex(result):
         return v
 
     return {name: value(getattr(result, name)) for name in type(result)._fields}
-
-
-def _failing_at(system, x0, k, bad_image):
-    """``system`` with the map giving ``bad_image(x)`` at x_{k-1} only."""
-    broken_at = _per_step(system, x0, k - 1)[-1]
-
-    def map_(x, inner=system.map):
-        return bad_image(x) if x == broken_at else inner(x)
-
-    return dataclasses.replace(system, map=map_), broken_at
 
 
 TAIL_ERROR_STEPS = {
