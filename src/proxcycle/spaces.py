@@ -416,6 +416,23 @@ def _plane_gap(power: float, inv: float, pa: Point, pb: Point) -> float:
     return g0 * (1.0 + (g1 / g0) ** power) ** inv
 
 
+def _power_gap(power: float, inv: float, pa: Point, pb: Point) -> float:
+    # ``_combined_gaps`` with ``_power_sum`` inlined: the equal-point test,
+    # the gaps, their peak, fsum of the (g / peak) ** q terms, ** (1/q) and
+    # * peak, the same operations in the same order, so the same bits, in
+    # one call. Points have at least one coordinate, so the peak needs no
+    # default; a gap list emptied by a non-point raises instead.
+    if pa == pb:
+        return 0.0
+    gaps = list(map(abs, map(sub, pa, pb)))
+    peak = max(gaps)
+    if peak == 0.0:
+        return 0.0
+    if peak == math.inf:
+        return peak
+    return peak * math.fsum([(g / peak) ** power for g in gaps]) ** inv
+
+
 def _max_gap(pa: Point, pb: Point) -> float:
     if pa == pb:
         return 0.0
@@ -429,11 +446,13 @@ class LqSpace(Space):
     The trusted ``_distance`` is bound once, at construction, to a kernel
     chosen from (q, dimension): |a - b| on the line, the max of the
     coordinate gaps for q = inf, the unrolled two-term power sum in the
-    plane for 1 < q < inf, and otherwise the exponent's ``_combine`` of the
-    gaps. The first three return the same bits as the last would.
+    plane for 1 < q < inf, the power sum fused into one function from three
+    dimensions up for 1 < q < inf, and for q = 1 the exponent's
+    ``_combine`` of the gaps. The first four return the same bits as the
+    last would with the exponent's ``_combine``.
 
-    The q = inf kernel and the ``_combine`` of the gaps return 0.0 for
-    equal points before building any list. That is exact for finite
+    The q = inf kernel, the fused power sum and the ``_combine`` of the gaps
+    return 0.0 for equal points before building any list. That is exact for finite
     points: ``a == b`` makes every difference +0.0 or -0.0 and every gap
     0.0, so each kernel would return +0.0, also for ``(0.0,) == (-0.0,)``.
     The line and plane kernels cost about as much as that comparison and do
@@ -452,10 +471,12 @@ class LqSpace(Space):
             kernel = _line_gap
         elif q.is_inf:
             kernel = _max_gap
-        elif self.dimension == 2 and q.value != 1.0:
+        elif q.value == 1.0:
+            kernel = partial(_combined_gaps, q._combine)
+        elif self.dimension == 2:
             kernel = partial(_plane_gap, q._power, q._inv)
         else:
-            kernel = partial(_combined_gaps, q._combine)
+            kernel = partial(_power_gap, q._power, q._inv)
         object.__setattr__(self, "_distance", kernel)
 
     def norm(self, v: Sequence[float]) -> float:

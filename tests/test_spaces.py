@@ -16,6 +16,7 @@ from proxcycle.spaces import (
     Exponent,
     LqSpace,
     OracleSpace,
+    _power_gap,
     as_exponent,
     check_point,
     lq_norm,
@@ -469,6 +470,40 @@ def test_every_kernel_is_plus_zero_on_equal_points_and_combines_the_gaps(q, dime
     want = space.q._combine([abs(x - y) for x, y in zip(pa, pb)])
     assert same_bits(space._distance(pa, pb), want)
     assert same_bits(space.distance(pa, pb), want)
+
+
+@pytest.mark.parametrize("dimension", [3, 4, 13, 22])
+@pytest.mark.parametrize("q", [1.25, 3.5, 40.0])
+@given(data=st.data())
+@example(data=None)
+@settings(max_examples=60, deadline=None)
+def test_fused_power_kernel_is_the_combine_of_the_gaps_bit_for_bit(q, dimension, data):
+    # From three dimensions up, 1 < q < inf binds one fused function; it
+    # must give the bits of the exponent's _combine of the gaps, off the q
+    # grid above too, at the float maximum (gaps that overflow to inf or
+    # equal the peak) and on equal points written with either zero.
+    space = LqSpace(as_exponent(q), dimension)
+    assert space._distance.func is _power_gap
+    big = sys.float_info.max
+    if data is None:
+        pairs = [
+            ((big,) * dimension, (-big,) * dimension),
+            ((big, -big, *[0.0] * (dimension - 2)), (0.0, 0.0, *[-0.0] * (dimension - 2))),
+            ((0.0, -0.0) * (dimension // 2) + (0.0,) * (dimension % 2), (-0.0,) * dimension),
+            ((big, *[1.0] * (dimension - 1)), (0.0, *[-1.0] * (dimension - 1))),
+        ]
+    else:
+        points = st.lists(kernel_coords, min_size=dimension, max_size=dimension).map(tuple)
+        pa = data.draw(points)
+        flips = data.draw(st.lists(st.booleans(), min_size=dimension, max_size=dimension))
+        same = tuple(-c if flip and c == 0.0 else c for c, flip in zip(pa, flips))
+        pairs = [(pa, same), (pa, data.draw(points))]
+    for pa, pb in pairs:
+        want = space.q._combine([abs(x - y) for x, y in zip(pa, pb)])
+        assert same_bits(space._distance(pa, pb), want)
+        assert same_bits(space.distance(pa, pb), want)
+        if pa == pb:
+            assert math.copysign(1.0, space._distance(pa, pb)) == 1.0
 
 
 def test_domain_text_and_ends():
