@@ -255,9 +255,15 @@ def make_scaled_pair(
     center1 = e1(-(1.0 + half))
     center2 = e1(1.0 + half)
 
+    # (1.0 - beta) * half * sign multiplies left to right, so taking the
+    # first product once changes no bit: pull * -1.0 is still -0.0 at
+    # separation 0.
+    pull = (1.0 - beta) * half
+    scale = (-beta).__mul__
+
     def step(x: Point) -> Point:
-        shift = (1.0 - beta) * half * (1.0 if x[0] < 0 else -1.0 if x[0] > 0 else 0.0)
-        return (-beta * x[0] + shift,) + tuple(-beta * c for c in x[1:])
+        shift = pull * (1.0 if x[0] < 0 else -1.0 if x[0] > 0 else 0.0)
+        return (-beta * x[0] + shift,) + tuple(map(scale, x[1:]))
 
     system = CyclicSystem(
         space=space,

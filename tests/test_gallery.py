@@ -131,6 +131,27 @@ def test_scaled_pair_separation_zero_reduces_to_fixed_point():
     assert gs.system.space.distance(solved.point, (0.0, 0.0)) < 1e-8
 
 
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("separation", [0.0, 1.3])
+@pytest.mark.parametrize("first", [0.0, -0.0, -2.0])
+def test_scaled_pair_map_is_the_textbook_formula_bit_for_bit(dimension, separation, first):
+    # The reflection written out as the construction states it, sign of the
+    # pull and all, followed for 10 000 steps: every coordinate keeps its
+    # bits, the zero signs of a start on the axis included.
+    alpha = 0.25
+    beta, half = 1.0 - alpha, separation / 2.0
+
+    def textbook(x):
+        shift = (1.0 - beta) * half * (1.0 if x[0] < 0 else -1.0 if x[0] > 0 else 0.0)
+        return (-beta * x[0] + shift,) + tuple(-beta * c for c in x[1:])
+
+    step = make_scaled_pair(alpha=alpha, separation=separation, dimension=dimension).system.map
+    x = y = (first, *[0.5, -0.0][: dimension - 1])
+    for _ in range(10_000):
+        x, y = step(x), textbook(y)
+        assert [c.hex() for c in x] == [c.hex() for c in y]
+
+
 def test_scaled_pair_dimension_one_matches_hand_construction():
     gs = make_scaled_pair(alpha=0.5, separation=2.0, dimension=1)
     # A1 = [-3, -1], A2 = [1, 3]; nearest points are -1 and 1
