@@ -19,9 +19,11 @@ The three solvers are one stop rule, ``_settle``, with three settings: the
 drift d(x_{k-s}, x_k) within tol at r consecutive checked steps (a small
 consecutive step; a small m-step drift at the block ends; every interleaved
 subsequence settled). ``_settle`` scans the recorded prefix with no map
-call, then walks chunks with the map, the drift and the stop test in one
-plain loop, so it stops at the stopping step, and validates each chunk in
-one pass. The drift is measured on images before they are validated: the
+call and no distance call: its drifts are the prefix's stride-s distance
+column, which the prefix's ``OrbitTrace`` measures once, on first use, and
+keeps. It then walks chunks with the map, the drift and the stop test in
+one plain loop, so it stops at the stopping step, and validates each chunk
+in one pass. The drift is measured on images before they are validated: the
 map and the space's distance must return or raise on them, and either
 raising refuses the chunk. A refused chunk, whether the map or the drift
 raised or its images are not all read as they are, is walked again from its
@@ -36,10 +38,11 @@ points from the same recorded prefix, so each orbit point is mapped once.
 Every point a solver reports or measures past its stop has been validated,
 and is measured with the trusted ``Space._distance``.
 
-``trace_rows`` builds the ``trace.csv`` columns in one pass over
-consecutive distances; ``chain_trace``, ``edge_trace`` and
-``block_drift_trace`` are the public per-column references it matches bit
-for bit.
+``trace_rows`` builds the ``trace.csv`` columns from the same stride-1 and
+stride-m columns plus the wrap terms, so over a run's walk each distance of
+the prefix is measured once, by the solver or by the trace, whichever reads
+it first; ``chain_trace``, ``edge_trace`` and ``block_drift_trace`` are the
+public per-column references it matches bit for bit.
 """
 
 from __future__ import annotations
@@ -61,9 +64,16 @@ _GAP = Domain(0, math.inf, "[]", strings=False)
 
 
 class OrbitTrace(_Record):
-    """x_0..x_n with x_{k+1} = map(x_k), exactly as evaluated."""
+    """x_0..x_n with x_{k+1} = map(x_k), exactly as evaluated.
 
-    __slots__ = _fields = ("system", "points", "membership_violations")
+    ``_gaps(s)`` is the distance column d(x_j, x_{j+s}), j = 0..n-s, measured
+    the first time it is asked for and kept with the trace, outside its
+    fields: the solvers' prefix scan and ``trace_rows`` read the same
+    stride-1 and stride-m columns of a walk's trace.
+    """
+
+    _fields = ("system", "points", "membership_violations")
+    __slots__ = (*_fields, "_columns")
 
     def __init__(
         self,
@@ -72,6 +82,15 @@ class OrbitTrace(_Record):
         membership_violations: tuple[tuple[int, Point], ...] = (),
     ) -> None:
         self._set(system, points, membership_violations)
+        object.__setattr__(self, "_columns", {})
+
+    def _gaps(self, s: int) -> list[float]:
+        gaps = self._columns.get(s)
+        if gaps is None:
+            points = self.points
+            gaps = list(map(self.system.space._distance, points, points[s:]))
+            self._columns[s] = gaps
+        return gaps
 
     @property
     def m(self) -> int:
@@ -133,10 +152,12 @@ class _Orbit:
     points x_0..x_keep are recorded before any reader comes.
 
     The prefix is read in chunks by ``CyclicSystem._steps`` and finished by
-    ``_walk`` where a chunk stops short. Readers past the prefix walk on
-    from its last point (``_settle``, ``_after``); those points are not
-    kept, so a second reader that goes past the prefix maps those steps
-    again, with the same points and step numbers.
+    ``_walk`` where a chunk stops short. The prefix is kept as one
+    ``OrbitTrace``, so each of its distance columns is measured once for
+    all its readers. Readers past the prefix walk on from its last point
+    (``_settle``, ``_after``); those points are not kept, so a second reader
+    that goes past the prefix maps those steps again, with the same points
+    and step numbers.
     """
 
     def __init__(self, system: CyclicSystem, x0: Sequence[float], keep: int = 0):
@@ -144,11 +165,12 @@ class _Orbit:
         x = _start(system, x0)
         points = [x, *system._steps(x, keep)]
         points += islice(_walk(system, points[-1], len(points) - 1), keep + 1 - len(points))
-        self.points = points
+        self._trace = OrbitTrace(system, tuple(points))
+        self.points = self._trace.points
 
     def trace(self) -> OrbitTrace:
         """The recorded prefix x_0..x_keep."""
-        return OrbitTrace(self.system, tuple(self.points))
+        return self._trace
 
 
 def _orbit(system: CyclicSystem, x0: Sequence[float], keep: int) -> _Orbit:
@@ -160,7 +182,7 @@ def _orbit(system: CyclicSystem, x0: Sequence[float], keep: int) -> _Orbit:
 
 def _replay(points: Iterator[Point]) -> Callable[[Point], Point]:
     """A stepper that gives the next of ``points`` for whatever point it is
-    handed: a recorded or a walked step in place of a raw map call."""
+    handed: a walked step in place of a raw map call."""
     return lambda _: next(points)
 
 
@@ -174,8 +196,11 @@ def _settle(
     fired and x_{k-s+1}..x_k (x_0..x_k when k < s - 1).
 
     The walk starts at x_{s-1}, or at x_budget when that comes first, which
-    must be recorded. It reads the recorded prefix first, with no map call.
-    Past it, it walks chunks of up to ``_CHUNK`` steps in a plain loop,
+    must be recorded. Over the recorded prefix it reads the drifts from the
+    trace's stride-s column, measured once and shared with ``trace_rows``,
+    with no map call and no distance call of its own; the run of small
+    drifts it ends with is carried into the walk past the prefix. Past
+    it, it walks chunks of up to ``_CHUNK`` steps in a plain loop,
     ``y = map(y)`` with the drift and the stop test inline, so it stops at
     the stopping step and calls the map as a per-step walk does; each chunk
     is then validated in one ``_images_as_read`` pass. Only the last s
@@ -196,19 +221,28 @@ def _settle(
     """
     system, points = orbit.system, orbit.points
     dist, raw = system.space._distance, system.map
-    keep = len(points) - 1
-    checked = [j % every == 0 for j in range(every)]
     k = min(s - 1, budget)
-    window = points[max(0, k + 1 - s) : k + 1]
     run = 0
+    end = min(budget, len(points) - 1)
+    if k < end:
+        # The checked steps k + 1 <= j <= end, each drift d(x_{j-s}, x_j)
+        # being entry j - s of the column.
+        first = k + 1 + -(k + 1) % every
+        drifts = islice(orbit.trace()._gaps(s), first - s, None, every)
+        for k, drift in zip(range(first, end + 1, every), drifts):
+            if drift <= tol:
+                run += 1
+                if run >= r:
+                    return k, True, list(points[k + 1 - s : k + 1])
+            else:
+                run = 0
+        k = end
+    checked = [j % every == 0 for j in range(every)]
+    window = list(points[max(0, k + 1 - s) : k + 1])
     walk = None
     while k < budget:
-        if k < keep:
-            n = min(_CHUNK, budget - k, keep - k)
-            step = _replay(iter(points[k + 1 : k + n + 1]))
-        else:
-            n = min(_CHUNK, budget - k)
-            step = raw if walk is None else _replay(walk)
+        n = min(_CHUNK, budget - k)
+        step = raw if walk is None else _replay(walk)
         start, start_run = k, run
         chunk = window[:]
         append = chunk.append
@@ -245,8 +279,7 @@ def _settle(
 def _after(orbit: _Orbit, k: int, x: Point, n: int) -> list[Point]:
     """x_{k+1}..x_{k+n} of the orbit whose x_k = x: recorded where the
     prefix reaches, walked on from there."""
-    points = orbit.points
-    out = points[k + 1 : k + n + 1]
+    out = list(orbit.points[k + 1 : k + n + 1])
     if len(out) < n:
         last = out[-1] if out else x
         out += islice(_walk(orbit.system, last, k + len(out)), n - len(out))
@@ -317,29 +350,28 @@ def trace_rows(trace: OrbitTrace, p: object) -> list[tuple[float, ...]]:
     and ``block_drift_trace(trace, i)[n]``, bit for bit: with step distances
     s_k = d(x_k, x_{k+1}), edge_i is s_{mn+i-1}, chain_dp combines
     s_{mn}..s_{mn+m-2} and the wrap term d(x_{mn+m-1}, x_{mn}) in chain
-    order, and block_drift_i is d(x_{mn+i-1}, x_{mn+m+i-1}). Each step
-    distance is computed once, 2m + 1 distances per row, with every argument
-    order kept. The points are trusted as validated, as ``picard_orbit``
-    leaves them. Each column is one ``map`` over strided slices of the
-    orbit, and the rows are their ``zip``. The chain column is one ``map``
-    of the exponent's ``_combine`` over the tuples (s_{mn}, ..., s_{mn+m-2},
-    wrap_n) that ``zip`` builds from the strided step slices and the wrap
-    terms, so each row's terms reach ``_combine`` in chain order.
+    order, and block_drift_i is d(x_{mn+i-1}, x_{mn+m+i-1}). The steps and
+    drifts are the trace's stride-1 and stride-m columns (``_gaps``), so
+    each distance is computed once, with every argument order kept, also
+    when a solver has read the same columns of the same walk; only the wrap
+    terms are measured here. The points are trusted as validated, as
+    ``picard_orbit`` leaves them. The columns are strided slices, and the
+    rows are their ``zip``. The chain column is the exponent's
+    ``_combine_columns`` over the m - 1 step slices and the wrap terms, the
+    same bits as ``_combine`` of each row's terms in chain order.
     """
-    combine = as_exponent(p)._combine
+    combine_columns = as_exponent(p)._combine_columns
     m = trace.m
     points = trace.points
     count = len(points) // m - 1
     if count < 1:
         raise ValueError("trace too short for a trace row")
-    dist = trace.system.space._distance
     span = m * count
-    steps = list(map(dist, points[:span], points[1 : span + 1]))
-    drifts = list(map(dist, points[:span], points[m : span + m]))
-    wraps = map(dist, points[m - 1 : span : m], points[0:span:m])
-    chains = list(map(combine, zip(*(steps[i:span:m] for i in range(m - 1)), wraps)))
+    steps, drifts = trace._gaps(1), trace._gaps(m)
+    wraps = list(map(trace.system.space._distance, points[m - 1 : span : m], points[0:span:m]))
+    chains = combine_columns([*(steps[i:span:m] for i in range(m - 1)), wraps])
     return list(
-        zip(chains, *(steps[i::m] for i in range(m)), *(drifts[i::m] for i in range(m)))
+        zip(chains, *(steps[i:span:m] for i in range(m)), *(drifts[i:span:m] for i in range(m)))
     )
 
 

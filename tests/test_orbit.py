@@ -686,17 +686,18 @@ def _recorded(solver, start):
     return 0 if solver == "banach" else 1
 
 
+def _hexed(v):
+    """``v`` with each float, also inside tuples, as its hex digits."""
+    if isinstance(v, float):
+        return float.hex(v)
+    if isinstance(v, tuple):
+        return tuple(map(_hexed, v))
+    return v
+
+
 def _fields_hex(result):
     """Every field of a solver result, with each float as its hex digits."""
-
-    def value(v):
-        if isinstance(v, float):
-            return float.hex(v)
-        if isinstance(v, tuple):
-            return tuple(map(value, v))
-        return v
-
-    return {name: value(getattr(result, name)) for name in type(result)._fields}
+    return {name: _hexed(getattr(result, name)) for name in type(result)._fields}
 
 
 TAIL_ERROR_STEPS = {
@@ -838,3 +839,94 @@ def test_a_plain_start_gives_the_result_of_the_cli_walk(name, solver, max_iter):
     walk = _Orbit(gs.system, gs.default_start, max(3 * m, min(max_iter, 10_000)))
     plain = solve(gs.system, gs.default_start, tol=1e-12, max_iter=max_iter)
     assert _fields_hex(plain) == _fields_hex(solve(gs.system, walk, tol=1e-12, max_iter=max_iter))
+
+
+# --- each prefix distance measured once -----------------------------------------
+
+
+class _KirkBox(Box):
+    """A box whose set distances are measured in l^2 on the line whatever the
+    space, since a metric oracle has none for boxes."""
+
+    __slots__ = ()
+
+    def distance_to(self, other, space):
+        return super().distance_to(other, LqSpace(as_exponent(2), 1))
+
+
+def _counted_kirk():
+    """Kirk's interval at alpha 0.001 under a metric oracle that counts its
+    calls: |x_k| = 0.999^k, and each solver stops near step 5 300."""
+    calls = []
+
+    def oracle(a, b):
+        calls.append(None)
+        return abs(a[0] - b[0])
+
+    kirk = make_kirk_interval(0.001).system
+    boxes = tuple(_KirkBox(box.lower, box.upper) for box in kirk.regions)
+    system = dataclasses.replace(kirk, space=OracleSpace(oracle, 1), regions=boxes)
+    return system, calls
+
+
+def _per_step_fields(solver, system, x0, tol):
+    """The fields a solver reads off the orbit, from the per-step walk: the
+    stop of ``_per_step_stop``, the points of ``apply`` and each distance
+    measured by the public ``distance``, chain distances included."""
+    k = _per_step_stop(solver, system, x0, tol)
+    m, space = system.m, system.space
+    points = _per_step(system, x0, k + m)
+    x = points[k]
+    fields = {"iterations": k, "converged": True}
+    set_distance = system.set_chain_distance(2)
+    if solver == "banach":
+        fields.update(point=x, residual=space.distance(x, points[k + 1]))
+    elif solver == "periodic":
+        block = tuple(points[k : k + m])
+        gap = abs(chain_self_distance(space, block, 2) - set_distance)
+        fields.update(point=x, residual=space.distance(x, points[k + m]), proximity_residual=gap)
+    else:
+        # chain[i] is the last point x_j of subsequence i + 1, j = i mod m.
+        chain = tuple(points[j] for i in range(m) for j in range(k - m + 1, k + 1) if j % m == i)
+        edges = system.edge_distances
+        fields.update(
+            chain=chain,
+            edge_residuals=tuple(
+                abs(space.distance(chain[i], chain[(i + 1) % m]) - edges[i]) for i in range(m)
+            ),
+            total_residual=abs(chain_self_distance(space, chain, 2) - set_distance),
+        )
+    return {name: _hexed(value) for name, value in fields.items()}
+
+
+@pytest.mark.parametrize("keep", [10_000, TAIL_KEEP])
+@pytest.mark.parametrize("solver", sorted(TAIL_SOLVERS))
+def test_each_prefix_distance_is_measured_once(solver, keep):
+    # A walk recording 10 000 steps holds each solver's stop; one recording
+    # TAIL_KEEP does not. The solver reads its stride-s column of the
+    # prefix (s = 1 for banach, m = 2 otherwise) and measures only the
+    # checked drifts past it and its own result; trace_rows then measures
+    # the other column and the wrap terms, and nothing twice.
+    solve, tol = TAIL_SOLVERS[solver]
+    system, calls = _counted_kirk()
+    x0, m = (-1.0,), system.m
+    walk = _Orbit(system, x0, keep)
+    assert calls == []
+    result = solve(system, walk, tol=tol, max_iter=TAIL_BUDGET)
+    k, s = result.iterations, 1 if solver == "banach" else m
+    assert (k <= keep) == (keep == 10_000)
+    column = keep + 1 - s
+    # The checked steps past the prefix: every step, or the multiples of m.
+    tail = max(0, k // m - keep // m if solver == "periodic" else k - keep)
+    measures = {"banach": 1, "periodic": 1 + m, "proximity": 2 * m}[solver]
+    assert len(calls) == column + tail + measures
+    want = _per_step_fields(solver, system, x0, tol)
+    assert {name: _fields_hex(result)[name] for name in want} == want
+
+    calls.clear()
+    trace = walk.trace()
+    rows = trace_rows(trace, 2)
+    other = keep + 1 - (m if s == 1 else 1)
+    wraps = (keep + 1) // m - 1
+    assert len(calls) == other + wraps
+    assert rows == _reference_rows(trace, 2)
