@@ -448,13 +448,14 @@ class LqSpace(Space):
     coordinate gaps for q = inf, the unrolled two-term power sum in the
     plane for 1 < q < inf, the power sum fused into one function from three
     dimensions up for 1 < q < inf, and for q = 1 the exponent's
-    ``_combine`` of the gaps. The first four return the same bits as the
-    last would with the exponent's ``_combine``.
+    ``_combine`` of the gaps. Each returns the bits that the exponent's
+    ``_combine`` of the gaps would.
 
     The q = inf kernel, the fused power sum and the ``_combine`` of the gaps
-    return 0.0 for equal points before building any list. That is exact for finite
-    points: ``a == b`` makes every difference +0.0 or -0.0 and every gap
-    0.0, so each kernel would return +0.0, also for ``(0.0,) == (-0.0,)``.
+    return 0.0 for equal points before building any list. That is exact for
+    finite points: ``a == b`` makes every difference +0.0 or -0.0 and every
+    gap 0.0, so each kernel would return +0.0, also for
+    ``(0.0,) == (-0.0,)``.
     The line and plane kernels cost about as much as that comparison and do
     without it.
     """
