@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import random
 import re
 import sys
 
@@ -481,7 +482,9 @@ def test_fused_power_kernel_is_the_combine_of_the_gaps_bit_for_bit(q, dimension,
     # From three dimensions up, 1 < q < inf binds one fused function; it
     # must give the bits of the exponent's _combine of the gaps, off the q
     # grid above too, at the float maximum (gaps that overflow to inf or
-    # equal the peak) and on equal points written with either zero.
+    # equal the peak) and on equal points written with either zero. The
+    # seeded pairs, coordinates of every scale and sign, are many enough
+    # that a plain sum in place of fsum rounds differently on some.
     space = LqSpace(as_exponent(q), dimension)
     assert space._distance.func is _power_gap
     big = sys.float_info.max
@@ -492,6 +495,13 @@ def test_fused_power_kernel_is_the_combine_of_the_gaps_bit_for_bit(q, dimension,
             ((0.0, -0.0) * (dimension // 2) + (0.0,) * (dimension % 2), (-0.0,) * dimension),
             ((big, *[1.0] * (dimension - 1)), (0.0, *[-1.0] * (dimension - 1))),
         ]
+        rng = random.Random(f"{q}:{dimension}")
+
+        def coordinate():
+            return rng.choice((-1.0, 1.0)) * rng.random() * 10.0 ** rng.randint(-300, 307)
+
+        for _ in range(2_000):
+            pairs.append(tuple(tuple(coordinate() for _ in range(dimension)) for _ in "ab"))
     else:
         points = st.lists(kernel_coords, min_size=dimension, max_size=dimension).map(tuple)
         pa = data.draw(points)
