@@ -119,11 +119,12 @@ def p_monotonicity_check(
     for p in ps:
         exp = as_exponent(p)
         dp = chain_point_distance(space, xs, ys, exp)
-        assert exp.value is not None
+        # m^(1/p) is 1 at p = inf, whose exponent value is None.
+        root = 1.0 if exp.value is None else m ** (1.0 / exp.value)
         checks = (
             ("d_inf <= d_p", dinf - dp),
             ("d_p <= d_1", dp - d1),
-            ("d_p <= m^(1/p) * d_inf", dp - m ** (1.0 / exp.value) * dinf),
+            ("d_p <= m^(1/p) * d_inf", dp - root * dinf),
         )
         for label, slack in checks:
             worst = max(worst, slack)

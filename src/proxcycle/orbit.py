@@ -3,40 +3,28 @@
 Orbit generation is inherently sequential; everything derived from a trace is
 pure. Non-convergence is data (a flagged result), never an exception.
 
-One loop steps an orbit one point at a time: ``_walk`` yields x_{k+1},
-x_{k+2}, ... from a validated x_k through ``CyclicSystem._image``, the
-stepper behind ``apply``, which validates each image once and tags a
-``MapError`` with its step. ``_walk`` is the reference walk and the one that
-reports errors. ``_Orbit`` is one walk of one orbit: it validates the start
-once (``_start``: finite, of the space's dimension, in the first region) and
-records the first ``keep + 1`` points (the trace prefix, and nothing past
-it) before any reader comes. The prefix is read in chunks by
-``CyclicSystem._steps``, one raw map pass and one validation pass per chunk,
-and ``_walk`` finishes it from where a chunk stops short. ``picard_orbit``
-is that prefix plus a membership pass.
+``_walk`` steps an orbit one point at a time through
+``CyclicSystem._image``, the stepper behind ``apply``: it is the reference
+walk and the one that reports errors, with their step. ``_chunks`` is the one
+chunked walk, with the solvers' stop rule optionally inline, and its points
+are ``_walk``'s, bit for bit; its docstring holds the refusal rule and the
+termination contract the map and the space's distance are under.
+``_Orbit`` is one walk of one orbit: it validates the start once
+(``_start``) and records the trace prefix x_0..x_keep from ``_chunks``
+before any reader comes. ``picard_orbit`` is that prefix plus a membership
+pass.
 
 The three solvers are one stop rule, ``_settle``, with three settings: the
 drift d(x_{k-s}, x_k) within tol at r consecutive checked steps (a small
 consecutive step; a small m-step drift at the block ends; every interleaved
-subsequence settled). ``_settle`` scans the recorded prefix with no map
-call and no distance call: its drifts are the prefix's stride-s distance
-column, which the prefix's ``OrbitTrace`` measures once, on first use, and
-keeps. It then walks chunks with the map, the drift and the stop test in
-one plain loop, so it stops at the stopping step, and validates each chunk
-in one pass. The drift is measured on images before they are validated: the
-map and the space's distance must return or raise on them, and either
-raising refuses the chunk. A refused chunk, whether the map or the drift
-raised or its images are not all read as they are, is walked again from its
-start by ``_walk``, and so is the rest of the orbit, so an error keeps its
-point and step, a converted image is ``apply``'s and no stop decided on an
-unvalidated image survives. The points past the stop that a solver reads
-(banach's residual image, the periodic solver's m-point tail) come from the
-record or from ``_walk``, so a ``MapError`` there carries its step too.
-The points are ``_walk``'s, bit for bit. A run of ``proxcycle run`` walks
-the prefix first, hands its walk to the solver and takes ``trace.csv``'s
-points from the same recorded prefix, so each orbit point is mapped once.
-Every point a solver reports or measures past its stop has been validated,
-and is measured with the trusted ``Space._distance``.
+subsequence settled). Over the recorded prefix ``_settle`` reads the
+drifts from the prefix's stride-s distance column, with no map call and no
+distance call; past it, ``_chunks`` walks on with the rule. The points
+past the stop that a solver reads (banach's residual image, the periodic
+solver's m-point tail) come from the record or from ``_walk``. A run of
+``proxcycle run`` walks the prefix first, hands its walk to the solver and
+takes ``trace.csv``'s points from the same recorded prefix, so each orbit
+point is mapped once.
 
 ``trace_rows`` builds the ``trace.csv`` columns from the same stride-1 and
 stride-m columns plus the wrap terms, so over a run's walk each distance of
@@ -48,12 +36,18 @@ public per-column references it matches bit for bit.
 from __future__ import annotations
 
 import math
-from itertools import count, cycle, islice
+from itertools import compress, count, cycle, islice, repeat
+from operator import is_not
 from typing import Callable, Iterator, Sequence
 
 from .chains import _chain_distance, chain_point_distance, chain_self_distance
 from .spaces import ALPHA, CYCLE_LENGTH, Domain, Point, _point_repr, _Record, as_exponent
-from .system import _CHUNK, MEMBERSHIP_TOL, CyclicSystem
+from .system import MEMBERSHIP_TOL, CyclicSystem
+
+# Orbit steps per chunk of ``_chunks``: enough that the per-chunk validation
+# pass is cheap beside the steps, few enough that the steps a chunk maps past
+# an image it refuses stay few.
+_CHUNK = 1024
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
@@ -139,7 +133,7 @@ def _start(system: CyclicSystem, x0: Sequence[float]) -> Point:
 
 def _walk(system: CyclicSystem, x: Point, k: int) -> Iterator[Point]:
     """x_{k+1}, x_{k+2}, ... of the orbit through the validated x_k = x: the
-    per-step loop, the reference for the chunked prefix and the one walk that
+    per-step loop, the reference for ``_chunks`` and the one walk that
     reports an error, so a ``MapError`` carries the step at which it arose.
     The walk is endless; readers bound it."""
     for k in count(k + 1):
@@ -147,24 +141,115 @@ def _walk(system: CyclicSystem, x: Point, k: int) -> Iterator[Point]:
         yield x
 
 
+def _replay(points: Iterator[Point]) -> Callable[[Point], Point]:
+    """A stepper that gives the next of ``points`` for whatever point it is
+    handed: a walked step in place of a raw map call."""
+    return lambda _: next(points)
+
+
+def _chunks(
+    system: CyclicSystem,
+    window: list[Point],
+    k: int,
+    budget: int,
+    rule: tuple[float, int, int, int] | None = None,
+) -> Iterator[tuple[list[Point], int]]:
+    """The one chunked walk of an orbit, from x_k = ``window[-1]`` toward
+    x_budget, where ``window`` holds the last s = ``len(window)`` points.
+    Yields each chunk's new points, validated and ``_walk``'s bit for bit,
+    with the rule's run count. Only the last s points and one chunk are kept.
+
+    A chunk makes up to ``_CHUNK`` raw map calls in a plain loop, then
+    validates its images in one ``Space._as_read`` pass that skips an image
+    that is the very object of its predecessor, so an orbit settled on a
+    point its map returns as it is costs no coordinate pass. With ``rule`` =
+    (tol, every, r, run), the loop also measures the drift d(x_{j-s}, x_j)
+    at the multiples j of ``every`` and ends at the first step at which it
+    has been within tol at r consecutive checks, ``run`` of them carried in.
+
+    A chunk is refused when the map or the drift raises, or when its images
+    are not all read as they are (a list, ints, a float subclass, a
+    non-finite or wrong-dimension point). It is walked again from its start
+    by ``_walk`` (through ``_replay``), and so is the rest of the orbit, one
+    ``_image`` per step: an error then carries its point and step, a
+    converted image is ``apply``'s, and no stop decided on an unvalidated
+    image survives. A successful walk whose images are all read as they are
+    calls the map once per step, as ``_walk`` does; any other calls it at
+    most one chunk more.
+
+    The termination contract: the loop calls the map on an image before
+    that image is validated, and measures the drift between such images
+    with the space's ``_distance`` (an ``OracleSpace``'s oracle). So the
+    map and the distance must return or raise on anything the map returns,
+    not only on points: a map that loops forever on ``inf`` hangs an orbit
+    whose image is ``inf``, where ``_walk`` would have raised ``MapError``
+    first.
+    """
+    raw, space = system.map, system.space
+    dist, s = space._distance, len(window)
+    tol, every, r, run = rule or (0.0, 1, math.inf, 0)
+    checked = [j % every == 0 for j in range(every)]
+    step = raw
+    while k < budget:
+        n = min(_CHUNK, budget - k)
+        start, start_run = k, run
+        chunk = window[:]
+        append = chunk.append
+        y = chunk[-1]
+        try:
+            if rule is None:
+                for _ in repeat(None, n):
+                    y = step(y)
+                    append(y)
+                k += n
+            else:
+                # The drift at step k reads x_{k-s} from the chunk as it grows.
+                checks = islice(cycle(checked), (k + 1) % every, None)
+                for k, old, check in zip(range(k + 1, k + n + 1), iter(chunk), checks):
+                    y = step(y)
+                    append(y)
+                    if check:
+                        if dist(old, y) <= tol:
+                            run += 1
+                            if run >= r:
+                                break
+                        else:
+                            run = 0
+            new = chunk[s:]
+            refused = step is raw and not space._as_read(
+                list(compress(new, map(is_not, new, islice(chunk, s - 1, None))))
+            )
+        except Exception:
+            if step is not raw:
+                raise
+            refused = True
+        if refused:
+            k, run = start, start_run
+            step = _replay(_walk(system, window[-1], k))
+            continue
+        window = chunk[-s:]
+        yield new, run
+        if run >= r:
+            return
+
+
 class _Orbit:
     """One walk of the orbit of a start point, whose first ``keep + 1``
-    points x_0..x_keep are recorded before any reader comes.
+    points x_0..x_keep are recorded, by ``_chunks`` with no stop rule,
+    before any reader comes.
 
-    The prefix is read in chunks by ``CyclicSystem._steps`` and finished by
-    ``_walk`` where a chunk stops short. The prefix is kept as one
-    ``OrbitTrace``, so each of its distance columns is measured once for
-    all its readers. Readers past the prefix walk on from its last point
-    (``_settle``, ``_after``); those points are not kept, so a second reader
-    that goes past the prefix maps those steps again, with the same points
-    and step numbers.
+    The prefix is kept as one ``OrbitTrace``, so each of its distance
+    columns is measured once for all its readers. Readers past the prefix
+    walk on from its last point (``_settle``, ``_after``); those points are
+    not kept, so a second reader that goes past the prefix maps those steps
+    again, with the same points and step numbers.
     """
 
     def __init__(self, system: CyclicSystem, x0: Sequence[float], keep: int = 0):
         self.system = system
-        x = _start(system, x0)
-        points = [x, *system._steps(x, keep)]
-        points += islice(_walk(system, points[-1], len(points) - 1), keep + 1 - len(points))
+        points = [_start(system, x0)]
+        for chunk, _ in _chunks(system, points[-1:], 0, keep):
+            points += chunk
         self._trace = OrbitTrace(system, tuple(points))
         self.points = self._trace.points
 
@@ -180,12 +265,6 @@ def _orbit(system: CyclicSystem, x0: Sequence[float], keep: int) -> _Orbit:
     return x0 if isinstance(x0, _Orbit) else _Orbit(system, x0, keep)
 
 
-def _replay(points: Iterator[Point]) -> Callable[[Point], Point]:
-    """A stepper that gives the next of ``points`` for whatever point it is
-    handed: a walked step in place of a raw map call."""
-    return lambda _: next(points)
-
-
 def _settle(
     orbit: _Orbit, tol: float, budget: int, s: int, every: int = 1, r: int = 1
 ) -> tuple[int, bool, list[Point]]:
@@ -198,29 +277,11 @@ def _settle(
     The walk starts at x_{s-1}, or at x_budget when that comes first, which
     must be recorded. Over the recorded prefix it reads the drifts from the
     trace's stride-s column, measured once and shared with ``trace_rows``,
-    with no map call and no distance call of its own; the run of small
-    drifts it ends with is carried into the walk past the prefix. Past
-    it, it walks chunks of up to ``_CHUNK`` steps in a plain loop,
-    ``y = map(y)`` with the drift and the stop test inline, so it stops at
-    the stopping step and calls the map as a per-step walk does; each chunk
-    is then validated in one ``_images_as_read`` pass. Only the last s
-    points and one chunk are kept.
-
-    A chunk is refused when the map or the drift raises, or when its images
-    are not all read as they are (a list, ints, a float subclass, a
-    non-finite or wrong-dimension point). It is walked again from its start
-    by ``_walk``, and so is the rest of the orbit, one ``_image`` per step:
-    an error then carries its point and step, a converted image is
-    ``apply``'s, and no stop decided on an unvalidated image survives. A
-    successful walk whose images are all read as they are calls the map once
-    per step; any other calls it at most one chunk more.
-
-    The drift is measured on images before they are validated, so the
-    space's ``_distance`` (an ``OracleSpace``'s oracle) must return or raise
-    on anything the map returns, as the map must (see ``CyclicSystem``).
+    with no map call and no distance call of its own. Past it, ``_chunks``
+    walks on with the rule inline, from the last s points and the run of
+    small drifts the prefix ends with, and stops at the stopping step.
     """
-    system, points = orbit.system, orbit.points
-    dist, raw = system.space._distance, system.map
+    points = orbit.points
     k = min(s - 1, budget)
     run = 0
     end = min(budget, len(points) - 1)
@@ -237,43 +298,11 @@ def _settle(
             else:
                 run = 0
         k = end
-    checked = [j % every == 0 for j in range(every)]
     window = list(points[max(0, k + 1 - s) : k + 1])
-    walk = None
-    while k < budget:
-        n = min(_CHUNK, budget - k)
-        step = raw if walk is None else _replay(walk)
-        start, start_run = k, run
-        chunk = window[:]
-        append = chunk.append
-        y = chunk[-1]
-        try:
-            # The drift at step k reads x_{k-s} from the chunk as it grows.
-            for k, old, check in zip(
-                range(k + 1, k + n + 1), iter(chunk), islice(cycle(checked), (k + 1) % every, None)
-            ):
-                y = step(y)
-                append(y)
-                if check:
-                    if dist(old, y) <= tol:
-                        run += 1
-                        if run >= r:
-                            break
-                    else:
-                        run = 0
-            refused = step is raw and not system._images_as_read(window[-1], chunk[len(window) :])
-        except Exception:
-            if step is not raw:
-                raise
-            refused = True
-        if refused:
-            k, run = start, start_run
-            walk = _walk(system, window[-1], k)
-            continue
-        window = chunk[-s:]
-        if run >= r:
-            return k, True, window
-    return k, False, window
+    for chunk, run in _chunks(orbit.system, window, k, budget, (tol, every, r, run)):
+        k += len(chunk)
+        window = (window + chunk)[-s:]
+    return k, run >= r, window
 
 
 def _after(orbit: _Orbit, k: int, x: Point, n: int) -> list[Point]:
@@ -410,12 +439,16 @@ def apriori_error_bound(alpha: float, m: int, k: int, initial_gap: float) -> flo
     ``alpha`` is the per-step chain contraction factor and ``initial_gap`` the
     measured chain distance between blocks 1 and 0. Each argument is read
     through its ``Domain``: alpha in (0, 1), m an integer >= 2, k an integer
-    >= 0 and initial_gap a number in [0, inf].
+    >= 0 and initial_gap a number in [0, inf]. An infinite gap gives inf,
+    also where alpha^(mk) underflows to 0.
     """
     a = ALPHA.check("alpha", alpha)
     m = CYCLE_LENGTH.check("m", m)
     k = _STEPS.check("k", k)
-    return a ** (m * k) * _GAP.check("initial_gap", initial_gap) / (1.0 - a)
+    gap = _GAP.check("initial_gap", initial_gap)
+    if gap == math.inf:
+        return math.inf
+    return a ** (m * k) * gap / (1.0 - a)
 
 
 def banach_solve(

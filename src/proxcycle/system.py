@@ -15,8 +15,8 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
-from operator import add, is_not, itemgetter, mul, sub, truediv
+from itertools import repeat
+from operator import add, itemgetter, mul, sub, truediv
 from typing import Callable, Sequence
 
 from .chains import _chain_distance, _check_chains, _edge_distances, _shifted_pairs
@@ -47,10 +47,6 @@ EXHAUSTIVE_LIMIT = 10 ** 6
 # of the column kernels is small beside the per-pair work, few enough that a
 # block's points, images and columns stay small.
 SAMPLE_BLOCK = 128
-# Orbit steps per chunk of ``CyclicSystem._steps``: enough that the per-chunk
-# validation pass is cheap beside the steps, few enough that the steps a
-# chunk maps past an image it refuses stay few.
-_CHUNK = 1024
 # Each coordinate of a tabulated phi knot.
 _KNOT = Domain(-math.inf, math.inf, note="every coordinate finite")
 # A ball's radius: a number, neither a bool nor a string, finite and positive.
@@ -517,14 +513,9 @@ def validate_phi(phi: Phi, grid: Sequence[float]) -> PhiReport:
 class CyclicSystem:
     """m regions plus a deterministic map; immutable. The map callable must be
     pure and reentrant; this is a documented contract on the caller. It must
-    also return or raise on any value it returns, not only on points: the
-    orbit's chunk steppers, ``_steps`` for the trace prefix and
-    ``orbit._settle`` for the solvers, call the map on an image before that
-    image is validated (a list, a non-finite or a wrong-dimension point), so
-    a map that loops forever on ``inf`` hangs an orbit whose image is
-    ``inf``, where a per-step walk would have raised ``MapError`` first. The
-    solvers also measure the drift between such images with the space's
-    ``_distance``, which is under the same contract.
+    also return or raise on any value it returns, not only on points, since
+    an orbit is walked in chunks that map an image before validating it:
+    see the termination contract of ``orbit._chunks``.
 
     ``artifact_points`` marks points whose image is a truncation stub rather
     than the genuine map (finite cuts of infinite families need one).
@@ -609,52 +600,6 @@ class CyclicSystem:
             return out if len(out) == dim else self._image(pt)
 
         return list(map(read, pts, images))
-
-    def _images_as_read(self, x: Point, images: list[object]) -> bool:
-        """Whether ``images``, the orbit steps on from the validated x, are
-        all read as they are (``Space._as_read``). An image that is the very
-        object of its predecessor is validated with it, so an orbit that has
-        settled on a point its map returns as it is costs no coordinate
-        pass."""
-        fresh = compress(images, map(is_not, images, itertools.chain((x,), images)))
-        return self.space._as_read(list(fresh))
-
-    def _steps(self, x: Point, n: int) -> list[Point]:
-        """x_1, ..., x_j of the orbit through the validated x_0 = x, for some
-        j <= n, exactly as n steps of ``_image`` begin: the map runs over up
-        to ``_CHUNK`` steps at a time in a plain loop, and each chunk's
-        images are validated in one ``_images_as_read`` pass.
-
-        A chunk whose map call raises, or whose images are not all read as
-        they are (a list, ints, a float subclass, a non-finite or
-        wrong-dimension point), ends the result at the chunk's start. The
-        caller walks on from there one ``_image`` at a time, which converts
-        an image as ``apply`` does and reports every error with its point
-        and step. A successful walk whose images are all read as they are
-        calls the map once per step; any other calls it at most one chunk
-        more.
-
-        The loop calls the map on each image before the image is validated,
-        so the map must return or raise on anything it returns, not only on
-        points (see ``CyclicSystem``).
-        """
-        f = self.map
-        out: list[Point] = []
-        while len(out) < n:
-            chunk: list[Point] = []
-            append = chunk.append
-            y = x
-            try:
-                for _ in repeat(None, min(_CHUNK, n - len(out))):
-                    y = f(y)
-                    append(y)
-            except Exception:
-                break
-            if not self._images_as_read(x, chunk):
-                break
-            out += chunk
-            x = y
-        return out
 
     def is_artifact(self, x: Sequence[float], tol: float = 1e-12) -> bool:
         return self._is_artifact(self.space.point(x), tol)

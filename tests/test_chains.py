@@ -211,6 +211,9 @@ def test_p_monotonicity_random_chains():
         ys = [tuple(rng.uniform(-5, 5) for _ in range(3)) for _ in range(5)]
         report = p_monotonicity_check(space, xs, ys)
         assert report.ok, report.failures
+        # p = inf among the sampled exponents, with m^(1/p) = 1.
+        report = p_monotonicity_check(space, xs, ys, ps=(1.0, 2.0, math.inf))
+        assert report.ok, report.failures
 
 
 def test_p_monotonicity_degenerate_chain_tight():

@@ -13,6 +13,7 @@ from proxcycle.gallery import (
     make_scaled_pair,
 )
 from proxcycle.orbit import (
+    _CHUNK,
     _Orbit,
     apriori_error_bound,
     banach_solve,
@@ -30,7 +31,7 @@ from proxcycle.orbit import (
 import proxcycle.system as system_module
 from proxcycle.cli import _write_trace_csv
 from proxcycle.spaces import INFINITY, LqSpace, OracleSpace, as_exponent, check_point
-from proxcycle.system import _CHUNK, Box, CyclicSystem, MapError
+from proxcycle.system import Box, CyclicSystem, MapError
 
 
 def test_picard_orbit_kirk_closed_form():
@@ -137,6 +138,9 @@ def test_cross_block_chain_distance():
 def test_apriori_error_bound_formula():
     assert apriori_error_bound(0.5, 2, 3, 1.0) == pytest.approx(0.03125)
     assert apriori_error_bound(0.5, 2, 0, 1.0) == pytest.approx(2.0)
+    # An infinite gap stays infinite, also where alpha^(mk) underflows to 0.
+    assert apriori_error_bound(0.5, 2, 10, math.inf) == math.inf
+    assert apriori_error_bound(0.5, 2, 10**6, math.inf) == math.inf
     with pytest.raises(ValueError):
         apriori_error_bound(1.5, 2, 1, 1.0)
 
@@ -815,7 +819,7 @@ def test_list_images_in_the_solver_tail_give_the_per_step_result_within_one_chun
     got, calls = counted(LIST_IMAGES[image])
     assert want.iterations == _per_step_stop(solver, kirk, x0, tol)
     assert _fields_hex(got) == _fields_hex(want)
-    # The refused prefix chunk is a chunk of _steps, at most the steps recorded.
+    # The refused prefix chunk is a chunk of _chunks, at most the steps recorded.
     prefix_chunk = min(_CHUNK, _recorded(solver, start))
     assert len(per_step) <= len(calls) <= len(per_step) + prefix_chunk + _CHUNK
 
@@ -829,7 +833,11 @@ WALK_SYSTEMS = {
 }
 
 
-@pytest.mark.parametrize("max_iter", [100_000, 10_001, 11_025])
+# Budget-bound solves whose recorded prefix ends on each side of a chunk
+# boundary, and a stop or budget past the 10 000-step prefix.
+@pytest.mark.parametrize(
+    "max_iter", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 100_000, 10_001, 11_025]
+)
 @pytest.mark.parametrize("solver", sorted(TAIL_SOLVERS))
 @pytest.mark.parametrize("name", sorted(WALK_SYSTEMS))
 def test_a_plain_start_gives_the_result_of_the_cli_walk(name, solver, max_iter):
