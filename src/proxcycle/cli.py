@@ -33,7 +33,7 @@ REQUIRED_KEYS = CONFIG_KEYS - {"output_dir"}
 NUMBERS = {
     "p": EXPONENT,
     "iterations": Domain(1, math.inf, "[)", integer=True, strings=False),
-    "tolerance": Domain(0, math.inf, strings=False),
+    "tolerance": orbit._TOL,
     "seed": Domain(-math.inf, math.inf, integer=True, strings=False),
 }
 

@@ -256,14 +256,17 @@ def make_scaled_pair(
     center2 = e1(1.0 + half)
 
     # (1.0 - beta) * half * sign multiplies left to right, so taking the
-    # first product once changes no bit: pull * -1.0 is still -0.0 at
-    # separation 0.
+    # first product once, and its three products with the sign once, changes
+    # no bit: pull * -1.0 is still -0.0 at separation 0.
+    neg = -beta
     pull = (1.0 - beta) * half
-    scale = (-beta).__mul__
+    push, still = pull * -1.0, pull * 0.0
+    scale = neg.__mul__
 
     def step(x: Point) -> Point:
-        shift = pull * (1.0 if x[0] < 0 else -1.0 if x[0] > 0 else 0.0)
-        return (-beta * x[0] + shift,) + tuple(map(scale, x[1:]))
+        x0 = x[0]
+        shift = pull if x0 < 0 else push if x0 > 0 else still
+        return (neg * x0 + shift, *map(scale, x[1:]))
 
     system = CyclicSystem(
         space=space,

@@ -19,12 +19,13 @@ drift d(x_{k-s}, x_k) within tol at r consecutive checked steps (a small
 consecutive step; a small m-step drift at the block ends; every interleaved
 subsequence settled). Over the recorded prefix ``_settle`` reads the
 drifts from the prefix's stride-s distance column, with no map call and no
-distance call; past it, ``_chunks`` walks on with the rule. The points
-past the stop that a solver reads (banach's residual image, the periodic
-solver's m-point tail) come from the record or from ``_walk``. A run of
-``proxcycle run`` walks the prefix first, hands its walk to the solver and
-takes ``trace.csv``'s points from the same recorded prefix, so each orbit
-point is mapped once.
+distance call; past it, ``_chunks`` walks on with the rule, measuring
+only the drifts that a first-coordinate gap does not already put above tol
+(``Space._gap_bound``). The points past the stop that a solver reads
+(banach's residual image, the periodic solver's m-point tail) come from the
+record or from ``_walk``. A run of ``proxcycle run`` walks the prefix
+first, hands its walk to the solver and takes ``trace.csv``'s points from
+the same recorded prefix, so each orbit point is mapped once.
 
 ``trace_rows`` builds the ``trace.csv`` columns from the same stride-1 and
 stride-m columns plus the wrap terms, so over a run's walk each distance of
@@ -55,6 +56,8 @@ DEFAULT_MAX_ITER = 100_000
 # ``apriori_error_bound``'s k) and the initial gap.
 _STEPS = Domain(0, math.inf, "[)", integer=True, strings=False)
 _GAP = Domain(0, math.inf, "[]", strings=False)
+# The solvers' tol, and the CLI's tolerance.
+_TOL = Domain(0, math.inf, strings=False)
 
 
 class OrbitTrace(_Record):
@@ -166,6 +169,10 @@ def _chunks(
     (tol, every, r, run), the loop also measures the drift d(x_{j-s}, x_j)
     at the multiples j of ``every`` and ends at the first step at which it
     has been within tol at r consecutive checks, ``run`` of them carried in.
+    Where the space's ``_gap_bound`` holds, a check whose first-coordinate
+    gap ``abs(x_{j-s}[0] - x_j[0])`` is above tol is decided by that gap, the
+    distance being at least it, and only the other checks measure the
+    drift; a NaN gap compares false and is measured too.
 
     A chunk is refused when the map or the drift raises, or when its images
     are not all read as they are (a list, ints, a float subclass, a
@@ -179,14 +186,15 @@ def _chunks(
 
     The termination contract: the loop calls the map on an image before
     that image is validated, and measures the drift between such images
-    with the space's ``_distance`` (an ``OracleSpace``'s oracle). So the
-    map and the distance must return or raise on anything the map returns,
-    not only on points: a map that loops forever on ``inf`` hangs an orbit
-    whose image is ``inf``, where ``_walk`` would have raised ``MapError``
-    first.
+    with the space's ``_distance`` (an ``OracleSpace``'s oracle), after the
+    gap bound, where it holds, has read and subtracted their coordinates 0.
+    So the map, the distance and that subtraction must return or raise on
+    anything the map returns, not only on points: a map that loops forever
+    on ``inf`` hangs an orbit whose image is ``inf``, where ``_walk`` would
+    have raised ``MapError`` first.
     """
     raw, space = system.map, system.space
-    dist, s = space._distance, len(window)
+    dist, bound, s = space._distance, space._gap_bound, len(window)
     tol, every, r, run = rule or (0.0, 1, math.inf, 0)
     checked = [j % every == 0 for j in range(every)]
     step = raw
@@ -209,7 +217,9 @@ def _chunks(
                     y = step(y)
                     append(y)
                     if check:
-                        if dist(old, y) <= tol:
+                        if bound and abs(old[0] - y[0]) > tol:
+                            run = 0
+                        elif dist(old, y) <= tol:
                             run += 1
                             if run >= r:
                                 break
@@ -464,6 +474,7 @@ def banach_solve(
     bound on cross-block distances is ``apriori_error_bound`` with the
     initial gap ``cross_block_chain_distance(trace, 1, 0, p)``.
     """
+    tol = _TOL.check("tol", tol)
     max_iter = _STEPS.check("max_iter", max_iter)
     exp = as_exponent(p)
     space = system.space
@@ -507,6 +518,7 @@ def periodic_point_solve(
     them: at least one block is walked, so a ``max_iter`` below m still walks
     m steps and reports ``iterations = m``.
     """
+    tol = _TOL.check("tol", tol)
     max_iter = _STEPS.check("max_iter", max_iter)
     exp = as_exponent(p)
     space = system.space
@@ -581,6 +593,7 @@ def proximity_chain_extract(
     a truncation-artifact point, or out of the subsequence's region, is
     reported as non-convergence.
     """
+    tol = _TOL.check("tol", tol)
     max_iter = _STEPS.check("max_iter", max_iter)
     exp = as_exponent(p)
     space = system.space

@@ -355,6 +355,10 @@ class Space:
 
     __slots__ = ()
     dimension: int
+    # Whether ``_distance(a, b) >= abs(a[0] - b[0])`` holds for all points,
+    # so that a first-coordinate gap above a tolerance decides, with no
+    # distance call, that the distance is above it too.
+    _gap_bound = False
 
     def point(self, v: Sequence[float], what: str = "point") -> Point:
         """``v`` as a point of this space, or a ValueError; ``what`` labels
@@ -439,6 +443,10 @@ def _max_gap(pa: Point, pb: Point) -> float:
     return max(map(abs, map(sub, pa, pb)))
 
 
+# The kernels ``LqSpace`` chooses from, each at least the first-coordinate gap.
+_GAP_KERNELS = (_line_gap, _max_gap, _combined_gaps, _plane_gap, _power_gap)
+
+
 @dataclass(frozen=True)
 class LqSpace(Space):
     """R^dimension under the l^q norm.
@@ -479,6 +487,19 @@ class LqSpace(Space):
         else:
             kernel = partial(_power_gap, q._power, q._inv)
         object.__setattr__(self, "_distance", kernel)
+
+    @property
+    def _gap_bound(self) -> bool:
+        """True while ``_distance`` is a kernel chosen here: each is at
+        least the gap ``abs(a[0] - b[0])`` of finite points a and b, bit for
+        bit. The line kernel is that gap and the q = inf kernel a max over
+        the gaps; the q = 1 kernel is a correctly rounded sum of nonnegative
+        terms, which cannot fall below a term; the plane and fused power
+        kernels multiply the peak gap by a power sum raised to 1/q whose
+        peak term is 1.0 exactly, so by a factor of at least 1. A kernel put
+        in its place, by a subclass or otherwise, is not vouched for."""
+        kernel = self._distance
+        return getattr(kernel, "func", kernel) in _GAP_KERNELS
 
     def norm(self, v: Sequence[float]) -> float:
         return lq_norm(v, self.q)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import re
 from itertools import count
 
 import pytest
@@ -938,3 +939,94 @@ def test_each_prefix_distance_is_measured_once(solver, keep):
     wraps = (keep + 1) // m - 1
     assert len(calls) == other + wraps
     assert rows == _reference_rows(trace, 2)
+
+
+# --- the tail's drift test behind the first-coordinate gap ---------------------
+
+
+@pytest.mark.parametrize("solver", sorted(TAIL_SOLVERS))
+@pytest.mark.parametrize("value", [math.nan, -1.0, 0.0, math.inf, True, "1e-3"])
+def test_tol_is_read_through_its_domain(solver, value):
+    # The gap test compares raw coordinate gaps with tol, so tol is a float
+    # in (0, inf), read as the config's tolerance is.
+    pattern = rf"^tol must be (a number|in \(0, inf\)), got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=pattern):
+        TAIL_SOLVERS[solver][0](make_kirk_interval(0.5).system, (-1.0,), tol=value)
+
+
+@pytest.mark.parametrize("solver", sorted(TAIL_SOLVERS))
+def test_an_int_tol_is_read_as_its_float(solver):
+    solve, system = TAIL_SOLVERS[solver][0], make_kirk_interval(0.5).system
+    assert solve(system, (-1.0,), tol=1) == solve(system, (-1.0,), tol=1.0)
+
+
+# (system, solver) pairs whose drift at a checked step equals its first
+# coordinate gap, in the line, plane and fused l^2 kernels: the other
+# coordinates of affine_strip's stride-2 drift, and of scaled_pair's orbit
+# from its default start, do not move.
+EQUAL_GAP_SOLVES = [
+    ("kirk_interval", "banach"),
+    ("kirk_interval", "periodic"),
+    ("kirk_interval", "proximity"),
+    ("affine_strip", "periodic"),
+    ("affine_strip", "proximity"),
+    ("scaled_pair 3-d", "periodic"),
+    ("scaled_pair 3-d", "proximity"),
+]
+
+
+@pytest.mark.parametrize("start", ["plain", "walk"])
+@pytest.mark.parametrize("name, solver", EQUAL_GAP_SOLVES)
+def test_a_tol_equal_to_the_first_coordinate_gap_stops_where_the_per_step_walk_does(
+    name, solver, start
+):
+    # tol is the drift d(x_{k-s}, x_k) at step k = 3 000, past the recorded
+    # prefix; it equals that step's first-coordinate gap, so the gap test
+    # must not decide the check (a gap equal to tol is within it) and the
+    # drift must be measured. Every field read off the orbit is the per-step
+    # reference's.
+    solve = TAIL_SOLVERS[solver][0]
+    gs = WALK_SYSTEMS[name]()
+    system, x0 = gs.system, gs.default_start
+    k, s = 3_000, 1 if solver == "banach" else gs.system.m
+    points = _per_step(system, x0, k)
+    tol = system.space.distance(points[k - s], points[k])
+    assert tol == abs(points[k - s][0] - points[k][0]) and tol > 0.0
+    result = solve(system, _tail_start(system, x0, start), tol=tol, max_iter=TAIL_BUDGET)
+    want = _per_step_fields(solver, system, x0, tol)
+    assert want["iterations"] in (k, k + 1)
+    assert {field: _fields_hex(result)[field] for field in want} == want
+
+
+class _CountedLq(LqSpace):
+    """An l^q space whose kernel of its own counts its calls in ``calls``:
+    the chosen kernel, wrapped, which the gap bound does not vouch for."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        kernel, calls = self._distance, []
+        object.__setattr__(self, "calls", calls)
+        object.__setattr__(self, "_distance", lambda pa, pb: calls.append(None) or kernel(pa, pb))
+
+
+@pytest.mark.parametrize("solver", sorted(TAIL_SOLVERS))
+def test_a_space_without_the_gap_bound_measures_every_checked_tail_drift(solver):
+    # The oracle count is pinned, call by call, by
+    # test_each_prefix_distance_is_measured_once: one oracle call per
+    # checked step past the prefix. An LqSpace subclass with a kernel of its
+    # own makes the same calls, and both give the bound space's result.
+    solve, tol = TAIL_SOLVERS[solver]
+    oracle_system, oracle_calls = _counted_kirk()
+    kirk = make_kirk_interval(0.001).system
+    space = _CountedLq(as_exponent(2), 1)
+    assert kirk.space._gap_bound and not space._gap_bound
+    counted = dataclasses.replace(kirk, space=space)
+    x0 = (-1.0,)
+    results = [
+        solve(system, _Orbit(system, x0, TAIL_KEEP), tol=tol, max_iter=TAIL_BUDGET)
+        for system in (kirk, oracle_system, counted)
+    ]
+    assert results[0].iterations > TAIL_KEEP
+    assert len(space.calls) == len(oracle_calls)
+    assert _fields_hex(results[1]) == _fields_hex(results[0])
+    assert _fields_hex(results[2]) == _fields_hex(results[0])

@@ -516,6 +516,62 @@ def test_fused_power_kernel_is_the_combine_of_the_gaps_bit_for_bit(q, dimension,
             assert math.copysign(1.0, space._distance(pa, pb)) == 1.0
 
 
+# --- the first-coordinate gap bound --------------------------------------------
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3, 4, 13, 22])
+@pytest.mark.parametrize("q", [1.0, 1.25, 2.0, 3.5, 40.0, math.inf])
+@given(data=st.data())
+@example(data=None)
+@settings(max_examples=60, deadline=None)
+def test_every_kernel_is_at_least_the_first_coordinate_gap(q, dimension, data):
+    # The solver tail decides a drift check from abs(a[0] - b[0]) > tol
+    # alone where the space vouches for this bound, so it must hold for the
+    # computed values, not only for the exact norms: at the float maximum
+    # (a first gap that overflows to inf, or that is the peak of an
+    # overflowing power sum), for subnormal gaps, for a first gap far below
+    # the others and for seeded pairs of every scale and sign.
+    space = LqSpace(as_exponent(q), dimension)
+    assert space._gap_bound
+    big, tiny = sys.float_info.max, 5e-324
+    rest = dimension - 1
+    if data is None:
+        pairs = [
+            ((big, *[big] * rest), (-big, *[-big] * rest)),
+            ((big, *[0.0] * rest), (0.0, *[-big] * rest)),
+            ((tiny, *[1.0] * rest), (-tiny, *[-1e300] * rest)),
+            ((2.2250738585072014e-308, *[tiny] * rest), (0.0, *[-tiny] * rest)),
+            ((1.0, *[1.0] * rest), (1.0 - 2**-52, *[1.0 + 2**-52] * rest)),
+            ((0.0, *[big] * rest), (-0.0, *[0.0] * rest)),
+        ]
+        rng = random.Random(f"gap:{q}:{dimension}")
+
+        def coordinate():
+            return rng.choice((-1.0, 1.0)) * rng.random() * 10.0 ** rng.randint(-320, 308)
+
+        for _ in range(2_000):
+            pairs.append(tuple(tuple(coordinate() for _ in range(dimension)) for _ in "ab"))
+    else:
+        points = st.lists(kernel_coords, min_size=dimension, max_size=dimension).map(tuple)
+        pairs = [(data.draw(points), data.draw(points))]
+    for pa, pb in pairs:
+        gap = abs(pa[0] - pb[0])
+        assert space._distance(pa, pb) >= gap and space._distance(pb, pa) >= gap, (pa, pb)
+
+
+def test_only_the_kernels_lq_space_chooses_vouch_for_the_gap_bound():
+    # tests/test_orbit.py checks a subclass with a kernel of its own.
+    for q in (1, 1.5, 2, 3, math.inf):
+        for dimension in (1, 2, 3):
+            space = LqSpace(as_exponent(q), dimension)
+            assert space._gap_bound is True
+            assert dataclasses.replace(space, dimension=dimension + 1)._gap_bound is True
+            kernel = space._distance
+            object.__setattr__(space, "_distance", lambda pa, pb: kernel(pa, pb))
+            assert space._gap_bound is False
+    assert OracleSpace(lambda a, b: abs(a[0] - b[0]), 1)._gap_bound is False
+
+
 def test_domain_text_and_ends():
     assert str(Domain(0, 1)) == "(0, 1)"
     assert str(Domain(0, math.inf, "[)")) == "[0, inf)"
