@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import gallery, orbit
-from .spaces import EXPONENT, Domain, Exponent, _Record, as_exponent
+from .spaces import COUNT, EXPONENT, POSITIVE, Domain, Exponent, _Record, as_exponent
 from .system import LinearPhi, MapError, Phi, TabulatedPhi, validate_phi, verify_contraction, verify_cyclicity
 
 if TYPE_CHECKING:
@@ -32,8 +32,8 @@ REQUIRED_KEYS = CONFIG_KEYS - {"output_dir"}
 # the float range, such as 1e999, as inf.
 NUMBERS = {
     "p": EXPONENT,
-    "iterations": Domain(1, math.inf, "[)", integer=True, strings=False),
-    "tolerance": orbit._TOL,
+    "iterations": COUNT,
+    "tolerance": POSITIVE,
     "seed": Domain(-math.inf, math.inf, integer=True, strings=False),
 }
 

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from .chains import chain_self_distance
+from .chains import _chain_distance
 from .spaces import ALPHA, EXPONENT, CapabilityError, Domain, Exponent, LqSpace, Point, _Record, as_exponent, p_combine
 from .system import Ball, Box, CyclicSystem, FiniteCloud, _enumerable
 
@@ -297,16 +297,16 @@ def attainment_gap(gallery_system: GallerySystem, p: object) -> float:
     if not all(_enumerable(r) for r in system.regions):
         raise CapabilityError("attainment gap needs enumerable regions")
     exp = as_exponent(p)
-    m = system.m
     best = math.inf
+    # Region points were validated when their regions were built and each
+    # image by ``_image``, so the chains are measured as they are.
     for region in system.regions:
         for x in region.points:
-            chain = [x]
-            for _ in range(m - 1):
-                chain.append(system.apply(chain[-1]))
-            if any(system.is_artifact(pt) for pt in chain):
-                continue
-            best = min(best, chain_self_distance(system.space, chain, exp))
+            chain = (x,)
+            for _ in range(system.m - 1):
+                chain += (system._image(chain[-1]),)
+            if not any(map(system._is_artifact, chain)):
+                best = min(best, _chain_distance(system.space, chain, chain, exp._combine))
     return best - system.set_chain_distance(exp)
 
 

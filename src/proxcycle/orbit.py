@@ -42,7 +42,7 @@ from operator import is_not
 from typing import Callable, Iterator, Sequence
 
 from .chains import _chain_distance, chain_point_distance, chain_self_distance
-from .spaces import ALPHA, CYCLE_LENGTH, Domain, Point, _point_repr, _Record, as_exponent
+from .spaces import ALPHA, CYCLE_LENGTH, POSITIVE, Domain, Point, _point_repr, _Record, as_exponent
 from .system import MEMBERSHIP_TOL, CyclicSystem
 
 # Orbit steps per chunk of ``_chunks``: enough that the per-chunk validation
@@ -56,8 +56,6 @@ DEFAULT_MAX_ITER = 100_000
 # ``apriori_error_bound``'s k) and the initial gap.
 _STEPS = Domain(0, math.inf, "[)", integer=True, strings=False)
 _GAP = Domain(0, math.inf, "[]", strings=False)
-# The solvers' tol, and the CLI's tolerance.
-_TOL = Domain(0, math.inf, strings=False)
 
 
 class OrbitTrace(_Record):
@@ -129,7 +127,7 @@ class SolveResult(_Record):
 def _start(system: CyclicSystem, x0: Sequence[float]) -> Point:
     """Validate a start point: a point of the space, in A_1."""
     x = system.space.point(x0, "x0")
-    if not system.regions[0].contains(x, system.space, MEMBERSHIP_TOL):
+    if not system.regions[0]._contains(x, system.space, MEMBERSHIP_TOL):
         raise ValueError(f"x0 = {_point_repr(x)} is not in the first region")
     return x
 
@@ -328,10 +326,11 @@ def _after(orbit: _Orbit, k: int, x: Point, n: int) -> list[Point]:
 def picard_orbit(system: CyclicSystem, x0: Sequence[float], n: int) -> OrbitTrace:
     """Iterate the map n times from x0 in the first region.
 
-    Every m-th point is membership-checked against the first region; any
-    violation is recorded on the trace, not raised. ``contains`` is pure, so
-    a point equal to the last one checked reuses its verdict: an orbit that
-    settles on a fixed point or a truncation stub is not re-scanned.
+    Every m-th point is membership-checked against the first region by its
+    trusted ``_contains``; any violation is recorded on the trace, not
+    raised. The test is pure, so a point equal to the last one checked
+    reuses its verdict: an orbit that settles on a fixed point or a
+    truncation stub is not re-scanned.
     """
     m = system.m
     n = _STEPS.check("n", n)
@@ -344,7 +343,7 @@ def picard_orbit(system: CyclicSystem, x0: Sequence[float], n: int) -> OrbitTrac
     for k in range(m, n + 1, m):
         x = points[k]
         if x != checked:
-            checked, inside = x, first.contains(x, space)
+            checked, inside = x, first._contains(x, space, MEMBERSHIP_TOL)
         if not inside:
             violations.append((k, x))
     return OrbitTrace(system, points, tuple(violations))
@@ -474,7 +473,7 @@ def banach_solve(
     bound on cross-block distances is ``apriori_error_bound`` with the
     initial gap ``cross_block_chain_distance(trace, 1, 0, p)``.
     """
-    tol = _TOL.check("tol", tol)
+    tol = POSITIVE.check("tol", tol)
     max_iter = _STEPS.check("max_iter", max_iter)
     exp = as_exponent(p)
     space = system.space
@@ -492,7 +491,7 @@ def banach_solve(
     if not fired:
         warnings.append("max_iter exhausted before the step criterion fired")
     for i, region in enumerate(system.regions):
-        if converged and not region.contains(x, space, MEMBERSHIP_TOL):
+        if converged and not region._contains(x, space, MEMBERSHIP_TOL):
             warnings.append(f"result is not in region {i + 1}")
 
     return SolveResult(
@@ -518,7 +517,7 @@ def periodic_point_solve(
     them: at least one block is walked, so a ``max_iter`` below m still walks
     m steps and reports ``iterations = m``.
     """
-    tol = _TOL.check("tol", tol)
+    tol = POSITIVE.check("tol", tol)
     max_iter = _STEPS.check("max_iter", max_iter)
     exp = as_exponent(p)
     space = system.space
@@ -537,7 +536,7 @@ def periodic_point_solve(
     converged = fired and residual <= tol
     if not fired:
         warnings.append("max_iter exhausted before the step criterion fired")
-    if converged and not system.regions[0].contains(x, space, MEMBERSHIP_TOL):
+    if converged and not system.regions[0]._contains(x, space, MEMBERSHIP_TOL):
         warnings.append("result is not in the first region")
 
     orbit_chain = (x, *tail[:-1])
@@ -593,7 +592,7 @@ def proximity_chain_extract(
     a truncation-artifact point, or out of the subsequence's region, is
     reported as non-convergence.
     """
-    tol = _TOL.check("tol", tol)
+    tol = POSITIVE.check("tol", tol)
     max_iter = _STEPS.check("max_iter", max_iter)
     exp = as_exponent(p)
     space = system.space
@@ -617,7 +616,7 @@ def proximity_chain_extract(
             note = "subsequence stalled on a truncation-artifact point"
         else:
             for i, pt in enumerate(chain):
-                if not system.regions[i].contains(pt, space, MEMBERSHIP_TOL):
+                if not system.regions[i]._contains(pt, space, MEMBERSHIP_TOL):
                     converged = False
                     note = f"extracted point left region {i + 1}"
                     break

@@ -321,8 +321,10 @@ CYCLE_LENGTH = Domain(2, math.inf, "[)", integer=True, strings=False)
 # Every exponent p or q lies in [1, inf]: as_exponent reads "inf" and no
 # other string, and its inf has value None.
 EXPONENT = Domain(1, math.inf, "[]", read=lambda q: as_exponent(q).value or math.inf)
-# Every space has an integer dimension >= 1.
-_DIMENSION = Domain(1, math.inf, "[)", integer=True, strings=False)
+# Tolerances and radii: numbers in (0, inf), no strings.
+POSITIVE = Domain(0, math.inf, strings=False)
+# Dimensions and counts (samples, triples, iterations): integers >= 1.
+COUNT = Domain(1, math.inf, "[)", integer=True, strings=False)
 
 
 def p_combine(values: Iterable[float], p: object) -> float:
@@ -475,7 +477,7 @@ class LqSpace(Space):
     def __post_init__(self) -> None:
         q = as_exponent(self.q)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "dimension", _DIMENSION.check("dimension", self.dimension))
+        object.__setattr__(self, "dimension", COUNT.check("dimension", self.dimension))
         if self.dimension == 1:
             kernel = _line_gap
         elif q.is_inf:
@@ -518,7 +520,7 @@ class OracleSpace(_Record, Space):
     __slots__ = _fields = ("oracle", "dimension")
 
     def __init__(self, oracle: Callable[[Point, Point], float], dimension: int) -> None:
-        self._set(oracle, _DIMENSION.check("dimension", dimension))
+        self._set(oracle, COUNT.check("dimension", dimension))
 
     def _distance(self, pa: Point, pb: Point) -> float:
         return float(self.oracle(pa, pb))
@@ -546,8 +548,11 @@ def validate_metric(
 ) -> MetricReport:
     """Spot-check symmetry, d(x,x)=0, and the triangle inequality on samples.
 
+    ``tol`` is read by ``POSITIVE`` and ``max_triples`` by ``COUNT``.
     Violations are returned as witnesses, never raised.
     """
+    tol = POSITIVE.check("tol", tol)
+    max_triples = COUNT.check("max_triples", max_triples)
     pts = [check_point(p) for p in sample_points]
     if len(pts) < 3:
         raise ValueError("need at least 3 sample points")

@@ -22,7 +22,9 @@ from typing import Callable, Sequence
 from .chains import _chain_distance, _check_chains, _edge_distances, _shifted_pairs
 from .spaces import (
     ALPHA,
+    COUNT,
     CYCLE_LENGTH,
+    POSITIVE,
     CapabilityError,
     Domain,
     Exponent,
@@ -49,10 +51,6 @@ EXHAUSTIVE_LIMIT = 10 ** 6
 SAMPLE_BLOCK = 128
 # Each coordinate of a tabulated phi knot.
 _KNOT = Domain(-math.inf, math.inf, note="every coordinate finite")
-# A ball's radius: a number, neither a bool nor a string, finite and positive.
-_RADIUS = Domain(0, math.inf, strings=False)
-# Sample counts: tuple pairs of a sampled certificate, points per region.
-_COUNT = Domain(1, math.inf, "[)", integer=True, strings=False)
 
 
 def _read_knot(knot: object) -> tuple[float, float]:
@@ -79,7 +77,12 @@ class MapError(RuntimeError):
 
 class Region:
     """A set A_i. Variants support membership, seeded sampling, and exact
-    distance to a compatible other region."""
+    distance to a compatible other region.
+
+    A variant states its membership test once, in ``_contains(x, space,
+    tol)``, trusted with a point ``x`` already read for ``space`` and of the
+    region's dimension, and a ``tol`` in (0, inf). ``contains`` is the public
+    reader in front of it."""
 
     __slots__ = ()
 
@@ -87,15 +90,16 @@ class Region:
         raise NotImplementedError
 
     def contains(self, point: Sequence[float], space: Space, tol: float = MEMBERSHIP_TOL) -> bool:
-        raise NotImplementedError
+        """Whether ``point``, read by ``space.point``, lies within ``tol``
+        (read by ``POSITIVE``) of the region, which must be of the space's
+        dimension."""
+        x, dim = space.point(point), self.dimension()
+        if len(x) != dim:
+            raise ValueError(f"{dim}-dimensional region in a {len(x)}-dimensional space")
+        return self._contains(x, space, POSITIVE.check("tol", tol))
 
-    def _query(self, point: Sequence[float], space: Space) -> Point:
-        """A ``contains`` query read by ``space.point``, for a region of the
-        space's dimension."""
-        x = space.point(point)
-        if len(x) == self.dimension():
-            return x
-        raise ValueError(f"{self.dimension()}-dimensional region in a {len(x)}-dimensional space")
+    def _contains(self, x: Point, space: Space, tol: float) -> bool:
+        raise NotImplementedError
 
     def sample(self, rng: random.Random) -> Point:
         raise NotImplementedError
@@ -121,14 +125,13 @@ class FiniteCloud(_Record, Region):
     def dimension(self) -> int:
         return len(self.points[0])
 
-    def contains(self, point, space, tol=MEMBERSHIP_TOL):
+    def _contains(self, x, space, tol):
         # The stored points were validated when the cloud was built, so with
         # the query read for the space and the cloud of its dimension both
         # are measured with the trusted ``_distance``. The verdict is
         # ``min(distances) <= tol``, stopping at the first point within tol:
         # min keeps a NaN first distance, which answers False, and passes
         # over a later one, as ``d <= tol`` does.
-        x = self._query(point, space)
         ds = map(space._distance, itertools.repeat(x), self.points)
         first = next(ds)
         return not math.isnan(first) and (first <= tol or any(d <= tol for d in ds))
@@ -154,8 +157,7 @@ class Box(_Record, Region):
     def dimension(self) -> int:
         return len(self.lower)
 
-    def contains(self, point, space, tol=MEMBERSHIP_TOL):
-        x = self._query(point, space)
+    def _contains(self, x, space, tol):
         return all(lo - tol <= c <= hi + tol for c, lo, hi in zip(x, self.lower, self.upper))
 
     def sample(self, rng):
@@ -170,13 +172,12 @@ class Ball(_Record, Region):
     __slots__ = _fields = ("center", "radius")
 
     def __init__(self, center: Point, radius: float) -> None:
-        self._set(check_point(center), _RADIUS.check("radius", radius))
+        self._set(check_point(center), POSITIVE.check("radius", radius))
 
     def dimension(self) -> int:
         return len(self.center)
 
-    def contains(self, point, space, tol=MEMBERSHIP_TOL):
-        x = self._query(point, space)
+    def _contains(self, x, space, tol):
         return math.dist(x, self.center) <= self.radius + tol
 
     def sample(self, rng):
@@ -363,17 +364,20 @@ def _point_box_gaps(x: Point, lower: Point, upper: Point) -> tuple[float, ...]:
 
 
 def region_distance(space: Space, a: Region, b: Region) -> float:
-    """Exact infimum distance between two regions of compatible variants."""
+    """Exact infimum distance between two regions of compatible variants,
+    each of the space's dimension."""
+    # One dimension check for every pair of variants: each branch pairs
+    # coordinates with ``zip`` or the trusted ``_distance``, which would
+    # silently truncate a mismatch. Cloud points were validated when the
+    # cloud was built, so every pair of two clouds is measured with
+    # ``_distance``.
+    da, db = a.dimension(), b.dimension()
+    if da != space.dimension or db != space.dimension:
+        raise ValueError(
+            f"dimension mismatch: space is {space.dimension}-dimensional, "
+            f"regions have {da} and {db}"
+        )
     if _enumerable(a) and _enumerable(b):
-        # Cloud points were validated when the cloud was built, so after one
-        # dimension check per cloud every pair is measured with the trusted
-        # ``_distance``.
-        da, db = len(a.points[0]), len(b.points[0])
-        if da != space.dimension or db != space.dimension:
-            raise ValueError(
-                f"dimension mismatch: space is {space.dimension}-dimensional, "
-                f"points have {da} and {db}"
-            )
         dist = space._distance
         return min(dist(x, y) for x in a.points for y in b.points)
 
@@ -519,6 +523,11 @@ class CyclicSystem:
 
     ``artifact_points`` marks points whose image is a truncation stub rather
     than the genuine map (finite cuts of infinite families need one).
+
+    The system is the validation boundary: each region's dimension and each
+    artifact point are checked against the space once, here, and region
+    points were read when their region was built, so every layer below
+    trusts them.
     """
 
     space: Space
@@ -529,6 +538,12 @@ class CyclicSystem:
     def __post_init__(self) -> None:
         if len(self.regions) < 2:
             raise ValueError("a cyclic system needs m >= 2 regions")
+        dim = self.space.dimension
+        for i, region in enumerate(self.regions, start=1):
+            if region.dimension() != dim:
+                raise ValueError(
+                    f"region {i} is {region.dimension()}-dimensional in a {dim}-dimensional space"
+                )
         artifacts = tuple(self.space.point(a, "artifact point") for a in self.artifact_points)
         object.__setattr__(self, "artifact_points", artifacts)
 
@@ -636,8 +651,16 @@ def verify_cyclicity(
     seed: int = 0,
     tol: float = MEMBERSHIP_TOL,
 ) -> CyclicityReport:
-    """Check map(A_i) within A_{i+1}; exhaustive on enumerable regions."""
-    samples_per_region = _COUNT.check("samples_per_region", samples_per_region)
+    """Check map(A_i) within A_{i+1}; exhaustive on enumerable regions.
+
+    ``samples_per_region`` is read by ``COUNT`` and ``tol`` by
+    ``POSITIVE``. Each drawn sample is read once by ``space.point``; cloud
+    points were validated when their cloud was built. Both are then
+    trusted: flagged by ``_is_artifact``, mapped by ``_image`` and tested
+    by the target's ``_contains``, one sample at a time in draw order.
+    """
+    samples_per_region = COUNT.check("samples_per_region", samples_per_region)
+    tol = POSITIVE.check("tol", tol)
     rng = random.Random(seed)
     violations = []
     artifacts = []
@@ -649,16 +672,17 @@ def verify_cyclicity(
         else:
             columns = _column_draw((region,))
             if columns is None:
-                candidates = [region.sample(rng) for _ in range(samples_per_region)]
+                drawn = [region.sample(rng) for _ in range(samples_per_region)]
             else:
-                candidates = columns.draw(rng, samples_per_region)
+                drawn = columns.draw(rng, samples_per_region)
+            candidates = map(system.space.point, drawn)
         for x in candidates:
-            if system.is_artifact(x):
+            if system._is_artifact(x):
                 artifacts.append((i, x))
                 continue
-            y = system.apply(x)
+            y = system._image(x)
             checked += 1
-            if not target.contains(y, system.space, tol):
+            if not target._contains(y, system.space, tol):
                 violations.append((i, x, y))
     return CyclicityReport(not violations, tuple(violations), tuple(artifacts), checked)
 
@@ -906,9 +930,8 @@ def _scan_exhaustive(system: CyclicSystem, phi: Phi, exp: Exponent, phi_set: flo
     exponent's ``_combine_columns`` turns the m columns into every d and
     every lhs of the block, ``phi._many`` gives every phi(d), and
     ``_Scan.fold`` the margins, in ``product(tuples, tuples)`` order.
-    Region points were validated when their region was built and
-    ``verify_contraction`` checked each region's dimension, so the tables
-    trust them.
+    Region points were read when their region was built, and the region's
+    dimension checked when the system was, so the tables trust them.
     """
     m = system.m
     regions = system.regions
@@ -977,20 +1000,12 @@ def verify_contraction(
     phi(d_p(x, y)) and phi(d_p(A)) over the evaluated pairs, so the
     tolerance scales with the problem.
     """
-    tuple_samples = _COUNT.check("tuple_samples", tuple_samples)
+    tuple_samples = COUNT.check("tuple_samples", tuple_samples)
     exp = as_exponent(p)
     set_distance = system.set_chain_distance(exp)
     phi_set = phi(set_distance)
 
     regions = system.regions
-    # One dimension check per region: both scans measure region points with
-    # the trusted metric, which would silently truncate a mismatch.
-    for i, region in enumerate(regions, start=1):
-        if region.dimension() != system.space.dimension:
-            raise ValueError(
-                f"region {i} is {region.dimension()}-dimensional in a "
-                f"{system.space.dimension}-dimensional space"
-            )
     exhaustive = all(_enumerable(r) for r in regions)
     if exhaustive:
         total = math.prod(len(r.points) for r in regions)

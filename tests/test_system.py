@@ -9,23 +9,32 @@ from hypothesis import strategies as st
 
 from proxcycle.chains import chain_point_distance
 from proxcycle.gallery import (
+    attainment_gap,
     make_affine_strip,
     make_kirk_interval,
     make_paper_lq_family,
     make_scaled_pair,
 )
-from proxcycle.orbit import picard_orbit
+from proxcycle.orbit import (
+    banach_solve,
+    periodic_point_solve,
+    picard_orbit,
+    proximity_chain_extract,
+)
 from proxcycle.spaces import (
     INFINITY,
     CapabilityError,
     Exponent,
     LqSpace,
     OracleSpace,
+    Space,
     as_exponent,
     check_point,
     p_combine,
+    validate_metric,
 )
 from proxcycle.system import (
+    MEMBERSHIP_TOL,
     SAMPLE_BLOCK,
     Ball,
     Box,
@@ -113,6 +122,25 @@ def test_contains_reads_the_query_through_the_space(region):
     assert region.contains((1.0, 0.0), L2_2)
 
 
+@pytest.mark.parametrize(
+    "region",
+    [Box((0.0, 0.0), (1.0, 0.5)), Ball((0.5, 0.0), 1.0), FiniteCloud(((0.0, 0.0), (1.0, 1.0)))],
+    ids=["box", "ball", "cloud"],
+)
+def test_contains_is_the_trusted_test_of_the_read_query(region):
+    # Each shape states its test once, in _contains; Region.contains reads
+    # the query and the tolerance in front of it.
+    assert "contains" not in vars(type(region)) and "_contains" in vars(type(region))
+    rng = random.Random(7)
+    for _ in range(200):
+        q = [rng.uniform(-1.0, 2.0), rng.choice((0.0, 0.5, 1.0, rng.uniform(-1.0, 2.0)))]
+        for query in (tuple(q), q, [round(c) for c in q]):
+            x = L2_2.point(query)
+            assert region.contains(query, L2_2) is region._contains(x, L2_2, MEMBERSHIP_TOL)
+            for tol in (1e-3, 0.25, 2.0):
+                assert region.contains(query, L2_2, tol) is region._contains(x, L2_2, tol)
+
+
 def test_region_distance_cases():
     # cloud vs cloud: exact min over pairs
     c1 = FiniteCloud(((0.0,), (0.5,)))
@@ -142,6 +170,30 @@ def test_region_distance_cases():
 
     # overlapping regions have distance 0
     assert region_distance(L2_2, s1, Ball((1.0, 0.0), 1.0)) == 0.0
+
+
+def _region_of(kind, dim):
+    if kind == "cloud":
+        return FiniteCloud(((5.0,) * dim, (7.0,) * dim))
+    if kind == "box":
+        return Box((0.0,) * dim, (1.0,) * dim)
+    return Ball((-3.0,) * dim, 1.0)
+
+
+@pytest.mark.parametrize("a_kind", ["cloud", "box", "ball"])
+@pytest.mark.parametrize("b_kind", ["cloud", "box", "ball"])
+def test_region_distance_refuses_regions_of_another_dimension(a_kind, b_kind):
+    # Every pair of kinds meets one dimension check before its branch, which
+    # would otherwise pair the coordinates by zip and drop the extra ones.
+    for da, db in ((2, 1), (1, 2), (1, 1), (3, 3)):
+        a, b = _region_of(a_kind, da), _region_of(b_kind, db)
+        message = f"^dimension mismatch: space is 2-dimensional, regions have {da} and {db}$"
+        with pytest.raises(ValueError, match=message):
+            region_distance(L2_2, a, b)
+    assert region_distance(L2_2, _region_of(a_kind, 2), _region_of(b_kind, 2)) >= 0.0
+    # A 2-dimensional box against a 1-dimensional one measured 4.0 here.
+    with pytest.raises(ValueError, match="space is 3-dimensional, regions have 2 and 1"):
+        region_distance(LqSpace(2, 3), Box((0, 0), (1, 1)), Box((5,), (6,)))
 
 
 REGION_KINDS = ("cloud", "box", "segment", "ball")
@@ -1029,6 +1081,81 @@ def test_verify_cyclicity_matches_per_sample_reference(name, samples):
         assert report == want and repr(report) == repr(want)
 
 
+_METRIC_SAMPLES = [(0.0,), (1.0,), (3.0,)]
+# Each reader of a tolerance or a count: its parameter, and a call with a value.
+_READERS = {
+    "verify_cyclicity": ("tol", lambda v: verify_cyclicity(kirk_system(), tol=v)),
+    "contains": ("tol", lambda v: Box((0.0,), (1.0,)).contains((0.5,), L2_1, v)),
+    "validate_metric": ("tol", lambda v: validate_metric(L2_1, _METRIC_SAMPLES, tol=v)),
+    "max_triples": (
+        "max_triples", lambda v: validate_metric(L2_1, _METRIC_SAMPLES, max_triples=v)
+    ),
+}
+_BAD_TOLS = [math.nan, -1.0, 0.0, math.inf, True, "1e-3", None]
+_BAD_COUNTS = [0, -1, 2.5, True, "4", None]
+
+
+@pytest.mark.parametrize(
+    "reader, value",
+    [(r, v) for r in ("verify_cyclicity", "contains", "validate_metric") for v in _BAD_TOLS]
+    + [("max_triples", v) for v in _BAD_COUNTS],
+)
+def test_tolerances_and_triple_counts_are_read_through_their_domains(reader, value):
+    name, call = _READERS[reader]
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call(value)
+
+
+def test_internal_callers_read_validated_points_with_the_trusted_methods(monkeypatch):
+    # A system whose first region is a cloud and whose second is a box, with
+    # an artifact point, built before the readers are watched.
+    mixed = CyclicSystem(
+        space=L2_1,
+        regions=(FiniteCloud(((-1.0,), (-0.5,), (0.0,))), Box((0.0,), (1.0,))),
+        map=lambda x: (-0.5 * x[0],),
+        artifact_points=((0.0,),),
+    )
+    kirk, strip = make_kirk_interval(0.5), make_affine_strip(0.5, 1.0)
+    lq, pair = make_paper_lq_family(m=2, N=3), make_scaled_pair(0.4, 2.0, 3)
+    reads = []
+    read = Space.point
+
+    def counted(self, v, what="point"):
+        reads.append(v)
+        return read(self, v, what)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a public reader was handed a validated point")
+
+    monkeypatch.setattr(Space, "point", counted)
+    monkeypatch.setattr(Region, "contains", refused)
+    monkeypatch.setattr(CyclicSystem, "apply", refused)
+    monkeypatch.setattr(CyclicSystem, "is_artifact", refused)
+
+    # One read per drawn sample, none for cloud points.
+    for system, samples in ((mixed, 7), (lq.system, 5), (pair.system, 6)):
+        reads.clear()
+        verify_cyclicity(system, samples_per_region=samples, seed=3)
+        rng = random.Random(3)
+        sampled = [r for r in system.regions if not isinstance(r, FiniteCloud)]
+        assert reads == [r.sample(rng) for r in sampled for _ in range(samples)]
+    reads.clear()
+    assert attainment_gap(lq, 2) > 0.0 and reads == []
+
+    # The solvers and picard_orbit read x0 and nothing else.
+    for gs in (kirk, strip, pair, lq):
+        x0 = gs.default_start
+        reads.clear()
+        picard_orbit(gs.system, x0, 40)
+        banach_solve(gs.system, x0, max_iter=200)
+        periodic_point_solve(gs.system, x0, max_iter=200)
+        proximity_chain_extract(gs.system, x0, max_iter=200)
+        assert reads == [x0] * 4
+    assert banach_solve(kirk.system, kirk.default_start).converged
+    assert periodic_point_solve(strip.system, strip.default_start).converged
+    assert proximity_chain_extract(strip.system, strip.default_start).converged
+
+
 @pytest.mark.parametrize("value", [0, -3, True, 2.5, 2.0, "4", None])
 def test_sample_counts_are_read_through_an_integer_domain(value):
     system = kirk_system()
@@ -1057,34 +1184,23 @@ def test_sampled_certificate_raises_map_error_with_point():
 
 
 def test_region_of_the_wrong_dimension_is_a_value_error_in_both_scans():
+    # Both scans trust the region dimensions, which the system checks once
+    # when it is built: a sampled (box) or enumerated (cloud) system with a
+    # region of the wrong dimension is refused there, before any scan.
     def first_coordinate(x):
         return (x[0],)
 
-    sampled = CyclicSystem(
-        space=L2_1,
-        regions=(Box((0.0,), (1.0,)), Box((0.0, 0.0), (1.0, 0.0))),
-        map=first_coordinate,
-    )
-    class GivenDistance(FiniteCloud):
-        """A point set with a supplied set distance, so the set chain distance
-        itself does not measure (and check) its points."""
-
-        def distance_to(self, other, space):
-            return 0.0
-
-    enumerated = CyclicSystem(
-        space=L2_1,
-        regions=(GivenDistance(((0.0,), (1.0,))), GivenDistance(((2.0, 5.0), (3.0, 5.0)))),
-        map=first_coordinate,
-    )
-    for system in (sampled, enumerated):
-        with pytest.raises(ValueError, match="dimension") as err:
-            verify_contraction(system, LinearPhi(0.5), 2, tuple_samples=10)
-        assert not isinstance(err.value, MapError)
+    line, plane = Box((0.0,), (1.0,)), Box((0.0, 0.0), (1.0, 0.0))
+    clouds = FiniteCloud(((0.0,), (1.0,))), FiniteCloud(((2.0, 5.0), (3.0, 5.0)))
+    for regions, i in (((line, plane), 2), ((plane, line, line), 1), (clouds, 2)):
+        message = f"^region {i} is 2-dimensional in a 1-dimensional space$"
+        with pytest.raises(ValueError, match=message):
+            CyclicSystem(space=L2_1, regions=regions, map=first_coordinate)
+    system = CyclicSystem(space=L2_1, regions=(line, line), map=first_coordinate)
     with pytest.raises(ValueError, match="dimension"):
-        contraction_margin(sampled, LinearPhi(0.5), 2, ((0.0,), (1.0, 0.0)), ((0.0,), (1.0,)))
+        contraction_margin(system, LinearPhi(0.5), 2, ((0.0,), (1.0, 0.0)), ((0.0,), (1.0,)))
     with pytest.raises(ValueError, match="chain lengths differ"):
-        contraction_margin(sampled, LinearPhi(0.5), 2, ((0.0,), (1.0,)), ((0.0,), (1.0,), (0.5,)))
+        contraction_margin(system, LinearPhi(0.5), 2, ((0.0,), (1.0,)), ((0.0,), (1.0,), (0.5,)))
 
 
 def test_artifact_points_are_validated_at_construction():
