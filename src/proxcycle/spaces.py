@@ -411,8 +411,10 @@ def _plane_gap(power: float, inv: float, pa: Point, pb: Point) -> float:
     # is (peak / peak) ** q = 1.0 exactly, and fsum of two floats is their
     # correctly rounded sum, which is what IEEE addition returns, so this is
     # the same bits as the exponent's _combine of [g0, g1].
-    g0 = abs(pa[0] - pb[0])
-    g1 = abs(pa[1] - pb[1])
+    a0, a1 = pa
+    b0, b1 = pb
+    g0 = abs(a0 - b0)
+    g1 = abs(a1 - b1)
     if g0 < g1:
         g0, g1 = g1, g0
     if g0 == 0.0:
@@ -420,6 +422,26 @@ def _plane_gap(power: float, inv: float, pa: Point, pb: Point) -> float:
     if g0 == math.inf:
         return g0
     return g0 * (1.0 + (g1 / g0) ** power) ** inv
+
+
+def _space_gap(power: float, inv: float, pa: Point, pb: Point) -> float:
+    # ``_power_gap`` at three coordinates, unpacked: the three gaps, their
+    # peak, fsum of the three (g / peak) ** q terms in coordinate order,
+    # ** (1/q) and * peak, the same operations in the same order, so the
+    # same bits, with no list. Equal finite points give three 0.0 gaps and
+    # the zero peak's 0.0, so no equal-point test is needed.
+    a0, a1, a2 = pa
+    b0, b1, b2 = pb
+    g0 = abs(a0 - b0)
+    g1 = abs(a1 - b1)
+    g2 = abs(a2 - b2)
+    peak = max(g0, g1, g2)
+    if peak == 0.0:
+        return 0.0
+    if peak == math.inf:
+        return peak
+    terms = ((g0 / peak) ** power, (g1 / peak) ** power, (g2 / peak) ** power)
+    return peak * math.fsum(terms) ** inv
 
 
 def _power_gap(power: float, inv: float, pa: Point, pb: Point) -> float:
@@ -446,7 +468,7 @@ def _max_gap(pa: Point, pb: Point) -> float:
 
 
 # The kernels ``LqSpace`` chooses from, each at least the first-coordinate gap.
-_GAP_KERNELS = (_line_gap, _max_gap, _combined_gaps, _plane_gap, _power_gap)
+_GAP_KERNELS = (_line_gap, _max_gap, _combined_gaps, _plane_gap, _space_gap, _power_gap)
 
 
 @dataclass(frozen=True)
@@ -455,19 +477,21 @@ class LqSpace(Space):
 
     The trusted ``_distance`` is bound once, at construction, to a kernel
     chosen from (q, dimension): |a - b| on the line, the max of the
-    coordinate gaps for q = inf, the unrolled two-term power sum in the
-    plane for 1 < q < inf, the power sum fused into one function from three
-    dimensions up for 1 < q < inf, and for q = 1 the exponent's
-    ``_combine`` of the gaps. Each returns the bits that the exponent's
-    ``_combine`` of the gaps would.
+    coordinate gaps for q = inf, and for 1 < q < inf the unrolled two-term
+    power sum in the plane, the three-term power sum on unpacked
+    coordinates in three dimensions and the power sum fused into one
+    function from four dimensions up; for q = 1 the exponent's ``_combine``
+    of the gaps. Each returns the bits that the exponent's ``_combine`` of
+    the gaps would.
 
     The q = inf kernel, the fused power sum and the ``_combine`` of the gaps
     return 0.0 for equal points before building any list. That is exact for
     finite points: ``a == b`` makes every difference +0.0 or -0.0 and every
     gap 0.0, so each kernel would return +0.0, also for
     ``(0.0,) == (-0.0,)``.
-    The line and plane kernels cost about as much as that comparison and do
-    without it.
+    The line, plane and three-coordinate kernels build no list, return +0.0
+    from their zero peak, and do without it. The plane and three-coordinate
+    kernels unpack their points, so a point of another length raises.
     """
 
     q: Exponent
@@ -486,6 +510,8 @@ class LqSpace(Space):
             kernel = partial(_combined_gaps, q._combine)
         elif self.dimension == 2:
             kernel = partial(_plane_gap, q._power, q._inv)
+        elif self.dimension == 3:
+            kernel = partial(_space_gap, q._power, q._inv)
         else:
             kernel = partial(_power_gap, q._power, q._inv)
         object.__setattr__(self, "_distance", kernel)
@@ -496,10 +522,11 @@ class LqSpace(Space):
         least the gap ``abs(a[0] - b[0])`` of finite points a and b, bit for
         bit. The line kernel is that gap and the q = inf kernel a max over
         the gaps; the q = 1 kernel is a correctly rounded sum of nonnegative
-        terms, which cannot fall below a term; the plane and fused power
-        kernels multiply the peak gap by a power sum raised to 1/q whose
-        peak term is 1.0 exactly, so by a factor of at least 1. A kernel put
-        in its place, by a subclass or otherwise, is not vouched for."""
+        terms, which cannot fall below a term; the plane, three-coordinate
+        and fused power kernels multiply the peak gap by a power sum raised
+        to 1/q whose peak term is 1.0 exactly, so by a factor of at least 1.
+        A kernel put in its place, by a subclass or otherwise, is not
+        vouched for."""
         kernel = self._distance
         return getattr(kernel, "func", kernel) in _GAP_KERNELS
 

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -131,13 +132,14 @@ def test_scaled_pair_separation_zero_reduces_to_fixed_point():
     assert gs.system.space.distance(solved.point, (0.0, 0.0)) < 1e-8
 
 
-@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("dimension", [1, 2, 3, 4])
 @pytest.mark.parametrize("separation", [0.0, 1.3])
 @pytest.mark.parametrize("first", [0.0, -0.0, -2.0])
 def test_scaled_pair_map_is_the_textbook_formula_bit_for_bit(dimension, separation, first):
     # The reflection written out as the construction states it, sign of the
     # pull and all, followed for 10 000 steps: every coordinate keeps its
-    # bits, the zero signs of a start on the axis included.
+    # bits, the zero signs of a start on the axis included, in the unpacked
+    # 2-d and 3-d maps and in the general one on each side of them.
     alpha = 0.25
     beta, half = 1.0 - alpha, separation / 2.0
 
@@ -146,10 +148,24 @@ def test_scaled_pair_map_is_the_textbook_formula_bit_for_bit(dimension, separati
         return (-beta * x[0] + shift,) + tuple(-beta * c for c in x[1:])
 
     step = make_scaled_pair(alpha=alpha, separation=separation, dimension=dimension).system.map
-    x = y = (first, *[0.5, -0.0][: dimension - 1])
+    x = y = (first, *[0.5, -0.0, -7.25][: dimension - 1])
     for _ in range(10_000):
         x, y = step(x), textbook(y)
         assert [c.hex() for c in x] == [c.hex() for c in y]
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3, 4])
+def test_scaled_pair_raw_map_scales_coordinates_of_any_number_type(dimension):
+    # Every coordinate is scaled with the * operator, so a Fraction or an
+    # int coordinate falls back to its own multiplication: the raw map gives
+    # the float image of the point's float value, bit for bit, and never
+    # NotImplemented.
+    step = make_scaled_pair(dimension=dimension).system.map
+    x = (Fraction(-3), Fraction(1, 2), 0, Fraction(-7, 4))[:dimension]
+    image = step(x)
+    assert all(type(c) is float for c in image)
+    assert [c.hex() for c in image] == [c.hex() for c in step(tuple(map(float, x)))]
+    assert build("scaled_pair").system.map((Fraction(-3), Fraction(1, 2), 0)) == (2.0, -0.25, -0.0)
 
 
 def test_scaled_pair_dimension_one_matches_hand_construction():

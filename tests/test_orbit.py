@@ -850,6 +850,62 @@ def test_a_plain_start_gives_the_result_of_the_cli_walk(name, solver, max_iter):
     assert _fields_hex(plain) == _fields_hex(solve(gs.system, walk, tol=1e-12, max_iter=max_iter))
 
 
+# --- wrong-arity images under the unpacking kernels ----------------------------
+
+# The plane and three-coordinate kernels, and scaled_pair's 2-d and 3-d maps,
+# unpack their points, so a raw map call or a drift on an image of the wrong
+# length raises where an indexing kernel returned a value; either way the
+# chunk is refused and walked again per step.
+ARITY_SYSTEMS = {
+    "affine_strip 2-d": lambda: make_affine_strip(0.999, 1.0),
+    "scaled_pair 3-d": lambda: make_scaled_pair(alpha=0.001, separation=2.0, dimension=3),
+}
+ARITY_IMAGES = {
+    "too long": lambda image: (*image, 0.0),
+    "too short": lambda image: image[:-1],
+    "list": list,
+}
+# The step whose image has the wrong form: inside the second chunk of a
+# recorded prefix of TAIL_KEEP steps, or past it, in the solver's tail and
+# before any solver stops.
+ARITY_STEPS = {"prefix": _CHUNK + 1, "tail": TAIL_KEEP + 100}
+
+
+@pytest.mark.parametrize("where", sorted(ARITY_STEPS))
+@pytest.mark.parametrize("image", sorted(ARITY_IMAGES))
+@pytest.mark.parametrize("name", sorted(ARITY_SYSTEMS))
+@pytest.mark.parametrize("solver", sorted(TAIL_SOLVERS))
+def test_a_wrong_arity_image_gives_the_per_step_error_or_result(solver, name, image, where):
+    # A tuple one coordinate too long or too short is the per-step
+    # dimension error, with its message; a list of the right length is
+    # read as the per-step walk reads it, so the solve is the clean one.
+    solve, tol = TAIL_SOLVERS[solver]
+    gs = ARITY_SYSTEMS[name]()
+    clean, x0, k = gs.system, gs.default_start, ARITY_STEPS[where]
+    system, broken_at = _failing_at(clean, x0, k, lambda x: ARITY_IMAGES[image](clean.map(x)))
+
+    def run():
+        return solve(system, _tail_start(system, x0, "walk"), tol=tol, max_iter=TAIL_BUDGET)
+
+    if image == "list":
+        assert _hex(_per_step(system, x0, k)) == _hex(_per_step(clean, x0, k))
+        want = solve(clean, _tail_start(clean, x0, "walk"), tol=tol, max_iter=TAIL_BUDGET)
+        assert want.iterations > k
+        assert _fields_hex(run()) == _fields_hex(want)
+        return
+    with pytest.raises(ValueError) as reference:
+        _per_step(system, x0, k)
+    dimension = clean.space.dimension + (1 if image == "too long" else -1)
+    assert str(reference.value) == (
+        f"map returned a {dimension}-dimensional point at {broken_at!r} "
+        f"in a {clean.space.dimension}-dimensional space"
+    )
+    with pytest.raises(ValueError) as err:
+        run()
+    assert type(err.value) is type(reference.value)
+    assert str(err.value) == str(reference.value)
+
+
 # --- each prefix distance measured once -----------------------------------------
 
 
@@ -961,7 +1017,7 @@ def test_an_int_tol_is_read_as_its_float(solver):
 
 
 # (system, solver) pairs whose drift at a checked step equals its first
-# coordinate gap, in the line, plane and fused l^2 kernels: the other
+# coordinate gap, in the line, plane and three-coordinate l^2 kernels: the other
 # coordinates of affine_strip's stride-2 drift, and of scaled_pair's orbit
 # from its default start, do not move.
 EQUAL_GAP_SOLVES = [

@@ -18,6 +18,7 @@ from proxcycle.spaces import (
     LqSpace,
     OracleSpace,
     _power_gap,
+    _space_gap,
     as_exponent,
     check_point,
     lq_norm,
@@ -479,14 +480,15 @@ def test_every_kernel_is_plus_zero_on_equal_points_and_combines_the_gaps(q, dime
 @example(data=None)
 @settings(max_examples=60, deadline=None)
 def test_fused_power_kernel_is_the_combine_of_the_gaps_bit_for_bit(q, dimension, data):
-    # From three dimensions up, 1 < q < inf binds one fused function; it
+    # From three dimensions up, 1 < q < inf binds one fused function: the
+    # three-coordinate kernel at dimension 3, the general one from 4 up. It
     # must give the bits of the exponent's _combine of the gaps, off the q
     # grid above too, at the float maximum (gaps that overflow to inf or
     # equal the peak) and on equal points written with either zero. The
     # seeded pairs, coordinates of every scale and sign, are many enough
     # that a plain sum in place of fsum rounds differently on some.
     space = LqSpace(as_exponent(q), dimension)
-    assert space._distance.func is _power_gap
+    assert space._distance.func is (_space_gap if dimension == 3 else _power_gap)
     big = sys.float_info.max
     if data is None:
         pairs = [
@@ -514,6 +516,55 @@ def test_fused_power_kernel_is_the_combine_of_the_gaps_bit_for_bit(q, dimension,
         assert same_bits(space.distance(pa, pb), want)
         if pa == pb:
             assert math.copysign(1.0, space._distance(pa, pb)) == 1.0
+
+
+space_points = st.tuples(kernel_coords, kernel_coords, kernel_coords)
+
+
+def _space_gap_pairs():
+    """Three-coordinate pairs at the edges of the float range: the float
+    maximum either way (gaps that overflow to inf, or a peak they equal),
+    subnormal gaps, signed zeros, equal points and peak ties of two and
+    three gaps; then 2 000 seeded pairs of every scale and sign."""
+    big, tiny, least = sys.float_info.max, 5e-324, 2.2250738585072014e-308
+    pairs = [
+        ((big, big, big), (-big, -big, -big)),
+        ((big, -big, 0.0), (0.0, 0.0, -0.0)),
+        ((big, 1.0, -1.0), (0.0, -1.0, 1.0)),
+        ((big, 0.0, 0.0), (big, -0.0, 0.0)),
+        ((tiny, -tiny, 0.0), (0.0, 0.0, tiny)),
+        ((least, 3e-320, -tiny), (0.0, -3e-320, tiny)),
+        ((0.0, -0.0, 0.0), (-0.0, 0.0, -0.0)),
+        ((1.5, -2.0, 7.0), (1.5, -2.0, 7.0)),
+        ((1.0, -1.0, 0.25), (-1.0, 1.0, 0.0)),
+        ((3.0, 0.0, -3.0), (0.0, 3.0, 0.0)),
+        ((1e300, -1e300, 1e300), (-1e300, 1e300, -1e300)),
+        ((0.1, 0.2, 0.3), (0.3, 0.1, 0.2)),
+    ]
+    rng = random.Random("space-gap")
+
+    def coordinate():
+        return rng.choice((-1.0, 1.0)) * rng.random() * 10.0 ** rng.randint(-320, 307)
+
+    for _ in range(2_000):
+        pairs.append(tuple(tuple(coordinate() for _ in range(3)) for _ in "ab"))
+    return pairs
+
+
+@pytest.mark.parametrize("q", [1.25, 1.5, 2.0, 3.0, 3.5, 40.0])
+@given(pa=space_points, pb=space_points)
+@example(pa=None, pb=None)
+@settings(max_examples=200, deadline=None)
+def test_three_coordinate_kernel_is_the_general_power_kernel_bit_for_bit(q, pa, pb):
+    # The three-coordinate kernel repeats the general kernel's operations in
+    # its order, so both give the same bits on every pair, in either order;
+    # a plain sum in place of fsum rounds differently on some seeded pairs.
+    exp = as_exponent(q)
+    power, inv = exp._power, exp._inv
+    pairs = _space_gap_pairs() if pa is None else [(pa, pb)]
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            assert same_bits(_space_gap(power, inv, x, y), _power_gap(power, inv, x, y)), (x, y)
 
 
 # --- the first-coordinate gap bound --------------------------------------------
