@@ -283,9 +283,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     out_path = Path(destination)
     out_path.mkdir(parents=True, exist_ok=True)
     _write_trace_csv(out_path / "trace.csv", trace, p)
+    # One dumps and one write: with indent set, json.dump writes each chunk.
+    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
     with open(out_path / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
     return summary
 
 

@@ -15,13 +15,14 @@ caps on ``m``, ``N`` and ``dimension`` are measured in the README.
 from __future__ import annotations
 
 import functools
-import inspect
 import math
-from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .chains import _chain_distance
-from .spaces import ALPHA, EXPONENT, CapabilityError, Domain, Exponent, LqSpace, Point, _Record, as_exponent, p_combine
+from .spaces import (
+    ALPHA, EXPONENT, _DATACLASS_FIELDS, CapabilityError, Domain, Exponent, LqSpace, Point, _Record,
+    as_exponent, p_combine,
+)
 from .system import Ball, Box, CyclicSystem, FiniteCloud, _enumerable
 
 
@@ -35,45 +36,89 @@ class GallerySpec(_Record):
         return dict(self.parameters)
 
 
-@dataclass(frozen=True)
-class GallerySystem:
-    spec: GallerySpec = field(default=None, kw_only=True)  # set by the registry
-    system: CyclicSystem
-    edge_distances: tuple[float, ...]
-    expected_solution: Point | None
-    attainable: bool
-    certificate_alpha: float
-    step_factor: float | None
-    default_start: Point
+class GallerySystem(_Record):
+    """A gallery system and its known answers. ``spec``, first in the
+    fields and the ``repr``, is keyword-only: the registry sets it."""
+
+    __slots__ = _fields = (
+        "spec", "system", "edge_distances", "expected_solution", "attainable",
+        "certificate_alpha", "step_factor", "default_start",
+    )
+    __dataclass_fields__ = _DATACLASS_FIELDS
+
+    def __init__(
+        self,
+        system: CyclicSystem,
+        edge_distances: tuple[float, ...],
+        expected_solution: Point | None,
+        attainable: bool,
+        certificate_alpha: float,
+        step_factor: float | None,
+        default_start: Point,
+        *,
+        spec: GallerySpec | None = None,
+    ) -> None:
+        self._set(
+            spec, system, edge_distances, expected_solution, attainable, certificate_alpha,
+            step_factor, default_start,
+        )
+
+    def __reduce__(self) -> tuple:
+        return functools.partial(GallerySystem, spec=self.spec), self._values()[1:]
 
     def expected_chain_distance(self, p: object) -> float:
         return p_combine(self.edge_distances, p)
 
 
-@dataclass(frozen=True)
-class GalleryEntry:
-    factory: Callable[..., GallerySystem]
-    domains: dict[str, Domain]
-    description: str
+class GalleryEntry(_Record):
+    __slots__ = _fields = ("factory", "domains", "description")
+    __dataclass_fields__ = _DATACLASS_FIELDS
+
+    def __init__(
+        self, factory: Callable[..., GallerySystem], domains: dict[str, Domain], description: str
+    ) -> None:
+        self._set(factory, domains, description)
 
 
 GALLERY: dict[str, GalleryEntry] = {}
+
+
+def _defaults(factory: Callable[..., GallerySystem]) -> dict[str, object]:
+    """A gallery constructor's parameters, in order, and their defaults,
+    read from its code object. Each parameter has a default, so that
+    ``build`` can leave any of them out."""
+    code = factory.__code__
+    names = code.co_varnames[: code.co_argcount]
+    defaults = factory.__defaults__ or ()
+    if len(defaults) != len(names):
+        raise TypeError(f"every parameter of {factory.__name__} needs a default")
+    return dict(zip(names, defaults))
 
 
 def _gallery(system_id: str, description: str, **domains: Domain):
     """Register a constructor as ``system_id``, checking its arguments."""
 
     def register(factory: Callable[..., GallerySystem]) -> Callable[..., GallerySystem]:
-        signature = inspect.signature(factory)
+        defaults = _defaults(factory)
+        names = tuple(defaults)
 
         @functools.wraps(factory)
         def checked(*args: object, **kwargs: object) -> GallerySystem:
-            bound = signature.bind(*args, **kwargs)
-            bound.apply_defaults()
-            values = {name: domains[name].check(name, v) for name, v in bound.arguments.items()}
+            # The binding errors of inspect.Signature.bind, in its order.
+            for name in names[: len(args)]:
+                if name in kwargs:
+                    raise TypeError(f"multiple values for argument {name!r}")
+            if len(args) > len(names):
+                raise TypeError("too many positional arguments")
+            for name in kwargs:
+                if name not in defaults:
+                    raise TypeError(f"got an unexpected keyword argument {name!r}")
+            given = {**defaults, **dict(zip(names, args)), **kwargs}
+            values = {name: domains[name].check(name, v) for name, v in given.items()}
             # JSON has no infinity, so the spec spells q = inf as a config does.
             spec = sorted((name, "inf" if v == math.inf else v) for name, v in values.items())
-            return replace(factory(**values), spec=GallerySpec(system_id, tuple(spec)))
+            built = factory(**values)._values()[1:]  # every field but the spec
+            return GallerySystem(*built, spec=GallerySpec(system_id, tuple(spec)))
 
         GALLERY[system_id] = GalleryEntry(checked, domains, description)
         return checked
@@ -348,8 +393,8 @@ def list_gallery() -> list[dict]:
             "id": system_id,
             "description": entry.description,
             "parameters": [
-                {"name": name, "domain": str(entry.domains[name]), "default": p.default}
-                for name, p in inspect.signature(entry.factory).parameters.items()
+                {"name": name, "domain": str(entry.domains[name]), "default": default}
+                for name, default in _defaults(entry.factory.__wrapped__).items()
             ],
         }
         for system_id, entry in sorted(GALLERY.items())

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
 from functools import partial
 from operator import countOf, le, lt, mul, sub, truediv
 from typing import Callable, Iterable, Sequence
@@ -30,10 +29,12 @@ class _Record:
 
     A subclass names its ``__init__`` parameters, in order, in ``_fields``,
     lists them (and any derived attributes) in ``__slots__``, and sets them
-    once in ``__init__`` with ``_set``. Records are equal when they are of
-    the same class with equal fields, hash by their fields, show them in a
-    dataclass-style ``repr``, refuse assignment and deletion, and pickle by
-    calling the class with their fields again.
+    once in ``__init__`` with ``_set`` (derived attributes with
+    ``_derive``). Records are equal when they are of the same class with
+    equal fields, hash by their fields, show them in a dataclass-style
+    ``repr``, refuse assignment and deletion, pickle by calling the class
+    with their fields again, and give ``copy.replace`` a copy with some
+    fields changed.
     """
 
     __slots__ = ()
@@ -66,6 +67,38 @@ class _Record:
 
     def __reduce__(self) -> tuple:
         return self.__class__, self._values()
+
+    def __replace__(self, **changes: object) -> _Record:
+        """A copy with ``changes`` to some fields, built through ``__init__``;
+        ``copy.replace`` calls it on Python 3.13 and later."""
+        return self.__class__(**dict(zip(self._fields, self._values()), **changes))
+
+    def _derive(self, **attributes: object) -> None:
+        """Set attributes derived from the fields, once, in ``__init__``."""
+        for name, value in attributes.items():
+            object.__setattr__(self, name, value)
+
+
+class _DataclassFields:
+    """A class's ``__dataclass_fields__``, built on first use.
+
+    ``dataclasses.replace``, ``fields``, ``asdict`` and ``is_dataclass``
+    find a dataclass by this attribute. A record class that they must keep
+    accepting sets it to ``_DATACLASS_FIELDS``; the first access imports
+    ``dataclasses``, makes the fields of a dataclass with the record's
+    ``_fields``, and keeps them on the class in place of this descriptor, so
+    that an import that never asks pays for neither.
+    """
+
+    def __get__(self, obj: object, cls: type) -> dict:
+        import dataclasses
+
+        fields = dataclasses.make_dataclass(cls.__name__, cls._fields).__dataclass_fields__
+        setattr(cls, "__dataclass_fields__", fields)
+        return fields
+
+
+_DATACLASS_FIELDS = _DataclassFields()
 
 
 def _power_sum(power: float, inv: float, vals: Sequence[float]) -> float:
@@ -138,8 +171,7 @@ def _max_columns(cols: Sequence[Sequence[float]]) -> list[float]:
     return list(map(max, *cols))
 
 
-@dataclass(frozen=True)
-class Exponent:
+class Exponent(_Record):
     """An exponent in [1, inf]. ``value is None`` is the infinity tag.
 
     Infinity is a distinct tag rather than a float so that no code path ever
@@ -156,41 +188,35 @@ class Exponent:
     integral) and ``_inv`` is 1/q; both are None for inf.
     """
 
-    value: float | None = None
-    _combine: Callable[[Sequence[float]], float] = field(init=False, repr=False, compare=False)
-    _combine_columns: Callable[[Sequence[Sequence[float]]], list[float]] = field(
-        init=False, repr=False, compare=False
-    )
-    _power: float | None = field(init=False, repr=False, compare=False, default=None)
-    _inv: float | None = field(init=False, repr=False, compare=False, default=None)
+    __slots__ = ("value", "_combine", "_combine_columns", "_power", "_inv")
+    _fields = ("value",)
+    __dataclass_fields__ = _DATACLASS_FIELDS
 
-    def __post_init__(self) -> None:
-        if self.value is None:
-            object.__setattr__(self, "_combine", partial(max, default=0.0))
-            object.__setattr__(self, "_combine_columns", _max_columns)
+    def __init__(self, value: float | None = None) -> None:
+        if value is None:
+            self._set(None)
+            combine = partial(max, default=0.0)
+            self._derive(_combine=combine, _combine_columns=_max_columns, _power=None, _inv=None)
             return
         # True is not the exponent 1, nor "2" the exponent 2: as_exponent's rule.
-        if isinstance(self.value, _NOT_NUMBERS):
-            raise TypeError(f"cannot read exponent from {self.value!r}")
-        v = float(self.value)
-        if v < 1.0:
+        if isinstance(value, _NOT_NUMBERS):
+            raise TypeError(f"cannot read exponent from {value!r}")
+        v = float(value)
+        if not v >= 1.0:  # NaN too: it compares false
             raise ValueError(f"exponent must be >= 1, got {v}")
-        if not math.isfinite(v):
+        if v == math.inf:
             raise ValueError("use INFINITY (or Exponent()) for the infinite exponent")
-        object.__setattr__(self, "value", v)
+        self._set(v)
         # Integer exponents take the exact-multiplication path so CSV output
         # is reproducible across platforms; only non-integer q goes through
         # exp/log.
         power, inv = (int(v) if v == int(v) else v), 1.0 / v
-        object.__setattr__(self, "_power", power)
-        object.__setattr__(self, "_inv", inv)
         if v == 1.0:
             combine, columns = _sum_or_inf, _sum_columns
         else:
             combine = partial(_power_sum, power, inv)
             columns = partial(_power_sum_columns, power, inv)
-        object.__setattr__(self, "_combine", combine)
-        object.__setattr__(self, "_combine_columns", columns)
+        self._derive(_combine=combine, _combine_columns=columns, _power=power, _inv=inv)
 
     @property
     def is_inf(self) -> bool:
@@ -471,8 +497,7 @@ def _max_gap(pa: Point, pb: Point) -> float:
 _GAP_KERNELS = (_line_gap, _max_gap, _combined_gaps, _plane_gap, _space_gap, _power_gap)
 
 
-@dataclass(frozen=True)
-class LqSpace(Space):
+class LqSpace(_Record, Space):
     """R^dimension under the l^q norm.
 
     The trusted ``_distance`` is bound once, at construction, to a kernel
@@ -494,27 +519,27 @@ class LqSpace(Space):
     kernels unpack their points, so a point of another length raises.
     """
 
-    q: Exponent
-    dimension: int
-    _distance: Callable[[Point, Point], float] = field(init=False, repr=False, compare=False)
+    __slots__ = ("q", "dimension", "_distance")
+    _fields = ("q", "dimension")
+    __dataclass_fields__ = _DATACLASS_FIELDS
 
-    def __post_init__(self) -> None:
-        q = as_exponent(self.q)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "dimension", COUNT.check("dimension", self.dimension))
-        if self.dimension == 1:
+    def __init__(self, q: Exponent, dimension: int) -> None:
+        q = as_exponent(q)
+        dimension = COUNT.check("dimension", dimension)
+        self._set(q, dimension)
+        if dimension == 1:
             kernel = _line_gap
         elif q.is_inf:
             kernel = _max_gap
         elif q.value == 1.0:
             kernel = partial(_combined_gaps, q._combine)
-        elif self.dimension == 2:
+        elif dimension == 2:
             kernel = partial(_plane_gap, q._power, q._inv)
-        elif self.dimension == 3:
+        elif dimension == 3:
             kernel = partial(_space_gap, q._power, q._inv)
         else:
             kernel = partial(_power_gap, q._power, q._inv)
-        object.__setattr__(self, "_distance", kernel)
+        self._derive(_distance=kernel)
 
     @property
     def _gap_bound(self) -> bool:

@@ -13,8 +13,6 @@ import itertools
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
 from operator import add, itemgetter, mul, sub, truediv
 from typing import Callable, Sequence
@@ -25,6 +23,7 @@ from .spaces import (
     COUNT,
     CYCLE_LENGTH,
     POSITIVE,
+    _DATACLASS_FIELDS,
     CapabilityError,
     Domain,
     Exponent,
@@ -513,8 +512,7 @@ def validate_phi(phi: Phi, grid: Sequence[float]) -> PhiReport:
 # Cyclic systems
 
 
-@dataclass(frozen=True)
-class CyclicSystem:
+class CyclicSystem(_Record):
     """m regions plus a deterministic map; immutable. The map callable must be
     pure and reentrant; this is a documented contract on the caller. It must
     also return or raise on any value it returns, not only on points, since
@@ -530,22 +528,27 @@ class CyclicSystem:
     trusts them.
     """
 
-    space: Space
-    regions: tuple[Region, ...]
-    map: Callable[[Point], Point]
-    artifact_points: tuple[Point, ...] = ()
+    __slots__ = ("space", "regions", "map", "artifact_points", "_edge_distances")
+    _fields = ("space", "regions", "map", "artifact_points")
+    __dataclass_fields__ = _DATACLASS_FIELDS
 
-    def __post_init__(self) -> None:
-        if len(self.regions) < 2:
+    def __init__(
+        self,
+        space: Space,
+        regions: tuple[Region, ...],
+        map: Callable[[Point], Point],
+        artifact_points: tuple[Point, ...] = (),
+    ) -> None:
+        if len(regions) < 2:
             raise ValueError("a cyclic system needs m >= 2 regions")
-        dim = self.space.dimension
-        for i, region in enumerate(self.regions, start=1):
+        dim = space.dimension
+        for i, region in enumerate(regions, start=1):
             if region.dimension() != dim:
                 raise ValueError(
                     f"region {i} is {region.dimension()}-dimensional in a {dim}-dimensional space"
                 )
-        artifacts = tuple(self.space.point(a, "artifact point") for a in self.artifact_points)
-        object.__setattr__(self, "artifact_points", artifacts)
+        artifacts = tuple(space.point(a, "artifact point") for a in artifact_points)
+        self._set(space, regions, map, artifacts)
 
     @property
     def m(self) -> int:
@@ -624,11 +627,17 @@ class CyclicSystem:
         dist = self.space._distance
         return any(pt == a or dist(pt, a) <= tol for a in self.artifact_points)
 
-    @cached_property
+    @property
     def edge_distances(self) -> tuple[float, ...]:
         """d(A_i, A_{i+1}) for i = 1..m, wrapping: computed on first use and
         kept, since the system is immutable."""
-        return _edge_distances(self.space, self.regions)
+        try:
+            return self._edge_distances
+        except AttributeError:
+            pass
+        edges = _edge_distances(self.space, self.regions)
+        self._derive(_edge_distances=edges)
+        return edges
 
     def set_chain_distance(self, p: object) -> float:
         return p_combine(self.edge_distances, p)

@@ -1,4 +1,10 @@
+import copy
+import dataclasses
+import inspect
 import math
+import operator
+import pickle
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -6,6 +12,10 @@ import pytest
 
 from proxcycle.gallery import (
     GALLERY,
+    GalleryEntry,
+    GallerySpec,
+    GallerySystem,
+    _gallery,
     attainment_gap,
     build,
     list_gallery,
@@ -15,8 +25,15 @@ from proxcycle.gallery import (
     make_scaled_pair,
 )
 from proxcycle.orbit import banach_solve, periodic_point_solve, proximity_chain_extract
-from proxcycle.spaces import INFINITY
-from proxcycle.system import LinearPhi, alpha_bound_check, verify_contraction, verify_cyclicity
+from proxcycle.spaces import ALPHA, INFINITY, Exponent, LqSpace
+from proxcycle.system import (
+    Box,
+    CyclicSystem,
+    LinearPhi,
+    alpha_bound_check,
+    verify_contraction,
+    verify_cyclicity,
+)
 
 ALL_IDS = ("kirk_interval", "affine_strip", "paper_lq_family", "scaled_pair")
 
@@ -304,3 +321,156 @@ def test_two_builds_give_equal_systems_but_for_their_maps(system_id):
     assert replace(b, system=shared) == a
     assert a.spec == b.spec and hash(a.spec) == hash(b.spec)
     assert b.system != a.system
+
+
+# --- binding a factory's arguments --------------------------------------------------
+
+
+def test_factories_take_positional_and_keyword_arguments():
+    assert make_affine_strip(0.25, 2.0).spec == make_affine_strip(h=2.0, alpha=0.25).spec
+    assert make_paper_lq_family(3, 0.5, "inf").spec.parameter_dict() == {
+        "m": 3, "alpha": 0.5, "q": "inf", "N": 6,
+    }
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        ((0.5, 0.3), {}, "too many positional arguments"),
+        ((), {"beta": 0.3}, "got an unexpected keyword argument 'beta'"),
+        ((0.5,), {"alpha": 0.4}, "multiple values for argument 'alpha'"),
+        # inspect.Signature.bind's order: a clash before an extra argument.
+        ((0.5, 0.3), {"alpha": 0.4}, "multiple values for argument 'alpha'"),
+    ],
+)
+def test_factories_refuse_bad_bindings_with_the_signature_messages(args, kwargs, message):
+    with pytest.raises(TypeError) as err:
+        make_kirk_interval(*args, **kwargs)
+    assert str(err.value) == message
+
+
+def test_factory_signatures_show_through_the_checking_wrapper():
+    signature = inspect.signature(make_paper_lq_family)
+    assert [(p.name, p.default) for p in signature.parameters.values()] == [
+        ("m", 2), ("alpha", 0.5), ("q", 2), ("N", 6),
+    ]
+    assert list(inspect.signature(make_kirk_interval).parameters) == ["alpha"]
+
+
+def test_a_factory_parameter_without_a_default_is_refused_at_registration():
+    def factory(alpha, h=1.0):
+        raise AssertionError("never called")
+
+    with pytest.raises(TypeError, match="^every parameter of factory needs a default$"):
+        _gallery("no_default", "a parameter with no default", alpha=ALPHA, h=ALPHA)(factory)
+    assert "no_default" not in GALLERY
+
+
+# --- the records callers pass to dataclasses.replace --------------------------------
+
+
+def _system(k):
+    regions = (Box((-1.0,), (0.0,)), Box((0.0,), (1.0 + k,)))
+    return CyclicSystem(LqSpace(Exponent(2.0), 1), regions, operator.neg)
+
+
+def _gallery_system(k):
+    spec = GallerySpec("kirk_interval", (("alpha", 0.5 + k / 4),))
+    return GallerySystem(_system(0), (0.0, 0.0), (0.0,), True, 0.5, 0.5, (-1.0,), spec=spec)
+
+
+CONTRACT_RECORDS = {
+    "Exponent": (lambda k: Exponent(2.0 + k), ("value",)),
+    "LqSpace": (lambda k: LqSpace(Exponent(2.0), 2 + k), ("q", "dimension")),
+    "CyclicSystem": (_system, ("space", "regions", "map", "artifact_points")),
+    "GallerySystem": (
+        _gallery_system,
+        (
+            "spec",
+            "system",
+            "edge_distances",
+            "expected_solution",
+            "attainable",
+            "certificate_alpha",
+            "step_factor",
+            "default_start",
+        ),
+    ),
+    "GalleryEntry": (
+        lambda k: GalleryEntry(operator.neg, {"alpha": ALPHA}, f"entry {k}"),
+        ("factory", "domains", "description"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_RECORDS))
+def test_contract_records_are_value_records(name):
+    make, fields = CONTRACT_RECORDS[name]
+    value = make(0)
+    assert value == make(0) and value != make(1) and value.__class__.__name__ == name
+    if name == "GalleryEntry":
+        with pytest.raises(TypeError):  # its domains are a dict
+            hash(value)
+    else:
+        assert hash(value) == hash(make(0)) and value in {make(0)}
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    copied = pickle.loads(pickle.dumps(value))
+    assert copied == value and repr(copied) == repr(value)
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_RECORDS))
+def test_contract_records_still_work_with_dataclasses(name):
+    make, fields = CONTRACT_RECORDS[name]
+    value, other = make(0), make(1)
+    cls = type(value)
+    assert dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(value)
+    assert tuple(f.name for f in dataclasses.fields(value)) == fields
+    assert tuple(f.name for f in dataclasses.fields(cls)) == fields
+    # replace runs __init__ again, so a derived attribute is derived again.
+    changed = {field: getattr(other, field) for field in fields}
+    assert dataclasses.replace(value, **changed) == other
+    assert dataclasses.replace(value) == value
+    assert value.__replace__(**changed) == other
+    if sys.version_info >= (3, 13):
+        assert copy.replace(value, **changed) == other
+
+
+def test_replacing_a_field_checks_and_derives_again():
+    space = LqSpace(Exponent(2.0), 3)
+    assert dataclasses.replace(space, q=Exponent(1.0)).distance((0, 0, 0), (1, 1, 1)) == 3.0
+    with pytest.raises(ValueError, match="m >= 2 regions"):
+        dataclasses.replace(_system(0), regions=(Box((0.0,), (1.0,)),))
+    with pytest.raises(TypeError):
+        dataclasses.replace(_system(0), edge_distances=(0.0, 0.0))
+    assert dataclasses.asdict(LqSpace(Exponent(2.0), 3)) == {"q": {"value": 2.0}, "dimension": 3}
+
+
+def test_contract_record_reprs_keep_the_dataclass_format():
+    assert repr(Exponent(2.0)) == "Exponent(2.0)" and repr(INFINITY) == "Exponent(inf)"
+    assert repr(LqSpace(Exponent(2.0), 3)) == "LqSpace(q=Exponent(2.0), dimension=3)"
+    system = (
+        "CyclicSystem(space=LqSpace(q=Exponent(2.0), dimension=1), "
+        "regions=(Box(lower=(-1.0,), upper=(0.0,)), Box(lower=(0.0,), upper=(1.0,))), "
+        f"map={operator.neg!r}, artifact_points=())"
+    )
+    assert repr(_system(0)) == system
+    assert repr(_gallery_system(0)) == (
+        "GallerySystem(spec=GallerySpec(id='kirk_interval', parameters=(('alpha', 0.5),)), "
+        f"system={system}, edge_distances=(0.0, 0.0), expected_solution=(0.0,), "
+        "attainable=True, certificate_alpha=0.5, step_factor=0.5, default_start=(-1.0,))"
+    )
+    assert repr(GalleryEntry(operator.neg, {}, "d")) == (
+        f"GalleryEntry(factory={operator.neg!r}, domains={{}}, description='d')"
+    )
+
+
+def test_a_systems_edge_distances_are_measured_once_and_kept():
+    system = make_kirk_interval(0.5).system
+    assert system.edge_distances == (0.0, 0.0)
+    assert system.edge_distances is system.edge_distances
+    with pytest.raises(AttributeError):
+        system.edge_distances = (1.0, 1.0)

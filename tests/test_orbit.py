@@ -1058,8 +1058,8 @@ class _CountedLq(LqSpace):
     """An l^q space whose kernel of its own counts its calls in ``calls``:
     the chosen kernel, wrapped, which the gap bound does not vouch for."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, q, dimension):
+        super().__init__(q, dimension)
         kernel, calls = self._distance, []
         object.__setattr__(self, "calls", calls)
         object.__setattr__(self, "_distance", lambda pa, pb: calls.append(None) or kernel(pa, pb))

@@ -51,6 +51,10 @@ def test_lq_norm_zero_iff_zero():
 def test_exponent_domain():
     with pytest.raises(ValueError):
         Exponent(0.5)
+    # NaN is below no bound and is not the infinite exponent either.
+    for make in (Exponent, as_exponent, lambda q: LqSpace(q, 2)):
+        with pytest.raises(ValueError, match=r"^exponent must be >= 1, got nan$"):
+            make(math.nan)
     with pytest.raises(ValueError):
         as_exponent(0.0)
     assert as_exponent("inf").is_inf
