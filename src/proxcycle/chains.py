@@ -12,6 +12,7 @@ from typing import Callable, Iterator, Sequence
 
 from .spaces import (
     INFINITY,
+    POSITIVE,
     CapabilityError,
     Point,
     Space,
@@ -110,15 +111,20 @@ def p_monotonicity_check(
     ps: Sequence[float] = (1.0, 1.5, 2.0, 3.0, 8.0, 64.0),
     tol: float = 1e-12,
 ) -> MonotonicityReport:
-    """Check d_inf <= d_p <= d_1 and d_p <= m^(1/p) * d_inf for sampled p."""
-    m = len(tuple(xs))
-    d1 = chain_point_distance(space, xs, ys, 1.0)
-    dinf = chain_point_distance(space, xs, ys, INFINITY)
+    """Check d_inf <= d_p <= d_1 and d_p <= m^(1/p) * d_inf for sampled p.
+
+    The chains are read once, so they may be iterators; ``tol`` is read by
+    ``POSITIVE``."""
+    tol = POSITIVE.check("tol", tol)
+    cx, cy = _check_chains(space, xs, ys)
+    m = len(cx)
+    d1 = _chain_distance(space, cx, cy, as_exponent(1.0)._combine)
+    dinf = _chain_distance(space, cx, cy, INFINITY._combine)
     worst = 0.0
     failures = []
     for p in ps:
         exp = as_exponent(p)
-        dp = chain_point_distance(space, xs, ys, exp)
+        dp = _chain_distance(space, cx, cy, exp._combine)
         # m^(1/p) is 1 at p = inf, whose exponent value is None.
         root = 1.0 if exp.value is None else m ** (1.0 / exp.value)
         checks = (

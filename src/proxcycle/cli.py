@@ -164,10 +164,6 @@ def _write_trace_csv(path: Path, trace: orbit.OrbitTrace, p: Exponent) -> None:
             fh.write(",".join([str(n), *map(repr, row)]) + "\n")
 
 
-def _point_list(point) -> list[float] | None:
-    return None if point is None else list(point)
-
-
 def _finite_or_null(value):
     """Replace NaN and infinities, anywhere in nested lists and dicts, by None."""
     if isinstance(value, float):
@@ -193,7 +189,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     # so a MapError on them surfaces before any solver or certificate runs.
     # The solver reads the walk from x_0, and ``trace.csv`` reads the prefix.
     n_orbit = max(3 * m, min(config.iterations, 10_000))
-    walk = orbit._Orbit(system, gs.default_start, n_orbit)
+    walk = orbit._record(system, gs.default_start, n_orbit)
 
     result: dict = {
         "point": None,
@@ -208,23 +204,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     }
     certificate = None
 
-    if config.run == "banach":
-        solved = orbit.banach_solve(
-            system, walk, tol=config.tolerance, max_iter=config.iterations, p=p
-        )
+    if config.run in ("banach", "periodic"):
+        solve = orbit.banach_solve if config.run == "banach" else orbit.periodic_point_solve
+        solved = solve(system, walk, tol=config.tolerance, max_iter=config.iterations, p=p)
         result.update(
-            point=_point_list(solved.point),
-            residual=solved.residual,
-            converged=solved.converged,
-            iterations=solved.iterations,
-            warnings=list(solved.warnings),
-        )
-    elif config.run == "periodic":
-        solved = orbit.periodic_point_solve(
-            system, walk, tol=config.tolerance, max_iter=config.iterations, p=p
-        )
-        result.update(
-            point=_point_list(solved.point),
+            point=list(solved.point),
             residual=solved.residual,
             proximity_residual=solved.proximity_residual,
             converged=solved.converged,
@@ -266,7 +250,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         }
         result["converged"] = cert.ok
 
-    trace = walk.trace()
     summary = _finite_or_null({
         "system": {"id": gs.spec.id, "parameters": gs.spec.parameter_dict()},
         "run": config.run,
@@ -282,7 +265,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
 
     out_path = Path(destination)
     out_path.mkdir(parents=True, exist_ok=True)
-    _write_trace_csv(out_path / "trace.csv", trace, p)
+    _write_trace_csv(out_path / "trace.csv", walk, p)
     # One dumps and one write: with indent set, json.dump writes each chunk.
     text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
     with open(out_path / "summary.json", "w", encoding="utf-8") as fh:

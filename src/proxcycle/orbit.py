@@ -3,16 +3,17 @@
 Orbit generation is inherently sequential; everything derived from a trace is
 pure. Non-convergence is data (a flagged result), never an exception.
 
-``_walk`` steps an orbit one point at a time through
-``CyclicSystem._image``, the stepper behind ``apply``: it is the reference
-walk and the one that reports errors, with their step. ``_chunks`` is the one
-chunked walk, with the solvers' stop rule optionally inline, and its points
-are ``_walk``'s, bit for bit; its docstring holds the refusal rule and the
-termination contract the map and the space's distance are under.
-``_Orbit`` is one walk of one orbit: it validates the start once
-(``_start``) and records the trace prefix x_0..x_keep from ``_chunks``
-before any reader comes. ``picard_orbit`` is that prefix plus a membership
-pass.
+``_chunks`` is the one loop that walks an orbit toward a budget, with the
+solvers' stop rule optionally inline. It calls the raw map a chunk at a time
+and validates each chunk in one pass; a chunk it refuses, and the rest of
+the orbit, it steps through ``CyclicSystem._image``, the stepper behind
+``apply``, so its points are the per-step walk's, bit for bit, and an error
+carries its step. Its docstring holds the refusal rule and the termination
+contract the map and the space's distance are under. ``_record`` is one walk
+of one orbit: it validates the start once (``_start``) and records the trace
+prefix x_0..x_keep from ``_chunks`` before any reader comes, as a ``_Walk``,
+the ``OrbitTrace`` whose points the solvers trust. ``picard_orbit`` is that
+prefix plus a membership pass.
 
 The three solvers are one stop rule, ``_settle``, with three settings: the
 drift d(x_{k-s}, x_k) within tol at r consecutive checked steps (a small
@@ -23,9 +24,10 @@ distance call; past it, ``_chunks`` walks on with the rule, measuring
 only the drifts that a first-coordinate gap does not already put above tol
 (``Space._gap_bound``). The points past the stop that a solver reads
 (banach's residual image, the periodic solver's m-point tail) come from the
-record or from ``_walk``. A run of ``proxcycle run`` walks the prefix
-first, hands its walk to the solver and takes ``trace.csv``'s points from
-the same recorded prefix, so each orbit point is mapped once.
+record or from ``_image``, one step at a time. A run of ``proxcycle run``
+walks the prefix first, hands its walk to the solver and takes
+``trace.csv``'s points from the same recorded prefix, so each orbit point is
+mapped once.
 
 ``trace_rows`` builds the ``trace.csv`` columns from the same stride-1 and
 stride-m columns plus the wrap terms, so over a run's walk each distance of
@@ -39,7 +41,7 @@ from __future__ import annotations
 import math
 from itertools import compress, count, cycle, islice, repeat
 from operator import is_not
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .chains import _chain_distance, chain_point_distance, chain_self_distance
 from .spaces import ALPHA, CYCLE_LENGTH, POSITIVE, Domain, Point, _point_repr, _Record, as_exponent
@@ -132,22 +134,6 @@ def _start(system: CyclicSystem, x0: Sequence[float]) -> Point:
     return x
 
 
-def _walk(system: CyclicSystem, x: Point, k: int) -> Iterator[Point]:
-    """x_{k+1}, x_{k+2}, ... of the orbit through the validated x_k = x: the
-    per-step loop, the reference for ``_chunks`` and the one walk that
-    reports an error, so a ``MapError`` carries the step at which it arose.
-    The walk is endless; readers bound it."""
-    for k in count(k + 1):
-        x = system._image(x, step=k)
-        yield x
-
-
-def _replay(points: Iterator[Point]) -> Callable[[Point], Point]:
-    """A stepper that gives the next of ``points`` for whatever point it is
-    handed: a walked step in place of a raw map call."""
-    return lambda _: next(points)
-
-
 def _chunks(
     system: CyclicSystem,
     window: list[Point],
@@ -157,8 +143,9 @@ def _chunks(
 ) -> Iterator[tuple[list[Point], int]]:
     """The one chunked walk of an orbit, from x_k = ``window[-1]`` toward
     x_budget, where ``window`` holds the last s = ``len(window)`` points.
-    Yields each chunk's new points, validated and ``_walk``'s bit for bit,
-    with the rule's run count. Only the last s points and one chunk are kept.
+    Yields each chunk's new points, validated and the per-step walk's bit for
+    bit, with the rule's run count. Only the last s points and one chunk are
+    kept.
 
     A chunk makes up to ``_CHUNK`` raw map calls in a plain loop, then
     validates its images in one ``Space._as_read`` pass that skips an image
@@ -174,13 +161,13 @@ def _chunks(
 
     A chunk is refused when the map or the drift raises, or when its images
     are not all read as they are (a list, ints, a float subclass, a
-    non-finite or wrong-dimension point). It is walked again from its start
-    by ``_walk`` (through ``_replay``), and so is the rest of the orbit, one
-    ``_image`` per step: an error then carries its point and step, a
-    converted image is ``apply``'s, and no stop decided on an unvalidated
-    image survives. A successful walk whose images are all read as they are
-    calls the map once per step, as ``_walk`` does; any other calls it at
-    most one chunk more.
+    non-finite or wrong-dimension point). It is walked again from its start,
+    and so is the rest of the orbit, with one ``_image`` per step in place
+    of the raw map, its step count running on across chunks: an error then
+    carries its point and step, a converted image is ``apply``'s, and no
+    stop decided on an unvalidated image survives. A successful walk whose
+    images are all read as they are calls the map once per step; any other
+    calls it at most one chunk more.
 
     The termination contract: the loop calls the map on an image before
     that image is validated, and measures the drift between such images
@@ -188,7 +175,7 @@ def _chunks(
     gap bound, where it holds, has read and subtracted their coordinates 0.
     So the map, the distance and that subtraction must return or raise on
     anything the map returns, not only on points: a map that loops forever
-    on ``inf`` hangs an orbit whose image is ``inf``, where ``_walk`` would
+    on ``inf`` hangs an orbit whose image is ``inf``, where ``_image`` would
     have raised ``MapError`` first.
     """
     raw, space = system.map, system.space
@@ -233,7 +220,8 @@ def _chunks(
             refused = True
         if refused:
             k, run = start, start_run
-            step = _replay(_walk(system, window[-1], k))
+            steps = count(k + 1)
+            step = lambda y: system._image(y, next(steps))
             continue
         window = chunk[-s:]
         yield new, run
@@ -241,40 +229,40 @@ def _chunks(
             return
 
 
-class _Orbit:
-    """One walk of the orbit of a start point, whose first ``keep + 1``
-    points x_0..x_keep are recorded, by ``_chunks`` with no stop rule,
-    before any reader comes.
+class _Walk(OrbitTrace):
+    """A trace recorded by ``_record``: its points were validated as they
+    entered the orbit, so a solver handed one reads them as they are. A
+    public ``OrbitTrace`` holds whatever points it was built from and is
+    never trusted so."""
 
-    The prefix is kept as one ``OrbitTrace``, so each of its distance
-    columns is measured once for all its readers. Readers past the prefix
-    walk on from its last point (``_settle``, ``_after``); those points are
-    not kept, so a second reader that goes past the prefix maps those steps
-    again, with the same points and step numbers.
+    __slots__ = ()
+
+
+def _record(system: CyclicSystem, x0: Sequence[float], keep: int) -> _Walk:
+    """One walk of the orbit of x0: the start validated once (``_start``)
+    and x_0..x_keep recorded by ``_chunks`` with no stop rule, before any
+    reader comes.
+
+    Its distance columns are measured once for all its readers. Readers past
+    the prefix walk on from its last point (``_settle``, ``_after``); those
+    points are not kept, so a second reader that goes past the prefix maps
+    those steps again, with the same points and step numbers.
     """
-
-    def __init__(self, system: CyclicSystem, x0: Sequence[float], keep: int = 0):
-        self.system = system
-        points = [_start(system, x0)]
-        for chunk, _ in _chunks(system, points[-1:], 0, keep):
-            points += chunk
-        self._trace = OrbitTrace(system, tuple(points))
-        self.points = self._trace.points
-
-    def trace(self) -> OrbitTrace:
-        """The recorded prefix x_0..x_keep."""
-        return self._trace
+    points = [_start(system, x0)]
+    for chunk, _ in _chunks(system, points[-1:], 0, keep):
+        points += chunk
+    return _Walk(system, tuple(points))
 
 
-def _orbit(system: CyclicSystem, x0: Sequence[float], keep: int) -> _Orbit:
+def _orbit(system: CyclicSystem, x0: Sequence[float], keep: int) -> _Walk:
     # ``proxcycle run`` hands a solver the run's own walk in place of x0, so
     # the solver and the trace prefix read one walk. A start point gets a
     # walk of its own, recording the ``keep`` steps ``_settle`` starts from.
-    return x0 if isinstance(x0, _Orbit) else _Orbit(system, x0, keep)
+    return x0 if isinstance(x0, _Walk) else _record(system, x0, keep)
 
 
 def _settle(
-    orbit: _Orbit, tol: float, budget: int, s: int, every: int = 1, r: int = 1
+    walk: _Walk, tol: float, budget: int, s: int, every: int = 1, r: int = 1
 ) -> tuple[int, bool, list[Point]]:
     """The solvers' one stop rule over the orbit: the first k <= budget at
     which the drift d(x_{k-s}, x_k) <= tol has held at r consecutive checked
@@ -289,7 +277,7 @@ def _settle(
     walks on with the rule inline, from the last s points and the run of
     small drifts the prefix ends with, and stops at the stopping step.
     """
-    points = orbit.points
+    points = walk.points
     k = min(s - 1, budget)
     run = 0
     end = min(budget, len(points) - 1)
@@ -297,7 +285,7 @@ def _settle(
         # The checked steps k + 1 <= j <= end, each drift d(x_{j-s}, x_j)
         # being entry j - s of the column.
         first = k + 1 + -(k + 1) % every
-        drifts = islice(orbit.trace()._gaps(s), first - s, None, every)
+        drifts = islice(walk._gaps(s), first - s, None, every)
         for k, drift in zip(range(first, end + 1, every), drifts):
             if drift <= tol:
                 run += 1
@@ -307,20 +295,21 @@ def _settle(
                 run = 0
         k = end
     window = list(points[max(0, k + 1 - s) : k + 1])
-    for chunk, run in _chunks(orbit.system, window, k, budget, (tol, every, r, run)):
+    for chunk, run in _chunks(walk.system, window, k, budget, (tol, every, r, run)):
         k += len(chunk)
         window = (window + chunk)[-s:]
     return k, run >= r, window
 
 
-def _after(orbit: _Orbit, k: int, x: Point, n: int) -> list[Point]:
+def _after(walk: _Walk, k: int, x: Point, n: int) -> list[Point]:
     """x_{k+1}..x_{k+n} of the orbit whose x_k = x: recorded where the
-    prefix reaches, walked on from there."""
-    out = list(orbit.points[k + 1 : k + n + 1])
-    if len(out) < n:
-        last = out[-1] if out else x
-        out += islice(_walk(orbit.system, last, k + len(out)), n - len(out))
-    return out
+    prefix reaches, stepped on from there by ``_image`` with their step
+    numbers, so a ``MapError`` carries its point and step."""
+    out = [x, *walk.points[k + 1 : k + n + 1]]
+    image = walk.system._image
+    while len(out) <= n:
+        out.append(image(out[-1], k + len(out)))
+    return out[1:]
 
 
 def picard_orbit(system: CyclicSystem, x0: Sequence[float], n: int) -> OrbitTrace:
@@ -336,7 +325,7 @@ def picard_orbit(system: CyclicSystem, x0: Sequence[float], n: int) -> OrbitTrac
     n = _STEPS.check("n", n)
     if n < m:
         raise ValueError(f"need at least m = {m} steps")
-    points = _Orbit(system, x0, n).trace().points
+    points = _record(system, x0, n).points
     first, space = system.regions[0], system.space
     violations = []
     checked, inside = None, True
@@ -483,10 +472,10 @@ def banach_solve(
         warnings.append(
             f"set chain distance {set_distance:.6g} exceeds tol; no fixed point can exist"
         )
-    orbit = _orbit(system, x0, 0)
-    iterations, fired, (x,) = _settle(orbit, tol, max_iter, 1)
+    walk = _orbit(system, x0, 0)
+    iterations, fired, (x,) = _settle(walk, tol, max_iter, 1)
     # The residual image is the next point of the orbit, one step past the budget.
-    residual = space._distance(x, *_after(orbit, iterations, x, 1))
+    residual = space._distance(x, *_after(walk, iterations, x, 1))
     converged = fired and residual <= tol
     if not fired:
         warnings.append("max_iter exhausted before the step criterion fired")
@@ -523,15 +512,15 @@ def periodic_point_solve(
     space = system.space
     m = system.m
     set_distance = system.set_chain_distance(exp)
-    orbit = _orbit(system, x0, m - 1)
+    walk = _orbit(system, x0, m - 1)
 
     warnings = []
     budget = max(1, max_iter // m) * m
-    iterations, fired, window = _settle(orbit, tol, budget, m, every=m)
+    iterations, fired, window = _settle(walk, tol, budget, m, every=m)
     x = window[-1]
     # The m points past the stopping point give both the residual image and
     # the proximity chain, so the walk runs m steps past the budget.
-    tail = _after(orbit, iterations, x, m)
+    tail = _after(walk, iterations, x, m)
     residual = space._distance(x, tail[-1])
     converged = fired and residual <= tol
     if not fired:
@@ -601,8 +590,8 @@ def proximity_chain_extract(
     # Every subsequence has settled at k when its last stride-m drift is
     # within tol: the last m drifts d(x_{j-m}, x_j), j = k-m+1..k, all with
     # j >= m.
-    orbit = _orbit(system, x0, min(m - 1, max_iter))
-    iterations, converged, window = _settle(orbit, tol, max_iter, m, r=m)
+    walk = _orbit(system, x0, min(m - 1, max_iter))
+    iterations, converged, window = _settle(walk, tol, max_iter, m, r=m)
     note = None
     # The last point of subsequence i, x_j with j = i - 1 mod m, is chain[i - 1].
     shift = -(iterations + 1) % m if len(window) == m else 0
@@ -620,7 +609,7 @@ def proximity_chain_extract(
                     converged = False
                     note = f"extracted point left region {i + 1}"
                     break
-    elif note is None:
+    else:
         note = "max_iter exhausted before every subsequence settled"
 
     if len(chain) == m:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -221,3 +222,19 @@ def test_p_monotonicity_degenerate_chain_tight():
     report = p_monotonicity_check(LINE, xs, xs)
     assert report.ok
     assert report.worst_slack == 0.0
+
+
+def test_p_monotonicity_reads_iterator_chains_once():
+    xs, ys = chain1(0, 1, 3), chain1(2, -1, 4)
+    want = p_monotonicity_check(LINE, xs, ys)
+    assert p_monotonicity_check(LINE, iter(xs), iter(ys)) == want
+    assert p_monotonicity_check(LINE, (x for x in xs), map(tuple, ys)) == want
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+def test_p_monotonicity_reads_tol_through_its_domain(tol):
+    # A NaN tol compares false with every slack, so it would pass every check.
+    xs = chain1(2, 2, 2)
+    pattern = rf"^tol must be in \(0, inf\), got {re.escape(repr(tol))}$"
+    with pytest.raises(ValueError, match=pattern):
+        p_monotonicity_check(LINE, xs, xs, tol=tol)

@@ -15,7 +15,7 @@ from proxcycle.gallery import (
 )
 from proxcycle.orbit import (
     _CHUNK,
-    _Orbit,
+    _record,
     apriori_error_bound,
     banach_solve,
     block_drift_trace,
@@ -555,7 +555,7 @@ def test_chunked_prefix_equals_the_per_step_walk(monkeypatch, name, n):
     want = _hex(_per_step(gs.system, gs.default_start, n))
     read = []
     monkeypatch.setattr(system_module, "check_point", lambda v: read.append(v) or check_point(v))
-    assert _hex(_Orbit(gs.system, gs.default_start, n).points) == want
+    assert _hex(_record(gs.system, gs.default_start, n).points) == want
     assert _hex(picard_orbit(gs.system, gs.default_start, n).points) == want
     # Every gallery image is a tuple of exact floats, read by the chunk pass.
     assert read == []
@@ -603,7 +603,7 @@ def test_chunked_prefix_reports_the_per_step_error(k, bad):
     with pytest.raises(error) as reference:
         _per_step(system, x0, 3 * _CHUNK)
     assert str(reference.value).startswith(message)
-    walks = (lambda: _Orbit(system, x0, 3 * _CHUNK), lambda: picard_orbit(system, x0, max(k, 2)))
+    walks = (lambda: _record(system, x0, 3 * _CHUNK), lambda: picard_orbit(system, x0, max(k, 2)))
     for walk in walks:
         with pytest.raises(error) as err:
             walk()
@@ -626,7 +626,7 @@ def test_an_invalid_image_the_map_refuses_is_an_invalid_point_at_its_step(k):
 
     system = dataclasses.replace(system, map=map_)
     with pytest.raises(MapError) as err:
-        _Orbit(system, x0, 3 * _CHUNK)
+        _record(system, x0, 3 * _CHUNK)
     assert err.value.step == k and err.value.point == broken_at
     assert str(err.value).startswith("map returned an invalid point")
 
@@ -659,7 +659,7 @@ def test_converted_images_give_the_per_step_points_within_one_extra_chunk(image,
     system = dataclasses.replace(strip, map=map_)
     want = _hex(_per_step(system, (1.0, 0.0), n))
     calls.clear()
-    assert _hex(_Orbit(system, (1.0, 0.0), n).points) == want
+    assert _hex(_record(system, (1.0, 0.0), n).points) == want
     assert n <= len(calls) <= n + _CHUNK
 
 
@@ -680,7 +680,7 @@ TAIL_BUDGET = 20_000
 def _tail_start(system, x0, start):
     """The solver's x0: the start point itself, or a walk recording
     TAIL_KEEP steps, as ``proxcycle run`` hands it."""
-    return x0 if start == "plain" else _Orbit(system, x0, TAIL_KEEP)
+    return x0 if start == "plain" else _record(system, x0, TAIL_KEEP)
 
 
 def _recorded(solver, start):
@@ -825,6 +825,51 @@ def test_list_images_in_the_solver_tail_give_the_per_step_result_within_one_chun
     assert len(per_step) <= len(calls) <= len(per_step) + prefix_chunk + _CHUNK
 
 
+# Where the images turn into lists: inside the first chunk of the prefix, or
+# inside the first tail chunk past a recorded prefix of TAIL_KEEP steps.
+LIST_FROM_STEPS = {"prefix": 100, "tail": TAIL_KEEP + 100}
+
+
+@pytest.mark.parametrize("bad", sorted(TAIL_BAD_IMAGES))
+@pytest.mark.parametrize("where", sorted(LIST_FROM_STEPS))
+@pytest.mark.parametrize("solver", ["prefix walk", *sorted(TAIL_SOLVERS)])
+def test_a_map_error_two_chunks_past_a_refused_chunk_carries_its_step(solver, where, bad):
+    # From step j the images are lists, so the chunk holding step j is
+    # refused and the orbit is stepped by ``_image`` from its start on; the
+    # map then fails at step j + 2 chunks + 1, two chunk boundaries later.
+    # The error carries that step and point, the per-step walk's.
+    j = LIST_FROM_STEPS[where]
+    k = j + 2 * _CHUNK + 1
+    kirk, x0 = make_kirk_interval(0.001).system, (-1.0,)
+    lists_from = 0.999 ** (j - 1.5)
+
+    def map_(x):
+        image = kirk.map(x)
+        return list(image) if abs(x[0]) < lists_from else image
+
+    bad_image, message = TAIL_BAD_IMAGES[bad]
+    system, broken_at = _failing_at(dataclasses.replace(kirk, map=map_), x0, k, bad_image)
+    with pytest.raises(MapError) as reference:
+        _per_step(system, x0, k)
+    assert str(reference.value).startswith(message)
+    if solver == "prefix walk":
+        runs = [lambda: _record(system, x0, k + _CHUNK), lambda: picard_orbit(system, x0, k)]
+    else:
+        solve, tol = TAIL_SOLVERS[solver]
+        assert solve(kirk, x0, tol=tol, max_iter=TAIL_BUDGET).iterations > k
+        runs = [
+            lambda start=start: solve(
+                system, _tail_start(system, x0, start), tol=tol, max_iter=TAIL_BUDGET
+            )
+            for start in ("plain", "walk")
+        ]
+    for run in runs:
+        with pytest.raises(MapError) as err:
+            run()
+        assert str(err.value) == str(reference.value)
+        assert err.value.step == k and err.value.point == broken_at
+
+
 # The CLI hands the solver a walk recording max(3m, min(max_iter, 10 000))
 # steps; a start point gets the few steps the stop rule starts from.
 WALK_SYSTEMS = {
@@ -845,7 +890,7 @@ def test_a_plain_start_gives_the_result_of_the_cli_walk(name, solver, max_iter):
     solve = TAIL_SOLVERS[solver][0]
     gs = WALK_SYSTEMS[name]()
     m = gs.system.m
-    walk = _Orbit(gs.system, gs.default_start, max(3 * m, min(max_iter, 10_000)))
+    walk = _record(gs.system, gs.default_start, max(3 * m, min(max_iter, 10_000)))
     plain = solve(gs.system, gs.default_start, tol=1e-12, max_iter=max_iter)
     assert _fields_hex(plain) == _fields_hex(solve(gs.system, walk, tol=1e-12, max_iter=max_iter))
 
@@ -975,7 +1020,7 @@ def test_each_prefix_distance_is_measured_once(solver, keep):
     solve, tol = TAIL_SOLVERS[solver]
     system, calls = _counted_kirk()
     x0, m = (-1.0,), system.m
-    walk = _Orbit(system, x0, keep)
+    walk = _record(system, x0, keep)
     assert calls == []
     result = solve(system, walk, tol=tol, max_iter=TAIL_BUDGET)
     k, s = result.iterations, 1 if solver == "banach" else m
@@ -989,12 +1034,11 @@ def test_each_prefix_distance_is_measured_once(solver, keep):
     assert {name: _fields_hex(result)[name] for name in want} == want
 
     calls.clear()
-    trace = walk.trace()
-    rows = trace_rows(trace, 2)
+    rows = trace_rows(walk, 2)
     other = keep + 1 - (m if s == 1 else 1)
     wraps = (keep + 1) // m - 1
     assert len(calls) == other + wraps
-    assert rows == _reference_rows(trace, 2)
+    assert rows == _reference_rows(walk, 2)
 
 
 # --- the tail's drift test behind the first-coordinate gap ---------------------
@@ -1079,7 +1123,7 @@ def test_a_space_without_the_gap_bound_measures_every_checked_tail_drift(solver)
     counted = dataclasses.replace(kirk, space=space)
     x0 = (-1.0,)
     results = [
-        solve(system, _Orbit(system, x0, TAIL_KEEP), tol=tol, max_iter=TAIL_BUDGET)
+        solve(system, _record(system, x0, TAIL_KEEP), tol=tol, max_iter=TAIL_BUDGET)
         for system in (kirk, oracle_system, counted)
     ]
     assert results[0].iterations > TAIL_KEEP
