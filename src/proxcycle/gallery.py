@@ -1,9 +1,10 @@
 """Canonical cyclic systems with analytically known answers.
 
 Each constructor returns a ``GallerySystem``: the system itself plus its
-expected edge distances, expected solution (when one is attained), and the
-Linear-phi coefficient whose contraction certificate passed the grid oracle
-at build time. These stored answers are what the test suite measures against.
+expected edge distances, expected solution (when one is attained), and a
+``LinearPhi`` coefficient under which the system's closed form gives the
+contraction inequality. Nothing is checked when a system is built: these
+stored answers are what the test suite measures against.
 
 Each constructor is registered in ``GALLERY`` with one ``Domain`` per
 parameter; its signature holds the defaults. Every call, through ``build`` or
@@ -178,12 +179,15 @@ def make_affine_strip(alpha: float = 0.5, h: float = 1.0) -> GallerySystem:
         regions=(Box((0.0, 0.0), (1.0, 0.0)), Box((0.0, h), (1.0, h))),
         map=step,
     )
+    # Each edge obeys e' <= alpha e + (1 - alpha) h, so phi slopes up to
+    # 1 - alpha pass. The coefficient is capped at alpha too, which keeps it
+    # in (0, 1) where 1.0 - alpha rounds to 1.0 (alpha below 2^-54).
     return GallerySystem(
         system=system,
         edge_distances=(h, h),
         expected_solution=(0.0, 0.0),
         attainable=True,
-        certificate_alpha=alpha,
+        certificate_alpha=min(alpha, 1.0 - alpha),
         step_factor=None,
         default_start=(1.0, 0.0),
     )
@@ -261,12 +265,13 @@ def make_paper_lq_family(
         map=step,
         artifact_points=(top_point,),
     )
+    # phi slopes up to 1 - alpha pass, capped at alpha as for affine_strip.
     return GallerySystem(
         system=system,
         edge_distances=tuple(edges),
         expected_solution=None,
         attainable=False,
-        certificate_alpha=alpha,
+        certificate_alpha=min(alpha, 1.0 - alpha),
         step_factor=None,
         default_start=family[0],
     )

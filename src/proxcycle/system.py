@@ -48,6 +48,9 @@ EXHAUSTIVE_LIMIT = 10 ** 6
 # of the column kernels is small beside the per-pair work, few enough that a
 # block's points, images and columns stay small.
 SAMPLE_BLOCK = 128
+# Tuple pairs per block of the exhaustive scan, about: a block is as many
+# whole x-tuples against every y-tuple as fit, and at least one.
+EXHAUSTIVE_BLOCK = 1024
 # Each coordinate of a tabulated phi knot.
 _KNOT = Domain(-math.inf, math.inf, note="every coordinate finite")
 
@@ -429,6 +432,13 @@ class Phi:
         return list(map(self, ts))
 
 
+def _check_domain(ts: Sequence[float]) -> None:
+    """Raise as ``phi(t)`` does if any of ``ts`` is negative. ``min`` passes
+    over a NaN unless it comes first; then every t is tested."""
+    if not min(ts, default=0.0) >= 0 and any(t < 0 for t in ts):
+        raise ValueError("phi is defined on [0, inf)")
+
+
 class LinearPhi(_Record, Phi):
     __slots__ = _fields = ("alpha",)
 
@@ -441,19 +451,22 @@ class LinearPhi(_Record, Phi):
         return self.alpha * t
 
     def _many(self, ts: Sequence[float]) -> list[float]:
-        # min passes over a NaN unless it comes first; then every t is tested.
-        if not min(ts, default=0.0) >= 0 and any(t < 0 for t in ts):
-            raise ValueError("phi is defined on [0, inf)")
-        alpha = self.alpha
-        return [alpha * t for t in ts]
+        _check_domain(ts)
+        return list(map(mul, repeat(self.alpha), ts))
 
 
 class TabulatedPhi(_Record, Phi):
     """Piecewise-linear phi from knots, extended beyond the last knot with the
     last segment's slope so monotonicity persists on all of [0, inf).
-    ``_ts`` holds the knot abscissae."""
 
-    __slots__ = ("knots", "_ts")
+    Segment i runs from knot i to knot i + 1. The tables are built once:
+    ``_bounds`` holds the abscissae of the knots after the first, so that
+    for t >= 0 ``min(bisect_right(_bounds, t), _last)`` is t's segment
+    (the last one from the last knot on, and for NaN), and ``_starts``,
+    ``_levels`` and ``_slopes`` hold each segment's t1, v1 and
+    (v2 - v1) / (t2 - t1). phi(t) is ``v1 + slope * (t - t1)``."""
+
+    __slots__ = ("knots", "_bounds", "_last", "_starts", "_levels", "_slopes")
     _fields = ("knots",)
 
     def __init__(self, knots: tuple[tuple[float, float], ...]) -> None:
@@ -471,18 +484,27 @@ class TabulatedPhi(_Record, Phi):
         if vs[0] < 0.0:
             raise ValueError("phi(0) must be >= 0")
         self._set(knots)
-        object.__setattr__(self, "_ts", tuple(ts))
+        self._derive(
+            _bounds=tuple(ts[1:]),
+            _last=len(ts) - 2,
+            _starts=tuple(ts[:-1]),
+            _levels=tuple(vs[:-1]),
+            _slopes=tuple((v2 - v1) / (t2 - t1) for (t1, v1), (t2, v2) in zip(knots, knots[1:])),
+        )
 
     def __call__(self, t: float) -> float:
         if t < 0:
             raise ValueError("phi is defined on [0, inf)")
-        ts = self._ts
-        i = bisect_right(ts, t) - 1
-        if i >= len(ts) - 1:
-            i = len(ts) - 2
-        (t1, v1), (t2, v2) = self.knots[i], self.knots[i + 1]
-        slope = (v2 - v1) / (t2 - t1)
-        return v1 + slope * (t - t1)
+        i = min(bisect_right(self._bounds, t), self._last)
+        return self._levels[i] + self._slopes[i] * (t - self._starts[i])
+
+    def _many(self, ts: Sequence[float]) -> list[float]:
+        _check_domain(ts)
+        segments = list(map(min, map(bisect_right, repeat(self._bounds), ts), repeat(self._last)))
+        starts = map(self._starts.__getitem__, segments)
+        slopes = map(self._slopes.__getitem__, segments)
+        levels = map(self._levels.__getitem__, segments)
+        return list(map(add, levels, map(mul, slopes, map(sub, ts, starts))))
 
 
 class PhiReport(_Record):
@@ -800,8 +822,7 @@ class _Scan:
         Otherwise the running minimum is taken with itself in front, and
         the witness is the first pair in scan order that reaches it.
         """
-        phi_set = self.phi_set
-        margins = [(d - phi_d + phi_set) - e for d, phi_d, e in zip(ds, phi_ds, lhs)]
+        margins = list(map(sub, map(add, map(sub, ds, phi_ds), repeat(self.phi_set)), lhs))
         self.evaluated += len(margins)
         self.scale = _finite_max(self.scale, lhs + ds + phi_ds)
         if math.isnan(self.min_margin):
@@ -928,17 +949,21 @@ def _getter(indices: list[int]) -> Callable[[Sequence[float]], tuple[float, ...]
 
 
 def _scan_exhaustive(system: CyclicSystem, phi: Phi, exp: Exponent, phi_set: float) -> _Scan:
-    """Every tuple pair, from per-edge tables, one block of pairs at a time.
+    """Every tuple pair, from per-edge tables, about ``EXHAUSTIVE_BLOCK``
+    pairs at a time.
 
     Term i of both chain distances depends only on the edge pair
     (x_i, y_{i+1}), so each point is flagged and mapped once and each edge
-    distance is computed once. A block is one x-tuple against every y-tuple,
-    at most 1 000 pairs under ``EXHAUSTIVE_LIMIT``. Term i of a block is a
-    column read from the x-tuple's row of edge table i by one
-    ``itemgetter`` over the shifted y-indices, built once per scan. The
-    exponent's ``_combine_columns`` turns the m columns into every d and
-    every lhs of the block, ``phi._many`` gives every phi(d), and
-    ``_Scan.fold`` the margins, in ``product(tuples, tuples)`` order.
+    distance is computed once. Term i of one x-tuple against every y-tuple
+    is a column read from the x-tuple's row of edge table i by one
+    ``itemgetter`` over the shifted y-indices; each row's column is read
+    once per scan. A block is ``max(1, EXHAUSTIVE_BLOCK // width)``
+    consecutive x-tuples against every one of the ``width`` y-tuples, so
+    its term i is its x-tuples' columns joined, and its pair k is x-tuple
+    ``k // width`` of the block with y-tuple ``k % width``: the pairs keep
+    ``product(tuples, tuples)`` order. The exponent's ``_combine_columns``
+    turns the m joined columns into every d and every lhs of the block,
+    ``phi._many`` gives every phi(d), and ``_Scan.fold`` the margins.
     Region points were read when their region was built, and the region's
     dimension checked when the system was, so the tables trust them.
     """
@@ -961,27 +986,32 @@ def _scan_exhaustive(system: CyclicSystem, phi: Phi, exp: Exponent, phi_set: flo
         if x not in image:
             image[x] = system._image(x)
 
-    # gaps[i][a][b] = d(A_i[a], A_{i+1}[b]); mapped[i][a][b] the same for images.
-    gaps, mapped = [], []
+    index_tuples = list(itertools.product(*(range(len(pts)) for pts in usable)))
+    width = len(index_tuples)
+    # d_rows[i][a] is the column d(A_i[a], y_{i+1}) over every y-tuple y, and
+    # e_rows[i][a] the same for images: getter i reads, from a row of edge
+    # table i, the entry of every y-tuple's index i + 1.
+    d_rows, e_rows = [], []
     for i in range(m):
         heads, tails = usable[i], usable[(i + 1) % m]
-        gaps.append([[dist(x, y) for y in tails] for x in heads])
-        mapped.append([[dist(image[x], image[y]) for y in tails] for x in heads])
-
-    index_tuples = list(itertools.product(*(range(len(pts)) for pts in usable)))
-    # Term i pairs x_i with y_{i+1}: getters[i] reads, from a row of edge
-    # table i, the column of every y-tuple's index i + 1.
-    getters = [_getter([t[(i + 1) % m] for t in index_tuples]) for i in range(m)]
-    d_edges, e_edges = list(zip(getters, gaps)), list(zip(getters, mapped))
-    combine = exp._combine_columns
+        get = _getter([t[(i + 1) % m] for t in index_tuples])
+        d_rows.append([get([dist(x, y) for y in tails]) for x in heads])
+        e_rows.append([get([dist(image[x], image[y]) for y in tails]) for x in heads])
+    combine, join = exp._combine_columns, itertools.chain.from_iterable
 
     def points(t: tuple[int, ...]) -> tuple[Point, ...]:
         return tuple(usable[i][a] for i, a in enumerate(t))
 
-    for xt in index_tuples:
-        ds = combine([get(table[a]) for (get, table), a in zip(d_edges, xt)])
-        lhs = combine([get(table[a]) for (get, table), a in zip(e_edges, xt)])
-        scan.fold(lhs, ds, phi._many(ds), lambda k: (points(xt), points(index_tuples[k])))
+    step = max(1, EXHAUSTIVE_BLOCK // width)
+    for start in range(0, width, step):
+        group = index_tuples[start : start + step]
+        heads = list(zip(*group))  # heads[i]: each x-tuple's index in region i
+        ds = combine([list(join(map(d.__getitem__, a))) for d, a in zip(d_rows, heads)])
+        lhs = combine([list(join(map(e.__getitem__, a))) for e, a in zip(e_rows, heads)])
+        scan.fold(
+            lhs, ds, phi._many(ds),
+            lambda k: (points(group[k // width]), points(index_tuples[k % width])),
+        )
     return scan
 
 
@@ -1048,7 +1078,11 @@ class AlphaBoundResult(_Record):
 
 
 def alpha_bound_check(alpha: float, m: int, p: object) -> AlphaBoundResult:
-    """Check alpha^m < 2^(-1/p); any alpha in (0,1) passes for p = inf."""
+    """Check alpha^m < 2^(-1/p); any alpha in (0,1) passes for p = inf.
+
+    ``alpha`` is ``paper_lq_family``'s family parameter, the alpha in the
+    points (1 + alpha^k) e_k: neither a phi slope (``LinearPhi.alpha``) nor
+    a step factor."""
     a = ALPHA.check("alpha", alpha)
     m = CYCLE_LENGTH.check("m", m)
     exp = as_exponent(p)

@@ -62,6 +62,30 @@ def test_every_system_passes_its_certificate(gallery_system):
         assert cert.ok, (gallery_system.spec.id, p, cert.min_margin)
 
 
+@pytest.mark.parametrize(
+    "system_id,parameters",
+    [
+        *(("affine_strip", {"alpha": a, "h": h}) for a in (0.55, 0.8, 0.999999) for h in (0.5, 2.0)),
+        ("affine_strip", {"alpha": 1e-17}),
+        *(
+            ("paper_lq_family", {"m": m, "N": 2, "q": q, "alpha": a})
+            for m, a in ((2, 0.6), (2, 0.7), (3, 0.75), (4, 0.8))
+            for q in (1, 2, "inf")
+        ),
+        ("paper_lq_family", {"m": 2, "N": 2, "alpha": 1e-17}),
+    ],
+)
+def test_certificate_alpha_passes_on_either_side_of_one_half(system_id, parameters):
+    # The closed forms of both systems allow phi slopes up to 1 - alpha, which
+    # is below alpha past 1/2; 1.0 - alpha is 1.0 for alpha below 2^-54.
+    gs = build(system_id, parameters)
+    assert 0.0 < gs.certificate_alpha <= min(parameters["alpha"], 1.0 - parameters["alpha"])
+    phi = LinearPhi(gs.certificate_alpha)
+    for p in (1, 2, INFINITY):
+        cert = verify_contraction(gs.system, phi, p, tuple_samples=300, seed=1)
+        assert cert.ok, (system_id, parameters, p, cert.min_margin)
+
+
 def test_attainable_solutions_reproduced(gallery_system):
     gs = gallery_system
     if not gs.attainable:

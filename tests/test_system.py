@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import proxcycle.system as system_module
 from proxcycle.chains import chain_point_distance
 from proxcycle.gallery import (
     attainment_gap,
@@ -302,15 +303,63 @@ def test_tabulated_phi_refuses_str_and_bytes_knots():
     assert TabulatedPhi([[0, 0], ["1", "2"]]).knots == ((0.0, 0.0), (1.0, 2.0))
 
 
-@pytest.mark.parametrize(
-    "phi", [LinearPhi(0.3), TabulatedPhi(((0.0, 0.1), (0.7, 0.3), (2.0, 0.6)))], ids=repr
-)
-def test_phi_many_is_phi_of_each_value(phi):
-    ts = [0.0, 0.25, 0.7, 3.0, 1e308, math.inf, math.nan]
+# 0.0, a subnormal, values at, between and past the knots of the tabulated
+# phis below, and 1e300, inf and NaN.
+PHI_VALUES = (0.0, 5e-324, 0.25, 0.7, 1.0, 1.3, 2.0, 3.0, 7.5, 1e300, math.inf, math.nan)
+
+
+def _assert_many_is_each_call(phi, ts):
+    """``phi._many(ts)`` is ``[phi(t) for t in ts]`` bit for bit, and a
+    negative value anywhere in the list raises ``phi(t)``'s ValueError."""
+    ts = list(ts)
     assert list(map(float.hex, phi._many(ts))) == [phi(t).hex() for t in ts]
     assert phi._many([]) == []
+    with pytest.raises(ValueError) as refused:
+        phi(-1e-300)
+    for at in range(len(ts) + 1):
+        with pytest.raises(ValueError) as err:
+            phi._many([*ts[:at], -1e-300, *ts[at:]])
+        assert str(err.value) == str(refused.value)
     with pytest.raises(ValueError, match="phi is defined on"):
-        phi._many([1.0, math.nan, -1e-300])
+        phi._many([math.nan, 1.0, -math.inf])
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        LinearPhi(0.3),
+        TabulatedPhi(((0.0, 0.1), (0.7, 0.3), (2.0, 0.6))),
+        # a flat last segment: phi(inf) is v1 + 0.0 * inf, NaN both ways
+        TabulatedPhi(((0.0, 0.0), (1.0, 0.5), (2.0, 0.5))),
+        TabulatedPhi(((0.0, 0.2), (1.0, 0.2), (1.3, 0.9), (3.0, 1.0))),
+    ],
+    ids=repr,
+)
+def test_phi_many_is_phi_of_each_value(phi):
+    _assert_many_is_each_call(phi, PHI_VALUES)
+    if isinstance(phi, TabulatedPhi) and phi.knots[-1][1] == phi.knots[-2][1]:
+        assert math.isnan(phi(math.inf)) and math.isnan(phi._many([math.inf])[0])
+
+
+@st.composite
+def knot_lists(draw):
+    """Knots at 0 and then strictly increasing abscissae, with values that
+    start at 0 or above and never fall."""
+    n = draw(st.integers(2, 6))
+    steps = draw(st.lists(st.floats(1e-3, 1e3), min_size=n - 1, max_size=n - 1))
+    rises = draw(st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n))
+    return tuple(zip(itertools.accumulate([0.0, *steps]), itertools.accumulate(rises)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(knots=knot_lists(), extra=st.lists(st.floats(0.0, 1e4), max_size=8))
+def test_tabulated_phi_many_matches_each_call_on_drawn_knots(knots, extra):
+    phi = TabulatedPhi(knots)
+    at = [t for t, _ in knots]
+    between = [(t1 + t2) / 2 for t1, t2 in zip(at, at[1:])]
+    past = [at[-1] * 2 + 1.0]
+    _assert_many_is_each_call(phi, [*at, *between, *past, *extra, *PHI_VALUES])
+    _assert_many_is_each_call(LinearPhi(0.4), [*at, *extra, *PHI_VALUES])
 
 
 def test_tabulated_phi_matches_direct_interpolation():
@@ -580,17 +629,35 @@ def _sampled_pairs(system, samples, seed):
         yield xs, ys
 
 
+def _hexed_value(value):
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(map(_hexed_value, value))
+    return value
+
+
 def _assert_matches_brute_force(system, phis, ps):
-    """Every certificate field the exhaustive scan decides equals the per-pair
-    brute force, ``min_margin`` bit for bit."""
+    """Every ``ContractionCertificate`` field of the exhaustive scan equals
+    the per-pair brute force, each float by ``float.hex``."""
     for p, phi in itertools.product(ps, phis):
         cert = verify_contraction(system, phi, p, seed=0)
-        assert cert.exhaustive
         best, (wxs, wys), evaluated, skips, ok = _brute_force(system, phi, p)
-        # With no pair evaluated the certificate reports NaN, not inf.
-        assert cert.min_margin.hex() == (best if evaluated else math.nan).hex(), (p, phi)
-        assert (cert.witness_xs, cert.witness_ys) == (wxs, wys), (p, phi)
-        assert (cert.evaluated, cert.artifact_skips, cert.ok) == (evaluated, skips, ok), (p, phi)
+        want = ContractionCertificate(
+            ok=ok,
+            # With no pair evaluated the certificate reports NaN, not inf.
+            min_margin=best if evaluated else math.nan,
+            witness_xs=wxs,
+            witness_ys=wys,
+            set_chain_distance=system.set_chain_distance(p),
+            p=as_exponent(p),
+            evaluated=evaluated,
+            exhaustive=True,
+            artifact_skips=skips,
+        )
+        for name in ContractionCertificate._fields:
+            got, expected = getattr(cert, name), getattr(want, name)
+            assert _hexed_value(got) == _hexed_value(expected), (name, p, phi)
 
 
 PHIS = (LinearPhi(0.4), TabulatedPhi(((0.0, 0.1), (0.7, 0.3), (2.0, 0.6))))
@@ -670,6 +737,87 @@ FINITE_CLOUD_SYSTEMS = {
 def test_finite_cloud_certificates_match_brute_force(name):
     system = FINITE_CLOUD_SYSTEMS[name]
     _assert_matches_brute_force(system, PHIS, (1, 1.5, 2, 3, "inf"))
+
+
+def _usable_tuples(system):
+    """The region tuples that touch no artifact point, in scan order."""
+    tuples = itertools.product(*(r.points for r in system.regions))
+    return [t for t in tuples if not any(map(system.is_artifact, t))]
+
+
+def _margins_by_x_tuple(system, phi, p):
+    """Each usable x-tuple's margins against every usable y-tuple."""
+    tuples = _usable_tuples(system)
+    return [[contraction_margin(system, phi, p, xs, ys) for ys in tuples] for xs in tuples]
+
+
+# Symmetric under (u, v) -> (u, -v), which maps x-tuple 1 to x-tuple 2: the
+# least margin comes first in x-tuple 1, at y-tuple 5, after larger margins
+# in x-tuple 0, and again in x-tuple 2, a tie on either side of the boundary
+# between them; the witness is the first.
+MIRROR = CyclicSystem(
+    space=L2_2,
+    regions=(
+        FiniteCloud(((1.0, 1.0), (1.0, -1.0), (2.0, 0.0))),
+        FiniteCloud(((-2.0, 0.0), (-1.0, -1.0), (-1.0, 1.0))),
+    ),
+    map=lambda x: (-0.5 * x[0], 0.5 * x[1]),
+)
+
+# As OVERFLOW, but at p = 2 and inf, where two terms of 1e308 do not
+# overflow, the first NaN margin comes in x-tuple 2, after finite margins,
+# and x-tuple 3 holds NaN margins too.
+LATE_OVERFLOW = CyclicSystem(
+    space=LqSpace(1, 1),
+    regions=(
+        FiniteCloud(((0.0,), (1e308,), (1.0,))),
+        FiniteCloud(((0.0,), (-1.0,), (-1e308,))),
+    ),
+    map=_flip,
+)
+
+BLOCK_SYSTEMS = {
+    "mirror": MIRROR,
+    "late-overflow": LATE_OVERFLOW,
+    "overflow": OVERFLOW,
+    "artifacts": FINITE_CLOUD_SYSTEMS["artifacts"],
+    "family": make_paper_lq_family(m=2, alpha=0.5, q=2, N=3).system,
+}
+
+
+def test_block_systems_place_a_tie_and_the_first_nan_at_x_tuple_boundaries():
+    for phi, p in itertools.product(PHIS, (1, 2, "inf")):
+        rows = _margins_by_x_tuple(MIRROR, phi, p)
+        least = min(min(row) for row in rows)
+        assert [row.index(least) if least in row else None for row in rows[:3]] == [None, 5, 2]
+        if p != 1:
+            rows = _margins_by_x_tuple(LATE_OVERFLOW, phi, p)
+            assert [any(map(math.isnan, row)) for row in rows[:4]] == [False, False, True, True]
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_SYSTEMS))
+def test_exhaustive_blocks_of_any_size_match_brute_force(name, monkeypatch):
+    # A block is max(1, EXHAUSTIVE_BLOCK // width) whole x-tuples, width
+    # being the count of usable tuples. Every block size from one x-tuple to
+    # all of them puts a boundary after every x-tuple, so it splits the
+    # least margin, a tie and the first NaN margin from their neighbours,
+    # and most sizes do not divide the x-tuple count. A block size below
+    # the width reads one x-tuple per block.
+    system = BLOCK_SYSTEMS[name]
+    width = len(_usable_tuples(system))
+    for block in (1, width - 1, *(g * width for g in range(1, width + 2))):
+        monkeypatch.setattr(system_module, "EXHAUSTIVE_BLOCK", block)
+        _assert_matches_brute_force(system, PHIS, (1, 2, "inf"))
+
+
+@pytest.mark.parametrize("q", [1, "inf"])
+def test_exhaustive_blocks_of_the_default_size_match_brute_force(q):
+    # 42 usable tuples: blocks of 1024 // 42 = 24 x-tuples, then 18.
+    system = make_paper_lq_family(m=2, alpha=0.45, q=q, N=6).system
+    n = len(_usable_tuples(system))
+    step = system_module.EXHAUSTIVE_BLOCK // n
+    assert n == 42 and step > 1 and n % step
+    _assert_matches_brute_force(system, PHIS, (1, 2.5, "inf"))
 
 
 # The map throws the two clouds 2e308 apart, so every lhs is inf while every
