@@ -381,7 +381,10 @@ def trace_rows(trace: OrbitTrace, p: object) -> list[tuple[float, ...]]:
     drifts are the trace's stride-1 and stride-m columns (``_gaps``), so
     each distance is computed once, with every argument order kept, also
     when a solver has read the same columns of the same walk; only the wrap
-    terms are measured here. The points are trusted as validated, as
+    terms are measured here. With m = 2 the wrap d(x_{2n+1}, x_{2n}) is
+    s_{2n} read backwards, so where the space's ``_gap_bound`` holds, which
+    vouches for a symmetric kernel, it is taken from the step column and
+    nothing is measured. The points are trusted as validated, as
     ``picard_orbit`` leaves them. The columns are strided slices, and the
     rows are their ``zip``. The chain column is the exponent's
     ``_combine_columns`` over the m - 1 step slices and the wrap terms, the
@@ -394,8 +397,11 @@ def trace_rows(trace: OrbitTrace, p: object) -> list[tuple[float, ...]]:
     if count < 1:
         raise ValueError("trace too short for a trace row")
     span = m * count
-    steps, drifts = trace._gaps(1), trace._gaps(m)
-    wraps = list(map(trace.system.space._distance, points[m - 1 : span : m], points[0:span:m]))
+    steps, drifts, space = trace._gaps(1), trace._gaps(m), trace.system.space
+    if m == 2 and space._gap_bound:
+        wraps = steps[0:span:2]
+    else:
+        wraps = list(map(space._distance, points[m - 1 : span : m], points[0:span:m]))
     chains = combine_columns([*(steps[i:span:m] for i in range(m - 1)), wraps])
     return list(
         zip(chains, *(steps[i:span:m] for i in range(m)), *(drifts[i:span:m] for i in range(m)))

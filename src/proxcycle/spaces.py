@@ -385,7 +385,8 @@ class Space:
     dimension: int
     # Whether ``_distance(a, b) >= abs(a[0] - b[0])`` holds for all points,
     # so that a first-coordinate gap above a tolerance decides, with no
-    # distance call, that the distance is above it too.
+    # distance call, that the distance is above it too, and whether
+    # ``_distance(a, b)`` is ``_distance(b, a)`` bit for bit.
     _gap_bound = False
 
     def point(self, v: Sequence[float], what: str = "point") -> Point:
@@ -550,8 +551,11 @@ class LqSpace(_Record, Space):
         terms, which cannot fall below a term; the plane, three-coordinate
         and fused power kernels multiply the peak gap by a power sum raised
         to 1/q whose peak term is 1.0 exactly, so by a factor of at least 1.
-        A kernel put in its place, by a subclass or otherwise, is not
-        vouched for."""
+        Each is also symmetric bit for bit: it reads its points only through
+        ``a == b`` and the gaps ``abs(a_i - b_i)``, and ``a_i - b_i`` is
+        ``-(b_i - a_i)`` exactly, so ``_distance(a, b)`` is
+        ``_distance(b, a)``. A kernel put in its place, by a subclass or
+        otherwise, is not vouched for."""
         kernel = self._distance
         return getattr(kernel, "func", kernel) in _GAP_KERNELS
 

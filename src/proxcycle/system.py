@@ -13,8 +13,8 @@ import itertools
 import math
 import random
 from bisect import bisect_right
-from itertools import repeat
-from operator import add, itemgetter, mul, sub, truediv
+from itertools import compress, repeat, starmap
+from operator import add, itemgetter, mul, not_, sub, truediv
 from typing import Callable, Sequence
 
 from .chains import _chain_distance, _check_chains, _edge_distances, _shifted_pairs
@@ -201,8 +201,9 @@ _TWOPI = 2.0 * math.pi  # random.TWOPI
 
 def _as_returned(zs: Sequence[float]) -> list[float]:
     """What ``rng.gauss(0.0, 1.0)`` returns for each raw value z it drew or
-    kept: ``0.0 + z * 1.0``, which makes -0.0 0.0."""
-    return list(map(add, repeat(0.0), map(mul, zs, repeat(1.0))))
+    kept: ``0.0 + z * 1.0``, which makes -0.0 0.0. ``z * 1.0`` is z bit for
+    bit, so one addition does it."""
+    return list(map(add, repeat(0.0), zs))
 
 
 class _ColumnDraw:
@@ -284,7 +285,7 @@ class _ColumnDraw:
         half, odd = divmod(rounds, 2)
         lengths = (half + odd, half)  # samples of the plan's first and second round
         rand = rng.random
-        u = [rand() for _ in range(half * width + odd * first)]
+        u = list(starmap(rand, repeat((), half * width + odd * first)))
         column = [u[j::width] for j in range(width)]
 
         # Pair k of gauss: z = cos(x2pi) * g2rad is returned at once and
@@ -647,7 +648,10 @@ class CyclicSystem(_Record):
     def _is_artifact(self, pt: Point, tol: float = 1e-12) -> bool:
         """``is_artifact`` for a point already validated for this space."""
         dist = self.space._distance
-        return any(pt == a or dist(pt, a) <= tol for a in self.artifact_points)
+        for a in self.artifact_points:
+            if pt == a or dist(pt, a) <= tol:
+                return True
+        return False
 
     @property
     def edge_distances(self) -> tuple[float, ...]:
@@ -685,36 +689,49 @@ def verify_cyclicity(
     """Check map(A_i) within A_{i+1}; exhaustive on enumerable regions.
 
     ``samples_per_region`` is read by ``COUNT`` and ``tol`` by
-    ``POSITIVE``. Each drawn sample is read once by ``space.point``; cloud
-    points were validated when their cloud was built. Both are then
-    trusted: flagged by ``_is_artifact``, mapped by ``_image`` and tested
-    by the target's ``_contains``, one sample at a time in draw order.
+    ``POSITIVE``. A region's samples are taken as a block: cloud points,
+    validated when their cloud was built, or the drawn samples, read in one
+    ``Space._as_read`` pass or, when one is not read as it is, one by one
+    by ``Space.point`` (``_read_points``). The block is then flagged by
+    ``_is_artifact`` when the system has artifact points, mapped by
+    ``CyclicSystem._images`` and tested by the target's ``_contains``. A
+    sample that fails to read ends the check where a per-sample loop ended:
+    the samples before it are flagged, mapped and tested first, so an error
+    of theirs (a ``MapError``, say) comes first, and then its own error is
+    raised.
+
+    The block flags all its samples before it maps any, and maps all before
+    it tests any, so an exception from a caller-supplied oracle in a later
+    sample's artifact flag can come before an earlier sample's
+    ``MapError``, and a later sample's ``MapError`` before an oracle's
+    exception in an earlier sample's ``_contains``.
     """
     samples_per_region = COUNT.check("samples_per_region", samples_per_region)
     tol = POSITIVE.check("tol", tol)
-    rng = random.Random(seed)
-    violations = []
-    artifacts = []
-    checked = 0
+    space, rng = system.space, random.Random(seed)
+    violations, artifacts, checked = [], [], 0
     for i, region in enumerate(system.regions):
-        target = system.regions[(i + 1) % system.m]
+        contains = system.regions[(i + 1) % system.m]._contains
+        failure = None
         if _enumerable(region):
-            candidates = region.points
+            xs = region.points
         else:
             columns = _column_draw((region,))
             if columns is None:
-                drawn = [region.sample(rng) for _ in range(samples_per_region)]
+                xs = [region.sample(rng) for _ in range(samples_per_region)]
             else:
-                drawn = columns.draw(rng, samples_per_region)
-            candidates = map(system.space.point, drawn)
-        for x in candidates:
-            if system._is_artifact(x):
-                artifacts.append((i, x))
-                continue
-            y = system._image(x)
-            checked += 1
-            if not target._contains(y, system.space, tol):
-                violations.append((i, x, y))
+                xs = columns.draw(rng, samples_per_region)
+            if not space._as_read(xs):
+                xs, failure = _read_points(space, xs, None)
+        if system.artifact_points:
+            flags = list(map(system._is_artifact, xs))
+            artifacts += [(i, x) for x in compress(xs, flags)]
+            xs = list(compress(xs, map(not_, flags)))
+        ys = system._images(xs)
+        checked += len(xs)
+        violations += [(i, x, y) for x, y in zip(xs, ys) if not contains(y, space, tol)]
+        if failure is not None:
+            raise failure
     return CyclicityReport(not violations, tuple(violations), tuple(artifacts), checked)
 
 

@@ -17,6 +17,7 @@ from proxcycle.spaces import (
     Exponent,
     LqSpace,
     OracleSpace,
+    _GAP_KERNELS,
     _power_gap,
     _space_gap,
     as_exponent,
@@ -612,6 +613,44 @@ def test_every_kernel_is_at_least_the_first_coordinate_gap(q, dimension, data):
     for pa, pb in pairs:
         gap = abs(pa[0] - pb[0])
         assert space._distance(pa, pb) >= gap and space._distance(pb, pa) >= gap, (pa, pb)
+
+
+# A (q, dimension) at which LqSpace binds each kernel it chooses.
+_KERNEL_AT = {
+    "_line_gap": (2.0, 1),
+    "_max_gap": (math.inf, 3),
+    "_combined_gaps": (1.0, 3),
+    "_plane_gap": (2.0, 2),
+    "_space_gap": (3.0, 3),
+    "_power_gap": (1.5, 7),
+}
+
+
+@pytest.mark.parametrize("kernel", _GAP_KERNELS, ids=lambda k: k.__name__)
+@given(data=st.data())
+@example(data=None)
+@settings(max_examples=100, deadline=None)
+def test_every_gap_bound_kernel_is_symmetric_bit_for_bit(kernel, data):
+    # trace_rows takes a two-region trace's wrap d(x_{2n+1}, x_{2n}) from
+    # the step d(x_{2n}, x_{2n+1}) where the space vouches for the gap
+    # bound, so each kernel must give the same bits in both argument
+    # orders: on signed zeros, subnormal gaps and gaps that overflow to inf.
+    q, dimension = _KERNEL_AT[kernel.__name__]
+    space = LqSpace(as_exponent(q), dimension)
+    assert getattr(space._distance, "func", space._distance) is kernel
+    big, tiny, rest = sys.float_info.max, 5e-324, dimension - 1
+    if data is None:
+        pairs = [
+            ((big, *[-big] * rest), (-big, *[big] * rest)),
+            ((0.0, *[-0.0] * rest), (-0.0, *[0.0] * rest)),
+            ((tiny, *[-tiny] * rest), (-0.0, *[2.2250738585072014e-308] * rest)),
+            ((1.0, *[big] * rest), (-big, *[-1e-300] * rest)),
+        ]
+    else:
+        points = st.lists(kernel_coords, min_size=dimension, max_size=dimension).map(tuple)
+        pairs = [(data.draw(points), data.draw(points))]
+    for pa, pb in pairs:
+        assert same_bits(space._distance(pa, pb), space._distance(pb, pa)), (pa, pb)
 
 
 def test_only_the_kernels_lq_space_chooses_vouch_for_the_gap_bound():

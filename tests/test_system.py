@@ -47,6 +47,7 @@ from proxcycle.system import (
     MapError,
     Region,
     TabulatedPhi,
+    _as_returned,
     _column_draw,
     alpha_bound_check,
     contraction_margin,
@@ -1190,6 +1191,46 @@ def test_column_draw_returns_zero_gauss_values_as_gauss_does():
     _assert_draws_as_samples((ball,), 3, lambda: _zero_at(4, 2), 0)
 
 
+def test_gauss_values_are_returned_as_gauss_returns_them():
+    # gauss(0.0, 1.0) returns 0.0 + z * 1.0; z * 1.0 is z bit for bit, so
+    # the drawer's single addition gives the same bits.
+    rng = random.Random(11)
+    zs = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e308, -1e308]
+    zs += [rng.gauss(0.0, 1.0) for _ in range(200)]
+    assert [z.hex() for z in _as_returned(zs)] == [(0.0 + z * 1.0).hex() for z in zs]
+
+
+class _Counted(random.Random):
+    """``random.Random`` that records the value of each ``random()`` call."""
+
+    def random(self):
+        x = super().random()
+        self.calls.append(x)
+        return x
+
+
+def _counted(seed):
+    rng = _Counted(seed)
+    rng.calls = []
+    return rng
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_SYSTEMS))
+@pytest.mark.parametrize("rounds", [1, 2, 7, 2 * B])
+@pytest.mark.parametrize("waiting", [0, 1])
+def test_column_draw_makes_the_per_sample_random_calls_in_order(name, rounds, waiting):
+    regions = SAMPLED_SYSTEMS[name].regions
+    draw, ref = _counted(5), _counted(5)
+    for rng in (draw, ref):
+        for _ in range(waiting):
+            rng.gauss(0.0, 1.0)
+    got = _column_draw(regions).draw(draw, rounds)
+    want = [r.sample(ref) for _ in range(rounds) for r in regions]
+    assert _hexed(got) == _hexed(want)
+    assert len(draw.calls) == len(ref.calls) > 0
+    assert [x.hex() for x in draw.calls] == [x.hex() for x in ref.calls]
+
+
 def test_only_exact_boxes_and_balls_are_drawn_by_columns():
     kirk = SAMPLED_SYSTEMS["kirk"].regions
     assert _column_draw(kirk) is not None
@@ -1199,13 +1240,19 @@ def test_only_exact_boxes_and_balls_are_drawn_by_columns():
 
 
 def _cyclicity_reference(system, samples, seed):
-    """``verify_cyclicity`` from per-sample ``Region.sample`` draws, region by
-    region, and the public ``apply`` and ``contains``."""
+    """``verify_cyclicity`` one sample at a time: every point of a cloud, or
+    per-sample ``Region.sample`` draws, region by region, each flagged,
+    mapped and tested by the public ``is_artifact``, ``apply`` and
+    ``contains`` before the next is read."""
     rng = random.Random(seed)
     violations, artifacts, checked = [], [], 0
     for i, region in enumerate(system.regions):
         target = system.regions[(i + 1) % system.m]
-        for x in [region.sample(rng) for _ in range(samples)]:
+        if isinstance(region, FiniteCloud):
+            xs = region.points
+        else:
+            xs = [region.sample(rng) for _ in range(samples)]
+        for x in xs:
             if system.is_artifact(x):
                 artifacts.append((i, x))
                 continue
@@ -1219,14 +1266,114 @@ def _cyclicity_reference(system, samples, seed):
 @pytest.mark.parametrize("name", sorted(SAMPLED_SYSTEMS))
 @pytest.mark.parametrize("samples", [1, 7, 200])
 def test_verify_cyclicity_matches_per_sample_reference(name, samples):
-    system = SAMPLED_SYSTEMS[name]
-    # The identity map violates cyclicity at every sample of disjoint regions,
-    # so the report lists the drawn points themselves.
-    stuck = CyclicSystem(space=system.space, regions=system.regions, map=lambda x: x)
-    for tested, seed in itertools.product((system, stuck), range(4)):
+    for seed in range(4):
+        _assert_cyclicity_as_reference(SAMPLED_SYSTEMS[name], samples, seed)
+
+
+def _assert_cyclicity_as_reference(system, samples, seed):
+    """The report on ``system`` and on its regions under the identity map,
+    which violates cyclicity at every sample of disjoint regions, so that
+    the report lists the drawn points themselves, equal the reference's;
+    returns the identity map's."""
+    stuck = CyclicSystem(
+        space=system.space, regions=system.regions, map=lambda x: x,
+        artifact_points=system.artifact_points,
+    )
+    for tested in (system, stuck):
         report = verify_cyclicity(tested, samples_per_region=samples, seed=seed)
         want = _cyclicity_reference(tested, samples, seed)
         assert report == want and repr(report) == repr(want)
+    return report
+
+
+@pytest.mark.parametrize("name", ["kirk", "pair", "mixed"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_verify_cyclicity_skips_drawn_artifact_points_as_the_reference_does(name, seed):
+    # Every third drawn sample of every region is made an artifact point.
+    system = SAMPLED_SYSTEMS[name]
+    rng = random.Random(seed)
+    drawn = [r.sample(rng) for r in system.regions for _ in range(30)]
+    marked = CyclicSystem(
+        space=system.space, regions=system.regions, map=system.map,
+        artifact_points=drawn[::3],
+    )
+    report = _assert_cyclicity_as_reference(marked, 30, seed)
+    assert len(report.artifacts) == len(drawn[::3]) and report.checked == len(drawn) - 10 * system.m
+
+
+@pytest.mark.parametrize("m,q,N", [(2, 2, 4), (3, "inf", 3), (4, 1, 2)])
+def test_verify_cyclicity_on_the_enumerable_family_is_the_reference(m, q, N):
+    system = make_paper_lq_family(m=m, alpha=0.5, q=q, N=N).system
+    report = _assert_cyclicity_as_reference(system, 5, 1)
+    assert report.artifacts  # the truncation stub, skipped
+
+
+class _Watched(Box):
+    """A box that records each point its membership test is given."""
+
+    __slots__ = ("seen",)
+
+    def __init__(self, lower, upper, seen):
+        super().__init__(lower, upper)
+        object.__setattr__(self, "seen", seen)
+
+    def _contains(self, x, space, tol):
+        self.seen.append(x)
+        return super()._contains(x, space, tol)
+
+
+def _scripted_cyclicity(draws, step, verify):
+    """The error ``verify`` raises on a system whose first region draws
+    ``draws`` and whose map is ``step``, with the points mapped and the
+    points tested by the second region."""
+    mapped, tested = [], []
+
+    def counted(x):
+        mapped.append(x)
+        return step(x)
+
+    system = CyclicSystem(
+        space=L2_1,
+        regions=(_Scripted(draws), _Watched((-1.0,), (0.0,), tested)),
+        map=counted,
+    )
+    with pytest.raises(Exception) as err:
+        verify(system, len(draws), 0)
+    return err.value, mapped, tested
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("j", [0, 1, 5, 9])
+def test_verify_cyclicity_maps_and_tests_the_samples_before_a_bad_read(bad, j):
+    # Samples before the j-th are flagged, mapped and tested, then the j-th
+    # sample's read error is raised, as one sample at a time did.
+    draws = [(0.1 * k,) for k in range(10)]
+    draws[j] = (bad,)
+    got, mapped, tested = _scripted_cyclicity(draws, lambda x: (-x[0],), verify_cyclicity)
+    want, ref_mapped, ref_tested = _scripted_cyclicity(
+        draws, lambda x: (-x[0],), _cyclicity_reference
+    )
+    assert type(got) is type(want) is ValueError and str(got) == str(want)
+    assert mapped == ref_mapped == draws[:j]
+    assert tested == ref_tested == [(-x[0],) for x in draws[:j]]
+
+
+@pytest.mark.parametrize("j", [1, 4, 9])
+def test_verify_cyclicity_raises_a_map_error_before_a_later_bad_read(j):
+    # The map fails at sample j - 1, before sample j fails to read: one
+    # sample at a time met the map failure first.
+    draws = [(0.1 * k,) for k in range(10)]
+    draws[j] = (math.nan,)
+
+    def step(x):
+        if x == draws[j - 1]:
+            raise RuntimeError("no image")
+        return (-x[0],)
+
+    got, _, _ = _scripted_cyclicity(draws, step, verify_cyclicity)
+    want, _, _ = _scripted_cyclicity(draws, step, _cyclicity_reference)
+    assert type(got) is type(want) is MapError and str(got) == str(want)
+    assert got.point == want.point == draws[j - 1] and got.step is want.step is None
 
 
 _METRIC_SAMPLES = [(0.0,), (1.0,), (3.0,)]
@@ -1265,28 +1412,51 @@ def test_internal_callers_read_validated_points_with_the_trusted_methods(monkeyp
     )
     kirk, strip = make_kirk_interval(0.5), make_affine_strip(0.5, 1.0)
     lq, pair = make_paper_lq_family(m=2, N=3), make_scaled_pair(0.4, 2.0, 3)
-    reads = []
-    read = Space.point
+    lists = CyclicSystem(
+        space=kirk.system.space,
+        regions=tuple(_ListBox(r.lower, r.upper) for r in kirk.system.regions),
+        map=kirk.system.map,
+    )
+    reads, blocks = [], []
+    read, as_read = Space.point, Space._as_read
 
     def counted(self, v, what="point"):
         reads.append(v)
         return read(self, v, what)
 
+    def counted_block(self, points):
+        blocks.append(list(points))
+        return as_read(self, points)
+
     def refused(*args, **kwargs):
         raise AssertionError("a public reader was handed a validated point")
 
     monkeypatch.setattr(Space, "point", counted)
+    monkeypatch.setattr(Space, "_as_read", counted_block)
     monkeypatch.setattr(Region, "contains", refused)
     monkeypatch.setattr(CyclicSystem, "apply", refused)
     monkeypatch.setattr(CyclicSystem, "is_artifact", refused)
 
-    # One read per drawn sample, none for cloud points.
+    # Each region's drawn samples are read once, by one block read, and its
+    # images by one more; cloud points are not read again.
     for system, samples in ((mixed, 7), (lq.system, 5), (pair.system, 6)):
         reads.clear()
+        blocks.clear()
         verify_cyclicity(system, samples_per_region=samples, seed=3)
-        rng = random.Random(3)
-        sampled = [r for r in system.regions if not isinstance(r, FiniteCloud)]
-        assert reads == [r.sample(rng) for r in sampled for _ in range(samples)]
+        rng, want = random.Random(3), []
+        for region in system.regions:
+            if isinstance(region, FiniteCloud):
+                xs = region.points
+            else:
+                xs = [region.sample(rng) for _ in range(samples)]
+                want.append(xs)
+            want.append([system.map(x) for x in xs if not system._is_artifact(x)])
+        assert reads == [] and blocks == want
+    # Samples that are lists are not read as they are: one point read each.
+    reads.clear()
+    verify_cyclicity(lists, samples_per_region=6, seed=3)
+    rng = random.Random(3)
+    assert reads == [r.sample(rng) for r in lists.regions for _ in range(6)]
     reads.clear()
     assert attainment_gap(lq, 2) > 0.0 and reads == []
 
