@@ -151,17 +151,27 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def _write_trace_csv(path: Path, trace: orbit.OrbitTrace, p: Exponent) -> None:
-    """One row per block n; floats use shortest round-trip formatting."""
+    """One row per block n; floats use shortest round-trip formatting.
+
+    The rows from ``orbit._distinct_rows`` on repeat one row object, that of
+    a settled orbit: its text is formatted once and joined with their row
+    numbers in one pass.
+    """
     m = trace.m
     header = (
         ["n", "chain_dp"]
         + [f"edge_{i}" for i in range(1, m + 1)]
         + [f"block_drift_{i}" for i in range(1, m + 1)]
     )
+    rows = orbit.trace_rows(trace, p)
+    distinct = orbit._distinct_rows(trace)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for n, row in enumerate(orbit.trace_rows(trace, p)):
+        for n, row in enumerate(rows[:distinct]):
             fh.write(",".join([str(n), *map(repr, row)]) + "\n")
+        if distinct < len(rows):
+            text = ",".join(["", *map(repr, rows[-1])]) + "\n"
+            fh.write(text.join(map(str, range(distinct, len(rows)))) + text)
 
 
 def _finite_or_null(value):

@@ -33,18 +33,21 @@ mapped once.
 stride-m columns plus the wrap terms, so over a run's walk each distance of
 the prefix is measured once, by the solver or by the trace, whichever reads
 it first; ``chain_trace``, ``edge_trace`` and ``block_drift_trace`` are the
-public per-column references it matches bit for bit.
+public per-column references it matches bit for bit. Past the trace's
+settle index, where a converged orbit repeats with period m, the columns
+are filled from the last m measured entries and the rows repeat one row
+object, so the settled stretch is measured, and written, once.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import compress, count, cycle, islice, repeat
-from operator import is_not
+from operator import eq, is_not
 from typing import Iterator, Sequence
 
 from .chains import _chain_distance, chain_point_distance, chain_self_distance
-from .spaces import ALPHA, CYCLE_LENGTH, POSITIVE, Domain, Point, _point_repr, _Record, as_exponent
+from .spaces import ALPHA, COUNT, CYCLE_LENGTH, POSITIVE, Domain, Point, _point_repr, _Record, as_exponent
 from .system import MEMBERSHIP_TOL, CyclicSystem
 
 # Orbit steps per chunk of ``_chunks``: enough that the per-chunk validation
@@ -67,10 +70,16 @@ class OrbitTrace(_Record):
     the first time it is asked for and kept with the trace, outside its
     fields: the solvers' prefix scan and ``trace_rows`` read the same
     stride-1 and stride-m columns of a walk's trace.
+
+    ``_settled()`` is the settle index J, also kept: the first J with
+    x_j == x_{j-m} for every j >= J, where the space's ``_gap_bound`` holds,
+    and len(points) elsewhere. Those kernels give points that are ``==`` the
+    same distance bits, so past J every distance of the orbit is the one m
+    steps before it, and a column is measured only up to J.
     """
 
     _fields = ("system", "points", "membership_violations")
-    __slots__ = (*_fields, "_columns")
+    __slots__ = (*_fields, "_columns", "_settle_index")
 
     def __init__(
         self,
@@ -79,13 +88,34 @@ class OrbitTrace(_Record):
         membership_violations: tuple[tuple[int, Point], ...] = (),
     ) -> None:
         self._set(system, points, membership_violations)
-        object.__setattr__(self, "_columns", {})
+        self._derive(_columns={}, _settle_index=None)
+
+    def _settled(self) -> int:
+        """J: len(points) less the run of trailing points equal to the one m
+        before them. An orbit whose last point differs from the one m before
+        it costs one comparison; any other, one ``map(eq, ...)`` pass."""
+        j = self._settle_index
+        if j is None:
+            points, m = self.points, self.m
+            j = len(points)
+            if self.system.space._gap_bound and j > m and points[-1] == points[-1 - m]:
+                # The leading False stands for x_{m-1}, so J >= m.
+                repeats = [False, *map(eq, points, islice(points, m, None))]
+                repeats.reverse()
+                j -= repeats.index(False)
+            object.__setattr__(self, "_settle_index", j)
+        return j
 
     def _gaps(self, s: int) -> list[float]:
+        """The column d(x_j, x_{j+s}), measured for j < J and past J filled
+        by cycling d_{J-m}..d_{J-1}, the same float objects: bit for bit
+        what the kernel would return there."""
         gaps = self._columns.get(s)
         if gaps is None:
-            points = self.points
-            gaps = list(map(self.system.space._distance, points, points[s:]))
+            points, j, n = self.points, self._settled(), len(self.points) - s
+            gaps = list(map(self.system.space._distance, points[:j], points[s:]))
+            if j < n:
+                gaps += islice(cycle(gaps[j - self.m :]), n - j)
             self._columns[s] = gaps
         return gaps
 
@@ -94,9 +124,10 @@ class OrbitTrace(_Record):
         return self.system.m
 
     def block(self, n: int) -> tuple[Point, ...]:
-        """The n-th block (x_{mn}, ..., x_{mn+m-1})."""
+        """The n-th block (x_{mn}, ..., x_{mn+m-1}); n is read by ``_STEPS``."""
+        n = _STEPS.check("n", n)
         start = n * self.m
-        if n < 0 or start + self.m > len(self.points):
+        if start + self.m > len(self.points):
             raise ValueError(f"trace too short for block {n}")
         return self.points[start : start + self.m]
 
@@ -358,7 +389,7 @@ def edge_trace(trace: OrbitTrace, i: int) -> list[float]:
     ``dominant_edge``).
     """
     m = trace.m
-    if not 1 <= i <= m:
+    if not 1 <= COUNT.check("i", i) <= m:
         raise ValueError(f"edge index must be in 1..{m}")
     space = trace.system.space
     out = []
@@ -389,6 +420,11 @@ def trace_rows(trace: OrbitTrace, p: object) -> list[tuple[float, ...]]:
     rows are their ``zip``. The chain column is the exponent's
     ``_combine_columns`` over the m - 1 step slices and the wrap terms, the
     same bits as ``_combine`` of each row's terms in chain order.
+
+    Row n reads x_{mn}..x_{mn+2m-1} only, so from row ``_distinct_rows`` on,
+    where mn is at least the trace's settle index J, each row is the one
+    before it bit for bit: the rows up to there are built, and the last of
+    them is repeated as the same tuple object.
     """
     combine_columns = as_exponent(p)._combine_columns
     m = trace.m
@@ -396,16 +432,25 @@ def trace_rows(trace: OrbitTrace, p: object) -> list[tuple[float, ...]]:
     count = len(points) // m - 1
     if count < 1:
         raise ValueError("trace too short for a trace row")
-    span = m * count
+    distinct = min(count, _distinct_rows(trace))
+    span = m * distinct
     steps, drifts, space = trace._gaps(1), trace._gaps(m), trace.system.space
     if m == 2 and space._gap_bound:
         wraps = steps[0:span:2]
     else:
         wraps = list(map(space._distance, points[m - 1 : span : m], points[0:span:m]))
     chains = combine_columns([*(steps[i:span:m] for i in range(m - 1)), wraps])
-    return list(
+    rows = list(
         zip(chains, *(steps[i:span:m] for i in range(m)), *(drifts[i:span:m] for i in range(m)))
     )
+    rows += repeat(rows[-1], count - distinct)
+    return rows
+
+
+def _distinct_rows(trace: OrbitTrace) -> int:
+    """⌈J/m⌉: the first row of ``trace_rows`` that repeats the row before
+    it, if the trace has that many rows."""
+    return -(-trace._settled() // trace.m)
 
 
 def dominant_edge(system: CyclicSystem) -> int:
@@ -417,7 +462,7 @@ def dominant_edge(system: CyclicSystem) -> int:
 def block_drift_trace(trace: OrbitTrace, i: int) -> list[float]:
     """d(x_{mn+i-1}, x_{mn+m+i-1}): drift of the i-th interleaved subsequence."""
     m = trace.m
-    if not 1 <= i <= m:
+    if not 1 <= COUNT.check("i", i) <= m:
         raise ValueError(f"subsequence index must be in 1..{m}")
     if len(trace.points) < 2 * m + i:
         raise ValueError("trace too short for a drift trace")

@@ -385,8 +385,9 @@ class Space:
     dimension: int
     # Whether ``_distance(a, b) >= abs(a[0] - b[0])`` holds for all points,
     # so that a first-coordinate gap above a tolerance decides, with no
-    # distance call, that the distance is above it too, and whether
-    # ``_distance(a, b)`` is ``_distance(b, a)`` bit for bit.
+    # distance call, that the distance is above it too, whether
+    # ``_distance(a, b)`` is ``_distance(b, a)`` bit for bit, and whether
+    # points that are ``==`` give equal distance bits.
     _gap_bound = False
 
     def point(self, v: Sequence[float], what: str = "point") -> Point:
@@ -554,8 +555,11 @@ class LqSpace(_Record, Space):
         Each is also symmetric bit for bit: it reads its points only through
         ``a == b`` and the gaps ``abs(a_i - b_i)``, and ``a_i - b_i`` is
         ``-(b_i - a_i)`` exactly, so ``_distance(a, b)`` is
-        ``_distance(b, a)``. A kernel put in its place, by a subclass or
-        otherwise, is not vouched for."""
+        ``_distance(b, a)``. The orbit trace's settled stretch relies on
+        the same reading: points that are ``==`` have coordinates equal up
+        to the sign of zero, so the same ``==`` results and the same gaps,
+        and give the same distance bits. A kernel put in its place, by a
+        subclass or otherwise, is not vouched for."""
         kernel = self._distance
         return getattr(kernel, "func", kernel) in _GAP_KERNELS
 

@@ -643,7 +643,9 @@ class CyclicSystem(_Record):
         return list(map(read, pts, images))
 
     def is_artifact(self, x: Sequence[float], tol: float = 1e-12) -> bool:
-        return self._is_artifact(self.space.point(x), tol)
+        """Whether x is within ``tol`` of an artifact point; ``tol`` is read
+        by ``POSITIVE``."""
+        return self._is_artifact(self.space.point(x), POSITIVE.check("tol", tol))
 
     def _is_artifact(self, pt: Point, tol: float = 1e-12) -> bool:
         """``is_artifact`` for a point already validated for this space."""

@@ -15,6 +15,7 @@ from proxcycle.gallery import (
 )
 from proxcycle.orbit import (
     _CHUNK,
+    OrbitTrace,
     _record,
     apriori_error_bound,
     banach_solve,
@@ -97,6 +98,27 @@ def test_edge_trace_affine_strip():
         assert entries[-1] == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(ValueError):
         edge_trace(trace, 3)
+
+
+@pytest.mark.parametrize("bad", [1.0, True, "1", 0, -1, math.nan, None])
+def test_trace_indices_are_read_through_their_domains(bad):
+    # An index of the wrong type is a ValueError naming its parameter, not a
+    # TypeError from indexing or comparing, and True is not read as 1.
+    trace = picard_orbit(make_affine_strip(0.5, 1.0).system, (1.0, 0.0), 20)
+    for call, name in [
+        (lambda: edge_trace(trace, bad), "i"),
+        (lambda: block_drift_trace(trace, bad), "i"),
+        (lambda: trace.block(bad), "n"),
+        (lambda: cross_block_chain_distance(trace, bad, 0, 2), "n"),
+        (lambda: cross_block_chain_distance(trace, 0, bad, 2), "n"),
+    ]:
+        if bad == 0 and name == "n":
+            continue  # block 0 is the first block
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            call()
+    assert trace.block(0) == trace.points[:2] and edge_trace(trace, 2)
+    with pytest.raises(ValueError, match="trace too short for block 10"):
+        trace.block(10)
 
 
 def test_dominant_edge_is_any_max_edge_for_equal_edges():
@@ -1130,3 +1152,145 @@ def test_a_space_without_the_gap_bound_measures_every_checked_tail_drift(solver)
     assert len(space.calls) == len(oracle_calls)
     assert _fields_hex(results[1]) == _fields_hex(results[0])
     assert _fields_hex(results[2]) == _fields_hex(results[0])
+
+
+# --- settled orbits: rows and columns past the settle index -----------------
+
+
+def _line_system(step, m=2, space=None):
+    """Boxes [-4, 4] on the line under ``step``, in ``space`` (l^2 by
+    default); membership is only recorded, so any orbit can be traced."""
+    box = Box((-4.0,), (4.0,))
+    space = space or LqSpace(as_exponent(2), 1)
+    return CyclicSystem(space=space, regions=(box,) * m, map=step)
+
+
+def _swing(x):
+    # |x| falls by 0.25 a step to 0.5, the sign flipping: from -2.0 the orbit
+    # is 1.75, -1.5, 1.25, -1.0, 0.75, -0.5, 0.5, -0.5, ..., period 2 from
+    # x_5 on, and x_8 is the first point equal to the one 2 before it.
+    return (-math.copysign(max(abs(x[0]) - 0.25, 0.5), x[0]),)
+
+
+def _reference_columns(trace):
+    """The stride-1 and stride-m columns from the public per-column traces:
+    step j = mn + i - 1 is ``edge_trace(trace, i)[n]`` and drift j is
+    ``block_drift_trace(trace, i)[n]``."""
+    m, n = trace.m, len(trace.points)
+    edges = [edge_trace(trace, i) for i in range(1, m + 1)]
+    drifts = [block_drift_trace(trace, i) for i in range(1, m + 1)]
+    return {
+        1: [edges[j % m][j // m] for j in range(n - 1)],
+        m: [drifts[j % m][j // m] for j in range(n - m)],
+    }
+
+
+def _assert_settled_trace(tmp_path, trace, p, settle):
+    """``trace_rows``, both columns and the written ``trace.csv`` against
+    the per-column references by ``float.hex``, the settle index pinned,
+    and past it no new float or row object."""
+    m = trace.m
+    assert trace._settled() == settle
+    for s, column in _reference_columns(trace).items():
+        fresh = OrbitTrace(trace.system, trace.points)
+        gaps = fresh._gaps(s)
+        assert list(map(float.hex, gaps)) == list(map(float.hex, column))
+        assert all(gaps[j] is gaps[j - m] for j in range(settle, len(gaps)))
+    expected = _reference_rows(trace, p)
+    rows = trace_rows(trace, p)
+    assert [_hexed(row) for row in rows] == [_hexed(row) for row in expected]
+    distinct = -(-settle // m)
+    assert all(row is rows[distinct - 1] for row in rows[distinct:])
+    assert len(set(map(id, rows[:distinct]))) == min(distinct, len(rows))
+
+    path = tmp_path / "trace.csv"
+    _write_trace_csv(path, trace, as_exponent(p))
+    names = [f"edge_{i}" for i in range(1, m + 1)] + [f"block_drift_{i}" for i in range(1, m + 1)]
+    lines = [",".join(["n", "chain_dp", *names])]
+    lines += [",".join([str(n), *map(repr, row)]) for n, row in enumerate(expected)]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def _has_negative_zero(points):
+    return any(c == 0.0 and math.copysign(1.0, c) < 0 for x in points for c in x)
+
+
+@pytest.mark.parametrize("p", [1, 2, INFINITY])
+def test_settled_scaled_pair_rows_match_the_references(tmp_path, p):
+    # The orbit settles on the points (-1, 0, 0) and (1, -0.0, -0.0).
+    gs = make_scaled_pair(alpha=0.4, separation=2.0, dimension=3)
+    trace = picard_orbit(gs.system, gs.default_start, 2500)
+    assert _has_negative_zero(trace.points[73:])
+    _assert_settled_trace(tmp_path, trace, p, 73)
+
+
+def test_settled_kirk_interval_rows_match_the_references(tmp_path):
+    # After the orbit underflows, the map alternates -0.0 and 0.0.
+    gs = make_kirk_interval(0.5)
+    trace = picard_orbit(gs.system, gs.default_start, 2500)
+    assert {float.hex(x[0]) for x in trace.points[1077:]} == {"0x0.0p+0", "-0x0.0p+0"}
+    _assert_settled_trace(tmp_path, trace, 2, 1077)
+
+
+@pytest.mark.parametrize("m, N, settle", [(2, 2, 7), (3, 6, 23)])
+def test_settled_truncation_stub_rows_match_the_references(tmp_path, m, N, settle):
+    # The stub map returns the stub itself, the very object.
+    gs = make_paper_lq_family(m=m, N=N, q=2)
+    trace = picard_orbit(gs.system, gs.default_start, 40 * m)
+    assert trace.points[-1] is trace.points[settle - 1]
+    _assert_settled_trace(tmp_path, trace, 2, settle)
+
+
+def test_settled_fixed_point_rows_match_the_references(tmp_path):
+    # x_k = 1 - k/8 reaches the fixed point 0 at step 8, so x_10 is the
+    # first point equal to the one m = 2 before it.
+    trace = picard_orbit(_line_system(lambda x: (max(x[0] - 0.125, 0.0),)), (1.0,), 60)
+    _assert_settled_trace(tmp_path, trace, 2, 10)
+
+
+@pytest.mark.parametrize("n", range(8, 14))
+def test_settled_period_m_rows_match_the_references_at_every_cut(tmp_path, n):
+    # Period 2 but not 1. Rows from ceil(J / m) = 4 on repeat row 3: with
+    # 10 or 11 points there is none, only column entries past J; with 12 or
+    # 13 points the orbit settles only in its last row.
+    trace = picard_orbit(_line_system(_swing), (-2.0,), n)
+    _assert_settled_trace(tmp_path, trace, 2, 8)
+    assert len(trace_rows(trace, 2)) == {8: 3, 9: 4, 10: 4, 11: 5, 12: 5, 13: 6}[n]
+
+
+def test_an_orbit_of_period_2m_is_not_settled(tmp_path):
+    after = {1.0: -1.0, -1.0: 2.0, 2.0: -2.0, -2.0: 1.0}
+    trace = picard_orbit(_line_system(lambda x: (after[x[0]],)), (1.0,), 41)
+    assert trace.points[-1] == trace.points[-5] != trace.points[-3]
+    _assert_settled_trace(tmp_path, trace, 2, len(trace.points))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_a_last_point_equal_to_the_one_m_before_only_by_chance(tmp_path, m):
+    # Scripted points, not an orbit of any map: only the last point equals
+    # the one m before it, so J = len(points) - 1.
+    script = [(0.5,), (-0.5,), (0.25,), (-0.75,), (0.125,), (-0.375,), (0.0625,), (1.5,)]
+    points = (*script, script[-m])
+    trace = OrbitTrace(_line_system(_swing, m), points)
+    _assert_settled_trace(tmp_path, trace, 2, len(points) - 1)
+
+
+def test_spaces_without_the_gap_bound_measure_every_entry(tmp_path):
+    # The swing settles at J = 8, but neither a metric oracle nor an l^2
+    # space with a kernel of its own vouches for equal bits on equal
+    # points: each measures every step, every drift and every wrap term.
+    calls = []
+
+    def oracle(a, b):
+        calls.append(None)
+        return abs(a[0] - b[0])
+
+    bound = picard_orbit(_line_system(_swing), (-2.0,), 60)
+    counted = _CountedLq(as_exponent(2), 1)
+    for space, made in ((OracleSpace(oracle, 1), calls), (counted, counted.calls)):
+        trace = OrbitTrace(_line_system(_swing, space=space), bound.points)
+        assert trace._settled() == len(trace.points) == 61
+        rows = trace_rows(trace, 2)
+        assert len(made) == 60 + 59 + 29
+        assert [_hexed(row) for row in rows] == [_hexed(row) for row in trace_rows(bound, 2)]
+        assert len(set(map(id, rows))) == len(rows)

@@ -1555,6 +1555,17 @@ def test_is_artifact_reads_its_point_through_the_space():
         kirk.is_artifact("1")
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf, True, "1e-3", None])
+def test_is_artifact_reads_tol_through_its_domain(tol):
+    # NaN, -1 and 0 reduced the test to exact equality, and inf made every
+    # point an artifact.
+    system = make_paper_lq_family(m=2, N=2).system
+    family = system.regions[0].points
+    assert not system.is_artifact(family[0]) and system.is_artifact(system.artifact_points[0])
+    with pytest.raises(ValueError, match="^tol must be"):
+        system.is_artifact(family[0], tol=tol)
+
+
 def test_box_coerces_and_compares_its_bounds():
     seg = Box((-3.0, 2.0), (1.0, 2.0))
     same = Box([-3, 2], [1, 2])
