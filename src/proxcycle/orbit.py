@@ -497,7 +497,18 @@ def apriori_error_bound(alpha: float, m: int, k: int, initial_gap: float) -> flo
     gap = _GAP.check("initial_gap", initial_gap)
     if gap == math.inf:
         return math.inf
-    return a ** (m * k) * gap / (1.0 - a)
+    # m and k are ints as they are, past the float range too; a ** n is 0.0
+    # for every n >= 2 ** 64, since a <= 1 - 2 ** -53.
+    return a ** min(m * k, 2 ** 64) * gap / (1.0 - a)
+
+
+def _solver_inputs(system: CyclicSystem, tol: object, max_iter: object, p: object) -> tuple:
+    """A solver's ``tol`` read by ``POSITIVE``, ``max_iter`` by ``_STEPS``,
+    its exponent and the system's set chain distance, in this order."""
+    tol = POSITIVE.check("tol", tol)
+    max_iter = _STEPS.check("max_iter", max_iter)
+    exp = as_exponent(p)
+    return tol, max_iter, exp, system.set_chain_distance(exp)
 
 
 def banach_solve(
@@ -513,11 +524,8 @@ def banach_solve(
     bound on cross-block distances is ``apriori_error_bound`` with the
     initial gap ``cross_block_chain_distance(trace, 1, 0, p)``.
     """
-    tol = POSITIVE.check("tol", tol)
-    max_iter = _STEPS.check("max_iter", max_iter)
-    exp = as_exponent(p)
+    tol, max_iter, exp, set_distance = _solver_inputs(system, tol, max_iter, p)
     space = system.space
-    set_distance = system.set_chain_distance(exp)
     warnings = []
     if set_distance > tol:
         warnings.append(
@@ -557,12 +565,8 @@ def periodic_point_solve(
     them: at least one block is walked, so a ``max_iter`` below m still walks
     m steps and reports ``iterations = m``.
     """
-    tol = POSITIVE.check("tol", tol)
-    max_iter = _STEPS.check("max_iter", max_iter)
-    exp = as_exponent(p)
-    space = system.space
-    m = system.m
-    set_distance = system.set_chain_distance(exp)
+    tol, max_iter, exp, set_distance = _solver_inputs(system, tol, max_iter, p)
+    space, m = system.space, system.m
     walk = _orbit(system, x0, m - 1)
 
     warnings = []
@@ -632,12 +636,8 @@ def proximity_chain_extract(
     a truncation-artifact point, or out of the subsequence's region, is
     reported as non-convergence.
     """
-    tol = POSITIVE.check("tol", tol)
-    max_iter = _STEPS.check("max_iter", max_iter)
-    exp = as_exponent(p)
-    space = system.space
-    m = system.m
-    set_distance = system.set_chain_distance(exp)
+    tol, max_iter, exp, set_distance = _solver_inputs(system, tol, max_iter, p)
+    space, m = system.space, system.m
     # Every subsequence has settled at k when its last stride-m drift is
     # within tol: the last m drifts d(x_{j-m}, x_j), j = k-m+1..k, all with
     # j >= m.

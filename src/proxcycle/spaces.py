@@ -267,7 +267,8 @@ def check_point(v: Sequence[float]) -> Point:
 
     A point is a sequence of numbers: a str or bytes point, or a bool, str
     or bytes coordinate, is a ValueError, although ``float()`` reads them.
-    Ints and float subclasses become floats. A tuple of exact floats is
+    Ints and float subclasses become floats; a coordinate past the float
+    range, such as ``10**400``, is a ValueError. A tuple of exact floats is
     returned as it is, recognised by counting its coordinates of type
     float, with no per-coordinate type test and no copy. It is finite when
     the sum of its coordinates is: a non-finite coordinate makes the sum
@@ -282,7 +283,17 @@ def check_point(v: Sequence[float]) -> Point:
                 raise ValueError(
                     f"{type(c).__name__} coordinate {c!r} at index {i} in {_point_repr(v)}"
                 )
-        v = tuple(map(float, v))
+        try:
+            v = tuple(map(float, v))
+        except OverflowError as exc:
+            # A number past the float range, such as 10**400: named by its
+            # index and not its repr, which can itself fail for a huge int.
+            for i, c in enumerate(v):
+                try:
+                    float(c)
+                except OverflowError:
+                    break
+            raise ValueError(f"coordinate past the float range at index {i}: {exc}") from None
         if not v:
             raise ValueError("a point must have dimension >= 1")
     if math.isfinite(sum(v)) or all(map(math.isfinite, v)):

@@ -206,22 +206,35 @@ def _as_returned(zs: Sequence[float]) -> list[float]:
     return list(map(add, repeat(0.0), zs))
 
 
-class _ColumnDraw:
-    """Samples of regions that are each exactly a ``Box`` or a ``Ball``,
-    drawn a block at a time with the operations of their ``sample``.
+class _Draw:
+    """The one drawer of sampled regions: a block of samples of ``regions``,
+    read for ``space``, for ``verify_cyclicity`` and the sampled scan.
 
-    ``draw(rng, rounds)`` returns ``[r.sample(rng) for _ in range(rounds)
-    for r in regions]`` bit for bit and leaves ``rng`` in the same state,
-    for an ``rng`` whose ``uniform`` and ``gauss`` are ``random.Random``'s.
-    ``Region.sample`` stays the per-sample reference it matches.
+    ``draw(rng, rounds)`` returns the samples of ``rounds`` (at least 1)
+    rounds, each region's ``sample`` in turn, read by ``space.point``, and
+    the exception that cut the block short, or None. A round whose draw
+    raises is dropped and ends the block; the block is then read in one
+    ``Space._as_read`` pass, or, when a point is not read as it is, one by
+    one by ``space.point`` up to the first that fails, whose error then
+    ends the block there. So the samples before the first that fails to
+    draw or to read come back with that failure.
 
-    Every draw of the stream is a call of ``rng.random``: a Box takes one
-    per axis that is not degenerate (``uniform``), a Ball of dimension d
-    takes d ``gauss`` values and then one for its radius, and ``gauss``
-    takes a pair (an angle and a radius) for every second value, keeping
-    the other, raw, in ``rng.gauss_next``. Whether a value is kept there
-    comes back after two rounds, so a plan for each starting state fixes
-    where each draw of two rounds goes, and slot j of the plan is the
+    When every region is exactly a ``Box`` or a ``Ball``, the block is
+    drawn by columns, ``[r.sample(rng) for _ in range(rounds) for r in
+    regions]`` bit for bit, leaving ``rng`` in the same state, for an
+    ``rng`` whose ``uniform`` and ``gauss`` are ``random.Random``'s. Any
+    other region (a ``FiniteCloud``, whose ``randrange`` draws bits rather
+    than ``random()``, or a subclass with its own ``sample``) is drawn one
+    ``sample`` call at a time, and ``Region.sample`` stays the per-sample
+    reference the columns match.
+
+    Every draw of the column stream is a call of ``rng.random``: a Box
+    takes one per axis that is not degenerate (``uniform``), a Ball of
+    dimension d takes d ``gauss`` values and then one for its radius, and
+    ``gauss`` takes a pair (an angle and a radius) for every second value,
+    keeping the other, raw, in ``rng.gauss_next``. Whether a value is kept
+    there comes back after two rounds, so a plan for each starting state
+    fixes where each draw of two rounds goes, and slot j of the plan is the
     column ``u[j::width]`` of the block's draws. The gauss values, norms,
     scales and coordinates are then built column by column with ``map``,
     and the points assembled in draw order.
@@ -231,11 +244,12 @@ class _ColumnDraw:
     again, sample by sample, from the state it started in.
     """
 
-    __slots__ = ("regions", "_plans")
+    __slots__ = ("space", "regions", "_plans")
 
-    def __init__(self, regions: Sequence[Region]) -> None:
-        self.regions = tuple(regions)
-        self._plans = (self._plan(False), self._plan(True))
+    def __init__(self, space: Space, regions: Sequence[Region]) -> None:
+        self.space, self.regions = space, tuple(regions)
+        columns = all(type(r) in (Box, Ball) for r in self.regions)
+        self._plans = (self._plan(False), self._plan(True)) if columns else None
 
     def _plan(self, kept: bool) -> tuple:
         """Two rounds of draws from a state with (``kept``) or without a
@@ -276,8 +290,33 @@ class _ColumnDraw:
             widths.append(slots)
         return widths, pairs, recipes, ends
 
-    def draw(self, rng: random.Random, rounds: int) -> list[Point]:
-        """``rounds`` (at least 1) samples of every region in turn."""
+    def draw(self, rng: random.Random, rounds: int) -> tuple[list[Point], Exception | None]:
+        """``rounds`` samples of every region in turn, read, with the
+        failure that ended them early, or None."""
+        points = None if self._plans is None else self._columns(rng, rounds)
+        failure = None
+        if points is None:  # drawn one sample call at a time
+            points = []
+            try:
+                for _ in range(rounds):
+                    points += [r.sample(rng) for r in self.regions]
+            except Exception as exc:  # raised after the rounds drawn before it
+                failure = exc
+        space = self.space
+        if space._as_read(points):
+            return points, failure
+        read = []
+        for pt in points:
+            try:
+                read.append(space.point(pt))
+            except Exception as exc:  # raised after the samples read before it
+                return read, exc
+        return read, failure
+
+    def _columns(self, rng: random.Random, rounds: int) -> list[Point] | None:
+        """The rounds drawn by columns, or None, with ``rng`` set back to
+        the state the block started in, when a Ball direction has norm
+        zero."""
         regions = self.regions
         kept = rng.gauss_next
         (first, width), pairs, recipes, ends = self._plans[kept is not None]
@@ -324,7 +363,7 @@ class _ColumnDraw:
                     norms = list(map(math.sqrt, map(math.fsum, squares)))
                     if 0.0 in norms:
                         rng.setstate(state)
-                        return [r.sample(rng) for _ in range(rounds) for r in regions]
+                        return None
                     root = 1.0 / len(direction)
                     radii = map(mul, repeat(region.radius), map(pow, column[j], repeat(root)))
                     scales = list(map(truediv, radii, norms))
@@ -341,16 +380,6 @@ class _ColumnDraw:
         if odd:
             points += [samples[-1] for samples in groups[0]]
         return points
-
-
-def _column_draw(regions: Sequence[Region]) -> _ColumnDraw | None:
-    """The column drawer of ``regions`` if each is exactly a ``Box`` or a
-    ``Ball``; any other region (a ``FiniteCloud``, whose ``randrange`` draws
-    bits rather than ``random()``, or a subclass with its own ``sample``)
-    is drawn sample by sample."""
-    if all(type(r) in (Box, Ball) for r in regions):
-        return _ColumnDraw(regions)
-    return None
 
 
 def _require_l2(space: Space, what: str) -> None:
@@ -601,7 +630,7 @@ class CyclicSystem(_Record):
             ) from exc
         try:
             out = check_point(image)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:
             raise MapError(
                 f"map returned an invalid point at {_point_repr(pt)}: {exc}", point=pt, step=step
             ) from exc
@@ -636,7 +665,7 @@ class CyclicSystem(_Record):
         def read(pt: Point, image: object) -> Point:
             try:
                 out = check_point(image)
-            except (TypeError, ValueError, OverflowError):
+            except (TypeError, ValueError):
                 return self._image(pt)
             return out if len(out) == dim else self._image(pt)
 
@@ -692,15 +721,14 @@ def verify_cyclicity(
 
     ``samples_per_region`` is read by ``COUNT`` and ``tol`` by
     ``POSITIVE``. A region's samples are taken as a block: cloud points,
-    validated when their cloud was built, or the drawn samples, read in one
-    ``Space._as_read`` pass or, when one is not read as it is, one by one
-    by ``Space.point`` (``_read_points``). The block is then flagged by
-    ``_is_artifact`` when the system has artifact points, mapped by
-    ``CyclicSystem._images`` and tested by the target's ``_contains``. A
-    sample that fails to read ends the check where a per-sample loop ended:
-    the samples before it are flagged, mapped and tested first, so an error
-    of theirs (a ``MapError``, say) comes first, and then its own error is
-    raised.
+    validated when their cloud was built, or ``samples_per_region`` samples
+    drawn and read by one ``_Draw`` call, the drawer of the sampled scan.
+    The block is then flagged by ``_is_artifact`` when the system has
+    artifact points, mapped by ``CyclicSystem._images`` and tested by the
+    target's ``_contains``. A sample that fails to draw or to read ends the
+    check where a per-sample loop ended: the samples before it are flagged,
+    mapped and tested first, so an error of theirs (a ``MapError``, say)
+    comes first, and then its own error is raised.
 
     The block flags all its samples before it maps any, and maps all before
     it tests any, so an exception from a caller-supplied oracle in a later
@@ -714,17 +742,10 @@ def verify_cyclicity(
     violations, artifacts, checked = [], [], 0
     for i, region in enumerate(system.regions):
         contains = system.regions[(i + 1) % system.m]._contains
-        failure = None
         if _enumerable(region):
-            xs = region.points
+            xs, failure = region.points, None
         else:
-            columns = _column_draw((region,))
-            if columns is None:
-                xs = [region.sample(rng) for _ in range(samples_per_region)]
-            else:
-                xs = columns.draw(rng, samples_per_region)
-            if not space._as_read(xs):
-                xs, failure = _read_points(space, xs, None)
+            xs, failure = _Draw(space, (region,)).draw(rng, samples_per_region)
         if system.artifact_points:
             flags = list(map(system._is_artifact, xs))
             artifacts += [(i, x) for x in compress(xs, flags)]
@@ -863,53 +884,24 @@ def _scan_sampled(
 ) -> _Scan:
     """``tuple_samples`` seeded tuple pairs, ``SAMPLE_BLOCK`` pairs at a time.
 
-    A block's pairs are drawn as one pair at a time would draw them: xs,
-    then ys, region by region, pair by pair, by ``_ColumnDraw`` when every
-    region is exactly a ``Box`` or a ``Ball``, else by one
-    ``Region.sample`` call per point. Its points are read in one pass
-    (``Space._as_read``), or, when one is not read as it is, one by one by
-    ``Space.point``. A sample that fails to draw or to read ends the scan
-    where the pair-at-a-time scan ended: the block's pairs before it are
-    evaluated first, so an error of theirs (a map failure, say) comes first,
-    and then its own error is raised. ``_sampled_block`` evaluates the pairs.
+    A block's pairs are drawn and read by one ``_Draw`` call, as one pair
+    at a time would draw them: xs, then ys, region by region, pair by pair.
+    A sample that fails to draw or to read ends the scan where the
+    pair-at-a-time scan ended: the block's whole pairs before it are
+    evaluated first, so an error of theirs (a map failure, say) comes
+    first, and then its own error is raised. ``_sampled_block`` evaluates
+    the pairs.
     """
     rng = random.Random(seed)
-    space, regions = system.space, system.regions
     width = 2 * system.m  # points per pair: the x-chain, then the y-chain
     scan = _Scan(phi_set)
-    columns = _column_draw(regions)
+    draw = _Draw(system.space, system.regions).draw
     for start in range(0, tuple_samples, SAMPLE_BLOCK):
-        rounds = 2 * min(SAMPLE_BLOCK, tuple_samples - start)
-        points: list = []
-        failure = None
-        try:
-            if columns is not None:
-                points = columns.draw(rng, rounds)
-            else:
-                for _ in range(rounds):
-                    points += [r.sample(rng) for r in regions]
-        except Exception as exc:  # raised after the pairs drawn before it
-            failure = exc
-        if not space._as_read(points):
-            points, failure = _read_points(space, points, failure)
+        points, failure = draw(rng, 2 * min(SAMPLE_BLOCK, tuple_samples - start))
         _sampled_block(system, phi, exp, scan, points[: len(points) - len(points) % width])
         if failure is not None:
             raise failure
     return scan
-
-
-def _read_points(
-    space: Space, points: list, failure: Exception | None
-) -> tuple[list[Point], Exception | None]:
-    """``points`` read one by one by ``space.point`` up to the first that
-    fails, with that point's error, else with ``failure``."""
-    read = []
-    for pt in points:
-        try:
-            read.append(space.point(pt))
-        except Exception as exc:  # raised after the pairs read before it
-            return read, exc
-    return read, failure
 
 
 def _sampled_block(
@@ -972,8 +964,10 @@ def _scan_exhaustive(system: CyclicSystem, phi: Phi, exp: Exponent, phi_set: flo
     pairs at a time.
 
     Term i of both chain distances depends only on the edge pair
-    (x_i, y_{i+1}), so each point is flagged and mapped once and each edge
-    distance is computed once. Term i of one x-tuple against every y-tuple
+    (x_i, y_{i+1}), so each point is flagged once, the usable points are
+    mapped once, in the order the enumeration first reaches them, by the
+    block stepper ``CyclicSystem._images``, and each edge distance is
+    computed once. Term i of one x-tuple against every y-tuple
     is a column read from the x-tuple's row of edge table i by one
     ``itemgetter`` over the shifted y-indices; each row's column is read
     once per scan. A block is ``max(1, EXHAUSTIVE_BLOCK // width)``
@@ -1000,10 +994,8 @@ def _scan_exhaustive(system: CyclicSystem, phi: Phi, exp: Exponent, phi_set: flo
     # it: the first tuple, then the later points of the last region, of the
     # one before it, and so on, as product() varies them.
     order = [pts[0] for pts in usable] + [x for pts in reversed(usable) for x in pts[1:]]
-    image: dict[Point, Point] = {}
-    for x in order:
-        if x not in image:
-            image[x] = system._image(x)
+    order = list(dict.fromkeys(order))
+    image = dict(zip(order, system._images(order)))
 
     index_tuples = list(itertools.product(*(range(len(pts)) for pts in usable)))
     width = len(index_tuples)
@@ -1106,5 +1098,7 @@ def alpha_bound_check(alpha: float, m: int, p: object) -> AlphaBoundResult:
     m = CYCLE_LENGTH.check("m", m)
     exp = as_exponent(p)
     threshold = 1.0 if exp.is_inf else 2.0 ** (-1.0 / exp.value)
-    value = a ** m
+    # m is an int as it is, past the float range too; a ** m is 0.0 for
+    # every m >= 2 ** 64, since a <= 1 - 2 ** -53.
+    value = a ** min(m, 2 ** 64)
     return AlphaBoundResult(value < threshold, threshold, value)

@@ -192,6 +192,16 @@ def test_apriori_error_bound_takes_an_infinite_gap_and_int_arguments():
     assert apriori_error_bound(0.5, 3, 2, 4) == 0.5 ** 6 * 4 / 0.5
 
 
+def test_apriori_error_bound_takes_exponents_past_the_float_range():
+    # m and k are ints as their domains take them; alpha^(mk) is 0.0 there,
+    # and an infinite gap stays infinite.
+    for alpha in (0.5, 1 - 2 ** -53):
+        for m, k in ((2, 10 ** 400), (10 ** 400, 1), (2, 2 ** 63)):
+            assert apriori_error_bound(alpha, m, k, 1.0) == 0.0
+            assert apriori_error_bound(alpha, m, k, math.inf) == math.inf
+    assert apriori_error_bound(0.5, 2, 2 ** 63 - 1, 1.0) == 0.0
+
+
 STEP_RUNS = {
     "picard n": lambda system, value: picard_orbit(system, (-1.0,), value),
     "banach max_iter": lambda system, value: banach_solve(system, (-1.0,), max_iter=value),

@@ -48,7 +48,7 @@ from proxcycle.system import (
     Region,
     TabulatedPhi,
     _as_returned,
-    _column_draw,
+    _Draw,
     alpha_bound_check,
     contraction_margin,
     region_distance,
@@ -893,6 +893,53 @@ def test_exhaustive_certificate_raises_map_error_with_point():
     assert err.value.point == bad
 
 
+def _first_reached(system):
+    """The usable points of an enumerable system in the order the pair
+    enumeration first reaches them, each once."""
+    usable = [[x for x in r.points if not system.is_artifact(x)] for r in system.regions]
+    tuples = list(itertools.product(*usable))
+    pairs = itertools.product(tuples, tuples)
+    return list(dict.fromkeys(pt for xs, ys in pairs for pt in xs + ys))
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 2)])
+def test_exhaustive_scan_maps_each_usable_point_once_in_first_reach_order(m, n):
+    family = make_paper_lq_family(m=m, alpha=0.5, q=2, N=n).system
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return family.map(x)
+
+    system = CyclicSystem(
+        space=family.space, regions=family.regions, map=counted,
+        artifact_points=family.artifact_points,
+    )
+    cert = verify_contraction(system, LinearPhi(0.4), 2)
+    assert cert.exhaustive and cert == verify_contraction(family, LinearPhi(0.4), 2)
+    order = _first_reached(family)
+    assert calls == order and len(set(order)) == len(order)
+    assert not any(map(family.is_artifact, calls))
+    # Two failing points: the one reached first is raised, with no step,
+    # although the other comes first region by region.
+    early = order[m]  # the second point of the last region
+    late = next(x for x in family.regions[0].points[1:] if x in order)
+    assert order.index(early) < order.index(late)
+
+    def failing(x):
+        if x in (early, late):
+            raise RuntimeError("no image")
+        return family.map(x)
+
+    failing_system = CyclicSystem(
+        space=family.space, regions=family.regions, map=failing,
+        artifact_points=family.artifact_points,
+    )
+    with pytest.raises(MapError) as err:
+        verify_contraction(failing_system, LinearPhi(0.4), 2)
+    assert err.value.point == early and err.value.step is None
+
+
 # --- alpha bound --------------------------------------------------------------
 
 
@@ -907,6 +954,15 @@ def test_alpha_bound_examples():
     for m in (2.5, 2.0, True, "2", None):
         with pytest.raises(ValueError, match="^m must be "):
             alpha_bound_check(0.5, m, 1)
+
+
+def test_alpha_bound_takes_a_cycle_length_past_the_float_range():
+    # CYCLE_LENGTH takes the int as it is, and alpha^m is 0.0 there.
+    for alpha in (0.5, 1 - 2 ** -53):
+        for m in (2 ** 64, 10 ** 400):
+            result = alpha_bound_check(alpha, m, 2)
+            assert result.ok and result.value == 0.0
+    assert alpha_bound_check(0.5, 3, 2).value == 0.125
 
 
 SAMPLED_SYSTEMS = {
@@ -1110,6 +1166,24 @@ def _hexed(points):
     return [tuple(map(float.hex, pt)) for pt in points]
 
 
+class _AsDrawn(Space):
+    """A space of no one dimension that reads every point as it is, so
+    that regions of any dimensions are drawn together and their samples
+    come back from ``_Draw`` as they were drawn."""
+
+    dimension = 0
+
+    def _as_read(self, points):
+        return True
+
+
+def _drawn(regions, rng, rounds):
+    """The samples ``_Draw`` draws, unread; it draws them all."""
+    points, failure = _Draw(_AsDrawn(), regions).draw(rng, rounds)
+    assert failure is None
+    return points
+
+
 def _assert_draws_as_samples(regions, rounds, make_rng, waiting):
     """The column drawer gives the per-sample draws bit for bit, as tuples,
     and leaves the generator in the same state, over two blocks."""
@@ -1117,9 +1191,8 @@ def _assert_draws_as_samples(regions, rounds, make_rng, waiting):
     for rng in (draw, ref):
         for _ in range(waiting):
             rng.gauss(0.0, 1.0)
-    columns = _column_draw(regions)
     for n in (rounds, rounds + 1):
-        got = columns.draw(draw, n)
+        got = _drawn(regions, draw, n)
         want = [r.sample(ref) for _ in range(n) for r in regions]
         assert _hexed(got) == _hexed(want)
         assert all(type(pt) is tuple for pt in got)
@@ -1176,7 +1249,7 @@ def test_column_draw_redraws_a_block_with_a_zero_norm(waiting):
     rng = _zero_at(9, 2)
     for _ in range(waiting):
         rng.gauss(0.0, 1.0)
-    assert _column_draw(regions).draw(rng, 3)[0] == ball.center
+    assert _drawn(regions, rng, 3)[0] == ball.center
     _assert_draws_as_samples(regions, 3, lambda: _zero_at(9, 2), waiting)
 
 
@@ -1185,7 +1258,7 @@ def test_column_draw_returns_zero_gauss_values_as_gauss_does():
     # -0.0 + scale * 0.0 is 0.0 where -0.0 + scale * -0.0 would stay -0.0.
     # Draw 2 zeroes the first gauss pair of the ball, not its third value.
     ball = Ball((-0.0, -0.0, -0.0), 2.0)
-    got = _column_draw((ball,)).draw(_zero_at(4, 2), 1)
+    got = _drawn((ball,), _zero_at(4, 2), 1)
     assert _hexed(got) == _hexed([ball.sample(_zero_at(4, 2))])
     assert _hexed(got)[0][:2] == ("0x0.0p+0", "0x0.0p+0")
     _assert_draws_as_samples((ball,), 3, lambda: _zero_at(4, 2), 0)
@@ -1224,26 +1297,39 @@ def test_column_draw_makes_the_per_sample_random_calls_in_order(name, rounds, wa
     for rng in (draw, ref):
         for _ in range(waiting):
             rng.gauss(0.0, 1.0)
-    got = _column_draw(regions).draw(draw, rounds)
+    got = _drawn(regions, draw, rounds)
     want = [r.sample(ref) for _ in range(rounds) for r in regions]
     assert _hexed(got) == _hexed(want)
     assert len(draw.calls) == len(ref.calls) > 0
     assert [x.hex() for x in draw.calls] == [x.hex() for x in ref.calls]
 
 
-def test_only_exact_boxes_and_balls_are_drawn_by_columns():
-    kirk = SAMPLED_SYSTEMS["kirk"].regions
-    assert _column_draw(kirk) is not None
-    assert _column_draw(SAMPLED_SYSTEMS["mixed"].regions) is not None
-    assert _column_draw(kirk + (FiniteCloud(((0.0,),)),)) is None
-    assert _column_draw(tuple(_ListBox(r.lower, r.upper) for r in kirk)) is None
+def test_only_exact_boxes_and_balls_are_drawn_by_columns(monkeypatch):
+    # Column draws make no sample call; a block with a cloud or a subclass
+    # of Box in it makes one per point, in draw order.
+    sampled = []
+    for cls in (Box, Ball, FiniteCloud):
+        monkeypatch.setattr(
+            cls, "sample", lambda self, rng, sample=cls.sample: sampled.append(self) or sample(self, rng)
+        )
+    kirk = SAMPLED_SYSTEMS["kirk"]
+    for system in (kirk, SAMPLED_SYSTEMS["mixed"]):
+        points, failure = _Draw(system.space, system.regions).draw(random.Random(1), 5)
+        assert len(points) == 5 * system.m and failure is None and sampled == []
+    cloud = kirk.regions + (FiniteCloud(((0.0,),)),)
+    lists = tuple(_ListBox(r.lower, r.upper) for r in kirk.regions)
+    for regions in (cloud, lists):
+        sampled.clear()
+        points, failure = _Draw(kirk.space, regions).draw(random.Random(1), 5)
+        assert len(points) == 5 * len(regions) and failure is None
+        assert sampled == list(regions) * 5
 
 
 def _cyclicity_reference(system, samples, seed):
     """``verify_cyclicity`` one sample at a time: every point of a cloud, or
     per-sample ``Region.sample`` draws, region by region, each flagged,
     mapped and tested by the public ``is_artifact``, ``apply`` and
-    ``contains`` before the next is read."""
+    ``contains`` before the next is drawn."""
     rng = random.Random(seed)
     violations, artifacts, checked = [], [], 0
     for i, region in enumerate(system.regions):
@@ -1251,7 +1337,7 @@ def _cyclicity_reference(system, samples, seed):
         if isinstance(region, FiniteCloud):
             xs = region.points
         else:
-            xs = [region.sample(rng) for _ in range(samples)]
+            xs = (region.sample(rng) for _ in range(samples))
         for x in xs:
             if system.is_artifact(x):
                 artifacts.append((i, x))
@@ -1374,6 +1460,40 @@ def test_verify_cyclicity_raises_a_map_error_before_a_later_bad_read(j):
     want, _, _ = _scripted_cyclicity(draws, step, _cyclicity_reference)
     assert type(got) is type(want) is MapError and str(got) == str(want)
     assert got.point == want.point == draws[j - 1] and got.step is want.step is None
+
+
+@pytest.mark.parametrize("j", [0, 1, 5, 9])
+def test_verify_cyclicity_maps_and_tests_the_samples_before_a_raising_draw(j):
+    # The j-th draw raises: the samples before it are flagged, mapped and
+    # tested, then its error is raised, as one sample at a time did.
+    draws = [(0.1 * k,) for k in range(10)]
+    draws[j] = LookupError("no draw")
+    got, mapped, tested = _scripted_cyclicity(draws, lambda x: (-x[0],), verify_cyclicity)
+    want, ref_mapped, ref_tested = _scripted_cyclicity(
+        draws, lambda x: (-x[0],), _cyclicity_reference
+    )
+    assert got is want is draws[j]
+    assert mapped == ref_mapped == draws[:j]
+    assert tested == ref_tested == [(-x[0],) for x in draws[:j]]
+
+
+@pytest.mark.parametrize("j", [1, 4, 9])
+def test_verify_cyclicity_raises_a_map_error_before_a_later_raising_draw(j):
+    # The map fails at sample j - 1, before the j-th draw raises: one
+    # sample at a time met the map failure first.
+    draws = [(0.1 * k,) for k in range(10)]
+    draws[j] = LookupError("no draw")
+
+    def step(x):
+        if x == draws[j - 1]:
+            raise RuntimeError("no image")
+        return (-x[0],)
+
+    got, mapped, _ = _scripted_cyclicity(draws, step, verify_cyclicity)
+    want, ref_mapped, _ = _scripted_cyclicity(draws, step, _cyclicity_reference)
+    assert type(got) is type(want) is MapError and str(got) == str(want)
+    assert got.point == want.point == draws[j - 1] and got.step is want.step is None
+    assert mapped[-1] == ref_mapped[-1] == draws[j - 1]
 
 
 _METRIC_SAMPLES = [(0.0,), (1.0,), (3.0,)]
@@ -1543,6 +1663,36 @@ def test_apply_reads_its_point_through_the_space():
             call((0.5, 7.0))
         with pytest.raises(ValueError, match="not a str"):
             call("1")
+
+
+@pytest.mark.parametrize("big", [10 ** 400, -(10 ** 5000)], ids=["int", "int-past-repr-limit"])
+def test_public_readers_refuse_a_coordinate_past_the_float_range(big):
+    # float() raises OverflowError for such an int; every reader names its
+    # index in a ValueError, as it does a non-finite coordinate.
+    kirk = make_kirk_interval().system
+    plane = make_scaled_pair(0.4, 2.0, 2)
+    message = "^coordinate past the float range at index 1: "
+    readers = [
+        lambda: check_point([0.5, big]),
+        lambda: L2_2.point((0.5, big)),
+        lambda: L2_2.distance((0.0, 0.0), (0.5, big)),
+        lambda: Box((0.0, 0.0), (1.0, 1.0)).contains((0.5, big), L2_2),
+        lambda: Box((0.0, 0.0), (1.0, big)),
+        lambda: Box((0.0, big), (1.0, 1.0)),
+        lambda: Ball((0.0, big), 1.0),
+        lambda: FiniteCloud(((0.0, 0.0), (0.5, big))),
+        lambda: plane.system.apply((0.5, big)),
+        lambda: plane.system.is_artifact((0.5, big)),
+        lambda: banach_solve(plane.system, (0.5, big)),
+        lambda: periodic_point_solve(plane.system, (0.5, big)),
+        lambda: proximity_chain_extract(plane.system, (0.5, big)),
+        lambda: picard_orbit(plane.system, (0.5, big), 10),
+    ]
+    for read in readers:
+        with pytest.raises(ValueError, match=message):
+            read()
+    with pytest.raises(ValueError, match="^coordinate past the float range at index 0: "):
+        kirk.apply((big,))
 
 
 def test_is_artifact_reads_its_point_through_the_space():
