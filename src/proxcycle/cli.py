@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+from operator import is_
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -28,6 +29,10 @@ if TYPE_CHECKING:
 RUNS = ("certify", "banach", "periodic", "proximity", "trace")
 CONFIG_KEYS = {"system", "p", "phi", "run", "iterations", "tolerance", "seed", "output_dir"}
 REQUIRED_KEYS = CONFIG_KEYS - {"output_dir"}
+# Rows of trace.csv per write: enough that the per-block work is small beside
+# the per-value repr, few enough that a block's text stays small beside the
+# file's, which is never built whole.
+TRACE_BLOCK = 1024
 # The numeric fields, each read through its domain. JSON reads a literal past
 # the float range, such as 1e999, as inf.
 NUMBERS = {
@@ -151,11 +156,19 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def _write_trace_csv(path: Path, trace: orbit.OrbitTrace, p: Exponent) -> None:
-    """One row per block n; floats use shortest round-trip formatting.
+    """One row per block n, ``orbit.trace_rows``'s; floats use shortest
+    round-trip formatting.
 
-    The rows from ``orbit._distinct_rows`` on repeat one row object, that of
-    a settled orbit: its text is formatted once and joined with their row
-    numbers in one pass.
+    The distinct rows are written from ``orbit._trace_columns``,
+    ``TRACE_BLOCK`` rows at a time, with no row tuple: each column's slice
+    is formatted by one ``map(repr, ...)``, the lines are joined from the
+    text columns and the row numbers, and the block is one write; the
+    file's whole text is never built. Where every chain entry of a block is
+    its edge_1 entry, the very object (with m = 2 at p = inf where
+    ``_gap_bound`` holds), edge_1's text is the chain's too; the test is
+    identity, as 0.0 == -0.0 print differently. The rows past them repeat
+    the last one, that of a settled orbit: its text is formatted once and
+    joined with their row numbers in one pass.
     """
     m = trace.m
     header = (
@@ -163,15 +176,21 @@ def _write_trace_csv(path: Path, trace: orbit.OrbitTrace, p: Exponent) -> None:
         + [f"edge_{i}" for i in range(1, m + 1)]
         + [f"block_drift_{i}" for i in range(1, m + 1)]
     )
-    rows = orbit.trace_rows(trace, p)
-    distinct = orbit._distinct_rows(trace)
+    columns, count = orbit._trace_columns(trace, p)
+    distinct = len(columns[0])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for n, row in enumerate(rows[:distinct]):
-            fh.write(",".join([str(n), *map(repr, row)]) + "\n")
-        if distinct < len(rows):
-            text = ",".join(["", *map(repr, rows[-1])]) + "\n"
-            fh.write(text.join(map(str, range(distinct, len(rows)))) + text)
+        for start in range(0, distinct, TRACE_BLOCK):
+            stop = min(start + TRACE_BLOCK, distinct)
+            block = [column[start:stop] for column in columns]
+            texts = [map(repr, column) for column in block]
+            if all(map(is_, block[0], block[1])):
+                texts[0] = texts[1] = list(texts[1])
+            lines = map(",".join, zip(map(str, range(start, stop)), *texts))
+            fh.write("\n".join(lines) + "\n")
+        if distinct < count:
+            text = ",".join(["", *map(repr, [column[-1] for column in columns])]) + "\n"
+            fh.write(text.join(map(str, range(distinct, count))) + text)
 
 
 def _finite_or_null(value):

@@ -416,15 +416,30 @@ def trace_rows(trace: OrbitTrace, p: object) -> list[tuple[float, ...]]:
     s_{2n} read backwards, so where the space's ``_gap_bound`` holds, which
     vouches for a symmetric kernel, it is taken from the step column and
     nothing is measured. The points are trusted as validated, as
-    ``picard_orbit`` leaves them. The columns are strided slices, and the
-    rows are their ``zip``. The chain column is the exponent's
-    ``_combine_columns`` over the m - 1 step slices and the wrap terms, the
-    same bits as ``_combine`` of each row's terms in chain order.
+    ``picard_orbit`` leaves them. The columns are strided slices
+    (``_trace_columns``), and the rows are their ``zip``. The chain column
+    is the exponent's ``_combine_columns`` over the m - 1 step slices and
+    the wrap terms, the same bits as ``_combine`` of each row's terms in
+    chain order.
 
     Row n reads x_{mn}..x_{mn+2m-1} only, so from row ``_distinct_rows`` on,
     where mn is at least the trace's settle index J, each row is the one
     before it bit for bit: the rows up to there are built, and the last of
     them is repeated as the same tuple object.
+    """
+    columns, count = _trace_columns(trace, p)
+    rows = list(zip(*columns))
+    rows += repeat(rows[-1], count - len(rows))
+    return rows
+
+
+def _trace_columns(trace: OrbitTrace, p: object) -> tuple[list[list[float]], int]:
+    """The 2m + 1 columns of ``trace_rows``'s distinct rows (chain_dp,
+    edge_1..edge_m, block_drift_1..block_drift_m) and the number of rows.
+
+    With m = 2 where ``_gap_bound`` holds, the wrap column is the edge_1
+    column itself, so at p = inf, whose chain is the ``max`` of the two,
+    every chain entry is the edge_1 entry, the very object.
     """
     combine_columns = as_exponent(p)._combine_columns
     m = trace.m
@@ -432,19 +447,15 @@ def trace_rows(trace: OrbitTrace, p: object) -> list[tuple[float, ...]]:
     count = len(points) // m - 1
     if count < 1:
         raise ValueError("trace too short for a trace row")
-    distinct = min(count, _distinct_rows(trace))
-    span = m * distinct
+    span = m * min(count, _distinct_rows(trace))
     steps, drifts, space = trace._gaps(1), trace._gaps(m), trace.system.space
+    edges = [steps[i:span:m] for i in range(m)]
     if m == 2 and space._gap_bound:
-        wraps = steps[0:span:2]
+        wraps = edges[0]
     else:
         wraps = list(map(space._distance, points[m - 1 : span : m], points[0:span:m]))
-    chains = combine_columns([*(steps[i:span:m] for i in range(m - 1)), wraps])
-    rows = list(
-        zip(chains, *(steps[i:span:m] for i in range(m)), *(drifts[i:span:m] for i in range(m)))
-    )
-    rows += repeat(rows[-1], count - distinct)
-    return rows
+    chains = combine_columns([*edges[: m - 1], wraps])
+    return [chains, *edges, *(drifts[i:span:m] for i in range(m))], count
 
 
 def _distinct_rows(trace: OrbitTrace) -> int:

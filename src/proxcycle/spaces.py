@@ -201,7 +201,10 @@ class Exponent(_Record):
         # True is not the exponent 1, nor "2" the exponent 2: as_exponent's rule.
         if isinstance(value, _NOT_NUMBERS):
             raise TypeError(f"cannot read exponent from {value!r}")
-        v = float(value)
+        try:
+            v = float(value)
+        except OverflowError as exc:  # 10**400, say
+            raise ValueError(f"exponent is past the float range: {exc}") from None
         if not v >= 1.0:  # NaN too: it compares false
             raise ValueError(f"exponent must be >= 1, got {v}")
         if v == math.inf:
@@ -239,13 +242,7 @@ def as_exponent(p: object) -> Exponent:
         raise ValueError(f"cannot read exponent from {p!r}")
     # bool is an int, but True is not the exponent 1.
     if isinstance(p, (int, float)) and not isinstance(p, bool):
-        try:
-            value = float(p)
-        except OverflowError as exc:
-            raise ValueError(f"exponent is past the float range: {exc}") from exc
-        if value == math.inf:
-            return INFINITY
-        return Exponent(value)
+        return INFINITY if p == math.inf else Exponent(p)
     raise TypeError(f"cannot read exponent from {p!r}")
 
 
@@ -369,10 +366,13 @@ def p_combine(values: Iterable[float], p: object) -> float:
 
     Finite p factors out the largest value before exponentiating, so large
     exponents cannot overflow on large inputs. A negative or NaN value is a
-    ValueError.
+    ValueError, and so is one past the float range, such as ``10**400``.
     """
     exp = as_exponent(p)
-    vals = [float(v) for v in values]
+    try:
+        vals = [float(v) for v in values]
+    except OverflowError as exc:
+        raise ValueError(f"a value in values is past the float range: {exc}") from None
     if not all(v >= 0.0 for v in vals):
         raise ValueError(f"p_combine is defined for nonnegative values, got {_point_repr(vals)}")
     return exp._combine(vals)

@@ -478,7 +478,10 @@ class LinearPhi(_Record, Phi):
     def __call__(self, t: float) -> float:
         if t < 0:
             raise ValueError("phi is defined on [0, inf)")
-        return self.alpha * t
+        try:
+            return self.alpha * t
+        except OverflowError as exc:  # an int or Fraction such as 10**400
+            raise ValueError(f"phi's t is past the float range: {exc}") from None
 
     def _many(self, ts: Sequence[float]) -> list[float]:
         _check_domain(ts)
@@ -526,7 +529,10 @@ class TabulatedPhi(_Record, Phi):
         if t < 0:
             raise ValueError("phi is defined on [0, inf)")
         i = min(bisect_right(self._bounds, t), self._last)
-        return self._levels[i] + self._slopes[i] * (t - self._starts[i])
+        try:
+            return self._levels[i] + self._slopes[i] * (t - self._starts[i])
+        except OverflowError as exc:  # an int or Fraction such as 10**400
+            raise ValueError(f"phi's t is past the float range: {exc}") from None
 
     def _many(self, ts: Sequence[float]) -> list[float]:
         _check_domain(ts)
@@ -545,8 +551,12 @@ class PhiReport(_Record):
 
 
 def validate_phi(phi: Phi, grid: Sequence[float]) -> PhiReport:
-    """Verify strict increase and nonnegativity of phi on a sorted grid."""
-    pts = [float(t) for t in grid]
+    """Verify strict increase and nonnegativity of phi on a sorted grid; a
+    grid value past the float range, such as ``10**400``, is a ValueError."""
+    try:
+        pts = [float(t) for t in grid]
+    except OverflowError as exc:
+        raise ValueError(f"a value in grid is past the float range: {exc}") from None
     if len(pts) < 2 or any(t2 < t1 for t1, t2 in zip(pts, pts[1:])):
         raise ValueError("grid must be sorted with at least 2 points")
     violations = []
@@ -889,8 +899,13 @@ def _scan_sampled(
     A sample that fails to draw or to read ends the scan where the
     pair-at-a-time scan ended: the block's whole pairs before it are
     evaluated first, so an error of theirs (a map failure, say) comes
-    first, and then its own error is raised. ``_sampled_block`` evaluates
-    the pairs.
+    first, and then its own error is raised. Within a pair the first chain
+    to fail raises: samples are drawn a chain (one sample of each region)
+    at a time, a chain whose draw raises is dropped unread, and the chains
+    drawn before it are read. So a read failure in a pair's x-chain comes
+    before a draw failure in its y-chain, where drawing the whole pair
+    before reading it would raise the draw's error. ``_sampled_block``
+    evaluates the pairs.
     """
     rng = random.Random(seed)
     width = 2 * system.m  # points per pair: the x-chain, then the y-chain

@@ -2,7 +2,9 @@ import csv
 import dataclasses
 import math
 import re
+import tracemalloc
 from itertools import count
+from operator import is_
 
 import pytest
 
@@ -28,10 +30,11 @@ from proxcycle.orbit import (
     periodic_point_solve,
     picard_orbit,
     proximity_chain_extract,
+    _trace_columns,
     trace_rows,
 )
 import proxcycle.system as system_module
-from proxcycle.cli import _write_trace_csv
+from proxcycle.cli import TRACE_BLOCK, _write_trace_csv
 from proxcycle.spaces import INFINITY, LqSpace, OracleSpace, as_exponent, check_point
 from proxcycle.system import Box, CyclicSystem, MapError
 
@@ -1304,3 +1307,162 @@ def test_spaces_without_the_gap_bound_measure_every_entry(tmp_path):
         assert len(made) == 60 + 59 + 29
         assert [_hexed(row) for row in rows] == [_hexed(row) for row in trace_rows(bound, 2)]
         assert len(set(map(id, rows))) == len(rows)
+
+
+# --- the trace.csv writer ------------------------------------------------------
+
+
+def _per_row_csv(trace, p):
+    """``trace.csv``'s bytes as a per-row writer makes them: the header, then
+    one line per row of ``trace_rows``, its number and each float's repr."""
+    m = trace.m
+    names = [f"edge_{i}" for i in range(1, m + 1)] + [f"block_drift_{i}" for i in range(1, m + 1)]
+    lines = [",".join(["n", "chain_dp", *names])]
+    lines += [",".join([str(n), *map(repr, row)]) for n, row in enumerate(trace_rows(trace, p))]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _assert_written_per_row(tmp_path, trace, p):
+    path = tmp_path / "trace.csv"
+    _write_trace_csv(path, trace, as_exponent(p))
+    assert path.read_bytes() == _per_row_csv(trace, p)
+
+
+def _chain_is_edge_1(trace, p):
+    """How many chain entries of the distinct rows are their edge_1 entry,
+    the very object, and how many rows there are."""
+    columns, _ = _trace_columns(trace, p)
+    return sum(map(is_, columns[0], columns[1])), len(columns[0])
+
+
+@pytest.mark.parametrize("p", [1, 2, INFINITY])
+def test_two_region_writer_matches_the_per_row_writer(tmp_path, p):
+    # At p = inf the chain of a two-region row is the max of the step and
+    # the wrap, the same float object: the chain takes edge_1's text.
+    # Elsewhere the chain is a new float and is formatted itself.
+    gs = make_affine_strip(alpha=0.999, h=2.0)
+    trace = picard_orbit(gs.system, gs.default_start, 2 * 2 * TRACE_BLOCK + 500)
+    same, rows = _chain_is_edge_1(trace, p)
+    assert rows > 2 * TRACE_BLOCK
+    assert same == (rows if p is INFINITY else 0)
+    _assert_written_per_row(tmp_path, trace, p)
+
+
+def _edge_1_or_edge_2(n):
+    # Block n of a line orbit (x_0, x_1, x_2), c = n / 1024: x_2 between x_0
+    # and x_1 makes d(x_0, x_1) the largest of the three terms, x_0 between
+    # x_1 and x_2 makes d(x_1, x_2) the largest.
+    c = n / 1024
+    return [(c,), (c + 0.5,), (c - 1.0,)] if n % 3 == 2 else [(c,), (c + 1.0,), (c + 0.5,)]
+
+
+def test_three_region_writer_formats_a_chain_of_other_edges(tmp_path):
+    # At p = inf a three-region chain is the first of its terms to reach
+    # their max: here edge_1's object in some rows and edge_2's in others,
+    # in every block, so no block takes edge_1's text for its chain.
+    points = [pt for n in range(TRACE_BLOCK + 300) for pt in _edge_1_or_edge_2(n)]
+    trace = OrbitTrace(_line_system(_swing, 3), tuple(points))
+    columns, count = _trace_columns(trace, INFINITY)
+    chains, edge_1, edge_2 = columns[:3]
+    assert count == len(chains) == TRACE_BLOCK + 299
+    for start in (0, TRACE_BLOCK):
+        block = range(start, min(start + TRACE_BLOCK, count))
+        assert chains[start] is edge_1[start]
+        assert all(chains[n] is (edge_2 if n % 3 == 2 else edge_1)[n] for n in block)
+    _assert_written_per_row(tmp_path, trace, INFINITY)
+
+
+def _signed_zero_system():
+    """A fixed point under a metric oracle that gives -0.0 for equal points."""
+
+    def oracle(a, b):
+        return -0.0 if a == b else abs(a[0] - b[0])
+
+    return _line_system(lambda x: x, space=OracleSpace(oracle, 1))
+
+
+@pytest.mark.parametrize("p", [1, 2, INFINITY])
+def test_writer_tests_the_chain_for_identity_not_equality(tmp_path, p):
+    # Every step is -0.0. At p = 1 and 2 the chain is +0.0: equal to edge_1
+    # but another float, which prints otherwise, so it keeps its own text.
+    # At p = inf it is edge_1's -0.0 itself.
+    trace = picard_orbit(_signed_zero_system(), (0.0,), 2 * TRACE_BLOCK + 41)
+    rows = trace_rows(trace, p)
+    assert len(rows) == TRACE_BLOCK + 20
+    assert all(math.copysign(1.0, row[1]) < 0 for row in rows)
+    if p is INFINITY:
+        assert _chain_is_edge_1(trace, p) == (len(rows), len(rows))
+    else:
+        assert all(row[0] == row[1] and repr(row[0]) != repr(row[1]) for row in rows)
+    _assert_written_per_row(tmp_path, trace, p)
+
+
+@pytest.mark.parametrize("p", [2, INFINITY])
+def test_oracle_writer_matches_the_per_row_writer(tmp_path, p):
+    # A metric oracle has no _gap_bound: every wrap term is measured and
+    # the orbit is never taken as settled. A symmetric one gives a wrap equal
+    # to the step, so at p = inf the chain is the step, edge_1's object. The
+    # asymmetric oracle of a three-region turn keeps every argument order.
+    bound = picard_orbit(_line_system(_swing), (-2.0,), 2 * TRACE_BLOCK + 301)
+    trace = OrbitTrace(
+        _line_system(_swing, space=OracleSpace(lambda a, b: abs(a[0] - b[0]), 1)), bound.points
+    )
+    rows = TRACE_BLOCK + 150
+    assert _chain_is_edge_1(trace, p) == (rows if p is INFINITY else 0, rows)
+    _assert_written_per_row(tmp_path, trace, p)
+    turning = picard_orbit(_asymmetric_system(), (1.5, 0.5), 3 * TRACE_BLOCK + 302)
+    assert len(trace_rows(turning, p)) == TRACE_BLOCK + 100
+    _assert_written_per_row(tmp_path, turning, p)
+
+
+def _unsettled_line_trace(rows):
+    # |x| shrinks by a factor 0.999 a step, the sign flipping: no point
+    # repeats within these lengths, so every row is distinct.
+    trace = picard_orbit(_line_system(lambda x: (-0.999 * x[0],)), (1.0,), 2 * rows + 1)
+    assert trace._settled() == len(trace.points)
+    return trace
+
+
+@pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 2049])
+@pytest.mark.parametrize("p", [2, INFINITY])
+def test_writer_blocks_match_the_per_row_writer(tmp_path, rows, p):
+    assert TRACE_BLOCK == 1024  # the row counts sit at its bounds
+    trace = _unsettled_line_trace(rows)
+    assert _chain_is_edge_1(trace, p) == (rows if p is INFINITY else 0, rows)
+    _assert_written_per_row(tmp_path, trace, p)
+
+
+@pytest.mark.parametrize("distinct", [750, 1023, 1024, 1025, 1500])
+@pytest.mark.parametrize("p", [2, INFINITY])
+def test_writer_settled_stretch_starts_inside_or_on_a_block_bound(tmp_path, distinct, p):
+    # x_k = (2 distinct - 2 - k) / 2048 reaches the fixed point 0 at step
+    # K = 2 distinct - 2, so J = K + 2 and the rows from distinct on repeat
+    # the one before: inside a block, or on the bound of the second.
+    k = 2 * distinct - 2
+    trace = picard_orbit(
+        _line_system(lambda x: (max(x[0] - 2.0 ** -11, 0.0),)), (k / 2048,), 2 * distinct + 700
+    )
+    assert trace._settled() == k + 2
+    assert len(_trace_columns(trace, p)[0][0]) == distinct
+    assert len(trace_rows(trace, p)) == distinct + 349
+    _assert_written_per_row(tmp_path, trace, p)
+
+
+@pytest.mark.parametrize("p", [2, INFINITY])
+def test_writer_holds_one_block_of_text_at_a_time(tmp_path, p):
+    # A 10 000-step trace, 4 999 rows, every one distinct, 0.5 MB of text:
+    # its lines built at once take 1.7-2 MiB, one block's 0.6 MiB with the
+    # columns, as much as a per-row writer's rows.
+    gs = make_affine_strip(alpha=0.999, h=2.0)
+    trace = picard_orbit(gs.system, gs.default_start, 10_000)
+    path = tmp_path / "trace.csv"
+    _write_trace_csv(path, trace, as_exponent(p))  # measures the columns, kept on the trace
+    tracemalloc.start()
+    try:
+        _write_trace_csv(path, trace, as_exponent(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == _per_row_csv(trace, p)
+    assert path.read_bytes().count(b"\n") == 5000
+    assert peak < 2**20

@@ -2,6 +2,7 @@ import itertools
 import math
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -1109,6 +1110,32 @@ def test_block_scan_fails_in_per_pair_order(step, bad, chain, k, j):
         assert err.value.point == (0.5,) and err.value.step is None
 
 
+@pytest.mark.parametrize("bad", ["nan", "str"])
+@pytest.mark.parametrize("chain", ["x", "y"])
+@pytest.mark.parametrize("j", [0, 3, B])
+def test_block_scan_raises_the_first_failing_chain_of_a_pair(bad, chain, j):
+    # Pair j's x_1 (or y_1) fails to read and the draw of its y_2 raises. The
+    # scan draws a chain (one sample of each region) at a time, drops a chain
+    # whose draw raises unread and reads the chains drawn before it, so the
+    # first chain to fail raises: the x-chain's read error, or the y-chain's
+    # draw error. A scan that drew a whole pair before reading it would
+    # raise the draw's error in both cases.
+    first, second = [(0.25,)] * (2 * j + 2), [(-0.25,)] * (2 * j + 2)
+    first[2 * j + (chain == "y")] = BAD_DRAWS[bad]
+    second[2 * j + 1] = draw_error = LookupError("no draw")
+    system = CyclicSystem(
+        space=L2_1, regions=(_Scripted(first), _Scripted(second)), map=lambda x: (-x[0],)
+    )
+    with pytest.raises(ValueError) as read:
+        system.space.point(BAD_DRAWS[bad])
+    with pytest.raises(Exception) as err:
+        verify_contraction(system, LinearPhi(0.5), 2, tuple_samples=j + 1)
+    if chain == "x":
+        assert type(err.value) is ValueError and str(err.value) == str(read.value)
+    else:
+        assert err.value is draw_error
+
+
 class _ListBox(Box):
     def sample(self, rng):
         return list(super().sample(rng))
@@ -1693,6 +1720,48 @@ def test_public_readers_refuse_a_coordinate_past_the_float_range(big):
             read()
     with pytest.raises(ValueError, match="^coordinate past the float range at index 0: "):
         kirk.apply((big,))
+
+
+HUGE = [10**400, -(10**400), Fraction(10**400), Fraction(-(10**401), 3)]
+TENTS = TabulatedPhi(((0, 0), (1, 1), (2, 4)))
+
+
+@pytest.mark.parametrize("big", HUGE, ids=["int", "-int", "fraction", "-fraction"])
+def test_numbers_past_the_float_range_are_value_errors(big):
+    # float() raises OverflowError for these; each reader names what it read.
+    readers = {
+        "^exponent is past the float range: ": [lambda: Exponent(big)],
+        "^a value in values is past the float range: ": [
+            lambda p=p: p_combine([1.0, big], p) for p in (1, 2, 3.5, "inf")
+        ],
+        "^a value in grid is past the float range: ": [
+            lambda: validate_phi(LinearPhi(0.5), [0.0, big])
+        ],
+        "^phi's t is past the float range: ": [lambda: LinearPhi(0.5)(big), lambda: TENTS(big)],
+    }
+    if isinstance(big, int):
+        readers["^exponent is past the float range: "].append(lambda: as_exponent(big))
+    for message, calls in readers.items():
+        if big < 0 and message.startswith("^phi"):
+            message = r"^phi is defined on \[0, inf\)$"
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+
+
+def test_numbers_in_the_float_range_read_as_float_reads_them():
+    big, third = 10**300, Fraction(1, 3)
+    assert Exponent(big).value == float(big) and Exponent(Fraction(7, 2)).value == 3.5
+    assert as_exponent(2) == Exponent(2.0) and as_exponent(math.inf) is INFINITY
+    for p in (1, 2, 3.5, "inf"):
+        got = p_combine([big, third, 2], p)
+        assert float.hex(got) == float.hex(p_combine([float(big), float(third), 2.0], p))
+    assert float.hex(LinearPhi(0.5)(big)) == float.hex(0.5 * float(big))
+    assert float.hex(LinearPhi(0.5)(third)) == float.hex(0.5 * float(third))
+    assert float.hex(TENTS(big)) == float.hex(1.0 + 3.0 * (float(big) - 1.0))
+    assert float.hex(TENTS(third)) == float.hex(0.0 + 1.0 * (float(third) - 0.0))
+    grid = [0, third, 2, big]
+    assert validate_phi(TENTS, grid) == validate_phi(TENTS, list(map(float, grid)))
 
 
 def test_is_artifact_reads_its_point_through_the_space():
