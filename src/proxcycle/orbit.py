@@ -12,7 +12,7 @@ carries its step. Its docstring holds the refusal rule and the termination
 contract the map and the space's distance are under. ``_record`` is one walk
 of one orbit: it validates the start once (``_start``) and records the trace
 prefix x_0..x_keep from ``_chunks`` before any reader comes, as a ``_Walk``,
-the ``OrbitTrace`` whose points the solvers trust. ``picard_orbit`` is that
+the ``OrbitTrace`` a solver takes as its start. ``picard_orbit`` is that
 prefix plus a membership pass.
 
 The three solvers are one stop rule, ``_settle``, with three settings: the
@@ -46,8 +46,9 @@ from itertools import compress, count, cycle, islice, repeat
 from operator import eq, is_not
 from typing import Iterator, Sequence
 
-from .chains import _chain_distance, chain_point_distance, chain_self_distance
-from .spaces import ALPHA, COUNT, CYCLE_LENGTH, POSITIVE, Domain, Point, _point_repr, _Record, as_exponent
+from .chains import _chain_distance
+from .spaces import ALPHA, COUNT, CYCLE_LENGTH, POSITIVE, Domain, Point, _Record
+from .spaces import _point_repr, _value_repr, as_exponent
 from .system import MEMBERSHIP_TOL, CyclicSystem
 
 # Orbit steps per chunk of ``_chunks``: enough that the per-chunk validation
@@ -65,6 +66,14 @@ _GAP = Domain(0, math.inf, "[]", strings=False)
 
 class OrbitTrace(_Record):
     """x_0..x_n with x_{k+1} = map(x_k), exactly as evaluated.
+
+    The constructor is the one reader of a trace's points: it reads
+    ``points`` once, by ``Space._read_block`` (one ``_as_read`` pass, else
+    ``space.point`` one point at a time), a refusal naming the point's index
+    in the trace, and keeps them as a tuple of float tuples, which every
+    reader of the trace trusts. ``_record`` and ``picard_orbit``, whose
+    points ``_chunks`` read as they entered the orbit, build theirs with
+    ``_of``, which reads nothing again.
 
     ``_gaps(s)`` is the distance column d(x_j, x_{j+s}), j = 0..n-s, measured
     the first time it is asked for and kept with the trace, outside its
@@ -84,11 +93,23 @@ class OrbitTrace(_Record):
     def __init__(
         self,
         system: CyclicSystem,
-        points: tuple[Point, ...],
+        points: Sequence[Sequence[float]],
         membership_violations: tuple[tuple[int, Point], ...] = (),
     ) -> None:
-        self._set(system, points, membership_violations)
+        points, failure = system.space._read_block(tuple(points))
+        if failure is not None:
+            raise ValueError(f"trace point {len(points)}: {failure}") from None
+        self._set(system, tuple(points), membership_violations)
         self._derive(_columns={}, _settle_index=None)
+
+    @classmethod
+    def _of(cls, system: CyclicSystem, points: tuple[Point, ...], violations=()) -> OrbitTrace:
+        """A trace of points already read for the system's space, kept as
+        they are."""
+        trace = cls.__new__(cls)
+        trace._set(system, points, violations)
+        trace._derive(_columns={}, _settle_index=None)
+        return trace
 
     def _settled(self) -> int:
         """J: len(points) less the run of trailing points equal to the one m
@@ -128,7 +149,7 @@ class OrbitTrace(_Record):
         n = _STEPS.check("n", n)
         start = n * self.m
         if start + self.m > len(self.points):
-            raise ValueError(f"trace too short for block {n}")
+            raise ValueError(f"trace too short for block {_value_repr(n)}")
         return self.points[start : start + self.m]
 
     @property
@@ -261,10 +282,11 @@ def _chunks(
 
 
 class _Walk(OrbitTrace):
-    """A trace recorded by ``_record``: its points were validated as they
-    entered the orbit, so a solver handed one reads them as they are. A
-    public ``OrbitTrace`` holds whatever points it was built from and is
-    never trusted so."""
+    """A trace recorded by ``_record``: the orbit of its system from a start
+    point in A_1. It marks a solver's start: a solver handed one walks on
+    from its points. A public ``OrbitTrace`` holds points read for the
+    space, which need not be an orbit of the system, and is never taken as
+    a start."""
 
     __slots__ = ()
 
@@ -282,7 +304,7 @@ def _record(system: CyclicSystem, x0: Sequence[float], keep: int) -> _Walk:
     points = [_start(system, x0)]
     for chunk, _ in _chunks(system, points[-1:], 0, keep):
         points += chunk
-    return _Walk(system, tuple(points))
+    return _Walk._of(system, tuple(points))
 
 
 def _orbit(system: CyclicSystem, x0: Sequence[float], keep: int) -> _Walk:
@@ -366,19 +388,17 @@ def picard_orbit(system: CyclicSystem, x0: Sequence[float], n: int) -> OrbitTrac
             checked, inside = x, first._contains(x, space, MEMBERSHIP_TOL)
         if not inside:
             violations.append((k, x))
-    return OrbitTrace(system, points, tuple(violations))
+    return OrbitTrace._of(system, points, tuple(violations))
 
 
 def chain_trace(trace: OrbitTrace, p: object) -> list[float]:
     """Self-chain distance of (x_n, ..., x_{n+m-1}) for each n."""
-    m = trace.m
-    if len(trace.points) < 2 * m - 1:
+    m, points = trace.m, trace.points
+    if len(points) < 2 * m - 1:
         raise ValueError("trace too short for a chain trace")
-    space = trace.system.space
-    return [
-        chain_self_distance(space, trace.points[n : n + m], p)
-        for n in range(len(trace.points) - m + 1)
-    ]
+    space, combine = trace.system.space, as_exponent(p)._combine
+    chains = (points[n : n + m] for n in range(len(points) - m + 1))
+    return [_chain_distance(space, chain, chain, combine) for chain in chains]
 
 
 def edge_trace(trace: OrbitTrace, i: int) -> list[float]:
@@ -388,16 +408,10 @@ def edge_trace(trace: OrbitTrace, i: int) -> list[float]:
     the edge attaining the set chain distance is guaranteed to converge (see
     ``dominant_edge``).
     """
-    m = trace.m
+    m, points = trace.m, trace.points
     if not 1 <= COUNT.check("i", i) <= m:
         raise ValueError(f"edge index must be in 1..{m}")
-    space = trace.system.space
-    out = []
-    n = 0
-    while m * n + i < len(trace.points):
-        out.append(space.distance(trace.points[m * n + i - 1], trace.points[m * n + i]))
-        n += 1
-    return out
+    return list(map(trace.system.space._distance, points[i - 1 :: m], points[i::m]))
 
 
 def trace_rows(trace: OrbitTrace, p: object) -> list[tuple[float, ...]]:
@@ -472,25 +486,18 @@ def dominant_edge(system: CyclicSystem) -> int:
 
 def block_drift_trace(trace: OrbitTrace, i: int) -> list[float]:
     """d(x_{mn+i-1}, x_{mn+m+i-1}): drift of the i-th interleaved subsequence."""
-    m = trace.m
+    m, points = trace.m, trace.points
     if not 1 <= COUNT.check("i", i) <= m:
         raise ValueError(f"subsequence index must be in 1..{m}")
-    if len(trace.points) < 2 * m + i:
+    if len(points) < 2 * m + i:
         raise ValueError("trace too short for a drift trace")
-    space = trace.system.space
-    out = []
-    n = 0
-    while m * n + m + i - 1 < len(trace.points):
-        out.append(
-            space.distance(trace.points[m * n + i - 1], trace.points[m * n + m + i - 1])
-        )
-        n += 1
-    return out
+    return list(map(trace.system.space._distance, points[i - 1 :: m], points[m + i - 1 :: m]))
 
 
 def cross_block_chain_distance(trace: OrbitTrace, n: int, k: int, p: object) -> float:
     """Chain distance between blocks n and k, with the usual shift."""
-    return chain_point_distance(trace.system.space, trace.block(n), trace.block(k), p)
+    space = trace.system.space
+    return _chain_distance(space, trace.block(n), trace.block(k), as_exponent(p)._combine)
 
 
 def apriori_error_bound(alpha: float, m: int, k: int, initial_gap: float) -> float:
@@ -712,14 +719,13 @@ def boundedness_probe(trace: OrbitTrace) -> BoundednessReport:
     running maximum stabilized (no new maximum in the last half)."""
     if not trace.points:
         raise ValueError("trace is empty")
-    space = trace.system.space
+    dist = trace.system.space._distance
     m = trace.m
     sups = []
     stabilized = []
     for r in range(min(m, len(trace.points))):
         seq = trace.points[r::m]
-        base = seq[0]
-        dists = [space.distance(pt, base) for pt in seq]
+        dists = list(map(dist, seq, repeat(seq[0])))
         running_max = -math.inf
         last_new_max = 0
         for idx, d in enumerate(dists):

@@ -243,7 +243,21 @@ def as_exponent(p: object) -> Exponent:
     # bool is an int, but True is not the exponent 1.
     if isinstance(p, (int, float)) and not isinstance(p, bool):
         return INFINITY if p == math.inf else Exponent(p)
-    raise TypeError(f"cannot read exponent from {p!r}")
+    raise TypeError(f"cannot read exponent from {_value_repr(p)}")
+
+
+def _value_repr(value: object) -> str:
+    """``repr(value)`` for an error message, except for an int, or a
+    rational such as a ``Fraction``, with a part of more than 2 048 bits:
+    that is shown by its type name and bit length, never as decimal text,
+    which Python refuses to make past 4 300 digits by default."""
+    try:
+        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+    except AttributeError:  # not a rational number
+        return repr(value)
+    # 2 048 bits make at most 617 digits, fewer than the least limit on
+    # int-to-text conversion that Python can be set to (640).
+    return f"{type(value).__name__} of {bits} bits" if bits > 2048 else repr(value)
 
 
 _REPR_COORDS = 4
@@ -339,14 +353,15 @@ class Domain(_Record):
                     x = math.nan  # in no integer domain
         except TypeError:
             kind = "a number or a string" if self.strings else "a number"
-            raise ValueError(f"{name} must be {kind}, got {value!r}") from None
+            raise ValueError(f"{name} must be {kind}, got {_value_repr(value)}") from None
         except (ValueError, OverflowError):
             x = math.nan  # in no domain
         # A closed end compares with <=, an open one with <.
         above, below = (le if end in "[]" else lt for end in self.ends)
         if above(self.low, x) and below(x, self.high):
             return x
-        raise ValueError(f"{name} must be {'an' if self.integer else 'in'} {self}, got {value!r}")
+        article = "an" if self.integer else "in"
+        raise ValueError(f"{name} must be {article} {self}, got {_value_repr(value)}")
 
 
 # Every contraction constant lies in (0, 1), and every cycle has m >= 2 regions.
@@ -425,6 +440,21 @@ class Space:
         return countOf(map(type, coords), float) == len(coords) and (
             math.isfinite(sum(coords)) or all(map(math.isfinite, coords))
         )
+
+    def _read_block(self, points: Sequence[object]) -> tuple[Sequence[Point], Exception | None]:
+        """``points`` read by ``point``, with the exception of the first
+        that fails, or None: as they are when one ``_as_read`` pass takes
+        them all, else one at a time, and then only those before the first
+        that fails, so its index is the number read."""
+        if self._as_read(points):
+            return points, None
+        read = []
+        for pt in points:
+            try:
+                read.append(self.point(pt))
+            except Exception as exc:
+                return read, exc
+        return read, None
 
     def distance(self, a: Sequence[float], b: Sequence[float]) -> float:
         return self._distance(self.point(a), self.point(b))
@@ -619,24 +649,23 @@ def validate_metric(
 ) -> MetricReport:
     """Spot-check symmetry, d(x,x)=0, and the triangle inequality on samples.
 
-    ``tol`` is read by ``POSITIVE`` and ``max_triples`` by ``COUNT``.
-    Violations are returned as witnesses, never raised.
+    ``tol`` is read by ``POSITIVE`` and ``max_triples`` by ``COUNT``. The
+    samples are read once, in order, by ``space.point`` and then measured
+    with the trusted ``_distance``. Violations are returned as witnesses,
+    never raised.
     """
     tol = POSITIVE.check("tol", tol)
     max_triples = COUNT.check("max_triples", max_triples)
-    pts = [check_point(p) for p in sample_points]
+    pts = list(map(space.point, sample_points))
     if len(pts) < 3:
         raise ValueError("need at least 3 sample points")
+    dist = space._distance
 
-    identity = []
-    for x in pts:
-        dxx = space.distance(x, x)
-        if abs(dxx) > tol:
-            identity.append((x, dxx))
+    identity = [(x, dxx) for x, dxx in zip(pts, map(dist, pts, pts)) if abs(dxx) > tol]
 
     symmetry = []
     for x, y in itertools.combinations(pts, 2):
-        dxy, dyx = space.distance(x, y), space.distance(y, x)
+        dxy, dyx = dist(x, y), dist(y, x)
         if abs(dxy - dyx) > tol:
             symmetry.append((x, y, dxy, dyx))
 
@@ -647,8 +676,8 @@ def validate_metric(
     triangle = []
     for x, y, z in triples:
         for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-            lhs = space.distance(a, c)
-            rhs = space.distance(a, b) + space.distance(b, c)
+            lhs = dist(a, c)
+            rhs = dist(a, b) + dist(b, c)
             if lhs - rhs > tol:
                 triangle.append((a, b, c, lhs, rhs))
 

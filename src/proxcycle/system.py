@@ -34,7 +34,6 @@ from .spaces import (
     _Record,
     as_exponent,
     check_point,
-    lq_norm,
     p_combine,
 )
 
@@ -213,11 +212,11 @@ class _Draw:
     ``draw(rng, rounds)`` returns the samples of ``rounds`` (at least 1)
     rounds, each region's ``sample`` in turn, read by ``space.point``, and
     the exception that cut the block short, or None. A round whose draw
-    raises is dropped and ends the block; the block is then read in one
-    ``Space._as_read`` pass, or, when a point is not read as it is, one by
-    one by ``space.point`` up to the first that fails, whose error then
-    ends the block there. So the samples before the first that fails to
-    draw or to read come back with that failure.
+    raises is dropped and ends the block; the block is then read by
+    ``Space._read_block``, in one ``_as_read`` pass, or, when a point is
+    not read as it is, one by one by ``space.point`` up to the first that
+    fails, whose error then ends the block there. So the samples before the
+    first that fails to draw or to read come back with that failure.
 
     When every region is exactly a ``Box`` or a ``Ball``, the block is
     drawn by columns, ``[r.sample(rng) for _ in range(rounds) for r in
@@ -302,16 +301,9 @@ class _Draw:
                     points += [r.sample(rng) for r in self.regions]
             except Exception as exc:  # raised after the rounds drawn before it
                 failure = exc
-        space = self.space
-        if space._as_read(points):
-            return points, failure
-        read = []
-        for pt in points:
-            try:
-                read.append(space.point(pt))
-            except Exception as exc:  # raised after the samples read before it
-                return read, exc
-        return read, failure
+        # A sample that fails to read is raised after the samples read before it.
+        read, error = self.space._read_block(points)
+        return read, failure if error is None else error
 
     def _columns(self, rng: random.Random, rounds: int) -> list[Point] | None:
         """The rounds drawn by columns, or None, with ``rng`` set back to
@@ -382,17 +374,10 @@ class _Draw:
         return points
 
 
-def _require_l2(space: Space, what: str) -> None:
-    if not (isinstance(space, LqSpace) and not space.q.is_inf and space.q.value == 2.0):
-        raise CapabilityError(f"{what} requires the l^2 space")
-
-
-def _interval_gap(lo1: float, hi1: float, lo2: float, hi2: float) -> float:
-    return max(0.0, lo2 - hi1, lo1 - hi2)
-
-
-def _point_box_gaps(x: Point, lower: Point, upper: Point) -> tuple[float, ...]:
-    return tuple(max(0.0, lo - c, c - hi) for c, lo, hi in zip(x, lower, upper))
+def _box_gaps(lo1: Point, hi1: Point, lo2: Point, hi2: Point) -> list[float]:
+    """The gap between two boxes on each axis, ``max(0.0, lo2 - hi1, lo1 -
+    hi2)``; a point x is the box from x to x."""
+    return list(map(max, repeat(0.0), map(sub, lo2, hi1), map(sub, lo1, hi2)))
 
 
 def region_distance(space: Space, a: Region, b: Region) -> float:
@@ -402,7 +387,9 @@ def region_distance(space: Space, a: Region, b: Region) -> float:
     # coordinates with ``zip`` or the trusted ``_distance``, which would
     # silently truncate a mismatch. Cloud points were validated when the
     # cloud was built, so every pair of two clouds is measured with
-    # ``_distance``.
+    # ``_distance``; box gaps, nonnegative floats, are combined by the
+    # exponent's ``_combine``, as a distance's are, so gaps past the float
+    # range give inf.
     da, db = a.dimension(), b.dimension()
     if da != space.dimension or db != space.dimension:
         raise ValueError(
@@ -413,21 +400,18 @@ def region_distance(space: Space, a: Region, b: Region) -> float:
         dist = space._distance
         return min(dist(x, y) for x in a.points for y in b.points)
 
-    if isinstance(a, Box) and isinstance(b, Box):
+    if isinstance(b, Box) and (isinstance(a, Box) or _enumerable(a)):
         if not isinstance(space, LqSpace):
             raise CapabilityError("box distances need an l^q space")
-        gaps = tuple(map(_interval_gap, a.lower, a.upper, b.lower, b.upper))
-        return lq_norm(gaps, space.q)
-
+        if isinstance(a, Box):
+            return space.q._combine(_box_gaps(a.lower, a.upper, b.lower, b.upper))
+        return min(space.q._combine(_box_gaps(x, x, b.lower, b.upper)) for x in a.points)
     if isinstance(a, Box) and _enumerable(b):
         return region_distance(space, b, a)
-    if _enumerable(a) and isinstance(b, Box):
-        if not isinstance(space, LqSpace):
-            raise CapabilityError("box distances need an l^q space")
-        return min(lq_norm(_point_box_gaps(x, b.lower, b.upper), space.q) for x in a.points)
 
     if isinstance(a, Ball) or isinstance(b, Ball):
-        _require_l2(space, "ball distance")
+        if not (isinstance(space, LqSpace) and not space.q.is_inf and space.q.value == 2.0):
+            raise CapabilityError("ball distance requires the l^2 space")
         if isinstance(a, Ball) and isinstance(b, Ball):
             return max(0.0, math.dist(a.center, b.center) - a.radius - b.radius)
         ball, other = (a, b) if isinstance(a, Ball) else (b, a)
@@ -436,7 +420,7 @@ def region_distance(space: Space, a: Region, b: Region) -> float:
                 max(0.0, math.dist(x, ball.center) - ball.radius) for x in other.points
             )
         if isinstance(other, Box):
-            gap = lq_norm(_point_box_gaps(ball.center, other.lower, other.upper), space.q)
+            gap = space.q._combine(_box_gaps(ball.center, ball.center, other.lower, other.upper))
             return max(0.0, gap - ball.radius)
 
     raise CapabilityError(
@@ -516,13 +500,19 @@ class TabulatedPhi(_Record, Phi):
             raise ValueError("knot values not increasing")
         if vs[0] < 0.0:
             raise ValueError("phi(0) must be >= 0")
+        # Abscissae in [0, inf) that increase and finite values that do not
+        # decrease make each slope a finite number or inf.
+        slopes = tuple((v2 - v1) / (t2 - t1) for (t1, v1), (t2, v2) in zip(knots, knots[1:]))
+        if math.inf in slopes:
+            i = slopes.index(math.inf)
+            raise ValueError(f"slope past the float range from knot {knots[i]} to {knots[i + 1]}")
         self._set(knots)
         self._derive(
             _bounds=tuple(ts[1:]),
             _last=len(ts) - 2,
             _starts=tuple(ts[:-1]),
             _levels=tuple(vs[:-1]),
-            _slopes=tuple((v2 - v1) / (t2 - t1) for (t1, v1), (t2, v2) in zip(knots, knots[1:])),
+            _slopes=slopes,
         )
 
     def __call__(self, t: float) -> float:

@@ -3,12 +3,13 @@ import dataclasses
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 from itertools import count
 from operator import is_
 
 import pytest
 
-from proxcycle.chains import chain_self_distance
+from proxcycle.chains import chain_point_distance, chain_self_distance
 from proxcycle.gallery import (
     make_affine_strip,
     make_kirk_interval,
@@ -19,6 +20,7 @@ from proxcycle.orbit import (
     _CHUNK,
     OrbitTrace,
     _record,
+    _Walk,
     apriori_error_bound,
     banach_solve,
     block_drift_trace,
@@ -1466,3 +1468,223 @@ def test_writer_holds_one_block_of_text_at_a_time(tmp_path, p):
     assert path.read_bytes() == _per_row_csv(trace, p)
     assert path.read_bytes().count(b"\n") == 5000
     assert peak < 2**20
+
+
+# --- one reader of trace points: the constructor ---------------------------
+
+
+BAD_TRACE_POINTS = {
+    "dimension": ((-0.5, 0.0), "point of dimension 2 in a 1-dimensional space"),
+    "nan": ((math.nan,), "non-finite coordinate nan"),
+    "inf": ((math.inf,), "non-finite coordinate inf"),
+    "-inf": ((-math.inf,), "non-finite coordinate -inf"),
+    "str": (("-0.5",), "str coordinate"),
+    "bool": ((True,), "bool coordinate"),
+    "past-float-range": ((10**400,), "coordinate past the float range at index 0"),
+    "not-a-sequence": (None, "'NoneType' object is not iterable"),
+}
+
+
+@pytest.mark.parametrize("at", [0, 3, 7])
+@pytest.mark.parametrize("name", sorted(BAD_TRACE_POINTS))
+def test_a_public_trace_refuses_a_bad_point_when_built_naming_its_index(name, at):
+    kirk = make_kirk_interval(0.5).system
+    bad, message = BAD_TRACE_POINTS[name]
+    for points in (list(picard_orbit(kirk, (-1.0,), 7).points), [[-1.0]] * 8):
+        points[at] = bad
+        with pytest.raises(ValueError, match=f"^trace point {at}: .*{re.escape(message)}"):
+            OrbitTrace(kirk, points)
+
+
+def test_a_kirk_trace_of_plane_points_is_refused_when_built():
+    # Read by their first coordinates, these rows were (2.1213..., 1.5,
+    # 0.75, 0.75, 0.375); the trace now refuses them before any reader.
+    kirk = make_kirk_interval().system
+    points = [(x, 1.0) for x in (-1.0, 0.5, -0.25, 0.125)]
+    with pytest.raises(ValueError, match="^trace point 0: point of dimension 2 in a 1-d"):
+        OrbitTrace(kirk, points)
+    with pytest.raises(ValueError, match="^trace point 2: non-finite coordinate nan"):
+        OrbitTrace(kirk, [(-1.0,), (0.5,), (math.nan,), (0.125,)])
+
+
+def test_a_trace_of_lists_and_ints_equals_its_float_tuple_twin():
+    kirk = make_kirk_interval(0.5).system
+    twin = OrbitTrace(kirk, ((-1.0,), (0.5,), (-0.25,), (0.0,)))
+    readings = (
+        [[-1], [0.5], [-0.25], [0]],
+        ([-1.0], (0.5,), [Fraction(-1, 4)], (0,)),
+        iter([(-1,), [0.5], (-0.25,), [0]]),
+    )
+    for points in readings:
+        trace = OrbitTrace(kirk, points)
+        assert trace == twin and hash(trace) == hash(twin)
+        assert type(trace.points) is tuple
+        assert all(type(pt) is tuple and set(map(type, pt)) == {float} for pt in trace.points)
+        assert trace_rows(trace, 2) == trace_rows(twin, 2)
+    walked = picard_orbit(kirk, (-1.0,), 50)
+    assert OrbitTrace(kirk, walked.points).points is walked.points  # read as it is, no copy
+
+
+def test_picard_orbit_is_a_plain_trace_and_only_a_walk_is_a_solver_start():
+    gs = make_affine_strip(0.5, 1.0)
+    trace = picard_orbit(gs.system, gs.default_start, 40)
+    assert type(trace) is OrbitTrace and trace.membership_violations == ()
+    assert trace == OrbitTrace(gs.system, trace.points)
+    assert trace == OrbitTrace(gs.system, [list(pt) for pt in trace.points])
+    walk = _record(gs.system, gs.default_start, 40)
+    assert type(walk) is _Walk and walk.points == trace.points
+    assert _fields_hex(banach_solve(gs.system, walk)) == _fields_hex(
+        banach_solve(gs.system, gs.default_start)
+    )
+    with pytest.raises(TypeError, match="not iterable"):
+        banach_solve(gs.system, trace)  # a public trace is read as a start point
+
+
+# Every reader below the constructor as it was when each reader read its
+# points itself: through the public ``space.distance`` and
+# ``chain_self_distance``, one pair or one chain at a time.
+
+
+def _public_chain_trace(trace, p):
+    m, space = trace.m, trace.system.space
+    return [
+        chain_self_distance(space, trace.points[n : n + m], p)
+        for n in range(len(trace.points) - m + 1)
+    ]
+
+
+def _public_edge_trace(trace, i):
+    m, space, out, n = trace.m, trace.system.space, [], 0
+    while m * n + i < len(trace.points):
+        out.append(space.distance(trace.points[m * n + i - 1], trace.points[m * n + i]))
+        n += 1
+    return out
+
+
+def _public_block_drift_trace(trace, i):
+    m, space, out, n = trace.m, trace.system.space, [], 0
+    while m * n + m + i - 1 < len(trace.points):
+        out.append(space.distance(trace.points[m * n + i - 1], trace.points[m * n + m + i - 1]))
+        n += 1
+    return out
+
+
+def _public_trace_rows(trace, p):
+    m = trace.m
+    chains = _public_chain_trace(trace, p)
+    edges = [_public_edge_trace(trace, i) for i in range(1, m + 1)]
+    drifts = [_public_block_drift_trace(trace, i) for i in range(1, m + 1)]
+    return [
+        (chains[m * n], *(e[n] for e in edges), *(d[n] for d in drifts))
+        for n in range(len(trace.points) // m - 1)
+    ]
+
+
+def _public_boundedness(trace):
+    space, m = trace.system.space, trace.m
+    sups, stabilized = [], []
+    for r in range(min(m, len(trace.points))):
+        seq = trace.points[r::m]
+        dists = [space.distance(pt, seq[0]) for pt in seq]
+        running_max, last_new_max = -math.inf, 0
+        for idx, d in enumerate(dists):
+            if d > running_max:
+                running_max, last_new_max = d, idx
+        sups.append(running_max)
+        stabilized.append(last_new_max <= len(dists) // 2)
+    return tuple(sups), tuple(stabilized)
+
+
+def _oracle_trace():
+    # A metric oracle with no gap bound, on a three-region turn of the
+    # plane whose orbit never repeats.
+    space = OracleSpace(lambda a, b: abs(a[0] - b[0]) + 0.5 * abs(a[1] - b[1]), 2)
+    box = Box((-4.0, -4.0), (4.0, 4.0))
+    system = CyclicSystem(space, (box,) * 3, lambda x: (0.9 * x[1], -0.8 * x[0] + 0.1))
+    return picard_orbit(system, (1.5, -0.5), 61)
+
+
+def _walked(gs):
+    return picard_orbit(gs.system, gs.default_start, 60)
+
+
+SAME_BITS_TRACES = {
+    "kirk_interval": lambda: _walked(make_kirk_interval(0.3)),
+    "affine_strip": lambda: _walked(make_affine_strip(0.4, 1.5)),
+    "paper_lq_family": lambda: _walked(make_paper_lq_family(m=3, q=3, N=6)),
+    "scaled_pair": lambda: _walked(make_scaled_pair(0.4, 2.0, 22)),
+    "oracle": _oracle_trace,
+}
+
+
+@pytest.mark.parametrize("p", [1, 2, INFINITY])
+@pytest.mark.parametrize("name", sorted(SAME_BITS_TRACES))
+def test_trace_readers_give_the_bits_of_their_per_point_reads(name, p):
+    walked = SAME_BITS_TRACES[name]()
+    public = OrbitTrace(walked.system, [list(pt) for pt in walked.points])
+    m = walked.m
+    for trace in (walked, public):
+        assert _hexed(tuple(chain_trace(trace, p))) == _hexed(tuple(_public_chain_trace(trace, p)))
+        for i in range(1, m + 1):
+            assert _hexed(tuple(edge_trace(trace, i))) == _hexed(
+                tuple(_public_edge_trace(trace, i))
+            )
+            assert _hexed(tuple(block_drift_trace(trace, i))) == _hexed(
+                tuple(_public_block_drift_trace(trace, i))
+            )
+        assert [_hexed(row) for row in trace_rows(trace, p)] == [
+            _hexed(row) for row in _public_trace_rows(trace, p)
+        ]
+        for n, k in ((1, 0), (0, 1), (3, 7), (5, 5)):
+            got = cross_block_chain_distance(trace, n, k, p)
+            want = chain_point_distance(trace.system.space, trace.block(n), trace.block(k), p)
+            assert float.hex(got) == float.hex(want)
+        report = boundedness_probe(trace)
+        assert _hexed((report.sups, report.stabilized)) == _hexed(_public_boundedness(trace))
+
+
+class _ReadCountingLq(LqSpace):
+    """An l^q space that records each ``point`` and ``_as_read`` call with
+    the number of coordinates it was handed; its kernel is the chosen one."""
+
+    def __init__(self, q, dimension):
+        super().__init__(q, dimension)
+        object.__setattr__(self, "reads", [])
+
+    def point(self, v, what="point"):
+        self.reads.append(("point", len(v)))
+        return super().point(v, what)
+
+    def _as_read(self, points):
+        self.reads.append(("_as_read", sum(map(len, points))))
+        return super()._as_read(points)
+
+
+# (system, steps): the point calls, _as_read calls and coordinates read by a
+# walk of that many steps: x0 once, each chunk's images once (an image that
+# is its predecessor's very object skipped), and nothing again for the
+# trace. paper_lq_family's second point call is its artifact point, read
+# when its system is built.
+WALK_READS = {
+    "kirk_interval": (lambda: make_kirk_interval(), 3000, (1, 3, 3001)),
+    "affine_strip": (lambda: make_affine_strip(alpha=0.001), 2500, (1, 3, 5002)),
+    "paper_lq_family": (lambda: make_paper_lq_family(m=3, N=6), 2100, (2, 3, 484)),
+    "scaled_pair": (lambda: make_scaled_pair(), 1500, (1, 2, 4503)),
+}
+
+
+@pytest.mark.parametrize("walker", ["record", "picard_orbit"])
+@pytest.mark.parametrize("name", sorted(WALK_READS))
+def test_a_walk_reads_its_points_once(name, walker):
+    make, steps, expected = WALK_READS[name]
+    gs = make()
+    space = _ReadCountingLq(gs.system.space.q, gs.system.space.dimension)
+    system = dataclasses.replace(gs.system, space=space)
+    if walker == "record":
+        trace = _record(system, gs.default_start, steps)
+    else:
+        trace = picard_orbit(system, gs.default_start, steps)
+    kinds = [kind for kind, _ in space.reads]
+    assert (kinds.count("point"), kinds.count("_as_read")) == expected[:2]
+    assert sum(coordinates for _, coordinates in space.reads) == expected[2]
+    assert len(trace.points) == steps + 1

@@ -251,6 +251,24 @@ def test_validate_metric_needs_three_points():
         validate_metric(space, [(0.0,), (1.0,)])
 
 
+def test_validate_metric_reads_each_sample_once_in_order():
+    # Each sample is read by the space in turn, its dimension included, so
+    # a wrong-dimension sample comes before a later non-finite one.
+    line = LqSpace(Exponent(2.0), 1)
+    with pytest.raises(ValueError, match="^point of dimension 2 in a 1-dimensional space$"):
+        validate_metric(line, [(0.0,), (1.0, 0.0), (math.nan,)])
+    with pytest.raises(ValueError, match="^non-finite coordinate nan"):
+        validate_metric(line, [(0.0,), (math.nan,), (1.0, 0.0)])
+    with pytest.raises(ValueError, match="^point of dimension 2"):
+        validate_metric(line, [(0.0,), (1.0, 0.0)])
+    # The oracle is handed the points read: tuples of floats.
+    seen = []
+    space = OracleSpace(lambda a, b: seen.append(a + b) or abs(a[0] - b[0]), 1)
+    assert validate_metric(space, [[0], [1], (2.5,), [True + 2.0]]).ok
+    assert {type(c) for coordinates in seen for c in coordinates} == {float}
+    assert len(seen) == 4 + 2 * 6 + 3 * 3 * 4
+
+
 # --- kernels chosen once per exponent ---------------------------------------
 
 EXPONENTS = [1.0, 1.5, 2.0, 3.0, 3.5, math.inf]

@@ -2,6 +2,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,16 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import proxcycle.system as system_module
-from proxcycle.chains import chain_point_distance
+from proxcycle.chains import chain_point_distance, chain_set_distance
 from proxcycle.gallery import (
     attainment_gap,
+    build,
     make_affine_strip,
     make_kirk_interval,
     make_paper_lq_family,
     make_scaled_pair,
 )
 from proxcycle.orbit import (
+    apriori_error_bound,
     banach_solve,
+    cross_block_chain_distance,
     periodic_point_solve,
     picard_orbit,
     proximity_chain_extract,
@@ -30,6 +34,7 @@ from proxcycle.spaces import (
     LqSpace,
     OracleSpace,
     Space,
+    _value_repr,
     as_exponent,
     check_point,
     p_combine,
@@ -175,6 +180,24 @@ def test_region_distance_cases():
     assert region_distance(L2_2, s1, Ball((1.0, 0.0), 1.0)) == 0.0
 
 
+@pytest.mark.parametrize("q", [1, 2, INFINITY])
+def test_region_distances_past_the_float_range_are_inf(q):
+    # The gaps themselves overflow: 1e308 - (-1e308) is inf. Box gaps are
+    # combined as a distance's are, so the set distance is inf.
+    space = LqSpace(as_exponent(q), 2)
+    low = Box((-1e308, 0.0), (-1e308, 1.0))
+    high = Box((1e308, 0.0), (1e308, 1.0))
+    cloud = FiniteCloud(((-1e308, 0.0), (-1e308, 0.5)))
+    for a, b in ((low, high), (high, low), (cloud, high), (high, cloud)):
+        assert region_distance(space, a, b) == math.inf
+        assert chain_set_distance(space, (a, b), 2) == math.inf
+        assert CyclicSystem(space, (a, b), lambda x: x).edge_distances == (math.inf, math.inf)
+    if q == 2:
+        ball = Ball((-1e308, 0.0), 1.0)
+        assert region_distance(space, ball, high) == region_distance(space, high, ball) == math.inf
+        assert CyclicSystem(space, (ball, high), lambda x: x).set_chain_distance(q) == math.inf
+
+
 def _region_of(kind, dim):
     if kind == "cloud":
         return FiniteCloud(((5.0,) * dim, (7.0,) * dim))
@@ -303,6 +326,17 @@ def test_tabulated_phi_refuses_str_and_bytes_knots():
         with pytest.raises(ValueError, match="^knots must be pairs of numbers, got "):
             TabulatedPhi([[0, 0], knot])
     assert TabulatedPhi([[0, 0], ["1", "2"]]).knots == ((0.0, 0.0), (1.0, 2.0))
+
+
+def test_tabulated_phi_refuses_a_segment_whose_slope_overflows():
+    # 1.0 / 5e-324 is inf: phi would be inf * 0.0 = nan at the knot (0, 0).
+    message = "slope past the float range from knot (0.0, 0.0) to (5e-324, 1.0)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TabulatedPhi(((0, 0), (5e-324, 1.0), (1.0, 2.0)))
+    with pytest.raises(ValueError, match=r"from knot \(1\.0, 0\.5\) to \(1\.5, 1e\+308\)$"):
+        TabulatedPhi(((0, 0), (1, 0.5), (1.5, 1e308)))
+    steep = TabulatedPhi(((0, 0), (5e-324, 1e-300), (1.0, 2.0)))  # slope 2e23, finite
+    assert steep(0.0) == 0.0 and steep._many([0.0, 5e-324]) == [0.0, 1e-300]
 
 
 # 0.0, a subnormal, values at, between and past the knots of the tabulated
@@ -1847,3 +1881,130 @@ def test_record_reprs_keep_the_dataclass_format():
     # The knot abscissae kept for the interpolation stay out of the repr.
     assert repr(TabulatedPhi([[0, 0], [1, 2]])) == "TabulatedPhi(knots=((0.0, 0.0), (1.0, 2.0)))"
     assert repr(Box((0.0,), (1.0,))) == "Box(lower=(0.0,), upper=(1.0,))"
+
+
+# --- refusals of ints too long for decimal text -------------------------------
+
+# 16 610 bits, past the 4 300 digits Python makes into text by default; its
+# negative is refused by every count domain.
+TOO_LONG = 10**5000
+_TOO_LONG = "int of 16610 bits"
+
+
+def _short_trace():
+    return picard_orbit(kirk_system(), (-1.0,), 10)
+
+
+TOO_LONG_REFUSALS = {
+    "banach_solve tol": (
+        ValueError, f"tol must be in \\(0, inf\\), got {_TOO_LONG}",
+        lambda: banach_solve(kirk_system(), (-1.0,), tol=TOO_LONG),
+    ),
+    "banach_solve max_iter": (
+        ValueError, f"max_iter must be an integer in \\[0, inf\\), got {_TOO_LONG}",
+        lambda: banach_solve(kirk_system(), (-1.0,), max_iter=-TOO_LONG),
+    ),
+    "picard_orbit n": (
+        ValueError, f"n must be an integer in \\[0, inf\\), got {_TOO_LONG}",
+        lambda: picard_orbit(kirk_system(), (-1.0,), -TOO_LONG),
+    ),
+    "apriori_error_bound k": (
+        ValueError, f"k must be an integer in \\[0, inf\\), got {_TOO_LONG}",
+        lambda: apriori_error_bound(0.5, 2, -TOO_LONG, 1.0),
+    ),
+    "alpha_bound_check m": (
+        ValueError, f"m must be an integer in \\[2, inf\\), got {_TOO_LONG}",
+        lambda: alpha_bound_check(0.5, -TOO_LONG, 2),
+    ),
+    "LinearPhi alpha": (
+        ValueError, f"alpha must be in \\(0, 1\\), got {_TOO_LONG}", lambda: LinearPhi(TOO_LONG)
+    ),
+    "Ball radius": (
+        ValueError, f"radius must be in \\(0, inf\\), got {_TOO_LONG}",
+        lambda: Ball((0.0,), TOO_LONG),
+    ),
+    "TabulatedPhi knots": (
+        ValueError,
+        f"knots must be in \\(-inf, inf\\) with every coordinate finite, got {_TOO_LONG}",
+        lambda: TabulatedPhi(((0, 0), (TOO_LONG, 1))),
+    ),
+    "LqSpace dimension": (
+        ValueError, f"dimension must be an integer in \\[1, inf\\), got {_TOO_LONG}",
+        lambda: LqSpace(2, -TOO_LONG),
+    ),
+    "verify_contraction tuple_samples": (
+        ValueError, f"tuple_samples must be an integer in \\[1, inf\\), got {_TOO_LONG}",
+        lambda: verify_contraction(kirk_system(), LinearPhi(0.5), 2, tuple_samples=-TOO_LONG),
+    ),
+    "build alpha": (
+        ValueError, f"alpha must be in \\(0, 1\\), got {_TOO_LONG}",
+        lambda: build("kirk_interval", {"alpha": TOO_LONG}),
+    ),
+    "paper_lq_family m": (
+        ValueError, f"m must be an integer in \\[2, 16\\], got {_TOO_LONG}",
+        lambda: build("paper_lq_family", {"m": -TOO_LONG}),
+    ),
+    "OrbitTrace.block n": (
+        ValueError, f"trace too short for block {_TOO_LONG}",
+        lambda: _short_trace().block(TOO_LONG),
+    ),
+    "cross_block_chain_distance n": (
+        ValueError, f"trace too short for block {_TOO_LONG}",
+        lambda: cross_block_chain_distance(_short_trace(), TOO_LONG, 0, 2),
+    ),
+    "as_exponent Fraction": (
+        TypeError, "cannot read exponent from Fraction of 16610 bits",
+        lambda: as_exponent(Fraction(TOO_LONG)),
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(TOO_LONG_REFUSALS))
+def test_refusals_name_the_parameter_for_ints_too_long_for_text(entry):
+    kind, message, call = TOO_LONG_REFUSALS[entry]
+    with pytest.raises(Exception) as err:
+        call()
+    assert type(err.value) is kind
+    assert re.fullmatch(message, str(err.value)), str(err.value)
+
+
+def test_long_ints_and_fractions_show_as_they_did_up_to_2048_bits():
+    short, long_ = 2**2048 - 1, 2**2048
+    assert _value_repr(short) == repr(short) and _value_repr(-short) == repr(-short)
+    assert _value_repr(long_) == "int of 2049 bits"
+    assert _value_repr(Fraction(1, long_)) == "Fraction of 2049 bits"
+    assert _value_repr(Fraction(short, 3)) == repr(Fraction(short, 3))
+    for value in (True, 1.5, "1e3", None, 10**400):
+        assert _value_repr(value) == repr(value)
+
+
+# --- what a sampled certificate can miss --------------------------------------
+
+
+def _edge_flip(x):
+    # -x/2 on most of [-1, 1], but -x on the last 1% at either end: the
+    # pairs that refute the contraction inequality sit in that thin band.
+    return (-x[0],) if abs(x[0]) > 0.99 else (-x[0] / 2,)
+
+
+@pytest.mark.parametrize(
+    "pairs, ok, min_margin",
+    [
+        (500, True, 0.05401776379348244),
+        (2_500, False, -0.06574673685067167),
+        (5_000, False, -0.06574673685067167),
+        (50_000, False, -0.18836614103428428),
+    ],
+)
+def test_a_sampled_certificate_passes_until_it_draws_the_band_that_refutes_it(
+    pairs, ok, min_margin
+):
+    # Kirk's regions under a map that is cyclic everywhere but expands on a
+    # 1% band: 500 pairs miss the band and certify a false inequality.
+    kirk = kirk_system()
+    system = CyclicSystem(kirk.space, kirk.regions, _edge_flip)
+    assert verify_cyclicity(system, seed=1).ok
+    cert = verify_contraction(system, LinearPhi(0.1), 2, tuple_samples=pairs, seed=1)
+    assert (cert.ok, cert.evaluated, float.hex(cert.min_margin)) == (
+        ok, pairs, float.hex(min_margin)
+    )
