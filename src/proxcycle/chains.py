@@ -74,8 +74,10 @@ def _chain_distance(
 
 
 def chain_self_distance(space: Space, xs: Sequence[Sequence[float]], p: object) -> float:
-    """Chain distance of a tuple against itself (same code path, bit-identical)."""
-    return chain_point_distance(space, xs, xs, p)
+    """``chain_point_distance`` of a chain against itself, bit-identical to
+    it; the chain is read once, so it may be an iterator."""
+    chain = _check_chain(space, xs)
+    return _chain_distance(space, chain, chain, as_exponent(p)._combine)
 
 
 def _edge_distances(space: Space, regions: Sequence[object]) -> tuple[float, ...]:

@@ -264,13 +264,14 @@ _REPR_COORDS = 4
 
 
 def _point_repr(v: Sequence[float]) -> str:
-    """A point or value list for an error message: its repr up to
+    """A point (a tuple) or value list for an error message: its repr up to
     ``_REPR_COORDS`` coordinates, else the first few and the dimension, so a
-    message stays short at any dimension."""
-    if len(v) <= _REPR_COORDS:
-        return repr(v)
-    head = ", ".join(map(repr, v[:_REPR_COORDS]))
-    return f"({head}, ...; dimension {len(v)})"
+    message stays short at any dimension. Each coordinate is shown by
+    ``_value_repr``, so a huge int is named by its bit length."""
+    head = ", ".join(map(_value_repr, v[:_REPR_COORDS]))
+    if len(v) > _REPR_COORDS:
+        return f"({head}, ...; dimension {len(v)})"
+    return f"[{head}]" if type(v) is list else f"({head}{',' * (len(v) == 1)})"
 
 
 def check_point(v: Sequence[float]) -> Point:
@@ -494,7 +495,7 @@ def _plane_gap(power: float, inv: float, pa: Point, pb: Point) -> float:
 
 
 def _space_gap(power: float, inv: float, pa: Point, pb: Point) -> float:
-    # ``_power_gap`` at three coordinates, unpacked: the three gaps, their
+    # The exponent's _combine of the three gaps, unpacked: the gaps, their
     # peak, fsum of the three (g / peak) ** q terms in coordinate order,
     # ** (1/q) and * peak, the same operations in the same order, so the
     # same bits, with no list. Equal finite points give three 0.0 gaps and
@@ -513,23 +514,6 @@ def _space_gap(power: float, inv: float, pa: Point, pb: Point) -> float:
     return peak * math.fsum(terms) ** inv
 
 
-def _power_gap(power: float, inv: float, pa: Point, pb: Point) -> float:
-    # ``_combined_gaps`` with ``_power_sum`` inlined: the equal-point test,
-    # the gaps, their peak, fsum of the (g / peak) ** q terms, ** (1/q) and
-    # * peak, the same operations in the same order, so the same bits, in
-    # one call. Points have at least one coordinate, so the peak needs no
-    # default; a gap list emptied by a non-point raises instead.
-    if pa == pb:
-        return 0.0
-    gaps = list(map(abs, map(sub, pa, pb)))
-    peak = max(gaps)
-    if peak == 0.0:
-        return 0.0
-    if peak == math.inf:
-        return peak
-    return peak * math.fsum([(g / peak) ** power for g in gaps]) ** inv
-
-
 def _max_gap(pa: Point, pb: Point) -> float:
     if pa == pb:
         return 0.0
@@ -537,7 +521,7 @@ def _max_gap(pa: Point, pb: Point) -> float:
 
 
 # The kernels ``LqSpace`` chooses from, each at least the first-coordinate gap.
-_GAP_KERNELS = (_line_gap, _max_gap, _combined_gaps, _plane_gap, _space_gap, _power_gap)
+_GAP_KERNELS = (_line_gap, _max_gap, _combined_gaps, _plane_gap, _space_gap)
 
 
 class LqSpace(_Record, Space):
@@ -546,17 +530,15 @@ class LqSpace(_Record, Space):
     The trusted ``_distance`` is bound once, at construction, to a kernel
     chosen from (q, dimension): |a - b| on the line, the max of the
     coordinate gaps for q = inf, and for 1 < q < inf the unrolled two-term
-    power sum in the plane, the three-term power sum on unpacked
-    coordinates in three dimensions and the power sum fused into one
-    function from four dimensions up; for q = 1 the exponent's ``_combine``
-    of the gaps. Each returns the bits that the exponent's ``_combine`` of
-    the gaps would.
+    power sum in the plane and the three-term power sum on unpacked
+    coordinates in three dimensions; for q = 1, and for 1 < q < inf from
+    four dimensions up, the exponent's ``_combine`` of the gaps. Each
+    returns the bits that the exponent's ``_combine`` of the gaps would.
 
-    The q = inf kernel, the fused power sum and the ``_combine`` of the gaps
-    return 0.0 for equal points before building any list. That is exact for
-    finite points: ``a == b`` makes every difference +0.0 or -0.0 and every
-    gap 0.0, so each kernel would return +0.0, also for
-    ``(0.0,) == (-0.0,)``.
+    The q = inf kernel and the ``_combine`` of the gaps return 0.0 for
+    equal points before building any list. That is exact for finite points:
+    ``a == b`` makes every difference +0.0 or -0.0 and every gap 0.0, so
+    each kernel would return +0.0, also for ``(0.0,) == (-0.0,)``.
     The line, plane and three-coordinate kernels build no list, return +0.0
     from their zero peak, and do without it. The plane and three-coordinate
     kernels unpack their points, so a point of another length raises.
@@ -574,14 +556,12 @@ class LqSpace(_Record, Space):
             kernel = _line_gap
         elif q.is_inf:
             kernel = _max_gap
-        elif q.value == 1.0:
+        elif q.value == 1.0 or dimension > 3:
             kernel = partial(_combined_gaps, q._combine)
         elif dimension == 2:
             kernel = partial(_plane_gap, q._power, q._inv)
-        elif dimension == 3:
-            kernel = partial(_space_gap, q._power, q._inv)
         else:
-            kernel = partial(_power_gap, q._power, q._inv)
+            kernel = partial(_space_gap, q._power, q._inv)
         self._derive(_distance=kernel)
 
     @property
@@ -589,10 +569,11 @@ class LqSpace(_Record, Space):
         """True while ``_distance`` is a kernel chosen here: each is at
         least the gap ``abs(a[0] - b[0])`` of finite points a and b, bit for
         bit. The line kernel is that gap and the q = inf kernel a max over
-        the gaps; the q = 1 kernel is a correctly rounded sum of nonnegative
-        terms, which cannot fall below a term; the plane, three-coordinate
-        and fused power kernels multiply the peak gap by a power sum raised
-        to 1/q whose peak term is 1.0 exactly, so by a factor of at least 1.
+        the gaps; the ``_combine`` of the gaps at q = 1 is a correctly
+        rounded sum of nonnegative terms, which cannot fall below a term; at
+        1 < q < inf it, and the plane and three-coordinate kernels, multiply
+        the peak gap by a power sum raised to 1/q whose peak term is 1.0
+        exactly, so by a factor of at least 1.
         Each is also symmetric bit for bit: it reads its points only through
         ``a == b`` and the gaps ``abs(a_i - b_i)``, and ``a_i - b_i`` is
         ``-(b_i - a_i)`` exactly, so ``_distance(a, b)`` is
@@ -605,7 +586,8 @@ class LqSpace(_Record, Space):
         return getattr(kernel, "func", kernel) in _GAP_KERNELS
 
     def norm(self, v: Sequence[float]) -> float:
-        return lq_norm(v, self.q)
+        """The l^q norm of ``v``, read by ``point`` as a vector of this space."""
+        return lq_norm(self.point(v, "vector"), self.q)
 
 
 class OracleSpace(_Record, Space):

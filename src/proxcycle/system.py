@@ -218,50 +218,50 @@ class _Draw:
     fails, whose error then ends the block there. So the samples before the
     first that fails to draw or to read come back with that failure.
 
-    When every region is exactly a ``Box`` or a ``Ball``, the block is
-    drawn by columns, ``[r.sample(rng) for _ in range(rounds) for r in
-    regions]`` bit for bit, leaving ``rng`` in the same state, for an
-    ``rng`` whose ``uniform`` and ``gauss`` are ``random.Random``'s. Any
-    other region (a ``FiniteCloud``, whose ``randrange`` draws bits rather
-    than ``random()``, or a subclass with its own ``sample``) is drawn one
-    ``sample`` call at a time, and ``Region.sample`` stays the per-sample
-    reference the columns match.
+    When every region is exactly a ``Box`` or a ``Ball``, a block of an
+    even number of rounds, started with no gauss value waiting in
+    ``rng.gauss_next``, is drawn by columns, ``[r.sample(rng) for _ in
+    range(rounds) for r in regions]`` bit for bit, leaving ``rng`` in the
+    same state, for an ``rng`` whose ``uniform`` and ``gauss`` are
+    ``random.Random``'s. Those are the blocks both sampled checks ask for.
+    Any other block, and any other region (a ``FiniteCloud``, whose
+    ``randrange`` draws bits rather than ``random()``, or a subclass with
+    its own ``sample``), is drawn one ``sample`` call at a time, and
+    ``Region.sample`` stays the per-sample reference the columns match.
 
     Every draw of the column stream is a call of ``rng.random``: a Box
     takes one per axis that is not degenerate (``uniform``), a Ball of
     dimension d takes d ``gauss`` values and then one for its radius, and
     ``gauss`` takes a pair (an angle and a radius) for every second value,
-    keeping the other, raw, in ``rng.gauss_next``. Whether a value is kept
-    there comes back after two rounds, so a plan for each starting state
-    fixes where each draw of two rounds goes, and slot j of the plan is the
-    column ``u[j::width]`` of the block's draws. The gauss values, norms,
-    scales and coordinates are then built column by column with ``map``,
-    and the points assembled in draw order.
+    keeping the other, raw, in ``rng.gauss_next``. From a state with none
+    waiting, two rounds leave none waiting, so one plan of two rounds fixes
+    where each draw goes, and slot j of the plan is the column
+    ``u[j::width]`` of the block's draws. The gauss values, norms, scales
+    and coordinates are then built column by column with ``map``, and the
+    points assembled in draw order.
 
     A Ball whose direction has norm zero returns its center without drawing
     a radius, which shifts the stream: a block that meets one is drawn
     again, sample by sample, from the state it started in.
     """
 
-    __slots__ = ("space", "regions", "_plans")
+    __slots__ = ("space", "regions", "_layout")
 
     def __init__(self, space: Space, regions: Sequence[Region]) -> None:
         self.space, self.regions = space, tuple(regions)
         columns = all(type(r) in (Box, Ball) for r in self.regions)
-        self._plans = (self._plan(False), self._plan(True)) if columns else None
+        self._layout = self._plan() if columns else None
 
-    def _plan(self, kept: bool) -> tuple:
-        """Two rounds of draws from a state with (``kept``) or without a
-        gauss value waiting: the slots after the first round and after both,
-        the first slot of each gauss pair, each round's recipe per region and
-        what ``gauss_next`` holds after each round. A recipe gives a Box's
-        axes as (lower, upper - lower, slot), slot None for a degenerate
-        axis, and a Ball's gauss values with its radius slot. A gauss value
-        is an index into the block's gauss columns: 2k and 2k + 1 for the
-        two values of pair k, -1 for the value waiting when the block
-        starts."""
-        slots, pairs, recipes, ends, widths = 0, [], [], [], []
-        waiting = -1 if kept else None
+    def _plan(self) -> tuple:
+        """Two rounds of draws from a state with no gauss value waiting:
+        the slots they take, the first slot of each gauss pair and each
+        round's recipe per region. A recipe gives a Box's axes as (lower,
+        upper - lower, slot), slot None for a degenerate axis, and a Ball's
+        gauss values with its radius slot. A gauss value is an index into
+        the block's gauss columns: 2k and 2k + 1 for the two values of pair
+        k."""
+        slots, pairs, recipes = 0, [], []
+        waiting = None
         for _ in range(2):
             row = []
             for region in self.regions:
@@ -285,14 +285,14 @@ class _Draw:
                 row.append((values, slots))
                 slots += 1
             recipes.append(row)
-            ends.append(waiting)
-            widths.append(slots)
-        return widths, pairs, recipes, ends
+        return slots, pairs, recipes
 
     def draw(self, rng: random.Random, rounds: int) -> tuple[list[Point], Exception | None]:
         """``rounds`` samples of every region in turn, read, with the
         failure that ended them early, or None."""
-        points = None if self._plans is None else self._columns(rng, rounds)
+        points = None
+        if self._layout is not None and rounds % 2 == 0 and rng.gauss_next is None:
+            points = self._columns(rng, rounds // 2)
         failure = None
         if points is None:  # drawn one sample call at a time
             points = []
@@ -305,24 +305,20 @@ class _Draw:
         read, error = self.space._read_block(points)
         return read, failure if error is None else error
 
-    def _columns(self, rng: random.Random, rounds: int) -> list[Point] | None:
-        """The rounds drawn by columns, or None, with ``rng`` set back to
-        the state the block started in, when a Ball direction has norm
-        zero."""
+    def _columns(self, rng: random.Random, half: int) -> list[Point] | None:
+        """``2 * half`` rounds drawn by columns, or None, with ``rng`` set
+        back to the state the block started in, when a Ball direction has
+        norm zero."""
         regions = self.regions
-        kept = rng.gauss_next
-        (first, width), pairs, recipes, ends = self._plans[kept is not None]
+        width, pairs, recipes = self._layout
         state = rng.getstate()
-        half, odd = divmod(rounds, 2)
-        lengths = (half + odd, half)  # samples of the plan's first and second round
-        rand = rng.random
-        u = list(starmap(rand, repeat((), half * width + odd * first)))
+        u = list(starmap(rng.random, repeat((), half * width)))
         column = [u[j::width] for j in range(width)]
 
         # Pair k of gauss: z = cos(x2pi) * g2rad is returned at once and
-        # raws[k] = sin(x2pi) * g2rad kept for the next value; values[2k]
-        # and values[2k + 1] are the two as gauss returns them.
-        values, raws = [], []
+        # sin(x2pi) * g2rad kept for the next value; values[2k] and
+        # values[2k + 1] are the two as gauss returns them.
+        values = []
         for j in pairs:
             x2pi = list(map(mul, column[j], repeat(_TWOPI)))
             g2rad = list(
@@ -331,19 +327,15 @@ class _Draw:
                     map(mul, repeat(-2.0), map(math.log, map(sub, repeat(1.0), column[j + 1]))),
                 )
             )
-            raws.append(list(map(mul, map(math.sin, x2pi), g2rad)))
             values.append(_as_returned(map(mul, map(math.cos, x2pi), g2rad)))
-            values.append(_as_returned(raws[-1]))
-        if kept is not None and pairs:
-            # Each two rounds end with the last pair's raw value waiting.
-            values.append(_as_returned([kept, *raws[ends[1] // 2][: lengths[0] - 1]]))
+            values.append(_as_returned(map(mul, map(math.sin, x2pi), g2rad)))
 
         groups: tuple[list, list] = ([], [])
-        for group, row, n in zip(groups, recipes, lengths):
+        for group, row in zip(groups, recipes):
             for region, recipe in zip(regions, row):
                 if type(region) is Box:
                     coords = [
-                        repeat(lo, n)
+                        repeat(lo, half)
                         if j is None
                         else map(add, repeat(lo), map(mul, repeat(span), column[j]))
                         for lo, span, j in recipe
@@ -364,14 +356,7 @@ class _Draw:
                         for c, us in zip(region.center, direction)
                     ]
                 group.append(list(zip(*coords)))
-
-        end = ends[0] if odd else ends[1]
-        if end != -1:
-            rng.gauss_next = None if end is None else raws[end // 2][-1]
-        points = list(itertools.chain.from_iterable(zip(*groups[0], *groups[1])))
-        if odd:
-            points += [samples[-1] for samples in groups[0]]
-        return points
+        return list(itertools.chain.from_iterable(zip(*groups[0], *groups[1])))
 
 
 def _box_gaps(lo1: Point, hi1: Point, lo2: Point, hi2: Point) -> list[float]:
@@ -644,32 +629,23 @@ class CyclicSystem(_Record):
     def _images(self, pts: list[Point]) -> list[Point]:
         """``[self._image(pt) for pt in pts]`` for points already validated:
         the map called over the block in one C-level pass and the images
-        validated in one more (``Space._as_read``).
+        read by ``Space._read_block``.
 
         The per-point ``_image`` stays the one reader that reports a failure.
         When the map raises, the block is mapped again point by point by
-        ``_image``, which raises for the first failing point in order. An
-        image not read as it is goes through ``check_point``, and one that
-        fails there or has the wrong dimension is mapped again by ``_image``
-        for its error; the map is pure, so a successful block calls it once
-        per point.
+        ``_image``, which raises for the first failing point in order. From
+        the first image that fails to read, the points are mapped again by
+        ``_image``, which raises that image's error; the map is pure, so a
+        successful block calls it once per point.
         """
         try:
             images = list(map(self.map, pts))
         except Exception:
             return [self._image(pt) for pt in pts]
-        if self.space._as_read(images):
-            return images
-        dim = self.space.dimension
-
-        def read(pt: Point, image: object) -> Point:
-            try:
-                out = check_point(image)
-            except (TypeError, ValueError):
-                return self._image(pt)
-            return out if len(out) == dim else self._image(pt)
-
-        return list(map(read, pts, images))
+        read, error = self.space._read_block(images)
+        if error is None:
+            return read
+        return [*read, *map(self._image, pts[len(read) :])]
 
     def is_artifact(self, x: Sequence[float], tol: float = 1e-12) -> bool:
         """Whether x is within ``tol`` of an artifact point; ``tol`` is read

@@ -41,6 +41,19 @@ def test_self_distance_bit_identical():
         assert chain_self_distance(LINE, xs, p) == chain_point_distance(LINE, xs, xs, p)
 
 
+def test_self_distance_reads_its_chain_once():
+    # An iterator is read once, into the chain measured against itself.
+    xs = chain1(0.1, 0.7, 2.3)
+    for p in (1, 2, 3.5, INFINITY):
+        got = chain_self_distance(LINE, iter(xs), p)
+        assert got.hex() == chain_self_distance(LINE, xs, p).hex()
+    line, chain = LqSpace(2, 1), [(0.0,), (1.0,)]
+    got = chain_self_distance(line, iter(chain), 2)
+    assert got.hex() == chain_self_distance(line, tuple(chain), 2).hex() == math.sqrt(2).hex()
+    with pytest.raises(ValueError, match="^a chain needs at least 2 points$"):
+        chain_self_distance(LINE, iter([(0.0,)]), 2)
+
+
 def test_self_distance_examples():
     assert chain_self_distance(LINE, chain1(0, 1), 1) == 2.0
     assert chain_self_distance(LINE, chain1(5, 5, 5), 2) == 0.0

@@ -18,7 +18,8 @@ from proxcycle.spaces import (
     LqSpace,
     OracleSpace,
     _GAP_KERNELS,
-    _power_gap,
+    _combined_gaps,
+    _point_repr,
     _space_gap,
     as_exponent,
     check_point,
@@ -126,6 +127,24 @@ def test_check_point_rejects_strings_bytes_and_booleans(v, message):
         check_point(v)
 
 
+def test_check_point_names_a_bool_coordinate_beside_a_huge_int():
+    # The message shows each coordinate by _value_repr, so an int past the
+    # int-to-text limit does not hide the refusal of the bool before it.
+    with pytest.raises(ValueError) as err:
+        check_point([True, 10**5000])
+    assert str(err.value) == "bool coordinate True at index 0 in (True, int of 16610 bits)"
+    with pytest.raises(ValueError, match=r"^str coordinate '1' at index 4 in \(1\.0, "):
+        check_point([1.0, 2, -(10**5000), 3.0, "1", 5.0])
+
+
+@pytest.mark.parametrize(
+    "v, shown",
+    [((), "()"), ((1.0,), "(1.0,)"), ((1.0, -0.0), "(1.0, -0.0)"), ([2.5, 3], "[2.5, 3]")],
+)
+def test_point_repr_is_repr_up_to_the_coordinate_count(v, shown):
+    assert _point_repr(v) == shown == repr(v)
+
+
 class Real(float):
     pass
 
@@ -180,6 +199,28 @@ def test_distance_examples():
     assert l2.distance((0, 0), (0, 1)) == 1.0
     assert l1.distance((1, 1), (0, 0)) == 2.0
     assert linf.distance((1, 0), (0, 2)) == 2.0
+
+
+def test_norm_reads_its_vector_as_a_point_of_the_space():
+    plane = LqSpace(Exponent(2.0), 2)
+    with pytest.raises(ValueError, match="^vector of dimension 3 in a 2-dimensional space$"):
+        plane.norm((3.0, 4.0, 12.0))
+    with pytest.raises(ValueError, match="^vector of dimension 1 in a 2-dimensional space$"):
+        plane.norm([5])
+    with pytest.raises(ValueError, match="non-finite"):
+        plane.norm((3.0, math.nan))
+    assert plane.norm((3.0, 4.0)) == plane.norm([3, 4]) == 5.0
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("dimension", [1, 2, 3, 7])
+def test_norm_of_the_right_dimension_keeps_its_bits(q, dimension):
+    space = LqSpace(as_exponent(q), dimension)
+    rng = random.Random(f"norm:{q}:{dimension}")
+    for _ in range(200):
+        v = tuple(rng.uniform(-1e3, 1e3) for _ in range(dimension))
+        assert same_bits(space.norm(v), lq_norm(v, q))
+        assert same_bits(space.norm(list(v)), lq_norm(v, q))
 
 
 def test_distance_dimension_mismatch():
@@ -503,15 +544,19 @@ def test_every_kernel_is_plus_zero_on_equal_points_and_combines_the_gaps(q, dime
 @example(data=None)
 @settings(max_examples=60, deadline=None)
 def test_fused_power_kernel_is_the_combine_of_the_gaps_bit_for_bit(q, dimension, data):
-    # From three dimensions up, 1 < q < inf binds one fused function: the
-    # three-coordinate kernel at dimension 3, the general one from 4 up. It
-    # must give the bits of the exponent's _combine of the gaps, off the q
+    # From three dimensions up, 1 < q < inf binds the three-coordinate
+    # kernel at dimension 3 and the exponent's _combine of the gaps from 4
+    # up. Each must give the bits of that _combine, off the q
     # grid above too, at the float maximum (gaps that overflow to inf or
     # equal the peak) and on equal points written with either zero. The
     # seeded pairs, coordinates of every scale and sign, are many enough
     # that a plain sum in place of fsum rounds differently on some.
     space = LqSpace(as_exponent(q), dimension)
-    assert space._distance.func is (_space_gap if dimension == 3 else _power_gap)
+    if dimension == 3:
+        assert space._distance.func is _space_gap
+    else:
+        assert space._distance.func is _combined_gaps
+        assert space._distance.args == (space.q._combine,)
     big = sys.float_info.max
     if data is None:
         pairs = [
@@ -579,15 +624,17 @@ def _space_gap_pairs():
 @example(pa=None, pb=None)
 @settings(max_examples=200, deadline=None)
 def test_three_coordinate_kernel_is_the_general_power_kernel_bit_for_bit(q, pa, pb):
-    # The three-coordinate kernel repeats the general kernel's operations in
-    # its order, so both give the same bits on every pair, in either order;
-    # a plain sum in place of fsum rounds differently on some seeded pairs.
+    # The three-coordinate kernel repeats the operations of the exponent's
+    # _combine of the gaps in its order, so both give the same bits on every
+    # pair, in either order; a plain sum in place of fsum rounds differently
+    # on some seeded pairs.
     exp = as_exponent(q)
     power, inv = exp._power, exp._inv
     pairs = _space_gap_pairs() if pa is None else [(pa, pb)]
     for a, b in pairs:
         for x, y in ((a, b), (b, a)):
-            assert same_bits(_space_gap(power, inv, x, y), _power_gap(power, inv, x, y)), (x, y)
+            want = _combined_gaps(exp._combine, x, y)
+            assert same_bits(_space_gap(power, inv, x, y), want), (x, y)
 
 
 # --- the first-coordinate gap bound --------------------------------------------
@@ -640,7 +687,6 @@ _KERNEL_AT = {
     "_combined_gaps": (1.0, 3),
     "_plane_gap": (2.0, 2),
     "_space_gap": (3.0, 3),
-    "_power_gap": (1.5, 7),
 }
 
 

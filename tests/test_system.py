@@ -1375,8 +1375,8 @@ def test_only_exact_boxes_and_balls_are_drawn_by_columns(monkeypatch):
         )
     kirk = SAMPLED_SYSTEMS["kirk"]
     for system in (kirk, SAMPLED_SYSTEMS["mixed"]):
-        points, failure = _Draw(system.space, system.regions).draw(random.Random(1), 5)
-        assert len(points) == 5 * system.m and failure is None and sampled == []
+        points, failure = _Draw(system.space, system.regions).draw(random.Random(1), 6)
+        assert len(points) == 6 * system.m and failure is None and sampled == []
     cloud = kirk.regions + (FiniteCloud(((0.0,),)),)
     lists = tuple(_ListBox(r.lower, r.upper) for r in kirk.regions)
     for regions in (cloud, lists):
@@ -1384,6 +1384,31 @@ def test_only_exact_boxes_and_balls_are_drawn_by_columns(monkeypatch):
         points, failure = _Draw(kirk.space, regions).draw(random.Random(1), 5)
         assert len(points) == 5 * len(regions) and failure is None
         assert sampled == list(regions) * 5
+
+
+@pytest.mark.parametrize("name", ["balls1", "mixed", "pair"])
+@pytest.mark.parametrize("rounds, waiting", [(5, 0), (6, 1), (5, 1)])
+def test_odd_rounds_or_a_waiting_gauss_value_are_drawn_sample_by_sample(
+    monkeypatch, name, rounds, waiting
+):
+    # Only an even number of rounds from a state with no gauss value
+    # waiting is drawn by columns; any other block makes one sample call
+    # per point, in draw order, with the per-sample bits and end state.
+    regions = SAMPLED_SYSTEMS[name].regions
+    draw, ref = random.Random(3), random.Random(3)
+    for rng in (draw, ref):
+        for _ in range(waiting):
+            rng.gauss(0.0, 1.0)
+    want = [r.sample(ref) for _ in range(rounds) for r in regions]
+    sampled = []
+    for cls in (Box, Ball):
+        monkeypatch.setattr(
+            cls, "sample", lambda self, rng, sample=cls.sample: sampled.append(self) or sample(self, rng)
+        )
+    got = _drawn(regions, draw, rounds)
+    assert sampled == list(regions) * rounds
+    assert _hexed(got) == _hexed(want)
+    assert draw.getstate() == ref.getstate()
 
 
 def _cyclicity_reference(system, samples, seed):
