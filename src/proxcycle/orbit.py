@@ -47,7 +47,7 @@ from operator import eq, is_not
 from typing import Iterator, Sequence
 
 from .chains import _chain_distance
-from .spaces import ALPHA, COUNT, CYCLE_LENGTH, POSITIVE, Domain, Point, _Record
+from .spaces import ALPHA, COUNT, CYCLE_LENGTH, POSITIVE, STEPS, Domain, Point, _Record
 from .spaces import _point_repr, _value_repr, as_exponent
 from .system import MEMBERSHIP_TOL, CyclicSystem
 
@@ -58,9 +58,7 @@ _CHUNK = 1024
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
-# Step counts (``picard_orbit``'s n, the solvers' max_iter,
-# ``apriori_error_bound``'s k) and the initial gap.
-_STEPS = Domain(0, math.inf, "[)", integer=True, strings=False)
+# ``apriori_error_bound``'s initial gap.
 _GAP = Domain(0, math.inf, "[]", strings=False)
 
 
@@ -145,16 +143,12 @@ class OrbitTrace(_Record):
         return self.system.m
 
     def block(self, n: int) -> tuple[Point, ...]:
-        """The n-th block (x_{mn}, ..., x_{mn+m-1}); n is read by ``_STEPS``."""
-        n = _STEPS.check("n", n)
+        """The n-th block (x_{mn}, ..., x_{mn+m-1}); n is read by ``STEPS``."""
+        n = STEPS.check("n", n)
         start = n * self.m
         if start + self.m > len(self.points):
             raise ValueError(f"trace too short for block {_value_repr(n)}")
         return self.points[start : start + self.m]
-
-    @property
-    def block_count(self) -> int:
-        return len(self.points) // self.m
 
 
 class SolveResult(_Record):
@@ -375,7 +369,7 @@ def picard_orbit(system: CyclicSystem, x0: Sequence[float], n: int) -> OrbitTrac
     truncation stub is not re-scanned.
     """
     m = system.m
-    n = _STEPS.check("n", n)
+    n = STEPS.check("n", n)
     if n < m:
         raise ValueError(f"need at least m = {m} steps")
     points = _record(system, x0, n).points
@@ -511,7 +505,7 @@ def apriori_error_bound(alpha: float, m: int, k: int, initial_gap: float) -> flo
     """
     a = ALPHA.check("alpha", alpha)
     m = CYCLE_LENGTH.check("m", m)
-    k = _STEPS.check("k", k)
+    k = STEPS.check("k", k)
     gap = _GAP.check("initial_gap", initial_gap)
     if gap == math.inf:
         return math.inf
@@ -521,10 +515,10 @@ def apriori_error_bound(alpha: float, m: int, k: int, initial_gap: float) -> flo
 
 
 def _solver_inputs(system: CyclicSystem, tol: object, max_iter: object, p: object) -> tuple:
-    """A solver's ``tol`` read by ``POSITIVE``, ``max_iter`` by ``_STEPS``,
+    """A solver's ``tol`` read by ``POSITIVE``, ``max_iter`` by ``STEPS``,
     its exponent and the system's set chain distance, in this order."""
     tol = POSITIVE.check("tol", tol)
-    max_iter = _STEPS.check("max_iter", max_iter)
+    max_iter = STEPS.check("max_iter", max_iter)
     exp = as_exponent(p)
     return tol, max_iter, exp, system.set_chain_distance(exp)
 

@@ -375,6 +375,9 @@ EXPONENT = Domain(1, math.inf, "[]", read=lambda q: as_exponent(q).value or math
 POSITIVE = Domain(0, math.inf, strings=False)
 # Dimensions and counts (samples, triples, iterations): integers >= 1.
 COUNT = Domain(1, math.inf, "[)", integer=True, strings=False)
+# Step counts (``picard_orbit``'s n, the solvers' max_iter, ``apply_n``'s
+# and ``apriori_error_bound``'s k): integers >= 0.
+STEPS = Domain(0, math.inf, "[)", integer=True, strings=False)
 
 
 def p_combine(values: Iterable[float], p: object) -> float:

@@ -23,6 +23,7 @@ from .spaces import (
     COUNT,
     CYCLE_LENGTH,
     POSITIVE,
+    STEPS,
     _DATACLASS_FIELDS,
     CapabilityError,
     Domain,
@@ -462,13 +463,13 @@ class TabulatedPhi(_Record, Phi):
     last segment's slope so monotonicity persists on all of [0, inf).
 
     Segment i runs from knot i to knot i + 1. The tables are built once:
-    ``_bounds`` holds the abscissae of the knots after the first, so that
-    for t >= 0 ``min(bisect_right(_bounds, t), _last)`` is t's segment
-    (the last one from the last knot on, and for NaN), and ``_starts``,
-    ``_levels`` and ``_slopes`` hold each segment's t1, v1 and
-    (v2 - v1) / (t2 - t1). phi(t) is ``v1 + slope * (t - t1)``."""
+    ``_bounds`` holds the abscissae of the interior knots, so that for
+    t >= 0 ``bisect_right(_bounds, t)`` is t's segment (the last one from
+    the last interior knot on, so also past the last knot, at inf and for
+    NaN), and ``_starts``, ``_levels`` and ``_slopes`` hold each segment's
+    t1, v1 and (v2 - v1) / (t2 - t1). phi(t) is ``v1 + slope * (t - t1)``."""
 
-    __slots__ = ("knots", "_bounds", "_last", "_starts", "_levels", "_slopes")
+    __slots__ = ("knots", "_bounds", "_starts", "_levels", "_slopes")
     _fields = ("knots",)
 
     def __init__(self, knots: tuple[tuple[float, float], ...]) -> None:
@@ -493,8 +494,7 @@ class TabulatedPhi(_Record, Phi):
             raise ValueError(f"slope past the float range from knot {knots[i]} to {knots[i + 1]}")
         self._set(knots)
         self._derive(
-            _bounds=tuple(ts[1:]),
-            _last=len(ts) - 2,
+            _bounds=tuple(ts[1:-1]),
             _starts=tuple(ts[:-1]),
             _levels=tuple(vs[:-1]),
             _slopes=slopes,
@@ -503,7 +503,7 @@ class TabulatedPhi(_Record, Phi):
     def __call__(self, t: float) -> float:
         if t < 0:
             raise ValueError("phi is defined on [0, inf)")
-        i = min(bisect_right(self._bounds, t), self._last)
+        i = bisect_right(self._bounds, t)
         try:
             return self._levels[i] + self._slopes[i] * (t - self._starts[i])
         except OverflowError as exc:  # an int or Fraction such as 10**400
@@ -511,7 +511,7 @@ class TabulatedPhi(_Record, Phi):
 
     def _many(self, ts: Sequence[float]) -> list[float]:
         _check_domain(ts)
-        segments = list(map(min, map(bisect_right, repeat(self._bounds), ts), repeat(self._last)))
+        segments = list(map(bisect_right, repeat(self._bounds), ts))
         starts = map(self._starts.__getitem__, segments)
         slopes = map(self._slopes.__getitem__, segments)
         levels = map(self._levels.__getitem__, segments)
@@ -576,6 +576,7 @@ class CyclicSystem(_Record):
         map: Callable[[Point], Point],
         artifact_points: tuple[Point, ...] = (),
     ) -> None:
+        regions = tuple(regions)
         if len(regions) < 2:
             raise ValueError("a cyclic system needs m >= 2 regions")
         dim = space.dimension
@@ -595,6 +596,8 @@ class CyclicSystem(_Record):
         return self._image(self.space.point(x), step)
 
     def apply_n(self, x: Sequence[float], k: int) -> Point:
+        """x after k steps; k is read by ``STEPS``."""
+        k = STEPS.check("k", k)
         pt = self.space.point(x)
         for _ in range(k):
             pt = self._image(pt)

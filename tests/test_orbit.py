@@ -913,23 +913,42 @@ WALK_SYSTEMS = {
     "kirk_interval": lambda: make_kirk_interval(0.001),
     "affine_strip": lambda: make_affine_strip(0.999, 1.5),
     "scaled_pair 3-d": lambda: make_scaled_pair(alpha=0.001, separation=2.0, dimension=3),
+    "affine_strip h2": lambda: make_affine_strip(0.999, 2.0),
+    "scaled_pair 3-d slow": lambda: make_scaled_pair(alpha=5e-4, separation=2.0, dimension=3),
+    "scaled_pair 2-d slow": lambda: make_scaled_pair(alpha=5e-4, separation=2.0, dimension=2),
 }
-
-
 # Budget-bound solves whose recorded prefix ends on each side of a chunk
-# boundary, and a stop or budget past the 10 000-step prefix.
+# boundary, and a stop or budget past the 10 000-step prefix, on the first
+# three systems; then three slow solves that stop between steps 2 x 10^4
+# and 5 x 10^4: the proximity rule's r = m consecutive checks on the strip
+# and in the plane kernel, and the periodic rule in the three-coordinate one.
+CLI_WALKS = [
+    *(
+        (name, solver, max_iter)
+        for name in ("affine_strip", "kirk_interval", "scaled_pair 3-d")
+        for solver in sorted(TAIL_SOLVERS)
+        for max_iter in (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 100_000, 10_001, 11_025)
+    ),
+    ("affine_strip h2", "proximity", 100_000),
+    ("scaled_pair 3-d slow", "periodic", 1_000_000),
+    ("scaled_pair 2-d slow", "proximity", 100_000),
+]
+
+
 @pytest.mark.parametrize(
-    "max_iter", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 100_000, 10_001, 11_025]
+    "name, solver, max_iter", CLI_WALKS, ids=["-".join(map(str, walk)) for walk in CLI_WALKS]
 )
-@pytest.mark.parametrize("solver", sorted(TAIL_SOLVERS))
-@pytest.mark.parametrize("name", sorted(WALK_SYSTEMS))
 def test_a_plain_start_gives_the_result_of_the_cli_walk(name, solver, max_iter):
     solve = TAIL_SOLVERS[solver][0]
     gs = WALK_SYSTEMS[name]()
     m = gs.system.m
     walk = _record(gs.system, gs.default_start, max(3 * m, min(max_iter, 10_000)))
-    plain = solve(gs.system, gs.default_start, tol=1e-12, max_iter=max_iter)
-    assert _fields_hex(plain) == _fields_hex(solve(gs.system, walk, tol=1e-12, max_iter=max_iter))
+    plain = _fields_hex(solve(gs.system, gs.default_start, tol=1e-12, max_iter=max_iter))
+    assert plain == _fields_hex(solve(gs.system, walk, tol=1e-12, max_iter=max_iter))
+    # A converged solve stops where the per-step walk does, with its fields.
+    if plain["converged"]:
+        want = _per_step_fields(solver, gs.system, gs.default_start, 1e-12)
+        assert {field: plain[field] for field in want} == want
 
 
 # --- wrong-arity images under the unpacking kernels ----------------------------
@@ -1247,11 +1266,15 @@ def test_settled_kirk_interval_rows_match_the_references(tmp_path):
     _assert_settled_trace(tmp_path, trace, 2, 1077)
 
 
-@pytest.mark.parametrize("m, N, settle", [(2, 2, 7), (3, 6, 23)])
-def test_settled_truncation_stub_rows_match_the_references(tmp_path, m, N, settle):
+@pytest.mark.parametrize(
+    "m, N, settle, steps",
+    [(2, 2, 7, 80), (3, 6, 23, 120), (3, 6, 23, 10_000)],
+    ids=["2-2-7", "3-6-23", "3-6-23-10000"],
+)
+def test_settled_truncation_stub_rows_match_the_references(tmp_path, m, N, settle, steps):
     # The stub map returns the stub itself, the very object.
     gs = make_paper_lq_family(m=m, N=N, q=2)
-    trace = picard_orbit(gs.system, gs.default_start, 40 * m)
+    trace = picard_orbit(gs.system, gs.default_start, steps)
     assert trace.points[-1] is trace.points[settle - 1]
     _assert_settled_trace(tmp_path, trace, 2, settle)
 
@@ -1337,16 +1360,35 @@ def _chain_is_edge_1(trace, p):
     return sum(map(is_, columns[0], columns[1])), len(columns[0])
 
 
-@pytest.mark.parametrize("p", [1, 2, INFINITY])
-def test_two_region_writer_matches_the_per_row_writer(tmp_path, p):
+# Two-region orbits of 10 000 steps in which no point repeats.
+TWO_REGION_TRACES = {
+    "affine_strip": lambda: make_affine_strip(alpha=0.999, h=2.0),
+    "kirk_interval": lambda: make_kirk_interval(0.001),
+}
+
+
+@pytest.mark.parametrize(
+    "name, p",
+    [
+        ("affine_strip", 1),
+        ("affine_strip", 2),
+        ("affine_strip", INFINITY),
+        ("kirk_interval", INFINITY),
+    ],
+    ids=["1", "2", "p2", "kirk_interval-inf"],
+)
+def test_two_region_writer_matches_the_per_row_writer(tmp_path, name, p):
     # At p = inf the chain of a two-region row is the max of the step and
     # the wrap, the same float object: the chain takes edge_1's text.
-    # Elsewhere the chain is a new float and is formatted itself.
-    gs = make_affine_strip(alpha=0.999, h=2.0)
-    trace = picard_orbit(gs.system, gs.default_start, 2 * 2 * TRACE_BLOCK + 500)
+    # Elsewhere the chain is a new float and is formatted itself. The rows
+    # are the public traces', bit for bit.
+    gs = TWO_REGION_TRACES[name]()
+    trace = picard_orbit(gs.system, gs.default_start, 10_000)
     same, rows = _chain_is_edge_1(trace, p)
     assert rows > 2 * TRACE_BLOCK
     assert same == (rows if p is INFINITY else 0)
+    expected = _reference_rows(trace, p)
+    assert [_hexed(row) for row in trace_rows(trace, p)] == [_hexed(row) for row in expected]
     _assert_written_per_row(tmp_path, trace, p)
 
 

@@ -697,13 +697,17 @@ def _assert_matches_brute_force(system, phis, ps):
 
 
 PHIS = (LinearPhi(0.4), TabulatedPhi(((0.0, 0.1), (0.7, 0.3), (2.0, 0.6))))
+# Four knots with slopes up to 0.6 = 1 - alpha at alpha 0.4.
+KNOTS = TabulatedPhi(((0.0, 0.05), (0.5, 0.35), (1.5, 0.75), (3.0, 1.2)))
 
 
-@pytest.mark.parametrize("m,n", [(2, 3), (3, 2)])
+@pytest.mark.parametrize(
+    "m,n,alpha", [(2, 3, 0.5), (3, 2, 0.5), (3, 2, 0.4)], ids=["2-3", "3-2", "3-2-0.4"]
+)
 @pytest.mark.parametrize("q", [1, 2, "inf"])
-def test_exhaustive_certificate_matches_brute_force(m, n, q):
-    system = make_paper_lq_family(m=m, alpha=0.5, q=q, N=n).system
-    _assert_matches_brute_force(system, PHIS, (1, 2, 3.5, "inf"))
+def test_exhaustive_certificate_matches_brute_force(m, n, alpha, q):
+    system = make_paper_lq_family(m=m, alpha=alpha, q=q, N=n).system
+    _assert_matches_brute_force(system, (*PHIS, KNOTS), (1, 2, 3.5, "inf"))
 
 
 def _flip(x):
@@ -1021,16 +1025,24 @@ SAMPLED_SYSTEMS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SAMPLED_SYSTEMS))
-@pytest.mark.parametrize("seed", [0, 1, 5])
-def test_sampled_certificate_matches_per_pair_reference(name, seed):
-    system = SAMPLED_SYSTEMS[name]
+# paper_lq_family with m = 4 and N = 6: 7^4 tuples and 5.8e6 tuple pairs,
+# past EXHAUSTIVE_LIMIT, so its clouds are sampled, one FiniteCloud.sample
+# call at a time, and pairs touching the truncation stub are skipped.
+SAMPLED_FAMILY = make_paper_lq_family(m=4, alpha=0.5, q=2, N=6).system
+
+
+@pytest.mark.parametrize("name", [*sorted(SAMPLED_SYSTEMS), "family"])
+@pytest.mark.parametrize(
+    "seed,samples", [(0, 150), (1, 150), (5, 150), (1, 300)], ids=["0", "1", "5", "1-300"]
+)
+def test_sampled_certificate_matches_per_pair_reference(name, seed, samples):
+    system = SAMPLED_FAMILY if name == "family" else SAMPLED_SYSTEMS[name]
     phis = (LinearPhi(0.3), TabulatedPhi(((0.0, 0.1), (0.7, 0.3), (2.0, 0.6))))
     for p, phi in itertools.product((1, 2, 3.5, "inf"), phis):
-        cert = verify_contraction(system, phi, p, tuple_samples=150, seed=seed)
+        cert = verify_contraction(system, phi, p, tuple_samples=samples, seed=seed)
         assert not cert.exhaustive
         best, (wxs, wys), evaluated, skips, ok = _reference(
-            system, phi, p, _sampled_pairs(system, 150, seed)
+            system, phi, p, _sampled_pairs(system, samples, seed)
         )
         assert cert.min_margin == best, (p, phi)
         assert (cert.witness_xs, cert.witness_ys) == (wxs, wys)
@@ -1435,8 +1447,11 @@ def _cyclicity_reference(system, samples, seed):
     return CyclicityReport(not violations, tuple(violations), tuple(artifacts), checked)
 
 
+# 200 samples of a Box or a Ball are drawn by columns; 201 are an odd block,
+# drawn sample by sample, and those of a 3-d Ball leave a gauss value
+# waiting for the next region.
 @pytest.mark.parametrize("name", sorted(SAMPLED_SYSTEMS))
-@pytest.mark.parametrize("samples", [1, 7, 200])
+@pytest.mark.parametrize("samples", [1, 7, 200, 201])
 def test_verify_cyclicity_matches_per_sample_reference(name, samples):
     for seed in range(4):
         _assert_cyclicity_as_reference(SAMPLED_SYSTEMS[name], samples, seed)
@@ -1751,6 +1766,28 @@ def test_apply_reads_its_point_through_the_space():
             call("1")
 
 
+@pytest.mark.parametrize("k", [-3, True, 2.0, "2", None, math.inf, math.nan])
+def test_apply_n_reads_its_step_count_through_the_domain(k):
+    kirk = make_kirk_interval().system
+    assert kirk.apply_n((0.5,), 0) == (0.5,)
+    assert kirk.apply_n((0.5,), 2) == kirk.apply(kirk.apply((0.5,)))
+    pattern = rf"^k must be (a number|an integer in \[0, inf\)), got {re.escape(_value_repr(k))}$"
+    with pytest.raises(ValueError, match=pattern):
+        kirk.apply_n((0.5,), k)
+
+
+def test_regions_are_read_once_into_a_tuple():
+    # A list, a tuple and an iterator of the same regions give equal
+    # systems with equal hashes, and so do their traces.
+    kirk = make_kirk_interval().system
+    trace = picard_orbit(kirk, (-1.0,), 4)
+    for regions in (list(kirk.regions), tuple(kirk.regions), iter(kirk.regions)):
+        system = CyclicSystem(space=kirk.space, regions=regions, map=kirk.map)
+        assert type(system.regions) is tuple
+        assert system == kirk and hash(system) == hash(kirk)
+        assert hash(picard_orbit(system, (-1.0,), 4)) == hash(trace)
+
+
 @pytest.mark.parametrize("big", [10 ** 400, -(10 ** 5000)], ids=["int", "int-past-repr-limit"])
 def test_public_readers_refuse_a_coordinate_past_the_float_range(big):
     # float() raises OverflowError for such an int; every reader names its
@@ -1936,6 +1973,10 @@ TOO_LONG_REFUSALS = {
     "apriori_error_bound k": (
         ValueError, f"k must be an integer in \\[0, inf\\), got {_TOO_LONG}",
         lambda: apriori_error_bound(0.5, 2, -TOO_LONG, 1.0),
+    ),
+    "CyclicSystem.apply_n k": (
+        ValueError, f"k must be an integer in \\[0, inf\\), got {_TOO_LONG}",
+        lambda: kirk_system().apply_n((-1.0,), -TOO_LONG),
     ),
     "alpha_bound_check m": (
         ValueError, f"m must be an integer in \\[2, inf\\), got {_TOO_LONG}",
