@@ -7,6 +7,7 @@ and every chain quantity routes through it.
 
 from __future__ import annotations
 
+import math
 from itertools import starmap
 from typing import Callable, Iterator, Sequence
 
@@ -102,9 +103,6 @@ def chain_set_distance(space: Space, regions: Sequence[object], p: object) -> fl
 class MonotonicityReport(_Record):
     __slots__ = _fields = ("ok", "worst_slack", "failures")
 
-    def __init__(self, ok: bool, worst_slack: float, failures: tuple) -> None:
-        self._set(ok, worst_slack, failures)
-
 
 def p_monotonicity_check(
     space: Space,
@@ -116,7 +114,8 @@ def p_monotonicity_check(
     """Check d_inf <= d_p <= d_1 and d_p <= m^(1/p) * d_inf for sampled p.
 
     The chains are read once, so they may be iterators; ``tol`` is read by
-    ``POSITIVE``."""
+    ``POSITIVE``. Sides that overflow to inf are equal, with slack 0; a NaN
+    slack is a failure, and then the worst slack."""
     tol = POSITIVE.check("tol", tol)
     cx, cy = _check_chains(space, xs, ys)
     m = len(cx)
@@ -130,12 +129,15 @@ def p_monotonicity_check(
         # m^(1/p) is 1 at p = inf, whose exponent value is None.
         root = 1.0 if exp.value is None else m ** (1.0 / exp.value)
         checks = (
-            ("d_inf <= d_p", dinf - dp),
-            ("d_p <= d_1", dp - d1),
-            ("d_p <= m^(1/p) * d_inf", dp - root * dinf),
+            ("d_inf <= d_p", dinf, dp),
+            ("d_p <= d_1", dp, d1),
+            ("d_p <= m^(1/p) * d_inf", dp, root * dinf),
         )
-        for label, slack in checks:
-            worst = max(worst, slack)
-            if slack > tol:
+        for label, lhs, rhs in checks:
+            # Equal sides have slack 0, as inf <= inf holds though inf - inf is NaN.
+            slack = 0.0 if lhs == rhs else lhs - rhs
+            # A NaN slack becomes the worst; max keeps it, as nothing compares above a NaN.
+            worst = slack if math.isnan(slack) else max(worst, slack)
+            if not slack <= tol:
                 failures.append((label, p, slack))
     return MonotonicityReport(not failures, worst, tuple(failures))

@@ -52,20 +52,7 @@ class ExperimentConfig(_Record):
         "system_id", "parameters", "p", "phi", "run", "iterations", "tolerance", "seed",
         "output_dir",
     )
-
-    def __init__(
-        self,
-        system_id: str,
-        parameters: dict,
-        p: Exponent,
-        phi: Phi,
-        run: str,
-        iterations: int,
-        tolerance: float,
-        seed: int,
-        output_dir: str | None = None,
-    ) -> None:
-        self._set(system_id, parameters, p, phi, run, iterations, tolerance, seed, output_dir)
+    _defaults = {"output_dir": None}
 
 
 def _timestamp() -> str:
@@ -144,10 +131,21 @@ def _reject_constant(name: str) -> None:
     raise ConfigError(f"{name} is not a JSON value")
 
 
+def _reject_repeats(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, refusing a key given twice, where
+    ``json.load`` would keep the last value."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"key {key!r} is given twice")
+        data[key] = value
+    return data
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, parse_constant=_reject_constant)
+            data = json.load(fh, parse_constant=_reject_constant, object_pairs_hook=_reject_repeats)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

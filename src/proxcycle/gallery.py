@@ -22,16 +22,13 @@ from typing import Callable
 from .chains import _chain_distance
 from .spaces import (
     ALPHA, EXPONENT, _DATACLASS_FIELDS, CapabilityError, Domain, Exponent, LqSpace, Point, _Record,
-    as_exponent, p_combine,
+    _bind, as_exponent, p_combine,
 )
 from .system import Ball, Box, CyclicSystem, FiniteCloud, _enumerable
 
 
 class GallerySpec(_Record):
     __slots__ = _fields = ("id", "parameters")
-
-    def __init__(self, id: str, parameters: tuple[tuple[str, object], ...]) -> None:
-        self._set(id, parameters)
 
     def parameter_dict(self) -> dict:
         return dict(self.parameters)
@@ -75,11 +72,6 @@ class GalleryEntry(_Record):
     __slots__ = _fields = ("factory", "domains", "description")
     __dataclass_fields__ = _DATACLASS_FIELDS
 
-    def __init__(
-        self, factory: Callable[..., GallerySystem], domains: dict[str, Domain], description: str
-    ) -> None:
-        self._set(factory, domains, description)
-
 
 GALLERY: dict[str, GalleryEntry] = {}
 
@@ -105,17 +97,8 @@ def _gallery(system_id: str, description: str, **domains: Domain):
 
         @functools.wraps(factory)
         def checked(*args: object, **kwargs: object) -> GallerySystem:
-            # The binding errors of inspect.Signature.bind, in its order.
-            for name in names[: len(args)]:
-                if name in kwargs:
-                    raise TypeError(f"multiple values for argument {name!r}")
-            if len(args) > len(names):
-                raise TypeError("too many positional arguments")
-            for name in kwargs:
-                if name not in defaults:
-                    raise TypeError(f"got an unexpected keyword argument {name!r}")
-            given = {**defaults, **dict(zip(names, args)), **kwargs}
-            values = {name: domains[name].check(name, v) for name, v in given.items()}
+            given = zip(names, _bind(names, defaults, args, kwargs))
+            values = {name: domains[name].check(name, v) for name, v in given}
             # JSON has no infinity, so the spec spells q = inf as a config does.
             spec = sorted((name, "inf" if v == math.inf else v) for name, v in values.items())
             built = factory(**values)._values()[1:]  # every field but the spec

@@ -69,9 +69,11 @@ class OrbitTrace(_Record):
     ``points`` once, by ``Space._read_block`` (one ``_as_read`` pass, else
     ``space.point`` one point at a time), a refusal naming the point's index
     in the trace, and keeps them as a tuple of float tuples, which every
-    reader of the trace trusts. ``_record`` and ``picard_orbit``, whose
-    points ``_chunks`` read as they entered the orbit, build theirs with
-    ``_of``, which reads nothing again.
+    reader of the trace trusts. It reads ``membership_violations`` once too,
+    into a tuple of (index, point) pairs, each index read as an integer in
+    [0, len(points)), each point by ``space.point``.
+    ``_record`` and ``picard_orbit``, whose points ``_chunks`` read as they
+    entered the orbit, build theirs with ``_of``, which reads nothing again.
 
     ``_gaps(s)`` is the distance column d(x_j, x_{j+s}), j = 0..n-s, measured
     the first time it is asked for and kept with the trace, outside its
@@ -92,12 +94,17 @@ class OrbitTrace(_Record):
         self,
         system: CyclicSystem,
         points: Sequence[Sequence[float]],
-        membership_violations: tuple[tuple[int, Point], ...] = (),
+        membership_violations: Sequence[tuple[int, Sequence[float]]] = (),
     ) -> None:
         points, failure = system.space._read_block(tuple(points))
         if failure is not None:
             raise ValueError(f"trace point {len(points)}: {failure}") from None
-        self._set(system, tuple(points), membership_violations)
+        within = Domain(0, len(points), "[)", integer=True, strings=False)
+        violations = tuple(
+            (within.check("violation index", k), system.space.point(x, "violation point"))
+            for k, x in membership_violations
+        )
+        self._set(system, tuple(points), violations)
         self._derive(_columns={}, _settle_index=None)
 
     @classmethod
@@ -156,20 +163,7 @@ class SolveResult(_Record):
         "point", "residual", "iterations", "converged", "set_chain_distance", "warnings",
         "proximity_residual",
     )
-
-    def __init__(
-        self,
-        point: Point,
-        residual: float,
-        iterations: int,
-        converged: bool,
-        set_chain_distance: float,
-        warnings: tuple[str, ...] = (),
-        proximity_residual: float | None = None,
-    ) -> None:
-        self._set(
-            point, residual, iterations, converged, set_chain_distance, warnings, proximity_residual
-        )
+    _defaults = {"warnings": (), "proximity_residual": None}
 
 
 def _start(system: CyclicSystem, x0: Sequence[float]) -> Point:
@@ -618,20 +612,7 @@ class ProximityChainResult(_Record):
         "chain", "converged", "iterations", "edge_residuals", "total_residual",
         "set_chain_distance", "note",
     )
-
-    def __init__(
-        self,
-        chain: tuple[Point, ...],
-        converged: bool,
-        iterations: int,
-        edge_residuals: tuple[float, ...],
-        total_residual: float,
-        set_chain_distance: float,
-        note: str | None = None,
-    ) -> None:
-        self._set(
-            chain, converged, iterations, edge_residuals, total_residual, set_chain_distance, note
-        )
+    _defaults = {"note": None}
 
 
 def proximity_chain_extract(
@@ -699,9 +680,6 @@ def proximity_chain_extract(
 
 class BoundednessReport(_Record):
     __slots__ = _fields = ("sups", "stabilized")
-
-    def __init__(self, sups: tuple[float, ...], stabilized: tuple[bool, ...]) -> None:
-        self._set(sups, stabilized)
 
     @property
     def ok(self) -> bool:

@@ -24,21 +24,48 @@ class CapabilityError(TypeError):
     """A region or space does not support the requested exact computation."""
 
 
+def _bind(names: tuple[str, ...], defaults: dict[str, object], args: tuple, kwargs: dict) -> list:
+    """The values of the parameters ``names``, in order, bound from
+    ``args`` and ``kwargs`` with gaps filled from ``defaults``, as
+    ``inspect.Signature.bind`` binds positional-or-keyword parameters: a bad
+    call raises its TypeError messages, in its order."""
+    for name in names[: len(args)]:
+        if name in kwargs:
+            raise TypeError(f"multiple values for argument {name!r}")
+    if len(args) > len(names):
+        raise TypeError("too many positional arguments")
+    given = {**defaults, **dict(zip(names, args)), **kwargs}
+    for name in names:
+        if name not in given:
+            raise TypeError(f"missing a required argument: {name!r}")
+    for name in kwargs:
+        if name not in names:
+            raise TypeError(f"got an unexpected keyword argument {name!r}")
+    return [given[name] for name in names]
+
+
 class _Record:
     """An immutable value record without generated code.
 
-    A subclass names its ``__init__`` parameters, in order, in ``_fields``,
-    lists them (and any derived attributes) in ``__slots__``, and sets them
-    once in ``__init__`` with ``_set`` (derived attributes with
-    ``_derive``). Records are equal when they are of the same class with
-    equal fields, hash by their fields, show them in a dataclass-style
-    ``repr``, refuse assignment and deletion, pickle by calling the class
-    with their fields again, and give ``copy.replace`` a copy with some
-    fields changed.
+    A subclass names its fields, in order, in ``_fields``, gives the
+    defaults of those that have one in ``_defaults``, and lists them (and
+    any derived attributes) in ``__slots__``. A subclass whose constructor
+    only stores its fields needs no ``__init__``: the shared one binds its
+    arguments to ``_fields`` with ``_bind``. One that reads, checks or
+    derives names its ``__init__`` parameters, in order, in ``_fields`` and
+    sets them once with ``_set`` (derived attributes with ``_derive``).
+    Records are equal when they are of the same class with equal fields,
+    hash by their fields, show them in a dataclass-style ``repr``, refuse
+    assignment and deletion, pickle by calling the class with their fields
+    again, and give ``copy.replace`` a copy with some fields changed.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init__(self, /, *args: object, **kwargs: object) -> None:
+        self._set(*_bind(self._fields, self._defaults, args, kwargs))
 
     def _set(self, *values: object) -> None:
         for name, value in zip(self._fields, values, strict=True):
@@ -322,18 +349,7 @@ class Domain(_Record):
     gives "integer in [2, 16]"."""
 
     __slots__ = _fields = ("low", "high", "ends", "integer", "note", "read", "strings")
-
-    def __init__(
-        self,
-        low: float,
-        high: float,
-        ends: str = "()",
-        integer: bool = False,
-        note: str | None = None,
-        read: Callable[[object], float] = float,
-        strings: bool = True,
-    ) -> None:
-        self._set(low, high, ends, integer, note, read, strings)
+    _defaults = {"ends": "()", "integer": False, "note": None, "read": float, "strings": True}
 
     def __str__(self) -> str:
         text = f"{self.ends[0]}{self.low}, {self.high}{self.ends[1]}"
@@ -380,18 +396,31 @@ COUNT = Domain(1, math.inf, "[)", integer=True, strings=False)
 STEPS = Domain(0, math.inf, "[)", integer=True, strings=False)
 
 
+def _floats(name: str, values: Iterable[object]) -> list[float]:
+    """``values`` read by ``float()``, or a ValueError naming ``name``: a
+    bool, str or bytes value, named by its index, is refused as
+    ``check_point`` refuses such a coordinate, and so is a value past the
+    float range, such as ``10**400``."""
+    vals = list(values)
+    for i, v in enumerate(vals):
+        if isinstance(v, _NOT_NUMBERS):
+            raise ValueError(f"{type(v).__name__} value {v!r} at index {i} in {name}")
+    try:
+        return [float(v) for v in vals]
+    except OverflowError as exc:
+        raise ValueError(f"a value in {name} is past the float range: {exc}") from None
+
+
 def p_combine(values: Iterable[float], p: object) -> float:
     """(sum v_i^p)^(1/p) over nonnegative values, or their max for p = inf.
 
     Finite p factors out the largest value before exponentiating, so large
     exponents cannot overflow on large inputs. A negative or NaN value is a
-    ValueError, and so is one past the float range, such as ``10**400``.
+    ValueError, and so are a bool, str or bytes value and one past the float
+    range, such as ``10**400``.
     """
     exp = as_exponent(p)
-    try:
-        vals = [float(v) for v in values]
-    except OverflowError as exc:
-        raise ValueError(f"a value in values is past the float range: {exc}") from None
+    vals = _floats("values", values)
     if not all(v >= 0.0 for v in vals):
         raise ValueError(f"p_combine is defined for nonnegative values, got {_point_repr(vals)}")
     return exp._combine(vals)
@@ -615,15 +644,6 @@ class OracleSpace(_Record, Space):
 class MetricReport(_Record):
     __slots__ = _fields = ("ok", "symmetry_violations", "identity_violations", "triangle_violations")
 
-    def __init__(
-        self,
-        ok: bool,
-        symmetry_violations: tuple,
-        identity_violations: tuple,
-        triangle_violations: tuple,
-    ) -> None:
-        self._set(ok, symmetry_violations, identity_violations, triangle_violations)
-
 
 def validate_metric(
     space: Space,
@@ -636,8 +656,9 @@ def validate_metric(
 
     ``tol`` is read by ``POSITIVE`` and ``max_triples`` by ``COUNT``. The
     samples are read once, in order, by ``space.point`` and then measured
-    with the trusted ``_distance``. Violations are returned as witnesses,
-    never raised.
+    with the trusted ``_distance``. A NaN distance is a violation; two
+    distances that overflow to inf are equal, and inf <= inf holds.
+    Violations are returned as witnesses, never raised.
     """
     tol = POSITIVE.check("tol", tol)
     max_triples = COUNT.check("max_triples", max_triples)
@@ -646,12 +667,12 @@ def validate_metric(
         raise ValueError("need at least 3 sample points")
     dist = space._distance
 
-    identity = [(x, dxx) for x, dxx in zip(pts, map(dist, pts, pts)) if abs(dxx) > tol]
+    identity = [(x, dxx) for x, dxx in zip(pts, map(dist, pts, pts)) if not abs(dxx) <= tol]
 
     symmetry = []
     for x, y in itertools.combinations(pts, 2):
         dxy, dyx = dist(x, y), dist(y, x)
-        if abs(dxy - dyx) > tol:
+        if not (dxy == dyx or abs(dxy - dyx) <= tol):
             symmetry.append((x, y, dxy, dyx))
 
     triples = list(itertools.combinations(pts, 3))
@@ -663,7 +684,7 @@ def validate_metric(
         for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
             lhs = dist(a, c)
             rhs = dist(a, b) + dist(b, c)
-            if lhs - rhs > tol:
+            if not (lhs <= rhs or lhs - rhs <= tol):
                 triangle.append((a, b, c, lhs, rhs))
 
     ok = not (identity or symmetry or triangle)

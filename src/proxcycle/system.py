@@ -31,6 +31,7 @@ from .spaces import (
     LqSpace,
     Point,
     Space,
+    _floats,
     _point_repr,
     _Record,
     as_exponent,
@@ -521,17 +522,12 @@ class TabulatedPhi(_Record, Phi):
 class PhiReport(_Record):
     __slots__ = _fields = ("ok", "violations")
 
-    def __init__(self, ok: bool, violations: tuple) -> None:
-        self._set(ok, violations)
-
 
 def validate_phi(phi: Phi, grid: Sequence[float]) -> PhiReport:
     """Verify strict increase and nonnegativity of phi on a sorted grid; a
-    grid value past the float range, such as ``10**400``, is a ValueError."""
-    try:
-        pts = [float(t) for t in grid]
-    except OverflowError as exc:
-        raise ValueError(f"a value in grid is past the float range: {exc}") from None
+    bool, str or bytes grid value, or one past the float range, such as
+    ``10**400``, is a ValueError."""
+    pts = _floats("grid", grid)
     if len(pts) < 2 or any(t2 < t1 for t1, t2 in zip(pts, pts[1:])):
         raise ValueError("grid must be sorted with at least 2 points")
     violations = []
@@ -686,9 +682,6 @@ class CyclicityReport(_Record):
 
     __slots__ = _fields = ("ok", "violations", "artifacts", "checked")
 
-    def __init__(self, ok: bool, violations: tuple, artifacts: tuple, checked: int) -> None:
-        self._set(ok, violations, artifacts, checked)
-
 
 def verify_cyclicity(
     system: CyclicSystem,
@@ -742,23 +735,6 @@ class ContractionCertificate(_Record):
         "ok", "min_margin", "witness_xs", "witness_ys", "set_chain_distance", "p", "evaluated",
         "exhaustive", "artifact_skips",
     )
-
-    def __init__(
-        self,
-        ok: bool,
-        min_margin: float,
-        witness_xs: tuple[Point, ...],
-        witness_ys: tuple[Point, ...],
-        set_chain_distance: float,
-        p: Exponent,
-        evaluated: int,
-        exhaustive: bool,
-        artifact_skips: int,
-    ) -> None:
-        self._set(
-            ok, min_margin, witness_xs, witness_ys, set_chain_distance, p, evaluated, exhaustive,
-            artifact_skips,
-        )
 
 
 def contraction_margin(
@@ -1067,9 +1043,6 @@ def verify_contraction(
 
 class AlphaBoundResult(_Record):
     __slots__ = _fields = ("ok", "threshold", "value")
-
-    def __init__(self, ok: bool, threshold: float, value: float) -> None:
-        self._set(ok, threshold, value)
 
 
 def alpha_bound_check(alpha: float, m: int, p: object) -> AlphaBoundResult:

@@ -572,6 +572,22 @@ def test_exit_2_on_non_standard_json_constant(tmp_path, constant):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "key, bad",
+    [("p", '"nope"'), ("id", '"nope"'), ("alpha", "2.0"), ("kind", '"cubic"')],
+    ids=["top", "system", "parameters", "phi"],
+)
+def test_exit_2_on_a_key_given_twice(tmp_path, capsys, key, bad):
+    # json.load alone keeps a repeated key's last value, so the bad first
+    # value would go unseen.
+    text = json.dumps(base_config()).replace(f'"{key}": ', f'"{key}": {bad}, "{key}": ', 1)
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert f"key '{key}' is given twice" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_2_on_missing_config(tmp_path):
     assert cli.main(["run", "--config", str(tmp_path / "nope.json"), "--out", "o"]) == 2
 

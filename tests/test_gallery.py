@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import proxcycle.cli  # defines ExperimentConfig, a record
 from proxcycle.gallery import (
     GALLERY,
     GalleryEntry,
@@ -25,11 +26,12 @@ from proxcycle.gallery import (
     make_scaled_pair,
 )
 from proxcycle.orbit import banach_solve, periodic_point_solve, proximity_chain_extract
-from proxcycle.spaces import ALPHA, INFINITY, Exponent, LqSpace
+from proxcycle.spaces import ALPHA, INFINITY, Exponent, LqSpace, _Record
 from proxcycle.system import (
     Box,
     CyclicSystem,
     LinearPhi,
+    PhiReport,
     alpha_bound_check,
     verify_contraction,
     verify_cyclicity,
@@ -358,19 +360,78 @@ def test_factories_take_positional_and_keyword_arguments():
 
 
 @pytest.mark.parametrize(
-    "args, kwargs, message",
+    "make, args, kwargs, message",
     [
-        ((0.5, 0.3), {}, "too many positional arguments"),
-        ((), {"beta": 0.3}, "got an unexpected keyword argument 'beta'"),
-        ((0.5,), {"alpha": 0.4}, "multiple values for argument 'alpha'"),
+        (make_kirk_interval, (0.5, 0.3), {}, "too many positional arguments"),
+        (make_kirk_interval, (), {"beta": 0.3}, "got an unexpected keyword argument 'beta'"),
+        (make_kirk_interval, (0.5,), {"alpha": 0.4}, "multiple values for argument 'alpha'"),
         # inspect.Signature.bind's order: a clash before an extra argument.
-        ((0.5, 0.3), {"alpha": 0.4}, "multiple values for argument 'alpha'"),
+        (make_kirk_interval, (0.5, 0.3), {"alpha": 0.4}, "multiple values for argument 'alpha'"),
+        # A record binds its fields by the same rules.
+        (PhiReport, (True, (), 1), {}, "too many positional arguments"),
+        (PhiReport, (True, ()), {"bad": 1}, "got an unexpected keyword argument 'bad'"),
+        (PhiReport, (True,), {"ok": False}, "multiple values for argument 'ok'"),
+        (PhiReport, (True,), {}, "missing a required argument: 'violations'"),
+        # ... and a missing argument before an extra one.
+        (PhiReport, (), {"violations": (), "bad": 1}, "missing a required argument: 'ok'"),
     ],
 )
-def test_factories_refuse_bad_bindings_with_the_signature_messages(args, kwargs, message):
+def test_factories_refuse_bad_bindings_with_the_signature_messages(make, args, kwargs, message):
     with pytest.raises(TypeError) as err:
-        make_kirk_interval(*args, **kwargs)
+        make(*args, **kwargs)
     assert str(err.value) == message
+
+
+# The records whose constructor is _Record's own, and the defaults of their fields.
+SHARED_CONSTRUCTOR = {
+    "AlphaBoundResult": {},
+    "BoundednessReport": {},
+    "ContractionCertificate": {},
+    "CyclicityReport": {},
+    "Domain": {"ends": "()", "integer": False, "note": None, "read": float, "strings": True},
+    "ExperimentConfig": {"output_dir": None},
+    "GalleryEntry": {},
+    "GallerySpec": {},
+    "MetricReport": {},
+    "MonotonicityReport": {},
+    "PhiReport": {},
+    "ProximityChainResult": {"note": None},
+    "SolveResult": {"warnings": (), "proximity_residual": None},
+}
+
+
+def _shared_constructor_records():
+    # By identity: _Walk has no __init__ of its own, but inherits OrbitTrace's.
+    found, classes = {}, _Record.__subclasses__()
+    while classes:
+        cls = classes.pop()
+        classes += cls.__subclasses__()
+        if cls.__init__ is _Record.__init__ and cls.__module__.startswith("proxcycle."):
+            found[cls.__name__] = cls
+    return found
+
+
+def test_the_shared_constructor_builds_exactly_the_plain_records():
+    assert sorted(_shared_constructor_records()) == sorted(SHARED_CONSTRUCTOR)
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_CONSTRUCTOR))
+def test_a_record_built_by_the_shared_constructor(name):
+    cls, defaults = _shared_constructor_records()[name], SHARED_CONSTRUCTOR[name]
+    fields = cls._fields
+    values = {field: f"{name}.{field}" for field in fields}
+    record = cls(*values.values())
+    assert record == cls(**values) and hash(record) == hash(cls(**values))
+    assert tuple(getattr(record, field) for field in fields) == tuple(values.values())
+    required = {field: value for field, value in values.items() if field not in defaults}
+    assert cls(**required) == cls(**required, **defaults)
+    assert all(getattr(cls(**required), field) == value for field, value in defaults.items())
+    copied = pickle.loads(pickle.dumps(record))
+    assert copied == record and type(copied) is cls
+    last = fields[-1]
+    assert record.__replace__(**{last: "changed"}) == cls(**{**values, last: "changed"})
+    shown = ", ".join(f"{field}={value!r}" for field, value in values.items())
+    assert repr(record) == f"{name}({shown})"
 
 
 def test_factory_signatures_show_through_the_checking_wrapper():

@@ -1547,6 +1547,17 @@ def test_a_kirk_trace_of_plane_points_is_refused_when_built():
         OrbitTrace(kirk, points)
     with pytest.raises(ValueError, match="^trace point 2: non-finite coordinate nan"):
         OrbitTrace(kirk, [(-1.0,), (0.5,), (math.nan,), (0.125,)])
+    with pytest.raises(ValueError, match="^violation point of dimension 2 in a 1-d"):
+        OrbitTrace(kirk, [(-1.0,), (0.5,)], [(1, (0.5, 1.0))])
+    for index, message in (
+        ([1], "a number, got [1]"),
+        (True, "a number, got True"),
+        (-3, "an integer in [0, 2), got -3"),
+        (1.0, "an integer in [0, 2), got 1.0"),
+        (2, "an integer in [0, 2), got 2"),
+    ):
+        with pytest.raises(ValueError, match=f"^violation index must be {re.escape(message)}$"):
+            OrbitTrace(kirk, [(-1.0,), (0.5,)], [(index, (0.5,))])
 
 
 def test_a_trace_of_lists_and_ints_equals_its_float_tuple_twin():
@@ -1565,6 +1576,12 @@ def test_a_trace_of_lists_and_ints_equals_its_float_tuple_twin():
         assert trace_rows(trace, 2) == trace_rows(twin, 2)
     walked = picard_orbit(kirk, (-1.0,), 50)
     assert OrbitTrace(kirk, walked.points).points is walked.points  # read as it is, no copy
+    # The membership violations are read once too, into (index, point) pairs.
+    for violations, twin_violations in (([], ()), ([[2, [-0.25]]], ((2, (-0.25,)),))):
+        trace = OrbitTrace(kirk, twin.points, violations)
+        twinned = OrbitTrace(kirk, twin.points, twin_violations)
+        assert trace == twinned and hash(trace) == hash(twinned)
+        assert trace.membership_violations == twin_violations
 
 
 def test_picard_orbit_is_a_plain_trace_and_only_a_walk_is_a_solver_start():

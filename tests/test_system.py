@@ -1845,6 +1845,17 @@ def test_numbers_past_the_float_range_are_value_errors(big):
                 call()
 
 
+@pytest.mark.parametrize("value", [True, "1", b"1"], ids=["bool", "str", "bytes"])
+def test_p_combine_and_validate_phi_refuse_what_check_point_refuses(value):
+    # float() reads these, but they are not numbers.
+    message = f"^{type(value).__name__} value {re.escape(repr(value))} at index 1 in "
+    for p in (1, 2, 3.5, "inf"):
+        with pytest.raises(ValueError, match=message + "values$"):
+            p_combine([1.0, value], p)
+    with pytest.raises(ValueError, match=message + "grid$"):
+        validate_phi(LinearPhi(0.5), [0.0, value])
+
+
 def test_numbers_in_the_float_range_read_as_float_reads_them():
     big, third = 10**300, Fraction(1, 3)
     assert Exponent(big).value == float(big) and Exponent(Fraction(7, 2)).value == 3.5
