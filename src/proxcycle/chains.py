@@ -18,6 +18,7 @@ from .spaces import (
     Point,
     Space,
     _Record,
+    _value_repr,
     as_exponent,
     p_combine,
 )
@@ -86,13 +87,14 @@ def _edge_distances(space: Space, regions: Sequence[object]) -> tuple[float, ...
     regs = list(regions)
     if len(regs) < 2:
         raise ValueError("need at least 2 regions")
-    edges = []
-    for i, region in enumerate(regs):
-        nxt = regs[(i + 1) % len(regs)]
+    # Every region is checked before any is measured, so a bad one is named
+    # whatever its place: region i's distance_to reads region i + 1.
+    for i, region in enumerate(regs, start=1):
         if not hasattr(region, "distance_to"):
-            raise CapabilityError(f"region {region!r} has no exact distance method")
-        edges.append(region.distance_to(nxt, space))
-    return tuple(edges)
+            raise CapabilityError(
+                f"region {i} has no exact distance method, got {_value_repr(region)}"
+            )
+    return tuple(region.distance_to(nxt, space) for region, nxt in zip(regs, regs[1:] + regs[:1]))
 
 
 def chain_set_distance(space: Space, regions: Sequence[object], p: object) -> float:

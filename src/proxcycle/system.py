@@ -34,6 +34,7 @@ from .spaces import (
     _floats,
     _point_repr,
     _Record,
+    _value_repr,
     as_exponent,
     check_point,
     p_combine,
@@ -370,6 +371,9 @@ def _box_gaps(lo1: Point, hi1: Point, lo2: Point, hi2: Point) -> list[float]:
 def region_distance(space: Space, a: Region, b: Region) -> float:
     """Exact infimum distance between two regions of compatible variants,
     each of the space's dimension."""
+    for name, region in (("a", a), ("b", b)):
+        if not isinstance(region, Region):
+            raise TypeError(f"{name} must be a Region, got {_value_repr(region)}")
     # One dimension check for every pair of variants: each branch pairs
     # coordinates with ``zip`` or the trusted ``_distance``, which would
     # silently truncate a mismatch. Cloud points were validated when the
@@ -432,6 +436,12 @@ class Phi:
         with the same values and errors."""
         return list(map(self, ts))
 
+    def _strictly_increasing(self) -> bool | None:
+        """Whether phi is strictly increasing and nonnegative on [0, inf),
+        where the class can tell exactly; None where only a grid can test
+        it (``validate_phi``)."""
+        return None
+
 
 def _check_domain(ts: Sequence[float]) -> None:
     """Raise as ``phi(t)`` does if any of ``ts`` is negative. ``min`` passes
@@ -457,6 +467,9 @@ class LinearPhi(_Record, Phi):
     def _many(self, ts: Sequence[float]) -> list[float]:
         _check_domain(ts)
         return list(map(mul, repeat(self.alpha), ts))
+
+    def _strictly_increasing(self) -> bool:
+        return True  # alpha * t with alpha in (0, 1)
 
 
 class TabulatedPhi(_Record, Phi):
@@ -518,6 +531,13 @@ class TabulatedPhi(_Record, Phi):
         levels = map(self._levels.__getitem__, segments)
         return list(map(add, levels, map(mul, slopes, map(sub, ts, starts))))
 
+    def _strictly_increasing(self) -> bool:
+        # The knot values never decrease and phi(0) >= 0, as read when built,
+        # so phi is valid iff every segment rises, the last one's extension
+        # included: each knot value above the one before, with no slope
+        # rounded to zero. A flat segment anywhere fails, also past a grid.
+        return min(self._slopes) > 0.0
+
 
 class PhiReport(_Record):
     __slots__ = _fields = ("ok", "violations")
@@ -577,6 +597,8 @@ class CyclicSystem(_Record):
             raise ValueError("a cyclic system needs m >= 2 regions")
         dim = space.dimension
         for i, region in enumerate(regions, start=1):
+            if not isinstance(region, Region):
+                raise TypeError(f"region {i} must be a Region, got {_value_repr(region)}")
             if region.dimension() != dim:
                 raise ValueError(
                     f"region {i} is {region.dimension()}-dimensional in a {dim}-dimensional space"

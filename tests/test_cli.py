@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -10,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 from datetime import datetime, timedelta, timezone
+from functools import partial
 from pathlib import Path
 
 import jsonschema
@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 
 import proxcycle.cli as cli
 import proxcycle.system as system_module
-from proxcycle.gallery import make_kirk_interval
 from proxcycle.orbit import picard_orbit
 from proxcycle.spaces import INFINITY, as_exponent
-from proxcycle.system import MapError
+from proxcycle.system import LinearPhi, MapError, Phi, TabulatedPhi
+from reference import broken_map, counting, mapped_build, no_image
 
 SCHEMA = json.loads(
     (Path(cli.__file__).parent / "schemas" / "summary.schema.json").read_text()
@@ -288,6 +288,31 @@ def test_run_certify(tmp_path):
     assert cert["min_margin"] >= -1e-10
 
 
+class _Capped(Phi):
+    """A phi of the caller's own: t / 2 up to t = 1, then flat."""
+
+    def __call__(self, t):
+        return min(t, 1.0) / 2
+
+
+@pytest.mark.parametrize(
+    "phi, ok",
+    [
+        # Flat on [0.3, 0.45], between the grid points 0.25 and 0.5.
+        (TabulatedPhi(((0, 0), (0.3, 0.1), (0.45, 0.1), (10, 1))), False),
+        (TabulatedPhi(((0, 0), (0.3, 0.1), (0.45, 0.2), (10, 1))), True),
+        (LinearPhi(0.5), True),
+        # No exact fact for it: tested on the grid, flat from 1.0 to d + 1.
+        (_Capped(), False),
+    ],
+)
+def test_certify_phi_ok_is_exact_for_the_library_phis(tmp_path, phi, ok):
+    config = cli.parse_config(base_config(run="certify", iterations=50))
+    fields = {name: getattr(config, name) for name in config._fields}
+    summary = cli.run_experiment(cli.ExperimentConfig(**{**fields, "phi": phi}), tmp_path)
+    assert summary["certificate"]["phi_ok"] is ok
+
+
 def test_a_nan_margin_fails_the_certificate_and_is_written_as_null(tmp_path):
     # Balls 1e308 apart on the line: d_1 of two such edges is inf, and
     # d - phi(d) is inf - inf, so the first pair already has a NaN margin.
@@ -311,30 +336,6 @@ def test_output_dir_from_config(tmp_path):
 
 
 # --- one walk per run ----------------------------------------------------------------
-
-
-def _mapped_build(wrap):
-    """``gallery.build`` with each system's map replaced by ``wrap(system)``."""
-    build = cli.gallery.build
-
-    def mapped(system_id, parameters):
-        gs = build(system_id, parameters)
-        return dataclasses.replace(gs, system=dataclasses.replace(gs.system, map=wrap(gs.system)))
-
-    return mapped
-
-
-def _counting(calls):
-    """A map wrapper that appends to ``calls`` once per map call."""
-
-    def wrap(system):
-        def map_(x, inner=system.map):
-            calls.append(x)
-            return inner(x)
-
-        return map_
-
-    return wrap
 
 
 def _trace_steps(m, iterations):
@@ -371,7 +372,7 @@ RUN_SHAPES = {
 )
 def test_solver_runs_map_each_orbit_point_once(tmp_path, monkeypatch, shape, run, system):
     calls = []
-    monkeypatch.setattr(cli.gallery, "build", _mapped_build(_counting(calls)))
+    monkeypatch.setattr(cli.gallery, "build", mapped_build(partial(counting, calls)))
     data = base_config(run=run, **RUN_SHAPES[shape])
     if system is not None:
         data["system"] = system
@@ -384,7 +385,7 @@ def test_solver_runs_map_each_orbit_point_once(tmp_path, monkeypatch, shape, run
 @pytest.mark.parametrize("iterations", [1, 50, 20_000])
 def test_trace_runs_map_each_orbit_point_once(tmp_path, monkeypatch, iterations):
     calls = []
-    monkeypatch.setattr(cli.gallery, "build", _mapped_build(_counting(calls)))
+    monkeypatch.setattr(cli.gallery, "build", mapped_build(partial(counting, calls)))
     cli.run_experiment(cli.parse_config(base_config(run="trace", iterations=iterations)), tmp_path)
     assert len(calls) == _trace_steps(2, iterations)
 
@@ -405,21 +406,14 @@ def test_map_error_on_the_one_walk_matches_picard_orbit(
     good = cli.gallery.build(data["system"]["id"], data["system"]["parameters"])
     broken_at = picard_orbit(good.system, good.default_start, k - 1).points[-1]
 
-    def failing(system):
-        # The orbit is strictly monotone in |x|, so only step k maps x_{k-1}.
-        def map_(x, inner=system.map):
-            if x == broken_at:
-                raise RuntimeError("no image")
-            return inner(x)
-
-        return map_
-
     # The case sits where it says: before or after the solver's stopping point.
     summary = cli.run_experiment(cli.parse_config(data), tmp_path / "good")
     solver = _solver_steps(run, 2, summary["result"]["iterations"])
     assert (k > solver) == past_solver and k <= max(solver, _trace_steps(2, data["iterations"]))
 
-    monkeypatch.setattr(cli.gallery, "build", _mapped_build(failing))
+    # The orbit is strictly monotone in |x|, so only step k maps x_{k-1}.
+    failing = mapped_build(lambda inner: broken_map(inner, broken_at, no_image))
+    monkeypatch.setattr(cli.gallery, "build", failing)
     broken = cli.gallery.build(data["system"]["id"], data["system"]["parameters"])
     with pytest.raises(MapError) as reference:
         picard_orbit(broken.system, broken.default_start, k)
@@ -448,17 +442,10 @@ def test_prefix_map_error_in_a_banach_run_exits_3_before_the_solver(
     good = cli.gallery.build(data["system"]["id"], data["system"]["parameters"])
     broken_at = picard_orbit(good.system, good.default_start, 699).points[-1]
 
-    def failing(system):
-        def map_(x, inner=system.map):
-            if x == broken_at:
-                raise RuntimeError("no image")
-            return inner(x)
-
-        return map_
-
     solved = []
     banach_solve = cli.orbit.banach_solve
-    monkeypatch.setattr(cli.gallery, "build", _mapped_build(failing))
+    failing = mapped_build(lambda inner: broken_map(inner, broken_at, no_image))
+    monkeypatch.setattr(cli.gallery, "build", failing)
     monkeypatch.setattr(
         cli.orbit, "banach_solve", lambda *a, **k: solved.append(a) or banach_solve(*a, **k)
     )
@@ -529,15 +516,10 @@ def _assert_map_error_at_step(tmp_path, monkeypatch, capsys, data, bad_image):
     good = cli.gallery.build(data["system"]["id"], data["system"]["parameters"])
     broken_at = picard_orbit(good.system, good.default_start, k - 1).points[-1]
 
-    def malformed(system):
-        # The orbit's first coordinate is strictly monotone in |x|, so only
-        # step k maps x_{k-1}.
-        def map_(x, inner=system.map):
-            return bad_image(x) if x == broken_at else inner(x)
-
-        return map_
-
-    monkeypatch.setattr(cli.gallery, "build", _mapped_build(malformed))
+    # The orbit's first coordinate is strictly monotone in |x|, so only step
+    # k maps x_{k-1}.
+    malformed = mapped_build(lambda inner: broken_map(inner, broken_at, bad_image))
+    monkeypatch.setattr(cli.gallery, "build", malformed)
     broken = cli.gallery.build(data["system"]["id"], data["system"]["parameters"])
     with pytest.raises(MapError) as err:
         broken.system.apply(broken_at, step=k)
@@ -599,26 +581,15 @@ def test_exit_2_on_unknown_subcommand():
 
 
 def test_exit_3_on_map_error(tmp_path, monkeypatch):
-    def broken_build(system_id, parameters):
-        gs = make_kirk_interval(0.5)
-        bad_system = dataclasses.replace(
-            gs.system, map=lambda x: (float("nan"),)
-        )
-        return dataclasses.replace(gs, system=bad_system)
-
-    monkeypatch.setattr(cli.gallery, "build", broken_build)
+    monkeypatch.setattr(cli.gallery, "build", mapped_build(lambda inner: lambda x: (math.nan,)))
     config = write_config(tmp_path, base_config())
     assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 3
 
 
 @pytest.mark.parametrize("run", cli.RUNS)
 def test_exit_2_on_map_image_of_wrong_dimension(tmp_path, monkeypatch, run):
-    def widening_build(system_id, parameters):
-        gs = make_kirk_interval(0.5)
-        wide = dataclasses.replace(gs.system, map=lambda x: (-0.5 * x[0], 0.0))
-        return dataclasses.replace(gs, system=wide)
-
-    monkeypatch.setattr(cli.gallery, "build", widening_build)
+    widening = mapped_build(lambda inner: lambda x: (-0.5 * x[0], 0.0))
+    monkeypatch.setattr(cli.gallery, "build", widening)
     config = write_config(tmp_path, base_config(run=run, iterations=50))
     assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
 
@@ -633,10 +604,10 @@ def test_exit_2_on_map_image_of_wrong_dimension(tmp_path, monkeypatch, run):
         {"id": "scaled_pair", "parameters": {"dimension": True}},
     ],
 )
-def test_exit_2_on_non_integer_gallery_size(tmp_path, system):
-    config = write_config(tmp_path, base_config(system=system, run="trace", iterations=10))
-    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
-    assert not (tmp_path / "o").exists()
+def test_exit_2_on_non_integer_gallery_size(tmp_path, capsys, system):
+    ((name, value),) = system["parameters"].items()
+    pattern = rf"error: {name} must be .*, got {re.escape(repr(value))}\n"
+    assert re.fullmatch(pattern, _refused_trace_run(tmp_path, capsys, system))
 
 
 @pytest.mark.parametrize(
@@ -648,10 +619,23 @@ def test_exit_2_on_non_integer_gallery_size(tmp_path, system):
         {"id": "paper_lq_family", "parameters": {"q": [2]}},
     ],
 )
-def test_exit_2_on_gallery_id_or_parameter_of_the_wrong_type(tmp_path, system):
+def test_exit_2_on_gallery_id_or_parameter_of_the_wrong_type(tmp_path, capsys, system):
+    if "parameters" in system:
+        ((name, value),) = system["parameters"].items()
+        want = f"error: {name} must be a number or a string, got {value!r}\n"
+    else:
+        want = "error: system.id must be a string\n"
+    assert _refused_trace_run(tmp_path, capsys, system) == want
+
+
+def _refused_trace_run(tmp_path, capsys, system):
+    """The error line of a trace run on ``system``, which exits 2 and
+    makes no output directory."""
     config = write_config(tmp_path, base_config(system=system, run="trace", iterations=10))
+    capsys.readouterr()
     assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
+    return capsys.readouterr().err
 
 
 BIG = "1" + "0" * 400  # an integer past the float range

@@ -4,7 +4,6 @@ import math
 import re
 import tracemalloc
 from fractions import Fraction
-from itertools import count
 from operator import is_
 
 import pytest
@@ -39,6 +38,28 @@ import proxcycle.system as system_module
 from proxcycle.cli import TRACE_BLOCK, _write_trace_csv
 from proxcycle.spaces import INFINITY, LqSpace, OracleSpace, as_exponent, check_point
 from proxcycle.system import Box, CyclicSystem, MapError
+from reference import (
+    CountingLq,
+    Float,
+    broken_map,
+    counted_kirk,
+    counting,
+    fields_hex,
+    hexed,
+    line_gap,
+    no_image,
+    per_row_csv,
+    per_step,
+    per_step_fields,
+    per_step_stop,
+    public_boundedness,
+    public_chain_trace,
+    public_gaps,
+    public_trace_rows,
+    reference_columns,
+    reference_rows,
+    typed_hex,
+)
 
 
 def test_picard_orbit_kirk_closed_form():
@@ -351,20 +372,8 @@ def _asymmetric_system():
     return CyclicSystem(space=OracleSpace(oracle, 2), regions=(box, box, box), map=turn)
 
 
-def _reference_rows(trace, p):
-    m = trace.m
-    chain = chain_trace(trace, p)
-    edges = [edge_trace(trace, i) for i in range(1, m + 1)]
-    drifts = [block_drift_trace(trace, i) for i in range(1, m + 1)]
-    count = min((len(chain) - 1) // m + 1, *map(len, edges), *map(len, drifts))
-    return [
-        (chain[m * n], *(e[n] for e in edges), *(d[n] for d in drifts))
-        for n in range(count)
-    ]
-
-
 def _assert_rows_match_traces(tmp_path, trace, p):
-    expected = _reference_rows(trace, p)
+    expected = reference_rows(trace, p)
     assert len(expected) == len(trace.points) // trace.m - 1
     assert trace_rows(trace, p) == expected
 
@@ -468,11 +477,7 @@ def test_orbit_paths_reject_map_images_of_wrong_dimension(run):
 )
 def test_map_error_carries_its_step_on_every_orbit_path(run):
     # x_k = 2^-k exactly, so the map fails at step 5, when it is applied to x_4.
-    def halve(x):
-        if x[0] == 2.0 ** -4:
-            raise RuntimeError("no image")
-        return (x[0] / 2.0,)
-
+    halve = broken_map(lambda x: (x[0] / 2.0,), (2.0 ** -4,), no_image)
     unit = Box((0.0,), (1.0,))
     system = CyclicSystem(space=LqSpace(as_exponent(2), 1), regions=(unit, unit), map=halve)
     with pytest.raises(MapError) as err:
@@ -480,18 +485,16 @@ def test_map_error_carries_its_step_on_every_orbit_path(run):
     assert err.value.step == 5 and err.value.point == (2.0 ** -4,)
 
 
-def _halving_kirk_system(floor, calls=None):
+def _halving_kirk_system(floor, calls):
     """Kirk's boxes under x -> -x/2, so x_k = -(-1/2)^k from x_0 = -1; the
-    map refuses points with |x| < floor."""
+    map refuses points with |x| < floor and records each call in ``calls``."""
 
     def halve(x):
-        if calls is not None:
-            calls.append(x)
         if abs(x[0]) < floor:
             raise RuntimeError("no image")
         return (-x[0] / 2.0,)
 
-    return dataclasses.replace(make_kirk_interval(0.5).system, map=halve)
+    return dataclasses.replace(make_kirk_interval(0.5).system, map=counting(calls, halve))
 
 
 @pytest.mark.parametrize("solve", [banach_solve, periodic_point_solve])
@@ -499,7 +502,7 @@ def test_residual_image_is_a_walked_step(solve):
     # Both solvers stop at x_12 (the step and the 2-step drift first fall
     # under 1e-3 there); the residual maps x_12 = 2^-12 < 2^-11, step 13.
     with pytest.raises(MapError) as err:
-        solve(_halving_kirk_system(2.0 ** -11), (-1.0,), tol=1e-3, max_iter=100)
+        solve(_halving_kirk_system(2.0 ** -11, []), (-1.0,), tol=1e-3, max_iter=100)
     assert err.value.step == 13 and err.value.point == (-(2.0 ** -12),)
 
 
@@ -561,20 +564,6 @@ def test_orbit_results_are_immutable_value_records():
 # --- the trace prefix, walked in chunks -----------------------------------------
 
 
-def _per_step(system, x0, n):
-    """x_0..x_n by the per-step reference: ``apply`` once per step."""
-    points = [system.space.point(x0)]
-    for k in range(1, n + 1):
-        points.append(system.apply(points[-1], step=k))
-    return points
-
-
-def _hex(points):
-    """Each point's type and its coordinates' types and hex digits: equal
-    results are bit-identical points of the same types."""
-    return [(type(x), [(type(c), float.hex(c)) for c in x]) for x in points]
-
-
 PREFIX_SYSTEMS = {
     "kirk_interval": lambda: make_kirk_interval(0.001),
     "affine_strip": lambda: make_affine_strip(0.999, 2.0),
@@ -589,23 +578,20 @@ PREFIX_LENGTHS = (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 10_000)
 @pytest.mark.parametrize("name", sorted(PREFIX_SYSTEMS))
 def test_chunked_prefix_equals_the_per_step_walk(monkeypatch, name, n):
     gs = PREFIX_SYSTEMS[name]()
-    want = _hex(_per_step(gs.system, gs.default_start, n))
+    want = typed_hex(per_step(gs.system, gs.default_start, n))
     read = []
     monkeypatch.setattr(system_module, "check_point", lambda v: read.append(v) or check_point(v))
-    assert _hex(_record(gs.system, gs.default_start, n).points) == want
-    assert _hex(picard_orbit(gs.system, gs.default_start, n).points) == want
+    assert typed_hex(_record(gs.system, gs.default_start, n).points) == want
+    assert typed_hex(picard_orbit(gs.system, gs.default_start, n).points) == want
     # Every gallery image is a tuple of exact floats, read by the chunk pass.
     assert read == []
 
 
 def _failing_at(system, x0, k, bad_image):
     """``system`` with the map giving ``bad_image(x)`` at x_{k-1} only."""
-    broken_at = _per_step(system, x0, k - 1)[-1]
-
-    def map_(x, inner=system.map):
-        return bad_image(x) if x == broken_at else inner(x)
-
-    return dataclasses.replace(system, map=map_), broken_at
+    broken_at = per_step(system, x0, k - 1)[-1]
+    broken = dataclasses.replace(system, map=broken_map(system.map, broken_at, bad_image))
+    return broken, broken_at
 
 
 def _strip_failing_at(k, bad_image):
@@ -616,13 +602,9 @@ def _strip_failing_at(k, bad_image):
     return system, gs.default_start, broken_at
 
 
-def _raise(exc):
-    raise exc
-
-
 BAD_IMAGES = {
     # (map at x_{k-1}, error, message start)
-    "raises": (lambda x: _raise(RuntimeError("no image")), MapError, "map failed"),
+    "raises": (no_image, MapError, "map failed"),
     "nan image": (lambda x: (math.nan, 0.0), MapError, "map returned an invalid point"),
     "list of str": (lambda x: ["1", 0.0], MapError, "map returned an invalid point"),
     # The next raw call indexes x[1] of a 1-d point and raises.
@@ -638,7 +620,7 @@ def test_chunked_prefix_reports_the_per_step_error(k, bad):
     bad_image, error, message = BAD_IMAGES[bad]
     system, x0, broken_at = _strip_failing_at(k, bad_image)
     with pytest.raises(error) as reference:
-        _per_step(system, x0, 3 * _CHUNK)
+        per_step(system, x0, 3 * _CHUNK)
     assert str(reference.value).startswith(message)
     walks = (lambda: _record(system, x0, 3 * _CHUNK), lambda: picard_orbit(system, x0, max(k, 2)))
     for walk in walks:
@@ -668,14 +650,10 @@ def test_an_invalid_image_the_map_refuses_is_an_invalid_point_at_its_step(k):
     assert str(err.value).startswith("map returned an invalid point")
 
 
-class _Float(float):
-    pass
-
-
 CONVERTED_IMAGES = {
     "lists": lambda x: [0.999 * x[0], 1.0 - x[1]],
     "tuples of ints": lambda x: (int(x[0] > 0.5), int(x[1] < 0.5)),
-    "float subclass": lambda x: (_Float(0.999 * x[0]), _Float(1.0 - x[1])),
+    "float subclass": lambda x: (Float(0.999 * x[0]), Float(1.0 - x[1])),
     # Exact floats for two chunks, then lists.
     "lists from step 2 500": lambda x: (
         [0.999 * x[0], 1.0 - x[1]] if x[0] < 0.999 ** 2_498 else (0.999 * x[0], 1.0 - x[1])
@@ -687,16 +665,11 @@ CONVERTED_IMAGES = {
 @pytest.mark.parametrize("image", sorted(CONVERTED_IMAGES))
 def test_converted_images_give_the_per_step_points_within_one_extra_chunk(image, n):
     calls = []
-
-    def map_(x):
-        calls.append(x)
-        return CONVERTED_IMAGES[image](x)
-
     strip = make_affine_strip(0.999, 1.0).system
-    system = dataclasses.replace(strip, map=map_)
-    want = _hex(_per_step(system, (1.0, 0.0), n))
+    system = dataclasses.replace(strip, map=counting(calls, CONVERTED_IMAGES[image]))
+    want = typed_hex(per_step(system, (1.0, 0.0), n))
     calls.clear()
-    assert _hex(_record(system, (1.0, 0.0), n).points) == want
+    assert typed_hex(_record(system, (1.0, 0.0), n).points) == want
     assert n <= len(calls) <= n + _CHUNK
 
 
@@ -728,20 +701,6 @@ def _recorded(solver, start):
     return 0 if solver == "banach" else 1
 
 
-def _hexed(v):
-    """``v`` with each float, also inside tuples, as its hex digits."""
-    if isinstance(v, float):
-        return float.hex(v)
-    if isinstance(v, tuple):
-        return tuple(map(_hexed, v))
-    return v
-
-
-def _fields_hex(result):
-    """Every field of a solver result, with each float as its hex digits."""
-    return {name: _hexed(getattr(result, name)) for name in type(result)._fields}
-
-
 TAIL_ERROR_STEPS = {
     # step k at which the map fails, from the recorded step and the stop
     "recorded + 1": lambda recorded, stop: recorded + 1,
@@ -751,7 +710,7 @@ TAIL_ERROR_STEPS = {
     "residual step": lambda recorded, stop: stop + 1,
 }
 TAIL_BAD_IMAGES = {
-    "raises": (lambda x: _raise(RuntimeError("no image")), "map failed"),
+    "raises": (no_image, "map failed"),
     "nan image": (lambda x: (math.nan,), "map returned an invalid point"),
 }
 
@@ -777,7 +736,7 @@ def test_a_map_error_in_the_solver_tail_is_the_per_step_error(solver, where, sta
     bad_image, message = TAIL_BAD_IMAGES[bad]
     system, broken_at = _failing_at(gs.system, gs.default_start, k, bad_image)
     with pytest.raises(MapError) as reference:
-        _per_step(system, gs.default_start, k)
+        per_step(system, gs.default_start, k)
     assert str(reference.value).startswith(message)
     assert reference.value.step == k and reference.value.point == broken_at
     with pytest.raises(MapError) as err:
@@ -797,33 +756,14 @@ def test_a_wrong_dimension_image_with_a_zero_drift_raises_at_its_step(solver, st
     solve, tol = TAIL_SOLVERS[solver]
     gs = make_affine_strip(0.999, 1.0)
     k, s = TAIL_KEEP + 100, 1 if solver == "banach" else 2
-    back = _per_step(gs.system, gs.default_start, k)[k - s]
+    back = per_step(gs.system, gs.default_start, k)[k - s]
     system, broken_at = _failing_at(gs.system, gs.default_start, k, lambda x: (*back, 0.0))
     with pytest.raises(ValueError) as reference:
-        _per_step(system, gs.default_start, k)
+        per_step(system, gs.default_start, k)
     assert str(reference.value).startswith("map returned a 3-dimensional point at")
     with pytest.raises(ValueError) as err:
         solve(system, _tail_start(system, gs.default_start, start), tol=tol, max_iter=TAIL_BUDGET)
     assert str(err.value) == str(reference.value)
-
-
-def _per_step_stop(solver, system, x0, tol):
-    """The step at which a solver stops, by its own rule over the per-step
-    walk: banach at the first small step d(x_{k-1}, x_k); periodic at the
-    first small block drift d(x_{(n-1)m}, x_{nm}), k = nm; proximity at the
-    first k at which the last drift d(x_{j-m}, x_j) of every interleaved
-    subsequence, j = k-m+1..k, is small, j >= m."""
-    m, dist = system.m, system.space.distance
-    points = [system.space.point(x0)]
-    for k in count(1):
-        points.append(system.apply(points[-1], step=k))
-        if solver == "banach" and dist(points[k - 1], points[k]) <= tol:
-            return k
-        if solver == "periodic" and k % m == 0 and dist(points[k - m], points[k]) <= tol:
-            return k
-        if solver == "proximity" and k >= 2 * m - 1:
-            if all(dist(points[j - m], points[j]) <= tol for j in range(k - m + 1, k + 1)):
-                return k
 
 
 LIST_IMAGES = {
@@ -845,21 +785,16 @@ def test_list_images_in_the_solver_tail_give_the_per_step_result_within_one_chun
 
     def counted(convert):
         calls = []
-
-        def map_(x):
-            calls.append(x)
-            return convert(kirk.map(x), x)
-
-        system = dataclasses.replace(kirk, map=map_)
+        system = dataclasses.replace(kirk, map=counting(calls, lambda x: convert(kirk.map(x), x)))
         return solve(system, _tail_start(system, x0, start), tol=tol, max_iter=TAIL_BUDGET), calls
 
-    want, per_step = counted(lambda image, x: image)
+    want, walked = counted(lambda image, x: image)
     got, calls = counted(LIST_IMAGES[image])
-    assert want.iterations == _per_step_stop(solver, kirk, x0, tol)
-    assert _fields_hex(got) == _fields_hex(want)
+    assert want.iterations == per_step_stop(solver, kirk, x0, tol)
+    assert fields_hex(got) == fields_hex(want)
     # The refused prefix chunk is a chunk of _chunks, at most the steps recorded.
     prefix_chunk = min(_CHUNK, _recorded(solver, start))
-    assert len(per_step) <= len(calls) <= len(per_step) + prefix_chunk + _CHUNK
+    assert len(walked) <= len(calls) <= len(walked) + prefix_chunk + _CHUNK
 
 
 # Where the images turn into lists: inside the first chunk of the prefix, or
@@ -887,7 +822,7 @@ def test_a_map_error_two_chunks_past_a_refused_chunk_carries_its_step(solver, wh
     bad_image, message = TAIL_BAD_IMAGES[bad]
     system, broken_at = _failing_at(dataclasses.replace(kirk, map=map_), x0, k, bad_image)
     with pytest.raises(MapError) as reference:
-        _per_step(system, x0, k)
+        per_step(system, x0, k)
     assert str(reference.value).startswith(message)
     if solver == "prefix walk":
         runs = [lambda: _record(system, x0, k + _CHUNK), lambda: picard_orbit(system, x0, k)]
@@ -943,11 +878,11 @@ def test_a_plain_start_gives_the_result_of_the_cli_walk(name, solver, max_iter):
     gs = WALK_SYSTEMS[name]()
     m = gs.system.m
     walk = _record(gs.system, gs.default_start, max(3 * m, min(max_iter, 10_000)))
-    plain = _fields_hex(solve(gs.system, gs.default_start, tol=1e-12, max_iter=max_iter))
-    assert plain == _fields_hex(solve(gs.system, walk, tol=1e-12, max_iter=max_iter))
+    plain = fields_hex(solve(gs.system, gs.default_start, tol=1e-12, max_iter=max_iter))
+    assert plain == fields_hex(solve(gs.system, walk, tol=1e-12, max_iter=max_iter))
     # A converged solve stops where the per-step walk does, with its fields.
     if plain["converged"]:
-        want = _per_step_fields(solver, gs.system, gs.default_start, 1e-12)
+        want = per_step_fields(solver, gs.system, gs.default_start, 1e-12)
         assert {field: plain[field] for field in want} == want
 
 
@@ -989,13 +924,13 @@ def test_a_wrong_arity_image_gives_the_per_step_error_or_result(solver, name, im
         return solve(system, _tail_start(system, x0, "walk"), tol=tol, max_iter=TAIL_BUDGET)
 
     if image == "list":
-        assert _hex(_per_step(system, x0, k)) == _hex(_per_step(clean, x0, k))
+        assert typed_hex(per_step(system, x0, k)) == typed_hex(per_step(clean, x0, k))
         want = solve(clean, _tail_start(clean, x0, "walk"), tol=tol, max_iter=TAIL_BUDGET)
         assert want.iterations > k
-        assert _fields_hex(run()) == _fields_hex(want)
+        assert fields_hex(run()) == fields_hex(want)
         return
     with pytest.raises(ValueError) as reference:
-        _per_step(system, x0, k)
+        per_step(system, x0, k)
     dimension = clean.space.dimension + (1 if image == "too long" else -1)
     assert str(reference.value) == (
         f"map returned a {dimension}-dimensional point at {broken_at!r} "
@@ -1010,61 +945,6 @@ def test_a_wrong_arity_image_gives_the_per_step_error_or_result(solver, name, im
 # --- each prefix distance measured once -----------------------------------------
 
 
-class _KirkBox(Box):
-    """A box whose set distances are measured in l^2 on the line whatever the
-    space, since a metric oracle has none for boxes."""
-
-    __slots__ = ()
-
-    def distance_to(self, other, space):
-        return super().distance_to(other, LqSpace(as_exponent(2), 1))
-
-
-def _counted_kirk():
-    """Kirk's interval at alpha 0.001 under a metric oracle that counts its
-    calls: |x_k| = 0.999^k, and each solver stops near step 5 300."""
-    calls = []
-
-    def oracle(a, b):
-        calls.append(None)
-        return abs(a[0] - b[0])
-
-    kirk = make_kirk_interval(0.001).system
-    boxes = tuple(_KirkBox(box.lower, box.upper) for box in kirk.regions)
-    system = dataclasses.replace(kirk, space=OracleSpace(oracle, 1), regions=boxes)
-    return system, calls
-
-
-def _per_step_fields(solver, system, x0, tol):
-    """The fields a solver reads off the orbit, from the per-step walk: the
-    stop of ``_per_step_stop``, the points of ``apply`` and each distance
-    measured by the public ``distance``, chain distances included."""
-    k = _per_step_stop(solver, system, x0, tol)
-    m, space = system.m, system.space
-    points = _per_step(system, x0, k + m)
-    x = points[k]
-    fields = {"iterations": k, "converged": True}
-    set_distance = system.set_chain_distance(2)
-    if solver == "banach":
-        fields.update(point=x, residual=space.distance(x, points[k + 1]))
-    elif solver == "periodic":
-        block = tuple(points[k : k + m])
-        gap = abs(chain_self_distance(space, block, 2) - set_distance)
-        fields.update(point=x, residual=space.distance(x, points[k + m]), proximity_residual=gap)
-    else:
-        # chain[i] is the last point x_j of subsequence i + 1, j = i mod m.
-        chain = tuple(points[j] for i in range(m) for j in range(k - m + 1, k + 1) if j % m == i)
-        edges = system.edge_distances
-        fields.update(
-            chain=chain,
-            edge_residuals=tuple(
-                abs(space.distance(chain[i], chain[(i + 1) % m]) - edges[i]) for i in range(m)
-            ),
-            total_residual=abs(chain_self_distance(space, chain, 2) - set_distance),
-        )
-    return {name: _hexed(value) for name, value in fields.items()}
-
-
 @pytest.mark.parametrize("keep", [10_000, TAIL_KEEP])
 @pytest.mark.parametrize("solver", sorted(TAIL_SOLVERS))
 def test_each_prefix_distance_is_measured_once(solver, keep):
@@ -1074,7 +954,7 @@ def test_each_prefix_distance_is_measured_once(solver, keep):
     # checked drifts past it and its own result; trace_rows then measures
     # the other column and the wrap terms, and nothing twice.
     solve, tol = TAIL_SOLVERS[solver]
-    system, calls = _counted_kirk()
+    system, calls = counted_kirk()
     x0, m = (-1.0,), system.m
     walk = _record(system, x0, keep)
     assert calls == []
@@ -1086,15 +966,15 @@ def test_each_prefix_distance_is_measured_once(solver, keep):
     tail = max(0, k // m - keep // m if solver == "periodic" else k - keep)
     measures = {"banach": 1, "periodic": 1 + m, "proximity": 2 * m}[solver]
     assert len(calls) == column + tail + measures
-    want = _per_step_fields(solver, system, x0, tol)
-    assert {name: _fields_hex(result)[name] for name in want} == want
+    want = per_step_fields(solver, system, x0, tol)
+    assert {name: fields_hex(result)[name] for name in want} == want
 
     calls.clear()
     rows = trace_rows(walk, 2)
     other = keep + 1 - (m if s == 1 else 1)
     wraps = (keep + 1) // m - 1
     assert len(calls) == other + wraps
-    assert rows == _reference_rows(walk, 2)
+    assert rows == reference_rows(walk, 2)
 
 
 # --- the tail's drift test behind the first-coordinate gap ---------------------
@@ -1145,24 +1025,13 @@ def test_a_tol_equal_to_the_first_coordinate_gap_stops_where_the_per_step_walk_d
     gs = WALK_SYSTEMS[name]()
     system, x0 = gs.system, gs.default_start
     k, s = 3_000, 1 if solver == "banach" else gs.system.m
-    points = _per_step(system, x0, k)
+    points = per_step(system, x0, k)
     tol = system.space.distance(points[k - s], points[k])
     assert tol == abs(points[k - s][0] - points[k][0]) and tol > 0.0
     result = solve(system, _tail_start(system, x0, start), tol=tol, max_iter=TAIL_BUDGET)
-    want = _per_step_fields(solver, system, x0, tol)
+    want = per_step_fields(solver, system, x0, tol)
     assert want["iterations"] in (k, k + 1)
-    assert {field: _fields_hex(result)[field] for field in want} == want
-
-
-class _CountedLq(LqSpace):
-    """An l^q space whose kernel of its own counts its calls in ``calls``:
-    the chosen kernel, wrapped, which the gap bound does not vouch for."""
-
-    def __init__(self, q, dimension):
-        super().__init__(q, dimension)
-        kernel, calls = self._distance, []
-        object.__setattr__(self, "calls", calls)
-        object.__setattr__(self, "_distance", lambda pa, pb: calls.append(None) or kernel(pa, pb))
+    assert {field: fields_hex(result)[field] for field in want} == want
 
 
 @pytest.mark.parametrize("solver", sorted(TAIL_SOLVERS))
@@ -1172,9 +1041,9 @@ def test_a_space_without_the_gap_bound_measures_every_checked_tail_drift(solver)
     # checked step past the prefix. An LqSpace subclass with a kernel of its
     # own makes the same calls, and both give the bound space's result.
     solve, tol = TAIL_SOLVERS[solver]
-    oracle_system, oracle_calls = _counted_kirk()
+    oracle_system, oracle_calls = counted_kirk()
     kirk = make_kirk_interval(0.001).system
-    space = _CountedLq(as_exponent(2), 1)
+    space = CountingLq(as_exponent(2), 1)
     assert kirk.space._gap_bound and not space._gap_bound
     counted = dataclasses.replace(kirk, space=space)
     x0 = (-1.0,)
@@ -1184,8 +1053,8 @@ def test_a_space_without_the_gap_bound_measures_every_checked_tail_drift(solver)
     ]
     assert results[0].iterations > TAIL_KEEP
     assert len(space.calls) == len(oracle_calls)
-    assert _fields_hex(results[1]) == _fields_hex(results[0])
-    assert _fields_hex(results[2]) == _fields_hex(results[0])
+    assert fields_hex(results[1]) == fields_hex(results[0])
+    assert fields_hex(results[2]) == fields_hex(results[0])
 
 
 # --- settled orbits: rows and columns past the settle index -----------------
@@ -1206,43 +1075,24 @@ def _swing(x):
     return (-math.copysign(max(abs(x[0]) - 0.25, 0.5), x[0]),)
 
 
-def _reference_columns(trace):
-    """The stride-1 and stride-m columns from the public per-column traces:
-    step j = mn + i - 1 is ``edge_trace(trace, i)[n]`` and drift j is
-    ``block_drift_trace(trace, i)[n]``."""
-    m, n = trace.m, len(trace.points)
-    edges = [edge_trace(trace, i) for i in range(1, m + 1)]
-    drifts = [block_drift_trace(trace, i) for i in range(1, m + 1)]
-    return {
-        1: [edges[j % m][j // m] for j in range(n - 1)],
-        m: [drifts[j % m][j // m] for j in range(n - m)],
-    }
-
-
 def _assert_settled_trace(tmp_path, trace, p, settle):
     """``trace_rows``, both columns and the written ``trace.csv`` against
     the per-column references by ``float.hex``, the settle index pinned,
     and past it no new float or row object."""
     m = trace.m
     assert trace._settled() == settle
-    for s, column in _reference_columns(trace).items():
+    for s, column in reference_columns(trace).items():
         fresh = OrbitTrace(trace.system, trace.points)
         gaps = fresh._gaps(s)
-        assert list(map(float.hex, gaps)) == list(map(float.hex, column))
+        assert hexed(gaps) == hexed(column)
         assert all(gaps[j] is gaps[j - m] for j in range(settle, len(gaps)))
-    expected = _reference_rows(trace, p)
+    expected = reference_rows(trace, p)
     rows = trace_rows(trace, p)
-    assert [_hexed(row) for row in rows] == [_hexed(row) for row in expected]
+    assert [hexed(row) for row in rows] == [hexed(row) for row in expected]
     distinct = -(-settle // m)
     assert all(row is rows[distinct - 1] for row in rows[distinct:])
     assert len(set(map(id, rows[:distinct]))) == min(distinct, len(rows))
-
-    path = tmp_path / "trace.csv"
-    _write_trace_csv(path, trace, as_exponent(p))
-    names = [f"edge_{i}" for i in range(1, m + 1)] + [f"block_drift_{i}" for i in range(1, m + 1)]
-    lines = [",".join(["n", "chain_dp", *names])]
-    lines += [",".join([str(n), *map(repr, row)]) for n, row in enumerate(expected)]
-    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    _assert_written_per_row(tmp_path, trace, p)
 
 
 def _has_negative_zero(points):
@@ -1318,39 +1168,25 @@ def test_spaces_without_the_gap_bound_measure_every_entry(tmp_path):
     # space with a kernel of its own vouches for equal bits on equal
     # points: each measures every step, every drift and every wrap term.
     calls = []
-
-    def oracle(a, b):
-        calls.append(None)
-        return abs(a[0] - b[0])
-
     bound = picard_orbit(_line_system(_swing), (-2.0,), 60)
-    counted = _CountedLq(as_exponent(2), 1)
-    for space, made in ((OracleSpace(oracle, 1), calls), (counted, counted.calls)):
+    counted = CountingLq(as_exponent(2), 1)
+    oracle = OracleSpace(counting(calls, line_gap), 1)
+    for space, made in ((oracle, calls), (counted, counted.calls)):
         trace = OrbitTrace(_line_system(_swing, space=space), bound.points)
         assert trace._settled() == len(trace.points) == 61
         rows = trace_rows(trace, 2)
         assert len(made) == 60 + 59 + 29
-        assert [_hexed(row) for row in rows] == [_hexed(row) for row in trace_rows(bound, 2)]
+        assert [hexed(row) for row in rows] == [hexed(row) for row in trace_rows(bound, 2)]
         assert len(set(map(id, rows))) == len(rows)
 
 
 # --- the trace.csv writer ------------------------------------------------------
 
 
-def _per_row_csv(trace, p):
-    """``trace.csv``'s bytes as a per-row writer makes them: the header, then
-    one line per row of ``trace_rows``, its number and each float's repr."""
-    m = trace.m
-    names = [f"edge_{i}" for i in range(1, m + 1)] + [f"block_drift_{i}" for i in range(1, m + 1)]
-    lines = [",".join(["n", "chain_dp", *names])]
-    lines += [",".join([str(n), *map(repr, row)]) for n, row in enumerate(trace_rows(trace, p))]
-    return ("\n".join(lines) + "\n").encode()
-
-
 def _assert_written_per_row(tmp_path, trace, p):
     path = tmp_path / "trace.csv"
     _write_trace_csv(path, trace, as_exponent(p))
-    assert path.read_bytes() == _per_row_csv(trace, p)
+    assert path.read_bytes() == per_row_csv(trace.m, trace_rows(trace, p))
 
 
 def _chain_is_edge_1(trace, p):
@@ -1387,8 +1223,8 @@ def test_two_region_writer_matches_the_per_row_writer(tmp_path, name, p):
     same, rows = _chain_is_edge_1(trace, p)
     assert rows > 2 * TRACE_BLOCK
     assert same == (rows if p is INFINITY else 0)
-    expected = _reference_rows(trace, p)
-    assert [_hexed(row) for row in trace_rows(trace, p)] == [_hexed(row) for row in expected]
+    expected = reference_rows(trace, p)
+    assert [hexed(row) for row in trace_rows(trace, p)] == [hexed(row) for row in expected]
     _assert_written_per_row(tmp_path, trace, p)
 
 
@@ -1449,7 +1285,7 @@ def test_oracle_writer_matches_the_per_row_writer(tmp_path, p):
     # asymmetric oracle of a three-region turn keeps every argument order.
     bound = picard_orbit(_line_system(_swing), (-2.0,), 2 * TRACE_BLOCK + 301)
     trace = OrbitTrace(
-        _line_system(_swing, space=OracleSpace(lambda a, b: abs(a[0] - b[0]), 1)), bound.points
+        _line_system(_swing, space=OracleSpace(line_gap, 1)), bound.points
     )
     rows = TRACE_BLOCK + 150
     assert _chain_is_edge_1(trace, p) == (rows if p is INFINITY else 0, rows)
@@ -1507,7 +1343,7 @@ def test_writer_holds_one_block_of_text_at_a_time(tmp_path, p):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert path.read_bytes() == _per_row_csv(trace, p)
+    assert path.read_bytes() == per_row_csv(trace.m, trace_rows(trace, p))
     assert path.read_bytes().count(b"\n") == 5000
     assert peak < 2**20
 
@@ -1592,66 +1428,17 @@ def test_picard_orbit_is_a_plain_trace_and_only_a_walk_is_a_solver_start():
     assert trace == OrbitTrace(gs.system, [list(pt) for pt in trace.points])
     walk = _record(gs.system, gs.default_start, 40)
     assert type(walk) is _Walk and walk.points == trace.points
-    assert _fields_hex(banach_solve(gs.system, walk)) == _fields_hex(
+    assert fields_hex(banach_solve(gs.system, walk)) == fields_hex(
         banach_solve(gs.system, gs.default_start)
     )
     with pytest.raises(TypeError, match="not iterable"):
         banach_solve(gs.system, trace)  # a public trace is read as a start point
 
 
-# Every reader below the constructor as it was when each reader read its
-# points itself: through the public ``space.distance`` and
-# ``chain_self_distance``, one pair or one chain at a time.
-
-
-def _public_chain_trace(trace, p):
-    m, space = trace.m, trace.system.space
-    return [
-        chain_self_distance(space, trace.points[n : n + m], p)
-        for n in range(len(trace.points) - m + 1)
-    ]
-
-
-def _public_edge_trace(trace, i):
-    m, space, out, n = trace.m, trace.system.space, [], 0
-    while m * n + i < len(trace.points):
-        out.append(space.distance(trace.points[m * n + i - 1], trace.points[m * n + i]))
-        n += 1
-    return out
-
-
-def _public_block_drift_trace(trace, i):
-    m, space, out, n = trace.m, trace.system.space, [], 0
-    while m * n + m + i - 1 < len(trace.points):
-        out.append(space.distance(trace.points[m * n + i - 1], trace.points[m * n + m + i - 1]))
-        n += 1
-    return out
-
-
-def _public_trace_rows(trace, p):
-    m = trace.m
-    chains = _public_chain_trace(trace, p)
-    edges = [_public_edge_trace(trace, i) for i in range(1, m + 1)]
-    drifts = [_public_block_drift_trace(trace, i) for i in range(1, m + 1)]
-    return [
-        (chains[m * n], *(e[n] for e in edges), *(d[n] for d in drifts))
-        for n in range(len(trace.points) // m - 1)
-    ]
-
-
-def _public_boundedness(trace):
-    space, m = trace.system.space, trace.m
-    sups, stabilized = [], []
-    for r in range(min(m, len(trace.points))):
-        seq = trace.points[r::m]
-        dists = [space.distance(pt, seq[0]) for pt in seq]
-        running_max, last_new_max = -math.inf, 0
-        for idx, d in enumerate(dists):
-            if d > running_max:
-                running_max, last_new_max = d, idx
-        sups.append(running_max)
-        stabilized.append(last_new_max <= len(dists) // 2)
-    return tuple(sups), tuple(stabilized)
+# Every reader below the constructor against the public_* references, which
+# read the points as each reader did when it read them itself: through the
+# public ``space.distance`` and ``chain_self_distance``, one pair or one
+# chain at a time.
 
 
 def _oracle_trace():
@@ -1683,40 +1470,21 @@ def test_trace_readers_give_the_bits_of_their_per_point_reads(name, p):
     public = OrbitTrace(walked.system, [list(pt) for pt in walked.points])
     m = walked.m
     for trace in (walked, public):
-        assert _hexed(tuple(chain_trace(trace, p))) == _hexed(tuple(_public_chain_trace(trace, p)))
+        assert hexed(tuple(chain_trace(trace, p))) == hexed(tuple(public_chain_trace(trace, p)))
         for i in range(1, m + 1):
-            assert _hexed(tuple(edge_trace(trace, i))) == _hexed(
-                tuple(_public_edge_trace(trace, i))
+            assert hexed(tuple(edge_trace(trace, i))) == hexed(tuple(public_gaps(trace, i, 1)))
+            assert hexed(tuple(block_drift_trace(trace, i))) == hexed(
+                tuple(public_gaps(trace, i, m))
             )
-            assert _hexed(tuple(block_drift_trace(trace, i))) == _hexed(
-                tuple(_public_block_drift_trace(trace, i))
-            )
-        assert [_hexed(row) for row in trace_rows(trace, p)] == [
-            _hexed(row) for row in _public_trace_rows(trace, p)
+        assert [hexed(row) for row in trace_rows(trace, p)] == [
+            hexed(row) for row in public_trace_rows(trace, p)
         ]
         for n, k in ((1, 0), (0, 1), (3, 7), (5, 5)):
             got = cross_block_chain_distance(trace, n, k, p)
             want = chain_point_distance(trace.system.space, trace.block(n), trace.block(k), p)
             assert float.hex(got) == float.hex(want)
         report = boundedness_probe(trace)
-        assert _hexed((report.sups, report.stabilized)) == _hexed(_public_boundedness(trace))
-
-
-class _ReadCountingLq(LqSpace):
-    """An l^q space that records each ``point`` and ``_as_read`` call with
-    the number of coordinates it was handed; its kernel is the chosen one."""
-
-    def __init__(self, q, dimension):
-        super().__init__(q, dimension)
-        object.__setattr__(self, "reads", [])
-
-    def point(self, v, what="point"):
-        self.reads.append(("point", len(v)))
-        return super().point(v, what)
-
-    def _as_read(self, points):
-        self.reads.append(("_as_read", sum(map(len, points))))
-        return super()._as_read(points)
+        assert hexed((report.sups, report.stabilized)) == hexed(public_boundedness(trace))
 
 
 # (system, steps): the point calls, _as_read calls and coordinates read by a
@@ -1737,7 +1505,7 @@ WALK_READS = {
 def test_a_walk_reads_its_points_once(name, walker):
     make, steps, expected = WALK_READS[name]
     gs = make()
-    space = _ReadCountingLq(gs.system.space.q, gs.system.space.dimension)
+    space = CountingLq(gs.system.space.q, gs.system.space.dimension)
     system = dataclasses.replace(gs.system, space=space)
     if walker == "record":
         trace = _record(system, gs.default_start, steps)

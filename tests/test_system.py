@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import pickle
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import proxcycle.system as system_module
-from proxcycle.chains import chain_point_distance, chain_set_distance
+from proxcycle.chains import chain_set_distance
 from proxcycle.gallery import (
     attainment_gap,
     build,
@@ -46,7 +47,6 @@ from proxcycle.system import (
     Ball,
     Box,
     ContractionCertificate,
-    CyclicityReport,
     CyclicSystem,
     FiniteCloud,
     LinearPhi,
@@ -61,6 +61,23 @@ from proxcycle.system import (
     validate_phi,
     verify_contraction,
     verify_cyclicity,
+)
+from reference import (
+    CountingRandom,
+    broken_map,
+    brute_force,
+    certify_reference,
+    counting,
+    cyclicity_reference,
+    exact_margin,
+    hexed,
+    margin_floor,
+    margins_by_x_tuple,
+    no_image,
+    pair_margins,
+    region_tuples,
+    sampled_pairs,
+    usable_tuples,
 )
 
 L2_1 = LqSpace(Exponent(2.0), 1)
@@ -348,7 +365,7 @@ def _assert_many_is_each_call(phi, ts):
     """``phi._many(ts)`` is ``[phi(t) for t in ts]`` bit for bit, and a
     negative value anywhere in the list raises ``phi(t)``'s ValueError."""
     ts = list(ts)
-    assert list(map(float.hex, phi._many(ts))) == [phi(t).hex() for t in ts]
+    assert hexed(phi._many(ts)) == hexed([phi(t) for t in ts])
     assert phi._many([]) == []
     with pytest.raises(ValueError) as refused:
         phi(-1e-300)
@@ -548,19 +565,12 @@ def test_error_messages_stay_short_at_any_dimension():
 def test_verify_contraction_kirk_matches_grid_oracle():
     system = kirk_system()
     phi = LinearPhi(0.5)
-    # independent grid oracle: direct evaluation of both inequality sides
+    # the per-pair reference on a grid: both inequality sides from the public calls
     grid1 = [(-1.0 + 0.2 * i,) for i in range(6)]
     grid2 = [(0.2 * i,) for i in range(6)]
     tuples = list(itertools.product(grid1, grid2))
-    min_margin = math.inf
-    for xs in tuples:
-        for ys in tuples:
-            txs = [system.apply(x) for x in xs]
-            tys = [system.apply(y) for y in ys]
-            lhs = chain_point_distance(system.space, txs, tys, 1)
-            d = chain_point_distance(system.space, xs, ys, 1)
-            rhs = d - phi(d) + phi(0.0)
-            min_margin = min(min_margin, rhs - lhs)
+    assert system.set_chain_distance(1) == 0.0
+    min_margin = certify_reference(system, phi, 1, itertools.product(tuples, tuples))[0]
     assert min_margin >= -1e-10
 
     cert = verify_contraction(system, phi, 1, tuple_samples=400, seed=0)
@@ -620,65 +630,12 @@ def test_scaled_pair_far_apart_certifies():
     assert cert.ok
 
 
-def _reference(system, phi, p, pairs):
-    """The given tuple pairs, in order, each margin worked out from the public
-    ``system.apply`` and ``chain_point_distance``, and the verdict from the
-    largest finite side."""
-    set_distance = system.set_chain_distance(p)
-    phi_set = phi(set_distance)
-    best, witness, evaluated, skips = math.inf, ((), ()), 0, 0
-    sides = [phi_set]
-    for xs, ys in pairs:
-        if any(system.is_artifact(pt) for pt in xs + ys):
-            skips += 1
-            continue
-        txs = [system.apply(x) for x in xs]
-        tys = [system.apply(y) for y in ys]
-        lhs = chain_point_distance(system.space, txs, tys, p)
-        d = chain_point_distance(system.space, xs, ys, p)
-        margin = (d - phi(d) + phi_set) - lhs
-        same = contraction_margin(system, phi, p, xs, ys, set_distance)
-        assert margin.hex() == same.hex()
-        sides += [lhs, d, phi(d)]
-        evaluated += 1
-        # A NaN margin cannot be evaluated: the first one refutes and stays.
-        if margin < best or (math.isnan(margin) and not math.isnan(best)):
-            best, witness = margin, (xs, ys)
-    scale = max([s for s in sides if math.isfinite(s)], default=0.0)
-    floor = -8 * system.m * math.ulp(max(1.0, scale))
-    ok = evaluated > 0 and best >= floor
-    return best, witness, evaluated, skips, ok
-
-
-def _brute_force(system, phi, p):
-    """Every tuple pair through the public per-pair reference."""
-    tuples = list(itertools.product(*(r.points for r in system.regions)))
-    return _reference(system, phi, p, itertools.product(tuples, tuples))
-
-
-def _sampled_pairs(system, samples, seed):
-    """The tuple pairs the sampled branch draws: xs, then ys, region by region."""
-    rng = random.Random(seed)
-    for _ in range(samples):
-        xs = tuple(r.sample(rng) for r in system.regions)
-        ys = tuple(r.sample(rng) for r in system.regions)
-        yield xs, ys
-
-
-def _hexed_value(value):
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, tuple):
-        return tuple(map(_hexed_value, value))
-    return value
-
-
 def _assert_matches_brute_force(system, phis, ps):
     """Every ``ContractionCertificate`` field of the exhaustive scan equals
     the per-pair brute force, each float by ``float.hex``."""
     for p, phi in itertools.product(ps, phis):
         cert = verify_contraction(system, phi, p, seed=0)
-        best, (wxs, wys), evaluated, skips, ok = _brute_force(system, phi, p)
+        best, (wxs, wys), evaluated, skips, ok = brute_force(system, phi, p)
         want = ContractionCertificate(
             ok=ok,
             # With no pair evaluated the certificate reports NaN, not inf.
@@ -693,7 +650,7 @@ def _assert_matches_brute_force(system, phis, ps):
         )
         for name in ContractionCertificate._fields:
             got, expected = getattr(cert, name), getattr(want, name)
-            assert _hexed_value(got) == _hexed_value(expected), (name, p, phi)
+            assert hexed(got) == hexed(expected), (name, p, phi)
 
 
 PHIS = (LinearPhi(0.4), TabulatedPhi(((0.0, 0.1), (0.7, 0.3), (2.0, 0.6))))
@@ -779,18 +736,6 @@ def test_finite_cloud_certificates_match_brute_force(name):
     _assert_matches_brute_force(system, PHIS, (1, 1.5, 2, 3, "inf"))
 
 
-def _usable_tuples(system):
-    """The region tuples that touch no artifact point, in scan order."""
-    tuples = itertools.product(*(r.points for r in system.regions))
-    return [t for t in tuples if not any(map(system.is_artifact, t))]
-
-
-def _margins_by_x_tuple(system, phi, p):
-    """Each usable x-tuple's margins against every usable y-tuple."""
-    tuples = _usable_tuples(system)
-    return [[contraction_margin(system, phi, p, xs, ys) for ys in tuples] for xs in tuples]
-
-
 # Symmetric under (u, v) -> (u, -v), which maps x-tuple 1 to x-tuple 2: the
 # least margin comes first in x-tuple 1, at y-tuple 5, after larger margins
 # in x-tuple 0, and again in x-tuple 2, a tie on either side of the boundary
@@ -827,11 +772,11 @@ BLOCK_SYSTEMS = {
 
 def test_block_systems_place_a_tie_and_the_first_nan_at_x_tuple_boundaries():
     for phi, p in itertools.product(PHIS, (1, 2, "inf")):
-        rows = _margins_by_x_tuple(MIRROR, phi, p)
+        rows = margins_by_x_tuple(MIRROR, phi, p)
         least = min(min(row) for row in rows)
         assert [row.index(least) if least in row else None for row in rows[:3]] == [None, 5, 2]
         if p != 1:
-            rows = _margins_by_x_tuple(LATE_OVERFLOW, phi, p)
+            rows = margins_by_x_tuple(LATE_OVERFLOW, phi, p)
             assert [any(map(math.isnan, row)) for row in rows[:4]] == [False, False, True, True]
 
 
@@ -844,7 +789,7 @@ def test_exhaustive_blocks_of_any_size_match_brute_force(name, monkeypatch):
     # and most sizes do not divide the x-tuple count. A block size below
     # the width reads one x-tuple per block.
     system = BLOCK_SYSTEMS[name]
-    width = len(_usable_tuples(system))
+    width = len(usable_tuples(system))
     for block in (1, width - 1, *(g * width for g in range(1, width + 2))):
         monkeypatch.setattr(system_module, "EXHAUSTIVE_BLOCK", block)
         _assert_matches_brute_force(system, PHIS, (1, 2, "inf"))
@@ -854,10 +799,40 @@ def test_exhaustive_blocks_of_any_size_match_brute_force(name, monkeypatch):
 def test_exhaustive_blocks_of_the_default_size_match_brute_force(q):
     # 42 usable tuples: blocks of 1024 // 42 = 24 x-tuples, then 18.
     system = make_paper_lq_family(m=2, alpha=0.45, q=q, N=6).system
-    n = len(_usable_tuples(system))
+    n = len(usable_tuples(system))
     step = system_module.EXHAUSTIVE_BLOCK // n
     assert n == 42 and step > 1 and n % step
     _assert_matches_brute_force(system, PHIS, (1, 2.5, "inf"))
+
+
+@given(
+    m=st.integers(2, 3),
+    N=st.integers(2, 3),
+    alpha=st.floats(0.3, 0.6),
+    share=st.floats(0.05, 1.0),
+    p=st.sampled_from([1, "inf"]),
+    q=st.sampled_from([1, "inf"]),
+)
+@settings(max_examples=16, deadline=None)
+def test_the_floor_covers_the_rounding_of_exact_margins(m, N, alpha, share, p, q):
+    # At p, q in {1, inf} a margin has an exact rational value over the
+    # float points, their float images and the float set chain distance.
+    # Every enumerated pair's computed margin, and the certificate's least
+    # margin at its witness, is within the certificate's floor of it.
+    system = make_paper_lq_family(m=m, alpha=alpha, q=q, N=N).system
+    phi = LinearPhi(share * (1.0 - alpha))
+    set_distance = system.set_chain_distance(p)
+    tuples = usable_tuples(system)
+    pairs = list(pair_margins(system, phi, p, itertools.product(tuples, tuples), set_distance))
+    floor = margin_floor(m, [phi(set_distance), *(s for *_, sides in pairs for s in sides[:3])])
+    for xs, ys, _ in pairs:
+        computed = contraction_margin(system, phi, p, xs, ys, set_distance)
+        exact = exact_margin(system, phi, p, xs, ys, set_distance)
+        assert abs(Fraction(computed) - exact) <= -floor
+    cert = verify_contraction(system, phi, p)
+    assert cert.exhaustive and cert.evaluated == len(pairs)
+    exact = exact_margin(system, phi, p, cert.witness_xs, cert.witness_ys, set_distance)
+    assert abs(Fraction(cert.min_margin) - exact) <= -floor
 
 
 # The map throws the two clouds 2e308 apart, so every lhs is inf while every
@@ -888,7 +863,7 @@ def _first_nan_pair(system, phi, p, pairs):
 def test_a_nan_margin_refutes_the_certificate(p):
     # d = inf makes d - phi(d) inf - inf: the inequality cannot be evaluated
     # there, so the first such pair is the witness and the certificate fails.
-    tuples = list(itertools.product(*(r.points for r in OVERFLOW.regions)))
+    tuples = region_tuples(OVERFLOW)
     cert = verify_contraction(OVERFLOW, LinearPhi(0.5), p)
     assert cert.exhaustive and cert.evaluated == 81
     assert math.isnan(cert.min_margin) and not cert.ok
@@ -912,21 +887,15 @@ def test_a_nan_margin_refutes_the_certificate(p):
     assert not cert.exhaustive and cert.evaluated == 300
     assert math.isnan(cert.min_margin) and not cert.ok
     assert (cert.witness_xs, cert.witness_ys) == _first_nan_pair(
-        balls, LinearPhi(0.5), p, _sampled_pairs(balls, 300, 2)
+        balls, LinearPhi(0.5), p, sampled_pairs(balls, 300, 2)
     )
 
 
 def test_exhaustive_certificate_raises_map_error_with_point():
     bad = (2.0,)
-
-    def step(x):
-        if x == bad:
-            raise RuntimeError("no image")
-        return (-x[0],)
-
     left = FiniteCloud(((-1.0,), (-2.0,)))
     right = FiniteCloud(((1.0,), bad))
-    system = CyclicSystem(space=L2_1, regions=(left, right), map=step)
+    system = CyclicSystem(space=L2_1, regions=(left, right), map=broken_map(_flip, bad, no_image))
     with pytest.raises(MapError) as err:
         verify_contraction(system, LinearPhi(0.5), 2)
     assert err.value.point == bad
@@ -935,25 +904,15 @@ def test_exhaustive_certificate_raises_map_error_with_point():
 def _first_reached(system):
     """The usable points of an enumerable system in the order the pair
     enumeration first reaches them, each once."""
-    usable = [[x for x in r.points if not system.is_artifact(x)] for r in system.regions]
-    tuples = list(itertools.product(*usable))
-    pairs = itertools.product(tuples, tuples)
-    return list(dict.fromkeys(pt for xs, ys in pairs for pt in xs + ys))
+    tuples = usable_tuples(system)
+    return list(dict.fromkeys(pt for xs in tuples for ys in tuples for pt in xs + ys))
 
 
 @pytest.mark.parametrize("m,n", [(2, 3), (3, 2)])
 def test_exhaustive_scan_maps_each_usable_point_once_in_first_reach_order(m, n):
     family = make_paper_lq_family(m=m, alpha=0.5, q=2, N=n).system
     calls = []
-
-    def counted(x):
-        calls.append(x)
-        return family.map(x)
-
-    system = CyclicSystem(
-        space=family.space, regions=family.regions, map=counted,
-        artifact_points=family.artifact_points,
-    )
+    system = dataclasses.replace(family, map=counting(calls, family.map))
     cert = verify_contraction(system, LinearPhi(0.4), 2)
     assert cert.exhaustive and cert == verify_contraction(family, LinearPhi(0.4), 2)
     order = _first_reached(family)
@@ -970,10 +929,7 @@ def test_exhaustive_scan_maps_each_usable_point_once_in_first_reach_order(m, n):
             raise RuntimeError("no image")
         return family.map(x)
 
-    failing_system = CyclicSystem(
-        space=family.space, regions=family.regions, map=failing,
-        artifact_points=family.artifact_points,
-    )
+    failing_system = dataclasses.replace(family, map=failing)
     with pytest.raises(MapError) as err:
         verify_contraction(failing_system, LinearPhi(0.4), 2)
     assert err.value.point == early and err.value.step is None
@@ -1031,6 +987,17 @@ SAMPLED_SYSTEMS = {
 SAMPLED_FAMILY = make_paper_lq_family(m=4, alpha=0.5, q=2, N=6).system
 
 
+def _assert_sampled_matches_reference(system, phi, p, samples, seed):
+    cert = verify_contraction(system, phi, p, tuple_samples=samples, seed=seed)
+    assert not cert.exhaustive
+    best, (wxs, wys), evaluated, skips, ok = certify_reference(
+        system, phi, p, sampled_pairs(system, samples, seed)
+    )
+    assert cert.min_margin.hex() == (best if evaluated else math.nan).hex(), (p, phi)
+    assert (cert.witness_xs, cert.witness_ys) == (wxs, wys), (p, phi)
+    assert (cert.evaluated, cert.artifact_skips, cert.ok) == (evaluated, skips, ok), (p, phi)
+
+
 @pytest.mark.parametrize("name", [*sorted(SAMPLED_SYSTEMS), "family"])
 @pytest.mark.parametrize(
     "seed,samples", [(0, 150), (1, 150), (5, 150), (1, 300)], ids=["0", "1", "5", "1-300"]
@@ -1039,14 +1006,7 @@ def test_sampled_certificate_matches_per_pair_reference(name, seed, samples):
     system = SAMPLED_FAMILY if name == "family" else SAMPLED_SYSTEMS[name]
     phis = (LinearPhi(0.3), TabulatedPhi(((0.0, 0.1), (0.7, 0.3), (2.0, 0.6))))
     for p, phi in itertools.product((1, 2, 3.5, "inf"), phis):
-        cert = verify_contraction(system, phi, p, tuple_samples=samples, seed=seed)
-        assert not cert.exhaustive
-        best, (wxs, wys), evaluated, skips, ok = _reference(
-            system, phi, p, _sampled_pairs(system, samples, seed)
-        )
-        assert cert.min_margin == best, (p, phi)
-        assert (cert.witness_xs, cert.witness_ys) == (wxs, wys)
-        assert (cert.evaluated, cert.artifact_skips, cert.ok) == (evaluated, skips, ok)
+        _assert_sampled_matches_reference(system, phi, p, samples, seed)
 
 
 B = SAMPLE_BLOCK
@@ -1062,17 +1022,6 @@ SPARSE = CyclicSystem(
 )
 
 
-def _assert_sampled_matches_reference(system, phi, p, samples, seed):
-    cert = verify_contraction(system, phi, p, tuple_samples=samples, seed=seed)
-    assert not cert.exhaustive
-    best, (wxs, wys), evaluated, skips, ok = _reference(
-        system, phi, p, _sampled_pairs(system, samples, seed)
-    )
-    assert cert.min_margin.hex() == (best if evaluated else math.nan).hex(), (p, phi)
-    assert (cert.witness_xs, cert.witness_ys) == (wxs, wys), (p, phi)
-    assert (cert.evaluated, cert.artifact_skips, cert.ok) == (evaluated, skips, ok), (p, phi)
-
-
 @pytest.mark.parametrize("samples", [1, B - 1, B, B + 1, 2 * B + 1])
 def test_block_scan_matches_per_pair_reference(samples):
     for name in sorted(SAMPLED_SYSTEMS):
@@ -1085,7 +1034,7 @@ def test_block_scan_matches_per_pair_reference(samples):
 def test_sparse_system_skips_a_whole_block():
     usable = [
         not any(SPARSE.is_artifact(pt) for pt in xs + ys)
-        for xs, ys in _sampled_pairs(SPARSE, 2 * B + 1, 5)
+        for xs, ys in sampled_pairs(SPARSE, 2 * B + 1, 5)
     ]
     assert not any(usable[:B]) and any(usable[B:])
 
@@ -1191,11 +1140,7 @@ def test_block_scan_reads_lists_once_as_the_per_point_readers_do():
     # Samples and images that are lists are read (made tuples) one by one,
     # with the same certificate and one map call per point.
     calls = []
-
-    def step(x):
-        calls.append(x)
-        return [-0.6 * x[0]]
-
+    step = counting(calls, lambda x: [-0.6 * x[0]])
     kirk = make_kirk_interval(alpha=0.4).system
     lists = CyclicSystem(
         space=kirk.space, regions=tuple(_ListBox(r.lower, r.upper) for r in kirk.regions), map=step
@@ -1235,10 +1180,6 @@ def _zero_at(seed, draw):
     return rng
 
 
-def _hexed(points):
-    return [tuple(map(float.hex, pt)) for pt in points]
-
-
 class _AsDrawn(Space):
     """A space of no one dimension that reads every point as it is, so
     that regions of any dimensions are drawn together and their samples
@@ -1267,7 +1208,7 @@ def _assert_draws_as_samples(regions, rounds, make_rng, waiting):
     for n in (rounds, rounds + 1):
         got = _drawn(regions, draw, n)
         want = [r.sample(ref) for _ in range(n) for r in regions]
-        assert _hexed(got) == _hexed(want)
+        assert hexed(got) == hexed(want)
         assert all(type(pt) is tuple for pt in got)
         assert draw.getstate() == ref.getstate()
 
@@ -1332,8 +1273,8 @@ def test_column_draw_returns_zero_gauss_values_as_gauss_does():
     # Draw 2 zeroes the first gauss pair of the ball, not its third value.
     ball = Ball((-0.0, -0.0, -0.0), 2.0)
     got = _drawn((ball,), _zero_at(4, 2), 1)
-    assert _hexed(got) == _hexed([ball.sample(_zero_at(4, 2))])
-    assert _hexed(got)[0][:2] == ("0x0.0p+0", "0x0.0p+0")
+    assert hexed(got) == hexed([ball.sample(_zero_at(4, 2))])
+    assert hexed(got)[0][:2] == ("0x0.0p+0", "0x0.0p+0")
     _assert_draws_as_samples((ball,), 3, lambda: _zero_at(4, 2), 0)
 
 
@@ -1343,22 +1284,7 @@ def test_gauss_values_are_returned_as_gauss_returns_them():
     rng = random.Random(11)
     zs = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e308, -1e308]
     zs += [rng.gauss(0.0, 1.0) for _ in range(200)]
-    assert [z.hex() for z in _as_returned(zs)] == [(0.0 + z * 1.0).hex() for z in zs]
-
-
-class _Counted(random.Random):
-    """``random.Random`` that records the value of each ``random()`` call."""
-
-    def random(self):
-        x = super().random()
-        self.calls.append(x)
-        return x
-
-
-def _counted(seed):
-    rng = _Counted(seed)
-    rng.calls = []
-    return rng
+    assert hexed(_as_returned(zs)) == hexed([0.0 + z * 1.0 for z in zs])
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLED_SYSTEMS))
@@ -1366,15 +1292,15 @@ def _counted(seed):
 @pytest.mark.parametrize("waiting", [0, 1])
 def test_column_draw_makes_the_per_sample_random_calls_in_order(name, rounds, waiting):
     regions = SAMPLED_SYSTEMS[name].regions
-    draw, ref = _counted(5), _counted(5)
+    draw, ref = CountingRandom(5), CountingRandom(5)
     for rng in (draw, ref):
         for _ in range(waiting):
             rng.gauss(0.0, 1.0)
     got = _drawn(regions, draw, rounds)
     want = [r.sample(ref) for _ in range(rounds) for r in regions]
-    assert _hexed(got) == _hexed(want)
+    assert hexed(got) == hexed(want)
     assert len(draw.calls) == len(ref.calls) > 0
-    assert [x.hex() for x in draw.calls] == [x.hex() for x in ref.calls]
+    assert hexed(draw.calls) == hexed(ref.calls)
 
 
 def test_only_exact_boxes_and_balls_are_drawn_by_columns(monkeypatch):
@@ -1419,32 +1345,8 @@ def test_odd_rounds_or_a_waiting_gauss_value_are_drawn_sample_by_sample(
         )
     got = _drawn(regions, draw, rounds)
     assert sampled == list(regions) * rounds
-    assert _hexed(got) == _hexed(want)
+    assert hexed(got) == hexed(want)
     assert draw.getstate() == ref.getstate()
-
-
-def _cyclicity_reference(system, samples, seed):
-    """``verify_cyclicity`` one sample at a time: every point of a cloud, or
-    per-sample ``Region.sample`` draws, region by region, each flagged,
-    mapped and tested by the public ``is_artifact``, ``apply`` and
-    ``contains`` before the next is drawn."""
-    rng = random.Random(seed)
-    violations, artifacts, checked = [], [], 0
-    for i, region in enumerate(system.regions):
-        target = system.regions[(i + 1) % system.m]
-        if isinstance(region, FiniteCloud):
-            xs = region.points
-        else:
-            xs = (region.sample(rng) for _ in range(samples))
-        for x in xs:
-            if system.is_artifact(x):
-                artifacts.append((i, x))
-                continue
-            y = system.apply(x)
-            checked += 1
-            if not target.contains(y, system.space):
-                violations.append((i, x, y))
-    return CyclicityReport(not violations, tuple(violations), tuple(artifacts), checked)
 
 
 # 200 samples of a Box or a Ball are drawn by columns; 201 are an odd block,
@@ -1462,13 +1364,10 @@ def _assert_cyclicity_as_reference(system, samples, seed):
     which violates cyclicity at every sample of disjoint regions, so that
     the report lists the drawn points themselves, equal the reference's;
     returns the identity map's."""
-    stuck = CyclicSystem(
-        space=system.space, regions=system.regions, map=lambda x: x,
-        artifact_points=system.artifact_points,
-    )
+    stuck = dataclasses.replace(system, map=lambda x: x)
     for tested in (system, stuck):
         report = verify_cyclicity(tested, samples_per_region=samples, seed=seed)
-        want = _cyclicity_reference(tested, samples, seed)
+        want = cyclicity_reference(tested, samples, seed)
         assert report == want and repr(report) == repr(want)
     return report
 
@@ -1480,10 +1379,7 @@ def test_verify_cyclicity_skips_drawn_artifact_points_as_the_reference_does(name
     system = SAMPLED_SYSTEMS[name]
     rng = random.Random(seed)
     drawn = [r.sample(rng) for r in system.regions for _ in range(30)]
-    marked = CyclicSystem(
-        space=system.space, regions=system.regions, map=system.map,
-        artifact_points=drawn[::3],
-    )
+    marked = dataclasses.replace(system, artifact_points=drawn[::3])
     report = _assert_cyclicity_as_reference(marked, 30, seed)
     assert len(report.artifacts) == len(drawn[::3]) and report.checked == len(drawn) - 10 * system.m
 
@@ -1514,15 +1410,10 @@ def _scripted_cyclicity(draws, step, verify):
     ``draws`` and whose map is ``step``, with the points mapped and the
     points tested by the second region."""
     mapped, tested = [], []
-
-    def counted(x):
-        mapped.append(x)
-        return step(x)
-
     system = CyclicSystem(
         space=L2_1,
         regions=(_Scripted(draws), _Watched((-1.0,), (0.0,), tested)),
-        map=counted,
+        map=counting(mapped, step),
     )
     with pytest.raises(Exception) as err:
         verify(system, len(draws), 0)
@@ -1538,7 +1429,7 @@ def test_verify_cyclicity_maps_and_tests_the_samples_before_a_bad_read(bad, j):
     draws[j] = (bad,)
     got, mapped, tested = _scripted_cyclicity(draws, lambda x: (-x[0],), verify_cyclicity)
     want, ref_mapped, ref_tested = _scripted_cyclicity(
-        draws, lambda x: (-x[0],), _cyclicity_reference
+        draws, lambda x: (-x[0],), cyclicity_reference
     )
     assert type(got) is type(want) is ValueError and str(got) == str(want)
     assert mapped == ref_mapped == draws[:j]
@@ -1551,14 +1442,9 @@ def test_verify_cyclicity_raises_a_map_error_before_a_later_bad_read(j):
     # sample at a time met the map failure first.
     draws = [(0.1 * k,) for k in range(10)]
     draws[j] = (math.nan,)
-
-    def step(x):
-        if x == draws[j - 1]:
-            raise RuntimeError("no image")
-        return (-x[0],)
-
+    step = broken_map(_flip, draws[j - 1], no_image)
     got, _, _ = _scripted_cyclicity(draws, step, verify_cyclicity)
-    want, _, _ = _scripted_cyclicity(draws, step, _cyclicity_reference)
+    want, _, _ = _scripted_cyclicity(draws, step, cyclicity_reference)
     assert type(got) is type(want) is MapError and str(got) == str(want)
     assert got.point == want.point == draws[j - 1] and got.step is want.step is None
 
@@ -1571,7 +1457,7 @@ def test_verify_cyclicity_maps_and_tests_the_samples_before_a_raising_draw(j):
     draws[j] = LookupError("no draw")
     got, mapped, tested = _scripted_cyclicity(draws, lambda x: (-x[0],), verify_cyclicity)
     want, ref_mapped, ref_tested = _scripted_cyclicity(
-        draws, lambda x: (-x[0],), _cyclicity_reference
+        draws, lambda x: (-x[0],), cyclicity_reference
     )
     assert got is want is draws[j]
     assert mapped == ref_mapped == draws[:j]
@@ -1584,14 +1470,9 @@ def test_verify_cyclicity_raises_a_map_error_before_a_later_raising_draw(j):
     # sample at a time met the map failure first.
     draws = [(0.1 * k,) for k in range(10)]
     draws[j] = LookupError("no draw")
-
-    def step(x):
-        if x == draws[j - 1]:
-            raise RuntimeError("no image")
-        return (-x[0],)
-
+    step = broken_map(_flip, draws[j - 1], no_image)
     got, mapped, _ = _scripted_cyclicity(draws, step, verify_cyclicity)
-    want, ref_mapped, _ = _scripted_cyclicity(draws, step, _cyclicity_reference)
+    want, ref_mapped, _ = _scripted_cyclicity(draws, step, cyclicity_reference)
     assert type(got) is type(want) is MapError and str(got) == str(want)
     assert got.point == want.point == draws[j - 1] and got.step is want.step is None
     assert mapped[-1] == ref_mapped[-1] == draws[j - 1]
@@ -1715,7 +1596,7 @@ def test_sampled_certificate_raises_map_error_with_point():
     )
     # The pairs are mapped in draw order, xs before ys, region by region.
     expected = next(
-        pt for xs, ys in _sampled_pairs(system, 500, 4) for pt in xs + ys if pt[0] > 0.9
+        pt for xs, ys in sampled_pairs(system, 500, 4) for pt in xs + ys if pt[0] > 0.9
     )
     with pytest.raises(MapError) as err:
         verify_contraction(system, LinearPhi(0.5), 2, tuple_samples=500, seed=4)
@@ -2032,6 +1913,19 @@ TOO_LONG_REFUSALS = {
     "as_exponent Fraction": (
         TypeError, "cannot read exponent from Fraction of 16610 bits",
         lambda: as_exponent(Fraction(TOO_LONG)),
+    ),
+    # A non-region is named by its index, or by its argument.
+    "CyclicSystem regions": (
+        TypeError, f"region 2 must be a Region, got {_TOO_LONG}",
+        lambda: CyclicSystem(L2_1, (Box((0.0,), (1.0,)), TOO_LONG), _flip),
+    ),
+    "region_distance b": (
+        TypeError, f"b must be a Region, got {_TOO_LONG}",
+        lambda: region_distance(L2_1, Box((0.0,), (1.0,)), TOO_LONG),
+    ),
+    "chain_set_distance regions": (
+        CapabilityError, f"region 2 has no exact distance method, got {_TOO_LONG}",
+        lambda: chain_set_distance(L2_1, [Box((0.0,), (1.0,)), TOO_LONG], 1),
     ),
 }
 
