@@ -3,7 +3,8 @@
 Reads a strict JSON config, builds a gallery system, runs one certification,
 solver, or trace experiment, and writes ``trace.csv`` plus ``summary.json``
 into the output directory. Same config and seed give byte-identical outputs,
-except for the timestamp kept in the summary's separate metadata field.
+except for the timestamp and phase times kept in the summary's separate
+metadata field.
 
 Exit codes: 0 success (including expected non-convergence), 2 validation
 error, 3 map error, 4 I/O error.
@@ -15,6 +16,7 @@ import json
 import math
 import sys
 import time
+from functools import partial
 from operator import is_
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -26,7 +28,6 @@ from .system import LinearPhi, MapError, Phi, TabulatedPhi, validate_phi, verify
 if TYPE_CHECKING:
     import argparse
 
-RUNS = ("certify", "banach", "periodic", "proximity", "trace")
 CONFIG_KEYS = {"system", "p", "phi", "run", "iterations", "tolerance", "seed", "output_dir"}
 REQUIRED_KEYS = CONFIG_KEYS - {"output_dir"}
 # Rows of trace.csv per write: enough that the per-block work is small beside
@@ -103,8 +104,7 @@ def parse_config(data: object) -> ExperimentConfig:
     if not isinstance(parameters, dict):
         raise ConfigError("system.parameters must be an object")
 
-    if data["run"] not in RUNS:
-        raise ConfigError(f"run must be one of {RUNS}")
+    _run_kind(data["run"])
     try:
         numbers = {key: domain.check(key, data[key]) for key, domain in NUMBERS.items()}
     except ValueError as exc:
@@ -202,82 +202,111 @@ def _finite_or_null(value):
     return value
 
 
+def _run_kind(run: object):
+    """The function of run kind ``run``, or ``ConfigError``. The test is a
+    tuple's, so an unhashable value such as ``[]`` is refused, not raised
+    on as a dict key."""
+    if run not in RUNS:
+        raise ConfigError(f"run must be one of {RUNS}")
+    return RUN_KINDS[run]
+
+
+def _solve(name: str, config: ExperimentConfig, gs: gallery.GallerySystem, walk: orbit.OrbitTrace):
+    """A banach or periodic run: the solver ``orbit.<name>``, from the walk."""
+    solved = getattr(orbit, name)(
+        gs.system, walk, tol=config.tolerance, max_iter=config.iterations, p=config.p
+    )
+    return {field: getattr(solved, field) for field in SOLVE_FIELDS}, None
+
+
+def _proximity(config: ExperimentConfig, gs: gallery.GallerySystem, walk: orbit.OrbitTrace):
+    """A proximity run: the chain extracted from the walk's subsequences."""
+    extracted = orbit.proximity_chain_extract(
+        gs.system, walk, tol=config.tolerance, max_iter=config.iterations, p=config.p
+    )
+    note = extracted.note
+    if not gs.attainable and not extracted.converged:
+        note = (note or "") + "; set chain distance is not attained"
+    return {
+        "chain": extracted.chain,
+        "proximity_residual": extracted.total_residual,
+        "edge_residuals": extracted.edge_residuals,
+        "converged": extracted.converged,
+        "iterations": extracted.iterations,
+        "note": note,
+    }, None
+
+
+def _certify(config: ExperimentConfig, gs: gallery.GallerySystem, walk: orbit.OrbitTrace):
+    """A certify run: the system's cyclicity, phi's monotonicity and the
+    contraction certificate. The walk only gives ``trace.csv``."""
+    system, phi, p = gs.system, config.phi, config.p
+    cyclicity = verify_cyclicity(system, samples_per_region=200, seed=config.seed)
+    phi_ok = phi._strictly_increasing()
+    if phi_ok is None:  # a Phi subclass of the caller's, tested on a grid
+        dp_sets = system.set_chain_distance(p)
+        grid = [0.0, 0.25, 0.5, 1.0, dp_sets + 1.0, dp_sets + 2.0]
+        phi_ok = validate_phi(phi, sorted(set(grid))).ok
+    cert = verify_contraction(system, phi, p, tuple_samples=config.iterations, seed=config.seed)
+    return {"converged": cert.ok}, {
+        "passed": cert.ok,
+        "min_margin": cert.min_margin,
+        "witness_x": cert.witness_xs,
+        "witness_y": cert.witness_ys,
+        "evaluated": cert.evaluated,
+        "exhaustive": cert.exhaustive,
+        "artifact_skips": cert.artifact_skips,
+        "cyclicity_ok": cyclicity.ok,
+        "phi_ok": phi_ok,
+    }
+
+
+# Each run kind's function: called with the parsed config, the built system
+# and the run's walk, it returns the ``result`` fields it fills and its
+# certificate, or None. A row names its solver rather than holding it, so
+# the function found on ``orbit`` when the run calls it is the one that
+# runs, as a wrapper put there by a test or a tracer expects.
+RUN_KINDS = {
+    "certify": _certify,
+    "banach": partial(_solve, "banach_solve"),
+    "periodic": partial(_solve, "periodic_point_solve"),
+    "proximity": _proximity,
+    "trace": lambda config, gs, walk: ({}, None),  # trace.csv alone, which every run writes
+}
+RUNS = tuple(RUN_KINDS)
+# The result fields a banach or periodic run fills, each its solve's field.
+SOLVE_FIELDS = ("point", "residual", "proximity_residual", "converged", "iterations", "warnings")
+# Every result field, with the value a run writes where its kind leaves it
+# unset: null, or no warnings.
+RESULT_FIELDS = dict.fromkeys(SOLVE_FIELDS + ("chain", "edge_residuals", "note")) | {"warnings": ()}
+
+
 def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
-    """Run one experiment; returns the summary dict after writing the files."""
+    """Run one experiment; returns the summary dict after writing the files.
+
+    The steps that can raise or write come in this order: the output
+    directory check, the run kind, ``gallery.build``, the walk, the run
+    kind's function (``RUN_KINDS``), ``trace.csv`` and ``summary.json``.
+    ``metadata.phase_seconds`` gives the wall time of building the system,
+    walking, the run kind's function and writing ``trace.csv``.
+    """
     destination = out_dir or config.output_dir
     if destination is None:
         raise ConfigError("no output directory: set output_dir or pass --out")
+    kind = _run_kind(config.run)
+    started = time.perf_counter()
     gs = gallery.build(config.system_id, config.parameters)
-    system = gs.system
-    m = system.m
-    p = config.p
+    built = time.perf_counter()
+    system, p = gs.system, config.p
 
     # One walk per run: x_0..x_n_orbit are walked first, for every run kind,
     # so a MapError on them surfaces before any solver or certificate runs.
     # The solver reads the walk from x_0, and ``trace.csv`` reads the prefix.
-    n_orbit = max(3 * m, min(config.iterations, 10_000))
+    n_orbit = max(3 * system.m, min(config.iterations, 10_000))
     walk = orbit._record(system, gs.default_start, n_orbit)
-
-    result: dict = {
-        "point": None,
-        "residual": None,
-        "proximity_residual": None,
-        "converged": None,
-        "iterations": None,
-        "chain": None,
-        "edge_residuals": None,
-        "warnings": [],
-        "note": None,
-    }
-    certificate = None
-
-    if config.run in ("banach", "periodic"):
-        solve = orbit.banach_solve if config.run == "banach" else orbit.periodic_point_solve
-        solved = solve(system, walk, tol=config.tolerance, max_iter=config.iterations, p=p)
-        result.update(
-            point=list(solved.point),
-            residual=solved.residual,
-            proximity_residual=solved.proximity_residual,
-            converged=solved.converged,
-            iterations=solved.iterations,
-            warnings=list(solved.warnings),
-        )
-    elif config.run == "proximity":
-        extracted = orbit.proximity_chain_extract(
-            system, walk, tol=config.tolerance, max_iter=config.iterations, p=p
-        )
-        result.update(
-            chain=[list(pt) for pt in extracted.chain],
-            proximity_residual=extracted.total_residual,
-            edge_residuals=list(extracted.edge_residuals),
-            converged=extracted.converged,
-            iterations=extracted.iterations,
-            note=extracted.note,
-        )
-        if not gs.attainable and not extracted.converged:
-            result["note"] = (extracted.note or "") + "; set chain distance is not attained"
-    elif config.run == "certify":
-        cyclicity = verify_cyclicity(system, samples_per_region=200, seed=config.seed)
-        phi_ok = config.phi._strictly_increasing()
-        if phi_ok is None:  # a Phi subclass of the caller's, tested on a grid
-            dp_sets = system.set_chain_distance(p)
-            grid = [0.0, 0.25, 0.5, 1.0, dp_sets + 1.0, dp_sets + 2.0]
-            phi_ok = validate_phi(config.phi, sorted(set(grid))).ok
-        cert = verify_contraction(
-            system, config.phi, p, tuple_samples=config.iterations, seed=config.seed
-        )
-        certificate = {
-            "passed": cert.ok,
-            "min_margin": cert.min_margin,
-            "witness_x": [list(pt) for pt in cert.witness_xs],
-            "witness_y": [list(pt) for pt in cert.witness_ys],
-            "evaluated": cert.evaluated,
-            "exhaustive": cert.exhaustive,
-            "artifact_skips": cert.artifact_skips,
-            "cyclicity_ok": cyclicity.ok,
-            "phi_ok": phi_ok,
-        }
-        result["converged"] = cert.ok
+    walked = time.perf_counter()
+    fields, certificate = kind(config, gs, walk)
+    ran = time.perf_counter()
 
     summary = _finite_or_null({
         "system": {"id": gs.spec.id, "parameters": gs.spec.parameter_dict()},
@@ -287,14 +316,18 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         "tolerance": config.tolerance,
         "iterations_requested": config.iterations,
         "d_p_sets": system.set_chain_distance(p),
-        "result": result,
+        "result": {**RESULT_FIELDS, **fields},
         "certificate": certificate,
         "metadata": {"timestamp": _timestamp()},
     })
 
     out_path = Path(destination)
+    writing = time.perf_counter()
     out_path.mkdir(parents=True, exist_ok=True)
     _write_trace_csv(out_path / "trace.csv", walk, p)
+    summary["metadata"]["phase_seconds"] = {
+        "build": built - started, "walk": walked - built, "run": ran - walked,
+        "write": time.perf_counter() - writing}
     # One dumps and one write: with indent set, json.dump writes each chunk.
     text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
     with open(out_path / "summary.json", "w", encoding="utf-8") as fh:

@@ -393,8 +393,8 @@ def edge_trace(trace: OrbitTrace, i: int) -> list[float]:
     """d(x_{mn+i-1}, x_{mn+i}) for each block n; edge i runs A_i -> A_{i+1}.
 
     For finite p these converge edgewise to d(A_i, A_{i+1}); for p = inf only
-    the edge attaining the set chain distance is guaranteed to converge (see
-    ``dominant_edge``).
+    the edge attaining the set chain distance, the largest of
+    ``system.edge_distances``, is guaranteed to converge.
     """
     m, points = trace.m, trace.points
     if not 1 <= COUNT.check("i", i) <= m:
@@ -464,12 +464,6 @@ def _distinct_rows(trace: OrbitTrace) -> int:
     """⌈J/m⌉: the first row of ``trace_rows`` that repeats the row before
     it, if the trace has that many rows."""
     return -(-trace._settled() // trace.m)
-
-
-def dominant_edge(system: CyclicSystem) -> int:
-    """1-based index of the edge attaining max_i d(A_i, A_{i+1})."""
-    edges = system.edge_distances
-    return max(range(system.m), key=lambda i: edges[i]) + 1
 
 
 def block_drift_trace(trace: OrbitTrace, i: int) -> list[float]:

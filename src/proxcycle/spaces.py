@@ -426,11 +426,6 @@ def p_combine(values: Iterable[float], p: object) -> float:
     return exp._combine(vals)
 
 
-def lq_norm(v: Sequence[float], q: object) -> float:
-    """l^q norm of a coordinate tuple, q in [1, inf]."""
-    return p_combine((abs(c) for c in check_point(v)), q)
-
-
 class Space:
     """Base for metric substrates; subclasses define ``_distance``.
 
@@ -619,7 +614,7 @@ class LqSpace(_Record, Space):
 
     def norm(self, v: Sequence[float]) -> float:
         """The l^q norm of ``v``, read by ``point`` as a vector of this space."""
-        return lq_norm(self.point(v, "vector"), self.q)
+        return p_combine(map(abs, self.point(v, "vector")), self.q)
 
 
 class OracleSpace(_Record, Space):

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from datetime import datetime, timedelta, timezone
 from functools import partial
 from pathlib import Path
@@ -72,11 +73,37 @@ def test_parse_config_happy_path():
         {"tolerance": -1e-9},
         {"seed": "now"},
         {"system": {"id": "kirk_interval", "extra": 1}},
+        # Unhashable or null: a dict lookup on them would raise TypeError.
+        {"run": []},
+        {"run": None},
+        {"phi": {"kind": []}},
     ],
 )
 def test_parse_config_rejects_invalid(mutation):
     with pytest.raises(cli.ConfigError):
         cli.parse_config(base_config(**mutation))
+
+
+def test_the_schema_lists_the_run_kinds_in_the_table_order():
+    assert SCHEMA["properties"]["run"]["enum"] == list(cli.RUNS)
+
+
+@pytest.mark.parametrize("run", ["certfy", [], None])
+def test_an_unknown_run_kind_is_refused_before_anything_is_built_or_written(
+    tmp_path, monkeypatch, run
+):
+    with pytest.raises(cli.ConfigError) as parsed:
+        cli.parse_config(base_config(run=run))
+    config = cli.parse_config(base_config())
+    fields = {name: getattr(config, name) for name in config._fields}
+    built = []
+    monkeypatch.setattr(cli.gallery, "build", lambda *args: built.append(args))
+    out = tmp_path / "o"
+    with pytest.raises(cli.ConfigError) as err:
+        cli.run_experiment(cli.ExperimentConfig(**{**fields, "run": run}), out)
+    assert str(err.value) == str(parsed.value) == f"run must be one of {cli.RUNS}"
+    assert built == []
+    assert not (out / "trace.csv").exists() and not (out / "summary.json").exists()
 
 
 @pytest.mark.parametrize("key", ["p", "iterations", "tolerance", "seed"])
@@ -207,6 +234,19 @@ def test_metadata_timestamp_is_iso_8601_utc(tmp_path):
     stamp = datetime.fromisoformat(read_summary(tmp_path / "out")["metadata"]["timestamp"])
     assert stamp.utcoffset() == timedelta(0)
     assert before - timedelta(seconds=1) <= stamp <= after + timedelta(seconds=1)
+
+
+@pytest.mark.parametrize("run", cli.RUNS)
+def test_metadata_times_the_four_phases_of_every_run(tmp_path, run):
+    config = cli.parse_config(base_config(run=run, iterations=50))
+    started = time.perf_counter()
+    summary = cli.run_experiment(config, tmp_path)
+    wall = time.perf_counter() - started
+    phases = summary["metadata"]["phase_seconds"]
+    assert list(phases) == ["build", "walk", "run", "write"]
+    assert all(math.isfinite(seconds) and seconds >= 0 for seconds in phases.values())
+    assert sum(phases.values()) <= wall
+    assert read_summary(tmp_path)["metadata"]["phase_seconds"] == phases
 
 
 @pytest.mark.parametrize("ns", [0, 1_700_000_000_000_000_000, 1_700_000_000_123_456_789, 999])
@@ -472,6 +512,41 @@ def test_runs_compute_each_edge_distance_once(tmp_path, monkeypatch, run):
     monkeypatch.setattr(system_module, "region_distance", counting)
     cli.run_experiment(cli.parse_config(base_config(run=run, system=lq, iterations=50)), tmp_path)
     assert measured == [(regions[i], regions[(i + 1) % 3]) for i in range(3)]
+
+
+# The library functions each run kind calls, in order.
+LIBRARY_CALLS = {
+    "certify": ["verify_cyclicity", "verify_contraction"],
+    "banach": ["banach_solve"],
+    "periodic": ["periodic_point_solve"],
+    "proximity": ["proximity_chain_extract"],
+    "trace": [],
+}
+
+
+@pytest.mark.parametrize("run", cli.RUNS)
+def test_runs_look_up_the_library_functions_when_they_run(tmp_path, monkeypatch, run):
+    # A wrapper set on the module after import sees the run's call, as the
+    # benchmark's tracer needs: a table holding the functions themselves
+    # would call around it.
+    called = []
+
+    def recording(name, function):
+        def wrapper(*args, **kwargs):
+            called.append(name)
+            return function(*args, **kwargs)
+        return wrapper
+
+    for module, name in [
+        (cli.orbit, "banach_solve"),
+        (cli.orbit, "periodic_point_solve"),
+        (cli.orbit, "proximity_chain_extract"),
+        (cli, "verify_cyclicity"),
+        (cli, "verify_contraction"),
+    ]:
+        monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+    cli.run_experiment(cli.parse_config(base_config(run=run, iterations=50)), tmp_path)
+    assert called == LIBRARY_CALLS[run]
 
 
 MALFORMED_IMAGES = {

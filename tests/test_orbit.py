@@ -26,7 +26,6 @@ from proxcycle.orbit import (
     boundedness_probe,
     chain_trace,
     cross_block_chain_distance,
-    dominant_edge,
     edge_trace,
     periodic_point_solve,
     picard_orbit,
@@ -145,11 +144,6 @@ def test_trace_indices_are_read_through_their_domains(bad):
     assert trace.block(0) == trace.points[:2] and edge_trace(trace, 2)
     with pytest.raises(ValueError, match="trace too short for block 10"):
         trace.block(10)
-
-
-def test_dominant_edge_is_any_max_edge_for_equal_edges():
-    gs = make_affine_strip(0.5, 1.0)
-    assert dominant_edge(gs.system) in (1, 2)
 
 
 def test_block_drift_decays():

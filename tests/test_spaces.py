@@ -24,7 +24,6 @@ from proxcycle.spaces import (
     _space_gap,
     as_exponent,
     check_point,
-    lq_norm,
     p_combine,
     validate_metric,
 )
@@ -34,22 +33,22 @@ finite_floats = st.floats(min_value=-100, max_value=100, allow_nan=False)
 vectors = st.lists(finite_floats, min_size=1, max_size=6)
 
 
-def test_lq_norm_pythagorean():
-    assert lq_norm((3, 4), 2) == pytest.approx(5.0, abs=1e-12)
+def test_norm_pythagorean():
+    assert LqSpace(2, 2).norm((3, 4)) == pytest.approx(5.0, abs=1e-12)
 
 
-def test_lq_norm_manhattan():
-    assert lq_norm((1, 1, 1), 1) == 3.0
+def test_norm_manhattan():
+    assert LqSpace(1, 3).norm((1, 1, 1)) == 3.0
 
 
-def test_lq_norm_max():
-    assert lq_norm((1, -2, 3), INFINITY) == 3.0
-    assert lq_norm((1, -2, 3), math.inf) == 3.0
+def test_norm_max():
+    assert LqSpace(INFINITY, 3).norm((1, -2, 3)) == 3.0
+    assert LqSpace(math.inf, 3).norm((1, -2, 3)) == 3.0
 
 
-def test_lq_norm_zero_iff_zero():
-    assert lq_norm((0.0, 0.0), 2) == 0.0
-    assert lq_norm((0.0, 1e-300), 2) > 0.0
+def test_norm_zero_iff_zero():
+    assert LqSpace(2, 2).norm((0.0, 0.0)) == 0.0
+    assert LqSpace(2, 2).norm((0.0, 1e-300)) > 0.0
 
 
 def test_exponent_domain():
@@ -105,7 +104,7 @@ def test_check_point_rejects_bad_input():
     with pytest.raises(ValueError):
         check_point((1.0, math.nan))
     with pytest.raises(ValueError):
-        lq_norm((math.inf,), 2)
+        LqSpace(2, 1).norm((math.inf,))
 
 
 @pytest.mark.parametrize(
@@ -181,7 +180,7 @@ def test_space_point_is_check_point_plus_the_dimension(space):
 def test_large_q_does_not_overflow():
     # max-factoring keeps huge exponents finite on large coordinates
     v = (1e200, 1e200)
-    got = lq_norm(v, 512)
+    got = LqSpace(512, 2).norm(v)
     assert math.isfinite(got)
     assert got == pytest.approx(1e200 * 2 ** (1 / 512), rel=1e-12)
 
@@ -213,8 +212,8 @@ def test_norm_of_the_right_dimension_keeps_its_bits(q, dimension):
     rng = random.Random(f"norm:{q}:{dimension}")
     for _ in range(200):
         v = tuple(rng.uniform(-1e3, 1e3) for _ in range(dimension))
-        assert hexed(space.norm(v)) == hexed(lq_norm(v, q))
-        assert hexed(space.norm(list(v))) == hexed(lq_norm(v, q))
+        assert hexed(space.norm(v)) == hexed(p_combine(map(abs, v), q))
+        assert hexed(space.norm(list(v))) == hexed(p_combine(map(abs, v), q))
 
 
 def test_distance_dimension_mismatch():
@@ -227,10 +226,10 @@ def test_distance_dimension_mismatch():
 @settings(max_examples=60, deadline=None)
 def test_norm_monotone_in_q(v, q):
     # q1 <= q2 implies norm_q2 <= norm_q1
-    n_q = lq_norm(v, q)
-    n_2q = lq_norm(v, 2 * q)
-    n_inf = lq_norm(v, INFINITY)
-    n_1 = lq_norm(v, 1)
+    n_q = LqSpace(q, len(v)).norm(v)
+    n_2q = LqSpace(2 * q, len(v)).norm(v)
+    n_inf = LqSpace(INFINITY, len(v)).norm(v)
+    n_1 = LqSpace(1, len(v)).norm(v)
     assert n_2q <= n_q + 1e-12 * (1 + n_q)
     assert n_inf <= n_q + 1e-12 * (1 + n_q)
     assert n_q <= n_1 + 1e-12 * (1 + n_1)
@@ -239,8 +238,8 @@ def test_norm_monotone_in_q(v, q):
 @given(vectors, finite_floats, st.sampled_from([1.0, 2.0, 3.5, math.inf]))
 @settings(max_examples=60, deadline=None)
 def test_norm_homogeneity(v, c, q):
-    lhs = lq_norm(tuple(c * x for x in v), q)
-    rhs = abs(c) * lq_norm(v, q)
+    lhs = LqSpace(q, len(v)).norm(tuple(c * x for x in v))
+    rhs = abs(c) * LqSpace(q, len(v)).norm(v)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
