@@ -36,7 +36,11 @@ class GallerySpec(_Record):
 
 class GallerySystem(_Record):
     """A gallery system and its known answers. ``spec``, first in the
-    fields and the ``repr``, is keyword-only: the registry sets it."""
+    fields and the ``repr``, is keyword-only: the registry sets it.
+
+    Each build makes its map afresh, as a closure, and a map compares by
+    identity, so two builds of one config give unequal systems and unequal
+    gallery systems; their ``spec``s are equal, and are what to compare."""
 
     __slots__ = _fields = (
         "spec", "system", "edge_distances", "expected_solution", "attainable",

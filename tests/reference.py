@@ -22,18 +22,36 @@ exponents go through ``pow``, whose rounding the standard library does not
 bound, so the oracle refuses them rather than guess.
 """
 
+import collections
 import dataclasses
 import itertools
+import json
 import math
 import random
+import tempfile
 from fractions import Fraction
 from itertools import count, islice
+from pathlib import Path
 
 from proxcycle import gallery
-from proxcycle.chains import chain_point_distance, chain_self_distance
-from proxcycle.orbit import block_drift_trace, chain_trace, edge_trace
-from proxcycle.spaces import LqSpace, OracleSpace, as_exponent
-from proxcycle.system import Box, CyclicityReport, FiniteCloud, contraction_margin
+from proxcycle.chains import (
+    chain_point_distance, chain_self_distance, chain_set_distance, p_monotonicity_check,
+)
+from proxcycle.cli import NUMBERS, RUNS, ConfigError, load_config, parse_config, run_experiment
+from proxcycle.orbit import (
+    _GAP, OrbitTrace, apriori_error_bound, banach_solve, block_drift_trace, boundedness_probe,
+    chain_trace, cross_block_chain_distance, edge_trace, periodic_point_solve, picard_orbit,
+    proximity_chain_extract, trace_rows,
+)
+from proxcycle.spaces import (
+    ALPHA, COUNT, CYCLE_LENGTH, EXPONENT, INFINITY, POSITIVE, STEPS, CapabilityError, Domain,
+    Exponent, LqSpace, OracleSpace, as_exponent, check_point, p_combine, validate_metric,
+)
+from proxcycle.system import (
+    _KNOT, Ball, Box, CyclicityReport, CyclicSystem, FiniteCloud, LinearPhi, Region, TabulatedPhi,
+    alpha_bound_check, contraction_margin, region_distance, validate_phi, verify_contraction,
+    verify_cyclicity,
+)
 
 # --- bits -----------------------------------------------------------------------
 
@@ -455,3 +473,637 @@ def counted_kirk():
     boxes = tuple(LineBox(box.lower, box.upper) for box in kirk.regions)
     space = OracleSpace(counting(calls, line_gap), 1)
     return dataclasses.replace(kirk, space=space, regions=boxes), calls
+
+
+
+# --- the public input contract --------------------------------------------------
+#
+# Every parameter of the public functions, of the input records and of their
+# public methods is a row of ``CONTRACT`` or an entry of ``EXEMPT``. A row
+# names its entry point, its parameter and the reader the parameter goes
+# through, and calls the entry point with one value there. A row of a kind
+# meets every value of ``AWKWARD`` and gets the kind's outcome for it, where
+# its own ``cases`` do not say otherwise; its ``accepts`` are boundary
+# values it reads, a ``Gives`` with the result it returns. An outcome is
+# None for a value read, else the exception type and its message: the start
+# of the message when it ends in a space, else the whole message. README's
+# "Validation boundary" shows ``render_contract()``.
+
+
+class Opaque:
+    """A value the library reads as nothing: no number, point or region."""
+
+    def __repr__(self):
+        return "Opaque()"
+
+
+class Shapeless(Region):
+    """A region on the line with no exact distance to any other."""
+
+    __slots__ = ()
+
+    def dimension(self):
+        return 1
+
+
+Gives = collections.namedtuple("Gives", "value result")
+
+AWKWARD = {
+    "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "0": 0, "-1": -1, "1.0": 1.0,
+    "2.5": 2.5, "True": True, "False": False, "'1e-3'": "1e-3", "'nan'": "nan", "b'1'": b"1",
+    "None": None,
+    "-10**5000": -(10**5000), "10**400": 10**400, "10**5000": 10**5000,
+    "Fraction": Fraction(10**5000, 3), "list": [0.5], "Opaque()": Opaque(),
+}
+# A refusal shows a value by its repr, and one with more than 2 048 bits by
+# its bit length: Python makes no decimal text past 4 300 digits.
+_LONG = {"-10**5000": "int of 16610 bits", "10**5000": "int of 16610 bits",
+         "Fraction": "Fraction of 16610 bits"}
+SHOWN = {label: _LONG.get(label) or repr(v) for label, v in AWKWARD.items()}
+# Counts this large are read through the row's domain, never run.
+HUGE_COUNTS = ("10**400", "10**5000")
+
+_HUGE = "-10**5000 10**400 10**5000 Fraction"
+_TYPES = "True False None list Opaque()"
+_IN = "{name} must be {domain}, got {shown}"
+_NUMBER = (ValueError, "{name} must be a number, got {shown}", f"'1e-3' 'nan' b'1' {_TYPES}")
+_TEXT = (ValueError, "{name} must be a number or a string, got {shown}", _TYPES)
+_FLOAT = "float() argument must be a string or a "
+
+
+def _kind(accepts, *refusals):
+    """Each awkward label's outcome: None for the labels in ``accepts``, else
+    the (exception, message) of the refusal that lists it."""
+    out = dict.fromkeys(accepts.split())
+    for error, message, labels in refusals:
+        out |= dict.fromkeys(labels.split(), (error, message))
+    assert out.keys() == AWKWARD.keys(), set(AWKWARD) ^ set(out)
+    return out
+
+
+_PAST = "exponent is past the float range: "
+_BELOW = ((ValueError, "exponent must be >= 1, got {shown}", "nan -inf"),
+          (ValueError, "exponent must be >= 1, got ", "0 -1"))
+KINDS = {
+    "positive": _kind("1.0 2.5", (ValueError, _IN, f"nan inf -inf 0 -1 {_HUGE}"), _NUMBER),
+    "nonnegative": _kind("inf 0 1.0 2.5", (ValueError, _IN, f"nan -inf -1 {_HUGE}"), _NUMBER),
+    "count": _kind(
+        "10**400 10**5000", (ValueError, _IN, "nan inf -inf 0 -1 1.0 2.5 -10**5000 Fraction"),
+        _NUMBER,
+    ),
+    "steps": _kind(
+        "0 10**400 10**5000", (ValueError, _IN, "nan inf -inf -1 1.0 2.5 -10**5000 Fraction"),
+        _NUMBER,
+    ),
+    "integer": _kind(
+        "0 -1 -10**5000 10**400 10**5000", (ValueError, _IN, "nan inf -inf 1.0 2.5 Fraction"),
+        _NUMBER,
+    ),
+    "index": _kind("0", (ValueError, _IN, f"nan inf -inf -1 1.0 2.5 {_HUGE}"), _NUMBER),
+    "unit text": _kind(
+        "'1e-3'", (ValueError, _IN, f"nan inf -inf 0 -1 1.0 2.5 'nan' b'1' {_HUGE}"), _TEXT
+    ),
+    "positive text": _kind(
+        "1.0 2.5 '1e-3' b'1'", (ValueError, _IN, f"nan inf -inf 0 -1 'nan' {_HUGE}"), _TEXT
+    ),
+    "nonnegative text": _kind(
+        "0 1.0 2.5 '1e-3' b'1'", (ValueError, _IN, f"nan inf -inf -1 'nan' {_HUGE}"), _TEXT
+    ),
+    "real text": _kind(
+        "0 -1 1.0 2.5 '1e-3' b'1'", (ValueError, _IN, f"nan inf -inf 'nan' {_HUGE}"), _TEXT
+    ),
+    "size text": _kind(
+        "", (ValueError, _IN, f"nan inf -inf 0 -1 1.0 2.5 '1e-3' 'nan' b'1' {_HUGE}"), _TEXT
+    ),
+    "exponent text": _kind(
+        "inf 1.0 2.5", (ValueError, _IN, "nan -inf 0 -1 '1e-3' 'nan' -10**5000 10**400 10**5000"),
+        (ValueError, _TEXT[1], "b'1' True False None Fraction list Opaque()"),
+    ),
+    "exponent": _kind(
+        "inf 1.0 2.5", *_BELOW, (ValueError, "cannot read exponent from {shown}", "'1e-3' 'nan'"),
+        (TypeError, "cannot read exponent from {shown}",
+         "b'1' True False None Fraction list Opaque()"),
+        (ValueError, _PAST, "-10**5000 10**400 10**5000"),
+    ),
+    "Exponent": _kind(
+        "1.0 2.5 None", *_BELOW,
+        (ValueError, "use INFINITY (or Exponent()) for the infinite exponent", "inf"),
+        (TypeError, "cannot read exponent from {shown}", "True False '1e-3' 'nan' b'1'"),
+        (ValueError, _PAST, _HUGE), (TypeError, _FLOAT, "list Opaque()"),
+    ),
+    "phi argument": _kind(
+        "nan inf 0 1.0 2.5 True False",
+        (ValueError, "phi is defined on [0, inf)", "-inf -1 -10**5000"),
+        (ValueError, "phi's t is past the float range: ", "10**400 10**5000 Fraction"),
+        (TypeError, "'<' not supported between instances of ",
+         "'1e-3' 'nan' b'1' None list Opaque()"),
+    ),
+    "region": _kind("", (TypeError, "{name} must be a Region, got {shown}", " ".join(AWKWARD))),
+    "distance method": _kind(
+        "", (CapabilityError, "{name} has no exact distance method, got {shown}", " ".join(AWKWARD))
+    ),
+}
+# A coordinate, a p_combine value and a validate_phi grid value are read by
+# float(): each kind's refusals of the values float() reads and a point
+# must not hold, of values past the float range, and of what float() refuses.
+for kind, accepts, first, what, where, past in (
+    ("coordinate", "0 -1 1.0 2.5", (ValueError, "non-finite coordinate {shown} at index 0 in ",
+                                    "nan inf -inf"),
+     "coordinate", "0 in ", "coordinate past the float range at index 0: "),
+    ("value", "inf 0 1.0 2.5", (ValueError, "p_combine is defined for nonnegative values, got ",
+                                "nan -inf -1"),
+     "value", "1 in values", "a value in values is past the float range: "),
+    ("grid value", "nan inf 0 1.0 2.5", (ValueError, "grid must be sorted with at least 2 points",
+                                         "-inf -1"),
+     "value", "1 in grid", "a value in grid is past the float range: "),
+):
+    KINDS[kind] = _kind(
+        accepts, first,
+        *[(ValueError, f"{noun} {what} {{shown}} at index {where}", labels)
+          for noun, labels in (("bool", "True False"), ("str", "'1e-3' 'nan'"), ("bytes", "b'1'"))],
+        (ValueError, past, _HUGE), (TypeError, _FLOAT, "None list Opaque()"),
+    )
+
+
+@dataclasses.dataclass(frozen=True)
+class Row:
+    """One parameter of one entry point; see the section comment."""
+
+    entry: str
+    param: str
+    reader: str
+    call: object
+    kind: str | None = None
+    cases: dict = dataclasses.field(default_factory=dict)  # label -> (value, outcome)
+    accepts: tuple = ()
+    domain: object = None  # the Domain the parameter is read through
+    name: str | None = None  # the parameter's name in messages, if not ``param``
+    wrap: str = "{}"  # the entry's text around the reader's message
+    error: type | None = None  # the one type the entry raises, whatever the reader raises
+
+    def __str__(self):
+        return f"{self.entry}({self.param})"
+
+    def outcomes(self):
+        """label -> (value, outcome): the kind's, then the row's own cases."""
+        kind = KINDS[self.kind] if self.kind else {}
+        return {**{label: (AWKWARD[label], out) for label, out in kind.items()}, **self.cases}
+
+    def message(self, template, label):
+        """The text of an outcome's message for the value of ``label``."""
+        article = "an" if getattr(self.domain, "integer", False) else "in"
+        return self.wrap.format(template.format(
+            name=self.name or self.param, domain=f"{article} {self.domain}",
+            shown=SHOWN.get(label, label),
+        ))
+
+
+def _cases(error, *cases):
+    """label -> (value, (error, message)) for each (label, value, message)."""
+    return {label: (value, (error, message)) for label, value, message in cases}
+
+
+def _alike(param, reader, kind, calls, **common):
+    """One row per entry point of ``calls`` (entry -> call), alike but for
+    their calls."""
+    return [Row(entry, param, reader, call, kind, **common) for entry, call in calls.items()]
+
+
+def _every_p(f):
+    """A call of ``f(v, p)`` at p = 1, 2, 3.5 and inf; where one raises,
+    all raise alike and the first is raised."""
+    def call(v):
+        errors = []
+        for p in (1, 2, 3.5, "inf"):
+            try:
+                f(v, p)
+            except Exception as exc:
+                errors.append(exc)
+        assert len({(type(e), str(e)) for e in errors}) <= 1 and len(errors) in (0, 4), errors
+        if errors:
+            raise errors[0]
+    return call
+
+
+def _kirk():
+    return gallery.make_kirk_interval(0.5).system
+
+
+def _trace(n=10):
+    return OrbitTrace(_kirk(), per_step(_kirk(), (-1.0,), n))
+
+
+def _config(**changes):
+    return {"system": {"id": "kirk_interval"}, "p": 2, "phi": {"kind": "linear", "alpha": 0.5},
+            "run": "trace", "iterations": 6, "tolerance": 1e-10, "seed": 0, **changes}
+
+
+def _load(text):
+    """``load_config`` of a file holding ``text``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "c.json").write_text(text)
+        return load_config(Path(tmp) / "c.json")
+
+
+def _run(out_dir):
+    """``run_experiment`` of a trace config with no output_dir, into
+    ``out_dir``, or a scratch directory for "tmp"."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return run_experiment(parse_config(_config()), tmp if out_dir == "tmp" else out_dir)
+
+
+L1, _UNIT, _TOP = LqSpace(2, 1), Box((0.0,), (1.0,)), 1.7976931348623157e308
+_SOLVERS = {f.__name__: f for f in (banach_solve, periodic_point_solve, proximity_chain_extract)}
+
+
+def _point_rows():
+    """Every reader of an outside point, handed one whose coordinate is the value."""
+    kirk, phi, two = _kirk(), LinearPhi(0.5), [(0.0,), (1.0,)]
+    built = {
+        "check_point": ("v", lambda v: check_point((v,))),
+        "FiniteCloud": ("points", lambda v: FiniteCloud(((0.0,), (v,)))),
+        "Box": ("lower", lambda v: Box((v,), (3.0,))),
+        "Ball": ("center", lambda v: Ball((v,), 1.0)),
+    }
+    read = {
+        "Space.point v": lambda v: L1.point((v,)),
+        "Space.distance a": lambda v: L1.distance((v,), (0.0,)),
+        "Space.distance b": lambda v: L1.distance((0.0,), (v,)),
+        "LqSpace.norm v": lambda v: L1.norm((v,)),
+        "Region.contains point": lambda v: _UNIT.contains((v,), L1),
+        "CyclicSystem.apply x": lambda v: kirk.apply((v,)),
+        "CyclicSystem.apply_n x": lambda v: kirk.apply_n((v,), 1),
+        "CyclicSystem.is_artifact x": lambda v: kirk.is_artifact((v,)),
+        "CyclicSystem artifact_points": lambda v: CyclicSystem(L1, kirk.regions, kirk.map, ((v,),)),
+        "chain_point_distance xs": lambda v: chain_point_distance(L1, [(0.0,), (v,)], two, 2),
+        "chain_point_distance ys": lambda v: chain_point_distance(L1, two, [(0.0,), (v,)], 2),
+        "chain_self_distance xs": lambda v: chain_self_distance(L1, [(0.0,), (v,)], 2),
+        "p_monotonicity_check xs": lambda v: p_monotonicity_check(L1, [(0.0,), (v,)], two),
+        "p_monotonicity_check ys": lambda v: p_monotonicity_check(L1, two, [(0.0,), (v,)]),
+        "contraction_margin xs": lambda v: contraction_margin(kirk, phi, 2, [(-1.0,), (v,)], two),
+        "contraction_margin ys": lambda v: contraction_margin(kirk, phi, 2, two, [(0.0,), (v,)]),
+        "validate_metric sample_points": lambda v: validate_metric(L1, [*two, (v,)]),
+    }
+    starts = {"picard_orbit": lambda v: picard_orbit(kirk, (v,), 2)}
+    starts |= {name: lambda v, f=f: f(kirk, (v,)) for name, f in _SOLVERS.items()}
+    return [
+        *[Row(entry, param, "check_point", call, "coordinate")
+          for entry, (param, call) in built.items()],
+        Row("check_point", "v", "check_point", check_point, cases=_cases(
+            ValueError, ("()", (), "a point must have dimension >= 1"),
+            ("'12'", "12", "a point is a sequence of numbers, not a str"),
+            ("b'12'", b"12", "a point is a sequence of numbers, not a bytes"))),
+        Row("Box", "upper", "check_point", lambda v: Box((-3.0,), (v,)), "coordinate"),
+        *[Row(*key.split(), "Space.point", call, "coordinate") for key, call in read.items()],
+        *_alike("x0", "Space.point", "coordinate", starts, cases=_cases(ValueError, *[
+            (label, AWKWARD[label], "x0 = ({shown},) is not in the first region")
+            for label in ("1.0", "2.5")])),
+        Row("OrbitTrace", "points", "Space.point", lambda v: OrbitTrace(kirk, [(-1.0,), (v,)]),
+            "coordinate", wrap="trace point 1: {}", error=ValueError),
+    ]
+
+
+def _exponent_rows():
+    """Every reader of an exponent: ``as_exponent`` is behind each."""
+    kirk, phi, trace, family = _kirk(), LinearPhi(0.5), _trace(), gallery.make_paper_lq_family(N=2)
+    xs, ys = [(0.0,), (1.0,)], [(2.0,), (0.5,)]
+    calls = {
+        "p_combine": _every_p(lambda v, _: p_combine([1.0, 2.0], v)),
+        "chain_point_distance": lambda v: chain_point_distance(L1, xs, ys, v),
+        "chain_self_distance": lambda v: chain_self_distance(L1, xs, v),
+        "chain_set_distance": lambda v: chain_set_distance(L1, kirk.regions, v),
+        "CyclicSystem.set_chain_distance": kirk.set_chain_distance,
+        "alpha_bound_check": lambda v: alpha_bound_check(0.5, 2, v),
+        "contraction_margin": lambda v: contraction_margin(kirk, phi, v, xs[::-1], xs),
+        "verify_contraction": lambda v: verify_contraction(kirk, phi, v, tuple_samples=2),
+        "attainment_gap": lambda v: gallery.attainment_gap(family, v),
+        "chain_trace": lambda v: chain_trace(trace, v),
+        "trace_rows": lambda v: trace_rows(trace, v),
+        "cross_block_chain_distance": lambda v: cross_block_chain_distance(trace, 1, 0, v),
+        **{name: lambda v, f=f: f(kirk, (-1.0,), p=v) for name, f in _SOLVERS.items()},
+    }
+    exact = (Gives(1, Exponent(1.0)), Gives("inf", INFINITY), Gives("Infinity", INFINITY),
+             Gives(math.inf, INFINITY), Gives(Exponent(3.0), Exponent(3.0)))
+    return [
+        Row("as_exponent", "p", "as_exponent", as_exponent, "exponent", accepts=exact),
+        *_alike("p", "as_exponent", "exponent", calls, accepts=(1, "Infinity")),
+        Row("LqSpace", "q", "as_exponent", lambda v: LqSpace(v, 2), "exponent", accepts=(1,)),
+        Row("p_monotonicity_check", "ps", "as_exponent",
+            lambda v: p_monotonicity_check(L1, xs, ys, ps=[v]), "exponent", accepts=(1,)),
+        Row("Exponent", "value", "Exponent", Exponent, "Exponent", _cases(
+            TypeError, ("'inf'", "inf", "cannot read exponent from 'inf'")), accepts=(1, _TOP)),
+    ]
+
+
+def _domain_rows():
+    """Every parameter read through a ``spaces.Domain``, and phi's t and
+    the value lists, read by ``float()``."""
+    kirk, phi, trace, family = _kirk(), LinearPhi(0.5), _trace(), gallery.make_paper_lq_family(N=2)
+    artifact, tiny = family.system.artifact_points[0], 5e-324
+    tols = {name: lambda v, f=f: f(kirk, (-1.0,), tol=v) for name, f in _SOLVERS.items()} | {
+        "verify_cyclicity": lambda v: verify_cyclicity(kirk, samples_per_region=2, tol=v),
+        "validate_metric": lambda v: validate_metric(L1, [(0.0,), (1.0,), (3.0,)], tol=v),
+        "p_monotonicity_check": lambda v: p_monotonicity_check(L1, [(0.0,)] * 2, [(1.0,)] * 2,
+                                                                tol=v),
+        "Region.contains": lambda v: _UNIT.contains((0.5,), L1, v),
+    }
+    too_short = _cases(ValueError, *[(label, AWKWARD[label], "trace too short for block {shown}")
+                                     for label in HUGE_COUNTS])
+    four = [(0.0,), (1.0,), (3.0,), (4.0,)]
+    counts = {
+        "verify_contraction tuple_samples": lambda v: verify_contraction(kirk, phi, 2,
+                                                                         tuple_samples=v),
+        "verify_cyclicity samples_per_region": lambda v: verify_cyclicity(kirk,
+                                                                          samples_per_region=v),
+        "validate_metric max_triples": lambda v: validate_metric(L1, four, max_triples=v),
+    }
+    spaces = {"LqSpace": lambda v: LqSpace(2, v).dimension,
+              "OracleSpace": lambda v: OracleSpace(line_gap, v).dimension}
+    return [
+        *_alike("tol", "POSITIVE", "positive", tols, domain=POSITIVE, accepts=(tiny, _TOP, 1)),
+        Row("CyclicSystem.is_artifact", "tol", "POSITIVE",
+            lambda v: (family.system.is_artifact(family.default_start, v),
+                       family.system.is_artifact(artifact, v)),
+            "positive", domain=POSITIVE, accepts=(Gives(1e-12, (False, True)),)),
+        Row("Ball", "radius", "POSITIVE", lambda v: Ball((0.0,), v).radius, "positive",
+            domain=POSITIVE, accepts=(tiny, _TOP, Gives(2, 2.0))),
+        *_alike("max_iter", "STEPS", "steps",
+               {name: lambda v, f=f: f(kirk, (-1.0,), max_iter=v) for name, f in _SOLVERS.items()},
+               domain=STEPS, accepts=(1,)),
+        Row("picard_orbit", "n", "STEPS", lambda v: picard_orbit(kirk, (-1.0,), v), "steps",
+            _cases(ValueError, ("0", 0, "need at least m = 2 steps")), domain=STEPS, accepts=(2,)),
+        Row("CyclicSystem.apply_n", "k", "STEPS", lambda v: kirk.apply_n((0.5,), v), "steps",
+            domain=STEPS, accepts=(Gives(0, (0.5,)), Gives(2, (0.125,)))),
+        Row("apriori_error_bound", "k", "STEPS", lambda v: apriori_error_bound(0.5, 2, v, 1.0),
+            "steps", domain=STEPS, accepts=(1,)),
+        Row("OrbitTrace.block", "n", "STEPS", trace.block, "steps", too_short, domain=STEPS,
+            accepts=(Gives(0, trace.points[:2]), 4)),
+        Row("cross_block_chain_distance", "n", "STEPS",
+            lambda v: cross_block_chain_distance(trace, v, 0, 2), "steps", too_short,
+            domain=STEPS, accepts=(4,)),
+        Row("cross_block_chain_distance", "k", "STEPS",  # read as OrbitTrace.block's n
+            lambda v: cross_block_chain_distance(trace, 0, v, 2), "steps", too_short,
+            domain=STEPS, name="n", accepts=(4,)),
+        *[Row(entry, "i", "COUNT", lambda v, f=f: f(trace, v), "count", _cases(ValueError, *[
+            (label, AWKWARD[label], f"{noun} must be in 1..2") for label in HUGE_COUNTS]),
+            domain=COUNT, accepts=(1, 2)) for entry, f, noun in (
+                ("edge_trace", edge_trace, "edge index"),
+                ("block_drift_trace", block_drift_trace, "subsequence index"))],
+        *[Row(*key.split(), "COUNT", call, "count", domain=COUNT, accepts=(1,))
+          for key, call in counts.items()],
+        *[Row(entry, "dimension", "COUNT", call, "count", domain=COUNT,
+              accepts=(Gives(1, 1), Gives(3, 3))) for entry, call in spaces.items()],
+        *_alike("alpha", "ALPHA", "unit text", {
+            "LinearPhi": LinearPhi,
+            "alpha_bound_check": lambda v: alpha_bound_check(v, 2, 2),
+            "apriori_error_bound": lambda v: apriori_error_bound(v, 2, 1, 1.0),
+        }, domain=ALPHA, accepts=(tiny, 1 - 2**-53)),
+        *_alike("m", "CYCLE_LENGTH", "count", {
+            "alpha_bound_check": lambda v: alpha_bound_check(0.5, v, 2),
+            "apriori_error_bound": lambda v: apriori_error_bound(0.5, v, 1, 1.0),
+        }, cases=_cases(ValueError, ("1", 1, _IN)),
+            domain=CYCLE_LENGTH, accepts=(2,)),
+        Row("apriori_error_bound", "initial_gap", "orbit._GAP",
+            lambda v: apriori_error_bound(0.5, 2, 1, v), "nonnegative", domain=_GAP,
+            accepts=(_TOP,)),
+        Row("TabulatedPhi", "knots", "system._KNOT", lambda v: TabulatedPhi(((0, v), (1, 3))),
+            "real text", _cases(ValueError, ("-1", -1, "phi(0) must be >= 0")), domain=_KNOT,
+            accepts=(-0.0, 3)),
+        Row("OrbitTrace", "membership_violations", "Domain [0, len(points))",
+            lambda v: OrbitTrace(_kirk(), [(-1.0,), (0.5,)], [(v, (-1.0,))]), "index",
+            domain=Domain(0, 2, "[)", integer=True), name="violation index", accepts=(1,)),
+        *[Row(f"{type(f).__name__}.__call__", "t", "phi", f, "phi argument", accepts=(tiny, _TOP))
+          for f in (phi, TabulatedPhi(((0, 0), (1, 1), (2, 4))))],
+        Row("p_combine", "values", "float", _every_p(lambda v, p: p_combine([1.0, v], p)), "value",
+            accepts=(_TOP,)),
+        Row("validate_phi", "grid", "float", lambda v: validate_phi(phi, [0.0, v]), "grid value",
+            accepts=(_TOP,)),
+    ]
+
+
+def _gallery_rows():
+    """Each gallery parameter through its registered domain, called directly;
+    two of them through ``build`` too."""
+    rows = []
+    for system_id, kinds, accepts, cases in (
+        ("kirk_interval", {"alpha": "unit text"}, {}, {}),
+        ("affine_strip", {"alpha": "unit text", "h": "positive text"}, {}, {}),
+        ("paper_lq_family",
+         {"m": "size text", "alpha": "unit text", "q": "exponent text", "N": "size text"},
+         {"m": (2, 16), "alpha": (5e-324, 0.7071067811865475), "q": (1, "inf"), "N": (2, 50)},
+         {"m": 17, "N": 51}),
+        ("scaled_pair",
+         {"alpha": "unit text", "separation": "nonnegative text", "dimension": "size text"},
+         {"separation": (0, _TOP), "dimension": (1, 1000)}, {"dimension": 1001}),
+    ):
+        entry = gallery.GALLERY[system_id]
+        for name, kind in kinds.items():
+            domain = entry.domains[name]
+            more = {str(cases[name]): (cases[name], (ValueError, _IN))} if name in cases else {}
+            reader = {ALPHA: "ALPHA", EXPONENT: "EXPONENT"}.get(domain, "gallery domain")
+            rows.append(Row(f"make_{system_id}", name, reader,
+                            lambda v, f=entry.factory, name=name: f(**{name: v}), kind, more,
+                            domain=domain, accepts=accepts.get(name, ())))
+            if (system_id, name) in (("kirk_interval", "alpha"), ("paper_lq_family", "m")):
+                rows.append(dataclasses.replace(
+                    rows[-1], entry="build", param=f'parameters["{name}"]', name=name,
+                    call=lambda v, id=system_id, name=name: gallery.build(id, {name: v})))
+    return rows
+
+
+def _case_rows():
+    """The refusals that are not of one awkward value: config structure,
+    knots, clouds, regions, traces too short for what they are asked."""
+    kirk, ball, cloud = _kirk(), Ball((3.0,), 1.0), FiniteCloud(((2.0,),))
+    short = {k: OrbitTrace(kirk, per_step(kirk, (-1.0,), k - 1)) for k in range(2, 6)}
+    return [
+        Row("parse_config", "data", "parse_config", parse_config, cases=_cases(
+            ConfigError,
+            ("[]", [], "config must be a JSON object"),
+            ("key x", _config(x=1), "unknown config keys: ['x']"),
+            ("no seed", {k: v for k, v in _config().items() if k != "seed"},
+             "missing config keys: ['seed']"),
+            ("system id 3", _config(system={"id": 3}), "system.id must be a string"),
+            ("system key extra", _config(system={"id": "kirk_interval", "extra": 1}),
+             "system must be an object with 'id' and optional 'parameters'"),
+            ("system parameters []", _config(system={"id": "kirk_interval", "parameters": []}),
+             "system.parameters must be an object"),
+            ("phi 'linear'", _config(phi="linear"), "phi must be an object with a 'kind' field"),
+            *[(f"phi kind {kind!r}", _config(phi={"kind": kind}), f"unknown phi kind {kind!r}")
+              for kind in ("cubic", [])],
+            *[(f"phi {kind} key beta", _config(phi={"kind": kind, "beta": 1}),
+               "invalid phi: unknown phi keys: ['beta']") for kind in ("linear", "tabulated")],
+            ("phi alpha 2.5", _config(phi={"kind": "linear", "alpha": 2.5}),
+             "invalid phi: alpha must be in (0, 1), got 2.5"),
+            ("output_dir 3", _config(output_dir=3), "output_dir must be a string path"),
+        ), accepts=(_config(), _config(
+            output_dir="out", phi={"kind": "tabulated", "knots": [[0, 0], [1, "0.5"]]},
+            system={"id": "kirk_interval", "parameters": {"alpha": 0.25}}))),
+        Row("parse_config", 'data["run"]', "RUNS", lambda v: parse_config(_config(run=v)),
+            cases=_cases(ConfigError, *[(repr(run), run, f"run must be one of {RUNS}")
+                                        for run in ("explore", [], None)]),
+            accepts=RUNS),
+        *[Row("parse_config", f'data["{key}"]', reader, lambda v, key=key: parse_config(
+            _config(**{key: v})), kind, domain=NUMBERS[key], name=key, accepts=accepts,
+            error=ConfigError) for key, reader, kind, accepts in (
+                ("p", "EXPONENT", "exponent text", (1, "inf", "INFINITY")),
+                ("iterations", "COUNT", "count", (1,)),
+                ("tolerance", "POSITIVE", "positive", (5e-324,)),
+                ("seed", "Domain", "integer", (0,)))],
+        Row("load_config", "path", "json.load", _load, cases=_cases(
+            ConfigError, ("'{'", "{", "config "), ("NaN", '{"p": NaN}', "NaN is not a JSON value"),
+        ), accepts=(json.dumps(_config()),)),
+        Row("run_experiment", "out_dir", "run_experiment", _run, cases=_cases(
+            ConfigError, ("None", None, "no output directory: set output_dir or pass --out")),
+            accepts=("tmp",)),
+        Row("build", "system_id", "GALLERY", gallery.build, cases=_cases(
+            ValueError, ("'nope'", "nope", "unknown gallery system 'nope'")),
+            accepts=("kirk_interval",)),
+        Row("build", "parameters", "gallery domains", lambda v: gallery.build("kirk_interval", v),
+            cases=_cases(ValueError, ("{'beta': 1}", {"beta": 1},
+                                      "unknown parameters for kirk_interval: ['beta']")),
+            accepts=(None, {}, {"alpha": "0.25"})),
+        Row("TabulatedPhi", "knots", "TabulatedPhi", lambda v: TabulatedPhi(v).knots, cases=_cases(
+            ValueError,
+            ("one knot", ((0, 0),), "need at least 2 knots"),
+            ("'12'", ((0, 0), "12"), "knots must be pairs of numbers, got '12'"),
+            ("b'12'", ((0, 0), b"12"), "knots must be pairs of numbers, got b'12'"),
+            ("first at 1", ((1, 0), (2, 1)), "first knot must be at t = 0"),
+            ("equal t", ((0, 0), (0, 1)), "knot abscissae must be strictly increasing"),
+            ("falling", ((0, 1), (1, 0)), "knot values not increasing"),
+            ("steep", ((0, 0), (5e-324, 1)),
+             "slope past the float range from knot (0.0, 0.0) to (5e-324, 1.0)"),
+        ), accepts=(((0.0, 0.0), (1.0, 0.0)), Gives([[0, 0], ["1", "2"]], ((0.0, 0.0), (1.0, 2.0))),
+                    Gives((("0", 0), (1, "0.5")), ((0.0, 0.0), (1.0, 0.5))))),
+        Row("FiniteCloud", "points", "FiniteCloud", FiniteCloud, cases=_cases(
+            ValueError, ("()", (), "a finite cloud must be nonempty"),
+            ("mixed", ((0.0,), (0.0, 1.0)), "cloud points must share one dimension"),
+        ), accepts=(((0.0, 1.0),), [[1, 2], [3, 4]])),
+        Row("CyclicSystem", "regions", "CyclicSystem", lambda v: CyclicSystem(L1, v, kirk.map),
+            cases=_cases(ValueError, ("one", (_UNIT,), "a cyclic system needs m >= 2 regions"),
+                         ("2-d box", (_UNIT, Box((0.0, 0.0), (1.0, 1.0))),
+                          "region 2 is 2-dimensional in a 1-dimensional space")),
+            accepts=([_UNIT, _UNIT], [_UNIT, ball, cloud])),
+        Row("CyclicSystem", "regions", "isinstance Region",
+            lambda v: CyclicSystem(L1, (_UNIT, v), kirk.map), "region", name="region 2"),
+        Row("region_distance", "a", "isinstance Region", lambda v: region_distance(L1, v, _UNIT),
+            "region"),
+        Row("region_distance", "b", "isinstance Region", lambda v: region_distance(L1, _UNIT, v),
+            "region"),
+        Row("Region.distance_to", "other", "region_distance", lambda v: _UNIT.distance_to(v, L1),
+            "region", name="b"),
+        Row("chain_set_distance", "regions", "hasattr distance_to",
+            lambda v: chain_set_distance(L1, [_UNIT, v], 1), "distance method", name="region 2"),
+        Row("region_distance", "space", "region_distance",
+            lambda v: region_distance(v, ball, ball), cases=_cases(
+                CapabilityError, ("l^1", LqSpace(1, 1), "ball distance requires the l^2 space"),
+            ) | _cases(ValueError, ("2-d", LqSpace(2, 2), "dimension mismatch: space is "
+                                    "2-dimensional, regions have 1 and 1")), accepts=(L1,)),
+        Row("region_distance", "b", "region_distance",
+            lambda v: region_distance(OracleSpace(line_gap, 1), cloud, v), cases=_cases(
+                CapabilityError, ("a box", _UNIT, "box distances need an l^q space"),
+                ("Shapeless()", Shapeless(), "no exact distance between FiniteCloud and Shapeless"),
+            ), accepts=(cloud,)),
+        Row("attainment_gap", "gallery_system", "attainment_gap",
+            lambda v: gallery.attainment_gap(v, 2), cases=_cases(
+                CapabilityError, ("kirk_interval", gallery.make_kirk_interval(),
+                                  "attainment gap needs enumerable regions")),
+            accepts=(gallery.make_paper_lq_family(N=2),)),
+        *[Row(entry, "trace", "len(trace.points)", f, cases=_cases(
+            ValueError, (f"{n} points", short[n], message)), accepts=(short[n + 1],))
+          for entry, f, n, message in (
+              ("chain_trace", lambda t: chain_trace(t, 2), 2, "trace too short for a chain trace"),
+              ("block_drift_trace", lambda t: block_drift_trace(t, 1), 4,
+               "trace too short for a drift trace"),
+              ("trace_rows", lambda t: trace_rows(t, 2), 3, "trace too short for a trace row"))],
+        Row("boundedness_probe", "trace", "len(trace.points)", boundedness_probe, cases=_cases(
+            ValueError, ("no points", OrbitTrace(kirk, ()), "trace is empty")),
+            accepts=(short[2],)),
+    ]
+
+
+CONTRACT = [*_point_rows(), *_exponent_rows(), *_domain_rows(), *_gallery_rows(), *_case_rows()]
+
+
+def _exempt(reason, names):
+    return dict.fromkeys(names.split(), reason)
+
+
+# Each public parameter that is not a row, as "entry.param", with the reason.
+EXEMPT = {
+    **_exempt(
+        "trusted: a `CyclicSystem`, `Space` or `OrbitTrace` read its inputs when it was built",
+        "banach_solve.system periodic_point_solve.system proximity_chain_extract.system "
+        "picard_orbit.system verify_contraction.system verify_cyclicity.system "
+        "contraction_margin.system OrbitTrace.system chain_point_distance.space "
+        "chain_self_distance.space chain_set_distance.space p_monotonicity_check.space "
+        "validate_metric.space Region.contains.space Region.distance_to.space CyclicSystem.space "
+        "edge_trace.trace cross_block_chain_distance.trace",
+    ),
+    **_exempt(
+        "called as it is: a `Phi`, or a map or oracle under the termination contract below",
+        "verify_contraction.phi contraction_margin.phi validate_phi.phi CyclicSystem.map "
+        "OracleSpace.oracle",
+    ),
+    **_exempt(
+        "handed to `random` as it is",
+        "validate_metric.seed verify_contraction.seed verify_cyclicity.seed "
+        "FiniteCloud.sample.rng Box.sample.rng Ball.sample.rng",
+    ),
+    **_exempt(
+        "used as it is: a label in a refusal, `MapError.step`, a set distance (None: the "
+        "system's), a config `parse_config` read",
+        "Space.point.what CyclicSystem.apply.step contraction_margin.set_distance "
+        "run_experiment.config",
+    ),
+}
+
+
+def _show(value):
+    """A short text of an accepted value."""
+    text = repr(value.value if isinstance(value, Gives) else value)
+    return text if len(text) <= 24 else type(value).__name__
+
+
+def _outcome_text(error, template):
+    text = template.replace("{name}", "<name>").replace("{domain}", "<domain>")
+    return f"{error.__name__} `{text.replace('{shown}', '<value>')}`"
+
+
+def render_contract():
+    """README's contract tables as markdown lines: the kinds, the rows (one
+    line for the rows that read alike) and the exemptions."""
+    lines = ["| kind | reads | refuses |", "|---|---|---|"]
+    for kind, outcomes in sorted(KINDS.items()):
+        refusals = {}
+        for label, outcome in outcomes.items():
+            if outcome is not None:
+                refusals.setdefault(_outcome_text(*outcome), []).append(f"`{label}`")
+        reads = ", ".join(f"`{label}`" for label, out in outcomes.items() if out is None)
+        refused = "; ".join(f"{', '.join(labels)}: {text}" for text, labels in refusals.items())
+        lines.append(f"| {kind} | {reads or 'none'} | {refused} |")
+
+    groups = {}
+    for row in CONTRACT:
+        reader = f"`{row.reader}`" + (f" `{row.domain}`" if row.domain is not None else "")
+        named = f" as `{row.name}`" if row.name and row.name not in row.param else ""
+        cases = [f"*{row.kind}*{named}"] if row.kind else []
+        cases += [f"`{label}`: " + _outcome_text(*out) for label, (_, out) in row.cases.items()]
+        cases += [f"message in `{row.wrap}`"] if row.wrap != "{}" else []
+        cases += [f"raised as {row.error.__name__}"] if row.error else []
+        rows, accepts = groups.setdefault((reader, "; ".join(cases)), ([], {}))
+        rows.append(f"`{row}`")
+        accepts.update(dict.fromkeys(f"`{_show(v)}`" for v in row.accepts))
+    lines += ["", "| parameters | reader | refusals | also reads |", "|---|---|---|---|"]
+    lines += [f"| {', '.join(rows)} | {reader} | {cases} | {', '.join(accepts) or '-'} |"
+              for (reader, cases), (rows, accepts) in groups.items()]
+
+    reasons = {}
+    for name, reason in EXEMPT.items():
+        reasons.setdefault(reason, []).append(f"`{name}`")
+    lines += ["", "| not a row | why |", "|---|---|"]
+    return lines + [f"| {', '.join(names)} | {reason} |" for reason, names in reasons.items()]
+
+
+if __name__ == "__main__":
+    print("\n".join(render_contract()))

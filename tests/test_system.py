@@ -14,16 +14,13 @@ import proxcycle.system as system_module
 from proxcycle.chains import chain_set_distance
 from proxcycle.gallery import (
     attainment_gap,
-    build,
     make_affine_strip,
     make_kirk_interval,
     make_paper_lq_family,
     make_scaled_pair,
 )
 from proxcycle.orbit import (
-    apriori_error_bound,
     banach_solve,
-    cross_block_chain_distance,
     periodic_point_solve,
     picard_orbit,
     proximity_chain_extract,
@@ -39,7 +36,6 @@ from proxcycle.spaces import (
     as_exponent,
     check_point,
     p_combine,
-    validate_metric,
 )
 from proxcycle.system import (
     MEMBERSHIP_TOL,
@@ -51,6 +47,7 @@ from proxcycle.system import (
     FiniteCloud,
     LinearPhi,
     MapError,
+    Phi,
     Region,
     TabulatedPhi,
     _as_returned,
@@ -96,18 +93,6 @@ def test_region_construction_invariants():
         Box((0.0,), (1.0, 1.0))
     with pytest.raises(ValueError):
         Ball((0.0,), 0.0)
-
-
-@pytest.mark.parametrize(
-    "radius",
-    [0.0, -1.0, math.inf, math.nan, True, "2", 10**400],
-    ids=["zero", "negative", "inf", "nan", "bool", "str", "past-float-range"],
-)
-def test_ball_radius_is_a_positive_finite_number(radius):
-    # A NaN radius would make contains always false and every sample NaN.
-    with pytest.raises(ValueError, match="^radius must be "):
-        Ball((0.0,), radius)
-    assert Ball((0.0,), 2).radius == 2.0
 
 
 def test_membership_and_sampling():
@@ -328,23 +313,6 @@ def test_tabulated_phi_rejects_non_finite_knots(knots):
         TabulatedPhi(knots)
 
 
-def test_tabulated_phi_rejects_boolean_knots_as_alpha_does():
-    for knots in (((0, 0), (True, 1)), ((0, False), (1, 1))):
-        with pytest.raises(ValueError, match="^knots must be a number or a string, got "):
-            TabulatedPhi(knots)
-    with pytest.raises(ValueError, match="^alpha must be a number or a string, got True"):
-        LinearPhi(True)
-    assert TabulatedPhi((("0", 0), (1, "0.5"))).knots == ((0.0, 0.0), (1.0, 0.5))
-
-
-def test_tabulated_phi_refuses_str_and_bytes_knots():
-    # A two-character string unpacks into two coordinates.
-    for knot in ("12", b"12"):
-        with pytest.raises(ValueError, match="^knots must be pairs of numbers, got "):
-            TabulatedPhi([[0, 0], knot])
-    assert TabulatedPhi([[0, 0], ["1", "2"]]).knots == ((0.0, 0.0), (1.0, 2.0))
-
-
 def test_tabulated_phi_refuses_a_segment_whose_slope_overflows():
     # 1.0 / 5e-324 is inf: phi would be inf * 0.0 = nan at the knot (0, 0).
     message = "slope past the float range from knot (0.0, 0.0) to (5e-324, 1.0)"
@@ -429,6 +397,19 @@ def test_validate_phi_rejects_constant():
     phi = TabulatedPhi(((0.0, 0.0), (1.0, 0.0)))
     report = validate_phi(phi, [0.0, 0.5, 1.0])
     assert not report.ok
+
+
+class _Shifted(Phi):
+    """t - 1: negative below 1."""
+
+    def __call__(self, t):
+        return t - 1.0
+
+
+def test_validate_phi_reports_negative_values():
+    report = validate_phi(_Shifted(), [0.0, 0.5, 2.0])
+    assert not report.ok
+    assert report.violations == (("negative", 0.0, -1.0), ("negative", 0.5, -0.5))
 
 
 # --- cyclicity ---------------------------------------------------------------
@@ -516,6 +497,19 @@ def test_map_errors_carry_witness():
     )
     with pytest.raises(MapError):
         nanny.apply((0.0,))
+
+
+def test_a_map_error_the_map_raises_passes_as_it_is():
+    raised = MapError("no image here", point=(0.25,), step=7)
+
+    def refuse(x):
+        raise raised
+
+    system = CyclicSystem(L2_1, make_kirk_interval().system.regions, refuse)
+    for step in (None, 3):
+        with pytest.raises(MapError) as err:
+            system.apply((0.5,), step)
+        assert err.value is raised and (err.value.point, err.value.step) == ((0.25,), 7)
 
 
 def test_map_image_of_wrong_dimension_is_a_value_error():
@@ -942,13 +936,6 @@ def test_alpha_bound_examples():
     assert alpha_bound_check(0.7, 2, 1).ok  # 0.49 < 0.5
     assert not alpha_bound_check(0.8, 2, 1).ok  # 0.64 >= 0.5
     assert alpha_bound_check(0.99, 3, INFINITY).ok
-    with pytest.raises(ValueError):
-        alpha_bound_check(1.2, 2, 1)
-    with pytest.raises(ValueError):
-        alpha_bound_check(0.5, 1, 1)
-    for m in (2.5, 2.0, True, "2", None):
-        with pytest.raises(ValueError, match="^m must be "):
-            alpha_bound_check(0.5, m, 1)
 
 
 def test_alpha_bound_takes_a_cycle_length_past_the_float_range():
@@ -1267,6 +1254,20 @@ def test_column_draw_redraws_a_block_with_a_zero_norm(waiting):
     _assert_draws_as_samples(regions, 3, lambda: _zero_at(9, 2), waiting)
 
 
+def test_column_draw_redraws_an_even_block_whose_ball_has_a_zero_direction():
+    # Draw 2 is the radius half of the first gauss pair: 0.0 there makes
+    # both gauss values of a 2-d ball 0.0, so its direction is (0, 0) and
+    # the ball returns its center, drawing no radius. The block of two
+    # rounds is drawn in columns first, and that zero sends it back to the
+    # per-sample draws from the state it started in.
+    ball = Ball((1.0, -2.0), 0.5)
+    draw, ref = _zero_at(11, 2), _zero_at(11, 2)
+    got = _drawn((ball,), draw, 2)
+    want = [ball.sample(ref) for _ in range(2)]
+    assert got[0] == ball.center and hexed(got) == hexed(want)
+    assert draw.getstate() == ref.getstate() and draw.draws == ref.draws == 5
+
+
 def test_column_draw_returns_zero_gauss_values_as_gauss_does():
     # gauss returns 0.0 + z * 1.0, so a raw -0.0 comes back as 0.0, and
     # -0.0 + scale * 0.0 is 0.0 where -0.0 + scale * -0.0 would stay -0.0.
@@ -1478,31 +1479,6 @@ def test_verify_cyclicity_raises_a_map_error_before_a_later_raising_draw(j):
     assert mapped[-1] == ref_mapped[-1] == draws[j - 1]
 
 
-_METRIC_SAMPLES = [(0.0,), (1.0,), (3.0,)]
-# Each reader of a tolerance or a count: its parameter, and a call with a value.
-_READERS = {
-    "verify_cyclicity": ("tol", lambda v: verify_cyclicity(kirk_system(), tol=v)),
-    "contains": ("tol", lambda v: Box((0.0,), (1.0,)).contains((0.5,), L2_1, v)),
-    "validate_metric": ("tol", lambda v: validate_metric(L2_1, _METRIC_SAMPLES, tol=v)),
-    "max_triples": (
-        "max_triples", lambda v: validate_metric(L2_1, _METRIC_SAMPLES, max_triples=v)
-    ),
-}
-_BAD_TOLS = [math.nan, -1.0, 0.0, math.inf, True, "1e-3", None]
-_BAD_COUNTS = [0, -1, 2.5, True, "4", None]
-
-
-@pytest.mark.parametrize(
-    "reader, value",
-    [(r, v) for r in ("verify_cyclicity", "contains", "validate_metric") for v in _BAD_TOLS]
-    + [("max_triples", v) for v in _BAD_COUNTS],
-)
-def test_tolerances_and_triple_counts_are_read_through_their_domains(reader, value):
-    name, call = _READERS[reader]
-    with pytest.raises(ValueError, match=f"^{name} must be "):
-        call(value)
-
-
 def test_internal_callers_read_validated_points_with_the_trusted_methods(monkeypatch):
     # A system whose first region is a cloud and whose second is a box, with
     # an artifact point, built before the readers are watched.
@@ -1576,15 +1552,6 @@ def test_internal_callers_read_validated_points_with_the_trusted_methods(monkeyp
     assert proximity_chain_extract(strip.system, strip.default_start).converged
 
 
-@pytest.mark.parametrize("value", [0, -3, True, 2.5, 2.0, "4", None])
-def test_sample_counts_are_read_through_an_integer_domain(value):
-    system = kirk_system()
-    with pytest.raises(ValueError, match="^tuple_samples must be "):
-        verify_contraction(system, LinearPhi(0.5), 2, tuple_samples=value)
-    with pytest.raises(ValueError, match="^samples_per_region must be "):
-        verify_cyclicity(system, samples_per_region=value)
-
-
 def test_sampled_certificate_raises_map_error_with_point():
     def step(x):
         if x[0] > 0.9:
@@ -1647,16 +1614,6 @@ def test_apply_reads_its_point_through_the_space():
             call("1")
 
 
-@pytest.mark.parametrize("k", [-3, True, 2.0, "2", None, math.inf, math.nan])
-def test_apply_n_reads_its_step_count_through_the_domain(k):
-    kirk = make_kirk_interval().system
-    assert kirk.apply_n((0.5,), 0) == (0.5,)
-    assert kirk.apply_n((0.5,), 2) == kirk.apply(kirk.apply((0.5,)))
-    pattern = rf"^k must be (a number|an integer in \[0, inf\)), got {re.escape(_value_repr(k))}$"
-    with pytest.raises(ValueError, match=pattern):
-        kirk.apply_n((0.5,), k)
-
-
 def test_regions_are_read_once_into_a_tuple():
     # A list, a tuple and an iterator of the same regions give equal
     # systems with equal hashes, and so do their traces.
@@ -1669,72 +1626,7 @@ def test_regions_are_read_once_into_a_tuple():
         assert hash(picard_orbit(system, (-1.0,), 4)) == hash(trace)
 
 
-@pytest.mark.parametrize("big", [10 ** 400, -(10 ** 5000)], ids=["int", "int-past-repr-limit"])
-def test_public_readers_refuse_a_coordinate_past_the_float_range(big):
-    # float() raises OverflowError for such an int; every reader names its
-    # index in a ValueError, as it does a non-finite coordinate.
-    kirk = make_kirk_interval().system
-    plane = make_scaled_pair(0.4, 2.0, 2)
-    message = "^coordinate past the float range at index 1: "
-    readers = [
-        lambda: check_point([0.5, big]),
-        lambda: L2_2.point((0.5, big)),
-        lambda: L2_2.distance((0.0, 0.0), (0.5, big)),
-        lambda: Box((0.0, 0.0), (1.0, 1.0)).contains((0.5, big), L2_2),
-        lambda: Box((0.0, 0.0), (1.0, big)),
-        lambda: Box((0.0, big), (1.0, 1.0)),
-        lambda: Ball((0.0, big), 1.0),
-        lambda: FiniteCloud(((0.0, 0.0), (0.5, big))),
-        lambda: plane.system.apply((0.5, big)),
-        lambda: plane.system.is_artifact((0.5, big)),
-        lambda: banach_solve(plane.system, (0.5, big)),
-        lambda: periodic_point_solve(plane.system, (0.5, big)),
-        lambda: proximity_chain_extract(plane.system, (0.5, big)),
-        lambda: picard_orbit(plane.system, (0.5, big), 10),
-    ]
-    for read in readers:
-        with pytest.raises(ValueError, match=message):
-            read()
-    with pytest.raises(ValueError, match="^coordinate past the float range at index 0: "):
-        kirk.apply((big,))
-
-
-HUGE = [10**400, -(10**400), Fraction(10**400), Fraction(-(10**401), 3)]
 TENTS = TabulatedPhi(((0, 0), (1, 1), (2, 4)))
-
-
-@pytest.mark.parametrize("big", HUGE, ids=["int", "-int", "fraction", "-fraction"])
-def test_numbers_past_the_float_range_are_value_errors(big):
-    # float() raises OverflowError for these; each reader names what it read.
-    readers = {
-        "^exponent is past the float range: ": [lambda: Exponent(big)],
-        "^a value in values is past the float range: ": [
-            lambda p=p: p_combine([1.0, big], p) for p in (1, 2, 3.5, "inf")
-        ],
-        "^a value in grid is past the float range: ": [
-            lambda: validate_phi(LinearPhi(0.5), [0.0, big])
-        ],
-        "^phi's t is past the float range: ": [lambda: LinearPhi(0.5)(big), lambda: TENTS(big)],
-    }
-    if isinstance(big, int):
-        readers["^exponent is past the float range: "].append(lambda: as_exponent(big))
-    for message, calls in readers.items():
-        if big < 0 and message.startswith("^phi"):
-            message = r"^phi is defined on \[0, inf\)$"
-        for call in calls:
-            with pytest.raises(ValueError, match=message):
-                call()
-
-
-@pytest.mark.parametrize("value", [True, "1", b"1"], ids=["bool", "str", "bytes"])
-def test_p_combine_and_validate_phi_refuse_what_check_point_refuses(value):
-    # float() reads these, but they are not numbers.
-    message = f"^{type(value).__name__} value {re.escape(repr(value))} at index 1 in "
-    for p in (1, 2, 3.5, "inf"):
-        with pytest.raises(ValueError, match=message + "values$"):
-            p_combine([1.0, value], p)
-    with pytest.raises(ValueError, match=message + "grid$"):
-        validate_phi(LinearPhi(0.5), [0.0, value])
 
 
 def test_numbers_in_the_float_range_read_as_float_reads_them():
@@ -1760,17 +1652,6 @@ def test_is_artifact_reads_its_point_through_the_space():
         kirk.is_artifact((1.0, 2.0))
     with pytest.raises(ValueError, match="not a str"):
         kirk.is_artifact("1")
-
-
-@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf, True, "1e-3", None])
-def test_is_artifact_reads_tol_through_its_domain(tol):
-    # NaN, -1 and 0 reduced the test to exact equality, and inf made every
-    # point an artifact.
-    system = make_paper_lq_family(m=2, N=2).system
-    family = system.regions[0].points
-    assert not system.is_artifact(family[0]) and system.is_artifact(system.artifact_points[0])
-    with pytest.raises(ValueError, match="^tol must be"):
-        system.is_artifact(family[0], tol=tol)
 
 
 def test_box_coerces_and_compares_its_bounds():
@@ -1838,105 +1719,6 @@ def test_record_reprs_keep_the_dataclass_format():
 
 
 # --- refusals of ints too long for decimal text -------------------------------
-
-# 16 610 bits, past the 4 300 digits Python makes into text by default; its
-# negative is refused by every count domain.
-TOO_LONG = 10**5000
-_TOO_LONG = "int of 16610 bits"
-
-
-def _short_trace():
-    return picard_orbit(kirk_system(), (-1.0,), 10)
-
-
-TOO_LONG_REFUSALS = {
-    "banach_solve tol": (
-        ValueError, f"tol must be in \\(0, inf\\), got {_TOO_LONG}",
-        lambda: banach_solve(kirk_system(), (-1.0,), tol=TOO_LONG),
-    ),
-    "banach_solve max_iter": (
-        ValueError, f"max_iter must be an integer in \\[0, inf\\), got {_TOO_LONG}",
-        lambda: banach_solve(kirk_system(), (-1.0,), max_iter=-TOO_LONG),
-    ),
-    "picard_orbit n": (
-        ValueError, f"n must be an integer in \\[0, inf\\), got {_TOO_LONG}",
-        lambda: picard_orbit(kirk_system(), (-1.0,), -TOO_LONG),
-    ),
-    "apriori_error_bound k": (
-        ValueError, f"k must be an integer in \\[0, inf\\), got {_TOO_LONG}",
-        lambda: apriori_error_bound(0.5, 2, -TOO_LONG, 1.0),
-    ),
-    "CyclicSystem.apply_n k": (
-        ValueError, f"k must be an integer in \\[0, inf\\), got {_TOO_LONG}",
-        lambda: kirk_system().apply_n((-1.0,), -TOO_LONG),
-    ),
-    "alpha_bound_check m": (
-        ValueError, f"m must be an integer in \\[2, inf\\), got {_TOO_LONG}",
-        lambda: alpha_bound_check(0.5, -TOO_LONG, 2),
-    ),
-    "LinearPhi alpha": (
-        ValueError, f"alpha must be in \\(0, 1\\), got {_TOO_LONG}", lambda: LinearPhi(TOO_LONG)
-    ),
-    "Ball radius": (
-        ValueError, f"radius must be in \\(0, inf\\), got {_TOO_LONG}",
-        lambda: Ball((0.0,), TOO_LONG),
-    ),
-    "TabulatedPhi knots": (
-        ValueError,
-        f"knots must be in \\(-inf, inf\\) with every coordinate finite, got {_TOO_LONG}",
-        lambda: TabulatedPhi(((0, 0), (TOO_LONG, 1))),
-    ),
-    "LqSpace dimension": (
-        ValueError, f"dimension must be an integer in \\[1, inf\\), got {_TOO_LONG}",
-        lambda: LqSpace(2, -TOO_LONG),
-    ),
-    "verify_contraction tuple_samples": (
-        ValueError, f"tuple_samples must be an integer in \\[1, inf\\), got {_TOO_LONG}",
-        lambda: verify_contraction(kirk_system(), LinearPhi(0.5), 2, tuple_samples=-TOO_LONG),
-    ),
-    "build alpha": (
-        ValueError, f"alpha must be in \\(0, 1\\), got {_TOO_LONG}",
-        lambda: build("kirk_interval", {"alpha": TOO_LONG}),
-    ),
-    "paper_lq_family m": (
-        ValueError, f"m must be an integer in \\[2, 16\\], got {_TOO_LONG}",
-        lambda: build("paper_lq_family", {"m": -TOO_LONG}),
-    ),
-    "OrbitTrace.block n": (
-        ValueError, f"trace too short for block {_TOO_LONG}",
-        lambda: _short_trace().block(TOO_LONG),
-    ),
-    "cross_block_chain_distance n": (
-        ValueError, f"trace too short for block {_TOO_LONG}",
-        lambda: cross_block_chain_distance(_short_trace(), TOO_LONG, 0, 2),
-    ),
-    "as_exponent Fraction": (
-        TypeError, "cannot read exponent from Fraction of 16610 bits",
-        lambda: as_exponent(Fraction(TOO_LONG)),
-    ),
-    # A non-region is named by its index, or by its argument.
-    "CyclicSystem regions": (
-        TypeError, f"region 2 must be a Region, got {_TOO_LONG}",
-        lambda: CyclicSystem(L2_1, (Box((0.0,), (1.0,)), TOO_LONG), _flip),
-    ),
-    "region_distance b": (
-        TypeError, f"b must be a Region, got {_TOO_LONG}",
-        lambda: region_distance(L2_1, Box((0.0,), (1.0,)), TOO_LONG),
-    ),
-    "chain_set_distance regions": (
-        CapabilityError, f"region 2 has no exact distance method, got {_TOO_LONG}",
-        lambda: chain_set_distance(L2_1, [Box((0.0,), (1.0,)), TOO_LONG], 1),
-    ),
-}
-
-
-@pytest.mark.parametrize("entry", sorted(TOO_LONG_REFUSALS))
-def test_refusals_name_the_parameter_for_ints_too_long_for_text(entry):
-    kind, message, call = TOO_LONG_REFUSALS[entry]
-    with pytest.raises(Exception) as err:
-        call()
-    assert type(err.value) is kind
-    assert re.fullmatch(message, str(err.value)), str(err.value)
 
 
 def test_long_ints_and_fractions_show_as_they_did_up_to_2048_bits():
