@@ -485,9 +485,10 @@ def counted_kirk():
 # meets every value of ``AWKWARD`` and gets the kind's outcome for it, where
 # its own ``cases`` do not say otherwise; its ``accepts`` are boundary
 # values it reads, a ``Gives`` with the result it returns. An outcome is
-# None for a value read, else the exception type and its message: the start
-# of the message when it ends in a space, else the whole message. README's
-# "Validation boundary" shows ``render_contract()``.
+# None for a value read, else the exception type and its message: the whole
+# message, or its start where the template ends in "...". A row's reader is
+# the ``Domain`` it reads the parameter through, or the name of its reader.
+# README's "Validation boundary" shows ``render_contract()``.
 
 
 class Opaque:
@@ -528,7 +529,7 @@ _TYPES = "True False None list Opaque()"
 _IN = "{name} must be {domain}, got {shown}"
 _NUMBER = (ValueError, "{name} must be a number, got {shown}", f"'1e-3' 'nan' b'1' {_TYPES}")
 _TEXT = (ValueError, "{name} must be a number or a string, got {shown}", _TYPES)
-_FLOAT = "float() argument must be a string or a "
+_FLOAT = "float() argument must be a string or a ..."
 
 
 def _kind(accepts, *refusals):
@@ -541,9 +542,9 @@ def _kind(accepts, *refusals):
     return out
 
 
-_PAST = "exponent is past the float range: "
+_PAST = "exponent is past the float range: ..."
 _BELOW = ((ValueError, "exponent must be >= 1, got {shown}", "nan -inf"),
-          (ValueError, "exponent must be >= 1, got ", "0 -1"))
+          (ValueError, "exponent must be >= 1, got ...", "0 -1"))
 KINDS = {
     "positive": _kind("1.0 2.5", (ValueError, _IN, f"nan inf -inf 0 -1 {_HUGE}"), _NUMBER),
     "nonnegative": _kind("inf 0 1.0 2.5", (ValueError, _IN, f"nan -inf -1 {_HUGE}"), _NUMBER),
@@ -594,8 +595,8 @@ KINDS = {
     "phi argument": _kind(
         "nan inf 0 1.0 2.5 True False",
         (ValueError, "phi is defined on [0, inf)", "-inf -1 -10**5000"),
-        (ValueError, "phi's t is past the float range: ", "10**400 10**5000 Fraction"),
-        (TypeError, "'<' not supported between instances of ",
+        (ValueError, "phi's t is past the float range: ...", "10**400 10**5000 Fraction"),
+        (TypeError, "'<' not supported between instances of ...",
          "'1e-3' 'nan' b'1' None list Opaque()"),
     ),
     "region": _kind("", (TypeError, "{name} must be a Region, got {shown}", " ".join(AWKWARD))),
@@ -606,16 +607,17 @@ KINDS = {
 # A coordinate, a p_combine value and a validate_phi grid value are read by
 # float(): each kind's refusals of the values float() reads and a point
 # must not hold, of values past the float range, and of what float() refuses.
+# A coordinate is the second of the point (-2.0, value), at index 1.
 for kind, accepts, first, what, where, past in (
-    ("coordinate", "0 -1 1.0 2.5", (ValueError, "non-finite coordinate {shown} at index 0 in ",
-                                    "nan inf -inf"),
-     "coordinate", "0 in ", "coordinate past the float range at index 0: "),
-    ("value", "inf 0 1.0 2.5", (ValueError, "p_combine is defined for nonnegative values, got ",
+    ("coordinate", "0 -1 1.0 2.5", (ValueError, "non-finite coordinate {shown} at index 1 in "
+                                    "(-2.0, {shown})", "nan inf -inf"),
+     "coordinate", "1 in (-2.0, {shown})", "coordinate past the float range at index 1: ..."),
+    ("value", "inf 0 1.0 2.5", (ValueError, "p_combine is defined for nonnegative values, got ...",
                                 "nan -inf -1"),
-     "value", "1 in values", "a value in values is past the float range: "),
+     "value", "1 in values", "a value in values is past the float range: ..."),
     ("grid value", "nan inf 0 1.0 2.5", (ValueError, "grid must be sorted with at least 2 points",
                                          "-inf -1"),
-     "value", "1 in grid", "a value in grid is past the float range: "),
+     "value", "1 in grid", "a value in grid is past the float range: ..."),
 ):
     KINDS[kind] = _kind(
         accepts, first,
@@ -631,18 +633,21 @@ class Row:
 
     entry: str
     param: str
-    reader: str
+    reader: object  # a Domain, or the name of the reader
     call: object
     kind: str | None = None
     cases: dict = dataclasses.field(default_factory=dict)  # label -> (value, outcome)
     accepts: tuple = ()
-    domain: object = None  # the Domain the parameter is read through
     name: str | None = None  # the parameter's name in messages, if not ``param``
     wrap: str = "{}"  # the entry's text around the reader's message
     error: type | None = None  # the one type the entry raises, whatever the reader raises
 
     def __str__(self):
         return f"{self.entry}({self.param})"
+
+    @property
+    def domain(self):
+        return self.reader if isinstance(self.reader, Domain) else None
 
     def outcomes(self):
         """label -> (value, outcome): the kind's, then the row's own cases."""
@@ -667,22 +672,6 @@ def _alike(param, reader, kind, calls, **common):
     """One row per entry point of ``calls`` (entry -> call), alike but for
     their calls."""
     return [Row(entry, param, reader, call, kind, **common) for entry, call in calls.items()]
-
-
-def _every_p(f):
-    """A call of ``f(v, p)`` at p = 1, 2, 3.5 and inf; where one raises,
-    all raise alike and the first is raised."""
-    def call(v):
-        errors = []
-        for p in (1, 2, 3.5, "inf"):
-            try:
-                f(v, p)
-            except Exception as exc:
-                errors.append(exc)
-        assert len({(type(e), str(e)) for e in errors}) <= 1 and len(errors) in (0, 4), errors
-        if errors:
-            raise errors[0]
-    return call
 
 
 def _kirk():
@@ -717,48 +706,49 @@ _SOLVERS = {f.__name__: f for f in (banach_solve, periodic_point_solve, proximit
 
 
 def _point_rows():
-    """Every reader of an outside point, handed one whose coordinate is the value."""
-    kirk, phi, two = _kirk(), LinearPhi(0.5), [(0.0,), (1.0,)]
+    """Every reader of an outside point, handed (-2.0, value): a point of the
+    plane, in its first ball for the values 0, -1 and 1.0."""
+    plane, phi = gallery.make_scaled_pair(0.4, 2.0, 2).system, LinearPhi(0.5)
+    plane_2, two, pt = plane.space, [(-2.0, 0.0), (2.0, 0.0)], lambda v: (-2.0, v)
     built = {
-        "check_point": ("v", lambda v: check_point((v,))),
-        "FiniteCloud": ("points", lambda v: FiniteCloud(((0.0,), (v,)))),
-        "Box": ("lower", lambda v: Box((v,), (3.0,))),
-        "Ball": ("center", lambda v: Ball((v,), 1.0)),
+        "check_point v": lambda v: check_point(pt(v)),
+        "FiniteCloud points": lambda v: FiniteCloud(((0.0, 0.0), pt(v))),
+        "Box lower": lambda v: Box(pt(v), (3.0, 3.0)),
+        "Box upper": lambda v: Box((-3.0, -3.0), pt(v)),
+        "Ball center": lambda v: Ball(pt(v), 1.0),
     }
     read = {
-        "Space.point v": lambda v: L1.point((v,)),
-        "Space.distance a": lambda v: L1.distance((v,), (0.0,)),
-        "Space.distance b": lambda v: L1.distance((0.0,), (v,)),
-        "LqSpace.norm v": lambda v: L1.norm((v,)),
-        "Region.contains point": lambda v: _UNIT.contains((v,), L1),
-        "CyclicSystem.apply x": lambda v: kirk.apply((v,)),
-        "CyclicSystem.apply_n x": lambda v: kirk.apply_n((v,), 1),
-        "CyclicSystem.is_artifact x": lambda v: kirk.is_artifact((v,)),
-        "CyclicSystem artifact_points": lambda v: CyclicSystem(L1, kirk.regions, kirk.map, ((v,),)),
-        "chain_point_distance xs": lambda v: chain_point_distance(L1, [(0.0,), (v,)], two, 2),
-        "chain_point_distance ys": lambda v: chain_point_distance(L1, two, [(0.0,), (v,)], 2),
-        "chain_self_distance xs": lambda v: chain_self_distance(L1, [(0.0,), (v,)], 2),
-        "p_monotonicity_check xs": lambda v: p_monotonicity_check(L1, [(0.0,), (v,)], two),
-        "p_monotonicity_check ys": lambda v: p_monotonicity_check(L1, two, [(0.0,), (v,)]),
-        "contraction_margin xs": lambda v: contraction_margin(kirk, phi, 2, [(-1.0,), (v,)], two),
-        "contraction_margin ys": lambda v: contraction_margin(kirk, phi, 2, two, [(0.0,), (v,)]),
-        "validate_metric sample_points": lambda v: validate_metric(L1, [*two, (v,)]),
+        "Space.point v": lambda v: plane_2.point(pt(v)),
+        "Space.distance a": lambda v: plane_2.distance(pt(v), two[0]),
+        "Space.distance b": lambda v: plane_2.distance(two[0], pt(v)),
+        "LqSpace.norm v": lambda v: plane_2.norm(pt(v)),
+        "Region.contains point": lambda v: Box((0.0, 0.0), (1.0, 1.0)).contains(pt(v), plane_2),
+        "CyclicSystem.apply x": lambda v: plane.apply(pt(v)),
+        "CyclicSystem.apply_n x": lambda v: plane.apply_n(pt(v), 1),
+        "CyclicSystem.is_artifact x": lambda v: plane.is_artifact(pt(v)),
+        "CyclicSystem artifact_points": lambda v: CyclicSystem(plane_2, plane.regions, plane.map,
+                                                               (pt(v),)),
+        "chain_point_distance xs": lambda v: chain_point_distance(plane_2, [two[0], pt(v)], two, 2),
+        "chain_point_distance ys": lambda v: chain_point_distance(plane_2, two, [two[0], pt(v)], 2),
+        "chain_self_distance xs": lambda v: chain_self_distance(plane_2, [two[0], pt(v)], 2),
+        "p_monotonicity_check xs": lambda v: p_monotonicity_check(plane_2, [two[0], pt(v)], two),
+        "p_monotonicity_check ys": lambda v: p_monotonicity_check(plane_2, two, [two[0], pt(v)]),
+        "contraction_margin xs": lambda v: contraction_margin(plane, phi, 2, [pt(v), two[1]], two),
+        "contraction_margin ys": lambda v: contraction_margin(plane, phi, 2, two, [pt(v), two[1]]),
+        "validate_metric sample_points": lambda v: validate_metric(plane_2, [*two, pt(v)]),
     }
-    starts = {"picard_orbit": lambda v: picard_orbit(kirk, (v,), 2)}
-    starts |= {name: lambda v, f=f: f(kirk, (v,)) for name, f in _SOLVERS.items()}
+    starts = {"picard_orbit": lambda v: picard_orbit(plane, pt(v), 2)}
+    starts |= {name: lambda v, f=f: f(plane, pt(v)) for name, f in _SOLVERS.items()}
     return [
-        *[Row(entry, param, "check_point", call, "coordinate")
-          for entry, (param, call) in built.items()],
+        *[Row(*key.split(), "check_point", call, "coordinate") for key, call in built.items()],
         Row("check_point", "v", "check_point", check_point, cases=_cases(
             ValueError, ("()", (), "a point must have dimension >= 1"),
             ("'12'", "12", "a point is a sequence of numbers, not a str"),
             ("b'12'", b"12", "a point is a sequence of numbers, not a bytes"))),
-        Row("Box", "upper", "check_point", lambda v: Box((-3.0,), (v,)), "coordinate"),
         *[Row(*key.split(), "Space.point", call, "coordinate") for key, call in read.items()],
-        *_alike("x0", "Space.point", "coordinate", starts, cases=_cases(ValueError, *[
-            (label, AWKWARD[label], "x0 = ({shown},) is not in the first region")
-            for label in ("1.0", "2.5")])),
-        Row("OrbitTrace", "points", "Space.point", lambda v: OrbitTrace(kirk, [(-1.0,), (v,)]),
+        *_alike("x0", "Space.point", "coordinate", starts, cases=_cases(
+            ValueError, ("2.5", 2.5, "x0 = (-2.0, 2.5) is not in the first region"))),
+        Row("OrbitTrace", "points", "Space.point", lambda v: OrbitTrace(plane, [two[0], pt(v)]),
             "coordinate", wrap="trace point 1: {}", error=ValueError),
     ]
 
@@ -768,7 +758,7 @@ def _exponent_rows():
     kirk, phi, trace, family = _kirk(), LinearPhi(0.5), _trace(), gallery.make_paper_lq_family(N=2)
     xs, ys = [(0.0,), (1.0,)], [(2.0,), (0.5,)]
     calls = {
-        "p_combine": _every_p(lambda v, _: p_combine([1.0, 2.0], v)),
+        "p_combine": lambda v: p_combine([1.0, 2.0], v),
         "chain_point_distance": lambda v: chain_point_distance(L1, xs, ys, v),
         "chain_self_distance": lambda v: chain_self_distance(L1, xs, v),
         "chain_set_distance": lambda v: chain_set_distance(L1, kirk.regions, v),
@@ -820,61 +810,56 @@ def _domain_rows():
     spaces = {"LqSpace": lambda v: LqSpace(2, v).dimension,
               "OracleSpace": lambda v: OracleSpace(line_gap, v).dimension}
     return [
-        *_alike("tol", "POSITIVE", "positive", tols, domain=POSITIVE, accepts=(tiny, _TOP, 1)),
-        Row("CyclicSystem.is_artifact", "tol", "POSITIVE",
+        *_alike("tol", POSITIVE, "positive", tols, accepts=(tiny, _TOP, 1)),
+        Row("CyclicSystem.is_artifact", "tol", POSITIVE,
             lambda v: (family.system.is_artifact(family.default_start, v),
                        family.system.is_artifact(artifact, v)),
-            "positive", domain=POSITIVE, accepts=(Gives(1e-12, (False, True)),)),
-        Row("Ball", "radius", "POSITIVE", lambda v: Ball((0.0,), v).radius, "positive",
-            domain=POSITIVE, accepts=(tiny, _TOP, Gives(2, 2.0))),
-        *_alike("max_iter", "STEPS", "steps",
+            "positive", accepts=(Gives(1e-12, (False, True)),)),
+        Row("Ball", "radius", POSITIVE, lambda v: Ball((0.0,), v).radius, "positive",
+            accepts=(tiny, _TOP, Gives(2, 2.0))),
+        *_alike("max_iter", STEPS, "steps",
                {name: lambda v, f=f: f(kirk, (-1.0,), max_iter=v) for name, f in _SOLVERS.items()},
-               domain=STEPS, accepts=(1,)),
-        Row("picard_orbit", "n", "STEPS", lambda v: picard_orbit(kirk, (-1.0,), v), "steps",
-            _cases(ValueError, ("0", 0, "need at least m = 2 steps")), domain=STEPS, accepts=(2,)),
-        Row("CyclicSystem.apply_n", "k", "STEPS", lambda v: kirk.apply_n((0.5,), v), "steps",
-            domain=STEPS, accepts=(Gives(0, (0.5,)), Gives(2, (0.125,)))),
-        Row("apriori_error_bound", "k", "STEPS", lambda v: apriori_error_bound(0.5, 2, v, 1.0),
-            "steps", domain=STEPS, accepts=(1,)),
-        Row("OrbitTrace.block", "n", "STEPS", trace.block, "steps", too_short, domain=STEPS,
+               accepts=(1,)),
+        Row("picard_orbit", "n", STEPS, lambda v: picard_orbit(kirk, (-1.0,), v), "steps",
+            _cases(ValueError, ("0", 0, "need at least m = 2 steps")), accepts=(2,)),
+        Row("CyclicSystem.apply_n", "k", STEPS, lambda v: kirk.apply_n((0.5,), v), "steps",
+            accepts=(Gives(0, (0.5,)), Gives(2, (0.125,)))),
+        Row("apriori_error_bound", "k", STEPS, lambda v: apriori_error_bound(0.5, 2, v, 1.0),
+            "steps", accepts=(1,)),
+        Row("OrbitTrace.block", "n", STEPS, trace.block, "steps", too_short,
             accepts=(Gives(0, trace.points[:2]), 4)),
-        Row("cross_block_chain_distance", "n", "STEPS",
-            lambda v: cross_block_chain_distance(trace, v, 0, 2), "steps", too_short,
-            domain=STEPS, accepts=(4,)),
-        Row("cross_block_chain_distance", "k", "STEPS",  # read as OrbitTrace.block's n
-            lambda v: cross_block_chain_distance(trace, 0, v, 2), "steps", too_short,
-            domain=STEPS, name="n", accepts=(4,)),
-        *[Row(entry, "i", "COUNT", lambda v, f=f: f(trace, v), "count", _cases(ValueError, *[
+        Row("cross_block_chain_distance", "n", STEPS,
+            lambda v: cross_block_chain_distance(trace, v, 0, 2), "steps", too_short, accepts=(4,)),
+        Row("cross_block_chain_distance", "k", STEPS,  # read as OrbitTrace.block's n
+            lambda v: cross_block_chain_distance(trace, 0, v, 2), "steps", too_short, name="n",
+            accepts=(4,)),
+        *[Row(entry, "i", COUNT, lambda v, f=f: f(trace, v), "count", _cases(ValueError, *[
             (label, AWKWARD[label], f"{noun} must be in 1..2") for label in HUGE_COUNTS]),
-            domain=COUNT, accepts=(1, 2)) for entry, f, noun in (
+            accepts=(1, 2)) for entry, f, noun in (
                 ("edge_trace", edge_trace, "edge index"),
                 ("block_drift_trace", block_drift_trace, "subsequence index"))],
-        *[Row(*key.split(), "COUNT", call, "count", domain=COUNT, accepts=(1,))
-          for key, call in counts.items()],
-        *[Row(entry, "dimension", "COUNT", call, "count", domain=COUNT,
-              accepts=(Gives(1, 1), Gives(3, 3))) for entry, call in spaces.items()],
-        *_alike("alpha", "ALPHA", "unit text", {
+        *[Row(*key.split(), COUNT, call, "count", accepts=(1,)) for key, call in counts.items()],
+        *[Row(entry, "dimension", COUNT, call, "count", accepts=(Gives(1, 1), Gives(3, 3)))
+          for entry, call in spaces.items()],
+        *_alike("alpha", ALPHA, "unit text", {
             "LinearPhi": LinearPhi,
             "alpha_bound_check": lambda v: alpha_bound_check(v, 2, 2),
             "apriori_error_bound": lambda v: apriori_error_bound(v, 2, 1, 1.0),
-        }, domain=ALPHA, accepts=(tiny, 1 - 2**-53)),
-        *_alike("m", "CYCLE_LENGTH", "count", {
+        }, accepts=(tiny, 1 - 2**-53)),
+        *_alike("m", CYCLE_LENGTH, "count", {
             "alpha_bound_check": lambda v: alpha_bound_check(0.5, v, 2),
             "apriori_error_bound": lambda v: apriori_error_bound(0.5, v, 1, 1.0),
-        }, cases=_cases(ValueError, ("1", 1, _IN)),
-            domain=CYCLE_LENGTH, accepts=(2,)),
-        Row("apriori_error_bound", "initial_gap", "orbit._GAP",
-            lambda v: apriori_error_bound(0.5, 2, 1, v), "nonnegative", domain=_GAP,
-            accepts=(_TOP,)),
-        Row("TabulatedPhi", "knots", "system._KNOT", lambda v: TabulatedPhi(((0, v), (1, 3))),
-            "real text", _cases(ValueError, ("-1", -1, "phi(0) must be >= 0")), domain=_KNOT,
-            accepts=(-0.0, 3)),
-        Row("OrbitTrace", "membership_violations", "Domain [0, len(points))",
+        }, cases=_cases(ValueError, ("1", 1, _IN)), accepts=(2,)),
+        Row("apriori_error_bound", "initial_gap", _GAP,
+            lambda v: apriori_error_bound(0.5, 2, 1, v), "nonnegative", accepts=(_TOP,)),
+        Row("TabulatedPhi", "knots", _KNOT, lambda v: TabulatedPhi(((0, v), (1, 3))),
+            "real text", _cases(ValueError, ("-1", -1, "phi(0) must be >= 0")), accepts=(-0.0, 3)),
+        Row("OrbitTrace", "membership_violations", Domain(0, 2, "[)", integer=True),
             lambda v: OrbitTrace(_kirk(), [(-1.0,), (0.5,)], [(v, (-1.0,))]), "index",
-            domain=Domain(0, 2, "[)", integer=True), name="violation index", accepts=(1,)),
+            name="violation index", accepts=(1,)),
         *[Row(f"{type(f).__name__}.__call__", "t", "phi", f, "phi argument", accepts=(tiny, _TOP))
           for f in (phi, TabulatedPhi(((0, 0), (1, 1), (2, 4))))],
-        Row("p_combine", "values", "float", _every_p(lambda v, p: p_combine([1.0, v], p)), "value",
+        Row("p_combine", "values", "float", lambda v: p_combine([1.0, v], 3.5), "value",
             accepts=(_TOP,)),
         Row("validate_phi", "grid", "float", lambda v: validate_phi(phi, [0.0, v]), "grid value",
             accepts=(_TOP,)),
@@ -898,12 +883,10 @@ def _gallery_rows():
     ):
         entry = gallery.GALLERY[system_id]
         for name, kind in kinds.items():
-            domain = entry.domains[name]
             more = {str(cases[name]): (cases[name], (ValueError, _IN))} if name in cases else {}
-            reader = {ALPHA: "ALPHA", EXPONENT: "EXPONENT"}.get(domain, "gallery domain")
-            rows.append(Row(f"make_{system_id}", name, reader,
+            rows.append(Row(f"make_{system_id}", name, entry.domains[name],
                             lambda v, f=entry.factory, name=name: f(**{name: v}), kind, more,
-                            domain=domain, accepts=accepts.get(name, ())))
+                            accepts=accepts.get(name, ())))
             if (system_id, name) in (("kirk_interval", "alpha"), ("paper_lq_family", "m")):
                 rows.append(dataclasses.replace(
                     rows[-1], entry="build", param=f'parameters["{name}"]', name=name,
@@ -943,15 +926,14 @@ def _case_rows():
             cases=_cases(ConfigError, *[(repr(run), run, f"run must be one of {RUNS}")
                                         for run in ("explore", [], None)]),
             accepts=RUNS),
-        *[Row("parse_config", f'data["{key}"]', reader, lambda v, key=key: parse_config(
-            _config(**{key: v})), kind, domain=NUMBERS[key], name=key, accepts=accepts,
-            error=ConfigError) for key, reader, kind, accepts in (
-                ("p", "EXPONENT", "exponent text", (1, "inf", "INFINITY")),
-                ("iterations", "COUNT", "count", (1,)),
-                ("tolerance", "POSITIVE", "positive", (5e-324,)),
-                ("seed", "Domain", "integer", (0,)))],
+        *[Row("parse_config", f'data["{key}"]', NUMBERS[key], lambda v, key=key: parse_config(
+            _config(**{key: v})), kind, name=key, accepts=accepts, error=ConfigError)
+          for key, kind, accepts in (
+                ("p", "exponent text", (1, "inf", "INFINITY")), ("iterations", "count", (1,)),
+                ("tolerance", "positive", (5e-324,)), ("seed", "integer", (0,)))],
         Row("load_config", "path", "json.load", _load, cases=_cases(
-            ConfigError, ("'{'", "{", "config "), ("NaN", '{"p": NaN}', "NaN is not a JSON value"),
+            ConfigError, ("'{'", "{", "config ..."),
+            ("NaN", '{"p": NaN}', "NaN is not a JSON value"),
         ), accepts=(json.dumps(_config()),)),
         Row("run_experiment", "out_dir", "run_experiment", _run, cases=_cases(
             ConfigError, ("None", None, "no output directory: set output_dir or pass --out")),
@@ -1059,6 +1041,10 @@ EXEMPT = {
 }
 
 
+_DOMAINS = {ALPHA: "ALPHA", CYCLE_LENGTH: "CYCLE_LENGTH", EXPONENT: "EXPONENT", COUNT: "COUNT",
+            STEPS: "STEPS", POSITIVE: "POSITIVE", _GAP: "orbit._GAP", _KNOT: "system._KNOT"}
+
+
 def _show(value):
     """A short text of an accepted value."""
     text = repr(value.value if isinstance(value, Gives) else value)
@@ -1085,7 +1071,8 @@ def render_contract():
 
     groups = {}
     for row in CONTRACT:
-        reader = f"`{row.reader}`" + (f" `{row.domain}`" if row.domain is not None else "")
+        reader = f"`{row.reader}`" if row.domain is None else (
+            f"`{_DOMAINS.get(row.domain, 'Domain')}` `{row.domain}`")
         named = f" as `{row.name}`" if row.name and row.name not in row.param else ""
         cases = [f"*{row.kind}*{named}"] if row.kind else []
         cases += [f"`{label}`: " + _outcome_text(*out) for label, (_, out) in row.cases.items()]

@@ -40,7 +40,8 @@ def test_each_row_reads_or_refuses_each_value_as_the_table_says(row, label):
             row.call(value)
         assert type(caught.value) is (row.error or error)
         got, want = str(caught.value), row.message(template, label)
-        assert got.startswith(want) if template.endswith(" ") else got == want, (got, want)
+        prefix = want.removesuffix("...")
+        assert got.startswith(prefix) if prefix != want else got == want, (got, want)
 
 
 @pytest.mark.parametrize("row", [row for row in CONTRACT if row.accepts], ids=str)
@@ -128,4 +129,5 @@ def test_readme_removed_names_are_gone_and_their_replacements_run(removed, repla
 
 
 def test_readme_removed_names_include_the_expression_rows():
-    assert len(removed_rows()) == 7
+    # An empty list would make the test above pass with no case.
+    assert removed_rows()
