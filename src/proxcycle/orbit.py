@@ -477,8 +477,9 @@ def block_drift_trace(trace: OrbitTrace, i: int) -> list[float]:
 
 
 def cross_block_chain_distance(trace: OrbitTrace, n: int, k: int, p: object) -> float:
-    """Chain distance between blocks n and k, with the usual shift."""
-    space = trace.system.space
+    """Chain distance between blocks n and k, with the usual shift; n and k
+    are each read by ``STEPS``."""
+    n, k, space = STEPS.check("n", n), STEPS.check("k", k), trace.system.space
     return _chain_distance(space, trace.block(n), trace.block(k), as_exponent(p)._combine)
 
 

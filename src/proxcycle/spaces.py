@@ -16,8 +16,6 @@ from operator import countOf, le, lt, mul, sub, truediv
 from typing import Callable, Iterable, Sequence
 
 Point = tuple[float, ...]
-# float() reads these, but they are not numbers; bool is an int.
-_NOT_NUMBERS = (bool, str, bytes)
 
 
 class CapabilityError(TypeError):
@@ -225,15 +223,9 @@ class Exponent(_Record):
             combine = partial(max, default=0.0)
             self._derive(_combine=combine, _combine_columns=_max_columns, _power=None, _inv=None)
             return
-        # True is not the exponent 1, nor "2" the exponent 2: as_exponent's rule.
-        if isinstance(value, _NOT_NUMBERS):
-            raise TypeError(f"cannot read exponent from {value!r}")
-        try:
-            v = float(value)
-        except OverflowError as exc:  # 10**400, say
-            raise ValueError(f"exponent is past the float range: {exc}") from None
+        v = _number("exponent", value)
         if not v >= 1.0:  # NaN too: it compares false
-            raise ValueError(f"exponent must be >= 1, got {v}")
+            raise ValueError(f"exponent must be >= 1, got {_value_repr(value)}")
         if v == math.inf:
             raise ValueError("use INFINITY (or Exponent()) for the infinite exponent")
         self._set(v)
@@ -252,6 +244,11 @@ class Exponent(_Record):
     def is_inf(self) -> bool:
         return self.value is None
 
+    def __float__(self) -> float:
+        """The exponent as a number, inf for the infinity tag, so that
+        ``_number`` reads an Exponent."""
+        return math.inf if self.value is None else self.value
+
     def __repr__(self) -> str:
         return "Exponent(inf)" if self.is_inf else f"Exponent({self.value})"
 
@@ -260,17 +257,36 @@ INFINITY = Exponent()
 
 
 def as_exponent(p: object) -> Exponent:
-    """Coerce a number, ``math.inf``, or the string ``"inf"`` to an Exponent."""
+    """Coerce an Exponent, a number, ``math.inf``, or the string ``"inf"``
+    or ``"infinity"`` in any case to an Exponent; a number is read as
+    ``Exponent`` reads it, and no other string is."""
     if isinstance(p, Exponent):
         return p
-    if isinstance(p, str):
-        if p.lower() in ("inf", "infinity"):
-            return INFINITY
-        raise ValueError(f"cannot read exponent from {p!r}")
-    # bool is an int, but True is not the exponent 1.
-    if isinstance(p, (int, float)) and not isinstance(p, bool):
-        return INFINITY if p == math.inf else Exponent(p)
-    raise TypeError(f"cannot read exponent from {_value_repr(p)}")
+    if isinstance(p, str) and p.lower() in ("inf", "infinity"):
+        return INFINITY
+    return INFINITY if _number("exponent", p) == math.inf else Exponent(p)
+
+
+def _number(name: str, value: object, strings: bool = False) -> float:
+    """``value`` read into a float, or a ValueError naming ``name``: the
+    one rule of what a number is, for every scalar the public API reads.
+
+    A bool, bytes, a str unless ``strings`` allows text, and anything
+    ``float()`` refuses by type (None, a list, a complex) is not a number.
+    Text ``float()`` cannot parse reads as NaN, and NaN and inf are
+    returned, for the caller's own range or finiteness check. A value past
+    the float range, such as ``10**400``, is refused."""
+    if not isinstance(value, (bool, bytes) if strings else (bool, bytes, str)):
+        try:
+            return float(value)
+        except TypeError:
+            pass
+        except ValueError:  # text that is not a number
+            return math.nan
+        except OverflowError:
+            raise ValueError(f"{name} is past the float range, got {_value_repr(value)}") from None
+    kind = "a number or a string" if strings else "a number"
+    raise ValueError(f"{name} must be {kind}, got {_value_repr(value)}")
 
 
 def _value_repr(value: object) -> str:
@@ -304,35 +320,20 @@ def _point_repr(v: Sequence[float]) -> str:
 def check_point(v: Sequence[float]) -> Point:
     """Coerce to a tuple of floats, rejecting empty or non-finite input.
 
-    A point is a sequence of numbers: a str or bytes point, or a bool, str
-    or bytes coordinate, is a ValueError, although ``float()`` reads them.
-    Ints and float subclasses become floats; a coordinate past the float
-    range, such as ``10**400``, is a ValueError. A tuple of exact floats is
-    returned as it is, recognised by counting its coordinates of type
-    float, with no per-coordinate type test and no copy. It is finite when
-    the sum of its coordinates is: a non-finite coordinate makes the sum
-    inf or nan, and only a sum past the float range takes a second look.
+    A point is a sequence of numbers: a str or bytes point is a ValueError,
+    and each coordinate is read by ``_number``, named by its index and the
+    point. A tuple of exact floats is returned as it is, recognised by
+    counting its coordinates of type float, with no per-coordinate type
+    test and no copy. It is finite when the sum of its coordinates is: a
+    non-finite coordinate makes the sum inf or nan, and only a sum past the
+    float range takes a second look.
     """
     if type(v) is not tuple or not v or countOf(map(type, v), float) != len(v):
         if isinstance(v, (str, bytes)):
             raise ValueError(f"a point is a sequence of numbers, not a {type(v).__name__}")
         v = tuple(v)
-        for i, c in enumerate(v):
-            if isinstance(c, _NOT_NUMBERS):
-                raise ValueError(
-                    f"{type(c).__name__} coordinate {c!r} at index {i} in {_point_repr(v)}"
-                )
-        try:
-            v = tuple(map(float, v))
-        except OverflowError as exc:
-            # A number past the float range, such as 10**400: named by its
-            # index and not its repr, which can itself fail for a huge int.
-            for i, c in enumerate(v):
-                try:
-                    float(c)
-                except OverflowError:
-                    break
-            raise ValueError(f"coordinate past the float range at index {i}: {exc}") from None
+        shown = _point_repr(v)
+        v = tuple([_number(f"coordinate {i} of {shown}", c) for i, c in enumerate(v)])
         if not v:
             raise ValueError("a point must have dimension >= 1")
     if math.isfinite(sum(v)) or all(map(math.isfinite, v)):
@@ -357,22 +358,17 @@ class Domain(_Record):
         return f"{text} with {self.note}" if self.note else text
 
     def check(self, name: str, value: object) -> float:
-        """``value`` read into the domain, or a ValueError naming ``name``."""
-        try:
-            # bool is an int, so True would read as 1; float() reads strings.
-            if isinstance(value, bool if self.strings else _NOT_NUMBERS):
-                raise TypeError
-            if self.integer and isinstance(value, int):
-                x = value  # as it is: float() overflows past the float range
-            else:
-                x = self.read(value)  # a TypeError for a value of the wrong type
-                if self.integer:
-                    x = math.nan  # in no integer domain
-        except TypeError:
-            kind = "a number or a string" if self.strings else "a number"
-            raise ValueError(f"{name} must be {kind}, got {_value_repr(value)}") from None
-        except (ValueError, OverflowError):
-            x = math.nan  # in no domain
+        """``value`` read into the domain, or a ValueError naming ``name``:
+        an integer domain keeps an int as it is, and any other value is
+        read by ``_number`` and then ``read``."""
+        if self.integer and isinstance(value, int) and not isinstance(value, bool):
+            x = value  # as it is: float() overflows past the float range
+        else:
+            _number(name, value, self.strings)
+            try:
+                x = math.nan if self.integer else self.read(value)
+            except ValueError:  # text that is not a number, or not in ``read``'s domain
+                x = math.nan
         # A closed end compares with <=, an open one with <.
         above, below = (le if end in "[]" else lt for end in self.ends)
         if above(self.low, x) and below(x, self.high):
@@ -397,27 +393,16 @@ STEPS = Domain(0, math.inf, "[)", integer=True, strings=False)
 
 
 def _floats(name: str, values: Iterable[object]) -> list[float]:
-    """``values`` read by ``float()``, or a ValueError naming ``name``: a
-    bool, str or bytes value, named by its index, is refused as
-    ``check_point`` refuses such a coordinate, and so is a value past the
-    float range, such as ``10**400``."""
-    vals = list(values)
-    for i, v in enumerate(vals):
-        if isinstance(v, _NOT_NUMBERS):
-            raise ValueError(f"{type(v).__name__} value {v!r} at index {i} in {name}")
-    try:
-        return [float(v) for v in vals]
-    except OverflowError as exc:
-        raise ValueError(f"a value in {name} is past the float range: {exc}") from None
+    """``values`` each read by ``_number``, named ``name[i]`` by its index."""
+    return [_number(f"{name}[{i}]", v) for i, v in enumerate(values)]
 
 
 def p_combine(values: Iterable[float], p: object) -> float:
     """(sum v_i^p)^(1/p) over nonnegative values, or their max for p = inf.
 
     Finite p factors out the largest value before exponentiating, so large
-    exponents cannot overflow on large inputs. A negative or NaN value is a
-    ValueError, and so are a bool, str or bytes value and one past the float
-    range, such as ``10**400``.
+    exponents cannot overflow on large inputs. Each value is read by
+    ``_number``; a negative or NaN value is a ValueError.
     """
     exp = as_exponent(p)
     vals = _floats("values", values)

@@ -32,6 +32,7 @@ from .spaces import (
     Point,
     Space,
     _floats,
+    _number,
     _point_repr,
     _Record,
     _value_repr,
@@ -58,11 +59,13 @@ _KNOT = Domain(-math.inf, math.inf, note="every coordinate finite")
 
 
 def _read_knot(knot: object) -> tuple[float, float]:
-    """A tabulated phi knot (t, v), each coordinate read by ``_KNOT``; a str
-    or bytes knot is refused, although it unpacks into two characters."""
-    if isinstance(knot, (str, bytes)):
-        raise ValueError(f"knots must be pairs of numbers, got {knot!r}")
-    t, v = knot
+    """A tabulated phi knot (t, v), each coordinate read by ``_KNOT``; a
+    knot that is not a pair is refused, a str or bytes one too, although it
+    may unpack into two characters."""
+    try:
+        t, v = () if isinstance(knot, (str, bytes)) else knot
+    except (TypeError, ValueError):
+        raise ValueError(f"knots must be pairs of numbers, got {_value_repr(knot)}") from None
     return _KNOT.check("knots", t), _KNOT.check("knots", v)
 
 
@@ -457,12 +460,10 @@ class LinearPhi(_Record, Phi):
         self._set(ALPHA.check("alpha", alpha))
 
     def __call__(self, t: float) -> float:
+        t = _number("t", t)
         if t < 0:
             raise ValueError("phi is defined on [0, inf)")
-        try:
-            return self.alpha * t
-        except OverflowError as exc:  # an int or Fraction such as 10**400
-            raise ValueError(f"phi's t is past the float range: {exc}") from None
+        return self.alpha * t
 
     def _many(self, ts: Sequence[float]) -> list[float]:
         _check_domain(ts)
@@ -515,13 +516,11 @@ class TabulatedPhi(_Record, Phi):
         )
 
     def __call__(self, t: float) -> float:
+        t = _number("t", t)
         if t < 0:
             raise ValueError("phi is defined on [0, inf)")
         i = bisect_right(self._bounds, t)
-        try:
-            return self._levels[i] + self._slopes[i] * (t - self._starts[i])
-        except OverflowError as exc:  # an int or Fraction such as 10**400
-            raise ValueError(f"phi's t is past the float range: {exc}") from None
+        return self._levels[i] + self._slopes[i] * (t - self._starts[i])
 
     def _many(self, ts: Sequence[float]) -> list[float]:
         _check_domain(ts)
@@ -544,9 +543,8 @@ class PhiReport(_Record):
 
 
 def validate_phi(phi: Phi, grid: Sequence[float]) -> PhiReport:
-    """Verify strict increase and nonnegativity of phi on a sorted grid; a
-    bool, str or bytes grid value, or one past the float range, such as
-    ``10**400``, is a ValueError."""
+    """Verify strict increase and nonnegativity of phi on a sorted grid, each
+    grid value read by ``_number``."""
     pts = _floats("grid", grid)
     if len(pts) < 2 or any(t2 < t1 for t1, t2 in zip(pts, pts[1:])):
         raise ValueError("grid must be sorted with at least 2 points")

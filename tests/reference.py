@@ -524,107 +524,55 @@ SHOWN = {label: _LONG.get(label) or repr(v) for label, v in AWKWARD.items()}
 # Counts this large are read through the row's domain, never run.
 HUGE_COUNTS = ("10**400", "10**5000")
 
-_HUGE = "-10**5000 10**400 10**5000 Fraction"
-_TYPES = "True False None list Opaque()"
+_HUGE = ("-10**5000", "10**400", "10**5000", "Fraction")
 _IN = "{name} must be {domain}, got {shown}"
-_NUMBER = (ValueError, "{name} must be a number, got {shown}", f"'1e-3' 'nan' b'1' {_TYPES}")
-_TEXT = (ValueError, "{name} must be a number or a string, got {shown}", _TYPES)
-_FLOAT = "float() argument must be a string or a ..."
+_NUMBER = "{name} must be a number, got {shown}"
 
 
-def _kind(accepts, *refusals):
-    """Each awkward label's outcome: None for the labels in ``accepts``, else
-    the (exception, message) of the refusal that lists it."""
-    out = dict.fromkeys(accepts.split())
-    for error, message, labels in refusals:
-        out |= dict.fromkeys(labels.split(), (error, message))
-    assert out.keys() == AWKWARD.keys(), set(AWKWARD) ^ set(out)
-    return out
+def _kind(accepts, refused="", message=_IN, error=ValueError, text=False):
+    """Each awkward label's outcome: None for the labels in ``accepts``,
+    (error, message) for those in ``refused``, and for every other label
+    the scalar reader's refusal: past the float range for a huge value,
+    else not a number (a number or a string, where ``text`` is read)."""
+    out = dict.fromkeys(accepts.split()) | dict.fromkeys(refused.split(), (error, message))
+    past = (ValueError, "{name} is past the float range, got {shown}")
+    scalar = (ValueError, "{name} must be a number or a string, got {shown}" if text else _NUMBER)
+    return out | {label: past if label in _HUGE else scalar for label in AWKWARD if label not in out}
 
 
-_PAST = "exponent is past the float range: ..."
-_BELOW = ((ValueError, "exponent must be >= 1, got {shown}", "nan -inf"),
-          (ValueError, "exponent must be >= 1, got ...", "0 -1"))
+# A coordinate is the second of the point (-2.0, value), and a p_combine
+# value or a validate_phi grid value the second of its list: each is named
+# by its index 1, as ``_AT1`` shows for a coordinate.
+_AT1 = "coordinate 1 of (-2.0, {shown})"
+_INTEGERS = "-10**5000 10**400 10**5000"
 KINDS = {
-    "positive": _kind("1.0 2.5", (ValueError, _IN, f"nan inf -inf 0 -1 {_HUGE}"), _NUMBER),
-    "nonnegative": _kind("inf 0 1.0 2.5", (ValueError, _IN, f"nan -inf -1 {_HUGE}"), _NUMBER),
-    "count": _kind(
-        "10**400 10**5000", (ValueError, _IN, "nan inf -inf 0 -1 1.0 2.5 -10**5000 Fraction"),
-        _NUMBER,
-    ),
-    "steps": _kind(
-        "0 10**400 10**5000", (ValueError, _IN, "nan inf -inf -1 1.0 2.5 -10**5000 Fraction"),
-        _NUMBER,
-    ),
-    "integer": _kind(
-        "0 -1 -10**5000 10**400 10**5000", (ValueError, _IN, "nan inf -inf 1.0 2.5 Fraction"),
-        _NUMBER,
-    ),
-    "index": _kind("0", (ValueError, _IN, f"nan inf -inf -1 1.0 2.5 {_HUGE}"), _NUMBER),
-    "unit text": _kind(
-        "'1e-3'", (ValueError, _IN, f"nan inf -inf 0 -1 1.0 2.5 'nan' b'1' {_HUGE}"), _TEXT
-    ),
-    "positive text": _kind(
-        "1.0 2.5 '1e-3' b'1'", (ValueError, _IN, f"nan inf -inf 0 -1 'nan' {_HUGE}"), _TEXT
-    ),
-    "nonnegative text": _kind(
-        "0 1.0 2.5 '1e-3' b'1'", (ValueError, _IN, f"nan inf -inf -1 'nan' {_HUGE}"), _TEXT
-    ),
-    "real text": _kind(
-        "0 -1 1.0 2.5 '1e-3' b'1'", (ValueError, _IN, f"nan inf -inf 'nan' {_HUGE}"), _TEXT
-    ),
-    "size text": _kind(
-        "", (ValueError, _IN, f"nan inf -inf 0 -1 1.0 2.5 '1e-3' 'nan' b'1' {_HUGE}"), _TEXT
-    ),
-    "exponent text": _kind(
-        "inf 1.0 2.5", (ValueError, _IN, "nan -inf 0 -1 '1e-3' 'nan' -10**5000 10**400 10**5000"),
-        (ValueError, _TEXT[1], "b'1' True False None Fraction list Opaque()"),
-    ),
-    "exponent": _kind(
-        "inf 1.0 2.5", *_BELOW, (ValueError, "cannot read exponent from {shown}", "'1e-3' 'nan'"),
-        (TypeError, "cannot read exponent from {shown}",
-         "b'1' True False None Fraction list Opaque()"),
-        (ValueError, _PAST, "-10**5000 10**400 10**5000"),
-    ),
-    "Exponent": _kind(
-        "1.0 2.5 None", *_BELOW,
-        (ValueError, "use INFINITY (or Exponent()) for the infinite exponent", "inf"),
-        (TypeError, "cannot read exponent from {shown}", "True False '1e-3' 'nan' b'1'"),
-        (ValueError, _PAST, _HUGE), (TypeError, _FLOAT, "list Opaque()"),
-    ),
-    "phi argument": _kind(
-        "nan inf 0 1.0 2.5 True False",
-        (ValueError, "phi is defined on [0, inf)", "-inf -1 -10**5000"),
-        (ValueError, "phi's t is past the float range: ...", "10**400 10**5000 Fraction"),
-        (TypeError, "'<' not supported between instances of ...",
-         "'1e-3' 'nan' b'1' None list Opaque()"),
-    ),
-    "region": _kind("", (TypeError, "{name} must be a Region, got {shown}", " ".join(AWKWARD))),
-    "distance method": _kind(
-        "", (CapabilityError, "{name} has no exact distance method, got {shown}", " ".join(AWKWARD))
-    ),
+    "positive": _kind("1.0 2.5", "nan inf -inf 0 -1"),
+    "nonnegative": _kind("inf 0 1.0 2.5", "nan -inf -1"),
+    "count": _kind("10**400 10**5000", "nan inf -inf 0 -1 1.0 2.5 -10**5000"),
+    "steps": _kind("0 10**400 10**5000", "nan inf -inf -1 1.0 2.5 -10**5000"),
+    "integer": _kind(f"0 -1 {_INTEGERS}", "nan inf -inf 1.0 2.5"),
+    "index": _kind("0", f"nan inf -inf -1 1.0 2.5 {_INTEGERS}"),
+    "unit text": _kind("'1e-3'", "nan inf -inf 0 -1 1.0 2.5 'nan'", text=True),
+    "positive text": _kind("1.0 2.5 '1e-3'", "nan inf -inf 0 -1 'nan'", text=True),
+    "nonnegative text": _kind("0 1.0 2.5 '1e-3'", "nan inf -inf -1 'nan'", text=True),
+    "real text": _kind("0 -1 1.0 2.5 '1e-3'", "nan inf -inf 'nan'", text=True),
+    "size text": _kind("", f"nan inf -inf 0 -1 1.0 2.5 '1e-3' 'nan' {_INTEGERS}", text=True),
+    "exponent text": _kind("inf 1.0 2.5", "nan -inf 0 -1 '1e-3' 'nan'", text=True),
+    "exponent": _kind("inf 1.0 2.5", "nan -inf 0 -1", "exponent must be >= 1, got {shown}"),
+    "phi argument": _kind("nan inf 0 1.0 2.5", "-inf -1", "phi is defined on [0, inf)"),
+    "coordinate": _kind("0 -1 1.0 2.5", "nan inf -inf",
+                        "non-finite coordinate {shown} at index 1 in (-2.0, {shown})"),
+    "value": _kind("inf 0 1.0 2.5", "nan -inf -1",
+                   "p_combine is defined for nonnegative values, got ..."),
+    "grid value": _kind("nan inf 0 1.0 2.5", "-inf -1",
+                        "grid must be sorted with at least 2 points"),
+    "region": _kind("", " ".join(AWKWARD), "{name} must be a Region, got {shown}", TypeError),
+    "distance method": _kind("", " ".join(AWKWARD),
+                             "{name} has no exact distance method, got {shown}", CapabilityError),
 }
-# A coordinate, a p_combine value and a validate_phi grid value are read by
-# float(): each kind's refusals of the values float() reads and a point
-# must not hold, of values past the float range, and of what float() refuses.
-# A coordinate is the second of the point (-2.0, value), at index 1.
-for kind, accepts, first, what, where, past in (
-    ("coordinate", "0 -1 1.0 2.5", (ValueError, "non-finite coordinate {shown} at index 1 in "
-                                    "(-2.0, {shown})", "nan inf -inf"),
-     "coordinate", "1 in (-2.0, {shown})", "coordinate past the float range at index 1: ..."),
-    ("value", "inf 0 1.0 2.5", (ValueError, "p_combine is defined for nonnegative values, got ...",
-                                "nan -inf -1"),
-     "value", "1 in values", "a value in values is past the float range: ..."),
-    ("grid value", "nan inf 0 1.0 2.5", (ValueError, "grid must be sorted with at least 2 points",
-                                         "-inf -1"),
-     "value", "1 in grid", "a value in grid is past the float range: ..."),
-):
-    KINDS[kind] = _kind(
-        accepts, first,
-        *[(ValueError, f"{noun} {what} {{shown}} at index {where}", labels)
-          for noun, labels in (("bool", "True False"), ("str", "'1e-3' 'nan'"), ("bytes", "b'1'"))],
-        (ValueError, past, _HUGE), (TypeError, _FLOAT, "None list Opaque()"),
-    )
+# An Exponent reads None as the infinite exponent, which it is not given as inf.
+KINDS["Exponent"] = KINDS["exponent"] | {
+    "None": None, "inf": (ValueError, "use INFINITY (or Exponent()) for the infinite exponent")}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -657,10 +605,9 @@ class Row:
     def message(self, template, label):
         """The text of an outcome's message for the value of ``label``."""
         article = "an" if getattr(self.domain, "integer", False) else "in"
-        return self.wrap.format(template.format(
-            name=self.name or self.param, domain=f"{article} {self.domain}",
-            shown=SHOWN.get(label, label),
-        ))
+        text = template.replace("{name}", self.name or self.param)
+        text = text.replace("{domain}", f"{article} {self.domain}")
+        return self.wrap.format(text.replace("{shown}", SHOWN.get(label, label)))
 
 
 def _cases(error, *cases):
@@ -740,16 +687,18 @@ def _point_rows():
     starts = {"picard_orbit": lambda v: picard_orbit(plane, pt(v), 2)}
     starts |= {name: lambda v, f=f: f(plane, pt(v)) for name, f in _SOLVERS.items()}
     return [
-        *[Row(*key.split(), "check_point", call, "coordinate") for key, call in built.items()],
+        *[Row(*key.split(), "check_point", call, "coordinate", name=_AT1)
+          for key, call in built.items()],
         Row("check_point", "v", "check_point", check_point, cases=_cases(
             ValueError, ("()", (), "a point must have dimension >= 1"),
             ("'12'", "12", "a point is a sequence of numbers, not a str"),
             ("b'12'", b"12", "a point is a sequence of numbers, not a bytes"))),
-        *[Row(*key.split(), "Space.point", call, "coordinate") for key, call in read.items()],
-        *_alike("x0", "Space.point", "coordinate", starts, cases=_cases(
+        *[Row(*key.split(), "Space.point", call, "coordinate", name=_AT1)
+          for key, call in read.items()],
+        *_alike("x0", "Space.point", "coordinate", starts, name=_AT1, cases=_cases(
             ValueError, ("2.5", 2.5, "x0 = (-2.0, 2.5) is not in the first region"))),
         Row("OrbitTrace", "points", "Space.point", lambda v: OrbitTrace(plane, [two[0], pt(v)]),
-            "coordinate", wrap="trace point 1: {}", error=ValueError),
+            "coordinate", name=_AT1, wrap="trace point 1: {}", error=ValueError),
     ]
 
 
@@ -775,13 +724,16 @@ def _exponent_rows():
     exact = (Gives(1, Exponent(1.0)), Gives("inf", INFINITY), Gives("Infinity", INFINITY),
              Gives(math.inf, INFINITY), Gives(Exponent(3.0), Exponent(3.0)))
     return [
-        Row("as_exponent", "p", "as_exponent", as_exponent, "exponent", accepts=exact),
-        *_alike("p", "as_exponent", "exponent", calls, accepts=(1, "Infinity")),
-        Row("LqSpace", "q", "as_exponent", lambda v: LqSpace(v, 2), "exponent", accepts=(1,)),
+        Row("as_exponent", "p", "as_exponent", as_exponent, "exponent", name="exponent",
+            accepts=(*exact, Gives(Fraction(7, 2), Exponent(3.5)))),
+        *_alike("p", "as_exponent", "exponent", calls, name="exponent", accepts=(1, "Infinity")),
+        Row("LqSpace", "q", "as_exponent", lambda v: LqSpace(v, 2), "exponent", name="exponent",
+            accepts=(1,)),
         Row("p_monotonicity_check", "ps", "as_exponent",
-            lambda v: p_monotonicity_check(L1, xs, ys, ps=[v]), "exponent", accepts=(1,)),
+            lambda v: p_monotonicity_check(L1, xs, ys, ps=[v]), "exponent", name="exponent",
+            accepts=(1,)),
         Row("Exponent", "value", "Exponent", Exponent, "Exponent", _cases(
-            TypeError, ("'inf'", "inf", "cannot read exponent from 'inf'")), accepts=(1, _TOP)),
+            ValueError, ("'inf'", "inf", _NUMBER)), name="exponent", accepts=(1, _TOP)),
     ]
 
 
@@ -830,9 +782,8 @@ def _domain_rows():
             accepts=(Gives(0, trace.points[:2]), 4)),
         Row("cross_block_chain_distance", "n", STEPS,
             lambda v: cross_block_chain_distance(trace, v, 0, 2), "steps", too_short, accepts=(4,)),
-        Row("cross_block_chain_distance", "k", STEPS,  # read as OrbitTrace.block's n
-            lambda v: cross_block_chain_distance(trace, 0, v, 2), "steps", too_short, name="n",
-            accepts=(4,)),
+        Row("cross_block_chain_distance", "k", STEPS,
+            lambda v: cross_block_chain_distance(trace, 0, v, 2), "steps", too_short, accepts=(4,)),
         *[Row(entry, "i", COUNT, lambda v, f=f: f(trace, v), "count", _cases(ValueError, *[
             (label, AWKWARD[label], f"{noun} must be in 1..2") for label in HUGE_COUNTS]),
             accepts=(1, 2)) for entry, f, noun in (
@@ -857,12 +808,12 @@ def _domain_rows():
         Row("OrbitTrace", "membership_violations", Domain(0, 2, "[)", integer=True),
             lambda v: OrbitTrace(_kirk(), [(-1.0,), (0.5,)], [(v, (-1.0,))]), "index",
             name="violation index", accepts=(1,)),
-        *[Row(f"{type(f).__name__}.__call__", "t", "phi", f, "phi argument", accepts=(tiny, _TOP))
-          for f in (phi, TabulatedPhi(((0, 0), (1, 1), (2, 4))))],
-        Row("p_combine", "values", "float", lambda v: p_combine([1.0, v], 3.5), "value",
-            accepts=(_TOP,)),
-        Row("validate_phi", "grid", "float", lambda v: validate_phi(phi, [0.0, v]), "grid value",
-            accepts=(_TOP,)),
+        *[Row(f"{type(f).__name__}.__call__", "t", "_number", f, "phi argument",
+              accepts=(tiny, _TOP)) for f in (phi, TabulatedPhi(((0, 0), (1, 1), (2, 4))))],
+        Row("p_combine", "values", "_number", lambda v: p_combine([1.0, v], 3.5), "value",
+            name="values[1]", accepts=(_TOP,)),
+        Row("validate_phi", "grid", "_number", lambda v: validate_phi(phi, [0.0, v]), "grid value",
+            name="grid[1]", accepts=(_TOP,)),
     ]
 
 
@@ -950,6 +901,8 @@ def _case_rows():
             ("one knot", ((0, 0),), "need at least 2 knots"),
             ("'12'", ((0, 0), "12"), "knots must be pairs of numbers, got '12'"),
             ("b'12'", ((0, 0), b"12"), "knots must be pairs of numbers, got b'12'"),
+            ("knot None", ((0, 0), None), "knots must be pairs of numbers, got None"),
+            ("knot of 3", ((0, 0), (1, 2, 3)), "knots must be pairs of numbers, got (1, 2, 3)"),
             ("first at 1", ((1, 0), (2, 1)), "first knot must be at t = 0"),
             ("equal t", ((0, 0), (0, 1)), "knot abscissae must be strictly increasing"),
             ("falling", ((0, 1), (1, 0)), "knot values not increasing"),
@@ -1074,6 +1027,7 @@ def render_contract():
         reader = f"`{row.reader}`" if row.domain is None else (
             f"`{_DOMAINS.get(row.domain, 'Domain')}` `{row.domain}`")
         named = f" as `{row.name}`" if row.name and row.name not in row.param else ""
+        named = named.replace("{shown}", "<value>")
         cases = [f"*{row.kind}*{named}"] if row.kind else []
         cases += [f"`{label}`: " + _outcome_text(*out) for label, (_, out) in row.cases.items()]
         cases += [f"message in `{row.wrap}`"] if row.wrap != "{}" else []

@@ -109,7 +109,7 @@ def test_chain_distances_read_each_point_through_the_space(distance):
     args = (plane, chain, chain, 2) if distance is chain_point_distance else (plane, chain, 2)
     with pytest.raises(ValueError, match="^point of dimension 3 in a 2-dimensional space$"):
         distance(*args)
-    with pytest.raises(ValueError, match="bool coordinate"):
+    with pytest.raises(ValueError, match=r"^coordinate 0 of \(True, 0.0\) must be a number"):
         distance(plane, [(0.0, 0.0), (True, 0.0)], *args[2:])
 
 

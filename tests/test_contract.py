@@ -5,13 +5,16 @@ README's code runs."""
 
 import inspect
 import re
+from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import proxcycle
 import proxcycle.cli as cli
-from proxcycle import gallery
+from proxcycle import CapabilityError, gallery
 from reference import CONTRACT, EXEMPT, HUGE_COUNTS, Gives, render_contract
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -51,6 +54,35 @@ def test_each_row_reads_its_boundary_values(row):
             assert row.call(value.value) == value.result, value
         else:
             row.call(value)
+
+
+# Values beyond the awkward ones of the kinds: a negative zero, a float near
+# the top of the range, an int past 64 bits, a complex, an empty tuple,
+# floats, small ints and nested lists of them, and number strings.
+DRAWN = st.one_of(
+    st.sampled_from([-0.0, 1e308, 2**64, 1j, ()]),
+    st.recursive(st.floats() | st.integers(-3, 3), partial(st.lists, max_size=3), max_leaves=4),
+    (st.floats() | st.integers()).map(str),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(DRAWN)
+def test_each_scalar_row_reads_a_drawn_value_or_refuses_it_with_a_documented_type(value):
+    # The rows with a kind read a scalar, a point coordinate or a region; the
+    # rest take a structure and are held by their cases alone.
+    for row in (row for row in CONTRACT if row.kind):
+        call = row.call
+        if row.kind in ("count", "steps") and isinstance(value, int) and value >= 2**20:
+            call = partial(row.domain.check, row.name or row.param)  # read, never run
+        documented = (row.error or ValueError, CapabilityError)
+        documented += (TypeError,) if row.kind == "region" else ()
+        try:
+            call(value)
+        except documented:
+            pass
+        except Exception as exc:
+            raise AssertionError(f"{row} raised {type(exc).__name__} for {value!r}") from exc
 
 
 def public_parameters():

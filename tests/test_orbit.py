@@ -88,7 +88,7 @@ def test_picard_orbit_reads_x0_through_the_space():
     system = make_kirk_interval(0.5).system
     with pytest.raises(ValueError, match="^x0 of dimension 2 in a 1-dimensional space$"):
         picard_orbit(system, (-1.0, 0.0), 10)
-    with pytest.raises(ValueError, match="bool coordinate"):
+    with pytest.raises(ValueError, match=r"^coordinate 0 of \(True,\) must be a number"):
         picard_orbit(system, (True,), 10)
 
 
@@ -1289,9 +1289,9 @@ BAD_TRACE_POINTS = {
     "nan": ((math.nan,), "non-finite coordinate nan"),
     "inf": ((math.inf,), "non-finite coordinate inf"),
     "-inf": ((-math.inf,), "non-finite coordinate -inf"),
-    "str": (("-0.5",), "str coordinate"),
-    "bool": ((True,), "bool coordinate"),
-    "past-float-range": ((10**400,), "coordinate past the float range at index 0"),
+    "str": (("-0.5",), "coordinate 0 of ('-0.5',) must be a number, got '-0.5'"),
+    "bool": ((True,), "coordinate 0 of (True,) must be a number, got True"),
+    "past-float-range": ((10**400,), f"coordinate 0 of ({10**400},) is past the float range"),
     "not-a-sequence": (None, "'NoneType' object is not iterable"),
 }
 

@@ -3,6 +3,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 import sys
 
 import pytest
@@ -86,15 +87,15 @@ def test_as_read_is_point_returning_each_point_itself(point):
     [
         ("12", "not a str"),
         (b"12", "not a bytes"),
-        ([True, 2.0], "bool coordinate True at index 0"),
-        ((1.0, False), "bool coordinate False at index 1"),
-        (["1.5", 2.0], "str coordinate '1.5' at index 0"),
-        ((1.0, b"2"), "bytes coordinate b'2' at index 1"),
+        ([True, 2.0], "coordinate 0 of (True, 2.0) must be a number, got True"),
+        ((1.0, False), "coordinate 1 of (1.0, False) must be a number, got False"),
+        (["1.5", 2.0], "coordinate 0 of ('1.5', 2.0) must be a number, got '1.5'"),
+        ((1.0, b"2"), "coordinate 1 of (1.0, b'2') must be a number, got b'2'"),
     ],
 )
 def test_check_point_rejects_strings_bytes_and_booleans(v, message):
     # float() reads each of these, so a point of them used to pass.
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         check_point(v)
 
 
@@ -103,9 +104,11 @@ def test_check_point_names_a_bool_coordinate_beside_a_huge_int():
     # int-to-text limit does not hide the refusal of the bool before it.
     with pytest.raises(ValueError) as err:
         check_point([True, 10**5000])
-    assert str(err.value) == "bool coordinate True at index 0 in (True, int of 16610 bits)"
-    with pytest.raises(ValueError, match=r"^str coordinate '1' at index 4 in \(1\.0, "):
-        check_point([1.0, 2, -(10**5000), 3.0, "1", 5.0])
+    assert str(err.value) == (
+        "coordinate 0 of (True, int of 16610 bits) must be a number, got True"
+    )
+    with pytest.raises(ValueError, match=r"^coordinate 1 of \(1\.0, '1', int of 16610 bits, 3\.0"):
+        check_point([1.0, "1", -(10**5000), 3.0, 2, 5.0])
 
 
 @pytest.mark.parametrize(
@@ -708,9 +711,11 @@ def test_domain_text_and_ends():
     assert str(Domain(0, 1, note="alpha^m < 1/2")) == "(0, 1) with alpha^m < 1/2"
     closed, open_ = Domain(0, math.inf, "[]"), Domain(0, math.inf)
     assert closed.check("x", 0) == 0.0 and closed.check("x", "inf") == math.inf
-    for value in (0, 0.0, math.inf, "inf", math.nan, "nan", -1.0, "abc", 10**400):
+    for value in (0, 0.0, math.inf, "inf", math.nan, "nan", -1.0, "abc"):
         with pytest.raises(ValueError, match=r"^x must be in \(0, inf\), got "):
             open_.check("x", value)
+    with pytest.raises(ValueError, match=r"^x is past the float range, got 1000"):
+        open_.check("x", 10**400)
     with pytest.raises(ValueError, match=r"^x must be in \[0, inf\], got nan"):
         closed.check("x", math.nan)
 
@@ -747,18 +752,22 @@ def test_numbers_only_domain_says_so_and_refuses_strings():
         with pytest.raises(ValueError, match=r"^tolerance must be a number, got ") as err:
             numbers.check("tolerance", value)
         assert "string" not in str(err.value)
-    for value in (0, math.inf, math.nan, 10**400):
+    for value in (0, math.inf, math.nan):
         with pytest.raises(ValueError, match=r"^tolerance must be in \(0, inf\), got "):
             numbers.check("tolerance", value)
+    with pytest.raises(ValueError, match=r"^tolerance is past the float range, got 1000"):
+        numbers.check("tolerance", 10**400)
 
 
 def test_exponent_domain_reads_what_as_exponent_reads():
     assert EXPONENT.check("p", 2) == 2.0 and EXPONENT.check("p", 1) == 1.0
     for value in ("inf", "Infinity", math.inf):
         assert EXPONENT.check("p", value) == math.inf
-    for value in ("2", 0.5, -math.inf, math.nan, 10**400):
+    for value in ("2", 0.5, -math.inf, math.nan):
         with pytest.raises(ValueError, match=r"^p must be in \[1, inf\], got "):
             EXPONENT.check("p", value)
+    with pytest.raises(ValueError, match=r"^p is past the float range, got 1000"):
+        EXPONENT.check("p", 10**400)
 
 
 def test_domain_is_a_value_record_with_the_dataclass_repr():

@@ -124,7 +124,7 @@ def test_contains_reads_the_query_through_the_space(region):
     for query in ((0.5,), (0.5, 0.0, 0.0)):
         with pytest.raises(ValueError, match="dimension"):
             region.contains(query, L2_2)
-    with pytest.raises(ValueError, match="bool coordinate"):
+    with pytest.raises(ValueError, match=r"^coordinate 0 of \(True, 0.0\) must be a number"):
         region.contains((True, 0.0), L2_2)
     # A region of the wrong dimension for the space.
     with pytest.raises(ValueError, match="^2-dimensional region in a 1-dimensional space$"):
