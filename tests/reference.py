@@ -125,7 +125,9 @@ def per_step_fields(solver, system, x0, tol):
     float as its hex digits."""
     k = per_step_stop(solver, system, x0, tol)
     m, space = system.m, system.space
-    points = per_step(system, x0, k + m)
+    # The steps past the stop that the solver maps: banach's residual image,
+    # the periodic solver's m-point tail, and none for the proximity chain.
+    points = per_step(system, x0, k + {"banach": 1, "periodic": m}.get(solver, 0))
     x = points[k]
     fields = {"iterations": k, "converged": True}
     set_distance = system.set_chain_distance(2)
@@ -313,27 +315,29 @@ def margins_by_x_tuple(system, phi, p):
 
 
 def sampled_pairs(system, samples, seed):
-    """The tuple pairs the sampled branch draws: xs, then ys, region by region."""
-    rng = random.Random(seed)
+    """The tuple pairs the sampled branch draws: xs, then ys, region by
+    region. Each chain is drawn whole and then read by ``space.point``, so a
+    chain that fails to read comes before the next chain's draw."""
+    rng, read = random.Random(seed), system.space.point
     for _ in range(samples):
-        xs = tuple(r.sample(rng) for r in system.regions)
-        ys = tuple(r.sample(rng) for r in system.regions)
+        xs = tuple(map(read, [r.sample(rng) for r in system.regions]))
+        ys = tuple(map(read, [r.sample(rng) for r in system.regions]))
         yield xs, ys
 
 
 def cyclicity_reference(system, samples, seed):
     """``verify_cyclicity`` one sample at a time: every point of a cloud, or
-    per-sample ``Region.sample`` draws, region by region, each flagged,
-    mapped and tested by the public ``is_artifact``, ``apply`` and
-    ``contains`` before the next is drawn."""
-    rng = random.Random(seed)
+    per-sample ``Region.sample`` draws read by ``space.point``, region by
+    region, each flagged, mapped and tested by the public ``is_artifact``,
+    ``apply`` and ``contains`` before the next is drawn."""
+    rng, read = random.Random(seed), system.space.point
     violations, artifacts, checked = [], [], 0
     for i, region in enumerate(system.regions):
         target = system.regions[(i + 1) % system.m]
         if isinstance(region, FiniteCloud):
             xs = region.points
         else:
-            xs = (region.sample(rng) for _ in range(samples))
+            xs = (read(region.sample(rng)) for _ in range(samples))
         for x in xs:
             if system.is_artifact(x):
                 artifacts.append((i, x))
@@ -406,8 +410,7 @@ def mapped_build(wrap):
 
     def mapped(system_id, parameters):
         gs = build(system_id, parameters)
-        system = dataclasses.replace(gs.system, map=wrap(gs.system.map))
-        return dataclasses.replace(gs, system=system)
+        return gs.__replace__(system=gs.system.__replace__(map=wrap(gs.system.map)))
 
     return mapped
 
@@ -472,7 +475,7 @@ def counted_kirk():
     kirk = gallery.make_kirk_interval(0.001).system
     boxes = tuple(LineBox(box.lower, box.upper) for box in kirk.regions)
     space = OracleSpace(counting(calls, line_gap), 1)
-    return dataclasses.replace(kirk, space=space, regions=boxes), calls
+    return CyclicSystem(space, boxes, kirk.map), calls
 
 
 

@@ -20,10 +20,9 @@ from hypothesis import strategies as st
 
 import proxcycle.cli as cli
 import proxcycle.system as system_module
-from proxcycle.orbit import picard_orbit
 from proxcycle.spaces import INFINITY, as_exponent
-from proxcycle.system import LinearPhi, MapError, Phi, TabulatedPhi
-from reference import broken_map, counting, mapped_build, no_image
+from proxcycle.system import LinearPhi, Phi, TabulatedPhi
+from reference import counting, mapped_build
 
 SCHEMA = json.loads(
     (Path(cli.__file__).parent / "schemas" / "summary.schema.json").read_text()
@@ -390,74 +389,6 @@ def test_trace_runs_map_each_orbit_point_once(tmp_path, monkeypatch, iterations)
     assert len(calls) == _trace_steps(2, iterations)
 
 
-@pytest.mark.parametrize("run", ["banach", "periodic", "proximity"])
-@pytest.mark.parametrize(
-    "shape, k, past_solver",
-    [
-        ("early-convergence", 5, False),
-        ("early-convergence", 500, True),  # the trace extends the solver's walk
-        ("solver-past-trace", 12_000, False),  # the solver walks past the trace
-    ],
-)
-def test_map_error_on_the_one_walk_matches_picard_orbit(
-    tmp_path, monkeypatch, capsys, run, shape, k, past_solver
-):
-    data = base_config(run=run, **RUN_SHAPES[shape])
-    good = cli.gallery.build(data["system"]["id"], data["system"]["parameters"])
-    broken_at = picard_orbit(good.system, good.default_start, k - 1).points[-1]
-
-    # The case sits where it says: before or after the solver's stopping point.
-    summary = cli.run_experiment(cli.parse_config(data), tmp_path / "good")
-    solver = _solver_steps(run, 2, summary["result"]["iterations"])
-    assert (k > solver) == past_solver and k <= max(solver, _trace_steps(2, data["iterations"]))
-
-    # The orbit is strictly monotone in |x|, so only step k maps x_{k-1}.
-    failing = mapped_build(lambda inner: broken_map(inner, broken_at, no_image))
-    monkeypatch.setattr(cli.gallery, "build", failing)
-    broken = cli.gallery.build(data["system"]["id"], data["system"]["parameters"])
-    with pytest.raises(MapError) as reference:
-        picard_orbit(broken.system, broken.default_start, k)
-    assert reference.value.step == k and reference.value.point == broken_at
-
-    with pytest.raises(MapError) as err:
-        cli.run_experiment(cli.parse_config(data), tmp_path / "direct")
-    assert err.value.step == k and err.value.point == broken_at
-    assert str(err.value) == str(reference.value)
-
-    config = write_config(tmp_path, data)
-    out = tmp_path / "o"
-    capsys.readouterr()
-    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 3
-    assert capsys.readouterr().err == f"map error: {reference.value}\n"
-    assert not (out / "summary.json").exists() and not (out / "trace.csv").exists()
-    assert not (tmp_path / "direct").exists()
-
-
-def test_prefix_map_error_in_a_banach_run_exits_3_before_the_solver(
-    tmp_path, monkeypatch, capsys
-):
-    # The run walks x_0..x_1000 first; the map fails at step 700, long after
-    # the solver would have stopped (step 35 at tol 1e-10).
-    data = base_config(run="banach", iterations=1000)
-    good = cli.gallery.build(data["system"]["id"], data["system"]["parameters"])
-    broken_at = picard_orbit(good.system, good.default_start, 699).points[-1]
-
-    solved = []
-    banach_solve = cli.orbit.banach_solve
-    failing = mapped_build(lambda inner: broken_map(inner, broken_at, no_image))
-    monkeypatch.setattr(cli.gallery, "build", failing)
-    monkeypatch.setattr(
-        cli.orbit, "banach_solve", lambda *a, **k: solved.append(a) or banach_solve(*a, **k)
-    )
-    config = write_config(tmp_path, data)
-    out = tmp_path / "o"
-    capsys.readouterr()
-    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"map error: map failed at {broken_at!r}: no image")
-    assert not out.exists() and solved == []
-
-
 @pytest.mark.parametrize("run", cli.RUNS)
 def test_runs_compute_each_edge_distance_once(tmp_path, monkeypatch, run):
     lq = {"id": "paper_lq_family", "parameters": {"m": 3, "N": 2}}
@@ -509,69 +440,6 @@ def test_runs_look_up_the_library_functions_when_they_run(tmp_path, monkeypatch,
     assert called == LIBRARY_CALLS[run]
 
 
-MALFORMED_IMAGES = {
-    "not a sequence": lambda x: -0.5 * x[0],
-    "not a number": lambda x: (None,),
-    "past the float range": lambda x: (10**400,),
-}
-
-
-@pytest.mark.parametrize("image", sorted(MALFORMED_IMAGES))
-@pytest.mark.parametrize("run", cli.RUNS)
-def test_malformed_map_image_is_a_map_error_with_its_step(
-    tmp_path, monkeypatch, capsys, run, image
-):
-    data = base_config(run=run, iterations=50)
-    _assert_map_error_at_step(tmp_path, monkeypatch, capsys, data, MALFORMED_IMAGES[image])
-
-
-# float() reads each of these, so in the plane they read as (1.0, 2.0) or (1.5, 2.0).
-NON_NUMERIC_IMAGES = {
-    "str": lambda x: "12",
-    "bytes": lambda x: b"12",
-    "bool coordinate": lambda x: [True, 2.0],
-    "str coordinate": lambda x: ["1.5", 2.0],
-}
-
-
-@pytest.mark.parametrize("image", sorted(NON_NUMERIC_IMAGES))
-@pytest.mark.parametrize("run", cli.RUNS)
-def test_string_bytes_and_boolean_images_are_map_errors_with_their_step(
-    tmp_path, monkeypatch, capsys, run, image
-):
-    data = base_config(run=run, iterations=50, system={"id": "affine_strip", "parameters": {}})
-    _assert_map_error_at_step(tmp_path, monkeypatch, capsys, data, NON_NUMERIC_IMAGES[image])
-
-
-def _assert_map_error_at_step(tmp_path, monkeypatch, capsys, data, bad_image):
-    """With the map giving ``bad_image(x)`` at x_{k-1}, ``apply``,
-    ``picard_orbit`` and the run raise ``MapError`` at step k, and
-    ``proxcycle run`` exits 3 with its message."""
-    k = 5
-    good = cli.gallery.build(data["system"]["id"], data["system"]["parameters"])
-    broken_at = picard_orbit(good.system, good.default_start, k - 1).points[-1]
-
-    # The orbit's first coordinate is strictly monotone in |x|, so only step
-    # k maps x_{k-1}.
-    malformed = mapped_build(lambda inner: broken_map(inner, broken_at, bad_image))
-    monkeypatch.setattr(cli.gallery, "build", malformed)
-    broken = cli.gallery.build(data["system"]["id"], data["system"]["parameters"])
-    with pytest.raises(MapError) as err:
-        broken.system.apply(broken_at, step=k)
-    assert err.value.step == k and err.value.point == broken_at
-    with pytest.raises(MapError) as err:
-        picard_orbit(broken.system, broken.default_start, k)
-    assert err.value.step == k and err.value.point == broken_at
-    with pytest.raises(MapError) as err:
-        cli.run_experiment(cli.parse_config(data), tmp_path / "direct")
-    assert err.value.step == k and err.value.point == broken_at
-
-    config = write_config(tmp_path, data)
-    capsys.readouterr()
-    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 3
-    assert capsys.readouterr().err == f"map error: {err.value}\n"
-
-
 # --- exit codes ------------------------------------------------------------------
 
 
@@ -613,20 +481,6 @@ def test_exit_2_on_unknown_subcommand():
     with pytest.raises(SystemExit) as err:
         cli.main(["frobnicate"])
     assert err.value.code == 2
-
-
-def test_exit_3_on_map_error(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli.gallery, "build", mapped_build(lambda inner: lambda x: (math.nan,)))
-    config = write_config(tmp_path, base_config())
-    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 3
-
-
-@pytest.mark.parametrize("run", cli.RUNS)
-def test_exit_2_on_map_image_of_wrong_dimension(tmp_path, monkeypatch, run):
-    widening = mapped_build(lambda inner: lambda x: (-0.5 * x[0], 0.0))
-    monkeypatch.setattr(cli.gallery, "build", widening)
-    config = write_config(tmp_path, base_config(run=run, iterations=50))
-    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import math
 import re
 import tracemalloc
@@ -39,18 +38,14 @@ from proxcycle.spaces import INFINITY, LqSpace, OracleSpace, as_exponent, check_
 from proxcycle.system import Box, CyclicSystem, MapError
 from reference import (
     CountingLq,
-    Float,
-    broken_map,
     counted_kirk,
     counting,
     fields_hex,
     hexed,
     line_gap,
-    no_image,
     per_row_csv,
     per_step,
     per_step_fields,
-    per_step_stop,
     public_boundedness,
     public_chain_trace,
     public_gaps,
@@ -393,41 +388,6 @@ def test_trace_rows_need_two_blocks():
         trace_rows(short, 2)
 
 
-@pytest.mark.parametrize(
-    "run",
-    [
-        lambda system: picard_orbit(system, (-1.0,), 10),
-        lambda system: banach_solve(system, (-1.0,)),
-        lambda system: periodic_point_solve(system, (-1.0,)),
-        lambda system: proximity_chain_extract(system, (-1.0,)),
-    ],
-)
-def test_orbit_paths_reject_map_images_of_wrong_dimension(run):
-    kirk = make_kirk_interval(0.5).system
-    wide = CyclicSystem(space=kirk.space, regions=kirk.regions, map=lambda x: (x[0], 0.0))
-    with pytest.raises(ValueError, match="2-dimensional point"):
-        run(wide)
-
-
-@pytest.mark.parametrize(
-    "run",
-    [
-        lambda system: picard_orbit(system, (1.0,), 10),
-        lambda system: banach_solve(system, (1.0,)),
-        lambda system: periodic_point_solve(system, (1.0,)),
-        lambda system: proximity_chain_extract(system, (1.0,)),
-    ],
-)
-def test_map_error_carries_its_step_on_every_orbit_path(run):
-    # x_k = 2^-k exactly, so the map fails at step 5, when it is applied to x_4.
-    halve = broken_map(lambda x: (x[0] / 2.0,), (2.0 ** -4,), no_image)
-    unit = Box((0.0,), (1.0,))
-    system = CyclicSystem(space=LqSpace(as_exponent(2), 1), regions=(unit, unit), map=halve)
-    with pytest.raises(MapError) as err:
-        run(system)
-    assert err.value.step == 5 and err.value.point == (2.0 ** -4,)
-
-
 def _halving_kirk_system(floor, calls):
     """Kirk's boxes under x -> -x/2, so x_k = -(-1/2)^k from x_0 = -1; the
     map refuses points with |x| < floor and records each call in ``calls``."""
@@ -437,7 +397,7 @@ def _halving_kirk_system(floor, calls):
             raise RuntimeError("no image")
         return (-x[0] / 2.0,)
 
-    return dataclasses.replace(make_kirk_interval(0.5).system, map=counting(calls, halve))
+    return make_kirk_interval(0.5).system.__replace__(map=counting(calls, halve))
 
 
 @pytest.mark.parametrize("solve", [banach_solve, periodic_point_solve])
@@ -530,92 +490,6 @@ def test_chunked_prefix_equals_the_per_step_walk(monkeypatch, name, n):
     assert read == []
 
 
-def _failing_at(system, x0, k, bad_image):
-    """``system`` with the map giving ``bad_image(x)`` at x_{k-1} only."""
-    broken_at = per_step(system, x0, k - 1)[-1]
-    broken = dataclasses.replace(system, map=broken_map(system.map, broken_at, bad_image))
-    return broken, broken_at
-
-
-def _strip_failing_at(k, bad_image):
-    """affine_strip at alpha 0.999, whose first coordinate 0.999^j names
-    step j, with the map giving ``bad_image(x)`` at x_{k-1} only."""
-    gs = make_affine_strip(0.999, 1.0)
-    system, broken_at = _failing_at(gs.system, gs.default_start, k, bad_image)
-    return system, gs.default_start, broken_at
-
-
-BAD_IMAGES = {
-    # (map at x_{k-1}, error, message start)
-    "raises": (no_image, MapError, "map failed"),
-    "nan image": (lambda x: (math.nan, 0.0), MapError, "map returned an invalid point"),
-    "list of str": (lambda x: ["1", 0.0], MapError, "map returned an invalid point"),
-    # The next raw call indexes x[1] of a 1-d point and raises.
-    "1-d image": (lambda x: (x[0],), ValueError, "map returned a 1-dimensional point"),
-    # The next raw call maps the 3-d point to a 2-d one and succeeds.
-    "3-d image": (lambda x: (*x, 0.0), ValueError, "map returned a 3-dimensional point"),
-}
-
-
-@pytest.mark.parametrize("k", [1, _CHUNK, _CHUNK + 1, 2 * _CHUNK])
-@pytest.mark.parametrize("bad", sorted(BAD_IMAGES))
-def test_chunked_prefix_reports_the_per_step_error(k, bad):
-    bad_image, error, message = BAD_IMAGES[bad]
-    system, x0, broken_at = _strip_failing_at(k, bad_image)
-    with pytest.raises(error) as reference:
-        per_step(system, x0, 3 * _CHUNK)
-    assert str(reference.value).startswith(message)
-    walks = (lambda: _record(system, x0, 3 * _CHUNK), lambda: picard_orbit(system, x0, max(k, 2)))
-    for walk in walks:
-        with pytest.raises(error) as err:
-            walk()
-        assert str(err.value) == str(reference.value)
-        if error is MapError:
-            assert err.value.step == k and err.value.point == broken_at
-
-
-@pytest.mark.parametrize("k", [1, _CHUNK, _CHUNK + 1, 2 * _CHUNK])
-def test_an_invalid_image_the_map_refuses_is_an_invalid_point_at_its_step(k):
-    # The raw loop maps the (nan, 0.0) image too, and that call raises; the
-    # error is still the per-step one: the invalid image at step k, not a
-    # failed map call at step k + 1.
-    system, x0, broken_at = _strip_failing_at(k, lambda x: (math.nan, 0.0))
-
-    def map_(x, inner=system.map):
-        if math.isnan(x[0]):
-            raise ValueError("no image of nan")
-        return inner(x)
-
-    system = dataclasses.replace(system, map=map_)
-    with pytest.raises(MapError) as err:
-        _record(system, x0, 3 * _CHUNK)
-    assert err.value.step == k and err.value.point == broken_at
-    assert str(err.value).startswith("map returned an invalid point")
-
-
-CONVERTED_IMAGES = {
-    "lists": lambda x: [0.999 * x[0], 1.0 - x[1]],
-    "tuples of ints": lambda x: (int(x[0] > 0.5), int(x[1] < 0.5)),
-    "float subclass": lambda x: (Float(0.999 * x[0]), Float(1.0 - x[1])),
-    # Exact floats for two chunks, then lists.
-    "lists from step 2 500": lambda x: (
-        [0.999 * x[0], 1.0 - x[1]] if x[0] < 0.999 ** 2_498 else (0.999 * x[0], 1.0 - x[1])
-    ),
-}
-
-
-@pytest.mark.parametrize("n", [_CHUNK - 1, 10_000])
-@pytest.mark.parametrize("image", sorted(CONVERTED_IMAGES))
-def test_converted_images_give_the_per_step_points_within_one_extra_chunk(image, n):
-    calls = []
-    strip = make_affine_strip(0.999, 1.0).system
-    system = dataclasses.replace(strip, map=counting(calls, CONVERTED_IMAGES[image]))
-    want = typed_hex(per_step(system, (1.0, 0.0), n))
-    calls.clear()
-    assert typed_hex(_record(system, (1.0, 0.0), n).points) == want
-    assert n <= len(calls) <= n + _CHUNK
-
-
 # --- the solver tail, walked in chunks with the stop rule inline ---------------
 
 # Kirk's interval at alpha 0.001: x_k = (-0.999)^k * x_0, so |x_k| names step
@@ -634,155 +508,6 @@ def _tail_start(system, x0, start):
     """The solver's x0: the start point itself, or a walk recording
     TAIL_KEEP steps, as ``proxcycle run`` hands it."""
     return x0 if start == "plain" else _record(system, x0, TAIL_KEEP)
-
-
-def _recorded(solver, start):
-    """The last step the solver's walk records before it walks on: a start
-    point's walk records the steps before the first drift, x_{s-1}."""
-    if start == "walk":
-        return TAIL_KEEP
-    return 0 if solver == "banach" else 1
-
-
-TAIL_ERROR_STEPS = {
-    # step k at which the map fails, from the recorded step and the stop
-    "recorded + 1": lambda recorded, stop: recorded + 1,
-    "recorded + chunk": lambda recorded, stop: recorded + _CHUNK,
-    "recorded + chunk + 1": lambda recorded, stop: recorded + _CHUNK + 1,
-    "stopping step": lambda recorded, stop: stop,
-    "residual step": lambda recorded, stop: stop + 1,
-}
-TAIL_BAD_IMAGES = {
-    "raises": (no_image, "map failed"),
-    "nan image": (lambda x: (math.nan,), "map returned an invalid point"),
-}
-
-
-@pytest.mark.parametrize("bad", sorted(TAIL_BAD_IMAGES))
-@pytest.mark.parametrize("start", ["plain", "walk"])
-@pytest.mark.parametrize(
-    "solver, where",
-    [
-        (solver, where)
-        for solver in sorted(TAIL_SOLVERS)
-        for where in TAIL_ERROR_STEPS
-        # The proximity solver maps no point past its stop.
-        if not (solver == "proximity" and where == "residual step")
-    ],
-)
-def test_a_map_error_in_the_solver_tail_is_the_per_step_error(solver, where, start, bad):
-    solve, tol = TAIL_SOLVERS[solver]
-    gs = make_kirk_interval(0.001)
-    stop = solve(gs.system, gs.default_start, tol=tol, max_iter=TAIL_BUDGET).iterations
-    k = TAIL_ERROR_STEPS[where](_recorded(solver, start), stop)
-    assert k <= stop + 1 and (where == "residual step") == (k > stop)
-    bad_image, message = TAIL_BAD_IMAGES[bad]
-    system, broken_at = _failing_at(gs.system, gs.default_start, k, bad_image)
-    with pytest.raises(MapError) as reference:
-        per_step(system, gs.default_start, k)
-    assert str(reference.value).startswith(message)
-    assert reference.value.step == k and reference.value.point == broken_at
-    with pytest.raises(MapError) as err:
-        solve(system, _tail_start(system, gs.default_start, start), tol=tol, max_iter=TAIL_BUDGET)
-    assert str(err.value) == str(reference.value)
-    assert err.value.step == k and err.value.point == broken_at
-
-
-@pytest.mark.parametrize("start", ["plain", "walk"])
-@pytest.mark.parametrize("solver", sorted(TAIL_SOLVERS))
-def test_a_wrong_dimension_image_with_a_zero_drift_raises_at_its_step(solver, start):
-    # At step k the map returns x_{k-s} with a third coordinate, so the
-    # drift the stop rule measures in the plane, d(x_{k-s}, x_k), is zero
-    # (s = 1 for banach, m = 2 otherwise); the strip's map then takes the
-    # 3-d point to x_{k-1}, a second zero drift. The image is still the
-    # per-step dimension error at step k, not a stop.
-    solve, tol = TAIL_SOLVERS[solver]
-    gs = make_affine_strip(0.999, 1.0)
-    k, s = TAIL_KEEP + 100, 1 if solver == "banach" else 2
-    back = per_step(gs.system, gs.default_start, k)[k - s]
-    system, broken_at = _failing_at(gs.system, gs.default_start, k, lambda x: (*back, 0.0))
-    with pytest.raises(ValueError) as reference:
-        per_step(system, gs.default_start, k)
-    assert str(reference.value).startswith("map returned a 3-dimensional point at")
-    with pytest.raises(ValueError) as err:
-        solve(system, _tail_start(system, gs.default_start, start), tol=tol, max_iter=TAIL_BUDGET)
-    assert str(err.value) == str(reference.value)
-
-
-LIST_IMAGES = {
-    "lists": lambda image, x: list(image),
-    # Tuples through the prefix and the first tail chunk, then lists.
-    "lists from step 3 500": lambda image, x: list(image) if abs(x[0]) < 0.999 ** 3_498 else image,
-}
-
-
-@pytest.mark.parametrize("image", sorted(LIST_IMAGES))
-@pytest.mark.parametrize("start", ["plain", "walk"])
-@pytest.mark.parametrize("solver", sorted(TAIL_SOLVERS))
-def test_list_images_in_the_solver_tail_give_the_per_step_result_within_one_chunk(
-    solver, start, image
-):
-    solve, tol = TAIL_SOLVERS[solver]
-    kirk = make_kirk_interval(0.001).system
-    x0 = (-1.0,)
-
-    def counted(convert):
-        calls = []
-        system = dataclasses.replace(kirk, map=counting(calls, lambda x: convert(kirk.map(x), x)))
-        return solve(system, _tail_start(system, x0, start), tol=tol, max_iter=TAIL_BUDGET), calls
-
-    want, walked = counted(lambda image, x: image)
-    got, calls = counted(LIST_IMAGES[image])
-    assert want.iterations == per_step_stop(solver, kirk, x0, tol)
-    assert fields_hex(got) == fields_hex(want)
-    # The refused prefix chunk is a chunk of _chunks, at most the steps recorded.
-    prefix_chunk = min(_CHUNK, _recorded(solver, start))
-    assert len(walked) <= len(calls) <= len(walked) + prefix_chunk + _CHUNK
-
-
-# Where the images turn into lists: inside the first chunk of the prefix, or
-# inside the first tail chunk past a recorded prefix of TAIL_KEEP steps.
-LIST_FROM_STEPS = {"prefix": 100, "tail": TAIL_KEEP + 100}
-
-
-@pytest.mark.parametrize("bad", sorted(TAIL_BAD_IMAGES))
-@pytest.mark.parametrize("where", sorted(LIST_FROM_STEPS))
-@pytest.mark.parametrize("solver", ["prefix walk", *sorted(TAIL_SOLVERS)])
-def test_a_map_error_two_chunks_past_a_refused_chunk_carries_its_step(solver, where, bad):
-    # From step j the images are lists, so the chunk holding step j is
-    # refused and the orbit is stepped by ``_image`` from its start on; the
-    # map then fails at step j + 2 chunks + 1, two chunk boundaries later.
-    # The error carries that step and point, the per-step walk's.
-    j = LIST_FROM_STEPS[where]
-    k = j + 2 * _CHUNK + 1
-    kirk, x0 = make_kirk_interval(0.001).system, (-1.0,)
-    lists_from = 0.999 ** (j - 1.5)
-
-    def map_(x):
-        image = kirk.map(x)
-        return list(image) if abs(x[0]) < lists_from else image
-
-    bad_image, message = TAIL_BAD_IMAGES[bad]
-    system, broken_at = _failing_at(dataclasses.replace(kirk, map=map_), x0, k, bad_image)
-    with pytest.raises(MapError) as reference:
-        per_step(system, x0, k)
-    assert str(reference.value).startswith(message)
-    if solver == "prefix walk":
-        runs = [lambda: _record(system, x0, k + _CHUNK), lambda: picard_orbit(system, x0, k)]
-    else:
-        solve, tol = TAIL_SOLVERS[solver]
-        assert solve(kirk, x0, tol=tol, max_iter=TAIL_BUDGET).iterations > k
-        runs = [
-            lambda start=start: solve(
-                system, _tail_start(system, x0, start), tol=tol, max_iter=TAIL_BUDGET
-            )
-            for start in ("plain", "walk")
-        ]
-    for run in runs:
-        with pytest.raises(MapError) as err:
-            run()
-        assert str(err.value) == str(reference.value)
-        assert err.value.step == k and err.value.point == broken_at
 
 
 # The CLI hands the solver a walk recording max(3m, min(max_iter, 10 000))
@@ -827,62 +552,6 @@ def test_a_plain_start_gives_the_result_of_the_cli_walk(name, solver, max_iter):
     if plain["converged"]:
         want = per_step_fields(solver, gs.system, gs.default_start, 1e-12)
         assert {field: plain[field] for field in want} == want
-
-
-# --- wrong-arity images under the unpacking kernels ----------------------------
-
-# The plane and three-coordinate kernels, and scaled_pair's 2-d and 3-d maps,
-# unpack their points, so a raw map call or a drift on an image of the wrong
-# length raises where an indexing kernel returned a value; either way the
-# chunk is refused and walked again per step.
-ARITY_SYSTEMS = {
-    "affine_strip 2-d": lambda: make_affine_strip(0.999, 1.0),
-    "scaled_pair 3-d": lambda: make_scaled_pair(alpha=0.001, separation=2.0, dimension=3),
-}
-ARITY_IMAGES = {
-    "too long": lambda image: (*image, 0.0),
-    "too short": lambda image: image[:-1],
-    "list": list,
-}
-# The step whose image has the wrong form: inside the second chunk of a
-# recorded prefix of TAIL_KEEP steps, or past it, in the solver's tail and
-# before any solver stops.
-ARITY_STEPS = {"prefix": _CHUNK + 1, "tail": TAIL_KEEP + 100}
-
-
-@pytest.mark.parametrize("where", sorted(ARITY_STEPS))
-@pytest.mark.parametrize("image", sorted(ARITY_IMAGES))
-@pytest.mark.parametrize("name", sorted(ARITY_SYSTEMS))
-@pytest.mark.parametrize("solver", sorted(TAIL_SOLVERS))
-def test_a_wrong_arity_image_gives_the_per_step_error_or_result(solver, name, image, where):
-    # A tuple one coordinate too long or too short is the per-step
-    # dimension error, with its message; a list of the right length is
-    # read as the per-step walk reads it, so the solve is the clean one.
-    solve, tol = TAIL_SOLVERS[solver]
-    gs = ARITY_SYSTEMS[name]()
-    clean, x0, k = gs.system, gs.default_start, ARITY_STEPS[where]
-    system, broken_at = _failing_at(clean, x0, k, lambda x: ARITY_IMAGES[image](clean.map(x)))
-
-    def run():
-        return solve(system, _tail_start(system, x0, "walk"), tol=tol, max_iter=TAIL_BUDGET)
-
-    if image == "list":
-        assert typed_hex(per_step(system, x0, k)) == typed_hex(per_step(clean, x0, k))
-        want = solve(clean, _tail_start(clean, x0, "walk"), tol=tol, max_iter=TAIL_BUDGET)
-        assert want.iterations > k
-        assert fields_hex(run()) == fields_hex(want)
-        return
-    with pytest.raises(ValueError) as reference:
-        per_step(system, x0, k)
-    dimension = clean.space.dimension + (1 if image == "too long" else -1)
-    assert str(reference.value) == (
-        f"map returned a {dimension}-dimensional point at {broken_at!r} "
-        f"in a {clean.space.dimension}-dimensional space"
-    )
-    with pytest.raises(ValueError) as err:
-        run()
-    assert type(err.value) is type(reference.value)
-    assert str(err.value) == str(reference.value)
 
 
 # --- each prefix distance measured once -----------------------------------------
@@ -978,7 +647,7 @@ def test_a_space_without_the_gap_bound_measures_every_checked_tail_drift(solver)
     kirk = make_kirk_interval(0.001).system
     space = CountingLq(as_exponent(2), 1)
     assert kirk.space._gap_bound and not space._gap_bound
-    counted = dataclasses.replace(kirk, space=space)
+    counted = kirk.__replace__(space=space)
     x0 = (-1.0,)
     results = [
         solve(system, _record(system, x0, TAIL_KEEP), tol=tol, max_iter=TAIL_BUDGET)
@@ -1439,7 +1108,7 @@ def test_a_walk_reads_its_points_once(name, walker):
     make, steps, expected = WALK_READS[name]
     gs = make()
     space = CountingLq(gs.system.space.q, gs.system.space.dimension)
-    system = dataclasses.replace(gs.system, space=space)
+    system = gs.system.__replace__(space=space)
     if walker == "record":
         trace = _record(system, gs.default_start, steps)
     else:

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import pickle
@@ -61,7 +60,6 @@ from proxcycle.system import (
 )
 from reference import (
     CountingRandom,
-    broken_map,
     brute_force,
     certify_reference,
     counting,
@@ -70,7 +68,6 @@ from reference import (
     hexed,
     margin_floor,
     margins_by_x_tuple,
-    no_image,
     pair_margins,
     region_tuples,
     sampled_pairs,
@@ -483,44 +480,6 @@ def test_verify_cyclicity_passes_over_a_nan_later_distance():
     assert report.violations == ((0, (0.0,), (0.0,)), (1, (0.0,), (0.0,)))
 
 
-def test_map_errors_carry_witness():
-    def bad(x):
-        raise RuntimeError("boom")
-
-    system = CyclicSystem(space=L2_1, regions=(FiniteCloud(((0.0,),)),) * 2, map=bad)
-    with pytest.raises(MapError) as err:
-        system.apply((0.0,), step=3)
-    assert err.value.point == (0.0,) and err.value.step == 3
-
-    nanny = CyclicSystem(
-        space=L2_1, regions=(FiniteCloud(((0.0,),)),) * 2, map=lambda x: (math.nan,)
-    )
-    with pytest.raises(MapError):
-        nanny.apply((0.0,))
-
-
-def test_a_map_error_the_map_raises_passes_as_it_is():
-    raised = MapError("no image here", point=(0.25,), step=7)
-
-    def refuse(x):
-        raise raised
-
-    system = CyclicSystem(L2_1, make_kirk_interval().system.regions, refuse)
-    for step in (None, 3):
-        with pytest.raises(MapError) as err:
-            system.apply((0.5,), step)
-        assert err.value is raised and (err.value.point, err.value.step) == ((0.25,), 7)
-
-
-def test_map_image_of_wrong_dimension_is_a_value_error():
-    wide = CyclicSystem(
-        space=L2_1, regions=(FiniteCloud(((0.0,),)),) * 2, map=lambda x: (x[0], 0.0)
-    )
-    with pytest.raises(ValueError, match="2-dimensional point") as err:
-        wide.apply((0.0,))
-    assert not isinstance(err.value, MapError)
-
-
 def test_error_messages_stay_short_at_any_dimension():
     n = 10**5
     pt = (0.5,) * n
@@ -885,16 +844,6 @@ def test_a_nan_margin_refutes_the_certificate(p):
     )
 
 
-def test_exhaustive_certificate_raises_map_error_with_point():
-    bad = (2.0,)
-    left = FiniteCloud(((-1.0,), (-2.0,)))
-    right = FiniteCloud(((1.0,), bad))
-    system = CyclicSystem(space=L2_1, regions=(left, right), map=broken_map(_flip, bad, no_image))
-    with pytest.raises(MapError) as err:
-        verify_contraction(system, LinearPhi(0.5), 2)
-    assert err.value.point == bad
-
-
 def _first_reached(system):
     """The usable points of an enumerable system in the order the pair
     enumeration first reaches them, each once."""
@@ -906,7 +855,7 @@ def _first_reached(system):
 def test_exhaustive_scan_maps_each_usable_point_once_in_first_reach_order(m, n):
     family = make_paper_lq_family(m=m, alpha=0.5, q=2, N=n).system
     calls = []
-    system = dataclasses.replace(family, map=counting(calls, family.map))
+    system = family.__replace__(map=counting(calls, family.map))
     cert = verify_contraction(system, LinearPhi(0.4), 2)
     assert cert.exhaustive and cert == verify_contraction(family, LinearPhi(0.4), 2)
     order = _first_reached(family)
@@ -923,7 +872,7 @@ def test_exhaustive_scan_maps_each_usable_point_once_in_first_reach_order(m, n):
             raise RuntimeError("no image")
         return family.map(x)
 
-    failing_system = dataclasses.replace(family, map=failing)
+    failing_system = family.__replace__(map=failing)
     with pytest.raises(MapError) as err:
         verify_contraction(failing_system, LinearPhi(0.4), 2)
     assert err.value.point == early and err.value.step is None
@@ -1026,118 +975,9 @@ def test_sparse_system_skips_a_whole_block():
     assert not any(usable[:B]) and any(usable[B:])
 
 
-class _Scripted(Region):
-    """A region on the line whose samples are given in turn; a given
-    exception is raised when its turn comes."""
-
-    def __init__(self, draws):
-        self.draws = iter(draws)
-
-    def dimension(self):
-        return 1
-
-    def sample(self, rng):
-        draw = next(self.draws)
-        if isinstance(draw, Exception):
-            raise draw
-        return draw
-
-    def distance_to(self, other, space):
-        return 0.0
-
-
-def _fail_at_half(x):
-    if x == (0.5,):
-        raise RuntimeError("no image")
-    return (-x[0],)
-
-
-def _nan_at_half(x):
-    return (math.nan,) if x == (0.5,) else (-x[0],)
-
-
-BAD_DRAWS = {"nan": (math.nan,), "str": "1", "raise": LookupError("no draw")}
-
-
-@pytest.mark.parametrize("step", [_fail_at_half, _nan_at_half])
-@pytest.mark.parametrize("bad", sorted(BAD_DRAWS))
-@pytest.mark.parametrize("chain", ["x", "y"])
-@pytest.mark.parametrize("k,j", [(3, 5), (5, 3), (4, 4)])
-def test_block_scan_fails_in_per_pair_order(step, bad, chain, k, j):
-    # Pair k's x_1 = 0.5 fails to map; pair j draws a point that fails to
-    # read (or a draw that raises) for its x_1 or its y_2. One pair at a time
-    # the scan reads a pair's chains, then maps them, so the first of the
-    # two failures to be met is the one raised, also inside one block.
-    first, second = [(0.25,)] * 20, [(-0.25,)] * 20
-    first[2 * k] = (0.5,)
-    if chain == "x":
-        first[2 * j] = BAD_DRAWS[bad]
-    else:
-        second[2 * j + 1] = BAD_DRAWS[bad]
-    system = CyclicSystem(space=L2_1, regions=(_Scripted(first), _Scripted(second)), map=step)
-    # The messages of the per-point readers, called on their own.
-    with pytest.raises(MapError) as map_error:
-        system.apply((0.5,))
-    if bad == "raise":
-        read_error = BAD_DRAWS[bad]
-    else:
-        with pytest.raises(ValueError) as read:
-            system.space.point(BAD_DRAWS[bad])
-        read_error = read.value
-    expected = map_error.value if k < j else read_error
-    with pytest.raises(type(expected)) as err:
-        verify_contraction(system, LinearPhi(0.5), 2, tuple_samples=10)
-    assert str(err.value) == str(expected)
-    if k < j:
-        assert err.value.point == (0.5,) and err.value.step is None
-
-
-@pytest.mark.parametrize("bad", ["nan", "str"])
-@pytest.mark.parametrize("chain", ["x", "y"])
-@pytest.mark.parametrize("j", [0, 3, B])
-def test_block_scan_raises_the_first_failing_chain_of_a_pair(bad, chain, j):
-    # Pair j's x_1 (or y_1) fails to read and the draw of its y_2 raises. The
-    # scan draws a chain (one sample of each region) at a time, drops a chain
-    # whose draw raises unread and reads the chains drawn before it, so the
-    # first chain to fail raises: the x-chain's read error, or the y-chain's
-    # draw error. A scan that drew a whole pair before reading it would
-    # raise the draw's error in both cases.
-    first, second = [(0.25,)] * (2 * j + 2), [(-0.25,)] * (2 * j + 2)
-    first[2 * j + (chain == "y")] = BAD_DRAWS[bad]
-    second[2 * j + 1] = draw_error = LookupError("no draw")
-    system = CyclicSystem(
-        space=L2_1, regions=(_Scripted(first), _Scripted(second)), map=lambda x: (-x[0],)
-    )
-    with pytest.raises(ValueError) as read:
-        system.space.point(BAD_DRAWS[bad])
-    with pytest.raises(Exception) as err:
-        verify_contraction(system, LinearPhi(0.5), 2, tuple_samples=j + 1)
-    if chain == "x":
-        assert type(err.value) is ValueError and str(err.value) == str(read.value)
-    else:
-        assert err.value is draw_error
-
-
 class _ListBox(Box):
     def sample(self, rng):
         return list(super().sample(rng))
-
-
-def test_block_scan_reads_lists_once_as_the_per_point_readers_do():
-    # Samples and images that are lists are read (made tuples) one by one,
-    # with the same certificate and one map call per point.
-    calls = []
-    step = counting(calls, lambda x: [-0.6 * x[0]])
-    kirk = make_kirk_interval(alpha=0.4).system
-    lists = CyclicSystem(
-        space=kirk.space, regions=tuple(_ListBox(r.lower, r.upper) for r in kirk.regions), map=step
-    )
-    for p in (1, "inf"):
-        calls.clear()
-        want = verify_contraction(kirk, LinearPhi(0.3), p, tuple_samples=2 * B + 1, seed=7)
-        got = verify_contraction(lists, LinearPhi(0.3), p, tuple_samples=2 * B + 1, seed=7)
-        assert got == want
-        assert len(calls) == 4 * (2 * B + 1)
 
 
 class _ZeroAt(random.Random):
@@ -1365,7 +1205,7 @@ def _assert_cyclicity_as_reference(system, samples, seed):
     which violates cyclicity at every sample of disjoint regions, so that
     the report lists the drawn points themselves, equal the reference's;
     returns the identity map's."""
-    stuck = dataclasses.replace(system, map=lambda x: x)
+    stuck = system.__replace__(map=lambda x: x)
     for tested in (system, stuck):
         report = verify_cyclicity(tested, samples_per_region=samples, seed=seed)
         want = cyclicity_reference(tested, samples, seed)
@@ -1380,7 +1220,7 @@ def test_verify_cyclicity_skips_drawn_artifact_points_as_the_reference_does(name
     system = SAMPLED_SYSTEMS[name]
     rng = random.Random(seed)
     drawn = [r.sample(rng) for r in system.regions for _ in range(30)]
-    marked = dataclasses.replace(system, artifact_points=drawn[::3])
+    marked = system.__replace__(artifact_points=drawn[::3])
     report = _assert_cyclicity_as_reference(marked, 30, seed)
     assert len(report.artifacts) == len(drawn[::3]) and report.checked == len(drawn) - 10 * system.m
 
@@ -1390,93 +1230,6 @@ def test_verify_cyclicity_on_the_enumerable_family_is_the_reference(m, q, N):
     system = make_paper_lq_family(m=m, alpha=0.5, q=q, N=N).system
     report = _assert_cyclicity_as_reference(system, 5, 1)
     assert report.artifacts  # the truncation stub, skipped
-
-
-class _Watched(Box):
-    """A box that records each point its membership test is given."""
-
-    __slots__ = ("seen",)
-
-    def __init__(self, lower, upper, seen):
-        super().__init__(lower, upper)
-        object.__setattr__(self, "seen", seen)
-
-    def _contains(self, x, space, tol):
-        self.seen.append(x)
-        return super()._contains(x, space, tol)
-
-
-def _scripted_cyclicity(draws, step, verify):
-    """The error ``verify`` raises on a system whose first region draws
-    ``draws`` and whose map is ``step``, with the points mapped and the
-    points tested by the second region."""
-    mapped, tested = [], []
-    system = CyclicSystem(
-        space=L2_1,
-        regions=(_Scripted(draws), _Watched((-1.0,), (0.0,), tested)),
-        map=counting(mapped, step),
-    )
-    with pytest.raises(Exception) as err:
-        verify(system, len(draws), 0)
-    return err.value, mapped, tested
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("j", [0, 1, 5, 9])
-def test_verify_cyclicity_maps_and_tests_the_samples_before_a_bad_read(bad, j):
-    # Samples before the j-th are flagged, mapped and tested, then the j-th
-    # sample's read error is raised, as one sample at a time did.
-    draws = [(0.1 * k,) for k in range(10)]
-    draws[j] = (bad,)
-    got, mapped, tested = _scripted_cyclicity(draws, lambda x: (-x[0],), verify_cyclicity)
-    want, ref_mapped, ref_tested = _scripted_cyclicity(
-        draws, lambda x: (-x[0],), cyclicity_reference
-    )
-    assert type(got) is type(want) is ValueError and str(got) == str(want)
-    assert mapped == ref_mapped == draws[:j]
-    assert tested == ref_tested == [(-x[0],) for x in draws[:j]]
-
-
-@pytest.mark.parametrize("j", [1, 4, 9])
-def test_verify_cyclicity_raises_a_map_error_before_a_later_bad_read(j):
-    # The map fails at sample j - 1, before sample j fails to read: one
-    # sample at a time met the map failure first.
-    draws = [(0.1 * k,) for k in range(10)]
-    draws[j] = (math.nan,)
-    step = broken_map(_flip, draws[j - 1], no_image)
-    got, _, _ = _scripted_cyclicity(draws, step, verify_cyclicity)
-    want, _, _ = _scripted_cyclicity(draws, step, cyclicity_reference)
-    assert type(got) is type(want) is MapError and str(got) == str(want)
-    assert got.point == want.point == draws[j - 1] and got.step is want.step is None
-
-
-@pytest.mark.parametrize("j", [0, 1, 5, 9])
-def test_verify_cyclicity_maps_and_tests_the_samples_before_a_raising_draw(j):
-    # The j-th draw raises: the samples before it are flagged, mapped and
-    # tested, then its error is raised, as one sample at a time did.
-    draws = [(0.1 * k,) for k in range(10)]
-    draws[j] = LookupError("no draw")
-    got, mapped, tested = _scripted_cyclicity(draws, lambda x: (-x[0],), verify_cyclicity)
-    want, ref_mapped, ref_tested = _scripted_cyclicity(
-        draws, lambda x: (-x[0],), cyclicity_reference
-    )
-    assert got is want is draws[j]
-    assert mapped == ref_mapped == draws[:j]
-    assert tested == ref_tested == [(-x[0],) for x in draws[:j]]
-
-
-@pytest.mark.parametrize("j", [1, 4, 9])
-def test_verify_cyclicity_raises_a_map_error_before_a_later_raising_draw(j):
-    # The map fails at sample j - 1, before the j-th draw raises: one
-    # sample at a time met the map failure first.
-    draws = [(0.1 * k,) for k in range(10)]
-    draws[j] = LookupError("no draw")
-    step = broken_map(_flip, draws[j - 1], no_image)
-    got, mapped, _ = _scripted_cyclicity(draws, step, verify_cyclicity)
-    want, ref_mapped, _ = _scripted_cyclicity(draws, step, cyclicity_reference)
-    assert type(got) is type(want) is MapError and str(got) == str(want)
-    assert got.point == want.point == draws[j - 1] and got.step is want.step is None
-    assert mapped[-1] == ref_mapped[-1] == draws[j - 1]
 
 
 def test_internal_callers_read_validated_points_with_the_trusted_methods(monkeypatch):
@@ -1550,24 +1303,6 @@ def test_internal_callers_read_validated_points_with_the_trusted_methods(monkeyp
     assert banach_solve(kirk.system, kirk.default_start).converged
     assert periodic_point_solve(strip.system, strip.default_start).converged
     assert proximity_chain_extract(strip.system, strip.default_start).converged
-
-
-def test_sampled_certificate_raises_map_error_with_point():
-    def step(x):
-        if x[0] > 0.9:
-            raise RuntimeError("no image")
-        return (-0.5 * x[0],)
-
-    system = CyclicSystem(
-        space=L2_1, regions=(Box((-1.0,), (0.0,)), Box((0.0,), (1.0,))), map=step
-    )
-    # The pairs are mapped in draw order, xs before ys, region by region.
-    expected = next(
-        pt for xs, ys in sampled_pairs(system, 500, 4) for pt in xs + ys if pt[0] > 0.9
-    )
-    with pytest.raises(MapError) as err:
-        verify_contraction(system, LinearPhi(0.5), 2, tuple_samples=500, seed=4)
-    assert err.value.point == expected
 
 
 def test_region_of_the_wrong_dimension_is_a_value_error_in_both_scans():
