@@ -76,9 +76,9 @@ def fields_hex(result):
 
 
 def typed_hex(points):
-    """Each point's type and its coordinates' types and hex digits: equal
-    results are bit-identical points of the same types."""
-    return [(type(x), [(type(c), float.hex(c)) for c in x]) for x in points]
+    """Each point's type, its coordinates' types, then their hex digits:
+    equal results are bit-identical points of the same types."""
+    return [(type(x), *map(type, x), *map(float.hex, x)) for x in points]
 
 
 # --- the orbit walk and the solvers' stop ---------------------------------------
@@ -104,18 +104,23 @@ def per_step_stop(solver, system, x0, tol):
     first small block drift d(x_{(n-1)m}, x_{nm}), k = nm; proximity at the
     first k at which the last drift d(x_{j-m}, x_j) of every interleaved
     subsequence, j = k-m+1..k, is small, j >= m."""
+    return _stopped(solver, system, x0, tol)[0]
+
+
+def _stopped(solver, system, x0, tol):
+    """``per_step_stop``'s k, with x_0..x_k and the walk on from x_k."""
     m, dist = system.m, system.space.distance
     steps = walk(system, x0)
     points = [next(steps)]
     for k, x in enumerate(steps, start=1):
         points.append(x)
         if solver == "banach" and dist(points[k - 1], x) <= tol:
-            return k
+            return k, points, steps
         if solver == "periodic" and k % m == 0 and dist(points[k - m], x) <= tol:
-            return k
+            return k, points, steps
         if solver == "proximity" and k >= 2 * m - 1:
             if all(dist(points[j - m], points[j]) <= tol for j in range(k - m + 1, k + 1)):
-                return k
+                return k, points, steps
 
 
 def per_step_fields(solver, system, x0, tol):
@@ -123,11 +128,11 @@ def per_step_fields(solver, system, x0, tol):
     stop of ``per_step_stop``, the points of ``apply`` and each distance
     measured by the public ``distance``, chain distances included; each
     float as its hex digits."""
-    k = per_step_stop(solver, system, x0, tol)
+    k, points, steps = _stopped(solver, system, x0, tol)
     m, space = system.m, system.space
     # The steps past the stop that the solver maps: banach's residual image,
     # the periodic solver's m-point tail, and none for the proximity chain.
-    points = per_step(system, x0, k + {"banach": 1, "periodic": m}.get(solver, 0))
+    points += islice(steps, {"banach": 1, "periodic": m}.get(solver, 0))
     x = points[k]
     fields = {"iterations": k, "converged": True}
     set_distance = system.set_chain_distance(2)

@@ -12,9 +12,10 @@ outcome is the reference's, never typed in. The path raises what the
 reference raises (its type, its whole message, a ``MapError``'s point and
 step, and the very object where the system raised it), or returns the
 reference's fields bit for bit and the clean run's others, with the clean
-run's map calls, at most one chunk more on an orbit. On a sampling path the
-points it maps, and those its membership tests see, are the reference's.
-A CLI row checks the exit code, the stderr line and that no file is written.
+run's map calls, at most one refused chunk more per walk on an orbit. On a
+sampling path the points it maps are the reference's, each once, unless the
+map returns a bad image (a map that raises has its block mapped again up to
+it); with no bad image, so are those its membership tests see. A CLI row checks the exit code, the stderr line and that no file is written.
 """
 
 import json
@@ -39,16 +40,20 @@ from reference import (
     typed_hex, usable_tuples,
 )
 
-# scaled_pair in the plane at separation 0: x_k = (-(-0.998)^k, +-0.0), so
-# |x_k[0]| names step k, and each solver stops near step 2 600 or 3 000, past a
-# recorded prefix of KEEP steps. Its map and the plane kernel unpack their
-# points, and a str or bytes of two digits is as long as a point.
+# scaled_pair at separation 0, in the plane and in 3-d: x_k = (-(-0.998)^k,
+# +-0.0, ...), so |x_k[0]| names step k. Each solver stops near step 3 340,
+# past step TAIL + 2 chunks + 1, and TAIL is past a recorded prefix of KEEP
+# steps. Its maps and the plane and 3-d kernels unpack their points; a str or
+# bytes of two digits is as long as a plane point.
 PAIR = {"alpha": 0.002, "separation": 0.0, "dimension": 2}
-SYSTEM, X0 = make_scaled_pair(**PAIR).system, (-1.0, 0.0)
+ORBITS = {
+    "orbit": make_scaled_pair(**PAIR).system,
+    "orbit 3-d": make_scaled_pair(**PAIR | {"dimension": 3}).system,
+}
 SOLVERS = {
-    "banach": (banach_solve, 1e-2),
-    "periodic": (periodic_point_solve, 1e-5),
-    "proximity": (proximity_chain_extract, 1e-5),
+    "banach": (banach_solve, 2.5e-3),
+    "periodic": (periodic_point_solve, 5e-6),
+    "proximity": (proximity_chain_extract, 5e-6),
 }
 KEEP, BUDGET, TAIL = 1_100, 20_000, 1_200
 # The exhaustive scan's system, and its 5 usable points in the order the
@@ -80,6 +85,8 @@ CONVERTED = {
     "ints": lambda x, y: tuple(int(c) if c.is_integer() else c for c in y),
     "float subclass": lambda x, y: tuple(map(Float, y)),
 }
+# Each converted image, from the step that maps a point on.
+ONWARD = {f"{name} onward": convert for name, convert in CONVERTED.items()}
 DRAWS = {
     "draw nan": lambda x, y: (math.nan,),
     "draw inf": lambda x, y: (math.inf,),
@@ -87,7 +94,7 @@ DRAWS = {
     "draw str": lambda x, y: "1",
     "draw raises": None,
 }
-PUT = BAD | CONVERTED | DRAWS
+PUT = BAD | CONVERTED | ONWARD | DRAWS
 IMAGES = (*BAD, *CONVERTED)
 RAISED = {"MapError": MapError("no image here", (0.25,), 7), "draw raises": LookupError("no draw")}
 
@@ -104,6 +111,10 @@ def faulted(raw, points, faults):
     for point, name in zip(points, faults):
         if name in IMAGES:
             step = broken_map(step, point, lambda x, name=name: put(name, x, raw(x)))
+        elif name in ONWARD:
+            step = lambda x, inner=step, to=abs(point[0]), convert=PUT[name]: (
+                convert(x, inner(x)) if abs(x[0]) <= to else inner(x)
+            )
     return step
 
 
@@ -128,22 +139,28 @@ class Scripted(Box):
         return super()._contains(x, space, tol)
 
 
+def start(system):
+    """x_0 = (-1, 0, ...) of an orbit."""
+    return (-1.0, *(0.0,) * (system.space.dimension - 1))
+
+
 @cache
-def clean_walk():
+def clean_walk(world):
     """x_0..x_10100 of the orbit with no fault: x_{k-1} is where the map
     takes a fault at step k."""
-    return per_step(SYSTEM, X0, 10_100)
+    return per_step(ORBITS[world], start(ORBITS[world]), 10_100)
 
 
-def injected(world, faults, at):
+def injected(world, faults, at, counted=True):
     """The system of ``world`` with faults[i] put in at position at[i], a
-    step or a (region, sample) pair; the calls of its map and the points its
-    membership tests see."""
+    step or a (region, sample) pair; the calls of its map, if ``counted``,
+    and the points its membership tests see."""
     calls, tested = [], []
+    count = counting if counted else lambda calls, step: step
     if world != "line":
-        base = SYSTEM if world == "orbit" else FAMILY
-        points = [clean_walk()[k - 1] if world == "orbit" else ORDER[k[1]] for k in at]
-        system = base.__replace__(map=counting(calls, faulted(base.map, points, faults)))
+        base = ORBITS.get(world, FAMILY)
+        points = [clean_walk(world)[k - 1] if world in ORBITS else ORDER[k[1]] for k in at]
+        system = base.__replace__(map=count(calls, faulted(base.map, points, faults)))
     else:
         regions = [
             Scripted(*bounds, {j: f for (r, j), f in zip(at, faults) if r == i}, tested)
@@ -152,7 +169,7 @@ def injected(world, faults, at):
         points = [(-(j + 1.0),) if r == 0 else (j + 1.0,) for r, j in at]
         # Each image lies in the other region but that of (-1,), a violation.
         step = faulted(lambda x: (-x[0] / 2 - 1,), points, faults)
-        system = CyclicSystem(LqSpace(as_exponent(2), 1), regions, counting(calls, step))
+        system = CyclicSystem(LqSpace(as_exponent(2), 1), regions, count(calls, step))
     return system, calls, tested
 
 
@@ -182,38 +199,43 @@ def certified(best, witness, evaluated, skips, ok):
     }
 
 
-def _solve(name, start):
+def _solve(name, walk, world):
     solver, tol = SOLVERS[name]
 
     def run(system, _):
-        x0 = X0 if start == "plain" else _record(system, X0, KEEP)
+        x0 = _record(system, start(system), KEEP) if walk else start(system)
         return solver(system, x0, tol=tol, max_iter=BUDGET)
 
-    return "orbit", run, name, lambda at: tol
+    return world, run, name, lambda at: tol
 
 
-def _walk(walker):
-    return "orbit", lambda s, n: walker(s, X0, n).points, "per_step", lambda at: max(at) + 1
+def _walk(walker, n=None):
+    run = lambda s, k: walker(s, start(s), k).points
+    return "orbit", run, "per_step", lambda at: n or max(at) + 1
 
 
 # A path's system ("orbit", "line" or "cloud" above), its run, called with the
 # system and an argument, its reference and that argument from the positions.
 PATHS = {
     "prefix": _walk(_record),
+    "prefix 1 023": _walk(_record, _CHUNK - 1),
+    "prefix 10 000": _walk(_record, 10_000),
     "picard_orbit": _walk(picard_orbit),
-    "apply": ("orbit", lambda s, k: [s.apply(clean_walk()[k - 1], step=k)], "apply", max),
-    "apply_n": ("orbit", lambda s, k: [s.apply_n(X0, k)], "apply_n", max),
-    **{name: _solve(name, "plain") for name in SOLVERS},
-    **{f"{name} walk": _solve(name, "walk") for name in SOLVERS},
+    "apply": ("orbit", lambda s, k: [s.apply(clean_walk("orbit")[k - 1], step=k)], "apply", max),
+    "apply_n": ("orbit", lambda s, k: [s.apply_n(start(s), k)], "apply_n", max),
+    **{name: _solve(name, False, "orbit") for name in SOLVERS},
+    **{f"{name} walk": _solve(name, True, "orbit") for name in SOLVERS},
+    # The 3-d orbit from a recorded walk only, as its removed test ran it.
+    **{f"{name} walk 3-d": _solve(name, True, "orbit 3-d") for name in SOLVERS},
     "sampled": ("line", lambda s, _: verify_contraction(s, PHI, 2, B + 1), "sampled", len),
     "exhaustive": ("cloud", lambda s, _: verify_contraction(s, PHI, 2), "exhaustive", len),
     "cyclicity": ("line", lambda s, _: verify_cyclicity(s, 2 * B + 1), "cyclicity", len),
 }
 REFERENCES = {
-    "per_step": lambda s, n: per_step(s, X0, n),
-    "apply": lambda s, k: per_step(s, X0, k)[k:],
-    "apply_n": lambda s, k: [reduce(lambda x, _: s.apply(x), range(k), X0)],
-    **{name: lambda s, tol, name=name: per_step_fields(name, s, X0, tol) for name in SOLVERS},
+    "per_step": lambda s, n: per_step(s, start(s), n),
+    "apply": lambda s, k: per_step(s, start(s), k)[k:],
+    "apply_n": lambda s, k: [reduce(lambda x, _: s.apply(x), range(k), start(s))],
+    **{name: lambda s, tol, name=name: per_step_fields(name, s, start(s), tol) for name in SOLVERS},
     "sampled": lambda s, _: certified(*certify_reference(s, PHI, 2, sampled_pairs(s, B + 1, 0))),
     "exhaustive": lambda s, _: certified(*brute_force(s, PHI, 2)),
     "cyclicity": lambda s, _: cyclicity_reference(s, 2 * B + 1, 0),
@@ -222,9 +244,10 @@ REFERENCES = {
 
 @cache
 def expected(reference, world, faults, at, arg):
-    """The reference's outcome on the faulted system, the points it maps,
-    each once, and those its membership tests see."""
-    system, calls, tested = injected(world, faults, at)
+    """The reference's outcome on the faulted system, and off an orbit the
+    points it maps, each once, in the order it first maps them, and those
+    its membership tests see."""
+    system, calls, tested = injected(world, faults, at, world not in ORBITS)
     return outcome(lambda: REFERENCES[reference](system, arg)), list(dict.fromkeys(calls)), tested
 
 
@@ -244,41 +267,50 @@ def assert_failed(got, want, faults):
 
 
 @cache
-def stop(name):
+def stop(name, world):
     """The step at which the solver ``name`` stops on the orbit with no fault."""
-    return per_step_stop(name, SYSTEM, X0, SOLVERS[name][1])
+    return per_step_stop(name, ORBITS[world], start(ORBITS[world]), SOLVERS[name][1])
+
+
+def recorded(path):
+    """The steps a solver's walk records before its rule: the prefix, or
+    x_0..x_{s-1} from a start point."""
+    name, *rest = path.split()
+    return KEEP if "walk" in rest else int(name != "banach")
 
 
 def position(path, where):
     """The step a solver's position names: past the steps its walk records
-    first (the prefix, or x_0..x_{s-1} from a start point), or its stop."""
+    first, or its stop."""
     if not isinstance(where, str):
         return where
-    name, _, start = path.partition(" ")
     if where in ("stop", "residual"):
-        return stop(name) + (where == "residual")
-    recorded = KEEP if start else int(name != "banach")
-    return recorded + {"+ 1": 1, "+ chunk": _CHUNK, "+ chunk + 1": _CHUNK + 1}[where]
+        return stop(path.split()[0], PATHS[path][0]) + (where == "residual")
+    return recorded(path) + {"+ 1": 1, "+ chunk": _CHUNK, "+ chunk + 1": _CHUNK + 1}[where]
 
 
 # A CLI position: the step and the config's iterations and tolerance. A run
-# walks max(3m, min(iterations, 10 000)) steps before its kind runs.
+# walks up to 10 000 steps before its kind runs.
 CLI_AT = {
     "early": (5, 50, 1e-5),
     "walk past a stop": (4_000, 100_000, 1e-2),
     "past the walk": (10_100, 100_000, 1e-12),
 }
-SOLVES = [*SOLVERS, *(f"{name} walk" for name in SOLVERS)]
+PLANE = [*SOLVERS, *(f"{name} walk" for name in SOLVERS)]
+SOLVES = [*PLANE, *(f"{name} walk 3-d" for name in SOLVERS)]
+DIMENSIONS = ("one dimension more", "one dimension less", "list")
 EDGES, SAMPLES = (1, _CHUNK, _CHUNK + 1, 2 * _CHUNK), ((0, 0), (0, 7), (0, 2 * B))
 FAULTS = [
     # Every fault on every path, at the edges of its blocks.
     *((path, (f,), (k,)) for path in ("prefix", "picard_orbit") for f in IMAGES for k in EDGES),
     *((path, (f,), (_CHUNK + 1,)) for path in ("apply", "apply_n") for f in IMAGES),
-    *((path, (f,), (TAIL,)) for path in SOLVES for f in IMAGES),
-    *(
-        (path, (f,), (_CHUNK + 1,))
-        for path in SOLVES for f in ("one dimension more", "one dimension less", "list")
-    ),
+    *((path, (f,), (TAIL,)) for path in PLANE for f in IMAGES),
+    *((path, (f,), (_CHUNK + 1,)) for path in SOLVES for f in DIMENSIONS),
+    *((path, (f,), (TAIL,)) for path in SOLVES[len(PLANE) :] for f in DIMENSIONS),
+    # Images converted from a step on, over whole walks.
+    *((path, (f,), (1,)) for path in ("prefix 1 023", "prefix 10 000") for f in ONWARD),
+    ("prefix 10 000", ("list onward",), (2_500,)),
+    *((path, ("list onward",), (k,)) for path in PLANE for k in (1, 2_500)),
     *(
         (path, (f,), (at,))
         for path in ("sampled", "cyclicity") for f in (*IMAGES, *DRAWS) for at in SAMPLES
@@ -290,7 +322,7 @@ FAULTS = [
     # a CLI run's walk past a solver's stop, and a solver past the walk.
     *(
         (path, (f,), (where,))
-        for path in SOLVES for f in ("raises", "nan")
+        for path in PLANE for f in ("raises", "nan")
         for where in ("+ 1", "+ chunk", "+ chunk + 1", "stop", "residual")
     ),
     *(
@@ -301,7 +333,7 @@ FAULTS = [
     # A map failure two chunks past a chunk refused for a converted image.
     *(
         (path, ("list", f), (j, j + 2 * _CHUNK + 1))
-        for path in ("prefix", "picard_orbit", *SOLVES) for f in ("raises", "nan")
+        for path in ("prefix", "picard_orbit", *PLANE) for f in ("raises", "nan")
         for j in (100, TAIL)
     ),
     # A map failure and a bad draw in one block, in both orders: pair k's
@@ -351,11 +383,17 @@ def test_each_path_fails_or_reads_where_its_reference_does(path, faults, where):
     else:
         fields, made = clean(path, arg)
         assert got == {**fields, **want}
-        assert made <= len(calls) <= made + _CHUNK * (world == "orbit")
-    if world != "orbit" and not set(faults) & set(BAD):
-        # A block maps all its points before it reads an image: only draw
-        # faults and converted images leave the points mapped and tested.
-        assert (list(dict.fromkeys(calls)), seen) == (mapped, tested)
+        # One refused chunk more; with images converted from a step on, a
+        # solver also refuses a chunk of the steps its walk records first.
+        more = _CHUNK + min(_CHUNK, recorded(path)) * (path in SOLVES and faults[0] in ONWARD)
+        assert made <= len(calls) <= made + more * (world in ORBITS)
+    # A block maps all its points before it reads an image or tests one, so
+    # a bad image it returns leaves other points mapped; where the map
+    # raises, ``_image`` maps the block again up to it, testing none of them.
+    if world not in ORBITS and set(faults) & set(BAD) <= {"raises", "MapError"}:
+        again = len(calls) - len(mapped) if set(faults) & set(BAD) else 0
+        assert calls == mapped + mapped[len(mapped) - again :]
+        assert set(faults) & set(BAD) or seen == tested
 
 
 @pytest.mark.parametrize("path, faults, where", CLI, ids=_ids(CLI))
@@ -363,26 +401,29 @@ def test_each_cli_run_fails_where_its_reference_does(path, faults, where, tmp_pa
                                                     capsys):
     entry, kind = path.split()
     k, iterations, tol = CLI_AT[where[0]]
-    walk = max(6, min(iterations, 10_000))
-    reference, arg = ("per_step", walk) if k <= walk else (kind, tol)
-    want = expected(reference, "orbit", faults, (k,), arg)[0]
-    point = [clean_walk()[k - 1]]
+    point = [clean_walk("orbit")[k - 1]]
     build = mapped_build(lambda raw: faulted(raw, point, faults))
     monkeypatch.setattr(cli.gallery, "build", build)
-    ran, run = [], cli.RUN_KINDS[kind]
+    # The steps the run walks before its kind runs, as it asks for them.
+    kept, ran, record, run = [], [], cli.orbit._record, cli.RUN_KINDS[kind]
+    monkeypatch.setattr(cli.orbit, "_record", lambda *a: kept.append(a[2]) or record(*a))
     monkeypatch.setitem(cli.RUN_KINDS, kind, lambda *a: ran.append(a) or run(*a))
     config = {
         "system": {"id": "scaled_pair", "parameters": PAIR}, "p": 2, "run": kind, "seed": 0,
         "phi": {"kind": "linear", "alpha": 0.5}, "iterations": iterations, "tolerance": tol,
     }
-    out = tmp_path / "out"
+    out, path = tmp_path / "out", tmp_path / "config.json"
+    path.write_text(json.dumps(config))
     if entry == "run":
         got = outcome(lambda: cli.run_experiment(cli.parse_config(config), out))
+    else:
+        got = cli.main(["run", "--config", str(path), "--out", str(out)]), capsys.readouterr().err
+    (walk,) = kept
+    reference, arg = ("per_step", walk) if k <= walk else (kind, tol)
+    want = expected(reference, "orbit", faults, (k,), arg)[0]
+    if entry == "run":
         assert_failed(got, want, faults)
     else:
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
         code, label = (3, "map error") if want[0] is MapError else (2, "error")
-        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == code
-        assert capsys.readouterr().err == f"{label}: {want[1]}\n"
+        assert got == (code, f"{label}: {want[1]}\n")
     assert not out.exists() and len(ran) == (k > walk)

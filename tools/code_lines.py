@@ -6,10 +6,10 @@ a module, class or function body, found with ``ast``; the tokens come from
 ``tokenize``, so a line inside a multi-line string or bracket counts.
 Standard library only. Run from the repository root:
 
-    python tools/code_lines.py [directory ...]
+    python tools/code_lines.py [--files]
 
-It prints each directory's count, ``src/proxcycle``, ``tests`` and ``bench``
-by default, then each file's with ``--files``.
+It prints the count of ``src/proxcycle``, ``tests`` and ``bench``, and with
+``--files`` each file's under it.
 """
 
 import ast
@@ -47,11 +47,10 @@ def code_lines(path):
 
 
 def main(argv):
-    files = "--files" in argv
-    for directory in [a for a in argv if a != "--files"] or DIRECTORIES:
+    for directory in DIRECTORIES:
         counts = {p: code_lines(p) for p in sorted(Path(directory).rglob("*.py"))}
         print(f"{directory}: {sum(counts.values())}")
-        if files:
+        if "--files" in argv:
             for path, count in counts.items():
                 print(f"    {path}: {count}")
 
