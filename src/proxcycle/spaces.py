@@ -322,18 +322,22 @@ def check_point(v: Sequence[float]) -> Point:
 
     A point is a sequence of numbers: a str or bytes point is a ValueError,
     and each coordinate is read by ``_number``, named by its index and the
-    point. A tuple of exact floats is returned as it is, recognised by
-    counting its coordinates of type float, with no per-coordinate type
-    test and no copy. It is finite when the sum of its coordinates is: a
-    non-finite coordinate makes the sum inf or nan, and only a sum past the
-    float range takes a second look.
+    point, a name built only once a coordinate is refused. A tuple of exact
+    floats is returned as it is, recognised by counting its coordinates of
+    type float, with no per-coordinate type test and no copy. It is finite
+    when the sum of its coordinates is: a non-finite coordinate makes the
+    sum inf or nan, and only a sum past the float range takes a second
+    look.
     """
     if type(v) is not tuple or not v or countOf(map(type, v), float) != len(v):
         if isinstance(v, (str, bytes)):
             raise ValueError(f"a point is a sequence of numbers, not a {type(v).__name__}")
         v = tuple(v)
-        shown = _point_repr(v)
-        v = tuple([_number(f"coordinate {i} of {shown}", c) for i, c in enumerate(v)])
+        try:
+            v = tuple(map(_number, itertools.repeat("a coordinate"), v))
+        except ValueError:  # read again, each coordinate named, to name the one refused
+            shown = _point_repr(v)
+            v = tuple([_number(f"coordinate {i} of {shown}", c) for i, c in enumerate(v)])
         if not v:
             raise ValueError("a point must have dimension >= 1")
     if math.isfinite(sum(v)) or all(map(math.isfinite, v)):

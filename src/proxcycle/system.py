@@ -13,9 +13,10 @@ import itertools
 import math
 import random
 from bisect import bisect_right
+from functools import partial
 from itertools import compress, repeat, starmap
 from operator import add, itemgetter, mul, not_, sub, truediv
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .chains import _chain_distance, _check_chains, _edge_distances, _shifted_pairs
 from .spaces import (
@@ -27,7 +28,6 @@ from .spaces import (
     _DATACLASS_FIELDS,
     CapabilityError,
     Domain,
-    Exponent,
     LqSpace,
     Point,
     Space,
@@ -460,10 +460,7 @@ class LinearPhi(_Record, Phi):
         self._set(ALPHA.check("alpha", alpha))
 
     def __call__(self, t: float) -> float:
-        t = _number("t", t)
-        if t < 0:
-            raise ValueError("phi is defined on [0, inf)")
-        return self.alpha * t
+        return self._many([_number("t", t)])[0]
 
     def _many(self, ts: Sequence[float]) -> list[float]:
         _check_domain(ts)
@@ -516,11 +513,7 @@ class TabulatedPhi(_Record, Phi):
         )
 
     def __call__(self, t: float) -> float:
-        t = _number("t", t)
-        if t < 0:
-            raise ValueError("phi is defined on [0, inf)")
-        i = bisect_right(self._bounds, t)
-        return self._levels[i] + self._slopes[i] * (t - self._starts[i])
+        return self._many([_number("t", t)])[0]
 
     def _many(self, ts: Sequence[float]) -> list[float]:
         _check_domain(ts)
@@ -801,17 +794,18 @@ def _finite_max(scale: float, values: Sequence[float]) -> float:
 
 class _Scan:
     """Running result of a certification scan over tuple pairs, folded in
-    one block of pairs at a time by ``fold``, which both scans call."""
+    one block of pairs at a time by ``fold``, which ``verify_contraction``
+    calls on every block of either block source."""
 
     __slots__ = ("phi_set", "min_margin", "witness_xs", "witness_ys", "evaluated", "skips", "scale")
 
-    def __init__(self, phi_set: float, skips: int = 0) -> None:
+    def __init__(self, phi_set: float) -> None:
         self.phi_set = phi_set  # phi(d_p(A))
         self.min_margin = math.inf
         self.witness_xs: tuple[Point, ...] = ()
         self.witness_ys: tuple[Point, ...] = ()
         self.evaluated = 0
-        self.skips = skips
+        self.skips = 0
         # S: the largest finite one of lhs, d, phi(d), phi(D) over evaluated pairs
         self.scale = _finite_max(0.0, (phi_set,))
 
@@ -854,41 +848,27 @@ class _Scan:
         self.witness_xs, self.witness_ys = pair(k)
 
 
-def _scan_sampled(
-    system: CyclicSystem, phi: Phi, exp: Exponent, phi_set: float, tuple_samples: int, seed: int
-) -> _Scan:
-    """``tuple_samples`` seeded tuple pairs, ``SAMPLE_BLOCK`` pairs at a time.
+# A block of tuple pairs from a block source: the artifact pairs it skipped,
+# the m term columns d(x_i, y_{i+1}) of every d, the m term columns
+# d(Tx_i, Ty_{i+1}) of every lhs, and pair(k), the (xs, ys) of its k-th pair.
+_Block = tuple[int, list, list, Callable[[int], tuple[tuple[Point, ...], tuple[Point, ...]]]]
+
+
+def _sampled_blocks(system: CyclicSystem, tuple_samples: int, seed: int) -> Iterator[_Block]:
+    """``tuple_samples`` seeded tuple pairs, ``SAMPLE_BLOCK`` pairs a block.
 
     A block's pairs are drawn and read by one ``_Draw`` call, as one pair
     at a time would draw them: xs, then ys, region by region, pair by pair.
     A sample that fails to draw or to read ends the scan where the
-    pair-at-a-time scan ended: the block's whole pairs before it are
-    evaluated first, so an error of theirs (a map failure, say) comes
-    first, and then its own error is raised. Within a pair the first chain
-    to fail raises: samples are drawn a chain (one sample of each region)
-    at a time, a chain whose draw raises is dropped unread, and the chains
-    drawn before it are read. So a read failure in a pair's x-chain comes
-    before a draw failure in its y-chain, where drawing the whole pair
-    before reading it would raise the draw's error. ``_sampled_block``
-    evaluates the pairs.
-    """
-    rng = random.Random(seed)
-    width = 2 * system.m  # points per pair: the x-chain, then the y-chain
-    scan = _Scan(phi_set)
-    draw = _Draw(system.space, system.regions).draw
-    for start in range(0, tuple_samples, SAMPLE_BLOCK):
-        points, failure = draw(rng, 2 * min(SAMPLE_BLOCK, tuple_samples - start))
-        _sampled_block(system, phi, exp, scan, points[: len(points) - len(points) % width])
-        if failure is not None:
-            raise failure
-    return scan
-
-
-def _sampled_block(
-    system: CyclicSystem, phi: Phi, exp: Exponent, scan: _Scan, points: list[Point]
-) -> None:
-    """Fold a block of read tuple pairs, 2m points per pair (the x-chain,
-    then the y-chain), into ``scan``.
+    pair-at-a-time scan ended: the block of the whole pairs before it is
+    yielded first, so that an error of theirs in the fold or in the map
+    comes first, and its own error is raised when the next block is asked
+    for. Within a pair the first chain to fail raises: samples are drawn a
+    chain (one sample of each region) at a time, a chain whose draw raises
+    is dropped unread, and the chains drawn before it are read. So a read
+    failure in a pair's x-chain comes before a draw failure in its y-chain,
+    where drawing the whole pair before reading it would raise the draw's
+    error.
 
     Pairs that touch an artifact point are skipped. The others' points are
     mapped by the block stepper ``CyclicSystem._images``, in draw order.
@@ -896,38 +876,36 @@ def _sampled_block(
     region i with the y column of region i + 1, paired by
     ``_shifted_pairs``, gives term i of every d by one ``map`` of the
     trusted ``_distance``, and the image columns give the terms of every
-    lhs. The exponent's ``_combine_columns`` turns the m term columns into
-    every d and every lhs, bit for bit as ``_combine`` does per pair, and
-    ``phi._many`` gives every phi(d).
-
-    The samples and the map keep the order in which one pair at a time
-    fails. The block maps all its points before it measures any, so an
-    exception from a caller-supplied metric or phi can come out before a
-    map failure of a later pair in the block.
+    lhs; the images are measured before the points. The block maps all its
+    points before it measures any, so an exception from a caller-supplied
+    metric or phi can come out before a map failure of a later pair in the
+    block.
     """
-    m, width = system.m, 2 * system.m
-    if system.artifact_points:
-        is_artifact = system._is_artifact
-        pairs = [points[k : k + width] for k in range(0, len(points), width)]
-        kept = [pair for pair in pairs if not any(map(is_artifact, pair))]
-        scan.skips += len(pairs) - len(kept)
-        points = list(itertools.chain.from_iterable(kept))
-    if not points:
-        return
-    images = system._images(points)
-    dist, combine = system.space._distance, exp._combine_columns
+    rng = random.Random(seed)
+    m, width = system.m, 2 * system.m  # points per pair: the x-chain, then the y-chain
+    draw = _Draw(system.space, system.regions).draw
+    dist, is_artifact = system.space._distance, system._is_artifact
 
-    def chain_distances(block: list[Point]) -> list[float]:
+    def terms(block: list[Point]) -> list[list[float]]:
         cols = [block[j::width] for j in range(width)]
-        return combine([list(map(dist, x, y)) for x, y in _shifted_pairs(cols[:m], cols[m:])])
+        return [list(map(dist, x, y)) for x, y in _shifted_pairs(cols[:m], cols[m:])]
 
-    lhs, ds = chain_distances(images), chain_distances(points)
-
-    def pair(k: int) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
+    def pair(points: list[Point], k: int) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
         at = k * width
         return tuple(points[at : at + m]), tuple(points[at + m : at + width])
 
-    scan.fold(lhs, ds, phi._many(ds), pair)
+    for start in range(0, tuple_samples, SAMPLE_BLOCK):
+        points, failure = draw(rng, 2 * min(SAMPLE_BLOCK, tuple_samples - start))
+        points, skips = points[: len(points) - len(points) % width], 0
+        if system.artifact_points:
+            pairs = [points[k : k + width] for k in range(0, len(points), width)]
+            kept = [chains for chains in pairs if not any(map(is_artifact, chains))]
+            skips = len(pairs) - len(kept)
+            points = list(itertools.chain.from_iterable(kept))
+        lhs_terms = terms(system._images(points))
+        yield skips, terms(points), lhs_terms, partial(pair, points)
+        if failure is not None:
+            raise failure
 
 
 def _getter(indices: list[int]) -> Callable[[Sequence[float]], tuple[float, ...]]:
@@ -939,26 +917,26 @@ def _getter(indices: list[int]) -> Callable[[Sequence[float]], tuple[float, ...]
     return itemgetter(*indices)
 
 
-def _scan_exhaustive(system: CyclicSystem, phi: Phi, exp: Exponent, phi_set: float) -> _Scan:
+def _exhaustive_blocks(system: CyclicSystem) -> Iterator[_Block]:
     """Every tuple pair, from per-edge tables, about ``EXHAUSTIVE_BLOCK``
-    pairs at a time.
+    pairs a block; the first block carries every artifact skip, and with no
+    usable tuple it is the only one, with no pair.
 
     Term i of both chain distances depends only on the edge pair
     (x_i, y_{i+1}), so each point is flagged once, the usable points are
     mapped once, in the order the enumeration first reaches them, by the
     block stepper ``CyclicSystem._images``, and each edge distance is
-    computed once. Term i of one x-tuple against every y-tuple
-    is a column read from the x-tuple's row of edge table i by one
+    computed once, images after points edge by edge: the tables are built
+    when the first block is asked for. Term i of one x-tuple against every
+    y-tuple is a column read from the x-tuple's row of edge table i by one
     ``itemgetter`` over the shifted y-indices; each row's column is read
     once per scan. A block is ``max(1, EXHAUSTIVE_BLOCK // width)``
     consecutive x-tuples against every one of the ``width`` y-tuples, so
     its term i is its x-tuples' columns joined, and its pair k is x-tuple
     ``k // width`` of the block with y-tuple ``k % width``: the pairs keep
-    ``product(tuples, tuples)`` order. The exponent's ``_combine_columns``
-    turns the m joined columns into every d and every lhs of the block,
-    ``phi._many`` gives every phi(d), and ``_Scan.fold`` the margins.
-    Region points were read when their region was built, and the region's
-    dimension checked when the system was, so the tables trust them.
+    ``product(tuples, tuples)`` order. Region points were read when their
+    region was built, and the region's dimension checked when the system
+    was, so the tables trust them.
     """
     m = system.m
     regions = system.regions
@@ -966,9 +944,10 @@ def _scan_exhaustive(system: CyclicSystem, phi: Phi, exp: Exponent, phi_set: flo
     usable = [[x for x in r.points if not system._is_artifact(x)] for r in regions]
     total = math.prod(len(r.points) for r in regions)
     kept = math.prod(len(pts) for pts in usable)
-    scan = _Scan(phi_set, skips=total * total - kept * kept)
+    skips = total * total - kept * kept
     if not kept:
-        return scan
+        yield skips, [[]] * m, [[]] * m, None
+        return
 
     # Map each point once, in the order the pair enumeration first reaches
     # it: the first tuple, then the later points of the last region, of the
@@ -988,22 +967,25 @@ def _scan_exhaustive(system: CyclicSystem, phi: Phi, exp: Exponent, phi_set: flo
         get = _getter([t[(i + 1) % m] for t in index_tuples])
         d_rows.append([get([dist(x, y) for y in tails]) for x in heads])
         e_rows.append([get([dist(image[x], image[y]) for y in tails]) for x in heads])
-    combine, join = exp._combine_columns, itertools.chain.from_iterable
+    join = itertools.chain.from_iterable
 
     def points(t: tuple[int, ...]) -> tuple[Point, ...]:
         return tuple(usable[i][a] for i, a in enumerate(t))
+
+    def pair(group: list[tuple[int, ...]], k: int) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
+        return points(group[k // width]), points(index_tuples[k % width])
 
     step = max(1, EXHAUSTIVE_BLOCK // width)
     for start in range(0, width, step):
         group = index_tuples[start : start + step]
         heads = list(zip(*group))  # heads[i]: each x-tuple's index in region i
-        ds = combine([list(join(map(d.__getitem__, a))) for d, a in zip(d_rows, heads)])
-        lhs = combine([list(join(map(e.__getitem__, a))) for e, a in zip(e_rows, heads)])
-        scan.fold(
-            lhs, ds, phi._many(ds),
-            lambda k: (points(group[k // width]), points(index_tuples[k % width])),
+        yield (
+            skips,
+            [list(join(map(d.__getitem__, a))) for d, a in zip(d_rows, heads)],
+            [list(join(map(e.__getitem__, a))) for e, a in zip(e_rows, heads)],
+            partial(pair, group),
         )
-    return scan
+        skips = 0
 
 
 def verify_contraction(
@@ -1021,6 +1003,12 @@ def verify_contraction(
     images are stubs) and counted in ``artifact_skips``; ``evaluated`` counts
     the pairs whose margin was computed, artifact skips excluded.
 
+    Both scans are block sources, ``_exhaustive_blocks`` and
+    ``_sampled_blocks``, and one loop evaluates every block they yield:
+    the exponent's ``_combine_columns`` turns its m term columns into every
+    d and every lhs, bit for bit as ``_combine`` does per pair,
+    ``phi._many`` gives every phi(d), and ``_Scan.fold`` the margins.
+
     ``min_margin`` and the witness are the raw minimum over the evaluated
     pairs (the first one in enumeration order on ties), except that a NaN
     margin, whose inequality cannot be evaluated, makes ``min_margin`` NaN
@@ -1033,7 +1021,7 @@ def verify_contraction(
     tuple_samples = COUNT.check("tuple_samples", tuple_samples)
     exp = as_exponent(p)
     set_distance = system.set_chain_distance(exp)
-    phi_set = phi(set_distance)
+    scan = _Scan(phi(set_distance))
 
     regions = system.regions
     exhaustive = all(_enumerable(r) for r in regions)
@@ -1042,9 +1030,15 @@ def verify_contraction(
         exhaustive = total * total <= EXHAUSTIVE_LIMIT
 
     if exhaustive:
-        scan = _scan_exhaustive(system, phi, exp, phi_set)
+        blocks = _exhaustive_blocks(system)
     else:
-        scan = _scan_sampled(system, phi, exp, phi_set, tuple_samples, seed)
+        blocks = _sampled_blocks(system, tuple_samples, seed)
+    combine = exp._combine_columns
+    for skips, d_terms, lhs_terms, pair in blocks:
+        scan.skips += skips
+        ds = combine(d_terms)
+        if ds:
+            scan.fold(combine(lhs_terms), ds, phi._many(ds), pair)
 
     floor = -MARGIN_ULPS * system.m * math.ulp(max(1.0, scan.scale))
     ok = scan.evaluated > 0 and scan.min_margin >= floor

@@ -13,9 +13,12 @@ reference raises (its type, its whole message, a ``MapError``'s point and
 step, and the very object where the system raised it), or returns the
 reference's fields bit for bit and the clean run's others, with the clean
 run's map calls, at most one refused chunk more per walk on an orbit. On a
-sampling path the points it maps are the reference's, each once, unless the
-map returns a bad image (a map that raises has its block mapped again up to
-it); with no bad image, so are those its membership tests see. A CLI row checks the exit code, the stderr line and that no file is written.
+sampling path the points it maps are the reference's, each once (a map that
+raises has its block mapped again up to it), and with no bad image so are
+those its membership tests see; where the map returns a bad image, the
+reference's come first and then at most the other points of that image's
+block, each once. A CLI row checks the exit code, the stderr line and that
+no file is written.
 """
 
 import json
@@ -231,6 +234,9 @@ PATHS = {
     "exhaustive": ("cloud", lambda s, _: verify_contraction(s, PHI, 2), "exhaustive", len),
     "cyclicity": ("line", lambda s, _: verify_cyclicity(s, 2 * B + 1), "cyclicity", len),
 }
+# The map calls of one block of a sampling path with no fault: B pairs of 2m
+# points, a region's samples, and every usable point.
+BLOCK = {"sampled": 4 * B, "cyclicity": 2 * B + 1, "exhaustive": len(ORDER)}
 REFERENCES = {
     "per_step": lambda s, n: per_step(s, start(s), n),
     "apply": lambda s, k: per_step(s, start(s), k)[k:],
@@ -256,7 +262,7 @@ def clean(path, arg):
     """The path's fields on the system with no fault, and its map calls."""
     world, run, _, _ = PATHS[path]
     system, calls, _ = injected(world, (), ())
-    return shown(run(system, arg)), len(calls)
+    return shown(run(system, arg)), calls
 
 
 def assert_failed(got, want, faults):
@@ -386,14 +392,20 @@ def test_each_path_fails_or_reads_where_its_reference_does(path, faults, where):
         # One refused chunk more; with images converted from a step on, a
         # solver also refuses a chunk of the steps its walk records first.
         more = _CHUNK + min(_CHUNK, recorded(path)) * (path in SOLVES and faults[0] in ONWARD)
-        assert made <= len(calls) <= made + more * (world in ORBITS)
+        assert len(made) <= len(calls) <= len(made) + more * (world in ORBITS)
     # A block maps all its points before it reads an image or tests one, so
-    # a bad image it returns leaves other points mapped; where the map
-    # raises, ``_image`` maps the block again up to it, testing none of them.
+    # a bad image it returns leaves other points of its block mapped, one
+    # block more at most; where the map raises, ``_image`` maps the block
+    # again up to it, testing none of them.
     if world not in ORBITS and set(faults) & set(BAD) <= {"raises", "MapError"}:
         again = len(calls) - len(mapped) if set(faults) & set(BAD) else 0
         assert calls == mapped + mapped[len(mapped) - again :]
         assert set(faults) & set(BAD) or seen == tested
+    elif world not in ORBITS:
+        size, further = BLOCK[path], calls[len(mapped) :]
+        first = max(len(mapped) - 1, 0) // size * size  # the bad image's block
+        assert calls[: len(mapped)] == mapped and len(set(further)) == len(further)
+        assert set(further) <= set(clean(path, arg)[1][first : first + size])
 
 
 @pytest.mark.parametrize("path, faults, where", CLI, ids=_ids(CLI))

@@ -583,12 +583,17 @@ def test_scaled_pair_far_apart_certifies():
     assert cert.ok
 
 
-def _assert_matches_brute_force(system, phis, ps):
+def _assert_matches_reference(system, phis, ps, samples=None):
     """Every ``ContractionCertificate`` field of the exhaustive scan equals
-    the per-pair brute force, each float by ``float.hex``."""
+    the per-pair brute force, or with ``samples`` that of the sampled scan
+    the per-pair reference on the same pairs, each float by ``float.hex``."""
     for p, phi in itertools.product(ps, phis):
-        cert = verify_contraction(system, phi, p, seed=0)
-        best, (wxs, wys), evaluated, skips, ok = brute_force(system, phi, p)
+        cert = verify_contraction(system, phi, p, tuple_samples=samples or 500, seed=0)
+        if samples is None:
+            best, (wxs, wys), evaluated, skips, ok = brute_force(system, phi, p)
+        else:
+            pairs = sampled_pairs(system, samples, 0)
+            best, (wxs, wys), evaluated, skips, ok = certify_reference(system, phi, p, pairs)
         want = ContractionCertificate(
             ok=ok,
             # With no pair evaluated the certificate reports NaN, not inf.
@@ -598,7 +603,7 @@ def _assert_matches_brute_force(system, phis, ps):
             set_chain_distance=system.set_chain_distance(p),
             p=as_exponent(p),
             evaluated=evaluated,
-            exhaustive=True,
+            exhaustive=samples is None,
             artifact_skips=skips,
         )
         for name in ContractionCertificate._fields:
@@ -617,7 +622,7 @@ KNOTS = TabulatedPhi(((0.0, 0.05), (0.5, 0.35), (1.5, 0.75), (3.0, 1.2)))
 @pytest.mark.parametrize("q", [1, 2, "inf"])
 def test_exhaustive_certificate_matches_brute_force(m, n, alpha, q):
     system = make_paper_lq_family(m=m, alpha=alpha, q=q, N=n).system
-    _assert_matches_brute_force(system, (*PHIS, KNOTS), (1, 2, 3.5, "inf"))
+    _assert_matches_reference(system, (*PHIS, KNOTS), (1, 2, 3.5, "inf"))
 
 
 def _flip(x):
@@ -686,7 +691,7 @@ FINITE_CLOUD_SYSTEMS = {
 @pytest.mark.parametrize("name", sorted(FINITE_CLOUD_SYSTEMS))
 def test_finite_cloud_certificates_match_brute_force(name):
     system = FINITE_CLOUD_SYSTEMS[name]
-    _assert_matches_brute_force(system, PHIS, (1, 1.5, 2, 3, "inf"))
+    _assert_matches_reference(system, PHIS, (1, 1.5, 2, 3, "inf"))
 
 
 # Symmetric under (u, v) -> (u, -v), which maps x-tuple 1 to x-tuple 2: the
@@ -745,7 +750,7 @@ def test_exhaustive_blocks_of_any_size_match_brute_force(name, monkeypatch):
     width = len(usable_tuples(system))
     for block in (1, width - 1, *(g * width for g in range(1, width + 2))):
         monkeypatch.setattr(system_module, "EXHAUSTIVE_BLOCK", block)
-        _assert_matches_brute_force(system, PHIS, (1, 2, "inf"))
+        _assert_matches_reference(system, PHIS, (1, 2, "inf"))
 
 
 @pytest.mark.parametrize("q", [1, "inf"])
@@ -755,7 +760,7 @@ def test_exhaustive_blocks_of_the_default_size_match_brute_force(q):
     n = len(usable_tuples(system))
     step = system_module.EXHAUSTIVE_BLOCK // n
     assert n == 42 and step > 1 and n % step
-    _assert_matches_brute_force(system, PHIS, (1, 2.5, "inf"))
+    _assert_matches_reference(system, PHIS, (1, 2.5, "inf"))
 
 
 @given(
@@ -973,6 +978,26 @@ def test_sparse_system_skips_a_whole_block():
         for xs, ys in sampled_pairs(SPARSE, 2 * B + 1, 5)
     ]
     assert not any(usable[:B]) and any(usable[B:])
+
+
+# A degenerate box whose one point is an artifact point: every sampled pair
+# touches it, as every pair of "all-skipped" touches its cloud of artifact
+# points only, so neither scan has a pair to fold.
+STUB_BOX = CyclicSystem(
+    space=L2_1,
+    regions=(Box((1.0,), (2.0,)), Box((-0.5,), (-0.5,))),
+    map=_flip,
+    artifact_points=((-0.5,),),
+)
+
+
+@pytest.mark.parametrize("samples", [None, 1, B + 1])
+def test_a_certificate_with_no_pair_to_fold_is_the_references(samples):
+    system = FINITE_CLOUD_SYSTEMS["all-skipped"] if samples is None else STUB_BOX
+    _assert_matches_reference(system, PHIS, (1, 2, "inf"), samples)
+    cert = verify_contraction(system, PHIS[0], 2, tuple_samples=samples or 500)
+    assert (cert.evaluated, math.isnan(cert.min_margin), cert.ok) == (0, True, False)
+    assert cert.artifact_skips == (samples or 4)
 
 
 class _ListBox(Box):
