@@ -5,13 +5,9 @@ Picard-orbit diagnostics and solvers, a gallery of systems with known
 answers, and a batch CLI.
 """
 
-from .chains import (
-    MonotonicityReport,
-    chain_point_distance,
-    chain_self_distance,
-    chain_set_distance,
-    p_monotonicity_check,
-)
+import types
+
+from .chains import chain_point_distance, chain_self_distance, chain_set_distance
 from .gallery import (
     GALLERY,
     GallerySpec,
@@ -79,66 +75,9 @@ from .system import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaBoundResult",
-    "Ball",
-    "BoundednessReport",
-    "Box",
-    "CapabilityError",
-    "ContractionCertificate",
-    "CyclicSystem",
-    "CyclicityReport",
-    "Exponent",
-    "FiniteCloud",
-    "GALLERY",
-    "GallerySpec",
-    "GallerySystem",
-    "INFINITY",
-    "LinearPhi",
-    "LqSpace",
-    "MapError",
-    "MetricReport",
-    "MonotonicityReport",
-    "OracleSpace",
-    "OrbitTrace",
-    "Phi",
-    "PhiReport",
-    "Point",
-    "ProximityChainResult",
-    "Region",
-    "SolveResult",
-    "Space",
-    "TabulatedPhi",
-    "alpha_bound_check",
-    "apriori_error_bound",
-    "as_exponent",
-    "attainment_gap",
-    "banach_solve",
-    "block_drift_trace",
-    "boundedness_probe",
-    "build",
-    "chain_point_distance",
-    "chain_self_distance",
-    "chain_set_distance",
-    "chain_trace",
-    "check_point",
-    "contraction_margin",
-    "cross_block_chain_distance",
-    "edge_trace",
-    "list_gallery",
-    "make_affine_strip",
-    "make_kirk_interval",
-    "make_paper_lq_family",
-    "make_scaled_pair",
-    "p_combine",
-    "p_monotonicity_check",
-    "periodic_point_solve",
-    "picard_orbit",
-    "proximity_chain_extract",
-    "region_distance",
-    "trace_rows",
-    "validate_metric",
-    "validate_phi",
-    "verify_contraction",
-    "verify_cyclicity",
-]
+# Derived, so the imports above are the one statement of the public API.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -1,27 +1,20 @@
 """Chain distances over point tuples and region chains.
 
 The cyclic shift convention (term i pairs x_i with y_{i+1}, wrapping the last
-index back to the first) lives in exactly one place here, ``_shifted_pairs``,
-and every chain quantity routes through it.
+index back to the first) lives in exactly one place, ``_shifted_pairs``, and
+every pairing of the package routes through it: the chain and edge distances
+here, both certificate scans' terms, ``verify_cyclicity``'s target regions and
+the proximity chain's edge residuals. The one reader that takes the shift from
+columns instead is ``orbit._trace_columns``, whose wrap column measures the
+last point of each block against the first.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import starmap
 from typing import Callable, Iterator, Sequence
 
-from .spaces import (
-    INFINITY,
-    POSITIVE,
-    CapabilityError,
-    Point,
-    Space,
-    _Record,
-    _value_repr,
-    as_exponent,
-    p_combine,
-)
+from .spaces import CapabilityError, Point, Space, _value_repr, as_exponent, p_combine
 
 
 def _shifted_pairs(
@@ -84,7 +77,7 @@ def chain_self_distance(space: Space, xs: Sequence[Sequence[float]], p: object) 
 
 def _edge_distances(space: Space, regions: Sequence[object]) -> tuple[float, ...]:
     """The exact set distances d(A_i, A_{i+1}) around the region cycle."""
-    regs = list(regions)
+    regs = tuple(regions)
     if len(regs) < 2:
         raise ValueError("need at least 2 regions")
     # Every region is checked before any is measured, so a bad one is named
@@ -94,52 +87,10 @@ def _edge_distances(space: Space, regions: Sequence[object]) -> tuple[float, ...
             raise CapabilityError(
                 f"region {i} has no exact distance method, got {_value_repr(region)}"
             )
-    return tuple(region.distance_to(nxt, space) for region, nxt in zip(regs, regs[1:] + regs[:1]))
+    return tuple(region.distance_to(nxt, space) for region, nxt in _shifted_pairs(regs, regs))
 
 
 def chain_set_distance(space: Space, regions: Sequence[object], p: object) -> float:
     """p-combination of consecutive exact set distances d(A_i, A_{i+1}), wrapping."""
     return p_combine(_edge_distances(space, regions), p)
 
-
-class MonotonicityReport(_Record):
-    __slots__ = _fields = ("ok", "worst_slack", "failures")
-
-
-def p_monotonicity_check(
-    space: Space,
-    xs: Sequence[Sequence[float]],
-    ys: Sequence[Sequence[float]],
-    ps: Sequence[float] = (1.0, 1.5, 2.0, 3.0, 8.0, 64.0),
-    tol: float = 1e-12,
-) -> MonotonicityReport:
-    """Check d_inf <= d_p <= d_1 and d_p <= m^(1/p) * d_inf for sampled p.
-
-    The chains are read once, so they may be iterators; ``tol`` is read by
-    ``POSITIVE``. Sides that overflow to inf are equal, with slack 0; a NaN
-    slack is a failure, and then the worst slack."""
-    tol = POSITIVE.check("tol", tol)
-    cx, cy = _check_chains(space, xs, ys)
-    m = len(cx)
-    d1 = _chain_distance(space, cx, cy, as_exponent(1.0)._combine)
-    dinf = _chain_distance(space, cx, cy, INFINITY._combine)
-    worst = 0.0
-    failures = []
-    for p in ps:
-        exp = as_exponent(p)
-        dp = _chain_distance(space, cx, cy, exp._combine)
-        # m^(1/p) is 1 at p = inf, whose exponent value is None.
-        root = 1.0 if exp.value is None else m ** (1.0 / exp.value)
-        checks = (
-            ("d_inf <= d_p", dinf, dp),
-            ("d_p <= d_1", dp, d1),
-            ("d_p <= m^(1/p) * d_inf", dp, root * dinf),
-        )
-        for label, lhs, rhs in checks:
-            # Equal sides have slack 0, as inf <= inf holds though inf - inf is NaN.
-            slack = 0.0 if lhs == rhs else lhs - rhs
-            # A NaN slack becomes the worst; max keeps it, as nothing compares above a NaN.
-            worst = slack if math.isnan(slack) else max(worst, slack)
-            if not slack <= tol:
-                failures.append((label, p, slack))
-    return MonotonicityReport(not failures, worst, tuple(failures))

@@ -64,21 +64,25 @@ def _timestamp() -> str:
     return f"{text}.{micro:06d}+00:00" if micro else f"{text}+00:00"
 
 
+def _phi_field(data: dict, key: str) -> object:
+    """The one field of a phi of its kind, once every other key is refused."""
+    extra = set(data) - {"kind", key}
+    if extra:
+        raise ConfigError(f"unknown phi keys: {sorted(extra)}")
+    if key not in data:
+        raise ConfigError(f"missing key {key!r}")
+    return data[key]
+
+
 def _parse_phi(data: object) -> Phi:
     if not isinstance(data, dict) or "kind" not in data:
         raise ConfigError("phi must be an object with a 'kind' field")
     kind = data["kind"]
     try:
         if kind == "linear":
-            extra = set(data) - {"kind", "alpha"}
-            if extra:
-                raise ConfigError(f"unknown phi keys: {sorted(extra)}")
-            return LinearPhi(data["alpha"])
+            return LinearPhi(_phi_field(data, "alpha"))
         if kind == "tabulated":
-            extra = set(data) - {"kind", "knots"}
-            if extra:
-                raise ConfigError(f"unknown phi keys: {sorted(extra)}")
-            return TabulatedPhi(data["knots"])
+            return TabulatedPhi(_phi_field(data, "knots"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid phi: {exc}") from exc
     raise ConfigError(f"unknown phi kind {kind!r}")

@@ -42,11 +42,11 @@ object, so the settled stretch is measured, and written, once.
 from __future__ import annotations
 
 import math
-from itertools import compress, count, cycle, islice, repeat
+from itertools import compress, count, cycle, islice, repeat, starmap
 from operator import eq, is_not
 from typing import Iterator, Sequence
 
-from .chains import _chain_distance
+from .chains import _chain_distance, _shifted_pairs
 from .spaces import ALPHA, COUNT, CYCLE_LENGTH, POSITIVE, STEPS, Domain, Point, _Record
 from .spaces import _point_repr, _value_repr, as_exponent
 from .system import MEMBERSHIP_TOL, CyclicSystem
@@ -653,10 +653,8 @@ def proximity_chain_extract(
 
     if len(chain) == m:
         # The chain holds walked points, validated as they entered the orbit.
-        edge_residuals = tuple(
-            abs(space._distance(chain[i], chain[(i + 1) % m]) - edge)
-            for i, edge in enumerate(system.edge_distances)
-        )
+        edges = starmap(space._distance, _shifted_pairs(chain, chain))
+        edge_residuals = tuple(abs(d - edge) for d, edge in zip(edges, system.edge_distances))
         total_residual = abs(_chain_distance(space, chain, chain, exp._combine) - set_distance)
     else:
         edge_residuals = ()

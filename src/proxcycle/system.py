@@ -725,8 +725,8 @@ def verify_cyclicity(
     tol = POSITIVE.check("tol", tol)
     space, rng = system.space, random.Random(seed)
     violations, artifacts, checked = [], [], 0
-    for i, region in enumerate(system.regions):
-        contains = system.regions[(i + 1) % system.m]._contains
+    for i, (region, target) in enumerate(_shifted_pairs(system.regions, system.regions)):
+        contains = target._contains
         if _enumerable(region):
             xs, failure = region.points, None
         else:
@@ -960,11 +960,12 @@ def _exhaustive_blocks(system: CyclicSystem) -> Iterator[_Block]:
     width = len(index_tuples)
     # d_rows[i][a] is the column d(A_i[a], y_{i+1}) over every y-tuple y, and
     # e_rows[i][a] the same for images: getter i reads, from a row of edge
-    # table i, the entry of every y-tuple's index i + 1.
+    # table i, the entry of every y-tuple's index j = i + 1.
     d_rows, e_rows = [], []
-    for i in range(m):
-        heads, tails = usable[i], usable[(i + 1) % m]
-        get = _getter([t[(i + 1) % m] for t in index_tuples])
+    edges = tuple(range(m))
+    for i, j in _shifted_pairs(edges, edges):
+        heads, tails = usable[i], usable[j]
+        get = _getter([t[j] for t in index_tuples])
         d_rows.append([get([dist(x, y) for y in tails]) for x in heads])
         e_rows.append([get([dist(image[x], image[y]) for y in tails]) for x in heads])
     join = itertools.chain.from_iterable

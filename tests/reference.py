@@ -34,9 +34,7 @@ from itertools import count, islice
 from pathlib import Path
 
 from proxcycle import gallery
-from proxcycle.chains import (
-    chain_point_distance, chain_self_distance, chain_set_distance, p_monotonicity_check,
-)
+from proxcycle.chains import chain_point_distance, chain_self_distance, chain_set_distance
 from proxcycle.cli import NUMBERS, RUNS, ConfigError, load_config, parse_config, run_experiment
 from proxcycle.orbit import (
     _GAP, OrbitTrace, apriori_error_bound, banach_solve, block_drift_trace, boundedness_probe,
@@ -686,8 +684,6 @@ def _point_rows():
         "chain_point_distance xs": lambda v: chain_point_distance(plane_2, [two[0], pt(v)], two, 2),
         "chain_point_distance ys": lambda v: chain_point_distance(plane_2, two, [two[0], pt(v)], 2),
         "chain_self_distance xs": lambda v: chain_self_distance(plane_2, [two[0], pt(v)], 2),
-        "p_monotonicity_check xs": lambda v: p_monotonicity_check(plane_2, [two[0], pt(v)], two),
-        "p_monotonicity_check ys": lambda v: p_monotonicity_check(plane_2, two, [two[0], pt(v)]),
         "contraction_margin xs": lambda v: contraction_margin(plane, phi, 2, [pt(v), two[1]], two),
         "contraction_margin ys": lambda v: contraction_margin(plane, phi, 2, two, [pt(v), two[1]]),
         "validate_metric sample_points": lambda v: validate_metric(plane_2, [*two, pt(v)]),
@@ -737,9 +733,6 @@ def _exponent_rows():
         *_alike("p", "as_exponent", "exponent", calls, name="exponent", accepts=(1, "Infinity")),
         Row("LqSpace", "q", "as_exponent", lambda v: LqSpace(v, 2), "exponent", name="exponent",
             accepts=(1,)),
-        Row("p_monotonicity_check", "ps", "as_exponent",
-            lambda v: p_monotonicity_check(L1, xs, ys, ps=[v]), "exponent", name="exponent",
-            accepts=(1,)),
         Row("Exponent", "value", "Exponent", Exponent, "Exponent", _cases(
             ValueError, ("'inf'", "inf", _NUMBER)), name="exponent", accepts=(1, _TOP)),
     ]
@@ -753,8 +746,6 @@ def _domain_rows():
     tols = {name: lambda v, f=f: f(kirk, (-1.0,), tol=v) for name, f in _SOLVERS.items()} | {
         "verify_cyclicity": lambda v: verify_cyclicity(kirk, samples_per_region=2, tol=v),
         "validate_metric": lambda v: validate_metric(L1, [(0.0,), (1.0,), (3.0,)], tol=v),
-        "p_monotonicity_check": lambda v: p_monotonicity_check(L1, [(0.0,)] * 2, [(1.0,)] * 2,
-                                                                tol=v),
         "Region.contains": lambda v: _UNIT.contains((0.5,), L1, v),
     }
     too_short = _cases(ValueError, *[(label, AWKWARD[label], "trace too short for block {shown}")
@@ -875,6 +866,9 @@ def _case_rows():
               for kind in ("cubic", [])],
             *[(f"phi {kind} key beta", _config(phi={"kind": kind, "beta": 1}),
                "invalid phi: unknown phi keys: ['beta']") for kind in ("linear", "tabulated")],
+            *[(f"phi {kind} no {key}", _config(phi={"kind": kind}),
+               f"invalid phi: missing key '{key}'")
+              for kind, key in (("linear", "alpha"), ("tabulated", "knots"))],
             ("phi alpha 2.5", _config(phi={"kind": "linear", "alpha": 2.5}),
              "invalid phi: alpha must be in (0, 1), got 2.5"),
             ("output_dir 3", _config(output_dir=3), "output_dir must be a string path"),
@@ -979,9 +973,9 @@ EXEMPT = {
         "banach_solve.system periodic_point_solve.system proximity_chain_extract.system "
         "picard_orbit.system verify_contraction.system verify_cyclicity.system "
         "contraction_margin.system OrbitTrace.system chain_point_distance.space "
-        "chain_self_distance.space chain_set_distance.space p_monotonicity_check.space "
-        "validate_metric.space Region.contains.space Region.distance_to.space CyclicSystem.space "
-        "edge_trace.trace cross_block_chain_distance.trace",
+        "chain_self_distance.space chain_set_distance.space validate_metric.space "
+        "Region.contains.space Region.distance_to.space CyclicSystem.space edge_trace.trace "
+        "cross_block_chain_distance.trace",
     ),
     **_exempt(
         "called as it is: a `Phi`, or a map or oracle under the termination contract below",

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxcycle.chains import (
-    chain_point_distance,
-    chain_self_distance,
-    chain_set_distance,
-    p_monotonicity_check,
-)
+from proxcycle.chains import chain_point_distance, chain_self_distance, chain_set_distance
 from proxcycle.spaces import INFINITY, CapabilityError, Exponent, LqSpace, p_combine
 from proxcycle.system import FiniteCloud
 
@@ -217,29 +212,25 @@ def test_minkowski_type_bound(xs, ys, p):
 
 
 def test_p_monotonicity_random_chains():
+    # d_inf <= d_p <= d_1 and d_p <= m^(1/p) * d_inf, as for the l^p norm of
+    # any m terms; m^(1/p) is 1 at p = inf.
     rng = random.Random(11)
-    space = LqSpace(Exponent(2.0), 3)
+    space, m = LqSpace(Exponent(2.0), 3), 5
     for _ in range(100):
-        xs = [tuple(rng.uniform(-5, 5) for _ in range(3)) for _ in range(5)]
-        ys = [tuple(rng.uniform(-5, 5) for _ in range(3)) for _ in range(5)]
-        report = p_monotonicity_check(space, xs, ys)
-        assert report.ok, report.failures
-        # p = inf among the sampled exponents, with m^(1/p) = 1.
-        report = p_monotonicity_check(space, xs, ys, ps=(1.0, 2.0, math.inf))
-        assert report.ok, report.failures
+        xs = [tuple(rng.uniform(-5, 5) for _ in range(3)) for _ in range(m)]
+        ys = [tuple(rng.uniform(-5, 5) for _ in range(3)) for _ in range(m)]
+        d1 = chain_point_distance(space, xs, ys, 1)
+        dinf = chain_point_distance(space, xs, ys, math.inf)
+        for p in (1.0, 1.5, 2.0, 3.0, 8.0, 64.0, math.inf):
+            dp = chain_point_distance(space, xs, ys, p)
+            assert dinf - 1e-12 <= dp <= d1 + 1e-12, p
+            assert dp <= m ** (1.0 / p) * dinf + 1e-12, p
 
 
-def test_p_monotonicity_degenerate_chain_tight():
-    xs = chain1(2, 2, 2)
-    report = p_monotonicity_check(LINE, xs, xs)
-    assert report.ok
-    assert report.worst_slack == 0.0
-
-
-def test_p_monotonicity_reads_iterator_chains_once():
+def test_chain_point_distance_reads_iterator_chains_once():
     xs, ys = chain1(0, 1, 3), chain1(2, -1, 4)
-    want = p_monotonicity_check(LINE, xs, ys)
-    assert p_monotonicity_check(LINE, iter(xs), iter(ys)) == want
-    assert p_monotonicity_check(LINE, (x for x in xs), map(tuple, ys)) == want
+    want = chain_point_distance(LINE, xs, ys, 2)
+    assert chain_point_distance(LINE, iter(xs), iter(ys), 2) == want
+    assert chain_point_distance(LINE, (x for x in xs), map(tuple, ys), 2) == want
 
 

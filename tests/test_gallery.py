@@ -368,7 +368,6 @@ SHARED_CONSTRUCTOR = {
     "GalleryEntry": {},
     "GallerySpec": {},
     "MetricReport": {},
-    "MonotonicityReport": {},
     "PhiReport": {},
     "ProximityChainResult": {"note": None},
     "SolveResult": {"warnings": (), "proximity_residual": None},
