@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import gallery, orbit
-from .spaces import COUNT, EXPONENT, POSITIVE, Domain, Exponent, _Record, as_exponent
+from .spaces import COUNT, EXPONENT, POSITIVE, Domain, Exponent, _Record, _value_repr, as_exponent
 from .system import LinearPhi, MapError, Phi, TabulatedPhi, validate_phi, verify_contraction, verify_cyclicity
 
 if TYPE_CHECKING:
@@ -85,7 +85,7 @@ def _parse_phi(data: object) -> Phi:
             return TabulatedPhi(_phi_field(data, "knots"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid phi: {exc}") from exc
-    raise ConfigError(f"unknown phi kind {kind!r}")
+    raise ConfigError(f"unknown phi kind {_value_repr(kind)}")
 
 
 def parse_config(data: object) -> ExperimentConfig:

@@ -22,7 +22,7 @@ from typing import Callable
 from .chains import _chain_distance
 from .spaces import (
     ALPHA, EXPONENT, _DATACLASS_FIELDS, CapabilityError, Domain, Exponent, LqSpace, Point, _Record,
-    _bind, as_exponent, p_combine,
+    _bind, _value_repr, as_exponent, p_combine,
 )
 from .system import Ball, Box, CyclicSystem, FiniteCloud, _enumerable
 
@@ -369,8 +369,8 @@ def attainment_gap(gallery_system: GallerySystem, p: object) -> float:
 def build(system_id: str, parameters: dict | None = None) -> GallerySystem:
     """Instantiate a gallery system by id; omitted parameters take their
     defaults and unknown ones are rejected."""
-    if system_id not in GALLERY:
-        raise ValueError(f"unknown gallery system {system_id!r}")
+    if not isinstance(system_id, str) or system_id not in GALLERY:
+        raise ValueError(f"unknown gallery system {_value_repr(system_id)}")
     entry = GALLERY[system_id]
     unknown = set(parameters or ()) - set(entry.domains)
     if unknown:

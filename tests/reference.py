@@ -546,6 +546,13 @@ def _kind(accepts, refused="", message=_IN, error=ValueError, text=False):
     return out | {label: past if label in _HUGE else scalar for label in AWKWARD if label not in out}
 
 
+def _refuses(message, error=ConfigError, accepts=""):
+    """A kind that reads the labels in ``accepts`` and refuses every other
+    awkward value with ``message``."""
+    refused = " ".join(label for label in AWKWARD if label not in accepts.split())
+    return _kind(accepts, refused, message, error)
+
+
 # A coordinate is the second of the point (-2.0, value), and a p_combine
 # value or a validate_phi grid value the second of its list: each is named
 # by its index 1, as ``_AT1`` shows for a coordinate.
@@ -572,9 +579,20 @@ KINDS = {
                    "p_combine is defined for nonnegative values, got ..."),
     "grid value": _kind("nan inf 0 1.0 2.5", "-inf -1",
                         "grid must be sorted with at least 2 points"),
-    "region": _kind("", " ".join(AWKWARD), "{name} must be a Region, got {shown}", TypeError),
-    "distance method": _kind("", " ".join(AWKWARD),
-                             "{name} has no exact distance method, got {shown}", CapabilityError),
+    "region": _refuses("{name} must be a Region, got {shown}", TypeError),
+    "distance method": _refuses("{name} has no exact distance method, got {shown}",
+                                CapabilityError),
+    "gallery id": _refuses("unknown gallery system {shown}", ValueError),
+    # The config's structure: a field that is not an object, a string or one
+    # of its names is refused whole, by the field's own message.
+    "config": _refuses("config must be a JSON object"),
+    "config system": _refuses("system must be an object with 'id' and optional 'parameters'"),
+    "config parameters": _refuses("system.parameters must be an object"),
+    "config phi": _refuses("phi must be an object with a 'kind' field"),
+    "phi kind": _refuses("unknown phi kind {shown}"),
+    "run": _refuses(f"run must be one of {RUNS}"),
+    "system id": _refuses("system.id must be a string", accepts="'1e-3' 'nan'"),
+    "output_dir": _refuses("output_dir must be a string path", accepts="'1e-3' 'nan' None"),
 }
 # An Exponent reads None as the infinite exponent, which it is not given as inf.
 KINDS["Exponent"] = KINDS["exponent"] | {
@@ -850,7 +868,7 @@ def _case_rows():
     kirk, ball, cloud = _kirk(), Ball((3.0,), 1.0), FiniteCloud(((2.0,),))
     short = {k: OrbitTrace(kirk, per_step(kirk, (-1.0,), k - 1)) for k in range(2, 6)}
     return [
-        Row("parse_config", "data", "parse_config", parse_config, cases=_cases(
+        Row("parse_config", "data", "parse_config", parse_config, "config", _cases(
             ConfigError,
             ("[]", [], "config must be a JSON object"),
             ("key x", _config(x=1), "unknown config keys: ['x']"),
@@ -875,10 +893,23 @@ def _case_rows():
         ), accepts=(_config(), _config(
             output_dir="out", phi={"kind": "tabulated", "knots": [[0, 0], [1, "0.5"]]},
             system={"id": "kirk_interval", "parameters": {"alpha": 0.25}}))),
-        Row("parse_config", 'data["run"]', "RUNS", lambda v: parse_config(_config(run=v)),
-            cases=_cases(ConfigError, *[(repr(run), run, f"run must be one of {RUNS}")
-                                        for run in ("explore", [], None)]),
+        Row("parse_config", 'data["run"]', "RUNS", lambda v: parse_config(_config(run=v)), "run",
+            _cases(ConfigError, *[(repr(run), run, f"run must be one of {RUNS}")
+                                  for run in ("explore", [])]),
             accepts=RUNS),
+        *[Row("parse_config", f"data{field}", "parse_config", lambda v, f=f: parse_config(f(v)),
+              kind) for field, f, kind in (
+                ('["system"]', lambda v: _config(system=v), "config system"),
+                ('["system"]["id"]', lambda v: _config(system={"id": v}), "system id"),
+                ('["system"]["parameters"]',
+                 lambda v: _config(system={"id": "kirk_interval", "parameters": v}),
+                 "config parameters"),
+                ('["phi"]', lambda v: _config(phi=v), "config phi"),
+                ('["phi"]["kind"]', lambda v: _config(phi={"kind": v}), "phi kind"),
+                ('["output_dir"]', lambda v: _config(output_dir=v), "output_dir"))],
+        Row("parse_config", 'data["phi"]["alpha"]', ALPHA,
+            lambda v: parse_config(_config(phi={"kind": "linear", "alpha": v})), "unit text",
+            name="alpha", wrap="invalid phi: {}", error=ConfigError, accepts=(5e-324, "0.5")),
         *[Row("parse_config", f'data["{key}"]', NUMBERS[key], lambda v, key=key: parse_config(
             _config(**{key: v})), kind, name=key, accepts=accepts, error=ConfigError)
           for key, kind, accepts in (
@@ -891,7 +922,7 @@ def _case_rows():
         Row("run_experiment", "out_dir", "run_experiment", _run, cases=_cases(
             ConfigError, ("None", None, "no output directory: set output_dir or pass --out")),
             accepts=("tmp",)),
-        Row("build", "system_id", "GALLERY", gallery.build, cases=_cases(
+        Row("build", "system_id", "GALLERY", gallery.build, "gallery id", _cases(
             ValueError, ("'nope'", "nope", "unknown gallery system 'nope'")),
             accepts=("kirk_interval",)),
         Row("build", "parameters", "gallery domains", lambda v: gallery.build("kirk_interval", v),
