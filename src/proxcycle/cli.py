@@ -82,7 +82,10 @@ def _parse_phi(data: object) -> Phi:
         if kind == "linear":
             return LinearPhi(_phi_field(data, "alpha"))
         if kind == "tabulated":
-            return TabulatedPhi(_phi_field(data, "knots"))
+            knots = _phi_field(data, "knots")
+            if not isinstance(knots, list):
+                raise ConfigError(f"knots must be a list of pairs, got {_value_repr(knots)}")
+            return TabulatedPhi(knots)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid phi: {exc}") from exc
     raise ConfigError(f"unknown phi kind {_value_repr(kind)}")

@@ -481,8 +481,8 @@ class Space:
 
 
 def _combined_gaps(combine: Callable[[list[float]], float], pa: Point, pb: Point) -> float:
-    if pa == pb:
-        return 0.0
+    # Equal finite points give only 0.0 gaps, for which max, fsum and the
+    # peak-scaled power sum each return +0.0.
     return combine(list(map(abs, map(sub, pa, pb))))
 
 
@@ -514,8 +514,7 @@ def _space_gap(power: float, inv: float, pa: Point, pb: Point) -> float:
     # The exponent's _combine of the three gaps, unpacked: the gaps, their
     # peak, fsum of the three (g / peak) ** q terms in coordinate order,
     # ** (1/q) and * peak, the same operations in the same order, so the
-    # same bits, with no list. Equal finite points give three 0.0 gaps and
-    # the zero peak's 0.0, so no equal-point test is needed.
+    # same bits, with no list.
     a0, a1, a2 = pa
     b0, b1, b2 = pb
     g0 = abs(a0 - b0)
@@ -530,34 +529,21 @@ def _space_gap(power: float, inv: float, pa: Point, pb: Point) -> float:
     return peak * math.fsum(terms) ** inv
 
 
-def _max_gap(pa: Point, pb: Point) -> float:
-    if pa == pb:
-        return 0.0
-    return max(map(abs, map(sub, pa, pb)))
-
-
 # The kernels ``LqSpace`` chooses from, each at least the first-coordinate gap.
-_GAP_KERNELS = (_line_gap, _max_gap, _combined_gaps, _plane_gap, _space_gap)
+_GAP_KERNELS = (_line_gap, _combined_gaps, _plane_gap, _space_gap)
 
 
 class LqSpace(_Record, Space):
     """R^dimension under the l^q norm.
 
     The trusted ``_distance`` is bound once, at construction, to a kernel
-    chosen from (q, dimension): |a - b| on the line, the max of the
-    coordinate gaps for q = inf, and for 1 < q < inf the unrolled two-term
-    power sum in the plane and the three-term power sum on unpacked
-    coordinates in three dimensions; for q = 1, and for 1 < q < inf from
-    four dimensions up, the exponent's ``_combine`` of the gaps. Each
-    returns the bits that the exponent's ``_combine`` of the gaps would.
-
-    The q = inf kernel and the ``_combine`` of the gaps return 0.0 for
-    equal points before building any list. That is exact for finite points:
-    ``a == b`` makes every difference +0.0 or -0.0 and every gap 0.0, so
-    each kernel would return +0.0, also for ``(0.0,) == (-0.0,)``.
-    The line, plane and three-coordinate kernels build no list, return +0.0
-    from their zero peak, and do without it. The plane and three-coordinate
-    kernels unpack their points, so a point of another length raises.
+    chosen from (q, dimension): |a - b| on the line, and for 1 < q < inf
+    the unrolled two-term power sum in the plane and the three-term power
+    sum on unpacked coordinates in three dimensions; for q = 1 and q = inf,
+    and for 1 < q < inf from four dimensions up, the exponent's
+    ``_combine`` of the gaps. Each returns the bits that the exponent's
+    ``_combine`` of the gaps would. The plane and three-coordinate kernels
+    unpack their points, so a point of another length raises.
     """
 
     __slots__ = ("q", "dimension", "_distance")
@@ -570,9 +556,7 @@ class LqSpace(_Record, Space):
         self._set(q, dimension)
         if dimension == 1:
             kernel = _line_gap
-        elif q.is_inf:
-            kernel = _max_gap
-        elif q.value == 1.0 or dimension > 3:
+        elif q.is_inf or q.value == 1.0 or dimension > 3:
             kernel = partial(_combined_gaps, q._combine)
         elif dimension == 2:
             kernel = partial(_plane_gap, q._power, q._inv)
@@ -584,20 +568,19 @@ class LqSpace(_Record, Space):
     def _gap_bound(self) -> bool:
         """True while ``_distance`` is a kernel chosen here: each is at
         least the gap ``abs(a[0] - b[0])`` of finite points a and b, bit for
-        bit. The line kernel is that gap and the q = inf kernel a max over
-        the gaps; the ``_combine`` of the gaps at q = 1 is a correctly
-        rounded sum of nonnegative terms, which cannot fall below a term; at
-        1 < q < inf it, and the plane and three-coordinate kernels, multiply
-        the peak gap by a power sum raised to 1/q whose peak term is 1.0
-        exactly, so by a factor of at least 1.
+        bit. The line kernel is that gap; the ``_combine`` of the gaps is a
+        max over them at q = inf and a correctly rounded sum of nonnegative
+        terms, which cannot fall below a term, at q = 1; at 1 < q < inf it,
+        and the plane and three-coordinate kernels, multiply the peak gap by
+        a power sum raised to 1/q whose peak term is 1.0 exactly, so by a
+        factor of at least 1.
         Each is also symmetric bit for bit: it reads its points only through
-        ``a == b`` and the gaps ``abs(a_i - b_i)``, and ``a_i - b_i`` is
-        ``-(b_i - a_i)`` exactly, so ``_distance(a, b)`` is
-        ``_distance(b, a)``. The orbit trace's settled stretch relies on
-        the same reading: points that are ``==`` have coordinates equal up
-        to the sign of zero, so the same ``==`` results and the same gaps,
-        and give the same distance bits. A kernel put in its place, by a
-        subclass or otherwise, is not vouched for."""
+        the gaps ``abs(a_i - b_i)``, and ``a_i - b_i`` is ``-(b_i - a_i)``
+        exactly, so ``_distance(a, b)`` is ``_distance(b, a)``. The orbit
+        trace's settled stretch relies on the same reading: points that are
+        ``==`` have coordinates equal up to the sign of zero, so the same
+        gaps, and give the same distance bits. A kernel put in its place, by
+        a subclass or otherwise, is not vouched for."""
         kernel = self._distance
         return getattr(kernel, "func", kernel) in _GAP_KERNELS
 

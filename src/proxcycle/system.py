@@ -13,6 +13,7 @@ import itertools
 import math
 import random
 from bisect import bisect_right
+from collections.abc import Mapping, Set
 from functools import partial
 from itertools import compress, repeat, starmap
 from operator import add, itemgetter, mul, not_, sub, truediv
@@ -60,10 +61,11 @@ _KNOT = Domain(-math.inf, math.inf, note="every coordinate finite")
 
 def _read_knot(knot: object) -> tuple[float, float]:
     """A tabulated phi knot (t, v), each coordinate read by ``_KNOT``; a
-    knot that is not a pair is refused, a str or bytes one too, although it
-    may unpack into two characters."""
+    knot that is not a pair is refused, and so is a str, bytes, mapping or
+    set, although it may unpack into two characters, two keys or two
+    members in hash order."""
     try:
-        t, v = () if isinstance(knot, (str, bytes)) else knot
+        t, v = () if isinstance(knot, (str, bytes, Mapping, Set)) else knot
     except (TypeError, ValueError):
         raise ValueError(f"knots must be pairs of numbers, got {_value_repr(knot)}") from None
     return _KNOT.check("knots", t), _KNOT.check("knots", v)

@@ -889,6 +889,12 @@ def _case_rows():
               for kind, key in (("linear", "alpha"), ("tabulated", "knots"))],
             ("phi alpha 2.5", _config(phi={"kind": "linear", "alpha": 2.5}),
              "invalid phi: alpha must be in (0, 1), got 2.5"),
+            *[(f"phi knot {label}", _config(phi={"kind": "tabulated", "knots": [[0, 0], knot]}),
+               f"invalid phi: knots must be pairs of numbers, got {knot!r}")
+              for label, knot in (("dict", {"1": 5, "2": 7}), ("set", {1, 2}))],
+            *[(f"phi knots {knots!r}", _config(phi={"kind": "tabulated", "knots": knots}),
+               f"invalid phi: knots must be a list of pairs, got {knots!r}")
+              for knots in (5, None, "ab", {"a": 1})],
             ("output_dir 3", _config(output_dir=3), "output_dir must be a string path"),
         ), accepts=(_config(), _config(
             output_dir="out", phi={"kind": "tabulated", "knots": [[0, 0], [1, "0.5"]]},
@@ -936,11 +942,20 @@ def _case_rows():
             ("b'12'", ((0, 0), b"12"), "knots must be pairs of numbers, got b'12'"),
             ("knot None", ((0, 0), None), "knots must be pairs of numbers, got None"),
             ("knot of 3", ((0, 0), (1, 2, 3)), "knots must be pairs of numbers, got (1, 2, 3)"),
+            ("knot dict", ((0, 0), {"1": 5, "2": 7}),
+             "knots must be pairs of numbers, got {'1': 5, '2': 7}"),
+            ("knot set", ((0, 0), {1, 2}), "knots must be pairs of numbers, got {1, 2}"),
+            ("knots 'ab'", "ab", "knots must be pairs of numbers, got 'a'"),
+            ("knots {'a': 1}", {"a": 1}, "knots must be pairs of numbers, got 'a'"),
             ("first at 1", ((1, 0), (2, 1)), "first knot must be at t = 0"),
             ("equal t", ((0, 0), (0, 1)), "knot abscissae must be strictly increasing"),
             ("falling", ((0, 1), (1, 0)), "knot values not increasing"),
             ("steep", ((0, 0), (5e-324, 1)),
              "slope past the float range from knot (0.0, 0.0) to (5e-324, 1.0)"),
+        ) | _cases(
+            TypeError,
+            ("knots 5", 5, "'int' object is not iterable"),
+            ("knots None", None, "'NoneType' object is not iterable"),
         ), accepts=(((0.0, 0.0), (1.0, 0.0)), Gives([[0, 0], ["1", "2"]], ((0.0, 0.0), (1.0, 2.0))),
                     Gives((("0", 0), (1, "0.5")), ((0.0, 0.0), (1.0, 0.5))))),
         Row("FiniteCloud", "points", "FiniteCloud", FiniteCloud, cases=_cases(

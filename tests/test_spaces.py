@@ -507,6 +507,23 @@ def test_every_kernel_is_plus_zero_on_equal_points_and_combines_the_gaps(q, dime
     assert hexed(space.distance(pa, pb)) == hexed(want)
 
 
+@pytest.mark.parametrize("dimension", [1, 2, 3, 4])
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.5, math.inf])
+def test_every_kernel_is_plus_zero_on_equal_points_with_either_zero(q, dimension):
+    # No kernel tests its points for equality: equal points give only 0.0
+    # gaps, and each kernel's zero peak, max or fsum of them is +0.0. Every
+    # pair of points equal up to the signs of their zeros, on zeros alone
+    # and after a first coordinate of every kind.
+    space = LqSpace(as_exponent(q), dimension)
+    zeros = list(itertools.product((0.0, -0.0), repeat=dimension))
+    big = sys.float_info.max
+    for head in (None, 1.5, -5e-324, big, -big):
+        for za, zb in itertools.product(zeros, repeat=2):
+            pa, pb = (za, zb) if head is None else ((head, *za[1:]), (head, *zb[1:]))
+            d = space._distance(pa, pb)
+            assert d == 0.0 and math.copysign(1.0, d) == 1.0, (pa, pb)
+
+
 @pytest.mark.parametrize("dimension", [3, 4, 13, 22])
 @pytest.mark.parametrize("q", [1.25, 3.5, 40.0])
 @given(data=st.data())
@@ -652,23 +669,27 @@ def test_every_kernel_is_at_least_the_first_coordinate_gap(q, dimension, data):
 # A (q, dimension) at which LqSpace binds each kernel it chooses.
 _KERNEL_AT = {
     "_line_gap": (2.0, 1),
-    "_max_gap": (math.inf, 3),
     "_combined_gaps": (1.0, 3),
     "_plane_gap": (2.0, 2),
     "_space_gap": (3.0, 3),
 }
+# Each kernel at its (q, dimension), then the max of the gaps that
+# _combined_gaps takes for q = inf from dimension 2 up.
+_SYMMETRY_CASES = [
+    *[pytest.param(k, *_KERNEL_AT[k.__name__], id=k.__name__) for k in _GAP_KERNELS],
+    *[pytest.param(_combined_gaps, math.inf, d, id=f"_combined_gaps-inf-{d}") for d in (2, 3, 7)],
+]
 
 
-@pytest.mark.parametrize("kernel", _GAP_KERNELS, ids=lambda k: k.__name__)
+@pytest.mark.parametrize("kernel, q, dimension", _SYMMETRY_CASES)
 @given(data=st.data())
 @example(data=None)
 @settings(max_examples=100, deadline=None)
-def test_every_gap_bound_kernel_is_symmetric_bit_for_bit(kernel, data):
+def test_every_gap_bound_kernel_is_symmetric_bit_for_bit(kernel, q, dimension, data):
     # trace_rows takes a two-region trace's wrap d(x_{2n+1}, x_{2n}) from
     # the step d(x_{2n}, x_{2n+1}) where the space vouches for the gap
     # bound, so each kernel must give the same bits in both argument
     # orders: on signed zeros, subnormal gaps and gaps that overflow to inf.
-    q, dimension = _KERNEL_AT[kernel.__name__]
     space = LqSpace(as_exponent(q), dimension)
     assert getattr(space._distance, "func", space._distance) is kernel
     big, tiny, rest = sys.float_info.max, 5e-324, dimension - 1
