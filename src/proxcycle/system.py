@@ -213,22 +213,22 @@ def _as_returned(zs: Sequence[float]) -> list[float]:
     return list(map(add, repeat(0.0), zs))
 
 
-class _Draw:
-    """The one drawer of sampled regions: a block of samples of ``regions``,
-    read for ``space``, for ``verify_cyclicity`` and the sampled scan.
-
-    ``draw(rng, rounds)`` returns the samples of ``rounds`` (at least 1)
-    rounds, each region's ``sample`` in turn, read by ``space.point``, and
-    the exception that cut the block short, or None. A round whose draw
-    raises is dropped and ends the block; the block is then read by
-    ``Space._read_block``, in one ``_as_read`` pass, or, when a point is
-    not read as it is, one by one by ``space.point`` up to the first that
-    fails, whose error then ends the block there. So the samples before the
-    first that fails to draw or to read come back with that failure.
+def _draw(
+    space: Space, regions: Sequence[Region], rng: random.Random, rounds: int
+) -> tuple[list[Point], Exception | None]:
+    """The one drawer of sampled regions, for ``verify_cyclicity`` and the
+    sampled scan: ``rounds`` (at least 1) rounds, each region's ``sample``
+    in turn, read by ``space.point``, and the exception that cut the block
+    short, or None. A round whose draw raises is dropped and ends the
+    block; the block is then read by ``Space._read_block``, in one
+    ``_as_read`` pass, or, when a point is not read as it is, one by one by
+    ``space.point`` up to the first that fails, whose error then ends the
+    block there. So the samples before the first that fails to draw or to
+    read come back with that failure.
 
     When every region is exactly a ``Box`` or a ``Ball``, a block of an
     even number of rounds, started with no gauss value waiting in
-    ``rng.gauss_next``, is drawn by columns, ``[r.sample(rng) for _ in
+    ``rng.gauss_next``, is drawn by ``_columns``, ``[r.sample(rng) for _ in
     range(rounds) for r in regions]`` bit for bit, leaving ``rng`` in the
     same state, for an ``rng`` whose ``uniform`` and ``gauss`` are
     ``random.Random``'s. Those are the blocks both sampled checks ask for.
@@ -236,135 +236,92 @@ class _Draw:
     ``randrange`` draws bits rather than ``random()``, or a subclass with
     its own ``sample``), is drawn one ``sample`` call at a time, and
     ``Region.sample`` stays the per-sample reference the columns match.
+    """
+    points = None
+    if all(type(r) in (Box, Ball) for r in regions) and rounds % 2 == 0 and rng.gauss_next is None:
+        points = _columns(regions, rng, rounds // 2)
+    failure = None
+    if points is None:  # drawn one sample call at a time
+        points = []
+        try:
+            for _ in range(rounds):
+                points += [r.sample(rng) for r in regions]
+        except Exception as exc:  # raised after the rounds drawn before it
+            failure = exc
+    # A sample that fails to read is raised after the samples read before it.
+    read, error = space._read_block(points)
+    return read, failure if error is None else error
 
-    Every draw of the column stream is a call of ``rng.random``: a Box
-    takes one per axis that is not degenerate (``uniform``), a Ball of
-    dimension d takes d ``gauss`` values and then one for its radius, and
-    ``gauss`` takes a pair (an angle and a radius) for every second value,
-    keeping the other, raw, in ``rng.gauss_next``. From a state with none
-    waiting, two rounds leave none waiting, so one plan of two rounds fixes
-    where each draw goes, and slot j of the plan is the column
-    ``u[j::width]`` of the block's draws. The gauss values, norms, scales
-    and coordinates are then built column by column with ``map``, and the
-    points assembled in draw order.
+
+def _columns(regions: Sequence[Region], rng: random.Random, half: int) -> list[Point] | None:
+    """``2 * half`` rounds of Box and Ball samples drawn by columns, or
+    None, with ``rng`` set back to the state the block started in, when a
+    Ball direction has norm zero.
+
+    Every draw is a call of ``rng.random``: a Box takes one per axis that
+    is not degenerate (``uniform``), a Ball of dimension d takes d
+    ``gauss`` values and then one for its radius, and ``gauss`` takes a
+    pair (an angle and a radius) for every second value, keeping the
+    other, raw, in ``rng.gauss_next``. From a state with none waiting, two
+    rounds leave none waiting, so two rounds take ``width`` draws and draw
+    j of every such pair of rounds is the column ``u[j::width]`` of the
+    block's draws. The two rounds are walked once, in draw order, each draw
+    taking the next column, and the gauss values, norms, scales and
+    coordinates are built column by column with ``map``; the points are
+    then assembled in draw order.
 
     A Ball whose direction has norm zero returns its center without drawing
     a radius, which shifts the stream: a block that meets one is drawn
     again, sample by sample, from the state it started in.
     """
+    width = 2 * sum(
+        sum(lo != hi for lo, hi in zip(r.lower, r.upper)) if type(r) is Box else len(r.center) + 1
+        for r in regions
+    )
+    state = rng.getstate()
+    u = list(starmap(rng.random, repeat((), half * width)))
+    columns = (u[j::width] for j in range(width))
 
-    __slots__ = ("space", "regions", "_layout")
-
-    def __init__(self, space: Space, regions: Sequence[Region]) -> None:
-        self.space, self.regions = space, tuple(regions)
-        columns = all(type(r) in (Box, Ball) for r in self.regions)
-        self._layout = self._plan() if columns else None
-
-    def _plan(self) -> tuple:
-        """Two rounds of draws from a state with no gauss value waiting:
-        the slots they take, the first slot of each gauss pair and each
-        round's recipe per region. A recipe gives a Box's axes as (lower,
-        upper - lower, slot), slot None for a degenerate axis, and a Ball's
-        gauss values with its radius slot. A gauss value is an index into
-        the block's gauss columns: 2k and 2k + 1 for the two values of pair
-        k."""
-        slots, pairs, recipes = 0, [], []
-        waiting = None
-        for _ in range(2):
-            row = []
-            for region in self.regions:
-                if type(region) is Box:
-                    axes = []
-                    for lo, hi in zip(region.lower, region.upper):
-                        axes.append((lo, None, None) if lo == hi else (lo, hi - lo, slots))
-                        slots += lo != hi
-                    row.append(axes)
-                    continue
-                values = []
+    kept = None  # the sin half of the last gauss pair, not yet used
+    groups: tuple[list, list] = ([], [])
+    for group in groups:
+        for region in regions:
+            if type(region) is Box:
+                coords = [
+                    repeat(lo, half)
+                    if lo == hi
+                    else map(add, repeat(lo), map(mul, repeat(hi - lo), next(columns)))
+                    for lo, hi in zip(region.lower, region.upper)
+                ]
+            else:
+                direction = []
                 for _ in region.center:
-                    if waiting is None:
-                        values.append(2 * len(pairs))
-                        waiting = 2 * len(pairs) + 1
-                        pairs.append(slots)
-                        slots += 2
-                    else:
-                        values.append(waiting)
-                        waiting = None
-                row.append((values, slots))
-                slots += 1
-            recipes.append(row)
-        return slots, pairs, recipes
-
-    def draw(self, rng: random.Random, rounds: int) -> tuple[list[Point], Exception | None]:
-        """``rounds`` samples of every region in turn, read, with the
-        failure that ended them early, or None."""
-        points = None
-        if self._layout is not None and rounds % 2 == 0 and rng.gauss_next is None:
-            points = self._columns(rng, rounds // 2)
-        failure = None
-        if points is None:  # drawn one sample call at a time
-            points = []
-            try:
-                for _ in range(rounds):
-                    points += [r.sample(rng) for r in self.regions]
-            except Exception as exc:  # raised after the rounds drawn before it
-                failure = exc
-        # A sample that fails to read is raised after the samples read before it.
-        read, error = self.space._read_block(points)
-        return read, failure if error is None else error
-
-    def _columns(self, rng: random.Random, half: int) -> list[Point] | None:
-        """``2 * half`` rounds drawn by columns, or None, with ``rng`` set
-        back to the state the block started in, when a Ball direction has
-        norm zero."""
-        regions = self.regions
-        width, pairs, recipes = self._layout
-        state = rng.getstate()
-        u = list(starmap(rng.random, repeat((), half * width)))
-        column = [u[j::width] for j in range(width)]
-
-        # Pair k of gauss: z = cos(x2pi) * g2rad is returned at once and
-        # sin(x2pi) * g2rad kept for the next value; values[2k] and
-        # values[2k + 1] are the two as gauss returns them.
-        values = []
-        for j in pairs:
-            x2pi = list(map(mul, column[j], repeat(_TWOPI)))
-            g2rad = list(
-                map(
-                    math.sqrt,
-                    map(mul, repeat(-2.0), map(math.log, map(sub, repeat(1.0), column[j + 1]))),
-                )
-            )
-            values.append(_as_returned(map(mul, map(math.cos, x2pi), g2rad)))
-            values.append(_as_returned(map(mul, map(math.sin, x2pi), g2rad)))
-
-        groups: tuple[list, list] = ([], [])
-        for group, row in zip(groups, recipes):
-            for region, recipe in zip(regions, row):
-                if type(region) is Box:
-                    coords = [
-                        repeat(lo, half)
-                        if j is None
-                        else map(add, repeat(lo), map(mul, repeat(span), column[j]))
-                        for lo, span, j in recipe
-                    ]
-                else:
-                    sources, j = recipe
-                    direction = [values[k] for k in sources]
-                    squares = zip(*[map(mul, c, c) for c in direction])
-                    norms = list(map(math.sqrt, map(math.fsum, squares)))
-                    if 0.0 in norms:
-                        rng.setstate(state)
-                        return None
-                    root = 1.0 / len(direction)
-                    radii = map(mul, repeat(region.radius), map(pow, column[j], repeat(root)))
-                    scales = list(map(truediv, radii, norms))
-                    coords = [
-                        map(add, repeat(c), map(mul, scales, us))
-                        for c, us in zip(region.center, direction)
-                    ]
-                group.append(list(zip(*coords)))
-        return list(itertools.chain.from_iterable(zip(*groups[0], *groups[1])))
+                    if kept is not None:
+                        direction.append(kept)
+                        kept = None
+                        continue
+                    # A gauss pair: z = cos(x2pi) * g2rad is returned at
+                    # once and sin(x2pi) * g2rad kept for the next value,
+                    # each as gauss returns it.
+                    x2pi = list(map(mul, next(columns), repeat(_TWOPI)))
+                    logs = map(math.log, map(sub, repeat(1.0), next(columns)))
+                    g2rad = list(map(math.sqrt, map(mul, repeat(-2.0), logs)))
+                    direction.append(_as_returned(map(mul, map(math.cos, x2pi), g2rad)))
+                    kept = _as_returned(map(mul, map(math.sin, x2pi), g2rad))
+                squares = zip(*[map(mul, c, c) for c in direction])
+                norms = list(map(math.sqrt, map(math.fsum, squares)))
+                if 0.0 in norms:
+                    rng.setstate(state)
+                    return None
+                root = 1.0 / len(direction)
+                radii = map(mul, repeat(region.radius), map(pow, next(columns), repeat(root)))
+                scales = list(map(truediv, radii, norms))
+                coords = [
+                    map(add, repeat(c), map(mul, scales, us))
+                    for c, us in zip(region.center, direction)
+                ]
+            group.append(list(zip(*coords)))
+    return list(itertools.chain.from_iterable(zip(*groups[0], *groups[1])))
 
 
 def _box_gaps(lo1: Point, hi1: Point, lo2: Point, hi2: Point) -> list[float]:
@@ -538,11 +495,12 @@ class PhiReport(_Record):
 
 
 def validate_phi(phi: Phi, grid: Sequence[float]) -> PhiReport:
-    """Verify strict increase and nonnegativity of phi on a sorted grid, each
-    grid value read by ``_number``."""
+    """Verify strict increase and nonnegativity of phi on a strictly
+    increasing grid, each grid value read by ``_number``; a grid that
+    repeats a point (0.0 and -0.0 are one point) is refused."""
     pts = _floats("grid", grid)
-    if len(pts) < 2 or any(t2 < t1 for t1, t2 in zip(pts, pts[1:])):
-        raise ValueError("grid must be sorted with at least 2 points")
+    if len(pts) < 2 or any(t2 <= t1 for t1, t2 in zip(pts, pts[1:])):
+        raise ValueError("grid must be strictly increasing with at least 2 points")
     violations = []
     values = [phi(t) for t in pts]
     for t, v in zip(pts, values):
@@ -709,7 +667,7 @@ def verify_cyclicity(
     ``samples_per_region`` is read by ``COUNT`` and ``tol`` by
     ``POSITIVE``. A region's samples are taken as a block: cloud points,
     validated when their cloud was built, or ``samples_per_region`` samples
-    drawn and read by one ``_Draw`` call, the drawer of the sampled scan.
+    drawn and read by one ``_draw`` call, the drawer of the sampled scan.
     The block is then flagged by ``_is_artifact`` when the system has
     artifact points, mapped by ``CyclicSystem._images`` and tested by the
     target's ``_contains``. A sample that fails to draw or to read ends the
@@ -732,7 +690,7 @@ def verify_cyclicity(
         if _enumerable(region):
             xs, failure = region.points, None
         else:
-            xs, failure = _Draw(space, (region,)).draw(rng, samples_per_region)
+            xs, failure = _draw(space, (region,), rng, samples_per_region)
         if system.artifact_points:
             flags = list(map(system._is_artifact, xs))
             artifacts += [(i, x) for x in compress(xs, flags)]
@@ -859,7 +817,7 @@ _Block = tuple[int, list, list, Callable[[int], tuple[tuple[Point, ...], tuple[P
 def _sampled_blocks(system: CyclicSystem, tuple_samples: int, seed: int) -> Iterator[_Block]:
     """``tuple_samples`` seeded tuple pairs, ``SAMPLE_BLOCK`` pairs a block.
 
-    A block's pairs are drawn and read by one ``_Draw`` call, as one pair
+    A block's pairs are drawn and read by one ``_draw`` call, as one pair
     at a time would draw them: xs, then ys, region by region, pair by pair.
     A sample that fails to draw or to read ends the scan where the
     pair-at-a-time scan ended: the block of the whole pairs before it is
@@ -885,7 +843,7 @@ def _sampled_blocks(system: CyclicSystem, tuple_samples: int, seed: int) -> Iter
     """
     rng = random.Random(seed)
     m, width = system.m, 2 * system.m  # points per pair: the x-chain, then the y-chain
-    draw = _Draw(system.space, system.regions).draw
+    draw = partial(_draw, system.space, system.regions)
     dist, is_artifact = system.space._distance, system._is_artifact
 
     def terms(block: list[Point]) -> list[list[float]]:

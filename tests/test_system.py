@@ -6,7 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import proxcycle.system as system_module
@@ -50,7 +50,7 @@ from proxcycle.system import (
     Region,
     TabulatedPhi,
     _as_returned,
-    _Draw,
+    _draw,
     alpha_bound_check,
     contraction_margin,
     region_distance,
@@ -388,6 +388,36 @@ def test_tabulated_phi_matches_direct_interpolation():
         (t1, v1), (t2, v2) = knots[i], knots[i + 1]
         assert phi(t) == v1 + (v2 - v1) / (t2 - t1) * (t - t1)
     assert phi == TabulatedPhi(knots) and hash(phi) == hash(TabulatedPhi(knots))
+
+
+@st.composite
+def lattice_knots(draw):
+    """2-6 knots on the 1/64 lattice: abscissa steps of 1-640 units, value
+    steps of 0-640 units and phi(0) in [0, 1]."""
+    n = draw(st.integers(2, 6))
+    steps = draw(st.lists(st.integers(1, 640), min_size=n - 1, max_size=n - 1))
+    rises = draw(st.lists(st.integers(0, 640), min_size=n - 1, max_size=n - 1))
+    ts = itertools.accumulate([0, *steps])
+    vs = itertools.accumulate([draw(st.integers(0, 64)), *rises])
+    return tuple((t / 64, v / 64) for t, v in zip(ts, vs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(knots=lattice_knots())
+@example(knots=((0.0, 0.25), (0.5, 0.25), (2.0, 1.0)))
+@example(knots=((0.0, 0.0), (1.0, 0.5), (1.5, 0.5), (3.0, 2.0)))
+@example(knots=((0.0, 0.0), (1.0, 0.5), (2.5, 0.5)))
+def test_exact_phi_validity_is_validate_phi_on_the_lattice_grid(knots):
+    # Exact validity against a dense grid, flat segments at the start, in
+    # the middle and at the end (so also past the last knot) included: the
+    # grid holds every multiple of 1/64 up to one past the last knot. A
+    # float-spaced grid would not do, since the rounded slope can step back
+    # by one ulp just below an interior knot: with the knots (0, 0),
+    # (0.2, 1.7), (0.9, 3.9), (1.9, 4.9), phi(0.8999999999999999) is
+    # 3.9000000000000004 > phi(0.9) = 3.9, yet phi is valid.
+    phi = TabulatedPhi(knots)
+    grid = [k / 64 for k in range(round(knots[-1][0] * 64) + 65)]
+    assert phi._strictly_increasing() == validate_phi(phi, grid).ok
 
 
 def test_validate_phi_rejects_constant():
@@ -1035,7 +1065,7 @@ def _zero_at(seed, draw):
 class _AsDrawn(Space):
     """A space of no one dimension that reads every point as it is, so
     that regions of any dimensions are drawn together and their samples
-    come back from ``_Draw`` as they were drawn."""
+    come back from ``_draw`` as they were drawn."""
 
     dimension = 0
 
@@ -1044,8 +1074,8 @@ class _AsDrawn(Space):
 
 
 def _drawn(regions, rng, rounds):
-    """The samples ``_Draw`` draws, unread; it draws them all."""
-    points, failure = _Draw(_AsDrawn(), regions).draw(rng, rounds)
+    """The samples ``_draw`` draws, unread; it draws them all."""
+    points, failure = _draw(_AsDrawn(), regions, rng, rounds)
     assert failure is None
     return points
 
@@ -1093,6 +1123,22 @@ def _ball(draw):
     zero_at=st.one_of(st.none(), st.integers(1, 40)),
 )
 @settings(max_examples=200, deadline=None)
+# Boxes whose axes are all degenerate: two rounds take no draw at all.
+@example(
+    regions=[Box((1.0, -0.0), (1.0, -0.0)), Box((2.5,), (2.5,))],
+    rounds=2, seed=7, waiting=0, zero_at=None,
+)
+# A 1-d ball then a 3-d ball: the 3-d ball takes the gauss value the 1-d
+# ball kept. With a second 1-d ball after them a round takes five gauss
+# values, so the next round's first ball takes the value the last one kept.
+@example(
+    regions=[Ball((0.5,), 1.0), Ball((1.0, -1.0, 0.0), 2.0)],
+    rounds=2 * B, seed=11, waiting=0, zero_at=None,
+)
+@example(
+    regions=[Ball((0.5,), 1.0), Ball((1.0, -1.0, 0.0), 2.0), Ball((-3.0,), 0.25)],
+    rounds=2 * B, seed=11, waiting=0, zero_at=None,
+)
 def test_column_draw_matches_per_sample_draws(regions, rounds, seed, waiting, zero_at):
     # ``waiting`` gauss values drawn first leave one in gauss_next; a draw
     # forced to 0.0 gives a zero gauss pair, and so a zero norm in a ball
@@ -1179,13 +1225,13 @@ def test_only_exact_boxes_and_balls_are_drawn_by_columns(monkeypatch):
         )
     kirk = SAMPLED_SYSTEMS["kirk"]
     for system in (kirk, SAMPLED_SYSTEMS["mixed"]):
-        points, failure = _Draw(system.space, system.regions).draw(random.Random(1), 6)
+        points, failure = _draw(system.space, system.regions, random.Random(1), 6)
         assert len(points) == 6 * system.m and failure is None and sampled == []
     cloud = kirk.regions + (FiniteCloud(((0.0,),)),)
     lists = tuple(_ListBox(r.lower, r.upper) for r in kirk.regions)
     for regions in (cloud, lists):
         sampled.clear()
-        points, failure = _Draw(kirk.space, regions).draw(random.Random(1), 5)
+        points, failure = _draw(kirk.space, regions, random.Random(1), 5)
         assert len(points) == 5 * len(regions) and failure is None
         assert sampled == list(regions) * 5
 
