@@ -35,8 +35,9 @@ class GallerySpec(_Record):
 
 
 class GallerySystem(_Record):
-    """A gallery system and its known answers. ``spec``, first in the
-    fields and the ``repr``, is keyword-only: the registry sets it.
+    """A gallery system and its known answers. ``spec`` is the first field
+    and defaults to None: a constructor leaves it out and the registry sets
+    it.
 
     Each build makes its map afresh, as a closure, and a map compares by
     identity, so two builds of one config give unequal systems and unequal
@@ -46,27 +47,8 @@ class GallerySystem(_Record):
         "spec", "system", "edge_distances", "expected_solution", "attainable",
         "certificate_alpha", "step_factor", "default_start",
     )
+    _defaults = {"spec": None}
     __dataclass_fields__ = _DATACLASS_FIELDS
-
-    def __init__(
-        self,
-        system: CyclicSystem,
-        edge_distances: tuple[float, ...],
-        expected_solution: Point | None,
-        attainable: bool,
-        certificate_alpha: float,
-        step_factor: float | None,
-        default_start: Point,
-        *,
-        spec: GallerySpec | None = None,
-    ) -> None:
-        self._set(
-            spec, system, edge_distances, expected_solution, attainable, certificate_alpha,
-            step_factor, default_start,
-        )
-
-    def __reduce__(self) -> tuple:
-        return functools.partial(GallerySystem, spec=self.spec), self._values()[1:]
 
     def expected_chain_distance(self, p: object) -> float:
         return p_combine(self.edge_distances, p)
@@ -105,8 +87,7 @@ def _gallery(system_id: str, description: str, **domains: Domain):
             values = {name: domains[name].check(name, v) for name, v in given}
             # JSON has no infinity, so the spec spells q = inf as a config does.
             spec = sorted((name, "inf" if v == math.inf else v) for name, v in values.items())
-            built = factory(**values)._values()[1:]  # every field but the spec
-            return GallerySystem(*built, spec=GallerySpec(system_id, tuple(spec)))
+            return factory(**values).__replace__(spec=GallerySpec(system_id, tuple(spec)))
 
         GALLERY[system_id] = GalleryEntry(checked, domains, description)
         return checked

@@ -386,7 +386,8 @@ ALPHA = Domain(0, 1)
 CYCLE_LENGTH = Domain(2, math.inf, "[)", integer=True, strings=False)
 # Every exponent p or q lies in [1, inf]: as_exponent reads "inf" and no
 # other string, and its inf has value None.
-EXPONENT = Domain(1, math.inf, "[]", read=lambda q: as_exponent(q).value or math.inf)
+EXPONENT = Domain(1, math.inf, "[]", note='no text but "inf" or "infinity"',
+                  read=lambda q: as_exponent(q).value or math.inf)
 # Tolerances and radii: numbers in (0, inf), no strings.
 POSITIVE = Domain(0, math.inf, strings=False)
 # Dimensions and counts (samples, triples, iterations): integers >= 1.

@@ -497,9 +497,9 @@ class PhiReport(_Record):
 def validate_phi(phi: Phi, grid: Sequence[float]) -> PhiReport:
     """Verify strict increase and nonnegativity of phi on a strictly
     increasing grid, each grid value read by ``_number``; a grid that
-    repeats a point (0.0 and -0.0 are one point) is refused."""
+    repeats a point (0.0 and -0.0 are one point) or holds a NaN is refused."""
     pts = _floats("grid", grid)
-    if len(pts) < 2 or any(t2 <= t1 for t1, t2 in zip(pts, pts[1:])):
+    if len(pts) < 2 or any(not t2 > t1 for t1, t2 in zip(pts, pts[1:])):
         raise ValueError("grid must be strictly increasing with at least 2 points")
     violations = []
     values = [phi(t) for t in pts]

@@ -577,7 +577,7 @@ KINDS = {
                         "non-finite coordinate {shown} at index 1 in (-2.0, {shown})"),
     "value": _kind("inf 0 1.0 2.5", "nan -inf -1",
                    "p_combine is defined for nonnegative values, got ..."),
-    "grid value": _kind("nan inf 1.0 2.5", "-inf 0 -1",
+    "grid value": _kind("inf 1.0 2.5", "nan -inf 0 -1",
                         "grid must be strictly increasing with at least 2 points"),
     "region": _refuses("{name} must be a Region, got {shown}", TypeError),
     "distance method": _refuses("{name} has no exact distance method, got {shown}",

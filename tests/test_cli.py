@@ -781,7 +781,7 @@ paper_lq_family: truncated scaled-basis families in l^q; \
 set chain distance not attained away from the truncation boundary
     m: integer in [2, 16] (default 2)
     alpha: (0, 1) with alpha^m < 1/2 (default 0.5)
-    q: [1, inf] (default 2)
+    q: [1, inf] with no text but "inf" or "infinity" (default 2)
     N: integer in [2, 50] (default 6)
 scaled_pair: two unit balls at a given separation; proximity chain at the nearest surface points
     alpha: (0, 1) (default 0.5)
@@ -800,7 +800,7 @@ def test_gallery_list_json_bytes_are_pinned(capsys):
     # spacing, which the parsed comparisons below do not see.
     assert cli.main(["gallery", "list", "--json"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "75b3073b81343120fd948d3c07084ffd01d8218eea545b03b2948c8cb315fdd8"
+    assert digest == "5719d43d4d20b0e9da045d15fd6a288f3bcd51e150690868b3eb6d125da0b760"
 
 
 def test_gallery_list_json(capsys):

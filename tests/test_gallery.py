@@ -275,7 +275,7 @@ def test_list_gallery_pins_ids_descriptions_domains_and_defaults():
             "parameters": params(
                 ("m", "integer in [2, 16]", 2),
                 ("alpha", "(0, 1) with alpha^m < 1/2", 0.5),
-                ("q", "[1, inf]", 2),
+                ("q", '[1, inf] with no text but "inf" or "infinity"', 2),
                 ("N", "integer in [2, 50]", 6),
             ),
         },
@@ -367,6 +367,7 @@ SHARED_CONSTRUCTOR = {
     "ExperimentConfig": {"output_dir": None},
     "GalleryEntry": {},
     "GallerySpec": {},
+    "GallerySystem": {"spec": None},
     "MetricReport": {},
     "PhiReport": {},
     "ProximityChainResult": {"note": None},
@@ -435,7 +436,21 @@ def _system(k):
 
 def _gallery_system(k):
     spec = GallerySpec("kirk_interval", (("alpha", 0.5 + k / 4),))
-    return GallerySystem(_system(0), (0.0, 0.0), (0.0,), True, 0.5, 0.5, (-1.0,), spec=spec)
+    return GallerySystem(spec, _system(0), (0.0, 0.0), (0.0,), True, 0.5, 0.5, (-1.0,))
+
+
+def test_a_gallery_system_is_built_in_repr_order_and_the_registry_sets_its_spec():
+    spec = GallerySpec("kirk_interval", (("alpha", 0.5),))
+    # spec is the first positional field, so the seven others and spec=
+    # bind spec twice.
+    with pytest.raises(TypeError) as err:
+        GallerySystem(_system(0), (0.0, 0.0), (0.0,), True, 0.5, 0.5, (-1.0,), spec=spec)
+    assert str(err.value) == "multiple values for argument 'spec'"
+    raw, built = make_kirk_interval.__wrapped__(0.5), make_kirk_interval(0.5)
+    assert raw.spec is None and built.spec == spec
+    same = [name for name in GallerySystem._fields if name not in ("spec", "system")]
+    assert [getattr(raw, name) for name in same] == [getattr(built, name) for name in same]
+    assert raw.system.__replace__(map=built.system.map) == built.system
 
 
 CONTRACT_RECORDS = {

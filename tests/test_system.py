@@ -439,6 +439,13 @@ def test_validate_phi_reports_negative_values():
     assert report.violations == (("negative", 0.0, -1.0), ("negative", 0.5, -0.5))
 
 
+@pytest.mark.parametrize("grid", [[0.0, math.nan, 1.0], [0.0, 1.0, math.nan]])
+def test_validate_phi_refuses_a_nan_grid_value_without_blaming_phi(grid):
+    with pytest.raises(ValueError) as err:
+        validate_phi(LinearPhi(0.5), grid)
+    assert str(err.value) == "grid must be strictly increasing with at least 2 points"
+
+
 # --- cyclicity ---------------------------------------------------------------
 
 
