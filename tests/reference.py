@@ -490,7 +490,8 @@ def counted_kirk():
 # through, and calls the entry point with one value there. A row of a kind
 # meets every value of ``AWKWARD`` and gets the kind's outcome for it, where
 # its own ``cases`` do not say otherwise; its ``accepts`` are boundary
-# values it reads, a ``Gives`` with the result it returns. An outcome is
+# values it reads, a ``Gives`` with the result it returns, of the same type
+# (each item's too, in a tuple or list). An outcome is
 # None for a value read, else the exception type and its message: the whole
 # message, or its start where the template ends in "...". A row's reader is
 # the ``Domain`` it reads the parameter through, or the name of its reader.
@@ -658,6 +659,18 @@ def _config(**changes):
             "run": "trace", "iterations": 6, "tolerance": 1e-10, "seed": 0, **changes}
 
 
+def _reads(config, field=None):
+    """A row's call: ``parse_config`` of ``config(v)``, or the ``field`` it
+    reads; the call keeps ``config``, so the CLI test runs the same config."""
+
+    def call(v):
+        parsed = parse_config(config(v))
+        return getattr(parsed, field) if field else parsed
+
+    call.config = config
+    return call
+
+
 def _load(text):
     """``load_config`` of a file holding ``text``."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -676,11 +689,28 @@ L1, _UNIT, _TOP = LqSpace(2, 1), Box((0.0,), (1.0,)), 1.7976931348623157e308
 _SOLVERS = {f.__name__: f for f in (banach_solve, periodic_point_solve, proximity_chain_extract)}
 
 
+# A whole point, handed to a point reader in place of (-2.0, value).
+Whole = collections.namedtuple("Whole", "point")
+
+
+def _whole(what, *more):
+    """The refusals of a whole point read by ``Space.point`` in the plane,
+    which labels it ``what``, and the ``more`` cases."""
+    return _cases(ValueError, ("3-d point", Whole((1.0, 2.0, 3.0)),
+                               f"{what} of dimension 3 in a 2-dimensional space"),
+                  ("str point", Whole("12"), "a point is a sequence of numbers, not a str"), *more)
+
+
 def _point_rows():
-    """Every reader of an outside point, handed (-2.0, value): a point of the
-    plane, in its first ball for the values 0, -1 and 1.0."""
+    """Every reader of an outside point, handed (-2.0, value), or a
+    ``Whole`` point: a point of the plane, in its first ball for the values
+    0, -1 and 1.0."""
     plane, phi = gallery.make_scaled_pair(0.4, 2.0, 2).system, LinearPhi(0.5)
-    plane_2, two, pt = plane.space, [(-2.0, 0.0), (2.0, 0.0)], lambda v: (-2.0, v)
+    plane_2, two, oracle = plane.space, [(-2.0, 0.0), (2.0, 0.0)], OracleSpace(math.dist, 2)
+
+    def pt(v):
+        return v.point if isinstance(v, Whole) else (-2.0, v)
+
     built = {
         "check_point v": lambda v: check_point(pt(v)),
         "FiniteCloud points": lambda v: FiniteCloud(((0.0, 0.0), pt(v))),
@@ -688,39 +718,55 @@ def _point_rows():
         "Box upper": lambda v: Box((-3.0, -3.0), pt(v)),
         "Ball center": lambda v: Ball(pt(v), 1.0),
     }
+    bounds = {key: _cases(ValueError, ("1-d bound", Whole((0.0,)), "bound dimensions differ"), (
+        "crossed", Whole((end, end)), "lower bound exceeds upper bound"))
+        for key, end in (("Box lower", 4.0), ("Box upper", -4.0))}
     read = {
-        "Space.point v": lambda v: plane_2.point(pt(v)),
+        "Space.point v": lambda v: oracle.point(pt(v)),
         "Space.distance a": lambda v: plane_2.distance(pt(v), two[0]),
-        "Space.distance b": lambda v: plane_2.distance(two[0], pt(v)),
+        "Space.distance b": lambda v: oracle.distance(two[0], pt(v)),
         "LqSpace.norm v": lambda v: plane_2.norm(pt(v)),
         "Region.contains point": lambda v: Box((0.0, 0.0), (1.0, 1.0)).contains(pt(v), plane_2),
         "CyclicSystem.apply x": lambda v: plane.apply(pt(v)),
         "CyclicSystem.apply_n x": lambda v: plane.apply_n(pt(v), 1),
         "CyclicSystem.is_artifact x": lambda v: plane.is_artifact(pt(v)),
         "CyclicSystem artifact_points": lambda v: CyclicSystem(plane_2, plane.regions, plane.map,
-                                                               (pt(v),)),
+                                                               (pt(v),)).artifact_points,
         "chain_point_distance xs": lambda v: chain_point_distance(plane_2, [two[0], pt(v)], two, 2),
         "chain_point_distance ys": lambda v: chain_point_distance(plane_2, two, [two[0], pt(v)], 2),
         "chain_self_distance xs": lambda v: chain_self_distance(plane_2, [two[0], pt(v)], 2),
         "contraction_margin xs": lambda v: contraction_margin(plane, phi, 2, [pt(v), two[1]], two),
         "contraction_margin ys": lambda v: contraction_margin(plane, phi, 2, two, [pt(v), two[1]]),
         "validate_metric sample_points": lambda v: validate_metric(plane_2, [*two, pt(v)]),
+        "OrbitTrace membership_violations": lambda v: OrbitTrace(plane, two, [(1, pt(v))]),
     }
+    what = {"LqSpace.norm v": "vector", "CyclicSystem artifact_points": "artifact point",
+            "OrbitTrace membership_violations": "violation point"}
+    gives = {"Space.point v": (Gives(Whole([1, 2]), (1.0, 2.0)),),
+             "Space.distance b": (Gives(Whole((1, -4)), 5.0),),
+             "LqSpace.norm v": (Gives(Whole([3, 4]), 5.0),),
+             "CyclicSystem artifact_points": (Gives(Whole([-2, 0]), ((-2.0, 0.0),)),)}
     starts = {"picard_orbit": lambda v: picard_orbit(plane, pt(v), 2)}
     starts |= {name: lambda v, f=f: f(plane, pt(v)) for name, f in _SOLVERS.items()}
     return [
-        *[Row(*key.split(), "check_point", call, "coordinate", name=_AT1)
+        *[Row(*key.split(), "check_point", call, "coordinate", bounds.get(key, {}), name=_AT1)
           for key, call in built.items()],
         Row("check_point", "v", "check_point", check_point, cases=_cases(
             ValueError, ("()", (), "a point must have dimension >= 1"),
             ("'12'", "12", "a point is a sequence of numbers, not a str"),
-            ("b'12'", b"12", "a point is a sequence of numbers, not a bytes"))),
-        *[Row(*key.split(), "Space.point", call, "coordinate", name=_AT1)
-          for key, call in read.items()],
-        *_alike("x0", "Space.point", "coordinate", starts, name=_AT1, cases=_cases(
-            ValueError, ("2.5", 2.5, "x0 = (-2.0, 2.5) is not in the first region"))),
+            ("b'12'", b"12", "a point is a sequence of numbers, not a bytes"),
+            ("bool, huge int", [True, 10**5000],
+             "coordinate 0 of (True, int of 16610 bits) must be a number, got True"),
+            ("str, huge int", [1.0, "1", -(10**5000), 3.0, 2, 5.0], "coordinate 1 of "
+             "(1.0, '1', int of 16610 bits, 3.0, ...; dimension 6) must be a number, got '1'"))),
+        *[Row(*key.split(), "Space.point", call, "coordinate", _whole(what.get(key, "point")),
+              accepts=gives.get(key, ()), name=_AT1) for key, call in read.items()],
+        *_alike("x0", "Space.point", "coordinate", starts, name=_AT1, cases=_whole(
+            "x0", ("2.5", 2.5, "x0 = (-2.0, 2.5) is not in the first region"))),
         Row("OrbitTrace", "points", "Space.point", lambda v: OrbitTrace(plane, [two[0], pt(v)]),
-            "coordinate", name=_AT1, wrap="trace point 1: {}", error=ValueError),
+            "coordinate", _whole("point", ("None point", Whole(None),
+                                           "'NoneType' object is not iterable")),
+            name=_AT1, wrap="trace point 1: {}", error=ValueError),
     ]
 
 
@@ -761,7 +807,8 @@ def _domain_rows():
     the value lists, read by ``float()``."""
     kirk, phi, trace, family = _kirk(), LinearPhi(0.5), _trace(), gallery.make_paper_lq_family(N=2)
     artifact, tiny = family.system.artifact_points[0], 5e-324
-    tols = {name: lambda v, f=f: f(kirk, (-1.0,), tol=v) for name, f in _SOLVERS.items()} | {
+    solves = {name: lambda v, f=f: f(kirk, (-1.0,), tol=v) for name, f in _SOLVERS.items()}
+    tols = {
         "verify_cyclicity": lambda v: verify_cyclicity(kirk, samples_per_region=2, tol=v),
         "validate_metric": lambda v: validate_metric(L1, [(0.0,), (1.0,), (3.0,)], tol=v),
         "Region.contains": lambda v: _UNIT.contains((0.5,), L1, v),
@@ -779,6 +826,9 @@ def _domain_rows():
     spaces = {"LqSpace": lambda v: LqSpace(2, v).dimension,
               "OracleSpace": lambda v: OracleSpace(line_gap, v).dimension}
     return [
+        # A solver reads an int tol as its float.
+        *[Row(entry, "tol", POSITIVE, call, "positive", accepts=(tiny, _TOP, Gives(1, call(1.0))))
+          for entry, call in solves.items()],
         *_alike("tol", POSITIVE, "positive", tols, accepts=(tiny, _TOP, 1)),
         Row("CyclicSystem.is_artifact", "tol", POSITIVE,
             lambda v: (family.system.is_artifact(family.default_start, v),
@@ -824,7 +874,7 @@ def _domain_rows():
             "real text", _cases(ValueError, ("-1", -1, "phi(0) must be >= 0")), accepts=(-0.0, 3)),
         Row("OrbitTrace", "membership_violations", Domain(0, 2, "[)", integer=True),
             lambda v: OrbitTrace(_kirk(), [(-1.0,), (0.5,)], [(v, (-1.0,))]), "index",
-            name="violation index", accepts=(1,)),
+            _cases(ValueError, ("2", 2, _IN)), name="violation index", accepts=(1,)),
         *[Row(f"{type(f).__name__}.__call__", "t", "_number", f, "phi argument",
               accepts=(tiny, _TOP)) for f in (phi, TabulatedPhi(((0, 0), (1, 1), (2, 4))))],
         Row("p_combine", "values", "_number", lambda v: p_combine([1.0, v], 3.5), "value",
@@ -868,7 +918,7 @@ def _case_rows():
     kirk, ball, cloud = _kirk(), Ball((3.0,), 1.0), FiniteCloud(((2.0,),))
     short = {k: OrbitTrace(kirk, per_step(kirk, (-1.0,), k - 1)) for k in range(2, 6)}
     return [
-        Row("parse_config", "data", "parse_config", parse_config, "config", _cases(
+        Row("parse_config", "data", "parse_config", _reads(lambda v: v), "config", _cases(
             ConfigError,
             ("[]", [], "config must be a JSON object"),
             ("key x", _config(x=1), "unknown config keys: ['x']"),
@@ -899,12 +949,12 @@ def _case_rows():
         ), accepts=(_config(), _config(
             output_dir="out", phi={"kind": "tabulated", "knots": [[0, 0], [1, "0.5"]]},
             system={"id": "kirk_interval", "parameters": {"alpha": 0.25}}))),
-        Row("parse_config", 'data["run"]', "RUNS", lambda v: parse_config(_config(run=v)), "run",
+        Row("parse_config", 'data["run"]', "RUNS", _reads(lambda v: _config(run=v)), "run",
             _cases(ConfigError, *[(repr(run), run, f"run must be one of {RUNS}")
                                   for run in ("explore", [])]),
             accepts=RUNS),
-        *[Row("parse_config", f"data{field}", "parse_config", lambda v, f=f: parse_config(f(v)),
-              kind) for field, f, kind in (
+        *[Row("parse_config", f"data{field}", "parse_config", _reads(f), kind)
+          for field, f, kind in (
                 ('["system"]', lambda v: _config(system=v), "config system"),
                 ('["system"]["id"]', lambda v: _config(system={"id": v}), "system id"),
                 ('["system"]["parameters"]',
@@ -914,13 +964,16 @@ def _case_rows():
                 ('["phi"]["kind"]', lambda v: _config(phi={"kind": v}), "phi kind"),
                 ('["output_dir"]', lambda v: _config(output_dir=v), "output_dir"))],
         Row("parse_config", 'data["phi"]["alpha"]', ALPHA,
-            lambda v: parse_config(_config(phi={"kind": "linear", "alpha": v})), "unit text",
+            _reads(lambda v: _config(phi={"kind": "linear", "alpha": v})), "unit text",
             name="alpha", wrap="invalid phi: {}", error=ConfigError, accepts=(5e-324, "0.5")),
-        *[Row("parse_config", f'data["{key}"]', NUMBERS[key], lambda v, key=key: parse_config(
-            _config(**{key: v})), kind, name=key, accepts=accepts, error=ConfigError)
-          for key, kind, accepts in (
-                ("p", "exponent text", (1, "inf", "INFINITY")), ("iterations", "count", (1,)),
-                ("tolerance", "positive", (5e-324,)), ("seed", "integer", (0,)))],
+        *[Row("parse_config", f'data["{key}"]', NUMBERS[key],
+              _reads(lambda v, key=key: _config(**{key: v}), key), kind, name=key,
+              accepts=accepts, error=ConfigError) for key, kind, accepts in (
+                ("p", "exponent text", (Gives(1, Exponent(1.0)), Gives(1.5, Exponent(1.5)),
+                                        *[Gives(t, INFINITY) for t in ("inf", "INFINITY")])),
+                ("iterations", "count", (Gives(1, 1), Gives(10**400, 10**400))),
+                ("tolerance", "positive", (5e-324, Gives(1, 1.0))),
+                ("seed", "integer", (Gives(0, 0), Gives(-3, -3), Gives(10**400, 10**400))))],
         Row("load_config", "path", "json.load", _load, cases=_cases(
             ConfigError, ("'{'", "{", "config ..."),
             ("NaN", '{"p": NaN}', "NaN is not a JSON value"),
@@ -952,12 +1005,16 @@ def _case_rows():
             ("falling", ((0, 1), (1, 0)), "knot values not increasing"),
             ("steep", ((0, 0), (5e-324, 1)),
              "slope past the float range from knot (0.0, 0.0) to (5e-324, 1.0)"),
+            ("steep later", ((0, 0), (1, 0.5), (1.5, 1e308)),
+             "slope past the float range from knot (1.0, 0.5) to (1.5, 1e+308)"),
         ) | _cases(
             TypeError,
             ("knots 5", 5, "'int' object is not iterable"),
             ("knots None", None, "'NoneType' object is not iterable"),
         ), accepts=(((0.0, 0.0), (1.0, 0.0)), Gives([[0, 0], ["1", "2"]], ((0.0, 0.0), (1.0, 2.0))),
-                    Gives((("0", 0), (1, "0.5")), ((0.0, 0.0), (1.0, 0.5))))),
+                    Gives((("0", 0), (1, "0.5")), ((0.0, 0.0), (1.0, 0.5))),
+                    # A slope of 2e23 is steep, not past the float range.
+                    Gives(((0, 0), (5e-324, 1e-300)), ((0.0, 0.0), (5e-324, 1e-300))))),
         Row("FiniteCloud", "points", "FiniteCloud", FiniteCloud, cases=_cases(
             ValueError, ("()", (), "a finite cloud must be nonempty"),
             ("mixed", ((0.0,), (0.0, 1.0)), "cloud points must share one dimension"),
@@ -977,6 +1034,13 @@ def _case_rows():
             "region", name="b"),
         Row("chain_set_distance", "regions", "hasattr distance_to",
             lambda v: chain_set_distance(L1, [_UNIT, v], 1), "distance method", name="region 2"),
+        Row("chain_set_distance", "regions", "chain_set_distance",
+            lambda v: chain_set_distance(L1, v, 1), cases=_cases(
+                ValueError, ("one", (_UNIT,), "need at least 2 regions")), accepts=([_UNIT, ball],)),
+        Row("Region.contains", "space", "Region.contains",
+            lambda v: Box((0.0, 0.0), (1.0, 1.0)).contains((0.5,) * v.dimension, v), cases=_cases(
+                ValueError, ("l^2 line", L1, "2-dimensional region in a 1-dimensional space")),
+            accepts=(Gives(LqSpace(1, 2), True),)),
         Row("region_distance", "space", "region_distance",
             lambda v: region_distance(v, ball, ball), cases=_cases(
                 CapabilityError, ("l^1", LqSpace(1, 1), "ball distance requires the l^2 space"),
@@ -1020,7 +1084,7 @@ EXEMPT = {
         "picard_orbit.system verify_contraction.system verify_cyclicity.system "
         "contraction_margin.system OrbitTrace.system chain_point_distance.space "
         "chain_self_distance.space chain_set_distance.space validate_metric.space "
-        "Region.contains.space Region.distance_to.space CyclicSystem.space edge_trace.trace "
+        "Region.distance_to.space CyclicSystem.space edge_trace.trace "
         "cross_block_chain_distance.trace",
     ),
     **_exempt(
@@ -1048,7 +1112,8 @@ _DOMAINS = {ALPHA: "ALPHA", CYCLE_LENGTH: "CYCLE_LENGTH", EXPONENT: "EXPONENT", 
 
 def _show(value):
     """A short text of an accepted value."""
-    text = repr(value.value if isinstance(value, Gives) else value)
+    value = value.value if isinstance(value, Gives) else value
+    text = repr(value)
     return text if len(text) <= 24 else type(value).__name__
 
 

@@ -230,11 +230,9 @@ def test_build_validates_ids_and_parameters():
     assert gs.spec.parameter_dict()["alpha"] == 0.25
 
 
-def test_build_rejects_parameter_types_but_not_factory_type_errors(monkeypatch):
-    for value in (None, True, [1], {"a": 1}):
-        with pytest.raises(ValueError, match="alpha must be a number or a string"):
-            build("kirk_interval", {"alpha": value})
-
+def test_build_passes_on_a_type_error_from_inside_the_factory(monkeypatch):
+    # A parameter of the wrong type is a ValueError (the contract's build
+    # rows); a factory's own TypeError is a defect, and passes as it is.
     def broken(alpha):
         raise TypeError("a defect inside the factory")
 
@@ -242,15 +240,6 @@ def test_build_rejects_parameter_types_but_not_factory_type_errors(monkeypatch):
     monkeypatch.setitem(GALLERY, "kirk_interval", entry)
     with pytest.raises(TypeError, match="a defect inside the factory"):
         build("kirk_interval", {"alpha": 0.25})
-
-
-def test_list_gallery_shape():
-    entries = list_gallery()
-    assert sorted(e["id"] for e in entries) == sorted(ALL_IDS)
-    for entry in entries:
-        assert entry["description"]
-        for param in entry["parameters"]:
-            assert {"name", "domain", "default"} <= set(param)
 
 
 def test_list_gallery_pins_ids_descriptions_domains_and_defaults():

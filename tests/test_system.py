@@ -2,7 +2,6 @@ import itertools
 import math
 import pickle
 import random
-import re
 from fractions import Fraction
 
 import pytest
@@ -81,17 +80,6 @@ L2_2 = LqSpace(Exponent(2.0), 2)
 # --- regions ---------------------------------------------------------------
 
 
-def test_region_construction_invariants():
-    with pytest.raises(ValueError):
-        FiniteCloud(())
-    with pytest.raises(ValueError):
-        Box((1.0,), (0.0,))
-    with pytest.raises(ValueError):
-        Box((0.0,), (1.0, 1.0))
-    with pytest.raises(ValueError):
-        Ball((0.0,), 0.0)
-
-
 def test_membership_and_sampling():
     rng = random.Random(0)
     seg = Box((0.0, 0.0), (1.0, 0.0))  # a segment: one non-degenerate axis
@@ -110,23 +98,6 @@ def test_membership_and_sampling():
     fam = FiniteCloud(tuple((float(i), 0.0) for i in range(3)))
     assert fam.points == ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))
     assert fam.contains((2.0, 0.0), L2_2)
-
-
-@pytest.mark.parametrize(
-    "region",
-    [Box((0.0, 0.0), (1.0, 0.0)), Ball((0.0, 0.0), 1.0), FiniteCloud(((0.0, 0.0), (1.0, 0.0)))],
-    ids=["box", "ball", "cloud"],
-)
-def test_contains_reads_the_query_through_the_space(region):
-    for query in ((0.5,), (0.5, 0.0, 0.0)):
-        with pytest.raises(ValueError, match="dimension"):
-            region.contains(query, L2_2)
-    with pytest.raises(ValueError, match=r"^coordinate 0 of \(True, 0.0\) must be a number"):
-        region.contains((True, 0.0), L2_2)
-    # A region of the wrong dimension for the space.
-    with pytest.raises(ValueError, match="^2-dimensional region in a 1-dimensional space$"):
-        region.contains((0.5,), L2_1)
-    assert region.contains((1.0, 0.0), L2_2)
 
 
 @pytest.mark.parametrize(
@@ -295,32 +266,6 @@ def test_tabulated_phi_construction_and_extension():
         TabulatedPhi(((0.5, 0.0), (1.0, 1.0)))  # first knot not at 0
 
 
-@pytest.mark.parametrize(
-    "knots",
-    [
-        ((0.0, 0.0), (1.0, math.nan)),
-        ((0.0, 0.0), (math.nan, 1.0)),
-        ((0.0, 0.0), (math.inf, 1.0)),
-        ((0.0, 0.0), (1.0, 0.5), (2.0, math.inf)),
-        ((0.0, -math.inf), (1.0, 0.0)),
-    ],
-)
-def test_tabulated_phi_rejects_non_finite_knots(knots):
-    with pytest.raises(ValueError, match="finite"):
-        TabulatedPhi(knots)
-
-
-def test_tabulated_phi_refuses_a_segment_whose_slope_overflows():
-    # 1.0 / 5e-324 is inf: phi would be inf * 0.0 = nan at the knot (0, 0).
-    message = "slope past the float range from knot (0.0, 0.0) to (5e-324, 1.0)"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        TabulatedPhi(((0, 0), (5e-324, 1.0), (1.0, 2.0)))
-    with pytest.raises(ValueError, match=r"from knot \(1\.0, 0\.5\) to \(1\.5, 1e\+308\)$"):
-        TabulatedPhi(((0, 0), (1, 0.5), (1.5, 1e308)))
-    steep = TabulatedPhi(((0, 0), (5e-324, 1e-300), (1.0, 2.0)))  # slope 2e23, finite
-    assert steep(0.0) == 0.0 and steep._many([0.0, 5e-324]) == [0.0, 1e-300]
-
-
 # 0.0, a subnormal, values at, between and past the knots of the tabulated
 # phis below, and 1e300, inf and NaN.
 PHI_VALUES = (0.0, 5e-324, 0.25, 0.7, 1.0, 1.3, 2.0, 3.0, 7.5, 1e300, math.inf, math.nan)
@@ -350,6 +295,8 @@ def _assert_many_is_each_call(phi, ts):
         # a flat last segment: phi(inf) is v1 + 0.0 * inf, NaN both ways
         TabulatedPhi(((0.0, 0.0), (1.0, 0.5), (2.0, 0.5))),
         TabulatedPhi(((0.0, 0.2), (1.0, 0.2), (1.3, 0.9), (3.0, 1.0))),
+        # a first slope of 2e23, steep but finite: phi(5e-324) is 1e-300
+        TabulatedPhi(((0.0, 0.0), (5e-324, 1e-300), (1.0, 2.0))),
     ],
     ids=repr,
 )
@@ -437,13 +384,6 @@ def test_validate_phi_reports_negative_values():
     report = validate_phi(_Shifted(), [0.0, 0.5, 2.0])
     assert not report.ok
     assert report.violations == (("negative", 0.0, -1.0), ("negative", 0.5, -0.5))
-
-
-@pytest.mark.parametrize("grid", [[0.0, math.nan, 1.0], [0.0, 1.0, math.nan]])
-def test_validate_phi_refuses_a_nan_grid_value_without_blaming_phi(grid):
-    with pytest.raises(ValueError) as err:
-        validate_phi(LinearPhi(0.5), grid)
-    assert str(err.value) == "grid must be strictly increasing with at least 2 points"
 
 
 # --- cyclicity ---------------------------------------------------------------
@@ -1403,30 +1343,6 @@ def test_region_of_the_wrong_dimension_is_a_value_error_in_both_scans():
         contraction_margin(system, LinearPhi(0.5), 2, ((0.0,), (1.0,)), ((0.0,), (1.0,), (0.5,)))
 
 
-def test_artifact_points_are_validated_at_construction():
-    with pytest.raises(ValueError, match="artifact"):
-        CyclicSystem(
-            space=L2_1, regions=(Box((0.0,), (1.0,)),) * 2, map=lambda x: x,
-            artifact_points=((0.0, 0.0),),
-        )
-    system = CyclicSystem(
-        space=L2_1, regions=(Box((0.0,), (1.0,)),) * 2, map=lambda x: x,
-        artifact_points=([1],),
-    )
-    assert system.artifact_points == ((1.0,),)
-    assert system.is_artifact((1.0,)) and not system.is_artifact((0.5,))
-
-
-def test_apply_reads_its_point_through_the_space():
-    kirk = make_kirk_interval().system
-    assert kirk.apply((0.5,)) == kirk.apply_n((0.5,), 1)
-    for call in (lambda x: kirk.apply(x), lambda x: kirk.apply_n(x, 3)):
-        with pytest.raises(ValueError, match="^point of dimension 2 in a 1-dimensional space$"):
-            call((0.5, 7.0))
-        with pytest.raises(ValueError, match="not a str"):
-            call("1")
-
-
 def test_regions_are_read_once_into_a_tuple():
     # A list, a tuple and an iterator of the same regions give equal
     # systems with equal hashes, and so do their traces.
@@ -1455,16 +1371,6 @@ def test_numbers_in_the_float_range_read_as_float_reads_them():
     assert float.hex(TENTS(third)) == float.hex(0.0 + 1.0 * (float(third) - 0.0))
     grid = [0, third, 2, big]
     assert validate_phi(TENTS, grid) == validate_phi(TENTS, list(map(float, grid)))
-
-
-def test_is_artifact_reads_its_point_through_the_space():
-    # kirk_interval has no artifact points; the point is checked all the same.
-    kirk = make_kirk_interval().system
-    assert kirk.artifact_points == () and not kirk.is_artifact((0.5,))
-    with pytest.raises(ValueError, match="^point of dimension 2 in a 1-dimensional space$"):
-        kirk.is_artifact((1.0, 2.0))
-    with pytest.raises(ValueError, match="not a str"):
-        kirk.is_artifact("1")
 
 
 def test_box_coerces_and_compares_its_bounds():
