@@ -613,6 +613,21 @@ class MetricReport(_Record):
     __slots__ = _fields = ("ok", "symmetry_violations", "identity_violations", "triangle_violations")
 
 
+def _combination(items: Sequence, k: int, rank: int) -> tuple:
+    """The combination of ``k`` of ``items`` at ``rank`` in the order of
+    ``itertools.combinations``."""
+    chosen, start = [], 0
+    for left in range(k, 0, -1):
+        for i in range(start, len(items)):
+            following = math.comb(len(items) - i - 1, left - 1)
+            if rank < following:
+                break
+            rank -= following
+        chosen.append(items[i])
+        start = i + 1
+    return tuple(chosen)
+
+
 def validate_metric(
     space: Space,
     sample_points: Sequence[Sequence[float]],
@@ -643,10 +658,13 @@ def validate_metric(
         if not (dxy == dyx or abs(dxy - dyx) <= tol):
             symmetry.append((x, y, dxy, dyx))
 
-    triples = list(itertools.combinations(pts, 3))
-    if len(triples) > max_triples:
-        rng = random.Random(seed)
-        triples = rng.sample(triples, max_triples)
+    # Past max_triples, a seeded sample of the triples' ranks, drawn as
+    # ``random.sample`` draws from the list of them, with no list made.
+    count = math.comb(len(pts), 3)
+    triples = itertools.combinations(pts, 3)
+    if count > max_triples:
+        ranks = random.Random(seed).sample(range(count), max_triples)
+        triples = (_combination(pts, 3, rank) for rank in ranks)
     triangle = []
     for x, y, z in triples:
         for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):

@@ -12,11 +12,13 @@ and both stay: the trace rows from the per-column traces, and the same rows
 from per-pair ``space.distance``.
 
 The module also holds the one counting harness (maps, metric oracles,
-spaces and generators that record their calls) and an exact oracle for the
-certificate's floor. At p, q in {1, inf} every distance is sums and maxima
-of |a - b|, so ``fractions.Fraction`` gives the exact margin of float points
-and float images under a ``LinearPhi``; the floor MARGIN_ULPS * m * ulp(S)
-is held against it. Higham (Accuracy and Stability of Numerical
+spaces and generators that record their calls), ``SYSTEMS``, the one
+registry of the systems that the rows of the agreement, fault and trace
+tables run, and an exact oracle for the certificate's floor. At p, q in
+{1, inf} every distance is sums and maxima of |a - b|, so
+``fractions.Fraction`` gives the exact margin of float points and float
+images under a ``LinearPhi``; the floor MARGIN_ULPS * m * ulp(S) is held
+against it. Higham (Accuracy and Stability of Numerical
 Algorithms, 2002) bounds the rounding of such sums a priori. Other
 exponents go through ``pow``, whose rounding the standard library does not
 bound, so the oracle refuses them rather than guess.
@@ -24,6 +26,7 @@ bound, so the oracle refuses them rather than guess.
 
 import collections
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -442,7 +445,7 @@ class CountingLq(LqSpace):
 
 class CountingRandom(random.Random):
     """``random.Random`` that records the value of each ``random()`` call in
-    ``calls``."""
+    ``calls``; a state set back drops the calls made since it was taken."""
 
     def __init__(self, seed):
         # One argument: Python 3.10's Random refuses more, also in a subclass.
@@ -453,6 +456,14 @@ class CountingRandom(random.Random):
         x = super().random()
         self.calls.append(x)
         return x
+
+    def getstate(self):
+        return super().getstate(), len(self.calls)
+
+    def setstate(self, state):
+        inner, taken = state
+        del self.calls[taken:]
+        super().setstate(inner)
 
 
 def line_gap(a, b):
@@ -479,6 +490,206 @@ def counted_kirk():
     boxes = tuple(LineBox(box.lower, box.upper) for box in kirk.regions)
     space = OracleSpace(counting(calls, line_gap), 1)
     return CyclicSystem(space, boxes, kirk.map), calls
+
+
+# --- the test systems -----------------------------------------------------------
+#
+# Every system that a row of ``AGREES`` or ``FAULTS`` (test_faults) or of
+# ``TRACES`` (test_orbit) runs, built here once: a name maps to a builder of
+# the system and its start point, None where no row walks it. A gallery
+# system is named by the call that makes it. A new system is one entry here
+# and its rows there.
+
+
+def _made(system_id, **parameters):
+    """(name, builder) of a gallery system, started at its default start."""
+
+    def build():
+        gs = gallery.GALLERY[system_id].factory(**parameters)
+        return gs.system, gs.default_start
+
+    return f"{system_id}({', '.join(f'{k}={v}' for k, v in parameters.items())})", build
+
+
+def _fixed(system, start=None):
+    return lambda: (system, start)
+
+
+def flip(x):
+    return (-x[0],)
+
+
+def line_system(step, m=2, space=None):
+    """Boxes [-4, 4] on the line under ``step``, in ``space`` (l^2 by
+    default); membership is only recorded, so any orbit can be traced."""
+    return CyclicSystem(space or LqSpace(2, 1), (Box((-4.0,), (4.0,)),) * m, step)
+
+
+def swing(x):
+    # |x| falls by 0.25 a step to 0.5, the sign flipping: from -2.0 the orbit
+    # is 1.75, -1.5, 1.25, -1.0, 0.75, -0.5, 0.5, -0.5, ..., period 2 from
+    # x_5 on, and x_8 is the first point equal to the one 2 before it.
+    return (-math.copysign(max(abs(x[0]) - 0.25, 0.5), x[0]),)
+
+
+def _turn(x0):
+    """Three boxes under a metric oracle with d(a, b) != d(b, a): the rows
+    match the traces only if every distance keeps its argument order."""
+
+    def oracle(a, b):
+        dx, dy = a[0] - b[0], a[1] - b[1]
+        return abs(dx) + abs(dy) + 0.25 * max(0.0, dx)
+
+    c, s = -0.5 * 0.9, math.sqrt(3.0) / 2.0 * 0.9
+    box = Box((-2.0, -2.0), (2.0, 2.0))
+    turn = lambda x: (c * x[0] - s * x[1], s * x[0] + c * x[1])
+    return _fixed(CyclicSystem(OracleSpace(oracle, 2), (box,) * 3, turn), x0)
+
+
+def _scripted(m):
+    """Scripted points, mapped each to the next: only the last point equals
+    the one m before it, so J = len(points) - 1."""
+    script = [(0.5,), (-0.5,), (0.25,), (-0.75,), (0.125,), (-0.375,), (0.0625,), (1.5,)]
+    after = dict(zip(script, [*script[1:], script[-m]]))
+    return _fixed(line_system(lambda x: after[x], m), script[0])
+
+
+def _stuck(name):
+    """The system of ``name`` under the identity map, which violates
+    cyclicity at every sample of disjoint regions, so that a report lists
+    the drawn points themselves."""
+    return lambda: (built(name)[0].__replace__(map=lambda x: x), None)
+
+
+def _marked(name, seed):
+    """The system of ``name`` with every third of 30 samples a region,
+    drawn from ``seed`` region by region, made an artifact point."""
+
+    def build():
+        system, rng = built(name)[0], random.Random(seed)
+        drawn = [r.sample(rng) for r in system.regions for _ in range(30)]
+        return system.__replace__(artifact_points=drawn[::3]), None
+
+    return build
+
+
+def _clouds(space, clouds, step, artifacts=()):
+    return _fixed(CyclicSystem(space, tuple(map(FiniteCloud, clouds)), step, artifacts))
+
+
+L2, PLANE = LqSpace(2, 1), LqSpace(2, 2)
+# 40 x 40 tuples, too many pairs to enumerate; 36 of the 40 points of the
+# left cloud are truncation stubs.
+_LEFT = tuple((-k / 40,) for k in range(1, 41))
+# Boxes and balls whose certificates and cyclicity reports are drawn.
+SAMPLED = ("kirk_interval(alpha=0.4)", "affine_strip(alpha=0.3, h=1.5)",
+           "scaled_pair(alpha=0.4, separation=2.0, dimension=3)",
+           "scaled_pair(alpha=0.4, separation=3.0, dimension=7)", "balls", "mixed")
+MARKED = tuple(f"{name} marked {seed}" for name in SAMPLED[::2] for seed in (0, 3))
+# Families whose cyclicity reports skip the truncation stub.
+STUB_FAMILIES = ("paper_lq_family(m=2, N=4, q=2)", "paper_lq_family(m=3, N=3, q=inf)",
+                 "paper_lq_family(m=4, N=2, q=1)")
+SYSTEMS = dict([
+    # scaled_pair at separation 0, in the plane and in 3-d: x_k = (-(-0.998)^k,
+    # +-0.0, ...) from (-1, 0, ...), so |x_k[0]| names step k.
+    *(_made("scaled_pair", alpha=0.002, separation=0.0, dimension=d) for d in (2, 3)),
+    *(_made("kirk_interval", alpha=a) for a in (0.001, 0.3, 0.4, 0.5)),
+    *(_made("affine_strip", alpha=a, h=h)
+      for a, h in ((0.999, 2.0), (0.999, 1.5), (0.4, 1.5), (0.3, 1.5))),
+    *(_made("scaled_pair", alpha=a, separation=s, dimension=d) for a, s, d in (
+        (0.002, 1.0, 2), (0.001, 2.0, 3), (5e-4, 2.0, 3), (5e-4, 2.0, 2), (0.4, 2.0, 22),
+        (0.4, 2.0, 3), (0.4, 3.0, 7))),
+    # The families: the orbit reaches the truncation stub, an artifact point,
+    # after m(N + 1) - 1 steps and keeps it.
+    *(_made("paper_lq_family", m=m, N=n, q=q) for m, n, q in (
+        (2, 2, 2), (2, 2, "inf"), (2, 4, 2), (3, 3, "inf"), (4, 2, 1), (4, 6, 2), (3, 6, 2),
+        (3, 2, 3), *((m, n, q) for m, n in ((2, 3), (3, 2)) for q in (1, 2, "inf")),
+        *((m, 6, q) for m in (2, 3, 4) for q in (1, 3, "inf")))),
+    *(_made("paper_lq_family", m=m, N=n, q=q, alpha=a) for m, n, q, a in (
+        (3, 6, 2, 0.4), *((3, 2, q, 0.4) for q in (1, 2, "inf")),
+        *((2, 6, q, 0.45) for q in (1, "inf")))),
+    # One point per region: one tuple, so one pair in one block of one.
+    ("one-tuple", _clouds(L2, [[(1.0,)], [(-1.0,)]], flip)),
+    # One usable tuple left once the artifact points are skipped.
+    ("one-usable-tuple", _clouds(
+        PLANE, [[(1.0, 0.0), (3.0, 0.0)], [(-1.0, 0.0), (-3.0, 0.0)], [(0.0, 2.0), (0.0, 5.0)]],
+        lambda x: (-0.5 * x[0], 0.5 * x[1]), ((3.0, 0.0), (-3.0, 0.0), (0.0, 5.0)))),
+    # Every tuple touches an artifact point: nothing is evaluated.
+    ("all-skipped", _clouds(L2, [[(1.0,), (2.0,)], [(-1.0,)]], flip, ((-1.0,),))),
+    # Artifact skips among evaluated pairs, three regions in the plane.
+    ("artifacts", _clouds(
+        PLANE, [[(1.0, 0.0), (2.0, 0.5), (3.0, 0.0)], [(0.0, 1.0), (0.5, 2.0)],
+                [(-1.0, -1.0), (-2.0, -1.5), (-3.0, -1.0)]],
+        lambda x: (0.5 * x[1], 0.5 * x[0]), ((3.0, 0.0), (0.5, 2.0)))),
+    # Equal points in neighbouring regions: all-zero rows in a block.
+    ("zero-rows", _clouds(LqSpace(2, 3), [[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)],
+                                          [(0.0, 0.0, 0.0), (0.0, 1.0, 0.0)]],
+                          lambda x: (0.0, 0.0, 0.0))),
+    # x -> -x swaps the two clouds, and 1e308 - (-1e308) overflows: some
+    # pairs have d = inf, where d - phi(d) is inf - inf, a NaN margin, and
+    # one of them comes first in its block.
+    ("overflow", _clouds(LqSpace(1, 1), [[(1e308,), (-1e308,), (0.0,)],
+                                         [(-1e308,), (1e308,), (0.0,)]], flip)),
+    # Symmetric under (u, v) -> (u, -v), which maps x-tuple 1 to x-tuple 2: the
+    # least margin comes first in x-tuple 1, at y-tuple 5, after larger
+    # margins in x-tuple 0, and again in x-tuple 2, a tie on either side of
+    # the boundary between them; the witness is the first.
+    ("mirror", _clouds(PLANE, [[(1.0, 1.0), (1.0, -1.0), (2.0, 0.0)],
+                               [(-2.0, 0.0), (-1.0, -1.0), (-1.0, 1.0)]],
+                       lambda x: (-0.5 * x[0], 0.5 * x[1]))),
+    # As overflow, but at p = 2 and inf, where two terms of 1e308 do not
+    # overflow, the first NaN margin comes in x-tuple 2, after finite
+    # margins, and x-tuple 3 holds NaN margins too.
+    ("late-overflow", _clouds(LqSpace(1, 1), [[(0.0,), (1e308,), (1.0,)],
+                                              [(0.0,), (-1.0,), (-1e308,)]], flip)),
+    # So many stubs that about one pair in a hundred is evaluated and the
+    # first block of seed 5 is skipped whole.
+    ("sparse", _clouds(L2, [_LEFT, [(-x,) for (x,) in _LEFT]], lambda x: (-0.5 * x[0],),
+                       _LEFT[4:])),
+    # A degenerate box whose one point is an artifact point: every sampled
+    # pair touches it, so the scan has no pair to fold.
+    ("stub box", _fixed(CyclicSystem(L2, (Box((1.0,), (2.0,)), Box((-0.5,), (-0.5,))), flip,
+                                     ((-0.5,),)))),
+    # Three balls on the line: each sample takes one gauss value, so which
+    # one waits in gauss_next alternates from round to round.
+    ("balls", _fixed(CyclicSystem(L2, (Ball((0.0,), 1.0), Ball((3.0,), 0.5), Ball((-2.0,), 1.5)),
+                                  lambda x: (0.5 * x[0] + 1.0,)))),
+    # A segment with a degenerate axis, a disc and a square.
+    ("mixed", _fixed(CyclicSystem(
+        PLANE, (Box((0.0, 0.0), (1.0, 0.0)), Ball((0.5, 3.0), 1.0), Box((2.0, 2.0), (3.0, 3.0))),
+        lambda x: (0.5 * x[1], 0.25 * x[0] + 1.0)))),
+    *((name, _marked(name[: -len(" marked 0")], int(name[-1]))) for name in MARKED),
+    *((f"{name} stuck", _stuck(name)) for name in (*SAMPLED, *MARKED, *STUB_FAMILIES)),
+    *((f"turn from {x0}", _turn(x0)) for x0 in ((1.0, 0.5), (1.5, 0.5))),
+    # A metric oracle with no gap bound, on a three-region turn of the plane
+    # whose orbit never repeats.
+    ("oracle turn", _fixed(CyclicSystem(
+        OracleSpace(lambda a, b: abs(a[0] - b[0]) + 0.5 * abs(a[1] - b[1]), 2),
+        (Box((-4.0, -4.0), (4.0, 4.0)),) * 3, lambda x: (0.9 * x[1], -0.8 * x[0] + 0.1)),
+        (1.5, -0.5))),
+    ("swing", _fixed(line_system(swing), (-2.0,))),
+    ("swing oracle", _fixed(line_system(swing, space=OracleSpace(line_gap, 1)), (-2.0,))),
+    # x_k = 1 - k/8 reaches the fixed point 0 at step 8, so x_10 is the first
+    # point equal to the one m = 2 before it.
+    ("fixed point", _fixed(line_system(lambda x: (max(x[0] - 0.125, 0.0),)), (1.0,))),
+    # Period 2m = 4: 1, -1, 2, -2, 1, ...
+    ("period 2m", _fixed(line_system(lambda x: ({1.0: -1.0, -1.0: 2.0, 2.0: -2.0, -2.0: 1.0}
+                                                [x[0]],)), (1.0,))),
+    *((f"scripted m={m}", _scripted(m)) for m in (2, 3)),
+    # |x| shrinks by a factor 0.999 a step, the sign flipping: no point
+    # repeats in 5 000 steps.
+    ("shrink", _fixed(line_system(lambda x: (-0.999 * x[0],)), (1.0,))),
+    # x_k = (K - k) / 2048 reaches the fixed point 0 at step K = 2 d - 2, so
+    # J = K + 2 and the rows from d on repeat the one before.
+    *((f"stairs {d}", _fixed(line_system(lambda x: (max(x[0] - 2.0**-11, 0.0),)),
+                             ((2 * d - 2) / 2048,))) for d in (750, 1023, 1024, 1025, 1500)),
+])
+
+
+@functools.cache
+def built(name):
+    """The system and start point of ``SYSTEMS[name]``, built once."""
+    return SYSTEMS[name]()
 
 
 
@@ -614,6 +825,7 @@ class Row:
     name: str | None = None  # the parameter's name in messages, if not ``param``
     wrap: str = "{}"  # the entry's text around the reader's message
     error: type | None = None  # the one type the entry raises, whatever the reader raises
+    text: str | None = None  # the domain's text in messages, if the domain is not in _DOMAINS
 
     def __str__(self):
         return f"{self.entry}({self.param})"
@@ -628,11 +840,23 @@ class Row:
         return {**{label: (AWKWARD[label], out) for label, out in kind.items()}, **self.cases}
 
     def message(self, template, label):
-        """The text of an outcome's message for the value of ``label``."""
-        article = "an" if getattr(self.domain, "integer", False) else "in"
+        """The text of an outcome's message for the value of ``label``; the
+        domain's text is written out here, never read from the library."""
         text = template.replace("{name}", self.name or self.param)
-        text = text.replace("{domain}", f"{article} {self.domain}")
+        if "{domain}" in text:
+            article = "an" if self.domain.integer else "in"
+            text = text.replace("{domain}", f"{article} {self.text or _DOMAINS[self.domain][1]}")
         return self.wrap.format(text.replace("{shown}", SHOWN.get(label, label)))
+
+
+# Each named domain's name and its text in messages, written out.
+_DOMAINS = {
+    ALPHA: ("ALPHA", "(0, 1)"), CYCLE_LENGTH: ("CYCLE_LENGTH", "integer in [2, inf)"),
+    EXPONENT: ("EXPONENT", '[1, inf] with no text but "inf" or "infinity"'),
+    COUNT: ("COUNT", "integer in [1, inf)"), STEPS: ("STEPS", "integer in [0, inf)"),
+    POSITIVE: ("POSITIVE", "(0, inf)"), _GAP: ("orbit._GAP", "[0, inf]"),
+    _KNOT: ("system._KNOT", "(-inf, inf) with every coordinate finite"),
+}
 
 
 def _cases(error, *cases):
@@ -874,7 +1098,8 @@ def _domain_rows():
             "real text", _cases(ValueError, ("-1", -1, "phi(0) must be >= 0")), accepts=(-0.0, 3)),
         Row("OrbitTrace", "membership_violations", Domain(0, 2, "[)", integer=True),
             lambda v: OrbitTrace(_kirk(), [(-1.0,), (0.5,)], [(v, (-1.0,))]), "index",
-            _cases(ValueError, ("2", 2, _IN)), name="violation index", accepts=(1,)),
+            _cases(ValueError, ("2", 2, _IN)), name="violation index", accepts=(1,),
+            text="integer in [0, 2)"),
         *[Row(f"{type(f).__name__}.__call__", "t", "_number", f, "phi argument",
               accepts=(tiny, _TOP)) for f in (phi, TabulatedPhi(((0, 0), (1, 1), (2, 4))))],
         Row("p_combine", "values", "_number", lambda v: p_combine([1.0, v], 3.5), "value",
@@ -888,23 +1113,27 @@ def _gallery_rows():
     """Each gallery parameter through its registered domain, called directly;
     two of them through ``build`` too."""
     rows = []
+    unit, exponent = ("unit text", "(0, 1)"), ("exponent text", _DOMAINS[EXPONENT][1])
     for system_id, kinds, accepts, cases in (
-        ("kirk_interval", {"alpha": "unit text"}, {}, {}),
-        ("affine_strip", {"alpha": "unit text", "h": "positive text"}, {}, {}),
+        ("kirk_interval", {"alpha": unit}, {}, {}),
+        ("affine_strip", {"alpha": unit, "h": ("positive text", "(0, inf)")}, {}, {}),
         ("paper_lq_family",
-         {"m": "size text", "alpha": "unit text", "q": "exponent text", "N": "size text"},
+         {"m": ("size text", "integer in [2, 16]"),
+          "alpha": ("unit text", "(0, 1) with alpha^m < 1/2"), "q": exponent,
+          "N": ("size text", "integer in [2, 50]")},
          {"m": (2, 16), "alpha": (5e-324, 0.7071067811865475), "q": (1, "inf"), "N": (2, 50)},
          {"m": 17, "N": 51}),
         ("scaled_pair",
-         {"alpha": "unit text", "separation": "nonnegative text", "dimension": "size text"},
+         {"alpha": unit, "separation": ("nonnegative text", "[0, inf)"),
+          "dimension": ("size text", "integer in [1, 1000]")},
          {"separation": (0, _TOP), "dimension": (1, 1000)}, {"dimension": 1001}),
     ):
         entry = gallery.GALLERY[system_id]
-        for name, kind in kinds.items():
+        for name, (kind, text) in kinds.items():
             more = {str(cases[name]): (cases[name], (ValueError, _IN))} if name in cases else {}
             rows.append(Row(f"make_{system_id}", name, entry.domains[name],
                             lambda v, f=entry.factory, name=name: f(**{name: v}), kind, more,
-                            accepts=accepts.get(name, ())))
+                            accepts=accepts.get(name, ()), text=text))
             if (system_id, name) in (("kirk_interval", "alpha"), ("paper_lq_family", "m")):
                 rows.append(dataclasses.replace(
                     rows[-1], entry="build", param=f'parameters["{name}"]', name=name,
@@ -968,12 +1197,13 @@ def _case_rows():
             name="alpha", wrap="invalid phi: {}", error=ConfigError, accepts=(5e-324, "0.5")),
         *[Row("parse_config", f'data["{key}"]', NUMBERS[key],
               _reads(lambda v, key=key: _config(**{key: v}), key), kind, name=key,
-              accepts=accepts, error=ConfigError) for key, kind, accepts in (
+              accepts=accepts, error=ConfigError, text=text) for key, kind, accepts, text in (
                 ("p", "exponent text", (Gives(1, Exponent(1.0)), Gives(1.5, Exponent(1.5)),
-                                        *[Gives(t, INFINITY) for t in ("inf", "INFINITY")])),
-                ("iterations", "count", (Gives(1, 1), Gives(10**400, 10**400))),
-                ("tolerance", "positive", (5e-324, Gives(1, 1.0))),
-                ("seed", "integer", (Gives(0, 0), Gives(-3, -3), Gives(10**400, 10**400))))],
+                                        *[Gives(t, INFINITY) for t in ("inf", "INFINITY")]), None),
+                ("iterations", "count", (Gives(1, 1), Gives(10**400, 10**400)), None),
+                ("tolerance", "positive", (5e-324, Gives(1, 1.0)), None),
+                ("seed", "integer", (Gives(0, 0), Gives(-3, -3), Gives(10**400, 10**400)),
+                 "integer in (-inf, inf)"))],
         Row("load_config", "path", "json.load", _load, cases=_cases(
             ConfigError, ("'{'", "{", "config ..."),
             ("NaN", '{"p": NaN}', "NaN is not a JSON value"),
@@ -1106,8 +1336,6 @@ EXEMPT = {
 }
 
 
-_DOMAINS = {ALPHA: "ALPHA", CYCLE_LENGTH: "CYCLE_LENGTH", EXPONENT: "EXPONENT", COUNT: "COUNT",
-            STEPS: "STEPS", POSITIVE: "POSITIVE", _GAP: "orbit._GAP", _KNOT: "system._KNOT"}
 
 
 def _show(value):
@@ -1138,7 +1366,7 @@ def render_contract():
     groups = {}
     for row in CONTRACT:
         reader = f"`{row.reader}`" if row.domain is None else (
-            f"`{_DOMAINS.get(row.domain, 'Domain')}` `{row.domain}`")
+            f"`{_DOMAINS.get(row.domain, ('Domain',))[0]}` `{row.domain}`")
         named = f" as `{row.name}`" if row.name and row.name not in row.param else ""
         named = named.replace("{shown}", "<value>")
         cases = [f"*{row.kind}*{named}"] if row.kind else []

@@ -14,6 +14,7 @@ import pytest
 import proxcycle.cli as cli
 from proxcycle.chains import chain_point_distance
 from proxcycle.gallery import (
+    GALLERY,
     attainment_gap,
     build,
     make_paper_lq_family,
@@ -39,7 +40,7 @@ from proxcycle.system import (
     verify_contraction,
 )
 
-ALL_IDS = ("kirk_interval", "affine_strip", "paper_lq_family", "scaled_pair")
+ALL_IDS = tuple(sorted(GALLERY))
 P_VALUES = (1, 2, INFINITY)
 STEPS = 500
 

@@ -37,7 +37,7 @@ from proxcycle.system import (
     verify_cyclicity,
 )
 
-ALL_IDS = ("kirk_interval", "affine_strip", "paper_lq_family", "scaled_pair")
+ALL_IDS = tuple(sorted(GALLERY))
 
 
 @pytest.fixture(scope="module", params=ALL_IDS)

@@ -1,4 +1,5 @@
-import csv
+import collections
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 
 from proxcycle.chains import chain_point_distance, chain_self_distance
 from proxcycle.gallery import (
+    GALLERY,
     make_affine_strip,
     make_kirk_interval,
     make_paper_lq_family,
@@ -36,14 +38,16 @@ from proxcycle.cli import TRACE_BLOCK, _write_trace_csv
 from proxcycle.spaces import INFINITY, LqSpace, OracleSpace, as_exponent, check_point
 from proxcycle.system import Box, CyclicSystem, MapError
 from reference import (
+    SYSTEMS,
     CountingLq,
+    built,
     counted_kirk,
     counting,
     fields_hex,
     hexed,
     line_gap,
+    line_system,
     per_row_csv,
-    per_step,
     per_step_fields,
     public_boundedness,
     public_chain_trace,
@@ -51,7 +55,7 @@ from reference import (
     public_trace_rows,
     reference_columns,
     reference_rows,
-    typed_hex,
+    swing,
 )
 
 
@@ -275,102 +279,107 @@ def test_chain_trace_p_inf_monotone():
         assert b <= a + 1e-12 * (1 + a)
 
 
-# --- one-pass trace rows against the public traces ---------------------------
+# --- the trace table: each reader gives its references' bits ------------------
+#
+# A row of ``TRACES`` is (system, steps, p, pins): the orbit of a system of
+# ``SYSTEMS`` from its start, ``steps`` long. Its rows, both columns, the
+# written trace.csv and every public per-column reader give the bits of
+# their references; the row pins what it names of J (the settle index), the
+# row count and how many chain entries are edge_1's own object. Past J no
+# new float or row object is made, wherever J falls.
+
+Pins = collections.namedtuple("Pins", "settle rows same", defaults=(None, None, None))
+P3, P4, KIRK = (1, 2, INFINITY), (1, 2, 3.5, INFINITY), "kirk_interval(alpha=0.5)"
+LQ = "paper_lq_family(m={}, N={}, q={})"
+PAIR = "scaled_pair(alpha=0.4, separation=2.0, dimension=3)"
+TRACES = [
+    # The kernels chosen per (q, dimension): l^3, l^1 and l^inf in 6 to 29
+    # coordinates, and the line; orbit lengths cover every residue mod m, so
+    # the last block is complete or cut anywhere.
+    *((name, steps * built(name)[0].m + r, p, Pins())
+      for name in (*(LQ.format(m, 6, q) for m in (2, 3, 4) for q in (3, 1, "inf")), KIRK)
+      for steps in (3, 10, 43) for r in range(built(name)[0].m) for p in P4),
+    # The orbit reaches the truncation stub after m(N + 1) - 1 = 8 steps and
+    # stays, so almost every trace distance is between equal points.
+    *((LQ.format(3, 2, q), 200, p, Pins(11)) for q in (1, 3, "inf") for p in P4),
+    # An asymmetric oracle: every distance keeps its argument order.
+    *(("turn from (1.0, 0.5)", 40, p, Pins()) for p in P4),
+    # Settled orbits: on the points (-1, 0, 0) and (1, -0.0, -0.0); on -0.0
+    # and 0.0 once the orbit underflows; on the stub, the very object the
+    # stub map returns; on a fixed point.
+    *((PAIR, 2500, p, Pins(73)) for p in P3),
+    (KIRK, 2500, 2, Pins(1077)),
+    (LQ.format(2, 2, 2), 80, 2, Pins(7)),
+    *((LQ.format(3, 6, 2), steps, 2, Pins(23)) for steps in (120, 10_000)),
+    ("fixed point", 60, 2, Pins(10)),
+    # Period 2 but not 1. Rows from ceil(J / m) = 4 on repeat row 3: with 10
+    # or 11 points there is none, only column entries past J; with 12 or 13
+    # points the orbit settles only in its last row.
+    *(("swing", n, 2, Pins(8, rows)) for n, rows in zip(range(8, 14), (3, 4, 4, 5, 5, 6))),
+    ("period 2m", 41, 2, Pins(42)),
+    *((f"scripted m={m}", 8, 2, Pins(8)) for m in (2, 3)),
+    # The writer, past two blocks: at p = inf the chain of a two-region row
+    # is the max of the step and the wrap, the same float object, and takes
+    # edge_1's text; elsewhere the chain is a new float. A metric oracle has
+    # no gap bound: every wrap term is measured, and the orbit never settles.
+    *(("affine_strip(alpha=0.999, h=2.0)", 10_000, p, Pins(10_001, 4999, 4999 * (p is INFINITY)))
+      for p in P3),
+    ("kirk_interval(alpha=0.001)", 10_000, INFINITY, Pins(10_001, 4999, 4999)),
+    *(("swing oracle", 2 * TRACE_BLOCK + 301, p,
+       Pins(2 * TRACE_BLOCK + 302, TRACE_BLOCK + 150, (TRACE_BLOCK + 150) * (p is INFINITY)))
+      for p in (2, INFINITY)),
+    *(("turn from (1.5, 0.5)", 3 * TRACE_BLOCK + 302, p, Pins(rows=TRACE_BLOCK + 100))
+      for p in (2, INFINITY)),
+    # Row counts at the writer's block bounds, every row distinct; then a
+    # settled stretch that starts inside a block or on a block bound.
+    *(("shrink", 2 * rows + 1, p, Pins(2 * rows + 2, rows, rows * (p is INFINITY)))
+      for rows in (1, 1023, 1024, 1025, 2049) for p in (2, INFINITY)),
+    *((f"stairs {d}", 2 * d + 700, p, Pins(2 * d, d + 349))
+      for d in (750, 1023, 1024, 1025, 1500) for p in (2, INFINITY)),
+    # Each gallery kernel, 22 coordinates included, and an oracle in the plane.
+    *((name, 60, p, Pins()) for name in (
+        "kirk_interval(alpha=0.3)", "affine_strip(alpha=0.4, h=1.5)", LQ.format(3, 6, 3),
+        "scaled_pair(alpha=0.4, separation=2.0, dimension=22)") for p in P3),
+    *(("oracle turn", 61, p, Pins()) for p in P3),
+]
 
 
-def _asymmetric_system():
-    """Three boxes under a metric oracle with d(a, b) != d(b, a): the rows
-    match the traces only if every distance keeps its argument order."""
-
-    def oracle(a, b):
-        dx, dy = a[0] - b[0], a[1] - b[1]
-        return abs(dx) + abs(dy) + 0.25 * max(0.0, dx)
-
-    c, s = -0.5 * 0.9, math.sqrt(3.0) / 2.0 * 0.9
-
-    def turn(x):
-        return (c * x[0] - s * x[1], s * x[0] + c * x[1])
-
-    box = Box((-2.0, -2.0), (2.0, 2.0))
-    return CyclicSystem(space=OracleSpace(oracle, 2), regions=(box, box, box), map=turn)
-
-
-def _assert_rows_match_traces(tmp_path, trace, p):
-    expected = reference_rows(trace, p)
-    assert len(expected) == len(trace.points) // trace.m - 1
-    assert trace_rows(trace, p) == expected
-
-    path = tmp_path / "trace.csv"
-    _write_trace_csv(path, trace, as_exponent(p))
-    with open(path, newline="") as fh:
-        table = list(csv.reader(fh))
-    assert [int(cells[0]) for cells in table[1:]] == list(range(len(expected)))
-    assert [tuple(map(float, cells[1:])) for cells in table[1:]] == expected
-
-
-def _assert_rows_match_traces_at_every_cut(tmp_path, gs, steps, p):
-    # Orbit lengths cover every residue mod m, so the last block is complete
-    # or cut anywhere.
-    m = gs.system.m
-    for n in range(steps * m, steps * m + m):
-        trace = picard_orbit(gs.system, gs.default_start, n)
-        _assert_rows_match_traces(tmp_path, trace, p)
-
-
-@pytest.mark.parametrize("m", [2, 3, 4])
-@pytest.mark.parametrize("p", [1, 2, 3.5, INFINITY])
-@pytest.mark.parametrize("steps", [3, 10, 43])
-def test_trace_rows_match_reference_traces(tmp_path, m, p, steps):
-    gs = make_paper_lq_family(m=m, q=3)
-    _assert_rows_match_traces_at_every_cut(tmp_path, gs, steps, p)
-
-
-KERNEL_SYSTEMS = {
-    **{
-        f"paper_lq_family-m{m}-q{q}": lambda m=m, q=q: make_paper_lq_family(m=m, q=q)
-        for m in (2, 3, 4)
-        for q in (1, "inf")
-    },
-    "kirk_interval": lambda: make_kirk_interval(0.5),
-}
-
-
-@pytest.mark.parametrize("system", KERNEL_SYSTEMS)
-@pytest.mark.parametrize("p", [1, 2, 3.5, INFINITY])
-@pytest.mark.parametrize("steps", [3, 10, 43])
-def test_trace_rows_match_reference_traces_per_kernel(tmp_path, system, p, steps):
-    # The kernels chosen per (q, dimension) that the l^3 test above does not
-    # reach: l^1 and l^inf in 15 to 29 dimensions, and the line.
-    _assert_rows_match_traces_at_every_cut(tmp_path, KERNEL_SYSTEMS[system](), steps, p)
-
-
-@pytest.mark.parametrize("q", [1, 3, "inf"])
-@pytest.mark.parametrize("p", [1, 2, 3.5, INFINITY])
-def test_trace_rows_match_reference_traces_on_the_truncation_stub(tmp_path, q, p):
-    # The orbit reaches the stub after m(N + 1) - 1 = 8 steps and stays, so
-    # almost every trace distance is between equal points.
-    gs = make_paper_lq_family(m=3, N=2, q=q)
-    trace = picard_orbit(gs.system, gs.default_start, 200)
-    stub = trace.points[8]
-    assert gs.system.is_artifact(stub) and set(trace.points[8:]) == {stub}
-    _assert_rows_match_traces(tmp_path, trace, p)
-
-
-@pytest.mark.parametrize("p", [1, 2, 3.5, INFINITY])
-def test_trace_rows_keep_argument_order_for_asymmetric_oracles(tmp_path, p):
-    trace = picard_orbit(_asymmetric_system(), (1.0, 0.5), 40)
-    space = trace.system.space
-    x, y = trace.points[0], trace.points[1]
-    assert space.distance(x, y) != space.distance(y, x)
-    _assert_rows_match_traces(tmp_path, trace, p)
-
-
-def test_trace_rows_need_two_blocks():
-    trace = picard_orbit(make_kirk_interval(0.5).system, (-1.0,), 3)
-    assert len(trace_rows(trace, 2)) == 1
-    short = picard_orbit(make_kirk_interval(0.5).system, (-1.0,), 2)
-    with pytest.raises(ValueError):
-        trace_rows(short, 2)
+@pytest.mark.parametrize("name, steps, p, pins", TRACES,
+                         ids=[f"{name}-{steps}-{p}" for name, steps, p, _ in TRACES])
+def test_each_trace_reader_gives_its_references_bits(name, steps, p, pins, tmp_path):
+    system, x0 = built(name)
+    trace = picard_orbit(system, x0, steps)
+    m, settle, rows = trace.m, trace._settled(), trace_rows(trace, p)
+    _write_trace_csv(tmp_path / "trace.csv", trace, as_exponent(p))
+    assert (tmp_path / "trace.csv").read_bytes() == per_row_csv(m, rows)
+    columns, count = _trace_columns(trace, p)
+    distinct = -(-settle // m)
+    assert count == len(rows) and len(columns[0]) == min(distinct, count)
+    assert all(row is rows[distinct - 1] for row in rows[distinct:])
+    assert len(set(map(id, rows[:distinct]))) == min(distinct, count)
+    got = (settle, count, sum(map(is_, columns[0], columns[1])))
+    assert Pins(*(g if pin is not None else None for g, pin in zip(got, pins))) == pins
+    if len(trace.points) < 3 * m:
+        return  # too short for a drift trace, which the references read
+    for s, column in reference_columns(trace).items():
+        # A fresh trace measures the column itself, not the one trace_rows kept.
+        gaps = OrbitTrace(system, trace.points)._gaps(s)
+        assert hexed(gaps) == hexed(column)
+        assert all(gaps[j] is gaps[j - m] for j in range(settle, len(gaps)))
+    # The rows are those of the public per-column readers and of the per-pair
+    # reads; each reader gives the bits of its reference, which reads the
+    # points one pair or one chain at a time.
+    assert hexed(rows) == hexed(reference_rows(trace, p)) == hexed(public_trace_rows(trace, p))
+    assert hexed(chain_trace(trace, p)) == hexed(public_chain_trace(trace, p))
+    for i in range(1, m + 1):
+        assert hexed(edge_trace(trace, i)) == hexed(public_gaps(trace, i, 1))
+        assert hexed(block_drift_trace(trace, i)) == hexed(public_gaps(trace, i, m))
+    for n, k in ((1, 0), (0, 1), (3, 7), (5, 5)):
+        if max(n, k) < len(trace.points) // m:
+            want = chain_point_distance(system.space, trace.block(n), trace.block(k), p)
+            assert float.hex(cross_block_chain_distance(trace, n, k, p)) == float.hex(want)
+    report = boundedness_probe(trace)
+    assert hexed((report.sups, report.stabilized)) == hexed(public_boundedness(trace))
 
 
 def _halving_kirk_system(floor, calls):
@@ -449,29 +458,13 @@ def test_orbit_results_are_immutable_value_records():
     assert hash(picard_orbit(system, (1.0, 0.0), 8)) == hash(trace)
 
 
-# --- the trace prefix, walked in chunks -----------------------------------------
-
-
-PREFIX_SYSTEMS = {
-    "kirk_interval": lambda: make_kirk_interval(0.001),
-    "affine_strip": lambda: make_affine_strip(0.999, 2.0),
-    "scaled_pair": lambda: make_scaled_pair(alpha=0.002, separation=1.0, dimension=2),
-    "paper_lq_family 7-d": lambda: make_paper_lq_family(m=2, N=2, q=INFINITY, alpha=0.5),
-    "paper_lq_family 22-d": lambda: make_paper_lq_family(m=3, N=6, q=2, alpha=0.4),
-}
-PREFIX_LENGTHS = (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 10_000)
-
-
-@pytest.mark.parametrize("n", PREFIX_LENGTHS)
-@pytest.mark.parametrize("name", sorted(PREFIX_SYSTEMS))
-def test_chunked_prefix_equals_the_per_step_walk(monkeypatch, name, n):
-    gs = PREFIX_SYSTEMS[name]()
-    want = typed_hex(per_step(gs.system, gs.default_start, n))
+def test_a_gallery_walk_never_reads_an_image_by_check_point(monkeypatch):
+    # Every gallery image is a tuple of exact floats, read by the chunk pass.
+    walks = [built(n) for n in SYSTEMS if n.partition("(")[0] in GALLERY and n[-1] == ")"]
     read = []
     monkeypatch.setattr(system_module, "check_point", lambda v: read.append(v) or check_point(v))
-    assert typed_hex(_record(gs.system, gs.default_start, n).points) == want
-    assert typed_hex(picard_orbit(gs.system, gs.default_start, n).points) == want
-    # Every gallery image is a tuple of exact floats, read by the chunk pass.
+    for (system, x0), walker in itertools.product(walks, (_record, picard_orbit)):
+        assert len(walker(system, x0, 2 * _CHUNK + 1).points) == 2 * _CHUNK + 2
     assert read == []
 
 
@@ -487,56 +480,6 @@ TAIL_SOLVERS = {
 }
 TAIL_KEEP = 2_000
 TAIL_BUDGET = 20_000
-
-
-def _tail_start(system, x0, start):
-    """The solver's x0: the start point itself, or a walk recording
-    TAIL_KEEP steps, as ``proxcycle run`` hands it."""
-    return x0 if start == "plain" else _record(system, x0, TAIL_KEEP)
-
-
-# The CLI hands the solver a walk recording max(3m, min(max_iter, 10 000))
-# steps; a start point gets the few steps the stop rule starts from.
-WALK_SYSTEMS = {
-    "kirk_interval": lambda: make_kirk_interval(0.001),
-    "affine_strip": lambda: make_affine_strip(0.999, 1.5),
-    "scaled_pair 3-d": lambda: make_scaled_pair(alpha=0.001, separation=2.0, dimension=3),
-    "affine_strip h2": lambda: make_affine_strip(0.999, 2.0),
-    "scaled_pair 3-d slow": lambda: make_scaled_pair(alpha=5e-4, separation=2.0, dimension=3),
-    "scaled_pair 2-d slow": lambda: make_scaled_pair(alpha=5e-4, separation=2.0, dimension=2),
-}
-# Budget-bound solves whose recorded prefix ends on each side of a chunk
-# boundary, and a stop or budget past the 10 000-step prefix, on the first
-# three systems; then three slow solves that stop between steps 2 x 10^4
-# and 5 x 10^4: the proximity rule's r = m consecutive checks on the strip
-# and in the plane kernel, and the periodic rule in the three-coordinate one.
-CLI_WALKS = [
-    *(
-        (name, solver, max_iter)
-        for name in ("affine_strip", "kirk_interval", "scaled_pair 3-d")
-        for solver in sorted(TAIL_SOLVERS)
-        for max_iter in (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 100_000, 10_001, 11_025)
-    ),
-    ("affine_strip h2", "proximity", 100_000),
-    ("scaled_pair 3-d slow", "periodic", 1_000_000),
-    ("scaled_pair 2-d slow", "proximity", 100_000),
-]
-
-
-@pytest.mark.parametrize(
-    "name, solver, max_iter", CLI_WALKS, ids=["-".join(map(str, walk)) for walk in CLI_WALKS]
-)
-def test_a_plain_start_gives_the_result_of_the_cli_walk(name, solver, max_iter):
-    solve = TAIL_SOLVERS[solver][0]
-    gs = WALK_SYSTEMS[name]()
-    m = gs.system.m
-    walk = _record(gs.system, gs.default_start, max(3 * m, min(max_iter, 10_000)))
-    plain = fields_hex(solve(gs.system, gs.default_start, tol=1e-12, max_iter=max_iter))
-    assert plain == fields_hex(solve(gs.system, walk, tol=1e-12, max_iter=max_iter))
-    # A converged solve stops where the per-step walk does, with its fields.
-    if plain["converged"]:
-        want = per_step_fields(solver, gs.system, gs.default_start, 1e-12)
-        assert {field: plain[field] for field in want} == want
 
 
 # --- each prefix distance measured once -----------------------------------------
@@ -577,44 +520,6 @@ def test_each_prefix_distance_is_measured_once(solver, keep):
 # --- the tail's drift test behind the first-coordinate gap ---------------------
 
 
-# (system, solver) pairs whose drift at a checked step equals its first
-# coordinate gap, in the line, plane and three-coordinate l^2 kernels: the other
-# coordinates of affine_strip's stride-2 drift, and of scaled_pair's orbit
-# from its default start, do not move.
-EQUAL_GAP_SOLVES = [
-    ("kirk_interval", "banach"),
-    ("kirk_interval", "periodic"),
-    ("kirk_interval", "proximity"),
-    ("affine_strip", "periodic"),
-    ("affine_strip", "proximity"),
-    ("scaled_pair 3-d", "periodic"),
-    ("scaled_pair 3-d", "proximity"),
-]
-
-
-@pytest.mark.parametrize("start", ["plain", "walk"])
-@pytest.mark.parametrize("name, solver", EQUAL_GAP_SOLVES)
-def test_a_tol_equal_to_the_first_coordinate_gap_stops_where_the_per_step_walk_does(
-    name, solver, start
-):
-    # tol is the drift d(x_{k-s}, x_k) at step k = 3 000, past the recorded
-    # prefix; it equals that step's first-coordinate gap, so the gap test
-    # must not decide the check (a gap equal to tol is within it) and the
-    # drift must be measured. Every field read off the orbit is the per-step
-    # reference's.
-    solve = TAIL_SOLVERS[solver][0]
-    gs = WALK_SYSTEMS[name]()
-    system, x0 = gs.system, gs.default_start
-    k, s = 3_000, 1 if solver == "banach" else gs.system.m
-    points = per_step(system, x0, k)
-    tol = system.space.distance(points[k - s], points[k])
-    assert tol == abs(points[k - s][0] - points[k][0]) and tol > 0.0
-    result = solve(system, _tail_start(system, x0, start), tol=tol, max_iter=TAIL_BUDGET)
-    want = per_step_fields(solver, system, x0, tol)
-    assert want["iterations"] in (k, k + 1)
-    assert {field: fields_hex(result)[field] for field in want} == want
-
-
 @pytest.mark.parametrize("solver", sorted(TAIL_SOLVERS))
 def test_a_space_without_the_gap_bound_measures_every_checked_tail_drift(solver):
     # The oracle count is pinned, call by call, by
@@ -641,119 +546,16 @@ def test_a_space_without_the_gap_bound_measures_every_checked_tail_drift(solver)
 # --- settled orbits: rows and columns past the settle index -----------------
 
 
-def _line_system(step, m=2, space=None):
-    """Boxes [-4, 4] on the line under ``step``, in ``space`` (l^2 by
-    default); membership is only recorded, so any orbit can be traced."""
-    box = Box((-4.0,), (4.0,))
-    space = space or LqSpace(as_exponent(2), 1)
-    return CyclicSystem(space=space, regions=(box,) * m, map=step)
-
-
-def _swing(x):
-    # |x| falls by 0.25 a step to 0.5, the sign flipping: from -2.0 the orbit
-    # is 1.75, -1.5, 1.25, -1.0, 0.75, -0.5, 0.5, -0.5, ..., period 2 from
-    # x_5 on, and x_8 is the first point equal to the one 2 before it.
-    return (-math.copysign(max(abs(x[0]) - 0.25, 0.5), x[0]),)
-
-
-def _assert_settled_trace(tmp_path, trace, p, settle):
-    """``trace_rows``, both columns and the written ``trace.csv`` against
-    the per-column references by ``float.hex``, the settle index pinned,
-    and past it no new float or row object."""
-    m = trace.m
-    assert trace._settled() == settle
-    for s, column in reference_columns(trace).items():
-        fresh = OrbitTrace(trace.system, trace.points)
-        gaps = fresh._gaps(s)
-        assert hexed(gaps) == hexed(column)
-        assert all(gaps[j] is gaps[j - m] for j in range(settle, len(gaps)))
-    expected = reference_rows(trace, p)
-    rows = trace_rows(trace, p)
-    assert [hexed(row) for row in rows] == [hexed(row) for row in expected]
-    distinct = -(-settle // m)
-    assert all(row is rows[distinct - 1] for row in rows[distinct:])
-    assert len(set(map(id, rows[:distinct]))) == min(distinct, len(rows))
-    _assert_written_per_row(tmp_path, trace, p)
-
-
-def _has_negative_zero(points):
-    return any(c == 0.0 and math.copysign(1.0, c) < 0 for x in points for c in x)
-
-
-@pytest.mark.parametrize("p", [1, 2, INFINITY])
-def test_settled_scaled_pair_rows_match_the_references(tmp_path, p):
-    # The orbit settles on the points (-1, 0, 0) and (1, -0.0, -0.0).
-    gs = make_scaled_pair(alpha=0.4, separation=2.0, dimension=3)
-    trace = picard_orbit(gs.system, gs.default_start, 2500)
-    assert _has_negative_zero(trace.points[73:])
-    _assert_settled_trace(tmp_path, trace, p, 73)
-
-
-def test_settled_kirk_interval_rows_match_the_references(tmp_path):
-    # After the orbit underflows, the map alternates -0.0 and 0.0.
-    gs = make_kirk_interval(0.5)
-    trace = picard_orbit(gs.system, gs.default_start, 2500)
-    assert {float.hex(x[0]) for x in trace.points[1077:]} == {"0x0.0p+0", "-0x0.0p+0"}
-    _assert_settled_trace(tmp_path, trace, 2, 1077)
-
-
-@pytest.mark.parametrize(
-    "m, N, settle, steps",
-    [(2, 2, 7, 80), (3, 6, 23, 120), (3, 6, 23, 10_000)],
-    ids=["2-2-7", "3-6-23", "3-6-23-10000"],
-)
-def test_settled_truncation_stub_rows_match_the_references(tmp_path, m, N, settle, steps):
-    # The stub map returns the stub itself, the very object.
-    gs = make_paper_lq_family(m=m, N=N, q=2)
-    trace = picard_orbit(gs.system, gs.default_start, steps)
-    assert trace.points[-1] is trace.points[settle - 1]
-    _assert_settled_trace(tmp_path, trace, 2, settle)
-
-
-def test_settled_fixed_point_rows_match_the_references(tmp_path):
-    # x_k = 1 - k/8 reaches the fixed point 0 at step 8, so x_10 is the
-    # first point equal to the one m = 2 before it.
-    trace = picard_orbit(_line_system(lambda x: (max(x[0] - 0.125, 0.0),)), (1.0,), 60)
-    _assert_settled_trace(tmp_path, trace, 2, 10)
-
-
-@pytest.mark.parametrize("n", range(8, 14))
-def test_settled_period_m_rows_match_the_references_at_every_cut(tmp_path, n):
-    # Period 2 but not 1. Rows from ceil(J / m) = 4 on repeat row 3: with
-    # 10 or 11 points there is none, only column entries past J; with 12 or
-    # 13 points the orbit settles only in its last row.
-    trace = picard_orbit(_line_system(_swing), (-2.0,), n)
-    _assert_settled_trace(tmp_path, trace, 2, 8)
-    assert len(trace_rows(trace, 2)) == {8: 3, 9: 4, 10: 4, 11: 5, 12: 5, 13: 6}[n]
-
-
-def test_an_orbit_of_period_2m_is_not_settled(tmp_path):
-    after = {1.0: -1.0, -1.0: 2.0, 2.0: -2.0, -2.0: 1.0}
-    trace = picard_orbit(_line_system(lambda x: (after[x[0]],)), (1.0,), 41)
-    assert trace.points[-1] == trace.points[-5] != trace.points[-3]
-    _assert_settled_trace(tmp_path, trace, 2, len(trace.points))
-
-
-@pytest.mark.parametrize("m", [2, 3])
-def test_a_last_point_equal_to_the_one_m_before_only_by_chance(tmp_path, m):
-    # Scripted points, not an orbit of any map: only the last point equals
-    # the one m before it, so J = len(points) - 1.
-    script = [(0.5,), (-0.5,), (0.25,), (-0.75,), (0.125,), (-0.375,), (0.0625,), (1.5,)]
-    points = (*script, script[-m])
-    trace = OrbitTrace(_line_system(_swing, m), points)
-    _assert_settled_trace(tmp_path, trace, 2, len(points) - 1)
-
-
 def test_spaces_without_the_gap_bound_measure_every_entry(tmp_path):
     # The swing settles at J = 8, but neither a metric oracle nor an l^2
     # space with a kernel of its own vouches for equal bits on equal
     # points: each measures every step, every drift and every wrap term.
     calls = []
-    bound = picard_orbit(_line_system(_swing), (-2.0,), 60)
+    bound = picard_orbit(line_system(swing), (-2.0,), 60)
     counted = CountingLq(as_exponent(2), 1)
     oracle = OracleSpace(counting(calls, line_gap), 1)
     for space, made in ((oracle, calls), (counted, counted.calls)):
-        trace = OrbitTrace(_line_system(_swing, space=space), bound.points)
+        trace = OrbitTrace(line_system(swing, space=space), bound.points)
         assert trace._settled() == len(trace.points) == 61
         rows = trace_rows(trace, 2)
         assert len(made) == 60 + 59 + 29
@@ -777,38 +579,6 @@ def _chain_is_edge_1(trace, p):
     return sum(map(is_, columns[0], columns[1])), len(columns[0])
 
 
-# Two-region orbits of 10 000 steps in which no point repeats.
-TWO_REGION_TRACES = {
-    "affine_strip": lambda: make_affine_strip(alpha=0.999, h=2.0),
-    "kirk_interval": lambda: make_kirk_interval(0.001),
-}
-
-
-@pytest.mark.parametrize(
-    "name, p",
-    [
-        ("affine_strip", 1),
-        ("affine_strip", 2),
-        ("affine_strip", INFINITY),
-        ("kirk_interval", INFINITY),
-    ],
-    ids=["1", "2", "p2", "kirk_interval-inf"],
-)
-def test_two_region_writer_matches_the_per_row_writer(tmp_path, name, p):
-    # At p = inf the chain of a two-region row is the max of the step and
-    # the wrap, the same float object: the chain takes edge_1's text.
-    # Elsewhere the chain is a new float and is formatted itself. The rows
-    # are the public traces', bit for bit.
-    gs = TWO_REGION_TRACES[name]()
-    trace = picard_orbit(gs.system, gs.default_start, 10_000)
-    same, rows = _chain_is_edge_1(trace, p)
-    assert rows > 2 * TRACE_BLOCK
-    assert same == (rows if p is INFINITY else 0)
-    expected = reference_rows(trace, p)
-    assert [hexed(row) for row in trace_rows(trace, p)] == [hexed(row) for row in expected]
-    _assert_written_per_row(tmp_path, trace, p)
-
-
 def _edge_1_or_edge_2(n):
     # Block n of a line orbit (x_0, x_1, x_2), c = n / 1024: x_2 between x_0
     # and x_1 makes d(x_0, x_1) the largest of the three terms, x_0 between
@@ -822,7 +592,7 @@ def test_three_region_writer_formats_a_chain_of_other_edges(tmp_path):
     # their max: here edge_1's object in some rows and edge_2's in others,
     # in every block, so no block takes edge_1's text for its chain.
     points = [pt for n in range(TRACE_BLOCK + 300) for pt in _edge_1_or_edge_2(n)]
-    trace = OrbitTrace(_line_system(_swing, 3), tuple(points))
+    trace = OrbitTrace(line_system(swing, 3), tuple(points))
     columns, count = _trace_columns(trace, INFINITY)
     chains, edge_1, edge_2 = columns[:3]
     assert count == len(chains) == TRACE_BLOCK + 299
@@ -839,7 +609,7 @@ def _signed_zero_system():
     def oracle(a, b):
         return -0.0 if a == b else abs(a[0] - b[0])
 
-    return _line_system(lambda x: x, space=OracleSpace(oracle, 1))
+    return line_system(lambda x: x, space=OracleSpace(oracle, 1))
 
 
 @pytest.mark.parametrize("p", [1, 2, INFINITY])
@@ -855,57 +625,6 @@ def test_writer_tests_the_chain_for_identity_not_equality(tmp_path, p):
         assert _chain_is_edge_1(trace, p) == (len(rows), len(rows))
     else:
         assert all(row[0] == row[1] and repr(row[0]) != repr(row[1]) for row in rows)
-    _assert_written_per_row(tmp_path, trace, p)
-
-
-@pytest.mark.parametrize("p", [2, INFINITY])
-def test_oracle_writer_matches_the_per_row_writer(tmp_path, p):
-    # A metric oracle has no _gap_bound: every wrap term is measured and
-    # the orbit is never taken as settled. A symmetric one gives a wrap equal
-    # to the step, so at p = inf the chain is the step, edge_1's object. The
-    # asymmetric oracle of a three-region turn keeps every argument order.
-    bound = picard_orbit(_line_system(_swing), (-2.0,), 2 * TRACE_BLOCK + 301)
-    trace = OrbitTrace(
-        _line_system(_swing, space=OracleSpace(line_gap, 1)), bound.points
-    )
-    rows = TRACE_BLOCK + 150
-    assert _chain_is_edge_1(trace, p) == (rows if p is INFINITY else 0, rows)
-    _assert_written_per_row(tmp_path, trace, p)
-    turning = picard_orbit(_asymmetric_system(), (1.5, 0.5), 3 * TRACE_BLOCK + 302)
-    assert len(trace_rows(turning, p)) == TRACE_BLOCK + 100
-    _assert_written_per_row(tmp_path, turning, p)
-
-
-def _unsettled_line_trace(rows):
-    # |x| shrinks by a factor 0.999 a step, the sign flipping: no point
-    # repeats within these lengths, so every row is distinct.
-    trace = picard_orbit(_line_system(lambda x: (-0.999 * x[0],)), (1.0,), 2 * rows + 1)
-    assert trace._settled() == len(trace.points)
-    return trace
-
-
-@pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 2049])
-@pytest.mark.parametrize("p", [2, INFINITY])
-def test_writer_blocks_match_the_per_row_writer(tmp_path, rows, p):
-    assert TRACE_BLOCK == 1024  # the row counts sit at its bounds
-    trace = _unsettled_line_trace(rows)
-    assert _chain_is_edge_1(trace, p) == (rows if p is INFINITY else 0, rows)
-    _assert_written_per_row(tmp_path, trace, p)
-
-
-@pytest.mark.parametrize("distinct", [750, 1023, 1024, 1025, 1500])
-@pytest.mark.parametrize("p", [2, INFINITY])
-def test_writer_settled_stretch_starts_inside_or_on_a_block_bound(tmp_path, distinct, p):
-    # x_k = (2 distinct - 2 - k) / 2048 reaches the fixed point 0 at step
-    # K = 2 distinct - 2, so J = K + 2 and the rows from distinct on repeat
-    # the one before: inside a block, or on the bound of the second.
-    k = 2 * distinct - 2
-    trace = picard_orbit(
-        _line_system(lambda x: (max(x[0] - 2.0 ** -11, 0.0),)), (k / 2048,), 2 * distinct + 700
-    )
-    assert trace._settled() == k + 2
-    assert len(_trace_columns(trace, p)[0][0]) == distinct
-    assert len(trace_rows(trace, p)) == distinct + 349
     _assert_written_per_row(tmp_path, trace, p)
 
 
@@ -971,58 +690,6 @@ def test_picard_orbit_is_a_plain_trace_and_only_a_walk_is_a_solver_start():
         banach_solve(gs.system, trace)  # a public trace is read as a start point
 
 
-# Every reader below the constructor against the public_* references, which
-# read the points as each reader did when it read them itself: through the
-# public ``space.distance`` and ``chain_self_distance``, one pair or one
-# chain at a time.
-
-
-def _oracle_trace():
-    # A metric oracle with no gap bound, on a three-region turn of the
-    # plane whose orbit never repeats.
-    space = OracleSpace(lambda a, b: abs(a[0] - b[0]) + 0.5 * abs(a[1] - b[1]), 2)
-    box = Box((-4.0, -4.0), (4.0, 4.0))
-    system = CyclicSystem(space, (box,) * 3, lambda x: (0.9 * x[1], -0.8 * x[0] + 0.1))
-    return picard_orbit(system, (1.5, -0.5), 61)
-
-
-def _walked(gs):
-    return picard_orbit(gs.system, gs.default_start, 60)
-
-
-SAME_BITS_TRACES = {
-    "kirk_interval": lambda: _walked(make_kirk_interval(0.3)),
-    "affine_strip": lambda: _walked(make_affine_strip(0.4, 1.5)),
-    "paper_lq_family": lambda: _walked(make_paper_lq_family(m=3, q=3, N=6)),
-    "scaled_pair": lambda: _walked(make_scaled_pair(0.4, 2.0, 22)),
-    "oracle": _oracle_trace,
-}
-
-
-@pytest.mark.parametrize("p", [1, 2, INFINITY])
-@pytest.mark.parametrize("name", sorted(SAME_BITS_TRACES))
-def test_trace_readers_give_the_bits_of_their_per_point_reads(name, p):
-    walked = SAME_BITS_TRACES[name]()
-    public = OrbitTrace(walked.system, [list(pt) for pt in walked.points])
-    m = walked.m
-    for trace in (walked, public):
-        assert hexed(tuple(chain_trace(trace, p))) == hexed(tuple(public_chain_trace(trace, p)))
-        for i in range(1, m + 1):
-            assert hexed(tuple(edge_trace(trace, i))) == hexed(tuple(public_gaps(trace, i, 1)))
-            assert hexed(tuple(block_drift_trace(trace, i))) == hexed(
-                tuple(public_gaps(trace, i, m))
-            )
-        assert [hexed(row) for row in trace_rows(trace, p)] == [
-            hexed(row) for row in public_trace_rows(trace, p)
-        ]
-        for n, k in ((1, 0), (0, 1), (3, 7), (5, 5)):
-            got = cross_block_chain_distance(trace, n, k, p)
-            want = chain_point_distance(trace.system.space, trace.block(n), trace.block(k), p)
-            assert float.hex(got) == float.hex(want)
-        report = boundedness_probe(trace)
-        assert hexed((report.sups, report.stabilized)) == hexed(public_boundedness(trace))
-
-
 # (system, steps): the point calls, _as_read calls and coordinates read by a
 # walk of that many steps: x0 once, each chunk's images once (an image that
 # is its predecessor's very object skipped), and nothing again for the
@@ -1051,3 +718,27 @@ def test_a_walk_reads_its_points_once(name, walker):
     assert (kinds.count("point"), kinds.count("_as_read")) == expected[:2]
     assert sum(coordinates for _, coordinates in space.reads) == expected[2]
     assert len(trace.points) == steps + 1
+
+
+def test_the_trace_systems_are_what_their_rows_need():
+    # The row counts of the writer's rows sit at its block bounds.
+    assert TRACE_BLOCK == 1024
+    system, x0 = built("turn from (1.0, 0.5)")
+    x1 = system.apply(x0)
+    assert system.space.distance(x0, x1) != system.space.distance(x1, x0)
+    # The orbit reaches the stub at step 8 and stays, on the very object the
+    # stub map returns.
+    for q in (1, 3, "inf"):
+        system, x0 = built(LQ.format(3, 2, q))
+        points = picard_orbit(system, x0, 200).points
+        assert system.is_artifact(points[8]) and set(points[8:]) == {points[8]}
+    for name, steps, settle in ((LQ.format(2, 2, 2), 80, 7), (LQ.format(3, 6, 2), 120, 23)):
+        points = picard_orbit(*built(name), steps).points
+        assert points[-1] is points[settle - 1]
+    # Settled on signed zeros: (1, -0.0, -0.0), and -0.0 and 0.0 in turn.
+    points = picard_orbit(*built(PAIR), 2500).points
+    assert any(c == 0.0 and math.copysign(1.0, c) < 0 for x in points[73:] for c in x)
+    points = picard_orbit(*built(KIRK), 2500).points
+    assert {float.hex(x[0]) for x in points[1077:]} == {"0x0.0p+0", "-0x0.0p+0"}
+    points = picard_orbit(*built("period 2m"), 41).points
+    assert points[-1] == points[-5] != points[-3]

@@ -3,6 +3,7 @@ import itertools
 import math
 import pickle
 import random
+import tracemalloc
 import sys
 
 import pytest
@@ -198,15 +199,29 @@ def test_validate_metric_flags_triangle_violation():
 
 def test_validate_metric_samples_max_triples_of_the_triples():
     # The squared gap breaks the triangle inequality in every triple of
-    # points on a line; past max_triples the triples checked are a seeded
-    # sample of them.
+    # points on a line, at its order (x, y, z) alone; past max_triples the
+    # triples checked are a seeded sample of them, in the sample's order.
     space = OracleSpace(lambda a, b: (a[0] - b[0]) ** 2, 1)
-    points = [(0.0,), (1.0,), (2.0,), (3.0,), (5.0,)]
-    for seed in (0, 1, 7):
-        report = validate_metric(space, points, seed=seed, max_triples=3)
-        drawn = random.Random(seed).sample(list(itertools.combinations(points, 3)), 3)
-        checked = {frozenset(v[:3]) for v in report.triangle_violations}
-        assert not report.ok and checked == set(map(frozenset, drawn))
+    for points, max_triples in (([(0.0,), (1.0,), (2.0,), (3.0,), (5.0,)], 3),
+                                ([(k / 4,) for k in range(40)], 2000)):
+        for seed in (0, 1, 7):
+            report = validate_metric(space, points, seed=seed, max_triples=max_triples)
+            triples = list(itertools.combinations(points, 3))
+            drawn = random.Random(seed).sample(triples, max_triples)
+            assert [v[:3] for v in report.triangle_violations] == drawn
+
+
+def test_validate_metric_never_lists_every_triple():
+    # 120 points make 280 840 triples, 19 MiB as a list; 2 000 are checked.
+    space = OracleSpace(lambda a, b: (a[0] - b[0]) ** 2, 1)
+    points = [(float(k),) for k in range(120)]
+    tracemalloc.start()
+    try:
+        report = validate_metric(space, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.triangle_violations) == 2000 and peak < 2**20
 
 
 def test_a_nan_distance_is_a_violation():

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import proxcycle.system as system_module
 from proxcycle.chains import chain_set_distance
 from proxcycle.gallery import (
     attainment_gap,
@@ -58,12 +57,13 @@ from proxcycle.system import (
     verify_cyclicity,
 )
 from reference import (
+    SAMPLED,
     CountingRandom,
-    brute_force,
+    built,
     certify_reference,
     counting,
-    cyclicity_reference,
     exact_margin,
+    flip,
     hexed,
     margin_floor,
     margins_by_x_tuple,
@@ -560,184 +560,18 @@ def test_scaled_pair_far_apart_certifies():
     assert cert.ok
 
 
-def _assert_matches_reference(system, phis, ps, samples=None):
-    """Every ``ContractionCertificate`` field of the exhaustive scan equals
-    the per-pair brute force, or with ``samples`` that of the sampled scan
-    the per-pair reference on the same pairs, each float by ``float.hex``."""
-    for p, phi in itertools.product(ps, phis):
-        cert = verify_contraction(system, phi, p, tuple_samples=samples or 500, seed=0)
-        if samples is None:
-            best, (wxs, wys), evaluated, skips, ok = brute_force(system, phi, p)
-        else:
-            pairs = sampled_pairs(system, samples, 0)
-            best, (wxs, wys), evaluated, skips, ok = certify_reference(system, phi, p, pairs)
-        want = ContractionCertificate(
-            ok=ok,
-            # With no pair evaluated the certificate reports NaN, not inf.
-            min_margin=best if evaluated else math.nan,
-            witness_xs=wxs,
-            witness_ys=wys,
-            set_chain_distance=system.set_chain_distance(p),
-            p=as_exponent(p),
-            evaluated=evaluated,
-            exhaustive=samples is None,
-            artifact_skips=skips,
-        )
-        for name in ContractionCertificate._fields:
-            got, expected = getattr(cert, name), getattr(want, name)
-            assert hexed(got) == hexed(expected), (name, p, phi)
-
-
+# The phis under which the block systems place a tie and the first NaN margin.
 PHIS = (LinearPhi(0.4), TabulatedPhi(((0.0, 0.1), (0.7, 0.3), (2.0, 0.6))))
-# Four knots with slopes up to 0.6 = 1 - alpha at alpha 0.4.
-KNOTS = TabulatedPhi(((0.0, 0.05), (0.5, 0.35), (1.5, 0.75), (3.0, 1.2)))
-
-
-@pytest.mark.parametrize(
-    "m,n,alpha", [(2, 3, 0.5), (3, 2, 0.5), (3, 2, 0.4)], ids=["2-3", "3-2", "3-2-0.4"]
-)
-@pytest.mark.parametrize("q", [1, 2, "inf"])
-def test_exhaustive_certificate_matches_brute_force(m, n, alpha, q):
-    system = make_paper_lq_family(m=m, alpha=alpha, q=q, N=n).system
-    _assert_matches_reference(system, (*PHIS, KNOTS), (1, 2, 3.5, "inf"))
-
-
-def _flip(x):
-    return (-x[0],)
-
-
-# x -> -x swaps the two clouds, and 1e308 - (-1e308) overflows: some pairs
-# have d = inf, where d - phi(d) is inf - inf, a NaN margin, and one of them
-# comes first in its block.
-OVERFLOW = CyclicSystem(
-    space=LqSpace(1, 1),
-    regions=(
-        FiniteCloud(((1e308,), (-1e308,), (0.0,))),
-        FiniteCloud(((-1e308,), (1e308,), (0.0,))),
-    ),
-    map=_flip,
-)
-
-FINITE_CLOUD_SYSTEMS = {
-    # one point per region: one tuple, so one pair in one block of one
-    "one-tuple": CyclicSystem(
-        space=L2_1, regions=(FiniteCloud(((1.0,),)), FiniteCloud(((-1.0,),))), map=_flip
-    ),
-    # one usable tuple left once the artifact points are skipped
-    "one-usable-tuple": CyclicSystem(
-        space=L2_2,
-        regions=(
-            FiniteCloud(((1.0, 0.0), (3.0, 0.0))),
-            FiniteCloud(((-1.0, 0.0), (-3.0, 0.0))),
-            FiniteCloud(((0.0, 2.0), (0.0, 5.0))),
-        ),
-        map=lambda x: (-0.5 * x[0], 0.5 * x[1]),
-        artifact_points=((3.0, 0.0), (-3.0, 0.0), (0.0, 5.0)),
-    ),
-    # every tuple touches an artifact point: nothing is evaluated
-    "all-skipped": CyclicSystem(
-        space=L2_1,
-        regions=(FiniteCloud(((1.0,), (2.0,))), FiniteCloud(((-1.0,),))),
-        map=_flip,
-        artifact_points=((-1.0,),),
-    ),
-    # artifact skips among evaluated pairs, three regions in the plane
-    "artifacts": CyclicSystem(
-        space=L2_2,
-        regions=(
-            FiniteCloud(((1.0, 0.0), (2.0, 0.5), (3.0, 0.0))),
-            FiniteCloud(((0.0, 1.0), (0.5, 2.0))),
-            FiniteCloud(((-1.0, -1.0), (-2.0, -1.5), (-3.0, -1.0))),
-        ),
-        map=lambda x: (0.5 * x[1], 0.5 * x[0]),
-        artifact_points=((3.0, 0.0), (0.5, 2.0)),
-    ),
-    # equal points in neighbouring regions: all-zero rows in a block
-    "zero-rows": CyclicSystem(
-        space=LqSpace(2, 3),
-        regions=(
-            FiniteCloud(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))),
-            FiniteCloud(((0.0, 0.0, 0.0), (0.0, 1.0, 0.0))),
-        ),
-        map=lambda x: (0.0, 0.0, 0.0),
-    ),
-    "overflow": OVERFLOW,
-}
-
-
-@pytest.mark.parametrize("name", sorted(FINITE_CLOUD_SYSTEMS))
-def test_finite_cloud_certificates_match_brute_force(name):
-    system = FINITE_CLOUD_SYSTEMS[name]
-    _assert_matches_reference(system, PHIS, (1, 1.5, 2, 3, "inf"))
-
-
-# Symmetric under (u, v) -> (u, -v), which maps x-tuple 1 to x-tuple 2: the
-# least margin comes first in x-tuple 1, at y-tuple 5, after larger margins
-# in x-tuple 0, and again in x-tuple 2, a tie on either side of the boundary
-# between them; the witness is the first.
-MIRROR = CyclicSystem(
-    space=L2_2,
-    regions=(
-        FiniteCloud(((1.0, 1.0), (1.0, -1.0), (2.0, 0.0))),
-        FiniteCloud(((-2.0, 0.0), (-1.0, -1.0), (-1.0, 1.0))),
-    ),
-    map=lambda x: (-0.5 * x[0], 0.5 * x[1]),
-)
-
-# As OVERFLOW, but at p = 2 and inf, where two terms of 1e308 do not
-# overflow, the first NaN margin comes in x-tuple 2, after finite margins,
-# and x-tuple 3 holds NaN margins too.
-LATE_OVERFLOW = CyclicSystem(
-    space=LqSpace(1, 1),
-    regions=(
-        FiniteCloud(((0.0,), (1e308,), (1.0,))),
-        FiniteCloud(((0.0,), (-1.0,), (-1e308,))),
-    ),
-    map=_flip,
-)
-
-BLOCK_SYSTEMS = {
-    "mirror": MIRROR,
-    "late-overflow": LATE_OVERFLOW,
-    "overflow": OVERFLOW,
-    "artifacts": FINITE_CLOUD_SYSTEMS["artifacts"],
-    "family": make_paper_lq_family(m=2, alpha=0.5, q=2, N=3).system,
-}
 
 
 def test_block_systems_place_a_tie_and_the_first_nan_at_x_tuple_boundaries():
     for phi, p in itertools.product(PHIS, (1, 2, "inf")):
-        rows = margins_by_x_tuple(MIRROR, phi, p)
+        rows = margins_by_x_tuple(built("mirror")[0], phi, p)
         least = min(min(row) for row in rows)
         assert [row.index(least) if least in row else None for row in rows[:3]] == [None, 5, 2]
         if p != 1:
-            rows = margins_by_x_tuple(LATE_OVERFLOW, phi, p)
+            rows = margins_by_x_tuple(built("late-overflow")[0], phi, p)
             assert [any(map(math.isnan, row)) for row in rows[:4]] == [False, False, True, True]
-
-
-@pytest.mark.parametrize("name", sorted(BLOCK_SYSTEMS))
-def test_exhaustive_blocks_of_any_size_match_brute_force(name, monkeypatch):
-    # A block is max(1, EXHAUSTIVE_BLOCK // width) whole x-tuples, width
-    # being the count of usable tuples. Every block size from one x-tuple to
-    # all of them puts a boundary after every x-tuple, so it splits the
-    # least margin, a tie and the first NaN margin from their neighbours,
-    # and most sizes do not divide the x-tuple count. A block size below
-    # the width reads one x-tuple per block.
-    system = BLOCK_SYSTEMS[name]
-    width = len(usable_tuples(system))
-    for block in (1, width - 1, *(g * width for g in range(1, width + 2))):
-        monkeypatch.setattr(system_module, "EXHAUSTIVE_BLOCK", block)
-        _assert_matches_reference(system, PHIS, (1, 2, "inf"))
-
-
-@pytest.mark.parametrize("q", [1, "inf"])
-def test_exhaustive_blocks_of_the_default_size_match_brute_force(q):
-    # 42 usable tuples: blocks of 1024 // 42 = 24 x-tuples, then 18.
-    system = make_paper_lq_family(m=2, alpha=0.45, q=q, N=6).system
-    n = len(usable_tuples(system))
-    step = system_module.EXHAUSTIVE_BLOCK // n
-    assert n == 42 and step > 1 and n % step
-    _assert_matches_reference(system, PHIS, (1, 2.5, "inf"))
 
 
 @given(
@@ -798,25 +632,26 @@ def _first_nan_pair(system, phi, p, pairs):
 def test_a_nan_margin_refutes_the_certificate(p):
     # d = inf makes d - phi(d) inf - inf: the inequality cannot be evaluated
     # there, so the first such pair is the witness and the certificate fails.
-    tuples = region_tuples(OVERFLOW)
-    cert = verify_contraction(OVERFLOW, LinearPhi(0.5), p)
+    overflow = built("overflow")[0]
+    tuples = region_tuples(overflow)
+    cert = verify_contraction(overflow, LinearPhi(0.5), p)
     assert cert.exhaustive and cert.evaluated == 81
     assert math.isnan(cert.min_margin) and not cert.ok
     assert (cert.witness_xs, cert.witness_ys) == _first_nan_pair(
-        OVERFLOW, LinearPhi(0.5), p, itertools.product(tuples, tuples)
+        overflow, LinearPhi(0.5), p, itertools.product(tuples, tuples)
     )
     # Every margin is NaN on the smallest such system.
     single = CyclicSystem(
         space=LqSpace(1, 1),
         regions=(FiniteCloud(((1e308,),)), FiniteCloud(((-1e308,),))),
-        map=_flip,
+        map=flip,
     )
     cert = verify_contraction(single, LinearPhi(0.5), p)
     assert math.isnan(cert.min_margin) and not cert.ok and cert.evaluated == 1
     assert cert.witness_xs == cert.witness_ys == ((1e308,), (-1e308,))
     # The sampled scan: two balls 2e308 apart.
     balls = CyclicSystem(
-        space=L2_1, regions=(Ball((1e308,), 1), Ball((-1e308,), 1)), map=_flip
+        space=L2_1, regions=(Ball((1e308,), 1), Ball((-1e308,), 1)), map=flip
     )
     cert = verify_contraction(balls, LinearPhi(0.5), p, tuple_samples=300, seed=2)
     assert not cert.exhaustive and cert.evaluated == 300
@@ -878,103 +713,16 @@ def test_alpha_bound_takes_a_cycle_length_past_the_float_range():
     assert alpha_bound_check(0.5, 3, 2).value == 0.125
 
 
-SAMPLED_SYSTEMS = {
-    "kirk": make_kirk_interval(alpha=0.4).system,
-    "strip": make_affine_strip(alpha=0.3, h=1.5).system,
-    "pair": make_scaled_pair(alpha=0.4, separation=2.0, dimension=3).system,
-    "pair7": make_scaled_pair(alpha=0.4, separation=3.0, dimension=7).system,
-    # Three balls on the line: each sample takes one gauss value, so which
-    # one waits in gauss_next alternates from round to round.
-    "balls1": CyclicSystem(
-        space=L2_1,
-        regions=(Ball((0.0,), 1.0), Ball((3.0,), 0.5), Ball((-2.0,), 1.5)),
-        map=lambda x: (0.5 * x[0] + 1.0,),
-    ),
-    # A segment with a degenerate axis, a disc and a square.
-    "mixed": CyclicSystem(
-        space=L2_2,
-        regions=(Box((0.0, 0.0), (1.0, 0.0)), Ball((0.5, 3.0), 1.0), Box((2.0, 2.0), (3.0, 3.0))),
-        map=lambda x: (0.5 * x[1], 0.25 * x[0] + 1.0),
-    ),
-}
-
-
-# paper_lq_family with m = 4 and N = 6: 7^4 tuples and 5.8e6 tuple pairs,
-# past EXHAUSTIVE_LIMIT, so its clouds are sampled, one FiniteCloud.sample
-# call at a time, and pairs touching the truncation stub are skipped.
-SAMPLED_FAMILY = make_paper_lq_family(m=4, alpha=0.5, q=2, N=6).system
-
-
-def _assert_sampled_matches_reference(system, phi, p, samples, seed):
-    cert = verify_contraction(system, phi, p, tuple_samples=samples, seed=seed)
-    assert not cert.exhaustive
-    best, (wxs, wys), evaluated, skips, ok = certify_reference(
-        system, phi, p, sampled_pairs(system, samples, seed)
-    )
-    assert cert.min_margin.hex() == (best if evaluated else math.nan).hex(), (p, phi)
-    assert (cert.witness_xs, cert.witness_ys) == (wxs, wys), (p, phi)
-    assert (cert.evaluated, cert.artifact_skips, cert.ok) == (evaluated, skips, ok), (p, phi)
-
-
-@pytest.mark.parametrize("name", [*sorted(SAMPLED_SYSTEMS), "family"])
-@pytest.mark.parametrize(
-    "seed,samples", [(0, 150), (1, 150), (5, 150), (1, 300)], ids=["0", "1", "5", "1-300"]
-)
-def test_sampled_certificate_matches_per_pair_reference(name, seed, samples):
-    system = SAMPLED_FAMILY if name == "family" else SAMPLED_SYSTEMS[name]
-    phis = (LinearPhi(0.3), TabulatedPhi(((0.0, 0.1), (0.7, 0.3), (2.0, 0.6))))
-    for p, phi in itertools.product((1, 2, 3.5, "inf"), phis):
-        _assert_sampled_matches_reference(system, phi, p, samples, seed)
-
-
 B = SAMPLE_BLOCK
-# 40 x 40 tuples, too many pairs to enumerate. 36 of the 40 points of the
-# left cloud are truncation stubs, so about one pair in a hundred is
-# evaluated and the first block of seed 5 is skipped whole.
-LEFT = tuple((-k / 40,) for k in range(1, 41))
-SPARSE = CyclicSystem(
-    space=L2_1,
-    regions=(FiniteCloud(LEFT), FiniteCloud(tuple((-x,) for (x,) in LEFT))),
-    map=lambda x: (-0.5 * x[0],),
-    artifact_points=LEFT[4:],
-)
-
-
-@pytest.mark.parametrize("samples", [1, B - 1, B, B + 1, 2 * B + 1])
-def test_block_scan_matches_per_pair_reference(samples):
-    for name in sorted(SAMPLED_SYSTEMS):
-        for p, phi in itertools.product((1, 2, "inf"), PHIS):
-            _assert_sampled_matches_reference(SAMPLED_SYSTEMS[name], phi, p, samples, 3)
-    for p in (1, "inf"):
-        _assert_sampled_matches_reference(SPARSE, LinearPhi(0.4), p, samples, 5)
 
 
 def test_sparse_system_skips_a_whole_block():
+    sparse = built("sparse")[0]
     usable = [
-        not any(SPARSE.is_artifact(pt) for pt in xs + ys)
-        for xs, ys in sampled_pairs(SPARSE, 2 * B + 1, 5)
+        not any(sparse.is_artifact(pt) for pt in xs + ys)
+        for xs, ys in sampled_pairs(sparse, 2 * B + 1, 5)
     ]
     assert not any(usable[:B]) and any(usable[B:])
-
-
-# A degenerate box whose one point is an artifact point: every sampled pair
-# touches it, as every pair of "all-skipped" touches its cloud of artifact
-# points only, so neither scan has a pair to fold.
-STUB_BOX = CyclicSystem(
-    space=L2_1,
-    regions=(Box((1.0,), (2.0,)), Box((-0.5,), (-0.5,))),
-    map=_flip,
-    artifact_points=((-0.5,),),
-)
-
-
-@pytest.mark.parametrize("samples", [None, 1, B + 1])
-def test_a_certificate_with_no_pair_to_fold_is_the_references(samples):
-    system = FINITE_CLOUD_SYSTEMS["all-skipped"] if samples is None else STUB_BOX
-    _assert_matches_reference(system, PHIS, (1, 2, "inf"), samples)
-    cert = verify_contraction(system, PHIS[0], 2, tuple_samples=samples or 500)
-    assert (cert.evaluated, math.isnan(cert.min_margin), cert.ok) == (0, True, False)
-    assert cert.artifact_skips == (samples or 4)
 
 
 class _ListBox(Box):
@@ -982,8 +730,8 @@ class _ListBox(Box):
         return list(super().sample(rng))
 
 
-class _ZeroAt(random.Random):
-    """``random.Random`` whose ``random()`` returns 0.0 at the draws in
+class _ZeroAt(CountingRandom):
+    """``CountingRandom`` whose ``random()`` returns 0.0 at the draws in
     ``at``, counted from 1; the count is part of its state."""
 
     at: frozenset = frozenset()
@@ -1029,7 +777,9 @@ def _drawn(regions, rng, rounds):
 
 def _assert_draws_as_samples(regions, rounds, make_rng, waiting):
     """The column drawer gives the per-sample draws bit for bit, as tuples,
-    and leaves the generator in the same state, over two blocks."""
+    from the same ``random()`` values in the same order, and leaves the
+    generator in the same state, over two blocks; ``make_rng`` makes a
+    ``CountingRandom``."""
     draw, ref = make_rng(), make_rng()
     for rng in (draw, ref):
         for _ in range(waiting):
@@ -1040,6 +790,14 @@ def _assert_draws_as_samples(regions, rounds, make_rng, waiting):
         assert hexed(got) == hexed(want)
         assert all(type(pt) is tuple for pt in got)
         assert draw.getstate() == ref.getstate()
+        assert hexed(draw.calls) == hexed(ref.calls)
+
+
+@pytest.mark.parametrize("name", SAMPLED)
+def test_column_draw_of_each_sampled_system_matches_per_sample_draws(name):
+    for rounds, waiting in itertools.product((1, 2, 7, 2 * B), (0, 1)):
+        regions = built(name)[0].regions
+        _assert_draws_as_samples(regions, rounds, lambda: CountingRandom(5), waiting)
 
 
 def _coordinate():
@@ -1090,10 +848,7 @@ def test_column_draw_matches_per_sample_draws(regions, rounds, seed, waiting, ze
     # ``waiting`` gauss values drawn first leave one in gauss_next; a draw
     # forced to 0.0 gives a zero gauss pair, and so a zero norm in a ball
     # whose values all come from that pair.
-    if zero_at is None:
-        make_rng = lambda: random.Random(seed)
-    else:
-        make_rng = lambda: _zero_at(seed, zero_at)
+    make_rng = lambda: CountingRandom(seed) if zero_at is None else _zero_at(seed, zero_at)
     _assert_draws_as_samples(tuple(regions), rounds, make_rng, waiting)
 
 
@@ -1146,22 +901,6 @@ def test_gauss_values_are_returned_as_gauss_returns_them():
     assert hexed(_as_returned(zs)) == hexed([0.0 + z * 1.0 for z in zs])
 
 
-@pytest.mark.parametrize("name", sorted(SAMPLED_SYSTEMS))
-@pytest.mark.parametrize("rounds", [1, 2, 7, 2 * B])
-@pytest.mark.parametrize("waiting", [0, 1])
-def test_column_draw_makes_the_per_sample_random_calls_in_order(name, rounds, waiting):
-    regions = SAMPLED_SYSTEMS[name].regions
-    draw, ref = CountingRandom(5), CountingRandom(5)
-    for rng in (draw, ref):
-        for _ in range(waiting):
-            rng.gauss(0.0, 1.0)
-    got = _drawn(regions, draw, rounds)
-    want = [r.sample(ref) for _ in range(rounds) for r in regions]
-    assert hexed(got) == hexed(want)
-    assert len(draw.calls) == len(ref.calls) > 0
-    assert hexed(draw.calls) == hexed(ref.calls)
-
-
 def test_only_exact_boxes_and_balls_are_drawn_by_columns(monkeypatch):
     # Column draws make no sample call; a block with a cloud or a subclass
     # of Box in it makes one per point, in draw order.
@@ -1170,8 +909,8 @@ def test_only_exact_boxes_and_balls_are_drawn_by_columns(monkeypatch):
         monkeypatch.setattr(
             cls, "sample", lambda self, rng, sample=cls.sample: sampled.append(self) or sample(self, rng)
         )
-    kirk = SAMPLED_SYSTEMS["kirk"]
-    for system in (kirk, SAMPLED_SYSTEMS["mixed"]):
+    kirk = built("kirk_interval(alpha=0.4)")[0]
+    for system in (kirk, built("mixed")[0]):
         points, failure = _draw(system.space, system.regions, random.Random(1), 6)
         assert len(points) == 6 * system.m and failure is None and sampled == []
     cloud = kirk.regions + (FiniteCloud(((0.0,),)),)
@@ -1183,7 +922,8 @@ def test_only_exact_boxes_and_balls_are_drawn_by_columns(monkeypatch):
         assert sampled == list(regions) * 5
 
 
-@pytest.mark.parametrize("name", ["balls1", "mixed", "pair"])
+@pytest.mark.parametrize("name", ["balls", "mixed",
+                                  "scaled_pair(alpha=0.4, separation=2.0, dimension=3)"])
 @pytest.mark.parametrize("rounds, waiting", [(5, 0), (6, 1), (5, 1)])
 def test_odd_rounds_or_a_waiting_gauss_value_are_drawn_sample_by_sample(
     monkeypatch, name, rounds, waiting
@@ -1191,7 +931,7 @@ def test_odd_rounds_or_a_waiting_gauss_value_are_drawn_sample_by_sample(
     # Only an even number of rounds from a state with no gauss value
     # waiting is drawn by columns; any other block makes one sample call
     # per point, in draw order, with the per-sample bits and end state.
-    regions = SAMPLED_SYSTEMS[name].regions
+    regions = built(name)[0].regions
     draw, ref = random.Random(3), random.Random(3)
     for rng in (draw, ref):
         for _ in range(waiting):
@@ -1206,48 +946,6 @@ def test_odd_rounds_or_a_waiting_gauss_value_are_drawn_sample_by_sample(
     assert sampled == list(regions) * rounds
     assert hexed(got) == hexed(want)
     assert draw.getstate() == ref.getstate()
-
-
-# 200 samples of a Box or a Ball are drawn by columns; 201 are an odd block,
-# drawn sample by sample, and those of a 3-d Ball leave a gauss value
-# waiting for the next region.
-@pytest.mark.parametrize("name", sorted(SAMPLED_SYSTEMS))
-@pytest.mark.parametrize("samples", [1, 7, 200, 201])
-def test_verify_cyclicity_matches_per_sample_reference(name, samples):
-    for seed in range(4):
-        _assert_cyclicity_as_reference(SAMPLED_SYSTEMS[name], samples, seed)
-
-
-def _assert_cyclicity_as_reference(system, samples, seed):
-    """The report on ``system`` and on its regions under the identity map,
-    which violates cyclicity at every sample of disjoint regions, so that
-    the report lists the drawn points themselves, equal the reference's;
-    returns the identity map's."""
-    stuck = system.__replace__(map=lambda x: x)
-    for tested in (system, stuck):
-        report = verify_cyclicity(tested, samples_per_region=samples, seed=seed)
-        want = cyclicity_reference(tested, samples, seed)
-        assert report == want and repr(report) == repr(want)
-    return report
-
-
-@pytest.mark.parametrize("name", ["kirk", "pair", "mixed"])
-@pytest.mark.parametrize("seed", [0, 3])
-def test_verify_cyclicity_skips_drawn_artifact_points_as_the_reference_does(name, seed):
-    # Every third drawn sample of every region is made an artifact point.
-    system = SAMPLED_SYSTEMS[name]
-    rng = random.Random(seed)
-    drawn = [r.sample(rng) for r in system.regions for _ in range(30)]
-    marked = system.__replace__(artifact_points=drawn[::3])
-    report = _assert_cyclicity_as_reference(marked, 30, seed)
-    assert len(report.artifacts) == len(drawn[::3]) and report.checked == len(drawn) - 10 * system.m
-
-
-@pytest.mark.parametrize("m,q,N", [(2, 2, 4), (3, "inf", 3), (4, 1, 2)])
-def test_verify_cyclicity_on_the_enumerable_family_is_the_reference(m, q, N):
-    system = make_paper_lq_family(m=m, alpha=0.5, q=q, N=N).system
-    report = _assert_cyclicity_as_reference(system, 5, 1)
-    assert report.artifacts  # the truncation stub, skipped
 
 
 def test_internal_callers_read_validated_points_with_the_trusted_methods(monkeypatch):
