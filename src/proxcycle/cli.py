@@ -183,7 +183,7 @@ def _write_trace_csv(path: Path, trace: orbit.OrbitTrace, p: Exponent) -> None:
     )
     columns, count = orbit._trace_columns(trace, p)
     distinct = len(columns[0])
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, distinct, TRACE_BLOCK):
             stop = min(start + TRACE_BLOCK, distinct)
@@ -337,7 +337,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         "write": time.perf_counter() - writing}
     # One dumps and one write: with indent set, json.dump writes each chunk.
     text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
-    with open(out_path / "summary.json", "w", encoding="utf-8") as fh:
+    with open(out_path / "summary.json", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
     return summary
 

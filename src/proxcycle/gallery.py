@@ -198,10 +198,15 @@ def make_paper_lq_family(
     top_point = family[-1]
     # The image of each family point, looked up in O(1), with the top point
     # mapped to itself (truncation stub); any other input (a perturbed
-    # point, an unhashable sequence) takes the validating path.
+    # point, an unhashable sequence) takes the validating path. An orbit
+    # sits on the stub for almost all of its steps, so the stub is returned
+    # by identity first, the object the lookup would return, without
+    # hashing its coordinates.
     successors = dict(zip(family, family[1:] + family[-1:]))
 
     def step(x: Point) -> Point:
+        if x is top_point:
+            return x
         try:
             return successors[x]
         except (KeyError, TypeError):

@@ -36,19 +36,24 @@ it first; ``chain_trace``, ``edge_trace`` and ``block_drift_trace`` are the
 public per-column references it matches bit for bit. Past the trace's
 settle index, where a converged orbit repeats with period m, the columns
 are filled from the last m measured entries and the rows repeat one row
-object, so the settled stretch is measured, and written, once.
+object, so the settled stretch is measured, and written, once. Two exact
+shortcuts keep the kernels' bits with fewer Python calls: on the line the
+columns are ``abs`` of first-coordinate differences, the line kernel
+itself, mapped over whole columns; and with m = 2 where the gap bound
+holds, the chain column is edge_1 times one constant, or edge_1 itself at
+p = inf (``_trace_columns`` says why that is the combination's bits).
 """
 
 from __future__ import annotations
 
 import math
 from itertools import compress, count, cycle, islice, repeat, starmap
-from operator import eq, is_not
+from operator import eq, is_not, itemgetter, mul, sub
 from typing import Iterator, Sequence
 
 from .chains import _chain_distance, _shifted_pairs
 from .spaces import ALPHA, COUNT, CYCLE_LENGTH, POSITIVE, STEPS, Domain, Point, _Record
-from .spaces import _point_repr, _value_repr, as_exponent
+from .spaces import _line_gap, _point_repr, _value_repr, as_exponent
 from .system import MEMBERSHIP_TOL, CyclicSystem
 
 # Orbit steps per chunk of ``_chunks``: enough that the per-chunk validation
@@ -135,11 +140,19 @@ class OrbitTrace(_Record):
     def _gaps(self, s: int) -> list[float]:
         """The column d(x_j, x_{j+s}), measured for j < J and past J filled
         by cycling d_{J-m}..d_{J-1}, the same float objects: bit for bit
-        what the kernel would return there."""
+        what the kernel would return there. Where the kernel is the line's
+        ``_line_gap``, the column is measured from the points' first
+        coordinates by C-level maps, ``abs`` of the differences: the
+        kernel's own ``abs(a[0] - b[0])``, with no call per distance."""
         gaps = self._columns.get(s)
         if gaps is None:
             points, j, n = self.points, self._settled(), len(self.points) - s
-            gaps = list(map(self.system.space._distance, points[:j], points[s:]))
+            dist = self.system.space._distance
+            if dist is _line_gap:
+                firsts = list(map(itemgetter(0), points[: j + s]))
+                gaps = list(map(abs, map(sub, firsts[:j], firsts[s:])))
+            else:
+                gaps = list(map(dist, points[:j], points[s:]))
             if j < n:
                 gaps += islice(cycle(gaps[j - self.m :]), n - j)
             self._columns[s] = gaps
@@ -422,7 +435,8 @@ def trace_rows(trace: OrbitTrace, p: object) -> list[tuple[float, ...]]:
     (``_trace_columns``), and the rows are their ``zip``. The chain column
     is the exponent's ``_combine_columns`` over the m - 1 step slices and
     the wrap terms, the same bits as ``_combine`` of each row's terms in
-    chain order.
+    chain order; where the wrap is the step read backwards, it is built
+    from the edge_1 column alone, with the same bits.
 
     Row n reads x_{mn}..x_{mn+2m-1} only, so from row ``_distinct_rows`` on,
     where mn is at least the trace's settle index J, each row is the one
@@ -440,10 +454,17 @@ def _trace_columns(trace: OrbitTrace, p: object) -> tuple[list[list[float]], int
     edge_1..edge_m, block_drift_1..block_drift_m) and the number of rows.
 
     With m = 2 where ``_gap_bound`` holds, the wrap column is the edge_1
-    column itself, so at p = inf, whose chain is the ``max`` of the two,
-    every chain entry is the edge_1 entry, the very object.
+    column itself, so every chain entry is the combination of [e, e] for
+    its edge_1 entry e, and the chain column is built from edge_1 alone. At
+    p = inf, whose chain is the ``max`` of the two, it is the edge_1 column,
+    the very objects. Elsewhere it is e times c, c = ``_combine([1.0,
+    1.0])``, one C-level pass: at p = 1 c is 2.0 and fsum((e, e)) is 2e,
+    the product rounding to inf where the sum overflows, as
+    ``_sum_or_inf`` returns; at 1 < p < inf the power sum's peak is e and
+    each term (e / e) ** p is 1.0, so the sum is e * 2.0 ** (1/p), which is
+    e * c, and 0.0 and inf give 0.0 and inf, the sum's answers for them.
     """
-    combine_columns = as_exponent(p)._combine_columns
+    exp = as_exponent(p)
     m = trace.m
     points = trace.points
     count = len(points) // m - 1
@@ -453,10 +474,11 @@ def _trace_columns(trace: OrbitTrace, p: object) -> tuple[list[list[float]], int
     steps, drifts, space = trace._gaps(1), trace._gaps(m), trace.system.space
     edges = [steps[i:span:m] for i in range(m)]
     if m == 2 and space._gap_bound:
-        wraps = edges[0]
+        twice = exp._combine([1.0, 1.0])
+        chains = edges[0] if exp.is_inf else list(map(mul, edges[0], repeat(twice)))
     else:
         wraps = list(map(space._distance, points[m - 1 : span : m], points[0:span:m]))
-    chains = combine_columns([*edges[: m - 1], wraps])
+        chains = exp._combine_columns([*edges[: m - 1], wraps])
     return [chains, *edges, *(drifts[i:span:m] for i in range(m))], count
 
 

@@ -831,7 +831,13 @@ def _sampled_blocks(system: CyclicSystem, tuple_samples: int, seed: int) -> Iter
     error.
 
     Pairs that touch an artifact point are skipped. The others' points are
-    mapped by the block stepper ``CyclicSystem._images``, in draw order.
+    mapped by the block stepper ``CyclicSystem._images``, in draw order;
+    where a region is a ``FiniteCloud``, which draws its points again and
+    again, each distinct point is mapped once per scan, as the exhaustive
+    scan maps it: keyed by ``dict.fromkeys``, in the order the draws first
+    reach it, a block mapping only the points no block before it has. The
+    map is pure, so the images are the ones each draw would get, and the
+    first draw whose map fails is the first distinct point that fails.
     Column j of the block holds point j of every pair, so the x column of
     region i with the y column of region i + 1, paired by
     ``_shifted_pairs``, gives term i of every d by one ``map`` of the
@@ -845,6 +851,7 @@ def _sampled_blocks(system: CyclicSystem, tuple_samples: int, seed: int) -> Iter
     m, width = system.m, 2 * system.m  # points per pair: the x-chain, then the y-chain
     draw = partial(_draw, system.space, system.regions)
     dist, is_artifact = system.space._distance, system._is_artifact
+    images = {} if any(map(_enumerable, system.regions)) else None
 
     def terms(block: list[Point]) -> list[list[float]]:
         cols = [block[j::width] for j in range(width)]
@@ -862,7 +869,12 @@ def _sampled_blocks(system: CyclicSystem, tuple_samples: int, seed: int) -> Iter
             kept = [chains for chains in pairs if not any(map(is_artifact, chains))]
             skips = len(pairs) - len(kept)
             points = list(itertools.chain.from_iterable(kept))
-        lhs_terms = terms(system._images(points))
+        if images is None:
+            lhs_terms = terms(system._images(points))
+        else:
+            new = [x for x in dict.fromkeys(points) if x not in images]
+            images.update(zip(new, system._images(new)))
+            lhs_terms = terms(list(map(images.__getitem__, points)))
         yield skips, terms(points), lhs_terms, partial(pair, points)
         if failure is not None:
             raise failure

@@ -519,10 +519,10 @@ def flip(x):
     return (-x[0],)
 
 
-def line_system(step, m=2, space=None):
-    """Boxes [-4, 4] on the line under ``step``, in ``space`` (l^2 by
-    default); membership is only recorded, so any orbit can be traced."""
-    return CyclicSystem(space or LqSpace(2, 1), (Box((-4.0,), (4.0,)),) * m, step)
+def line_system(step, m=2, space=None, bound=4.0):
+    """Boxes [-bound, bound] on the line under ``step``, in ``space`` (l^2
+    by default); membership is only recorded, so any orbit can be traced."""
+    return CyclicSystem(space or LqSpace(2, 1), (Box((-bound,), (bound,)),) * m, step)
 
 
 def swing(x):
@@ -668,6 +668,9 @@ SYSTEMS = dict([
         (Box((-4.0, -4.0), (4.0, 4.0)),) * 3, lambda x: (0.9 * x[1], -0.8 * x[0] + 0.1)),
         (1.5, -0.5))),
     ("swing", _fixed(line_system(swing), (-2.0,))),
+    # Steps of 1.2e308: the chain of two, 1.2e308 * 2 ** (1/p), passes the
+    # largest float below p = 1 / log2(1.797e308 / 1.2e308), about 1.71.
+    ("flip from 6e307", _fixed(line_system(flip, bound=6e307), (6e307,))),
     ("swing oracle", _fixed(line_system(swing, space=OracleSpace(line_gap, 1)), (-2.0,))),
     # x_k = 1 - k/8 reaches the fixed point 0 at step 8, so x_10 is the first
     # point equal to the one m = 2 before it.

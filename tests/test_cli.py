@@ -1,9 +1,11 @@
+import _pyio
 import contextlib
 import csv
 import hashlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -306,6 +308,21 @@ def test_output_dir_from_config(tmp_path):
     config = write_config(tmp_path, base_config(output_dir=str(out)))
     assert cli.main(["run", "--config", str(config)]) == 0
     assert (out / "summary.json").exists()
+
+
+def test_outputs_end_their_lines_in_newline_where_the_platform_ends_them_in_crlf(
+    tmp_path, monkeypatch
+):
+    # _pyio's text files read os.linesep when they open, as the C ones do
+    # where it is "\r\n": a file opened with the default newline would write
+    # "\r\n" at every "\n", and the outputs would differ by platform.
+    monkeypatch.setattr(cli, "open", _pyio.open, raising=False)
+    monkeypatch.setattr(os, "linesep", "\r\n")
+    config = cli.parse_config(base_config(run="trace", iterations=40))
+    cli.run_experiment(config, tmp_path)
+    for name in ("trace.csv", "summary.json"):
+        text = (tmp_path / name).read_bytes()
+        assert text.count(b"\n") > 10 and b"\r" not in text
 
 
 # --- one walk per run ----------------------------------------------------------------

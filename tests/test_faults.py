@@ -38,7 +38,7 @@ from proxcycle.orbit import (
 from proxcycle.spaces import LqSpace, as_exponent
 from proxcycle.system import SAMPLE_BLOCK as B
 from proxcycle.system import (
-    Box, ContractionCertificate, CyclicSystem, FiniteCloud, LinearPhi, MapError, TabulatedPhi,
+    Box, ContractionCertificate, CyclicSystem, LinearPhi, MapError, TabulatedPhi,
     verify_contraction, verify_cyclicity,
 )
 from reference import (
@@ -469,11 +469,11 @@ def test_each_cli_run_fails_where_its_reference_does(path, faults, where, tmp_pa
 # A row of ``AGREES`` is (path, system, Args): a path of ``PATHS`` run on a
 # system of ``SYSTEMS`` with the arguments the row varies, held to the same
 # reference as the fault rows, through the same ``outcome``. A walk maps the
-# reference's steps and then at most a chunk more; a sampling path maps each
-# point once, in the order the reference first maps it, where the draws are
-# distinct (a cloud can draw a point twice, and each draw is mapped). A solve
-# from a start point and from a walk agree, and where the stop rule fired,
-# stop where the per-step walk does, with its fields.
+# reference's steps and then at most a chunk more; a scan or a sampling path
+# maps each distinct point once, in the order the reference first maps it,
+# also where a cloud draws a point again. A solve from a start point and
+# from a walk agree, and where the stop rule fired, stop where the per-step
+# walk does, with its fields.
 
 
 def _rows(path, names, **axes):
@@ -595,7 +595,7 @@ def test_each_path_gives_its_references_bits_on_a_clean_system(path, name, args,
     assert got == (got | want if isinstance(want, dict) else want)
     if world in ORBITS:
         assert calls[: len(made)] == made and len(calls) <= len(made) + _CHUNK
-    elif path != "sampled" or not any(isinstance(r, FiniteCloud) for r in system.regions):
+    else:
         assert calls == list(dict.fromkeys(made))
 
 

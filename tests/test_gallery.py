@@ -160,7 +160,11 @@ def test_paper_family_map_table_matches_the_validating_path(m, q):
         assert type(image) is tuple and image == step(list(pt))
         assert step(tuple(c + 1e-12 if c else c for c in pt)) == image
         assert step(tuple(c - 1e-12 for c in pt)) == image
-    assert step(points[-1]) == points[-1]  # the truncation stub maps to itself
+    # The truncation stub maps to itself, the very object, from the stub
+    # itself, from an equal tuple and from a list.
+    (stub,) = gs.system.artifact_points
+    assert stub is points[-1]
+    assert all(step(x) is stub for x in (stub, tuple(list(stub)), list(stub)))
     for foreign in [(1.0,) * len(points[0]), tuple(2.0 * c for c in points[0])]:
         with pytest.raises(ValueError, match="indexed family"):
             step(foreign)

@@ -317,6 +317,10 @@ TRACES = [
     # points the orbit settles only in its last row.
     *(("swing", n, 2, Pins(8, rows)) for n, rows in zip(range(8, 14), (3, 4, 4, 5, 5, 6))),
     ("period 2m", 41, 2, Pins(42)),
+    # Each chain combines [e, e] for its edge_1 entry e = 1.2e308: it
+    # overflows to inf at p = 1 and 1.5 and stays finite at p = 2 and 3.
+    *(("flip from 6e307", 41, p, Pins(2, 20, int(p is INFINITY)))
+      for p in (1, 1.5, 2, 3, INFINITY)),
     *((f"scripted m={m}", 8, 2, Pins(8)) for m in (2, 3)),
     # The writer, past two blocks: at p = inf the chain of a two-region row
     # is the max of the step and the wrap, the same float object, and takes
@@ -742,3 +746,8 @@ def test_the_trace_systems_are_what_their_rows_need():
     assert {float.hex(x[0]) for x in points[1077:]} == {"0x0.0p+0", "-0x0.0p+0"}
     points = picard_orbit(*built("period 2m"), 41).points
     assert points[-1] == points[-5] != points[-3]
+    # Steps of 1.2e308, whose chain of two overflows at p = 1 and 1.5 only.
+    trace = picard_orbit(*built("flip from 6e307"), 41)
+    assert trace_rows(trace, 2)[0][1:3] == (1.2e308, 1.2e308)
+    chains = [trace_rows(trace, p)[0][0] for p in (1, 1.5, 2, 3)]
+    assert chains[:2] == [math.inf] * 2 and all(map(math.isfinite, chains[2:]))

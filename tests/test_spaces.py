@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import operator
 import pickle
 import random
 import tracemalloc
@@ -410,6 +411,27 @@ def test_combine_columns_is_the_per_row_combine_bit_for_bit(q, cols):
     assert hexed(got) == hexed(want)
     # The kernel reads tuples as readily as lists: the scan hands it tuples.
     assert exp._combine_columns([tuple(c) for c in cols]) == got
+
+
+# Where the wrap term is the step read backwards, every chain entry of a
+# two-region trace combines [e, e]; the trace builds that column as e times
+# the combination of [1.0, 1.0], or edge_1 itself at p = inf.
+_HALF_MAX = sys.float_info.max / 2
+DOUBLED_EDGES = [0.0, 5e-324, 2.0**-1022, _HALF_MAX, math.nextafter(_HALF_MAX, math.inf),
+                 sys.float_info.max, math.inf]
+
+
+@pytest.mark.parametrize("q", [1, 1.25, 1.5, 2, 3, 3.5, 7, "inf"])
+@given(st.lists(st.floats(min_value=0.0, allow_nan=False), max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_combine_of_a_doubled_column_is_a_product_or_the_column_itself(q, c):
+    c = [*c, *DOUBLED_EDGES]
+    exp = as_exponent(q)
+    got = exp._combine_columns([c, c])
+    if exp.is_inf:
+        assert all(map(operator.is_, got, c))
+    else:
+        assert hexed(got) == hexed([e * exp._combine([1.0, 1.0]) for e in c])
 
 
 # --- the plane kernel ---------------------------------------------------------
