@@ -82,6 +82,29 @@ def typed_hex(points):
     return [(type(x), *map(type, x), *map(float.hex, x)) for x in points]
 
 
+# --- the p-combination ----------------------------------------------------------
+
+
+def textbook_combine(vals, q):
+    """(sum v_i^q)^(1/q) of nonnegative floats with the largest value
+    factored out, integer q raised by an int power; the max for q = inf and
+    the correctly rounded exact sum for q = 1. The overflow rules the
+    library documents: an infinite peak gives inf, and a q = 1 sum past the
+    float range gives inf."""
+    peak = max(vals, default=0.0)
+    if q == math.inf or peak == math.inf:
+        return peak
+    if q == 1.0:
+        try:
+            return float(sum(map(Fraction, vals)))
+        except OverflowError:
+            return math.inf
+    if peak == 0.0:
+        return 0.0
+    power = int(q) if q == int(q) else q
+    return peak * math.fsum((v / peak) ** power for v in vals) ** (1.0 / q)
+
+
 # --- the orbit walk and the solvers' stop ---------------------------------------
 
 
