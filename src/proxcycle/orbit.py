@@ -37,11 +37,15 @@ public per-column references it matches bit for bit. Past the trace's
 settle index, where a converged orbit repeats with period m, the columns
 are filled from the last m measured entries and the rows repeat one row
 object, so the settled stretch is measured, and written, once. Two exact
-shortcuts keep the kernels' bits with fewer Python calls: on the line the
-columns are ``abs`` of first-coordinate differences, the line kernel
-itself, mapped over whole columns; and with m = 2 where the gap bound
-holds, the chain column is edge_1 times one constant, or edge_1 itself at
-p = inf (``_trace_columns`` says why that is the combination's bits).
+shortcuts keep the kernels' bits with fewer Python calls. Where the gap
+bound holds, a column whose pairs all agree past their first coordinate
+(every column on the line; on an orbit along the first axis, or at a
+stride that brings the other coordinates back, too) is ``abs`` of
+first-coordinate differences, mapped over whole columns (``_distances``):
+each other gap is +0.0, and each kernel then returns the first gap. And
+with m = 2 where the gap bound holds, the chain column is edge_1 times one
+constant, or edge_1 itself at p = inf (``_trace_columns`` says why that is
+the combination's bits).
 """
 
 from __future__ import annotations
@@ -52,8 +56,8 @@ from operator import eq, is_not, itemgetter, mul, sub
 from typing import Iterator, Sequence
 
 from .chains import _chain_distance, _shifted_pairs
-from .spaces import ALPHA, COUNT, CYCLE_LENGTH, POSITIVE, STEPS, Domain, Point, _Record
-from .spaces import _line_gap, _point_repr, _value_repr, as_exponent
+from .spaces import ALPHA, COUNT, CYCLE_LENGTH, POSITIVE, STEPS, Domain, Point, Space, _Record
+from .spaces import _point_repr, _value_repr, as_exponent
 from .system import MEMBERSHIP_TOL, CyclicSystem
 
 # Orbit steps per chunk of ``_chunks``: enough that the per-chunk validation
@@ -65,6 +69,32 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
 # ``apriori_error_bound``'s initial gap.
 _GAP = Domain(0, math.inf, "[]", strings=False)
+
+
+def _distances(space: Space, xs: Sequence[Point], ys: Sequence[Point]) -> list[float]:
+    """``list(map(space._distance, xs, ys))`` for xs and ys of one length,
+    bit for bit. Where the space's ``_gap_bound`` holds and each x is
+    ``==`` its y past coordinate 0 (``_flat``), every distance is the
+    first-coordinate gap ``abs(x[0] - y[0])`` (``LqSpace._gap_bound`` says
+    why), and the column is that gap mapped over the first-coordinate
+    columns by C-level maps, with no call per distance."""
+    if space._gap_bound and _flat(xs, ys):
+        first = itemgetter(0)
+        return list(map(abs, map(sub, map(first, xs), map(first, ys))))
+    return list(map(space._distance, xs, ys))
+
+
+def _flat(xs: Sequence[Point], ys: Sequence[Point]) -> bool:
+    """Whether xs and ys, of one length, agree (``==``) past coordinate 0,
+    pair by pair: the first pair's other coordinates are compared first,
+    which turns most columns down at once, then each coordinate column of
+    xs with that of ys. On the line every nonempty pair of columns agrees."""
+    if not xs or xs[0][1:] != ys[0][1:]:
+        return False
+    return all(
+        list(map(getter, xs)) == list(map(getter, ys))
+        for getter in map(itemgetter, range(1, len(xs[0])))
+    )
 
 
 class OrbitTrace(_Record):
@@ -140,19 +170,17 @@ class OrbitTrace(_Record):
     def _gaps(self, s: int) -> list[float]:
         """The column d(x_j, x_{j+s}), measured for j < J and past J filled
         by cycling d_{J-m}..d_{J-1}, the same float objects: bit for bit
-        what the kernel would return there. Where the kernel is the line's
-        ``_line_gap``, the column is measured from the points' first
-        coordinates by C-level maps, ``abs`` of the differences: the
-        kernel's own ``abs(a[0] - b[0])``, with no call per distance."""
+        what the kernel would return there. The measured pairs, min(J, n)
+        of them for n = len(points) - s, go through ``_distances``: where
+        the gap bound holds and every pair agrees past its first
+        coordinate, as on the line, on an orbit along the first axis or at
+        a stride that brings the other coordinates back, the column is
+        ``abs`` of first-coordinate differences, the kernel's own bits."""
         gaps = self._columns.get(s)
         if gaps is None:
             points, j, n = self.points, self._settled(), len(self.points) - s
-            dist = self.system.space._distance
-            if dist is _line_gap:
-                firsts = list(map(itemgetter(0), points[: j + s]))
-                gaps = list(map(abs, map(sub, firsts[:j], firsts[s:])))
-            else:
-                gaps = list(map(dist, points[:j], points[s:]))
+            k = min(j, n)
+            gaps = _distances(self.system.space, points[:k], points[s : s + k])
             if j < n:
                 gaps += islice(cycle(gaps[j - self.m :]), n - j)
             self._columns[s] = gaps
@@ -477,7 +505,7 @@ def _trace_columns(trace: OrbitTrace, p: object) -> tuple[list[list[float]], int
         twice = exp._combine([1.0, 1.0])
         chains = edges[0] if exp.is_inf else list(map(mul, edges[0], repeat(twice)))
     else:
-        wraps = list(map(space._distance, points[m - 1 : span : m], points[0:span:m]))
+        wraps = _distances(space, points[m - 1 : span : m], points[0:span:m])
         chains = exp._combine_columns([*edges[: m - 1], wraps])
     return [chains, *edges, *(drifts[i:span:m] for i in range(m))], count
 

@@ -580,8 +580,15 @@ class LqSpace(_Record, Space):
         exactly, so ``_distance(a, b)`` is ``_distance(b, a)``. The orbit
         trace's settled stretch relies on the same reading: points that are
         ``==`` have coordinates equal up to the sign of zero, so the same
-        gaps, and give the same distance bits. A kernel put in its place, by
-        a subclass or otherwise, is not vouched for."""
+        gaps, and give the same distance bits. And points that are ``==``
+        past their first coordinate are the gap ``abs(a[0] - b[0])`` apart,
+        bit for bit, which the orbit's flat columns rely on: every other gap
+        is +0.0, so the plane kernel returns g0 * (1.0 + 0.0) ** (1/q), the
+        three-coordinate kernel and the power sum the peak g0 times fsum of
+        (1.0, 0.0, ...) = 1.0, and fsum at q = 1 and max at q = inf g0
+        itself; g0 = 0.0 and g0 = inf take each kernel's early answers,
+        0.0 and inf. A kernel put in its place, by a subclass or otherwise,
+        is not vouched for."""
         kernel = self._distance
         return getattr(kernel, "func", kernel) in _GAP_KERNELS
 

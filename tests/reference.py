@@ -569,6 +569,22 @@ def _turn(x0):
     return _fixed(CyclicSystem(OracleSpace(oracle, 2), (box,) * 3, turn), x0)
 
 
+def _on_axis(q, dimension, m=2, kick=None):
+    """x_k = (-0.5)^k on the first axis of l^q, the other coordinates zeros
+    whose signs flip each step, in m boxes that only record membership. With
+    ``kick``, the image of the point at |x_0| = ``kick`` has 1.0 as its last
+    coordinate: every two points before it agree past coordinate 0, and no
+    point before it agrees with it."""
+
+    def step(x):
+        last = 1.0 if abs(x[0]) == kick else -x[-1]
+        return (-0.5 * x[0], *[-c for c in x[1:-1]], last)
+
+    box = Box((-4.0,) * dimension, (4.0,) * dimension)
+    start = (1.0, *[0.0] * (dimension - 1))
+    return _fixed(CyclicSystem(LqSpace(q, dimension), (box,) * m, step), start)
+
+
 def _scripted(m):
     """Scripted points, mapped each to the next: only the last point equals
     the one m before it, so J = len(points) - 1."""
@@ -690,6 +706,12 @@ SYSTEMS = dict([
         OracleSpace(lambda a, b: abs(a[0] - b[0]) + 0.5 * abs(a[1] - b[1]), 2),
         (Box((-4.0, -4.0), (4.0, 4.0)),) * 3, lambda x: (0.9 * x[1], -0.8 * x[0] + 0.1)),
         (1.5, -0.5))),
+    # On the first axis in l^1 and l^inf past three dimensions, three
+    # regions, so that the wrap terms are measured too; and in the plane and
+    # 3-space with one late point off it: x_41, the image of x_40 = (2^-40,
+    # ...).
+    *((f"axis l^{q} in 5", _on_axis(q, 5, m=3)) for q in (1, "inf")),
+    *((f"late kick in {d}", _on_axis(2, d, kick=2.0**-40)) for d in (2, 3)),
     ("swing", _fixed(line_system(swing), (-2.0,))),
     # Steps of 1.2e308: the chain of two, 1.2e308 * 2 ** (1/p), passes the
     # largest float below p = 1 / log2(1.797e308 / 1.2e308), about 1.71.

@@ -33,6 +33,7 @@ from proxcycle.orbit import (
     _trace_columns,
     trace_rows,
 )
+import proxcycle.orbit as orbit_module
 import proxcycle.system as system_module
 from proxcycle.cli import TRACE_BLOCK, _write_trace_csv
 from proxcycle.spaces import INFINITY, LqSpace, OracleSpace, as_exponent, check_point
@@ -285,10 +286,11 @@ def test_chain_trace_p_inf_monotone():
 # ``SYSTEMS`` from its start, ``steps`` long. Its rows, both columns, the
 # written trace.csv and every public per-column reader give the bits of
 # their references; the row pins what it names of J (the settle index), the
-# row count and how many chain entries are edge_1's own object. Past J no
-# new float or row object is made, wherever J falls.
+# row count, how many chain entries are edge_1's own object and the strides
+# of 1 and m whose column is read from first coordinates (``_flat`` said
+# yes). Past J no new float or row object is made, wherever J falls.
 
-Pins = collections.namedtuple("Pins", "settle rows same", defaults=(None, None, None))
+Pins = collections.namedtuple("Pins", "settle rows same flat", defaults=(None,) * 4)
 P3, P4, KIRK = (1, 2, INFINITY), (1, 2, 3.5, INFINITY), "kirk_interval(alpha=0.5)"
 LQ = "paper_lq_family(m={}, N={}, q={})"
 PAIR = "scaled_pair(alpha=0.4, separation=2.0, dimension=3)"
@@ -304,11 +306,11 @@ TRACES = [
     *((LQ.format(3, 2, q), 200, p, Pins(11)) for q in (1, 3, "inf") for p in P4),
     # An asymmetric oracle: every distance keeps its argument order.
     *(("turn from (1.0, 0.5)", 40, p, Pins()) for p in P4),
-    # Settled orbits: on the points (-1, 0, 0) and (1, -0.0, -0.0); on -0.0
-    # and 0.0 once the orbit underflows; on the stub, the very object the
-    # stub map returns; on a fixed point.
-    *((PAIR, 2500, p, Pins(73)) for p in P3),
-    (KIRK, 2500, 2, Pins(1077)),
+    # Settled orbits: on the points (-1, 0, 0) and (1, -0.0, -0.0), every
+    # pair on the first axis; on -0.0 and 0.0 once the orbit underflows; on
+    # the stub, the very object the stub map returns; on a fixed point.
+    *((PAIR, 2500, p, Pins(73, flat=(1, 2))) for p in P3),
+    (KIRK, 2500, 2, Pins(1077, flat=(1, 2))),
     (LQ.format(2, 2, 2), 80, 2, Pins(7)),
     *((LQ.format(3, 6, 2), steps, 2, Pins(23)) for steps in (120, 10_000)),
     ("fixed point", 60, 2, Pins(10)),
@@ -326,8 +328,10 @@ TRACES = [
     # is the max of the step and the wrap, the same float object, and takes
     # edge_1's text; elsewhere the chain is a new float. A metric oracle has
     # no gap bound: every wrap term is measured, and the orbit never settles.
-    *(("affine_strip(alpha=0.999, h=2.0)", 10_000, p, Pins(10_001, 4999, 4999 * (p is INFINITY)))
-      for p in P3),
+    # The strip's second coordinate comes back every m = 2 steps, so only
+    # the stride-2 column is read from first coordinates.
+    *(("affine_strip(alpha=0.999, h=2.0)", 10_000, p,
+       Pins(10_001, 4999, 4999 * (p is INFINITY), flat=(2,))) for p in P3),
     ("kirk_interval(alpha=0.001)", 10_000, INFINITY, Pins(10_001, 4999, 4999)),
     *(("swing oracle", 2 * TRACE_BLOCK + 301, p,
        Pins(2 * TRACE_BLOCK + 302, TRACE_BLOCK + 150, (TRACE_BLOCK + 150) * (p is INFINITY)))
@@ -342,15 +346,25 @@ TRACES = [
       for d in (750, 1023, 1024, 1025, 1500) for p in (2, INFINITY)),
     # Each gallery kernel, 22 coordinates included, and an oracle in the plane.
     *((name, 60, p, Pins()) for name in (
-        "kirk_interval(alpha=0.3)", "affine_strip(alpha=0.4, h=1.5)", LQ.format(3, 6, 3),
-        "scaled_pair(alpha=0.4, separation=2.0, dimension=22)") for p in P3),
-    *(("oracle turn", 61, p, Pins()) for p in P3),
+        "kirk_interval(alpha=0.3)", "affine_strip(alpha=0.4, h=1.5)", LQ.format(3, 6, 3))
+      for p in P3),
+    *(("scaled_pair(alpha=0.4, separation=2.0, dimension=22)", 60, p, Pins(flat=(1, 2)))
+      for p in P3),
+    *(("oracle turn", 61, p, Pins(flat=())) for p in P3),
+    # Orbits on the first axis: both columns read from first coordinates,
+    # over every pair of an unsettled 10 000-step orbit too, in l^2 in the
+    # plane and 3-space and in l^1 and l^inf in five. An orbit whose last
+    # point leaves the axis is measured by its kernel.
+    *((f"scaled_pair(alpha=0.002, separation=0.0, dimension={d})", 10_000, 2,
+       Pins(10_001, 4999, flat=(1, 2))) for d in (2, 3)),
+    *((f"axis l^{q} in 5", 200, p, Pins(201, flat=(1, 3))) for q in (1, "inf") for p in P3),
+    *((f"late kick in {d}", 41, p, Pins(42, flat=())) for d in (2, 3) for p in P3),
 ]
 
 
 @pytest.mark.parametrize("name, steps, p, pins", TRACES,
                          ids=[f"{name}-{steps}-{p}" for name, steps, p, _ in TRACES])
-def test_each_trace_reader_gives_its_references_bits(name, steps, p, pins, tmp_path):
+def test_each_trace_reader_gives_its_references_bits(name, steps, p, pins, tmp_path, monkeypatch):
     system, x0 = built(name)
     trace = picard_orbit(system, x0, steps)
     m, settle, rows = trace.m, trace._settled(), trace_rows(trace, p)
@@ -361,7 +375,7 @@ def test_each_trace_reader_gives_its_references_bits(name, steps, p, pins, tmp_p
     assert count == len(rows) and len(columns[0]) == min(distinct, count)
     assert all(row is rows[distinct - 1] for row in rows[distinct:])
     assert len(set(map(id, rows[:distinct]))) == min(distinct, count)
-    got = (settle, count, sum(map(is_, columns[0], columns[1])))
+    got = (settle, count, sum(map(is_, columns[0], columns[1])), _flat_strides(trace, monkeypatch))
     assert Pins(*(g if pin is not None else None for g, pin in zip(got, pins))) == pins
     if len(trace.points) < 3 * m:
         return  # too short for a drift trace, which the references read
@@ -384,6 +398,19 @@ def test_each_trace_reader_gives_its_references_bits(name, steps, p, pins, tmp_p
             assert float.hex(cross_block_chain_distance(trace, n, k, p)) == float.hex(want)
     report = boundedness_probe(trace)
     assert hexed((report.sups, report.stabilized)) == hexed(public_boundedness(trace))
+
+
+def _flat_strides(trace, monkeypatch):
+    """The strides s of 1 and m whose column ``_gaps(s)``, measured on a
+    fresh trace of the same points, ``_flat`` let through."""
+    said, flat, strides = [], orbit_module._flat, []
+    with monkeypatch.context() as patch:
+        patch.setattr(orbit_module, "_flat", lambda xs, ys: said.append(flat(xs, ys)) or said[-1])
+        for s in (1, trace.m):
+            said.clear()
+            OrbitTrace._of(trace.system, trace.points)._gaps(s)
+            strides += [s] * any(said)
+    return tuple(strides)
 
 
 def _halving_kirk_system(floor, calls):
@@ -744,6 +771,10 @@ def test_the_trace_systems_are_what_their_rows_need():
     assert any(c == 0.0 and math.copysign(1.0, c) < 0 for x in points[73:] for c in x)
     points = picard_orbit(*built(KIRK), 2500).points
     assert {float.hex(x[0]) for x in points[1077:]} == {"0x0.0p+0", "-0x0.0p+0"}
+    # Off the first axis at the last point only.
+    for d in (2, 3):
+        points = picard_orbit(*built(f"late kick in {d}"), 41).points
+        assert [x[1:] != points[0][1:] for x in points] == [False] * 41 + [True]
     points = picard_orbit(*built("period 2m"), 41).points
     assert points[-1] == points[-5] != points[-3]
     # Steps of 1.2e308, whose chain of two overflows at p = 1 and 1.5 only.

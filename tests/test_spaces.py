@@ -424,7 +424,10 @@ def _distance_holds(space, q, pair):
     """The reference's bits in both argument orders, through ``_distance``
     and the public ``distance``; the same bits against a point ``==`` to
     the first with its zeros' signs flipped, in either order; at least the
-    first-coordinate gap; +0.0 between the two equal points."""
+    first-coordinate gap; +0.0 between the two equal points; and exactly
+    the first-coordinate gap between a and b's first coordinate on a's
+    others, as they are and with the signs of the zeros flipped, in either
+    order."""
     a, b = pair
     want = hexed(textbook_combine([abs(x - y) for x, y in zip(a, b)], q))
     same = tuple(-c if c == 0.0 else c for c in a)
@@ -433,6 +436,9 @@ def _distance_holds(space, q, pair):
     assert hexed(space.distance(a, b)) == want == hexed(space.distance(b, a)), (a, b)
     assert space._distance(a, b) >= abs(a[0] - b[0]), (a, b)
     assert hexed(space._distance(a, same)) == hexed(space._distance(same, a)) == hexed(0.0), a
+    gap, near = hexed(abs(a[0] - b[0])), (b[0], *a[1:])
+    for flat in (near, tuple(-c if c == 0.0 else c for c in near)):
+        assert hexed(space._distance(a, flat)) == gap == hexed(space._distance(flat, a)), (a, flat)
 
 
 def _combination_holds(q, cols):

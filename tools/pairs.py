@@ -10,10 +10,11 @@ defaults to the checkout this file sits in), the parent first on odd pairs
 and the change first on even ones, so that a drift in the machine's speed
 falls on both sides alike. For each end-to-end metric of ``BENCHMARK.json``
 it prints the parent's median and the distance between its quartiles, the
-change's median, their ratio (change over parent) and the pairs the change
+change's median, their ratio (change over parent), the pairs the change
 won, a win being a better value in the direction the metric's ``better``
-names. It prints every run's ``correct`` and exits 1 if any run is not
-correct. It reads ``bench/`` and ``BENCHMARK.json`` and writes neither.
+names, and the pairs tied, a tie being the same value on both sides. It
+prints every run's ``correct`` and exits 1 if any run is not correct. It
+reads ``bench/`` and ``BENCHMARK.json`` and writes neither.
 """
 
 from __future__ import annotations
@@ -69,16 +70,17 @@ def main(argv: list[str] | None = None) -> int:
             print(f"pair {k} seed {seed} {side:<6} correct={result['correct']} {values}", flush=True)
 
     print(f"{'metric':<12} {'parent p50':>12} {'parent IQR':>12} {'change p50':>12} "
-          f"{'ratio':>7}  wins")
+          f"{'ratio':>7}  wins, ties")
     for metric in spec["end_to_end"]:
         name, higher = metric["name"], metric["better"] == "higher"
         parent = [r["metrics"][name]["value"] for r in results["parent"]]
         change = [r["metrics"][name]["value"] for r in results["change"]]
         wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+        ties = sum(p == c for p, c in zip(parent, change))
         mid_p, mid_c = statistics.median(parent), statistics.median(change)
         ratio = mid_c / mid_p if mid_p else float("nan")
         print(f"{name:<12} {mid_p:>12.6g} {quartile_distance(parent):>12.3g} {mid_c:>12.6g} "
-              f"{ratio:>7.3f}  {wins} of {len(parent)} ({metric['better']} is better)")
+              f"{ratio:>7.3f}  {wins} of {len(parent)}, {ties} tied ({metric['better']} is better)")
     correct = all(r["correct"] for side in results.values() for r in side)
     print(f"every run correct: {correct}")
     return 0 if correct else 1
