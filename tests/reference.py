@@ -14,7 +14,9 @@ from per-pair ``space.distance``.
 The module also holds the one counting harness (maps, metric oracles,
 spaces and generators that record their calls), ``SYSTEMS``, the one
 registry of the systems that the rows of the agreement, fault and trace
-tables run, and an exact oracle for the certificate's floor. At p, q in
+tables run, ``read_summary``, the one reader of a written
+``summary.json``, ``LISTING``, the one pin of the gallery listing, and an
+exact oracle for the certificate's floor. At p, q in
 {1, inf} every distance is sums and maxima of |a - b|, so
 ``fractions.Fraction`` gives the exact margin of float points and float
 images under a ``LinearPhi``; the floor MARGIN_ULPS * m * ulp(S) is held
@@ -33,8 +35,11 @@ import math
 import random
 import tempfile
 from fractions import Fraction
+from importlib import resources
 from itertools import count, islice
 from pathlib import Path
+
+import jsonschema
 
 from proxcycle import gallery
 from proxcycle.chains import chain_point_distance, chain_self_distance, chain_set_distance
@@ -739,6 +744,70 @@ def built(name):
     """The system and start point of ``SYSTEMS[name]``, built once."""
     return SYSTEMS[name]()
 
+
+# --- what a run writes and what the gallery lists --------------------------------
+
+# Read through the installed package, as a user of it reads the schema.
+SCHEMA = json.loads(
+    resources.files("proxcycle").joinpath("schemas/summary.schema.json").read_text(encoding="utf-8")
+)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def read_summary(out_dir):
+    """The ``summary.json`` in ``out_dir``, parsed with ``NaN`` and
+    ``Infinity`` refused and validated against the packaged schema."""
+    text = (Path(out_dir) / "summary.json").read_text(encoding="utf-8")
+    summary = json.loads(text, parse_constant=_refuse_constant)
+    jsonschema.validate(summary, SCHEMA)
+    return summary
+
+
+def _parameters(*rows):
+    return [{"name": name, "domain": domain, "default": default} for name, domain, default in rows]
+
+
+# ``list_gallery()``: each system's id, description and parameters, in
+# signature order, with the domain a config's value is read through and the
+# default it takes when left out. The key order and the number types are
+# part of it: ``gallery list --json`` prints 2 for an int default, 2.0 for a
+# float one.
+LISTING = [
+    {
+        "id": "affine_strip",
+        "description": "parallel segments at distance h; periodic pair ((0,0), (0,h))",
+        "parameters": _parameters(("alpha", "(0, 1)", 0.5), ("h", "(0, inf)", 1.0)),
+    },
+    {
+        "id": "kirk_interval",
+        "description": "touching intervals on the line; zero set chain distance, fixed point 0",
+        "parameters": _parameters(("alpha", "(0, 1)", 0.5)),
+    },
+    {
+        "id": "paper_lq_family",
+        "description": "truncated scaled-basis families in l^q; set chain distance not "
+        "attained away from the truncation boundary",
+        "parameters": _parameters(
+            ("m", "integer in [2, 16]", 2),
+            ("alpha", "(0, 1) with alpha^m < 1/2", 0.5),
+            ("q", '[1, inf] with no text but "inf" or "infinity"', 2),
+            ("N", "integer in [2, 50]", 6),
+        ),
+    },
+    {
+        "id": "scaled_pair",
+        "description": "two unit balls at a given separation; proximity chain at the "
+        "nearest surface points",
+        "parameters": _parameters(
+            ("alpha", "(0, 1)", 0.5),
+            ("separation", "[0, inf)", 2.0),
+            ("dimension", "integer in [1, 1000]", 3),
+        ),
+    },
+]
 
 
 # --- the public input contract --------------------------------------------------

@@ -39,6 +39,7 @@ from proxcycle.system import (
     contraction_margin,
     verify_contraction,
 )
+from reference import read_summary
 
 ALL_IDS = tuple(sorted(GALLERY))
 P_VALUES = (1, 2, INFINITY)
@@ -230,7 +231,7 @@ def test_criterion_10_cli_determinism(tmp_path):
 
     summaries = []
     for out in outs:
-        summary = json.loads((out / "summary.json").read_text())
+        summary = read_summary(out)
         summary.pop("metadata")
         summaries.append(summary)
     assert summaries[0] == summaries[1]

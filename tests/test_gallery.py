@@ -36,6 +36,7 @@ from proxcycle.system import (
     verify_contraction,
     verify_cyclicity,
 )
+from reference import LISTING
 
 ALL_IDS = tuple(sorted(GALLERY))
 
@@ -247,42 +248,7 @@ def test_build_passes_on_a_type_error_from_inside_the_factory(monkeypatch):
 
 
 def test_list_gallery_pins_ids_descriptions_domains_and_defaults():
-    def params(*rows):
-        return [{"name": n, "domain": d, "default": v} for n, d, v in rows]
-
-    assert list_gallery() == [
-        {
-            "id": "affine_strip",
-            "description": "parallel segments at distance h; periodic pair ((0,0), (0,h))",
-            "parameters": params(("alpha", "(0, 1)", 0.5), ("h", "(0, inf)", 1.0)),
-        },
-        {
-            "id": "kirk_interval",
-            "description": "touching intervals on the line; zero set chain distance, fixed point 0",
-            "parameters": params(("alpha", "(0, 1)", 0.5)),
-        },
-        {
-            "id": "paper_lq_family",
-            "description": "truncated scaled-basis families in l^q; set chain distance not "
-            "attained away from the truncation boundary",
-            "parameters": params(
-                ("m", "integer in [2, 16]", 2),
-                ("alpha", "(0, 1) with alpha^m < 1/2", 0.5),
-                ("q", '[1, inf] with no text but "inf" or "infinity"', 2),
-                ("N", "integer in [2, 50]", 6),
-            ),
-        },
-        {
-            "id": "scaled_pair",
-            "description": "two unit balls at a given separation; proximity chain at the "
-            "nearest surface points",
-            "parameters": params(
-                ("alpha", "(0, 1)", 0.5),
-                ("separation", "[0, inf)", 2.0),
-                ("dimension", "integer in [1, 1000]", 3),
-            ),
-        },
-    ]
+    assert list_gallery() == LISTING
 
 
 def test_domains_read_values_as_before_and_record_them_in_the_spec():

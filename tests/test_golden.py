@@ -1,12 +1,21 @@
-"""Golden outputs: the SHA-256 of trace.csv and of summary.json without its
-metadata field, for every gallery system and run kind.
+"""Golden runs: every gallery system and run kind through
+``cli.run_experiment``, and the one home of the facts a run reports.
 
-The determinism contract says both files are byte-identical for the same
-config (the metadata field excepted). The digests below were recorded from
-the library's output and must not change: a refactor of the orbit, trace or
-certification code that alters a single byte of either file fails here.
-Iterations 1 gives the shortest orbit (3m steps) and iterations 257 a longer
-one whose length is not a multiple of m.
+Each case reads its ``summary.json`` with ``reference.read_summary``
+(strict JSON, validated against the packaged schema), checks ``d_p_sets``
+against the gallery's ``expected_chain_distance(p)`` (null where that is
+not finite), and holds its ``FACTS`` row, if it has one. Then it hashes
+``trace.csv`` and the summary without its metadata field. ``DIGESTS`` guard
+the bytes: the determinism contract says both files are byte-identical for
+the same config (the metadata field excepted), and a refactor that alters
+one byte fails here. ``FACTS`` guard what the bytes mean (converged,
+passed, counts, nulls), so a change that has to re-record the digests
+cannot change the meaning with them. A new end-to-end fact of a run is a
+``FACTS`` entry, and a new gallery system gets its cases here: a test fails
+while a system and run kind has no case.
+
+Iterations 1 gives the shortest orbit (3m steps) and iterations 257 a
+longer one whose length is not a multiple of m.
 
 The solver tail has digests of its own: the three solvers on slow systems
 (step factor 0.9995) at tolerance 1e-12, whose orbits run past the
@@ -15,14 +24,22 @@ steps 4 x 10^4 and 6 x 10^4, or exhaust the budget where no fixed point
 exists (banach on affine_strip and scaled_pair). Iterations 10 001,
 11 025 and 23 456 exhaust the budget one step, one chunk plus one step
 (the chunk being 1 024 steps) and many chunks past the prefix.
+
+Two cases reach past the float range: the strip's edges at distance
+h = 1.2e308, whose d_1 set chain distance 2h is inf, and balls 1e308 apart
+on the line, whose margins are inf - inf = nan. Both write null.
 """
 
 import hashlib
 import json
+import math
 
 import pytest
+from pytest import approx
 
 import proxcycle.cli as cli
+from proxcycle import gallery
+from reference import read_summary
 
 # label -> (system id, parameters, p)
 SYSTEMS = {
@@ -44,6 +61,13 @@ TAIL_SYSTEMS = {
 SOLVER_RUNS = ("banach", "periodic", "proximity")
 TAIL_ITERATIONS = (100_000, 10_001, 11_025, 23_456)
 TAIL_TOLERANCE = 1e-12
+
+# Past the float range, each run once: label -> (system id, parameters, p).
+FAR_SYSTEMS = {
+    "far-strip": ("affine_strip", {"h": 1.2e308}, 1),
+    "far-pair": ("scaled_pair", {"alpha": 0.4, "separation": 1e308, "dimension": 1}, 1),
+}
+FAR_CASES = [("far-strip", "trace", 1), ("far-pair", "certify", 50)]
 
 # "<label>-<run>-<iterations>" -> (sha256 of trace.csv, sha256 of summary.json
 # without metadata, dumped with sorted keys and indent 2)
@@ -432,16 +456,68 @@ DIGESTS = {
         "606d430e1d1e4157188ebcd772ca4fcd6899e6236082ba0041a9e02adfffc283",
         "82b975a6846bdbbfe01f93d873058587f45cd0ee292a5486cf38fad6b708acd5",
     ),
+    "far-strip-trace-1": (
+        "400900a297e8a60dcf56eb2e3191af779efacaf8560cdc671c0581aecb77d94d",
+        "582f634c73c69f21dc612cad0f6ead5e66e0dc4a30ec0fd9e2be6377ecb33816",
+    ),
+    "far-pair-certify-50": (
+        "e4e64faa4e607eeec6c2e0b8436be662434c984a44143b9ec9cff2b30bee58d5",
+        "af94bc2666a6e2f42bc4142ea8dde25a3f2bf136a5248a48857f66a71a5a6336",
+    ),
+}
+
+
+# "<label>-<run>-<iterations>" -> {fact: value}. A fact is a dotted path
+# into summary.json, or trace.lines (lines of trace.csv, the header
+# included) or trace.last.<column> (the last row's value); the value is
+# compared with ==, or is a predicate it must satisfy.
+FACTS = {
+    "kirk-banach-257": {
+        "result.converged": True, "result.iterations": 83, "result.point": approx([0.0], abs=1e-10),
+    },
+    # The periodic pair is ((0, 0), (0, h)): the edge settles at h = 1.5.
+    "strip-periodic-257": {
+        "result.converged": True, "result.proximity_residual": 0.0, "trace.last.edge_1": 1.5,
+    },
+    "lq2-proximity-257": {
+        "result.converged": False,
+        "result.note": lambda note: note.endswith("; set chain distance is not attained"),
+    },
+    # One iteration leaves the m = 3 proximity residual undefined (nan).
+    "lq3-proximity-1": {"result.converged": False, "result.proximity_residual": None},
+    # At phi's alpha = the interval's certificate_alpha, 0.25, the margin is 0.
+    "kirk-certify-257": {
+        "certificate.passed": True, "certificate.cyclicity_ok": True, "certificate.phi_ok": True,
+        "certificate.min_margin": approx(0.0, abs=1e-15),
+    },
+    "lq3-certify-257": {
+        "certificate.passed": True, "certificate.exhaustive": True,
+        "certificate.cyclicity_ok": True, "certificate.evaluated": 86_436,
+    },
+    "pair-certify-257": {
+        "certificate.passed": True, "certificate.exhaustive": False,
+        "certificate.cyclicity_ok": True, "certificate.evaluated": 257,
+    },
+    # The solves stop past the 10 000-step trace prefix, whose trace.csv is
+    # the header and a row per block of 2 steps but the last.
+    "slow-pair-periodic-100000": {
+        "result.converged": True, "result.iterations": 41_438, "trace.lines": 5000,
+    },
+    "slow-strip-proximity-100000": {
+        "result.converged": True, "result.iterations": 41_439, "trace.lines": 5000,
+    },
+    "far-strip-trace-1": {"d_p_sets": None, "trace.lines": 3},
+    "far-pair-certify-50": {
+        "certificate.passed": False, "certificate.min_margin": None, "certificate.evaluated": 50,
+        "certificate.witness_x": lambda xs: len(xs) == 2,
+        "certificate.witness_y": lambda ys: len(ys) == 2,
+    },
 }
 
 
 def _config(label, run, iterations):
-    if label in TAIL_SYSTEMS:
-        system_id, parameters, p = TAIL_SYSTEMS[label]
-        tolerance = TAIL_TOLERANCE
-    else:
-        system_id, parameters, p = SYSTEMS[label]
-        tolerance = 1e-10
+    system_id, parameters, p = {**SYSTEMS, **TAIL_SYSTEMS, **FAR_SYSTEMS}[label]
+    tolerance = TAIL_TOLERANCE if label in TAIL_SYSTEMS else 1e-10
     return {
         "system": {"id": system_id, "parameters": parameters},
         "p": p,
@@ -453,11 +529,32 @@ def _config(label, run, iterations):
     }
 
 
+def _fact(run, path):
+    for name in path.split("."):
+        run = run[name]
+    return run
+
+
 def golden_digests(out_dir, label, run, iterations):
-    """Run one golden config into out_dir; return its two digests."""
-    cli.run_experiment(cli.parse_config(_config(label, run, iterations)), out_dir)
+    """Run one golden config into out_dir, check its summary and its
+    ``FACTS`` row; return its two digests."""
+    key = f"{label}-{run}-{iterations}"
+    config = cli.parse_config(_config(label, run, iterations))
+    cli.run_experiment(config, out_dir)
     trace = (out_dir / "trace.csv").read_bytes()
-    summary = json.loads((out_dir / "summary.json").read_text())
+    summary = read_summary(out_dir)
+    built = gallery.build(config.system_id, config.parameters)
+    expected = built.expected_chain_distance(config.p)
+    if math.isfinite(expected):
+        assert summary["d_p_sets"] == approx(expected, abs=1e-12), key
+    else:
+        assert summary["d_p_sets"] is None, key
+    header, *rows = trace.decode("utf-8").splitlines()
+    last = dict(zip(header.split(","), map(float, rows[-1].split(","))))
+    facts = {**summary, "trace": {"lines": 1 + len(rows), "last": last}}
+    for path, want in FACTS.get(key, {}).items():
+        got = _fact(facts, path)
+        assert want(got) if callable(want) else got == want, f"{key}: {path} is {got!r}"
     summary.pop("metadata")
     text = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
     return (
@@ -476,7 +573,7 @@ CASES = [
     for label in TAIL_SYSTEMS
     for run in SOLVER_RUNS
     for iterations in TAIL_ITERATIONS
-]
+] + FAR_CASES
 
 
 @pytest.mark.parametrize("label, run, iterations", CASES)
@@ -485,3 +582,10 @@ def test_golden_outputs(tmp_path, label, run, iterations):
     trace_sha, summary_sha = golden_digests(tmp_path, label, run, iterations)
     assert trace_sha == DIGESTS[key][0], f"trace.csv of {key} changed"
     assert summary_sha == DIGESTS[key][1], f"summary.json of {key} changed"
+
+
+def test_every_system_and_run_kind_has_a_case_and_every_fact_a_digest():
+    covered = {(_config(*case)["system"]["id"], case[1]) for case in CASES}
+    assert covered == {(system_id, run) for system_id in gallery.GALLERY for run in cli.RUNS}
+    assert {"-".join(map(str, case)) for case in CASES} == set(DIGESTS)
+    assert set(FACTS) <= set(DIGESTS)
