@@ -13,6 +13,9 @@ passed, counts, nulls), so a change that has to re-record the digests
 cannot change the meaning with them. A new end-to-end fact of a run is a
 ``FACTS`` entry, and a new gallery system gets its cases here: a test fails
 while a system and run kind has no case.
+Each check is seen to fail: ``BROKEN_SUMMARIES`` rewrite a case's summary
+into one that strict JSON, the schema or the gallery refuses, and
+``WRONG_FACTS`` give a case a row of each kind of fact that does not hold.
 
 Iterations 1 gives the shortest orbit (3m steps) and iterations 257 a
 longer one whose length is not a multiple of m.
@@ -34,6 +37,7 @@ import hashlib
 import json
 import math
 
+import jsonschema
 import pytest
 from pytest import approx
 
@@ -589,3 +593,71 @@ def test_every_system_and_run_kind_has_a_case_and_every_fact_a_digest():
     assert covered == {(system_id, run) for system_id in gallery.GALLERY for run in cli.RUNS}
     assert {"-".join(map(str, case)) for case in CASES} == set(DIGESTS)
     assert set(FACTS) <= set(DIGESTS)
+
+
+def _edited(edit):
+    """``cli.run_experiment`` that runs, then rewrites its summary by ``edit``."""
+    run_experiment = cli.run_experiment
+
+    def run(config, out_dir):
+        run_experiment(config, out_dir)
+        path = out_dir / "summary.json"
+        summary = json.loads(path.read_text(encoding="utf-8"))
+        edit(summary)
+        path.write_text(json.dumps(summary, indent=2), encoding="utf-8")
+
+    return run
+
+
+# A fault in a written summary -> the error the runner stops on, and what
+# it says.
+BROKEN_SUMMARIES = {
+    "NaN residual": (
+        lambda s: s["result"].update(residual=math.nan), ValueError, "constant NaN",
+    ),
+    "Infinity d_p_sets": (
+        lambda s: s.update(d_p_sets=math.inf), ValueError, "constant Infinity",
+    ),
+    "-Infinity point": (
+        lambda s: s["result"].update(point=[-math.inf]), ValueError, "constant -Infinity",
+    ),
+    "no d_p_sets": (
+        lambda s: s.pop("d_p_sets"), jsonschema.ValidationError, "'d_p_sets' is a required",
+    ),
+    "a key the schema lacks": (
+        lambda s: s.update(extra=0), jsonschema.ValidationError, "'extra' was unexpected",
+    ),
+    "d_p_sets off by 1e-9": (
+        lambda s: s.update(d_p_sets=1e-9), AssertionError, "kirk-banach-1",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", BROKEN_SUMMARIES)
+def test_the_runner_refuses_a_summary_out_of_strict_json_the_schema_or_the_gallery(
+    tmp_path, monkeypatch, fault
+):
+    edit, error, says = BROKEN_SUMMARIES[fault]
+    golden_digests(tmp_path / "clean", "kirk", "banach", 1)
+    monkeypatch.setattr(cli, "run_experiment", _edited(edit))
+    with pytest.raises(error, match=says):
+        golden_digests(tmp_path / "broken", "kirk", "banach", 1)
+
+
+# A FACTS row that does not hold of kirk-banach-1 (one iteration: not
+# converged, point [0.75], no note, 3 lines), one per kind of fact.
+WRONG_FACTS = {
+    "equal": ("result.converged", True),
+    "approx": ("result.point", approx([0.0], abs=1e-10)),
+    "predicate": ("result.note", lambda note: note is not None),
+    "trace": ("trace.lines", 5),
+}
+
+
+@pytest.mark.parametrize("kind", WRONG_FACTS)
+def test_a_fact_that_does_not_hold_fails_its_case(tmp_path, monkeypatch, kind):
+    path, want = WRONG_FACTS[kind]
+    golden_digests(tmp_path / "clean", "kirk", "banach", 1)
+    monkeypatch.setitem(FACTS, "kirk-banach-1", {path: want})
+    with pytest.raises(AssertionError, match=f"kirk-banach-1: {path} is "):
+        golden_digests(tmp_path / "wrong", "kirk", "banach", 1)
