@@ -482,9 +482,14 @@ class Space:
 
 
 def _combined_gaps(combine: Callable[[list[float]], float], pa: Point, pb: Point) -> float:
-    # Equal finite points give only 0.0 gaps, for which max, fsum and the
-    # peak-scaled power sum each return +0.0.
-    return combine(list(map(abs, map(sub, pa, pb))))
+    # Only the nonzero gaps are combined. The gap of finite points is +0.0 or
+    # positive, never -0.0 or NaN, and a +0.0 gap changes no combination's
+    # bits: max passes over it, fsum is exact and adds nothing for it, and
+    # the power sum's peak is the same without it, while its term is
+    # 0.0 ** q = 0.0. Equal points leave no gap, and max, fsum and the power
+    # sum each return +0.0 for none. A sparse point, such as a scaled basis
+    # vector, is then measured on its few nonzero gaps.
+    return combine(list(filter(None, map(abs, map(sub, pa, pb)))))
 
 
 def _line_gap(pa: Point, pb: Point) -> float:

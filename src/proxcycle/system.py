@@ -140,7 +140,12 @@ class FiniteCloud(_Record, Region):
         # are measured with the trusted ``_distance``. The verdict is
         # ``min(distances) <= tol``, stopping at the first point within tol:
         # min keeps a NaN first distance, which answers False, and passes
-        # over a later one, as ``d <= tol`` does.
+        # over a later one, as ``d <= tol`` does. Where the space's gap
+        # bound holds, a query ``==`` to a point of the cloud is in it with
+        # no distance call: each kernel it vouches for gives +0.0 <= tol
+        # there, and never NaN for finite points.
+        if space._gap_bound and x in self.points:
+            return True
         ds = map(space._distance, itertools.repeat(x), self.points)
         first = next(ds)
         return not math.isnan(first) and (first <= tol or any(d <= tol for d in ds))
@@ -532,7 +537,7 @@ class CyclicSystem(_Record):
     trusts them.
     """
 
-    __slots__ = ("space", "regions", "map", "artifact_points", "_edge_distances")
+    __slots__ = ("space", "regions", "map", "artifact_points", "_edge_distances", "_edge_tables", "_flags")
     _fields = ("space", "regions", "map", "artifact_points")
     __dataclass_fields__ = _DATACLASS_FIELDS
 
@@ -635,12 +640,20 @@ class CyclicSystem(_Record):
     @property
     def edge_distances(self) -> tuple[float, ...]:
         """d(A_i, A_{i+1}) for i = 1..m, wrapping: computed on first use and
-        kept, since the system is immutable."""
+        kept, since the system is immutable. Where the exhaustive scan
+        enumerates the system, edge i is the ``min`` over its point-pair
+        table (``_edge_tables``), the values ``region_distance`` takes the
+        min of, in its order, so its bits; elsewhere each edge is
+        ``region_distance``'s."""
         try:
             return self._edge_distances
         except AttributeError:
             pass
-        edges = _edge_distances(self.space, self.regions)
+        tables = _edge_tables(self)
+        if tables is None:
+            edges = _edge_distances(self.space, self.regions)
+        else:
+            edges = tuple(min(itertools.chain.from_iterable(table)) for table in tables)
         self._derive(_edge_distances=edges)
         return edges
 
@@ -670,10 +683,13 @@ def verify_cyclicity(
     drawn and read by one ``_draw`` call, the drawer of the sampled scan.
     The block is then flagged by ``_is_artifact`` when the system has
     artifact points, mapped by ``CyclicSystem._images`` and tested by the
-    target's ``_contains``. A sample that fails to draw or to read ends the
-    check where a per-sample loop ended: the samples before it are flagged,
-    mapped and tested first, so an error of theirs (a ``MapError``, say)
-    comes first, and then its own error is raised.
+    target's ``_contains``. Cloud points are flagged once per system, by
+    ``_cloud_flags``, which the exhaustive scan reads too: the first cloud
+    region's block flags the points of every cloud region. A sample that
+    fails to draw or to read ends the check where a per-sample loop ended:
+    the samples before it are flagged, mapped and tested first, so an error
+    of theirs (a ``MapError``, say) comes first, and then its own error is
+    raised.
 
     The block flags all its samples before it maps any, and maps all before
     it tests any, so an exception from a caller-supplied oracle in a later
@@ -686,13 +702,13 @@ def verify_cyclicity(
     space, rng = system.space, random.Random(seed)
     violations, artifacts, checked = [], [], 0
     for i, (region, target) in enumerate(_shifted_pairs(system.regions, system.regions)):
-        contains = target._contains
-        if _enumerable(region):
+        contains, cloud = target._contains, _enumerable(region)
+        if cloud:
             xs, failure = region.points, None
         else:
             xs, failure = _draw(space, (region,), rng, samples_per_region)
         if system.artifact_points:
-            flags = list(map(system._is_artifact, xs))
+            flags = _cloud_flags(system)[i] if cloud else list(map(system._is_artifact, xs))
             artifacts += [(i, x) for x in compress(xs, flags)]
             xs = list(compress(xs, map(not_, flags)))
         ys = system._images(xs)
@@ -889,31 +905,69 @@ def _getter(indices: list[int]) -> Callable[[Sequence[float]], tuple[float, ...]
     return itemgetter(*indices)
 
 
+def _edge_tables(system: CyclicSystem) -> tuple[list[list[float]], ...] | None:
+    """The point-pair table of each edge of a system that ``verify_contraction``
+    enumerates, else None: table i holds d(x, y) for every x in A_i and y in
+    A_{i+1}, artifact points included, a row per x, in ``region_distance``'s
+    order. Built on first use and kept, as ``edge_distances`` is, so the
+    scan's choice is made once per system: every region enumerable, and at
+    most ``EXHAUSTIVE_LIMIT`` tuple pairs, so at most its square root of
+    entries an edge. Any other system keeps None."""
+    try:
+        return system._edge_tables
+    except AttributeError:
+        pass
+    regions, tables = system.regions, None
+    sizes = [len(r.points) for r in regions if _enumerable(r)]
+    if len(sizes) == len(regions) and math.prod(sizes) ** 2 <= EXHAUSTIVE_LIMIT:
+        dist = system.space._distance
+        tables = tuple([list(map(dist, repeat(x), b.points)) for x in a.points]
+                       for a, b in _shifted_pairs(regions, regions))
+    system._derive(_edge_tables=tables)
+    return tables
+
+
+def _cloud_flags(system: CyclicSystem) -> tuple[list[bool] | None, ...]:
+    """``_is_artifact`` of every point of each enumerable region, None for
+    any other region: taken for all of them on first use and kept, for
+    ``verify_cyclicity`` and the exhaustive scan."""
+    try:
+        return system._flags
+    except AttributeError:
+        pass
+    flags = tuple(list(map(system._is_artifact, r.points)) if _enumerable(r) else None
+                  for r in system.regions)
+    system._derive(_flags=flags)
+    return flags
+
+
 def _exhaustive_blocks(system: CyclicSystem) -> Iterator[_Block]:
     """Every tuple pair, from per-edge tables, about ``EXHAUSTIVE_BLOCK``
     pairs a block; the first block carries every artifact skip, and with no
     usable tuple it is the only one, with no pair.
 
     Term i of both chain distances depends only on the edge pair
-    (x_i, y_{i+1}), so each point is flagged once, the usable points are
-    mapped once, in the order the enumeration first reaches them, by the
-    block stepper ``CyclicSystem._images``, and each edge distance is
-    computed once, images after points edge by edge: the tables are built
-    when the first block is asked for. Term i of one x-tuple against every
-    y-tuple is a column read from the x-tuple's row of edge table i by one
-    ``itemgetter`` over the shifted y-indices; each row's column is read
-    once per scan. A block is ``max(1, EXHAUSTIVE_BLOCK // width)``
-    consecutive x-tuples against every one of the ``width`` y-tuples, so
-    its term i is its x-tuples' columns joined, and its pair k is x-tuple
-    ``k // width`` of the block with y-tuple ``k % width``: the pairs keep
-    ``product(tuples, tuples)`` order. Region points were read when their
-    region was built, and the region's dimension checked when the system
-    was, so the tables trust them.
+    (x_i, y_{i+1}), so each point is flagged once (``_cloud_flags``), the
+    usable points are mapped once, in the order the enumeration first
+    reaches them, by the block stepper ``CyclicSystem._images``, and each
+    distance is measured once: the point pairs' are the system's edge
+    tables (``_edge_tables``), shared with ``edge_distances``, and the
+    images' are measured edge by edge when the first block is asked for.
+    Term i of one x-tuple against every y-tuple is a column read from the
+    x-tuple's row of edge i by one ``itemgetter`` over the shifted
+    y-indices; each row's column is read once per scan. A block is
+    ``max(1, EXHAUSTIVE_BLOCK // width)`` consecutive x-tuples against every
+    one of the ``width`` y-tuples, so its term i is its x-tuples' columns
+    joined, and its pair k is x-tuple ``k // width`` of the block with
+    y-tuple ``k % width``: the pairs keep ``product(tuples, tuples)`` order.
+    Region points were read when their region was built, and the region's
+    dimension checked when the system was, so the tables trust them.
     """
     m = system.m
     regions = system.regions
     dist = system.space._distance
-    usable = [[x for x in r.points if not system._is_artifact(x)] for r in regions]
+    keep = [[a for a, flag in enumerate(flags) if not flag] for flags in _cloud_flags(system)]
+    usable = [[r.points[a] for a in k] for r, k in zip(regions, keep)]
     total = math.prod(len(r.points) for r in regions)
     kept = math.prod(len(pts) for pts in usable)
     skips = total * total - kept * kept
@@ -930,15 +984,19 @@ def _exhaustive_blocks(system: CyclicSystem) -> Iterator[_Block]:
 
     index_tuples = list(itertools.product(*(range(len(pts)) for pts in usable)))
     width = len(index_tuples)
-    # d_rows[i][a] is the column d(A_i[a], y_{i+1}) over every y-tuple y, and
-    # e_rows[i][a] the same for images: getter i reads, from a row of edge
-    # table i, the entry of every y-tuple's index j = i + 1.
+    # d_rows[i][a] is the column d(usable_i[a], y_{i+1}) over every y-tuple
+    # y, read from the usable rows of edge i's point-pair table, and
+    # e_rows[i][a] the same for images: a getter reads, from a row, the entry
+    # of every y-tuple's index j = i + 1, a table row by the point's place
+    # in its region and an image row by its place among the usable points.
+    tables = _edge_tables(system)
     d_rows, e_rows = [], []
     edges = tuple(range(m))
     for i, j in _shifted_pairs(edges, edges):
         heads, tails = usable[i], usable[j]
-        get = _getter([t[j] for t in index_tuples])
-        d_rows.append([get([dist(x, y) for y in tails]) for x in heads])
+        places = [t[j] for t in index_tuples]
+        get, get_table = _getter(places), _getter([keep[j][b] for b in places])
+        d_rows.append([get_table(tables[i][a]) for a in keep[i]])
         e_rows.append([get([dist(image[x], image[y]) for y in tails]) for x in heads])
     join = itertools.chain.from_iterable
 
@@ -996,12 +1054,7 @@ def verify_contraction(
     set_distance = system.set_chain_distance(exp)
     scan = _Scan(phi(set_distance))
 
-    regions = system.regions
-    exhaustive = all(_enumerable(r) for r in regions)
-    if exhaustive:
-        total = math.prod(len(r.points) for r in regions)
-        exhaustive = total * total <= EXHAUSTIVE_LIMIT
-
+    exhaustive = _edge_tables(system) is not None
     if exhaustive:
         blocks = _exhaustive_blocks(system)
     else:

@@ -41,6 +41,7 @@ from pathlib import Path
 
 import jsonschema
 
+import proxcycle.spaces as spaces_module
 from proxcycle import gallery
 from proxcycle.chains import chain_point_distance, chain_self_distance, chain_set_distance
 from proxcycle.cli import NUMBERS, RUNS, ConfigError, load_config, parse_config, run_experiment
@@ -471,6 +472,18 @@ class CountingLq(LqSpace):
         return super()._as_read(points)
 
 
+def vouched_counting(monkeypatch, space, calls):
+    """A copy of the l^q ``space`` whose bound kernel records each call's
+    points in ``calls``. ``monkeypatch`` adds the wrapper to the kernels
+    the gap bound vouches for, for the test, so every shortcut the bound
+    allows stays on, as it does not in ``CountingLq``."""
+    copy = space.__replace__()
+    kernel = counting(calls, copy._distance)
+    object.__setattr__(copy, "_distance", kernel)
+    monkeypatch.setattr(spaces_module, "_GAP_KERNELS", (*spaces_module._GAP_KERNELS, kernel))
+    return copy
+
+
 class CountingRandom(random.Random):
     """``random.Random`` that records the value of each ``random()`` call in
     ``calls``; a state set back drops the calls made since it was taken."""
@@ -621,6 +634,33 @@ def _clouds(space, clouds, step, artifacts=()):
     return _fixed(CyclicSystem(space, tuple(map(FiniteCloud, clouds)), step, artifacts))
 
 
+# The river (SNCF) metric on the plane, a metric space that is not normed:
+# two rays of cloud points {h} and h + (1 - h) 2^-k, k = 1..K, on e_1 and
+# e_2, mapped each onto the other by t -> h + beta (t - h), which takes
+# point k to point k + 1; point K, whose image leaves the cloud, is each
+# ray's artifact point. Every edge distance is 2h, at (h e_1, h e_2), and
+# every edge obeys e' = beta e + (1 - beta) 2h, so the certificate is tight
+# at phi slope 1 - beta at every p. K = 4 keeps the brute force small; the
+# closed forms hold at every K.
+RIVER_H, RIVER_BETA, RIVER_K = 0.25, 0.5, 4
+
+
+def river(a, b):
+    """The river metric: |a - b|_2 where a and b lie on one ray from 0,
+    |a|_2 + |b|_2 where they do not."""
+    if a[0] * b[1] == a[1] * b[0] and a[0] * b[0] + a[1] * b[1] >= 0.0:
+        return math.hypot(a[0] - b[0], a[1] - b[1])
+    return math.hypot(*a) + math.hypot(*b)
+
+
+def river_step(x):
+    """t e_1 -> (h + beta (t - h)) e_2, and t e_2 -> (h + beta (t - h)) e_1."""
+    if x[1] == 0.0:
+        return 0.0, RIVER_H + RIVER_BETA * (x[0] - RIVER_H)
+    return RIVER_H + RIVER_BETA * (x[1] - RIVER_H), 0.0
+
+
+_RAY = (RIVER_H, *(RIVER_H + (1.0 - RIVER_H) * 2.0**-k for k in range(1, RIVER_K + 1)))
 L2, PLANE = LqSpace(2, 1), LqSpace(2, 2)
 # 40 x 40 tuples, too many pairs to enumerate; 36 of the 40 points of the
 # left cloud are truncation stubs.
@@ -690,6 +730,8 @@ SYSTEMS = dict([
     # first block of seed 5 is skipped whole.
     ("sparse", _clouds(L2, [_LEFT, [(-x,) for (x,) in _LEFT]], lambda x: (-0.5 * x[0],),
                        _LEFT[4:])),
+    ("river", _clouds(OracleSpace(river, 2), [[(t, 0.0) for t in _RAY], [(0.0, t) for t in _RAY]],
+                      river_step, ((_RAY[-1], 0.0), (0.0, _RAY[-1])))),
     # A degenerate box whose one point is an artifact point: every sampled
     # pair touches it, so the scan has no pair to fold.
     ("stub box", _fixed(CyclicSystem(L2, (Box((1.0,), (2.0,)), Box((-0.5,), (-0.5,))), flip,

@@ -21,7 +21,9 @@ import proxcycle.cli as cli
 import proxcycle.system as system_module
 from proxcycle.spaces import INFINITY
 from proxcycle.system import LinearPhi, Phi, TabulatedPhi
-from reference import CONTRACT, LISTING, SCHEMA, counting, mapped_build, read_summary
+from reference import (
+    CONTRACT, LISTING, SCHEMA, counting, mapped_build, read_summary, vouched_counting,
+)
 
 
 def base_config(**overrides):
@@ -271,20 +273,58 @@ def test_trace_runs_map_each_orbit_point_once(tmp_path, monkeypatch, iterations)
     assert len(calls) == _trace_steps(2, iterations)
 
 
+# paper_lq_family at m = 3, N = 2: each region holds N + 1 = 3 points, and
+# the top point x_8, in A_3, is the one artifact point. A certify run makes
+# these kernel calls:
+# - the point pairs of the three edge tables, sum |A_i||A_{i+1}| = 3 * 9 = 27;
+# - the image pairs over the usable points (3, 3 and 2 a region), sum |E_i| =
+#   3 * 3 + 3 * 2 + 2 * 3 = 21;
+# - one artifact flag per cloud point against the one artifact point, less
+#   the artifact point itself, which is found by ==: 9 - 1 = 8;
+# - no membership test: every usable point's image is a family point, == a
+#   point of the next region;
+# - the trace: the walk from x_0 reaches the stub at step 8 and stays, so the
+#   first point equal to the one m before it is J = 8 + 3 = 11. The trace
+#   measures the stride-1 and stride-m columns up to J, 2 * 11, and a wrap
+#   term for each of its ceil(11 / 3) = 4 distinct rows: 26.
+CERTIFY_KERNEL_CALLS = 27 + 21 + 8 + 0 + 26
+
+
 @pytest.mark.parametrize("run", cli.RUNS)
 def test_runs_compute_each_edge_distance_once(tmp_path, monkeypatch, run):
+    # A cloud system that the exhaustive scan enumerates keeps one point-pair
+    # table per edge, which gives both its edge distances and the
+    # certificate's d terms. So every run kind measures each pair (x, y), x
+    # in A_i and y in A_{i+1}, once, while the tables are built, and calls
+    # region_distance for no edge.
     lq = {"id": "paper_lq_family", "parameters": {"m": 3, "N": 2}}
-    regions = cli.gallery.build(lq["id"], lq["parameters"]).system.regions
-    measured = []
-    region_distance = system_module.region_distance
+    build, tables = cli.gallery.build, system_module._edge_tables
+    calls, spans, measured = [], [], []
 
-    def counting(space, a, b):
-        measured.append((a, b))
-        return region_distance(space, a, b)
+    def counted_build(system_id, parameters):
+        gs = build(system_id, parameters)
+        space = vouched_counting(monkeypatch, gs.system.space, calls)
+        return gs.__replace__(system=gs.system.__replace__(space=space))
 
-    monkeypatch.setattr(system_module, "region_distance", counting)
+    def building(system):
+        start = len(calls)
+        try:
+            return tables(system)
+        finally:
+            spans.append((start, len(calls)))
+
+    monkeypatch.setattr(cli.gallery, "build", counted_build)
+    monkeypatch.setattr(system_module, "_edge_tables", building)
+    monkeypatch.setattr(system_module, "region_distance",
+                        counting(measured, system_module.region_distance))
     cli.run_experiment(cli.parse_config(base_config(run=run, system=lq, iterations=50)), tmp_path)
-    assert measured == [(regions[i], regions[(i + 1) % 3]) for i in range(3)]
+    regions = build(lq["id"], lq["parameters"]).system.regions
+    pairs = [(x, y) for a, b in zip(regions, regions[1:] + regions[:1])
+             for x in a.points for y in b.points]
+    assert [pair for start, end in spans for pair in calls[start:end]] == pairs
+    assert measured == []
+    if run == "certify":
+        assert len(calls) == CERTIFY_KERNEL_CALLS
 
 
 # The library functions each run kind calls, in order.

@@ -35,16 +35,17 @@ import proxcycle.system as system_module
 from proxcycle.orbit import (
     _CHUNK, _record, banach_solve, periodic_point_solve, picard_orbit, proximity_chain_extract,
 )
-from proxcycle.spaces import LqSpace, as_exponent
+from proxcycle.spaces import LqSpace, OracleSpace, as_exponent
 from proxcycle.system import SAMPLE_BLOCK as B
 from proxcycle.system import (
     Box, ContractionCertificate, CyclicSystem, LinearPhi, MapError, TabulatedPhi,
     verify_contraction, verify_cyclicity,
 )
 from reference import (
-    MARKED, SAMPLED, STUB_FAMILIES, SYSTEMS, Float, broken_map, brute_force, built,
-    certify_reference, counting, cyclicity_reference, fields_hex, mapped_build, no_image,
-    per_step, per_step_fields, per_step_stop, sampled_pairs, typed_hex, usable_tuples,
+    MARKED, RIVER_BETA, RIVER_H, RIVER_K, SAMPLED, STUB_FAMILIES, SYSTEMS, Float, broken_map,
+    brute_force, built, certify_reference, counting, cyclicity_reference, fields_hex,
+    mapped_build, no_image, per_step, per_step_fields, per_step_stop, sampled_pairs, typed_hex,
+    usable_tuples,
 )
 from test_orbit import TRACES
 
@@ -523,6 +524,8 @@ AGREES = [
     # margin from their neighbours; a block below the width reads one x-tuple.
     *(row for name in BLOCKED for row in _rows("exhaustive", (name,), block=_blocks(name),
                                                 phi=TWO, p=(1, 2, "inf"))),
+    # The river metric: the edge tables under a metric oracle.
+    *_rows("exhaustive", ("river",), p=(1, 2, "inf")),
     # 42 usable tuples: blocks of 1024 // 42 = 24 x-tuples, then 18.
     *_rows("exhaustive", [f"paper_lq_family(m=2, N=6, q={q}, alpha=0.45)" for q in (1, "inf")],
            phi=TWO, p=(1, 2.5, "inf")),
@@ -543,7 +546,7 @@ AGREES = [
            samples=(1, 7, 200, 201), seed=range(4)),
     *(row for name in MARKED for row in _rows("cyclicity", (name, f"{name} stuck"),
                                                samples=(30,), seed=(int(name[-1]),))),
-    *_rows("cyclicity", (*STUB_FAMILIES, *(f"{name} stuck" for name in STUB_FAMILIES)),
+    *_rows("cyclicity", (*STUB_FAMILIES, *(f"{name} stuck" for name in STUB_FAMILIES), "river"),
            samples=(5,), seed=(1,)),
     # The trace prefix, walked in chunks.
     *(row for path in ("prefix", "picard_orbit")
@@ -616,6 +619,20 @@ def test_the_agreeing_systems_are_what_their_rows_need():
         report = verify_cyclicity(system, 30, int(name[-1]))
         assert len(report.artifacts) == 10 * system.m and report.checked == 20 * system.m
     assert all(verify_cyclicity(built(name)[0], 5, 1).artifacts for name in STUB_FAMILIES)
+    # The river system: each edge is 2h, and the certificate passes at phi
+    # slope 1 - beta and fails 0.01 above it, at every p. Its oracle has no
+    # gap bound, so a membership test measures up to the point its query
+    # equals, and does not stop there by ==.
+    river = built("river")[0]
+    assert river.edge_distances == (2 * RIVER_H,) * 2
+    for p in (1, 2, "inf"):
+        assert verify_contraction(river, LinearPhi(1 - RIVER_BETA), p).ok
+        assert not verify_contraction(river, LinearPhi(1 - RIVER_BETA + 0.01), p).ok
+    calls, cloud = [], river.regions[1]
+    assert cloud.contains(cloud.points[-1], OracleSpace(counting(calls, river.space.oracle), 2))
+    assert len(calls) == len(cloud.points) == RIVER_K + 1
+    report = verify_cyclicity(river)
+    assert report.ok and len(report.artifacts) == 2 and report.checked == 2 * RIVER_K
     # An equal-gap tol is the first-coordinate gap at step 3 000, where the
     # per-step walk stops, or one step on.
     for name, solver in EQUAL_GAPS:

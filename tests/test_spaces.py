@@ -407,6 +407,26 @@ def _edges(dimension):
     return pairs
 
 
+# Sparse points, as paper_lq_family's scaled basis vectors: c_j e_j against
+# c_k e_k on one axis or two, with c at the float maximum, on either side of
+# 1 and subnormal, so that all gaps but one or two are the zeros that
+# _combined_gaps drops before it combines.
+SPARSE_DIMENSIONS = (4, 7, 13, 22)
+_SPARSE_C = (_BIG, 1.0 - 2**-53, 1.0 + 2**-52, _TINY)
+
+
+def _sparse(dimension):
+    """c_j e_j against c_k e_k for j and k among four axes, equal and not,
+    and c of ``_SPARSE_C``."""
+
+    def basis(j, c):
+        return tuple(c if i == j else 0.0 for i in range(dimension))
+
+    axes = (0, 1, dimension // 2, dimension - 1)
+    return [(basis(j, a), basis(k, b)) for j, k in itertools.product(axes, repeat=2)
+            for a, b in itertools.product(_SPARSE_C, repeat=2)]
+
+
 def _seeded(row):
     """``row.seeded`` pairs of finite coordinates drawn as random bit
     patterns, so of every scale and sign: enough that a plain sum in place
@@ -476,6 +496,8 @@ def test_each_kernel_row_holds_on_every_input(row):
         space = LqSpace(as_exponent(row.q), row.dimension)
         check = partial(_distance_holds, space, row.q)
         inputs = _edges(row.dimension) + _seeded(row)
+        if row.kernel == "_combined_gaps" and row.dimension in SPARSE_DIMENSIONS:
+            inputs += _sparse(row.dimension)
         points = st.lists(coordinates, min_size=row.dimension, max_size=row.dimension).map(tuple)
         drawn = st.tuples(points, points)
     for x in inputs:

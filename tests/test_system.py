@@ -58,6 +58,8 @@ from proxcycle.system import (
 )
 from reference import (
     SAMPLED,
+    SYSTEMS,
+    CountingLq,
     CountingRandom,
     built,
     certify_reference,
@@ -71,6 +73,7 @@ from reference import (
     region_tuples,
     sampled_pairs,
     usable_tuples,
+    vouched_counting,
 )
 
 L2_1 = LqSpace(Exponent(2.0), 1)
@@ -457,6 +460,21 @@ def test_verify_cyclicity_passes_over_a_nan_later_distance():
     assert report.violations == ((0, (0.0,), (0.0,)), (1, (0.0,), (0.0,)))
 
 
+def test_cloud_membership_stops_at_an_equal_point_only_where_the_gap_bound_holds(monkeypatch):
+    # Under a kernel LqSpace binds, a query == a cloud point, zeros of either sign alike, is in the cloud
+    # with no distance call. A subclass's own kernel and a metric oracle
+    # measure up to that point, and a query equal to no point is measured
+    # against every point.
+    cloud = FiniteCloud(((0.0, 2.0), (1.0, 0.0), (3.0, -0.0)))
+    lq_calls, oracle_calls = [], []
+    lq = vouched_counting(monkeypatch, LqSpace(2, 2), lq_calls)
+    own, oracle = CountingLq(2, 2), OracleSpace(counting(oracle_calls, math.dist), 2)
+    for space in (lq, own, oracle):
+        assert cloud.contains((3.0, 0.0), space) and cloud.contains((-0.0, 2.0), space)
+    assert lq_calls == [] and len(own.calls) == len(oracle_calls) == 3 + 1
+    assert not cloud.contains((5.0, 5.0), lq) and len(lq_calls) == 3
+
+
 def test_error_messages_stay_short_at_any_dimension():
     n = 10**5
     pt = (0.5,) * n
@@ -723,6 +741,35 @@ def test_sparse_system_skips_a_whole_block():
         for xs, ys in sampled_pairs(sparse, 2 * B + 1, 5)
     ]
     assert not any(usable[:B]) and any(usable[B:])
+
+
+def test_edge_distances_are_region_distances_bits_on_every_cloud_system():
+    # An enumerated cloud system takes each edge as the min over its
+    # point-pair table; "sparse", past EXHAUSTIVE_LIMIT, from region_distance.
+    clouds = 0
+    for name in SYSTEMS:
+        system = built(name)[0].__replace__()  # a copy that has kept nothing
+        regions = system.regions
+        if not all(isinstance(r, FiniteCloud) for r in regions):
+            continue
+        clouds += 1
+        want = tuple(region_distance(system.space, a, b)
+                     for a, b in zip(regions, regions[1:] + regions[:1]))
+        assert hexed(system.edge_distances) == hexed(want), name
+    assert clouds >= 40
+
+
+def test_only_a_system_the_scan_enumerates_keeps_edge_tables():
+    # sparse has 40 x 40 tuples, 2.56e6 pairs: its certificate is sampled,
+    # and neither it nor its edge distances keep a table. A family the scan
+    # enumerates keeps one table per edge, |A_i| x |A_{i+1}| entries.
+    sparse = built("sparse")[0].__replace__()
+    assert sparse.edge_distances == (1 / 20,) * 2
+    assert not verify_contraction(sparse, LinearPhi(0.4), 2, 300, 5).exhaustive
+    assert sparse._edge_tables is None
+    family = built("paper_lq_family(m=3, N=2, q=inf)")[0].__replace__()
+    assert verify_contraction(family, LinearPhi(0.4), 2).exhaustive
+    assert [(len(t), len(t[0])) for t in family._edge_tables] == [(3, 3)] * 3
 
 
 class _ListBox(Box):

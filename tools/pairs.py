@@ -12,9 +12,10 @@ falls on both sides alike. For each end-to-end metric of ``BENCHMARK.json``
 it prints the parent's median and the distance between its quartiles, the
 change's median, their ratio (change over parent), the pairs the change
 won, a win being a better value in the direction the metric's ``better``
-names, and the pairs tied, a tie being the same value on both sides. It
-prints every run's ``correct`` and exits 1 if any run is not correct. It
-reads ``bench/`` and ``BENCHMARK.json`` and writes neither.
+names, the pairs tied, a tie being the same value on both sides, and a
+verdict (``verdict``) against the metric's ``bound``. It prints every run's
+``correct`` and exits 1 if any run is not correct. It reads ``bench/`` and
+``BENCHMARK.json`` and writes neither.
 """
 
 from __future__ import annotations
@@ -47,6 +48,27 @@ def quartile_distance(values: list[float]) -> float:
     return high - low
 
 
+def verdict(wins: int, pairs: int, better: float, spread: float, limit: float) -> str:
+    """One metric's verdict, the first that holds, from the pairs the change
+    won of those run, how much better its median is than the parent's (less
+    than zero where it is worse), the distance between the parent's
+    quartiles and the metric's bound times the parent's median:
+
+    - ``gain``: the change won at least nine tenths of the pairs, a tie
+      counting for neither side, and its median is better by more than the
+      parent's quartile distance;
+    - ``worse``: its median is worse by more than the limit;
+    - ``unresolved``: the parent's quartile distance is wider than the
+      limit, so its runs spread too widely to tell;
+    - ``flat``: otherwise.
+    """
+    if 10 * wins >= 9 * pairs and better > spread:
+        return "gain"
+    if -better > limit:
+        return "worse"
+    return "unresolved" if spread > limit else "flat"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, type=Path, help="the checkout to compare against")
@@ -70,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"pair {k} seed {seed} {side:<6} correct={result['correct']} {values}", flush=True)
 
     print(f"{'metric':<12} {'parent p50':>12} {'parent IQR':>12} {'change p50':>12} "
-          f"{'ratio':>7}  wins, ties")
+          f"{'ratio':>7}  wins, ties, verdict")
     for metric in spec["end_to_end"]:
         name, higher = metric["name"], metric["better"] == "higher"
         parent = [r["metrics"][name]["value"] for r in results["parent"]]
@@ -79,8 +101,12 @@ def main(argv: list[str] | None = None) -> int:
         ties = sum(p == c for p, c in zip(parent, change))
         mid_p, mid_c = statistics.median(parent), statistics.median(change)
         ratio = mid_c / mid_p if mid_p else float("nan")
-        print(f"{name:<12} {mid_p:>12.6g} {quartile_distance(parent):>12.3g} {mid_c:>12.6g} "
-              f"{ratio:>7.3f}  {wins} of {len(parent)}, {ties} tied ({metric['better']} is better)")
+        spread = quartile_distance(parent)
+        better = mid_c - mid_p if higher else mid_p - mid_c
+        found = verdict(wins, len(parent), better, spread, metric["bound"] * mid_p)
+        print(f"{name:<12} {mid_p:>12.6g} {spread:>12.3g} {mid_c:>12.6g} "
+              f"{ratio:>7.3f}  {wins} of {len(parent)}, {ties} tied ({metric['better']} is better) "
+              f"{found}")
     correct = all(r["correct"] for side in results.values() for r in side)
     print(f"every run correct: {correct}")
     return 0 if correct else 1
