@@ -13,6 +13,7 @@ import itertools
 import math
 import random
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Mapping, Set
 from functools import partial
 from itertools import compress, repeat, starmap
@@ -791,10 +792,13 @@ class _Scan:
         ds: list[float],
         phi_ds: list[float],
         pair: Callable[[int], tuple[tuple[Point, ...], tuple[Point, ...]]],
+        evaluated: int,
     ) -> None:
         """Fold in a nonempty block of pairs, given in scan order by their
         sides lhs = d_p(Tx, Ty), d = d_p(x, y) and phi(d); ``pair(k)`` is the
-        (xs, ys) of the block's k-th pair.
+        (xs, ys) of the block's k-th pair, and ``evaluated`` the count of
+        pairs the block stands for, its own and those whose margins are
+        its margins' bits (see ``_exhaustive_blocks``).
 
         Each margin is ``((d - phi(d)) + phi(D)) - lhs``, the operations
         ``contraction_margin`` gives its pair, in the same order, so every
@@ -808,7 +812,7 @@ class _Scan:
         the witness is the first pair in scan order that reaches it.
         """
         margins = list(map(sub, map(add, map(sub, ds, phi_ds), repeat(self.phi_set)), lhs))
-        self.evaluated += len(margins)
+        self.evaluated += evaluated
         self.scale = _finite_max(self.scale, lhs + ds + phi_ds)
         if math.isnan(self.min_margin):
             return
@@ -825,13 +829,17 @@ class _Scan:
 
 
 # A block of tuple pairs from a block source: the artifact pairs it skipped,
-# the m term columns d(x_i, y_{i+1}) of every d, the m term columns
-# d(Tx_i, Ty_{i+1}) of every lhs, and pair(k), the (xs, ys) of its k-th pair.
-_Block = tuple[int, list, list, Callable[[int], tuple[tuple[Point, ...], tuple[Point, ...]]]]
+# the pairs it stands for, every d = d_p(x, y) and every lhs = d_p(Tx, Ty) of
+# its pairs, and pair(k), the (xs, ys) of its k-th pair.
+_Block = tuple[int, int, list, list, Callable[[int], tuple[tuple[Point, ...], tuple[Point, ...]]]]
 
 
-def _sampled_blocks(system: CyclicSystem, tuple_samples: int, seed: int) -> Iterator[_Block]:
-    """``tuple_samples`` seeded tuple pairs, ``SAMPLE_BLOCK`` pairs a block.
+def _sampled_blocks(
+    system: CyclicSystem, combine: Callable, tuple_samples: int, seed: int
+) -> Iterator[_Block]:
+    """``tuple_samples`` seeded tuple pairs, ``SAMPLE_BLOCK`` pairs a block,
+    each side combined from its m term columns by ``combine``, the
+    exponent's ``_combine_columns``: every d, then every lhs.
 
     A block's pairs are drawn and read by one ``_draw`` call, as one pair
     at a time would draw them: xs, then ys, region by region, pair by pair.
@@ -891,7 +899,8 @@ def _sampled_blocks(system: CyclicSystem, tuple_samples: int, seed: int) -> Iter
             new = [x for x in dict.fromkeys(points) if x not in images]
             images.update(zip(new, system._images(new)))
             lhs_terms = terms(list(map(images.__getitem__, points)))
-        yield skips, terms(points), lhs_terms, partial(pair, points)
+        ds = combine(terms(points))
+        yield skips, len(ds), ds, combine(lhs_terms), partial(pair, points)
         if failure is not None:
             raise failure
 
@@ -941,38 +950,63 @@ def _cloud_flags(system: CyclicSystem) -> tuple[list[bool] | None, ...]:
     return flags
 
 
-def _exhaustive_blocks(system: CyclicSystem) -> Iterator[_Block]:
-    """Every tuple pair, from per-edge tables, about ``EXHAUSTIVE_BLOCK``
-    pairs a block; the first block carries every artifact skip, and with no
-    usable tuple it is the only one, with no pair.
+def _exhaustive_blocks(system: CyclicSystem, combine: Callable) -> Iterator[_Block]:
+    """Every tuple pair, from one table D of chain distances, about
+    ``EXHAUSTIVE_BLOCK`` pairs a block; the first block carries every
+    artifact skip, and with no usable tuple it is the only one, with no pair.
 
-    Term i of both chain distances depends only on the edge pair
-    (x_i, y_{i+1}), so each point is flagged once (``_cloud_flags``), the
-    usable points are mapped once, in the order the enumeration first
-    reaches them, by the block stepper ``CyclicSystem._images``, and each
-    distance is measured once: the point pairs' are the system's edge
-    tables (``_edge_tables``), shared with ``edge_distances``, and the
-    images' are measured edge by edge when the first block is asked for.
-    Term i of one x-tuple against every y-tuple is a column read from the
-    x-tuple's row of edge i by one ``itemgetter`` over the shifted
-    y-indices; each row's column is read once per scan. A block is
-    ``max(1, EXHAUSTIVE_BLOCK // width)`` consecutive x-tuples against every
-    one of the ``width`` y-tuples, so its term i is its x-tuples' columns
-    joined, and its pair k is x-tuple ``k // width`` of the block with
-    y-tuple ``k % width``: the pairs keep ``product(tuples, tuples)`` order.
+    Each point is flagged once (``_cloud_flags``) and the usable points are
+    mapped once, in the order the enumeration first reaches them, by the
+    block stepper ``CyclicSystem._images``. Each side of a pair is an entry
+    of D: d(x, y) = D[x][y] and lhs(x, y) = D[rx][ry], where r is the image
+    tuple. Its terms are read from the point rows of each edge: the entry of
+    two cloud points (an image ``==`` to one counts as it) from the edge
+    tables (``_edge_tables``), shared with ``edge_distances``, and any other
+    pair of images measured once, when the first block is asked for. Term i
+    of row s over a list of columns is read from the row of s_i by one
+    ``itemgetter`` over the columns' places in A_{i+1}, and ``combine``
+    (the exponent's ``_combine_columns``) makes the rows of a block's new
+    tuples in one call. A row is made once: over the usable tuples U for a
+    tuple of U only, over the image tuples rU for one of rU only, over both
+    for one of each, so |U|^2 + |rU|^2 - |U & rU|^2 rows a scan, at most
+    the 2 |U|^2 of combining both sides; it is freed after its last reader.
+
+    With the gap bound, r x is sigma x = (Tx_m, Tx_1, ..., Tx_{m-1}), the
+    image tuple rotated back into A_1 x ... x A_m, and each image takes the
+    place of a usable point it is ``==`` to. lhs(x, y) combines d(Tx_1,
+    Ty_2), ..., d(Tx_m, Ty_1), and D[sigma x][sigma y] the same m terms
+    rotated by one place. Each is a bound kernel's value on finite points,
+    +0.0, positive or inf, never -0.0 or NaN; on such values max, fsum (with
+    ``_sum_or_inf``'s exact fallback) and the peak-scaled power sum, whose
+    peak is a max and whose terms are taken one value at a time, give the
+    same bits in any order. A point ``==`` to an image has its gaps, so its
+    entries have the image's bits (``LqSpace._gap_bound``). Without the
+    bound (an ``OracleSpace``, whose oracle may return -0.0 or NaN, where
+    max(0.0, -0.0) depends on the order) no image is matched: r x is
+    (Tx_1, ..., Tx_m), each image a point of its own, so D[r x][r y] is the
+    lhs combined in chain order.
+
+    With the gap bound and m = 2, d_2(y, x) and lhs(y, x) combine the same
+    two terms as d_2(x, y) and lhs(x, y), since a bound kernel is symmetric
+    bit for bit, so margin(y, x) is margin(x, y), NaN included. The first
+    least pair in product order, and the first NaN pair, then has x-index
+    <= y-index: row i is folded over the columns j >= i only, in order,
+    which gives the same ``min_margin``, witness and S, while a block still
+    counts its pairs (i, j) for every j. Any other scan folds every pair.
+
+    A block is ``max(1, EXHAUSTIVE_BLOCK // width)`` consecutive x-tuples
+    against the ``width`` y-tuples, in ``product(tuples, tuples)`` order.
     Region points were read when their region was built, and the region's
     dimension checked when the system was, so the tables trust them.
     """
-    m = system.m
-    regions = system.regions
-    dist = system.space._distance
+    m, regions, bound = system.m, system.regions, system.space._gap_bound
     keep = [[a for a, flag in enumerate(flags) if not flag] for flags in _cloud_flags(system)]
     usable = [[r.points[a] for a in k] for r, k in zip(regions, keep)]
     total = math.prod(len(r.points) for r in regions)
     kept = math.prod(len(pts) for pts in usable)
     skips = total * total - kept * kept
     if not kept:
-        yield skips, [[]] * m, [[]] * m, None
+        yield skips, 0, [], [], None
         return
 
     # Map each point once, in the order the pair enumeration first reaches
@@ -982,40 +1016,89 @@ def _exhaustive_blocks(system: CyclicSystem) -> Iterator[_Block]:
     order = list(dict.fromkeys(order))
     image = dict(zip(order, system._images(order)))
 
+    # The places of each region: (point, index in the cloud or None) of its
+    # usable points, then of the images placed there that are not one.
+    # moved[i][a] is the place of the image of usable point a of A_i: in
+    # A_{i+1} with the gap bound, a usable point's or the first ``==``
+    # image's; in A_i, one of its own, without.
+    places = [list(zip(pts, k)) for pts, k in zip(usable, keep)]
+    moved = []
+    for i, pts in enumerate(usable):
+        j = (i + bound) % m
+        cloud = {x: c for c, x in enumerate(regions[j].points)} if bound else {}
+        seat, new, spots = dict(zip(keep[j], itertools.count())), {}, []
+        for a, y in enumerate(map(image.__getitem__, pts)):
+            c = cloud.get(y)
+            spots.append(seat[c] if c in seat else new.setdefault(y if bound else a, len(places[j])))
+            if spots[-1] == len(places[j]):
+                places[j].append((y, c))
+        moved.append(spots)
+    # Place i of an image tuple holds the image of a point of region src[i].
+    edges = tuple(range(m))
+    src = [(i - bound) % m for i in edges]
+    held = [set(moved[k]) for k in src]
+    # point_rows[i][s][t]: d(place s of A_i, place t of A_{i+1}); None where
+    # no chain distance reads it, a usable point against an image that is not.
+    dist, tables = system.space._distance, _edge_tables(system)
+    point_rows = [[[tables[i][c][e] if c is not None and e is not None
+                    else dist(x, y) if s in held[i] and t in held[j] else None
+                    for t, (y, e) in enumerate(places[j])] for s, (x, c) in enumerate(places[i])]
+                  for i, j in _shifted_pairs(edges, edges)]
+
+    # Tuples of places by id: U in product order, then the image tuples not
+    # in U. Term i of row v of D over the columns it spans is read from the
+    # point row of its place in A_i, each such column gathered once.
     index_tuples = list(itertools.product(*(range(len(pts)) for pts in usable)))
     width = len(index_tuples)
-    # d_rows[i][a] is the column d(usable_i[a], y_{i+1}) over every y-tuple
-    # y, read from the usable rows of edge i's point-pair table, and
-    # e_rows[i][a] the same for images: a getter reads, from a row, the entry
-    # of every y-tuple's index j = i + 1, a table row by the point's place
-    # in its region and an image row by its place among the usable points.
-    tables = _edge_tables(system)
-    d_rows, e_rows = [], []
-    edges = tuple(range(m))
-    for i, j in _shifted_pairs(edges, edges):
-        heads, tails = usable[i], usable[j]
-        places = [t[j] for t in index_tuples]
-        get, get_table = _getter(places), _getter([keep[j][b] for b in places])
-        d_rows.append([get_table(tables[i][a]) for a in keep[i]])
-        e_rows.append([get([dist(image[x], image[y]) for y in tails]) for x in heads])
+    ids = dict(zip(index_tuples, itertools.count()))
+    rx = list(zip(*(map(moved[k].__getitem__, map(itemgetter(k), index_tuples)) for k in src)))
+    ids.update(zip([t for t in dict.fromkeys(rx) if t not in ids], itertools.count(width)))
+    images = list(map(ids.__getitem__, rx))
+    tuples, image_cols = list(ids), sorted(set(images))
+    rank = dict(zip(image_cols, itertools.count()))
+
+    def gathered(cols: list[tuple[int, ...]]) -> tuple[list[list[tuple[float, ...]]], int]:
+        getters = [_getter([t[j] for t in cols]) for _, j in _shifted_pairs(edges, edges)]
+        return [list(map(g, rows)) for g, rows in zip(getters, point_rows)], len(cols)
+
+    # Row v spans U (kind 0), every tuple (1: v in U and an image tuple) or
+    # the image tuples (2).
+    spans = [gathered(index_tuples), gathered(tuples), gathered([tuples[w] for w in image_cols])]
+    kinds = [2 if v >= width else int(v in rank) for v in range(len(tuples))]
+    terms_of = [[spans[k][0][i][t[i]] for k, t in zip(kinds, tuples)] for i in edges]
+    lengths = [spans[k][1] for k in kinds]
+    lhs_all, lhs_images = _getter(images), _getter([rank[w] for w in images])
+    half = bound and m == 2
+    readers = Counter([*range(width), *images])  # a row is freed after its last reader
+    chain_rows: dict[int, list[float]] = {}  # D, by tuple id
     join = itertools.chain.from_iterable
 
     def points(t: tuple[int, ...]) -> tuple[Point, ...]:
         return tuple(usable[i][a] for i, a in enumerate(t))
 
-    def pair(group: list[tuple[int, ...]], k: int) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
-        return points(group[k // width]), points(index_tuples[k % width])
+    def pair(start: int, ends: list[int], k: int) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
+        r = bisect_right(ends, k)
+        x = start + r
+        return points(index_tuples[x]), points(index_tuples[k - (ends[r - 1] if r else 0)
+                                                           + (x if half else 0)])
 
     step = max(1, EXHAUSTIVE_BLOCK // width)
     for start in range(0, width, step):
-        group = index_tuples[start : start + step]
-        heads = list(zip(*group))  # heads[i]: each x-tuple's index in region i
-        yield (
-            skips,
-            [list(join(map(d.__getitem__, a))) for d, a in zip(d_rows, heads)],
-            [list(join(map(e.__getitem__, a))) for e, a in zip(e_rows, heads)],
-            partial(pair, group),
-        )
+        xs, rxs = range(start, min(start + step, width)), images[start : start + step]
+        new = [v for v in dict.fromkeys([*xs, *rxs]) if v not in chain_rows]
+        out = combine([list(join(map(terms.__getitem__, new))) for terms in terms_of])
+        stops = list(itertools.accumulate(map(lengths.__getitem__, new)))
+        chain_rows.update(zip(new, map(out.__getitem__, map(slice, [0, *stops], stops))))
+        lows = [x if half else 0 for x in xs]
+        ds = list(join(chain_rows[x][lo:width] for x, lo in zip(xs, lows)))
+        lhs = list(join((lhs_all if v < width else lhs_images)(chain_rows[v])[lo:]
+                        for v, lo in zip(rxs, lows)))
+        for v in (*xs, *rxs):
+            readers[v] -= 1
+            if not readers[v]:
+                del chain_rows[v]
+        ends = list(itertools.accumulate(width - lo for lo in lows))
+        yield skips, len(xs) * width, ds, lhs, partial(pair, start, ends)
         skips = 0
 
 
@@ -1035,9 +1118,14 @@ def verify_contraction(
     the pairs whose margin was computed, artifact skips excluded.
 
     Both scans are block sources, ``_exhaustive_blocks`` and
-    ``_sampled_blocks``, and one loop evaluates every block they yield:
-    the exponent's ``_combine_columns`` turns its m term columns into every
-    d and every lhs, bit for bit as ``_combine`` does per pair,
+    ``_sampled_blocks``, and one loop evaluates every block they yield.
+    Each source combines its own sides with the exponent's
+    ``_combine_columns``, bit for bit as ``_combine`` does per pair, and
+    yields every d and every lhs of its block: the sampled scan from a
+    block's m term columns, the exhaustive scan from one table of chain
+    distances, where lhs(x, y) is the chain distance of the image tuples
+    and, with the gap bound at m = 2, each unordered pair is folded once
+    (see ``_exhaustive_blocks`` for why both keep every bit).
     ``phi._many`` gives every phi(d), and ``_Scan.fold`` the margins.
 
     ``min_margin`` and the witness are the raw minimum over the evaluated
@@ -1055,16 +1143,15 @@ def verify_contraction(
     scan = _Scan(phi(set_distance))
 
     exhaustive = _edge_tables(system) is not None
-    if exhaustive:
-        blocks = _exhaustive_blocks(system)
-    else:
-        blocks = _sampled_blocks(system, tuple_samples, seed)
     combine = exp._combine_columns
-    for skips, d_terms, lhs_terms, pair in blocks:
+    if exhaustive:
+        blocks = _exhaustive_blocks(system, combine)
+    else:
+        blocks = _sampled_blocks(system, combine, tuple_samples, seed)
+    for skips, evaluated, ds, lhs, pair in blocks:
         scan.skips += skips
-        ds = combine(d_terms)
         if ds:
-            scan.fold(combine(lhs_terms), ds, phi._many(ds), pair)
+            scan.fold(lhs, ds, phi._many(ds), pair, evaluated)
 
     floor = -MARGIN_ULPS * system.m * math.ulp(max(1.0, scan.scale))
     ok = scan.evaluated > 0 and scan.min_margin >= floor

@@ -660,6 +660,33 @@ def river_step(x):
     return RIVER_H + RIVER_BETA * (x[1] - RIVER_H), 0.0
 
 
+def flip2(x):
+    return (-x[0], -x[1])
+
+
+def one_way(a, b):
+    """A metric oracle on the plane that charges 0.25 more per unit moved left."""
+    dx = a[0] - b[0]
+    return abs(dx) + abs(a[1] - b[1]) + 0.25 * max(0.0, dx)
+
+
+def signed(a, b):
+    """An l^1 oracle on the plane that gives -0.0 for equal points and NaN
+    between distinct points both at |u| = 2."""
+    if a == b:
+        return -0.0
+    if abs(a[0]) == abs(b[0]) == 2.0:
+        return math.nan
+    return abs(a[0] - b[0]) + abs(a[1] - b[1])
+
+
+# Plane clouds with +0.0 coordinates: x -> -x takes each point to one ==
+# to a point of the other cloud, with -0.0 in place of its 0.0.
+_SIGNED = ((1.0, 0.0), (2.0, 0.5), (0.0, 0.0), (0.0, 1.0))
+_MIRRORED = ((-1.0, 0.0), (-2.0, -0.5), (0.0, 0.0), (0.0, -1.0))
+_MERGE = {(1.0, 0.0): (0.0, 1.0), (2.0, 0.0): (0.0, 1.0), (3.0, 0.5): (0.5, 2.0),
+          (0.0, 1.0): (-1.0, 0.0), (0.5, 2.0): (-2.0, -0.5),
+          (-1.0, 0.0): (1.0, 0.0), (-2.0, -0.5): (3.0, 0.5)}
 _RAY = (RIVER_H, *(RIVER_H + (1.0 - RIVER_H) * 2.0**-k for k in range(1, RIVER_K + 1)))
 L2, PLANE = LqSpace(2, 1), LqSpace(2, 2)
 # 40 x 40 tuples, too many pairs to enumerate; 36 of the 40 points of the
@@ -732,6 +759,27 @@ SYSTEMS = dict([
                        _LEFT[4:])),
     ("river", _clouds(OracleSpace(river, 2), [[(t, 0.0) for t in _RAY], [(0.0, t) for t in _RAY]],
                       river_step, ((_RAY[-1], 0.0), (0.0, _RAY[-1])))),
+    # The exhaustive scan reads lhs(x, y) as the chain distance of the image
+    # tuples, from the places of cloud points an image is == to, and at m = 2
+    # folds each unordered pair once; these clouds hold each case. x -> -x
+    # maps each plane cloud onto the other, every image == a cloud point but
+    # with its zeros flipped (``_SIGNED``).
+    ("signed zeros", _clouds(PLANE, [_SIGNED, _MIRRORED], flip2)),
+    # Three regions; two points of A_1 map to one point of A_2, so two
+    # x-tuples share their image tuple.
+    ("merge", _clouds(PLANE, [[(1.0, 0.0), (2.0, 0.0), (3.0, 0.5)], [(0.0, 1.0), (0.5, 2.0)],
+                              [(-1.0, 0.0), (-2.0, -0.5)]], _MERGE.__getitem__)),
+    # Only some images are cloud points: the rest are measured, once each.
+    ("half outside", _clouds(PLANE, [[(1.0, 1.0), (2.0, 1.0), (4.0, 1.0)],
+                                     [(-0.5, 1.0), (-1.0, 1.0), (-2.0, 1.0)]],
+                             lambda x: (-0.5 * x[0], x[1]))),
+    # Metric oracles with no gap bound, on the signed-zero clouds: one with
+    # d(a, b) != d(b, a), so margin(y, x) is not margin(x, y); one that
+    # returns -0.0 for equal points and NaN between the points at |u| = 2,
+    # where max over the terms of a chain depends on their order. Only the
+    # whole product in chain order gives their bits.
+    ("one-way", _clouds(OracleSpace(one_way, 2), [_SIGNED, _MIRRORED], flip2)),
+    ("signed oracle", _clouds(OracleSpace(signed, 2), [_SIGNED, _MIRRORED], flip2)),
     # A degenerate box whose one point is an artifact point: every sampled
     # pair touches it, so the scan has no pair to fold.
     ("stub box", _fixed(CyclicSystem(L2, (Box((1.0,), (2.0,)), Box((-0.5,), (-0.5,))), flip,

@@ -277,8 +277,8 @@ def test_trace_runs_map_each_orbit_point_once(tmp_path, monkeypatch, iterations)
 # the top point x_8, in A_3, is the one artifact point. A certify run makes
 # these kernel calls:
 # - the point pairs of the three edge tables, sum |A_i||A_{i+1}| = 3 * 9 = 27;
-# - the image pairs over the usable points (3, 3 and 2 a region), sum |E_i| =
-#   3 * 3 + 3 * 2 + 2 * 3 = 21;
+#   every usable point's image is a family point, == a point of the next
+#   region, so the certificate reads its image pairs from these tables;
 # - one artifact flag per cloud point against the one artifact point, less
 #   the artifact point itself, which is found by ==: 9 - 1 = 8;
 # - no membership test: every usable point's image is a family point, == a
@@ -287,7 +287,7 @@ def test_trace_runs_map_each_orbit_point_once(tmp_path, monkeypatch, iterations)
 #   first point equal to the one m before it is J = 8 + 3 = 11. The trace
 #   measures the stride-1 and stride-m columns up to J, 2 * 11, and a wrap
 #   term for each of its ceil(11 / 3) = 4 distinct rows: 26.
-CERTIFY_KERNEL_CALLS = 27 + 21 + 8 + 0 + 26
+CERTIFY_KERNEL_CALLS = 27 + 8 + 0 + 26
 
 
 @pytest.mark.parametrize("run", cli.RUNS)

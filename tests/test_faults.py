@@ -502,6 +502,7 @@ def _gap_tol(name, solver):
 FAMILIES = tuple(f"paper_lq_family(m={m}, N={n}, q={q}{alpha})" for m, n, alpha in (
     (2, 3, ""), (3, 2, ""), (3, 2, ", alpha=0.4")) for q in (1, 2, "inf"))
 CLOUDS = ("one-tuple", "one-usable-tuple", "all-skipped", "artifacts", "zero-rows", "overflow")
+IMAGE_CLOUDS = ("signed zeros", "merge", "half outside", "one-way", "signed oracle")
 BLOCKED = ("mirror", "late-overflow", "overflow", "artifacts", "paper_lq_family(m=2, N=3, q=2)")
 TWO = ("0.4", "tabulated")
 KIRK, STRIP = "kirk_interval(alpha=0.001)", "affine_strip(alpha=0.999, h=1.5)"
@@ -526,6 +527,9 @@ AGREES = [
                                                 phi=TWO, p=(1, 2, "inf"))),
     # The river metric: the edge tables under a metric oracle.
     *_rows("exhaustive", ("river",), p=(1, 2, "inf")),
+    # Image tuples read from the places of == cloud points, merged, or off
+    # the clouds; oracles that keep the whole product in chain order.
+    *_rows("exhaustive", IMAGE_CLOUDS, phi=TWO, p=(1, 2, "inf")),
     # 42 usable tuples: blocks of 1024 // 42 = 24 x-tuples, then 18.
     *_rows("exhaustive", [f"paper_lq_family(m=2, N=6, q={q}, alpha=0.45)" for q in (1, "inf")],
            phi=TWO, p=(1, 2.5, "inf")),
@@ -633,6 +637,21 @@ def test_the_agreeing_systems_are_what_their_rows_need():
     assert len(calls) == len(cloud.points) == RIVER_K + 1
     report = verify_cyclicity(river)
     assert report.ok and len(report.artifacts) == 2 and report.checked == 2 * RIVER_K
+    # The image clouds: every image of the signed-zero clouds is == a point
+    # of the next cloud, three of four differing from it in a zero's sign;
+    # "half outside" has images off its clouds; two x-tuples of "merge"
+    # share their images.
+    for name in IMAGE_CLOUDS:
+        system = built(name)[0]
+        regions = system.regions[1:] + system.regions[:1]
+        images = [(system.apply(x), [pt for pt in b.points if pt == system.apply(x)])
+                  for a, b in zip(system.regions, regions) for x in a.points]
+        assert all(same for _, same in images) == (name != "half outside")
+        assert any(same for _, same in images)
+        if name in ("signed zeros", "one-way", "signed oracle"):
+            assert sum(repr(t) != repr(same) for t, (same,) in images) == 6
+    merged = [built("merge")[0].apply(x) for x in built("merge")[0].regions[0].points]
+    assert len(set(merged)) < len(merged)
     # An equal-gap tol is the first-coordinate gap at step 3 000, where the
     # per-step walk stops, or one step on.
     for name, solver in EQUAL_GAPS:

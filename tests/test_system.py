@@ -34,6 +34,7 @@ from proxcycle.spaces import (
     check_point,
     p_combine,
 )
+import proxcycle.system as system_module
 from proxcycle.system import (
     MEMBERSHIP_TOL,
     SAMPLE_BLOCK,
@@ -770,6 +771,38 @@ def test_only_a_system_the_scan_enumerates_keeps_edge_tables():
     family = built("paper_lq_family(m=3, N=2, q=inf)")[0].__replace__()
     assert verify_contraction(family, LinearPhi(0.4), 2).exhaustive
     assert [(len(t), len(t[0])) for t in family._edge_tables] == [(3, 3)] * 3
+
+
+# The work of one exhaustive certificate: the rows its exponent combines and
+# the margins it folds. U is the set of usable tuples and sU the image tuples
+# (Tx_m, Tx_1, ..., Tx_{m-1}). Each tuple of U or sU gets one row of chain
+# distances: over U, over sU or over both, so |U|^2 + |sU|^2 - |U & sU|^2
+# rows, where a row for each side of every pair made 2 |U|^2.
+# - m = 3, N = 2: U is 3 x 3 x 2 = 18 tuples (A_3's top point is the
+#   artifact). Tx_3 is one of A_1's two upper points, Tx_1 any of A_2's three
+#   and Tx_2 any of A_3's three, the artifact among them: sU has 2 x 3 x 3 =
+#   18 tuples, 2 x 3 x 2 = 12 of them in U. 324 + 324 - 144 = 504 rows, down
+#   from 648, and every one of the 324 pairs is folded.
+# - m = 2, N = 6: U is 7 x 6 = 42 tuples; sU is 6 x 7 = 42 (Tx_2 one of A_1's
+#   six upper points, Tx_1 any of A_2's seven), 6 x 6 = 36 of them in U.
+#   1764 + 1764 - 1296 = 2232 rows, down from 3528. With m = 2 margin(y, x)
+#   is margin(x, y) bit for bit, so only the pairs (x_i, y_j) with i <= j
+#   are folded: 42 * 43 / 2 = 903 of the 1764 that ``evaluated`` counts.
+SCAN_WORK = {(3, 2): (504, 324, 324), (2, 6): (2232, 903, 1764)}
+
+
+@pytest.mark.parametrize("m, n", SCAN_WORK)
+def test_the_exhaustive_scan_combines_each_chain_distance_once(m, n, monkeypatch):
+    family = make_paper_lq_family(m=m, N=n, q=2).system
+    exp, rows, folded = Exponent(2), [], []
+    combine, fold = exp._combine_columns, system_module._Scan.fold
+    object.__setattr__(exp, "_combine_columns", lambda cols: rows.append(len(cols[0])) or
+                       combine(cols))
+    monkeypatch.setattr(system_module._Scan, "fold", lambda scan, lhs, ds, *rest:
+                        folded.append(len(ds)) or fold(scan, lhs, ds, *rest))
+    cert = verify_contraction(family, LinearPhi(0.3), exp)
+    assert (sum(rows), sum(folded), cert.evaluated) == SCAN_WORK[m, n]
+    assert cert.exhaustive and cert.ok
 
 
 class _ListBox(Box):
