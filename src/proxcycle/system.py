@@ -963,10 +963,10 @@ def _exhaustive_blocks(system: CyclicSystem, combine: Callable) -> Iterator[_Blo
     two cloud points (an image ``==`` to one counts as it) from the edge
     tables (``_edge_tables``), shared with ``edge_distances``, and any other
     pair of images measured once, when the first block is asked for. Term i
-    of row s over a list of columns is read from the row of s_i by one
-    ``itemgetter`` over the columns' places in A_{i+1}, and ``combine``
-    (the exponent's ``_combine_columns``) makes the rows of a block's new
-    tuples in one call. A row is made once: over the usable tuples U for a
+    of row s over the columns it spans is the point row of s_i read at
+    those columns' places in A_{i+1}, by one ``itemgetter`` once a place
+    and span, and ``combine`` (the exponent's ``_combine_columns``) makes
+    the rows of a block's new tuples in one call. A row is made once: over the usable tuples U for a
     tuple of U only, over the image tuples rU for one of rU only, over both
     for one of each, so |U|^2 + |rU|^2 - |U & rU|^2 rows a scan, at most
     the 2 |U|^2 of combining both sides; it is freed after its last reader.
