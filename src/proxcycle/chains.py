@@ -4,9 +4,11 @@ The cyclic shift convention (term i pairs x_i with y_{i+1}, wrapping the last
 index back to the first) lives in exactly one place, ``_shifted_pairs``, and
 every pairing of the package routes through it: the chain and edge distances
 here, both certificate scans' terms, ``verify_cyclicity``'s target regions and
-the proximity chain's edge residuals. The one reader that takes the shift from
-columns instead is ``orbit._trace_columns``, whose wrap column measures the
-last point of each block against the first.
+the proximity chain's edge residuals. Two readers apply the shift by index
+instead: ``orbit._trace_columns``, whose wrap column measures the last point
+of each block against the first, and ``system._exhaustive_blocks``, which
+places the image of a point of A_i in A_{i+1} (``(i + bound) % m``) and reads
+place i of an image tuple from region ``(i - bound) % m``.
 """
 
 from __future__ import annotations

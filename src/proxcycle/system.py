@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import struct
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Mapping, Set
@@ -858,9 +859,9 @@ def _sampled_blocks(
     mapped by the block stepper ``CyclicSystem._images``, in draw order;
     where a region is a ``FiniteCloud``, which draws its points again and
     again, each distinct point is mapped once per scan, as the exhaustive
-    scan maps it: keyed by ``dict.fromkeys``, in the order the draws first
-    reach it, a block mapping only the points no block before it has. The
-    map is pure, so the images are the ones each draw would get, and the
+    scan maps it: keyed by its bits (``_bit_key``), in the order the draws
+    first reach it, a block mapping only the points no block before it has.
+    The map is pure, so the images are the ones each draw would get, and the
     first draw whose map fails is the first distinct point that fails.
     Column j of the block holds point j of every pair, so the x column of
     region i with the y column of region i + 1, paired by
@@ -876,6 +877,7 @@ def _sampled_blocks(
     draw = partial(_draw, system.space, system.regions)
     dist, is_artifact = system.space._distance, system._is_artifact
     images = {} if any(map(_enumerable, system.regions)) else None
+    key = _bit_key(system)
 
     def terms(block: list[Point]) -> list[list[float]]:
         cols = [block[j::width] for j in range(width)]
@@ -896,13 +898,23 @@ def _sampled_blocks(
         if images is None:
             lhs_terms = terms(system._images(points))
         else:
-            new = [x for x in dict.fromkeys(points) if x not in images]
-            images.update(zip(new, system._images(new)))
-            lhs_terms = terms(list(map(images.__getitem__, points)))
+            keys = list(starmap(key, points))
+            fresh = dict(zip(keys, points))
+            new = [k for k in fresh if k not in images]
+            images.update(zip(new, system._images(list(map(fresh.__getitem__, new)))))
+            lhs_terms = terms(list(map(images.__getitem__, keys)))
         ds = combine(terms(points))
         yield skips, len(ds), ds, combine(lhs_terms), partial(pair, points)
         if failure is not None:
             raise failure
+
+
+def _bit_key(system: CyclicSystem) -> Callable[..., bytes]:
+    """A point's coordinates, passed one by one, packed into the bytes of
+    their floats: the key by which a scan maps each distinct point once.
+    Points ``==`` only in a zero's sign, such as (0.0,) and (-0.0,), have
+    keys of their own, as a map may tell them apart."""
+    return struct.Struct(f"{system.space.dimension}d").pack
 
 
 def _getter(indices: list[int]) -> Callable[[Sequence[float]], tuple[float, ...]]:
@@ -956,20 +968,21 @@ def _exhaustive_blocks(system: CyclicSystem, combine: Callable) -> Iterator[_Blo
     artifact skip, and with no usable tuple it is the only one, with no pair.
 
     Each point is flagged once (``_cloud_flags``) and the usable points are
-    mapped once, in the order the enumeration first reaches them, by the
-    block stepper ``CyclicSystem._images``. Each side of a pair is an entry
-    of D: d(x, y) = D[x][y] and lhs(x, y) = D[rx][ry], where r is the image
-    tuple. Its terms are read from the point rows of each edge: the entry of
-    two cloud points (an image ``==`` to one counts as it) from the edge
-    tables (``_edge_tables``), shared with ``edge_distances``, and any other
-    pair of images measured once, when the first block is asked for. Term i
-    of row s over the columns it spans is the point row of s_i read at
-    those columns' places in A_{i+1}, by one ``itemgetter`` once a place
-    and span, and ``combine`` (the exponent's ``_combine_columns``) makes
-    the rows of a block's new tuples in one call. A row is made once: over the usable tuples U for a
-    tuple of U only, over the image tuples rU for one of rU only, over both
-    for one of each, so |U|^2 + |rU|^2 - |U & rU|^2 rows a scan, at most
-    the 2 |U|^2 of combining both sides; it is freed after its last reader.
+    mapped once, by their bits (``_bit_key``), in the order the enumeration
+    first reaches them, by the block stepper ``CyclicSystem._images``. Each
+    side of a pair is an entry of D: d(x, y) = D[x][y] and lhs(x, y) =
+    D[rx][ry], where r is the image tuple. Its terms are read from the point
+    rows of each edge: the entry of two cloud points (an image ``==`` to one
+    counts as it) from the edge tables (``_edge_tables``), shared with
+    ``edge_distances``, and any other pair of images measured once, when the
+    first block is asked for. Term i of row s over the columns it spans is
+    the point row of s_i read at those columns' places in A_{i+1}, by one
+    ``itemgetter`` once a place and span, and ``combine`` (the exponent's
+    ``_combine_columns``) makes the rows of a block's new tuples in one
+    call. A row is made once: over the usable tuples U for a tuple of U
+    only, over the image tuples rU for one of rU only, over both for one of
+    each, so |U|^2 + |rU|^2 - |U & rU|^2 rows a scan, at most the 2 |U|^2 of
+    combining both sides; it is freed after its last reader.
 
     With the gap bound, r x is sigma x = (Tx_m, Tx_1, ..., Tx_{m-1}), the
     image tuple rotated back into A_1 x ... x A_m, and each image takes the
@@ -1009,12 +1022,14 @@ def _exhaustive_blocks(system: CyclicSystem, combine: Callable) -> Iterator[_Blo
         yield skips, 0, [], [], None
         return
 
-    # Map each point once, in the order the pair enumeration first reaches
-    # it: the first tuple, then the later points of the last region, of the
-    # one before it, and so on, as product() varies them.
+    # Map each point once, keyed by its bits (``_bit_key``), in the order the
+    # pair enumeration first reaches it: the first tuple, then the later
+    # points of the last region, of the one before it, and so on, as
+    # product() varies them.
     order = [pts[0] for pts in usable] + [x for pts in reversed(usable) for x in pts[1:]]
-    order = list(dict.fromkeys(order))
-    image = dict(zip(order, system._images(order)))
+    key = _bit_key(system)
+    distinct = dict(zip(starmap(key, order), order))
+    image = dict(zip(distinct, system._images(list(distinct.values()))))
 
     # The places of each region: (point, index in the cloud or None) of its
     # usable points, then of the images placed there that are not one.
@@ -1027,7 +1042,7 @@ def _exhaustive_blocks(system: CyclicSystem, combine: Callable) -> Iterator[_Blo
         j = (i + bound) % m
         cloud = {x: c for c, x in enumerate(regions[j].points)} if bound else {}
         seat, new, spots = dict(zip(keep[j], itertools.count())), {}, []
-        for a, y in enumerate(map(image.__getitem__, pts)):
+        for a, y in enumerate(map(image.__getitem__, starmap(key, pts))):
             c = cloud.get(y)
             spots.append(seat[c] if c in seat else new.setdefault(y if bound else a, len(places[j])))
             if spots[-1] == len(places[j]):

@@ -680,6 +680,15 @@ def signed(a, b):
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
+def zero_sign(x):
+    """+0.0 -> -1 and -0.0 -> 2, which are == but not the same bits; -1 ->
+    +0.0, and 2, or any point from 0.5 on, -> -0.0."""
+    (u,) = x
+    if u == 0.0:
+        return (-1.0,) if math.copysign(1.0, u) > 0.0 else (2.0,)
+    return (0.0,) if u < 0.5 else (-0.0,)
+
+
 # Plane clouds with +0.0 coordinates: x -> -x takes each point to one ==
 # to a point of the other cloud, with -0.0 in place of its 0.0.
 _SIGNED = ((1.0, 0.0), (2.0, 0.5), (0.0, 0.0), (0.0, 1.0))
@@ -765,6 +774,12 @@ SYSTEMS = dict([
     # maps each plane cloud onto the other, every image == a cloud point but
     # with its zeros flipped (``_SIGNED``).
     ("signed zeros", _clouds(PLANE, [_SIGNED, _MIRRORED], flip2)),
+    # A cloud of +0.0 and -0.0, which the map tells apart, against a cloud
+    # or a box: a scan that mapped one for both would pass the system at p =
+    # 2 with margin 0.0, where the pair of the two zeros reads -sqrt(2).
+    ("zero sign", _clouds(L2, [[(0.0,), (-0.0,)], [(-1.0,), (2.0,)]], zero_sign)),
+    ("zero sign box", _fixed(CyclicSystem(
+        L2, (FiniteCloud(((0.0,), (-0.0,))), Box((-1.0,), (2.0,))), zero_sign))),
     # Three regions; two points of A_1 map to one point of A_2, so two
     # x-tuples share their image tuple.
     ("merge", _clouds(PLANE, [[(1.0, 0.0), (2.0, 0.0), (3.0, 0.5)], [(0.0, 1.0), (0.5, 2.0)],
@@ -1322,13 +1337,15 @@ def _gallery_rows():
     rows = []
     unit, exponent = ("unit text", "(0, 1)"), ("exponent text", _DOMAINS[EXPONENT][1])
     for system_id, kinds, accepts, cases in (
-        ("kirk_interval", {"alpha": unit}, {}, {}),
+        # Text that is not a number reads as NaN, out of every domain.
+        ("kirk_interval", {"alpha": unit}, {}, {"alpha": "abc"}),
         ("affine_strip", {"alpha": unit, "h": ("positive text", "(0, inf)")}, {}, {}),
         ("paper_lq_family",
          {"m": ("size text", "integer in [2, 16]"),
           "alpha": ("unit text", "(0, 1) with alpha^m < 1/2"), "q": exponent,
           "N": ("size text", "integer in [2, 50]")},
-         {"m": (2, 16), "alpha": (5e-324, 0.7071067811865475), "q": (1, "inf"), "N": (2, 50)},
+         {"m": (2, 16), "alpha": (5e-324, 0.7071067811865475), "q": (1, "inf", Exponent(3.0)),
+          "N": (2, 50)},
          {"m": 17, "N": 51}),
         ("scaled_pair",
          {"alpha": unit, "separation": ("nonnegative text", "[0, inf)"),
@@ -1337,7 +1354,7 @@ def _gallery_rows():
     ):
         entry = gallery.GALLERY[system_id]
         for name, (kind, text) in kinds.items():
-            more = {str(cases[name]): (cases[name], (ValueError, _IN))} if name in cases else {}
+            more = {repr(cases[name]): (cases[name], (ValueError, _IN))} if name in cases else {}
             rows.append(Row(f"make_{system_id}", name, entry.domains[name],
                             lambda v, f=entry.factory, name=name: f(**{name: v}), kind, more,
                             accepts=accepts.get(name, ()), text=text))

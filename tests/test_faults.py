@@ -43,7 +43,7 @@ from proxcycle.system import (
 )
 from reference import (
     MARKED, RIVER_BETA, RIVER_H, RIVER_K, SAMPLED, STUB_FAMILIES, SYSTEMS, Float, broken_map,
-    brute_force, built, certify_reference, counting, cyclicity_reference, fields_hex,
+    brute_force, built, certify_reference, counting, cyclicity_reference, fields_hex, hexed,
     mapped_build, no_image, per_step, per_step_fields, per_step_stop, sampled_pairs, typed_hex,
     usable_tuples,
 )
@@ -530,6 +530,8 @@ AGREES = [
     # Image tuples read from the places of == cloud points, merged, or off
     # the clouds; oracles that keep the whole product in chain order.
     *_rows("exhaustive", IMAGE_CLOUDS, phi=TWO, p=(1, 2, "inf")),
+    # Points == only in a zero's sign, each mapped on its own.
+    *_rows("exhaustive", ("zero sign",), phi=TWO, p=(1, 2, "inf")),
     # 42 usable tuples: blocks of 1024 // 42 = 24 x-tuples, then 18.
     *_rows("exhaustive", [f"paper_lq_family(m=2, N=6, q={q}, alpha=0.45)" for q in (1, "inf")],
            phi=TWO, p=(1, 2.5, "inf")),
@@ -544,6 +546,8 @@ AGREES = [
     *_rows("sampled", ("sparse",), seed=(5,), samples=(1, B - 1, B, B + 1, 2 * B + 1),
            p=(1, "inf"), phi=("0.4",)),
     *_rows("sampled", ("stub box",), samples=(1, B + 1), phi=TWO, p=(1, 2, "inf")),
+    *_rows("sampled", ("zero sign box",), seed=(1, 7), samples=(B + 1, 300), phi=TWO,
+           p=(1, 2, "inf")),
     # verify_cyclicity: 200 samples of a box or a ball are drawn by columns,
     # 201 sample by sample; drawn artifact points; enumerable families.
     *_rows("cyclicity", (*SAMPLED, *(f"{name} stuck" for name in SAMPLED)),
@@ -603,7 +607,7 @@ def test_each_path_gives_its_references_bits_on_a_clean_system(path, name, args,
     if world in ORBITS:
         assert calls[: len(made)] == made and len(calls) <= len(made) + _CHUNK
     else:
-        assert calls == list(dict.fromkeys(made))
+        assert hexed(calls) == list(dict.fromkeys(hexed(made)))  # distinct by bits
 
 
 def test_the_agreeing_systems_are_what_their_rows_need():
@@ -652,6 +656,11 @@ def test_the_agreeing_systems_are_what_their_rows_need():
             assert sum(repr(t) != repr(same) for t, (same,) in images) == 6
     merged = [built("merge")[0].apply(x) for x in built("merge")[0].regions[0].points]
     assert len(set(merged)) < len(merged)
+    # The zero-sign systems: two == points of the cloud that the map tells apart.
+    for name in ("zero sign", "zero sign box"):
+        system = built(name)[0]
+        plus, minus = system.regions[0].points
+        assert plus == minus and system.apply(plus) != system.apply(minus)
     # An equal-gap tol is the first-coordinate gap at step 3 000, where the
     # per-step walk stops, or one step on.
     for name, solver in EQUAL_GAPS:

@@ -1,4 +1,4 @@
-"""Count the code lines of the library, the tests and the benchmark.
+"""Count the code lines of the library, the tests, the benchmark and the tools.
 
 A code line is a physical line that holds a token of code: docstrings,
 comments and blank lines are left out. A docstring is the string that opens
@@ -8,8 +8,8 @@ Standard library only. Run from the repository root:
 
     python tools/code_lines.py [--files]
 
-It prints the count of ``src/proxcycle``, ``tests`` and ``bench``, and with
-``--files`` each file's under it.
+It prints the count of ``src/proxcycle``, ``tests``, ``bench`` and
+``tools``, and with ``--files`` each file's under it.
 """
 
 import ast
@@ -17,7 +17,7 @@ import sys
 import tokenize
 from pathlib import Path
 
-DIRECTORIES = ("src/proxcycle", "tests", "bench")
+DIRECTORIES = ("src/proxcycle", "tests", "bench", "tools")
 NOT_CODE = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
     tokenize.ENCODING, tokenize.ENDMARKER,
