@@ -13,9 +13,10 @@ from per-pair ``space.distance``.
 
 The module also holds the one counting harness (maps, metric oracles,
 spaces and generators that record their calls), ``SYSTEMS``, the one
-registry of the systems that the rows of the agreement, fault and trace
-tables run, ``read_summary``, the one reader of a written
-``summary.json``, ``LISTING``, the one pin of the gallery listing, and an
+registry of the systems that the rows of the agreement, fault, trace and
+findings tables run, ``read_summary``, the one reader of a written
+``summary.json``, ``check_facts``, the one checker of a table's facts,
+``LISTING``, the one pin of the gallery listing, and an
 exact oracle for the certificate's floor. At p, q in
 {1, inf} every distance is sums and maxima of |a - b|, so
 ``fractions.Fraction`` gives the exact margin of float points and float
@@ -26,6 +27,7 @@ exponents go through ``pow``, whose rounding the standard library does not
 bound, so the oracle refuses them rather than guess.
 """
 
+import ast
 import collections
 import dataclasses
 import functools
@@ -34,6 +36,7 @@ import json
 import math
 import random
 import tempfile
+from collections.abc import Mapping
 from fractions import Fraction
 from importlib import resources
 from itertools import count, islice
@@ -535,21 +538,37 @@ def counted_kirk():
 
 # --- the test systems -----------------------------------------------------------
 #
-# Every system that a row of ``AGREES`` or ``FAULTS`` (test_faults) or of
-# ``TRACES`` (test_orbit) runs, built here once: a name maps to a builder of
-# the system and its start point, None where no row walks it. A gallery
-# system is named by the call that makes it. A new system is one entry here
-# and its rows there.
+# Every system that a row of ``AGREES`` or ``FAULTS`` (test_faults), of
+# ``TRACES`` (test_orbit) or of ``FINDINGS`` (test_findings) runs, built here
+# once: a name maps to a builder of the system and its start point, None
+# where no row walks it. A gallery system is named by the call that makes it,
+# and ``built`` makes any such call, in ``SYSTEMS`` or not. A new system is
+# one entry here and its rows there.
+
+
+@functools.cache
+def made(name):
+    """The gallery system that ``name`` makes where it is a gallery call as
+    ``SYSTEMS`` writes one, ``paper_lq_family(m=3, q=inf)``; else None."""
+    try:
+        call = ast.parse(name, mode="eval").body
+    except SyntaxError:
+        return None
+    if not (isinstance(call, ast.Call) and getattr(call.func, "id", None) in gallery.GALLERY):
+        return None
+    value = lambda node: node.id if isinstance(node, ast.Name) else ast.literal_eval(node)
+    return gallery.GALLERY[call.func.id].factory(**{k.arg: value(k.value) for k in call.keywords})
+
+
+def _started(name):
+    """The system of the gallery call ``name`` and its default start."""
+    return made(name).system, made(name).default_start
 
 
 def _made(system_id, **parameters):
-    """(name, builder) of a gallery system, started at its default start."""
-
-    def build():
-        gs = gallery.GALLERY[system_id].factory(**parameters)
-        return gs.system, gs.default_start
-
-    return f"{system_id}({', '.join(f'{k}={v}' for k, v in parameters.items())})", build
+    """(name, builder) of a gallery system."""
+    name = f"{system_id}({', '.join(f'{k}={v}' for k, v in parameters.items())})"
+    return name, functools.partial(_started, name)
 
 
 def _fixed(system, start=None):
@@ -611,11 +630,15 @@ def _scripted(m):
     return _fixed(line_system(lambda x: after[x], m), script[0])
 
 
+def same(x):
+    return x
+
+
 def _stuck(name):
     """The system of ``name`` under the identity map, which violates
     cyclicity at every sample of disjoint regions, so that a report lists
     the drawn points themselves."""
-    return lambda: (built(name)[0].__replace__(map=lambda x: x), None)
+    return lambda: (built(name)[0].__replace__(map=same), None)
 
 
 def _marked(name, seed):
@@ -687,6 +710,48 @@ def zero_sign(x):
     if u == 0.0:
         return (-1.0,) if math.copysign(1.0, u) > 0.0 else (2.0,)
     return (0.0,) if u < 0.5 else (-0.0,)
+
+
+def halve(x):
+    """``kirk_interval(alpha=0.5)``'s map, x -> -x / 2."""
+    return (-0.5 * x[0],)
+
+
+def to_half(x):
+    """Every point to 0.5, which lies in A_2 of Kirk's interval but not in A_1."""
+    return (0.5,)
+
+
+def blowup(x):
+    """The line's two halves thrown 2e308 apart."""
+    return (-1e308 if x[0] < 0 else 1e308,)
+
+
+def nan_at_zero(a, b):
+    """A metric on the line that is NaN to the point 0."""
+    return math.nan if b == (0.0,) else abs(a[0] - b[0])
+
+
+def flat_turn(x):
+    """(t, s) -> (t, 1 - s): each point of one segment to the point above or
+    below it on the other."""
+    return (x[0], 1.0 - x[1])
+
+
+# Two systems whose verdicts p decides, m = 3 clouds of two points on the
+# line, one table for both maps: under LinearPhi(0.05) the first passes at p
+# in {1, 2} and fails at inf; under LinearPhi(0.2) the second fails at p in
+# {1, 2} and passes at inf.
+_P_SPLITS = {
+    0.05: ([(-0.07,), (0.66,)], [(0.14,), (0.01,)], [(-0.6,), (-0.66,)]),
+    0.2: ([(-2.1,), (-2.75,)], [(1.07,), (-0.76,)], [(-0.39,), (0.79,)]),
+}
+_P_SPLIT = {-0.07: 0.01, 0.66: 0.14, 0.14: -0.6, 0.01: -0.6, -0.6: -0.07, -0.66: -0.07,
+            -2.1: -0.76, -2.75: -0.76, 1.07: -0.39, -0.76: -0.39, -0.39: -2.1, 0.79: -2.1}
+
+
+def p_split(x):
+    return (_P_SPLIT[x[0]],)
 
 
 # Plane clouds with +0.0 coordinates: x -> -x takes each point to one ==
@@ -807,6 +872,34 @@ SYSTEMS = dict([
     ("mixed", _fixed(CyclicSystem(
         PLANE, (Box((0.0, 0.0), (1.0, 0.0)), Ball((0.5, 3.0), 1.0), Box((2.0, 2.0), (3.0, 3.0))),
         lambda x: (0.5 * x[1], 0.25 * x[0] + 1.0)))),
+    # The identity on unit boxes, apart or the same box twice: no pair
+    # contracts, and every sample of the first violates cyclicity.
+    ("identity on [0, 1]", _fixed(CyclicSystem(L2, (Box((0.0,), (1.0,)),) * 2, same))),
+    ("identity on [0, 1] and [2, 3]", _fixed(CyclicSystem(
+        L2, (Box((0.0,), (1.0,)), Box((2.0,), (3.0,))), same))),
+    # Kirk's interval on a grid of six points a side, and under a map that
+    # leaves A_1 after one step.
+    ("kirk grid", _clouds(L2, [[(-1.0 + 0.2 * i,) for i in range(6)],
+                               [(0.2 * i,) for i in range(6)]], halve)),
+    ("leaves A_1", _fixed(CyclicSystem(L2, (Box((-1.0,), (0.0,)), Box((0.0,), (1.0,))), to_half),
+                          (-1.0,))),
+    # Every lhs is inf while every d is finite: each margin is -inf, none NaN.
+    ("blowup", _clouds(LqSpace(1, 1), [[(-1.0,), (-2.0,)], [(1.0,), (2.0,)]], blowup)),
+    # d = inf on every pair: every margin is inf - inf, NaN; then two balls
+    # 2e308 apart, drawn.
+    ("far points", _clouds(LqSpace(1, 1), [[(1e308,)], [(-1e308,)]], flip)),
+    ("far balls", _fixed(CyclicSystem(L2, (Ball((1e308,), 1), Ball((-1e308,), 1)), flip))),
+    # The identity on a cloud under a metric that is NaN to 0: membership
+    # is the minimum rule, so a NaN first distance leaves every point out
+    # and a NaN later one leaves only 0 out.
+    *((f"nan {at}", _clouds(OracleSpace(nan_at_zero, 1), [cloud] * 2, same))
+      for at, cloud in (("first", [(0.0,), (1.0,)]), ("later", [(1.0,), (0.0,)]))),
+    *((f"p-split {s}", _clouds(LqSpace(1, 1), clouds, p_split)) for s, clouds in _P_SPLITS.items()),
+    # flat_strip: A_1 = [0, 1] x {0} and A_2 = [0, 1] x {1} under flat_turn,
+    # certified in l^inf, where every point of A_1 is a periodic point.
+    *((f"flat_strip q={q}", _fixed(CyclicSystem(
+        LqSpace(q, 2), (Box((0.0, 0.0), (1.0, 0.0)), Box((0.0, 1.0), (1.0, 1.0))), flat_turn),
+        (0.0, 0.0))) for q in ("inf", 1, 1.5, 2)),
     *((name, _marked(name[: -len(" marked 0")], int(name[-1]))) for name in MARKED),
     *((f"{name} stuck", _stuck(name)) for name in (*SAMPLED, *MARKED, *STUB_FAMILIES)),
     *((f"turn from {x0}", _turn(x0)) for x0 in ((1.0, 0.5), (1.5, 0.5))),
@@ -846,8 +939,9 @@ SYSTEMS = dict([
 
 @functools.cache
 def built(name):
-    """The system and start point of ``SYSTEMS[name]``, built once."""
-    return SYSTEMS[name]()
+    """The system and start point of ``SYSTEMS[name]``, or of the gallery
+    call ``name``, built once."""
+    return SYSTEMS[name]() if name in SYSTEMS else _started(name)
 
 
 # --- what a run writes and what the gallery lists --------------------------------
@@ -869,6 +963,27 @@ def read_summary(out_dir):
     summary = json.loads(text, parse_constant=_refuse_constant)
     jsonschema.validate(summary, SCHEMA)
     return summary
+
+
+def fact(found, path):
+    """The value at the dotted ``path`` in ``found``: a key of a mapping, an
+    index of a sequence (-1 the last), else an attribute."""
+    for name in path.split("."):
+        if isinstance(found, Mapping):
+            found = found[name]
+        elif isinstance(found, (tuple, list)):
+            found = found[int(name)]
+        else:
+            found = getattr(found, name)
+    return found
+
+
+def check_facts(key, found, facts):
+    """Each of ``facts``, a dotted path and the value there, holds of
+    ``found``: compared with ==, or a predicate it satisfies."""
+    for path, want in facts.items():
+        got = fact(found, path)
+        assert want(got) if callable(want) else got == want, f"{key}: {path} is {got!r}"
 
 
 def _parameters(*rows):

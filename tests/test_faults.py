@@ -42,11 +42,12 @@ from proxcycle.system import (
     verify_contraction, verify_cyclicity,
 )
 from reference import (
-    MARKED, RIVER_BETA, RIVER_H, RIVER_K, SAMPLED, STUB_FAMILIES, SYSTEMS, Float, broken_map,
+    MARKED, RIVER_K, SAMPLED, STUB_FAMILIES, SYSTEMS, Float, broken_map,
     brute_force, built, certify_reference, counting, cyclicity_reference, fields_hex, hexed,
     mapped_build, no_image, per_step, per_step_fields, per_step_stop, sampled_pairs, typed_hex,
     usable_tuples,
 )
+from test_findings import FINDINGS
 from test_orbit import TRACES
 
 # scaled_pair at separation 0 (PAIR, as a CLI config names it), in the plane
@@ -527,6 +528,8 @@ AGREES = [
                                                 phi=TWO, p=(1, 2, "inf"))),
     # The river metric: the edge tables under a metric oracle.
     *_rows("exhaustive", ("river",), p=(1, 2, "inf")),
+    # Kirk's interval on a grid, whose FINDINGS row stands for the grid's pairs.
+    *_rows("exhaustive", ("kirk grid",), phi=("0.5",), p=(1,)),
     # Image tuples read from the places of == cloud points, merged, or off
     # the clouds; oracles that keep the whole product in chain order.
     *_rows("exhaustive", IMAGE_CLOUDS, phi=TWO, p=(1, 2, "inf")),
@@ -627,20 +630,13 @@ def test_the_agreeing_systems_are_what_their_rows_need():
         report = verify_cyclicity(system, 30, int(name[-1]))
         assert len(report.artifacts) == 10 * system.m and report.checked == 20 * system.m
     assert all(verify_cyclicity(built(name)[0], 5, 1).artifacts for name in STUB_FAMILIES)
-    # The river system: each edge is 2h, and the certificate passes at phi
-    # slope 1 - beta and fails 0.01 above it, at every p. Its oracle has no
-    # gap bound, so a membership test measures up to the point its query
-    # equals, and does not stop there by ==.
+    # The river system's oracle has no gap bound, so a membership test
+    # measures up to the point its query equals, and does not stop there by
+    # ==. Its edges, verdicts and cyclicity counts are FINDINGS rows.
     river = built("river")[0]
-    assert river.edge_distances == (2 * RIVER_H,) * 2
-    for p in (1, 2, "inf"):
-        assert verify_contraction(river, LinearPhi(1 - RIVER_BETA), p).ok
-        assert not verify_contraction(river, LinearPhi(1 - RIVER_BETA + 0.01), p).ok
     calls, cloud = [], river.regions[1]
     assert cloud.contains(cloud.points[-1], OracleSpace(counting(calls, river.space.oracle), 2))
     assert len(calls) == len(cloud.points) == RIVER_K + 1
-    report = verify_cyclicity(river)
-    assert report.ok and len(report.artifacts) == 2 and report.checked == 2 * RIVER_K
     # The image clouds: every image of the signed-zero clouds is == a point
     # of the next cloud, three of four differing from it in a zero's sign;
     # "half outside" has images off its clouds; two x-tuples of "merge"
@@ -672,5 +668,5 @@ def test_the_agreeing_systems_are_what_their_rows_need():
 
 
 def test_every_system_is_run_by_a_row():
-    run = {name for _, name, _ in AGREES} | {row[0] for row in TRACES}
+    run = {name for _, name, _ in AGREES} | {row[0] for row in (*TRACES, *FINDINGS)}
     assert set(SYSTEMS) - run - {world for world, *_ in PATHS.values()} == set()

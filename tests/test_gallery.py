@@ -17,7 +17,6 @@ from proxcycle.gallery import (
     GallerySpec,
     GallerySystem,
     _gallery,
-    attainment_gap,
     build,
     list_gallery,
     make_affine_strip,
@@ -25,99 +24,16 @@ from proxcycle.gallery import (
     make_paper_lq_family,
     make_scaled_pair,
 )
-from proxcycle.orbit import banach_solve, periodic_point_solve, proximity_chain_extract
 from proxcycle.spaces import ALPHA, INFINITY, Exponent, LqSpace, _Record
 from proxcycle.system import (
     Box,
     CyclicSystem,
-    LinearPhi,
     PhiReport,
     alpha_bound_check,
-    verify_contraction,
-    verify_cyclicity,
 )
 from reference import LISTING
 
 ALL_IDS = tuple(sorted(GALLERY))
-
-
-@pytest.fixture(scope="module", params=ALL_IDS)
-def gallery_system(request):
-    return build(request.param)
-
-
-def test_every_system_is_cyclic(gallery_system):
-    report = verify_cyclicity(gallery_system.system, samples_per_region=10_000, seed=0)
-    assert report.ok, report.violations[:3]
-
-
-def test_stored_set_distance_matches(gallery_system):
-    for p in (1, 2, INFINITY):
-        expected = gallery_system.expected_chain_distance(p)
-        got = gallery_system.system.set_chain_distance(p)
-        assert got == pytest.approx(expected, abs=1e-12), (gallery_system.spec.id, p)
-
-
-def test_every_system_passes_its_certificate(gallery_system):
-    phi = LinearPhi(gallery_system.certificate_alpha)
-    for p in (1, 2, INFINITY):
-        cert = verify_contraction(gallery_system.system, phi, p, tuple_samples=300, seed=1)
-        assert cert.ok, (gallery_system.spec.id, p, cert.min_margin)
-
-
-@pytest.mark.parametrize(
-    "system_id,parameters",
-    [
-        *(("affine_strip", {"alpha": a, "h": h}) for a in (0.55, 0.8, 0.999999) for h in (0.5, 2.0)),
-        ("affine_strip", {"alpha": 1e-17}),
-        *(
-            ("paper_lq_family", {"m": m, "N": 2, "q": q, "alpha": a})
-            for m, a in ((2, 0.6), (2, 0.7), (3, 0.75), (4, 0.8))
-            for q in (1, 2, "inf")
-        ),
-        ("paper_lq_family", {"m": 2, "N": 2, "alpha": 1e-17}),
-    ],
-)
-def test_certificate_alpha_passes_on_either_side_of_one_half(system_id, parameters):
-    # The closed forms of both systems allow phi slopes up to 1 - alpha, which
-    # is below alpha past 1/2; 1.0 - alpha is 1.0 for alpha below 2^-54.
-    gs = build(system_id, parameters)
-    assert 0.0 < gs.certificate_alpha <= min(parameters["alpha"], 1.0 - parameters["alpha"])
-    phi = LinearPhi(gs.certificate_alpha)
-    for p in (1, 2, INFINITY):
-        cert = verify_contraction(gs.system, phi, p, tuple_samples=300, seed=1)
-        assert cert.ok, (system_id, parameters, p, cert.min_margin)
-
-
-def test_attainable_solutions_reproduced(gallery_system):
-    gs = gallery_system
-    if not gs.attainable:
-        result = proximity_chain_extract(gs.system, gs.default_start, tol=1e-10, max_iter=2000)
-        assert not result.converged
-        assert result.note is not None
-        return
-    if gs.system.set_chain_distance(2) <= 1e-10:
-        solved = banach_solve(gs.system, gs.default_start, tol=1e-12)
-    else:
-        solved = periodic_point_solve(gs.system, gs.default_start, tol=1e-12)
-    assert solved.converged
-    err = gs.system.space.distance(solved.point, gs.expected_solution)
-    assert err < 1e-8, (gs.spec.id, solved.point, gs.expected_solution)
-
-
-def test_kirk_interval_basics():
-    gs = make_kirk_interval(0.5)
-    assert gs.system.set_chain_distance(1) == 0.0
-    assert verify_contraction(gs.system, LinearPhi(0.5), 1, tuple_samples=300, seed=0).ok
-    with pytest.raises(ValueError):
-        make_kirk_interval(0.0)
-
-
-def test_affine_strip_basics():
-    gs = make_affine_strip(0.5, 2.0)
-    assert gs.system.set_chain_distance(2) == pytest.approx(2.0 * math.sqrt(2), abs=1e-12)
-    with pytest.raises(ValueError):
-        make_affine_strip(0.5, 0.0)
 
 
 def test_paper_family_construction():
@@ -132,12 +48,6 @@ def test_paper_family_construction():
         make_paper_lq_family(m=2, alpha=0.8, q=2, N=4)  # alpha^m >= 1/2
     with pytest.raises(ValueError):
         make_paper_lq_family(m=1, alpha=0.5, q=2, N=4)
-
-
-def test_paper_family_gap_positive():
-    gs = make_paper_lq_family(m=2, alpha=0.5, q=2, N=6)
-    for p in (1, 2, INFINITY):
-        assert attainment_gap(gs, p) > 0.0
 
 
 def test_paper_family_map_rejects_foreign_points():
@@ -171,13 +81,6 @@ def test_paper_family_map_table_matches_the_validating_path(m, q):
             step(foreign)
         with pytest.raises(ValueError, match="indexed family"):
             step(list(foreign))
-
-
-def test_scaled_pair_separation_zero_reduces_to_fixed_point():
-    gs = make_scaled_pair(alpha=0.5, separation=0.0, dimension=2)
-    solved = banach_solve(gs.system, gs.default_start, tol=1e-12)
-    assert solved.converged
-    assert gs.system.space.distance(solved.point, (0.0, 0.0)) < 1e-8
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3, 4])
@@ -214,16 +117,6 @@ def test_scaled_pair_raw_map_scales_coordinates_of_any_number_type(dimension):
     assert all(type(c) is float for c in image)
     assert [c.hex() for c in image] == [c.hex() for c in step(tuple(map(float, x)))]
     assert build("scaled_pair").system.map((Fraction(-3), Fraction(1, 2), 0)) == (2.0, -0.25, -0.0)
-
-
-def test_scaled_pair_dimension_one_matches_hand_construction():
-    gs = make_scaled_pair(alpha=0.5, separation=2.0, dimension=1)
-    # A1 = [-3, -1], A2 = [1, 3]; nearest points are -1 and 1
-    result = proximity_chain_extract(gs.system, gs.default_start, tol=1e-12)
-    assert result.converged
-    assert result.chain[0][0] == pytest.approx(-1.0, abs=1e-8)
-    assert result.chain[1][0] == pytest.approx(1.0, abs=1e-8)
-    assert result.total_residual < 1e-6
 
 
 def test_build_validates_ids_and_parameters():

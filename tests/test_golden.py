@@ -43,7 +43,7 @@ from pytest import approx
 
 import proxcycle.cli as cli
 from proxcycle import gallery
-from reference import read_summary
+from reference import check_facts, read_summary
 
 # label -> (system id, parameters, p)
 SYSTEMS = {
@@ -474,7 +474,8 @@ DIGESTS = {
 # "<label>-<run>-<iterations>" -> {fact: value}. A fact is a dotted path
 # into summary.json, or trace.lines (lines of trace.csv, the header
 # included) or trace.last.<column> (the last row's value); the value is
-# compared with ==, or is a predicate it must satisfy.
+# compared with ==, or is a predicate it must satisfy (``check_facts``, the
+# checker ``FINDINGS`` in test_findings shares).
 FACTS = {
     "kirk-banach-257": {
         "result.converged": True, "result.iterations": 83, "result.point": approx([0.0], abs=1e-10),
@@ -533,12 +534,6 @@ def _config(label, run, iterations):
     }
 
 
-def _fact(run, path):
-    for name in path.split("."):
-        run = run[name]
-    return run
-
-
 def golden_digests(out_dir, label, run, iterations):
     """Run one golden config into out_dir, check its summary and its
     ``FACTS`` row; return its two digests."""
@@ -555,10 +550,8 @@ def golden_digests(out_dir, label, run, iterations):
         assert summary["d_p_sets"] is None, key
     header, *rows = trace.decode("utf-8").splitlines()
     last = dict(zip(header.split(","), map(float, rows[-1].split(","))))
-    facts = {**summary, "trace": {"lines": 1 + len(rows), "last": last}}
-    for path, want in FACTS.get(key, {}).items():
-        got = _fact(facts, path)
-        assert want(got) if callable(want) else got == want, f"{key}: {path} is {got!r}"
+    check_facts(key, {**summary, "trace": {"lines": 1 + len(rows), "last": last}},
+                FACTS.get(key, {}))
     summary.pop("metadata")
     text = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
     return (

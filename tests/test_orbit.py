@@ -7,7 +7,7 @@ from operator import is_
 
 import pytest
 
-from proxcycle.chains import chain_point_distance, chain_self_distance
+from proxcycle.chains import chain_point_distance
 from proxcycle.gallery import (
     GALLERY,
     make_affine_strip,
@@ -60,88 +60,6 @@ from reference import (
 )
 
 
-def test_picard_orbit_kirk_closed_form():
-    system = make_kirk_interval(0.5).system
-    trace = picard_orbit(system, (-1.0,), 3)
-    assert trace.points == ((-1.0,), (0.5,), (-0.25,), (0.125,))
-
-
-def test_picard_orbit_affine_strip_closed_form():
-    system = make_affine_strip(0.5, 1.0).system
-    trace = picard_orbit(system, (1.0, 0.0), 2)
-    assert trace.points == ((1.0, 0.0), (0.5, 1.0), (0.25, 0.0))
-
-
-def test_picard_orbit_length_contract():
-    system = make_kirk_interval(0.5).system
-    assert len(picard_orbit(system, (-1.0,), 10).points) == 11
-
-
-def test_chain_trace_kirk_geometric():
-    system = make_kirk_interval(0.5).system
-    trace = picard_orbit(system, (-1.0,), 30)
-    values = chain_trace(trace, 1)
-    for n in range(10):
-        assert values[n] == pytest.approx(3.0 * 0.5 ** n, abs=1e-12)
-
-
-def test_chain_trace_converges_to_set_distance():
-    gs = make_affine_strip(0.5, 1.0)
-    trace = picard_orbit(gs.system, (1.0, 0.0), 80)
-    values = chain_trace(trace, 2)
-    assert values[-1] == pytest.approx(math.sqrt(2), abs=1e-9)
-    floor = gs.system.set_chain_distance(2)
-    assert all(v >= floor - 1e-12 for v in values)
-
-
-def test_chain_trace_fixed_start_is_constant():
-    system = make_kirk_interval(0.5).system
-    trace = picard_orbit(system, (0.0,), 6)
-    assert all(v == 0.0 for v in chain_trace(trace, 2))
-
-
-def test_edge_trace_affine_strip():
-    gs = make_affine_strip(0.5, 1.0)
-    trace = picard_orbit(gs.system, (1.0, 0.0), 100)
-    for i in (1, 2):
-        entries = edge_trace(trace, i)
-        assert entries[-1] == pytest.approx(1.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        edge_trace(trace, 3)
-
-
-def test_block_drift_decays():
-    gs = make_affine_strip(0.5, 1.0)
-    trace = picard_orbit(gs.system, (1.0, 0.0), 60)
-    for i in (1, 2):
-        entries = block_drift_trace(trace, i)
-        assert entries[-1] < 1e-6
-        assert entries[0] > entries[-1]
-
-
-def test_block_drift_fixed_point_start_is_zero():
-    system = make_kirk_interval(0.5).system
-    trace = picard_orbit(system, (0.0,), 12)
-    assert all(v == 0.0 for v in block_drift_trace(trace, 1))
-
-
-def test_cross_block_chain_distance():
-    gs = make_affine_strip(0.5, 1.0)
-    trace = picard_orbit(gs.system, (1.0, 0.0), 90)
-    assert cross_block_chain_distance(trace, 20, 20, 2) == pytest.approx(
-        math.sqrt(2), abs=1e-6
-    )
-    assert cross_block_chain_distance(trace, 20, 20, 2) == chain_self_distance(
-        gs.system.space, trace.block(20), 2
-    )
-
-    kirk = make_kirk_interval(0.5).system
-    ktrace = picard_orbit(kirk, (-1.0,), 90)
-    assert cross_block_chain_distance(ktrace, 30, 40, 1) < 1e-6
-    floor = gs.system.set_chain_distance(2)
-    assert cross_block_chain_distance(trace, 5, 9, 2) >= floor - 1e-12
-
-
 def test_apriori_error_bound_formula():
     assert apriori_error_bound(0.5, 2, 3, 1.0) == pytest.approx(0.03125)
     assert apriori_error_bound(0.5, 2, 0, 1.0) == pytest.approx(2.0)
@@ -182,102 +100,6 @@ def test_zero_step_budgets_keep_their_results():
     assert periodic_point_solve(system, (-1.0,), max_iter=0) == periodic_point_solve(
         system, (-1.0,), max_iter=1
     )
-
-
-def test_banach_solve_kirk():
-    gs = make_kirk_interval(0.5)
-    first = banach_solve(gs.system, (-1.0,), tol=1e-12)
-    second = banach_solve(gs.system, (-0.25,), tol=1e-12)
-    assert first.converged and second.converged
-    assert abs(first.point[0]) < 1e-9
-    assert first.residual < 1e-9
-    assert abs(first.point[0] - second.point[0]) < 1e-8
-    head = picard_orbit(gs.system, (-1.0,), 2 * gs.system.m - 1)
-    gap = cross_block_chain_distance(head, 1, 0, 2)
-    assert apriori_error_bound(gs.step_factor, gs.system.m, 0, gap) > 0
-
-
-def test_banach_solve_warns_on_disjoint_sets():
-    gs = make_affine_strip(0.5, 1.0)
-    result = banach_solve(gs.system, (1.0, 0.0), tol=1e-9, max_iter=200)
-    assert not result.converged
-    assert any("set chain distance" in w for w in result.warnings)
-
-
-def test_periodic_point_solve_affine_strip():
-    gs = make_affine_strip(0.5, 1.0)
-    first = periodic_point_solve(gs.system, (1.0, 0.0), tol=1e-12)
-    second = periodic_point_solve(gs.system, (0.25, 0.0), tol=1e-12)
-    assert first.converged and second.converged
-    assert first.residual < 1e-9
-    assert max(abs(a - b) for a, b in zip(first.point, (0.0, 0.0))) < 1e-6
-    assert max(abs(a - b) for a, b in zip(first.point, second.point)) < 1e-6
-    assert first.proximity_residual < 1e-6
-
-
-def test_periodic_point_solve_kirk_hits_fixed_point():
-    gs = make_kirk_interval(0.5)
-    result = periodic_point_solve(gs.system, (-1.0,), tol=1e-12)
-    assert result.converged
-    assert abs(result.point[0]) < 1e-9
-
-
-def test_proximity_chain_extract_affine_strip():
-    gs = make_affine_strip(0.5, 1.0)
-    result = proximity_chain_extract(gs.system, (1.0, 0.0), tol=1e-12)
-    assert result.converged
-    assert len(result.chain) == 2
-    assert result.total_residual < 1e-6
-    assert all(r < 1e-6 for r in result.edge_residuals)
-    # map consistency: T applied to each extracted point lands on the next
-    space = gs.system.space
-    for i, pt in enumerate(result.chain):
-        nxt = result.chain[(i + 1) % 2]
-        assert space.distance(gs.system.apply(pt), nxt) < 1e-6
-
-
-def test_proximity_chain_extract_kirk():
-    gs = make_kirk_interval(0.5)
-    result = proximity_chain_extract(gs.system, (-1.0,), tol=1e-12)
-    assert result.converged
-    assert result.total_residual < 1e-9
-
-
-def test_proximity_chain_extract_flags_a_point_outside_its_region():
-    # Every point past x_0 maps to 0.5, in A_2 but not in A_1: the
-    # subsequences settle, and the chain's first point is outside A_1.
-    kirk = make_kirk_interval(0.5).system
-    system = CyclicSystem(kirk.space, kirk.regions, lambda x: (0.5,))
-    result = proximity_chain_extract(system, (-1.0,), tol=1e-12)
-    assert (result.converged, result.note) == (False, "extracted point left region 1")
-    assert result.chain == ((0.5,), (0.5,)) and result.iterations == 4
-
-
-def test_proximity_chain_extract_flags_truncation():
-    gs = make_paper_lq_family(m=2, alpha=0.5, q=2, N=6)
-    result = proximity_chain_extract(gs.system, gs.default_start, tol=1e-10, max_iter=500)
-    assert not result.converged
-    assert result.note is not None
-
-
-def test_boundedness_probe():
-    gs = make_kirk_interval(0.5)
-    trace = picard_orbit(gs.system, (-1.0,), 1000)
-    report = boundedness_probe(trace)
-    assert report.ok
-    assert all(s <= 2.0 for s in report.sups)
-
-    strip = make_affine_strip(0.5, 1.0)
-    strace = picard_orbit(strip.system, (1.0, 0.0), 1000)
-    assert boundedness_probe(strace).ok
-
-
-def test_chain_trace_p_inf_monotone():
-    gs = make_scaled_pair()
-    trace = picard_orbit(gs.system, gs.default_start, 60)
-    values = chain_trace(trace, INFINITY)
-    for a, b in zip(values, values[1:]):
-        assert b <= a + 1e-12 * (1 + a)
 
 
 # --- the trace table: each reader gives its references' bits ------------------

@@ -63,15 +63,12 @@ from reference import (
     CountingLq,
     CountingRandom,
     built,
-    certify_reference,
     counting,
     exact_margin,
-    flip,
     hexed,
     margin_floor,
     margins_by_x_tuple,
     pair_margins,
-    region_tuples,
     sampled_pairs,
     usable_tuples,
     vouched_counting,
@@ -397,29 +394,6 @@ def kirk_system():
     return make_kirk_interval(0.5).system
 
 
-def test_verify_cyclicity_kirk_passes():
-    assert verify_cyclicity(kirk_system(), seed=1).ok
-
-
-def test_verify_cyclicity_identity_fails_with_witness():
-    system = CyclicSystem(
-        space=L2_1,
-        regions=(Box((0.0,), (1.0,)), Box((2.0,), (3.0,))),
-        map=lambda x: x,
-    )
-    report = verify_cyclicity(system, samples_per_region=50, seed=0)
-    assert not report.ok
-    region_idx, point, image = report.violations[0]
-    assert region_idx == 0 and point == image
-
-
-def test_verify_cyclicity_reports_truncation_artifact():
-    gs = make_paper_lq_family(m=2, alpha=0.5, q=2, N=4)
-    report = verify_cyclicity(gs.system, seed=0)
-    assert report.ok
-    assert report.artifacts  # boundary index skipped, not a violation
-
-
 def _nan_at(*nan_points):
     """A metric on the line that is NaN to each of ``nan_points``."""
 
@@ -443,22 +417,6 @@ def test_cloud_membership_is_the_minimum_rule_with_nan_distances():
             assert cloud.contains(query, space) is want, (nans, query)
     assert not cloud.contains((1.0,), _nan_at((0.0,)))
     assert cloud.contains((1.0,), _nan_at((2.0,)))
-
-
-def test_verify_cyclicity_with_a_nan_first_distance_reports_every_point():
-    cloud = FiniteCloud(((0.0,), (1.0,)))
-    system = CyclicSystem(space=_nan_at((0.0,)), regions=(cloud, cloud), map=lambda x: x)
-    report = verify_cyclicity(system)
-    assert not report.ok and report.checked == 4
-    assert report.violations == tuple((i, x, x) for i in (0, 1) for x in cloud.points)
-
-
-def test_verify_cyclicity_passes_over_a_nan_later_distance():
-    cloud = FiniteCloud(((1.0,), (0.0,)))
-    system = CyclicSystem(space=_nan_at((0.0,)), regions=(cloud, cloud), map=lambda x: x)
-    report = verify_cyclicity(system)
-    assert not report.ok and report.checked == 4
-    assert report.violations == ((0, (0.0,), (0.0,)), (1, (0.0,), (0.0,)))
 
 
 def test_cloud_membership_stops_at_an_equal_point_only_where_the_gap_bound_holds(monkeypatch):
@@ -511,74 +469,6 @@ def test_error_messages_stay_short_at_any_dimension():
 # --- contraction certification ----------------------------------------------
 
 
-def test_verify_contraction_kirk_matches_grid_oracle():
-    system = kirk_system()
-    phi = LinearPhi(0.5)
-    # the per-pair reference on a grid: both inequality sides from the public calls
-    grid1 = [(-1.0 + 0.2 * i,) for i in range(6)]
-    grid2 = [(0.2 * i,) for i in range(6)]
-    tuples = list(itertools.product(grid1, grid2))
-    assert system.set_chain_distance(1) == 0.0
-    min_margin = certify_reference(system, phi, 1, itertools.product(tuples, tuples))[0]
-    assert min_margin >= -1e-10
-
-    cert = verify_contraction(system, phi, 1, tuple_samples=400, seed=0)
-    assert cert.ok
-    assert cert.min_margin >= -1e-10
-
-
-def test_verify_contraction_rejects_identity():
-    unit = Box((0.0,), (1.0,))
-    system = CyclicSystem(space=L2_1, regions=(unit, unit), map=lambda x: x)
-    cert = verify_contraction(system, LinearPhi(0.5), 1, tuple_samples=200, seed=0)
-    assert not cert.ok
-    assert cert.min_margin < -1e-10
-    assert cert.witness_xs and cert.witness_ys
-
-
-def test_witness_margin_reproduces():
-    unit = Box((0.0,), (1.0,))
-    system = CyclicSystem(space=L2_1, regions=(unit, unit), map=lambda x: x)
-    phi = LinearPhi(0.5)
-    cert = verify_contraction(system, phi, 1, tuple_samples=200, seed=0)
-    again = contraction_margin(system, phi, 1, cert.witness_xs, cert.witness_ys)
-    assert abs(again - cert.min_margin) <= 1e-14
-
-
-def test_verify_contraction_family_exhaustive_p_inf():
-    gs = make_paper_lq_family(m=2, alpha=0.5, q=2, N=4)
-    cert = verify_contraction(gs.system, LinearPhi(0.5), INFINITY, seed=0)
-    assert cert.exhaustive
-    assert cert.ok
-    assert cert.artifact_skips > 0
-
-
-def test_smaller_alpha_also_passes():
-    system = kirk_system()
-    for alpha in (0.5, 0.25, 0.1):
-        cert = verify_contraction(system, LinearPhi(alpha), 1, tuple_samples=200, seed=3)
-        assert cert.ok, alpha
-
-
-def test_phi_shift_leaves_margins_unchanged():
-    # only phi differences at two arguments enter the inequality
-    gs = make_paper_lq_family(m=2, alpha=0.5, q=2, N=3)
-    base = TabulatedPhi(((0.0, 0.0), (1.0, 0.4), (4.0, 1.6)))
-    shifted = TabulatedPhi(((0.0, 2.0), (1.0, 2.4), (4.0, 3.6)))
-    c1 = verify_contraction(gs.system, base, 2, seed=0)
-    c2 = verify_contraction(gs.system, shifted, 2, seed=0)
-    assert c1.min_margin == pytest.approx(c2.min_margin, abs=1e-12)
-
-
-def test_scaled_pair_far_apart_certifies():
-    # Margins of a 1e8-sized problem sit at its rounding level (about -3e-8);
-    # the tolerance must scale with the sides, not stay absolute.
-    gs = make_scaled_pair(alpha=0.4, separation=1e8, dimension=3)
-    cert = verify_contraction(gs.system, LinearPhi(0.4), 2, tuple_samples=500, seed=1)
-    assert cert.min_margin < -1e-10
-    assert cert.ok
-
-
 # The phis under which the block systems place a tie and the first NaN margin.
 PHIS = (LinearPhi(0.4), TabulatedPhi(((0.0, 0.1), (0.7, 0.3), (2.0, 0.6))))
 
@@ -621,63 +511,6 @@ def test_the_floor_covers_the_rounding_of_exact_margins(m, N, alpha, share, p, q
     assert cert.exhaustive and cert.evaluated == len(pairs)
     exact = exact_margin(system, phi, p, cert.witness_xs, cert.witness_ys, set_distance)
     assert abs(Fraction(cert.min_margin) - exact) <= -floor
-
-
-# The map throws the two clouds 2e308 apart, so every lhs is inf while every
-# d is finite: each margin is -inf, and none is NaN.
-BLOWUP = CyclicSystem(
-    space=LqSpace(1, 1),
-    regions=(FiniteCloud(((-1.0,), (-2.0,))), FiniteCloud(((1.0,), (2.0,)))),
-    map=lambda x: (-1e308 if x[0] < 0 else 1e308,),
-)
-
-
-@pytest.mark.parametrize("p", [1, 2, "inf"])
-def test_an_infinite_side_does_not_pass_the_certificate(p):
-    # Only an infinite S would make the floor -inf and let -inf through.
-    cert = verify_contraction(BLOWUP, LinearPhi(0.5), p)
-    assert cert.exhaustive and cert.evaluated == 16
-    assert cert.min_margin == -math.inf
-    assert not cert.ok
-
-
-def _first_nan_pair(system, phi, p, pairs):
-    pairs = list(pairs)
-    margins = [contraction_margin(system, phi, p, xs, ys) for xs, ys in pairs]
-    return pairs[[math.isnan(v) for v in margins].index(True)]
-
-
-@pytest.mark.parametrize("p", [1, 2, "inf"])
-def test_a_nan_margin_refutes_the_certificate(p):
-    # d = inf makes d - phi(d) inf - inf: the inequality cannot be evaluated
-    # there, so the first such pair is the witness and the certificate fails.
-    overflow = built("overflow")[0]
-    tuples = region_tuples(overflow)
-    cert = verify_contraction(overflow, LinearPhi(0.5), p)
-    assert cert.exhaustive and cert.evaluated == 81
-    assert math.isnan(cert.min_margin) and not cert.ok
-    assert (cert.witness_xs, cert.witness_ys) == _first_nan_pair(
-        overflow, LinearPhi(0.5), p, itertools.product(tuples, tuples)
-    )
-    # Every margin is NaN on the smallest such system.
-    single = CyclicSystem(
-        space=LqSpace(1, 1),
-        regions=(FiniteCloud(((1e308,),)), FiniteCloud(((-1e308,),))),
-        map=flip,
-    )
-    cert = verify_contraction(single, LinearPhi(0.5), p)
-    assert math.isnan(cert.min_margin) and not cert.ok and cert.evaluated == 1
-    assert cert.witness_xs == cert.witness_ys == ((1e308,), (-1e308,))
-    # The sampled scan: two balls 2e308 apart.
-    balls = CyclicSystem(
-        space=L2_1, regions=(Ball((1e308,), 1), Ball((-1e308,), 1)), map=flip
-    )
-    cert = verify_contraction(balls, LinearPhi(0.5), p, tuple_samples=300, seed=2)
-    assert not cert.exhaustive and cert.evaluated == 300
-    assert math.isnan(cert.min_margin) and not cert.ok
-    assert (cert.witness_xs, cert.witness_ys) == _first_nan_pair(
-        balls, LinearPhi(0.5), p, sampled_pairs(balls, 300, 2)
-    )
 
 
 def _first_reached(system):

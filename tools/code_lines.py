@@ -9,7 +9,8 @@ Standard library only. Run from the repository root:
     python tools/code_lines.py [--files]
 
 It prints the count of ``src/proxcycle``, ``tests``, ``bench`` and
-``tools``, and with ``--files`` each file's under it.
+``tools``, with ``--files`` each file's under it, and then the ratio of the
+tests' count to the library's.
 """
 
 import ast
@@ -47,12 +48,15 @@ def code_lines(path):
 
 
 def main(argv):
+    totals = {}
     for directory in DIRECTORIES:
         counts = {p: code_lines(p) for p in sorted(Path(directory).rglob("*.py"))}
-        print(f"{directory}: {sum(counts.values())}")
+        totals[directory] = sum(counts.values())
+        print(f"{directory}: {totals[directory]}")
         if "--files" in argv:
             for path, count in counts.items():
                 print(f"    {path}: {count}")
+    print(f"tests / src/proxcycle: {totals['tests'] / totals['src/proxcycle']:.2f}")
 
 
 if __name__ == "__main__":
